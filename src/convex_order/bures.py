@@ -67,7 +67,6 @@ def bw2_gradient(cov_fixed: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """
     fixed = sym(cov_fixed)
     s = sym(cov)
-    d = fixed.shape[0]
     for name, m in (("first", fixed), ("second", s)):
         vals, _ = psd_eigen(m)
         if vals[-1] <= default_rank_tol(vals):
@@ -79,5 +78,18 @@ def bw2_gradient(cov_fixed: np.ndarray, cov: np.ndarray) -> np.ndarray:
     inner_vals, inner_vecs = psd_eigen(sym(half @ s @ half))
     if inner_vals[-1] <= default_rank_tol(inner_vals):
         raise SingularInputError("inner matrix of bw2_gradient is singular")
-    inner_inv_half = _rebuild(1.0 / np.sqrt(inner_vals), inner_vecs)
-    return sym(np.eye(d) - half @ inner_inv_half @ half)
+    return bw2_gradient_from_inner(half, inner_vals, inner_vecs)
+
+
+def bw2_gradient_from_inner(
+    half: np.ndarray, inner_vals: np.ndarray, inner_vecs: np.ndarray
+) -> np.ndarray:
+    """``I - F^{1/2} (F^{1/2} S F^{1/2})^{-1/2} F^{1/2}`` from ``half =
+    F^{1/2}`` and the spectral decomposition of ``F^{1/2} S F^{1/2}``.
+
+    Inner eigenvalues below the rank cutoff are floored there, so a flat
+    ``S`` gives a large but finite gradient pointing back into the interior.
+    """
+    floor = max(default_rank_tol(inner_vals), np.finfo(float).tiny)
+    inner_inv_half = _rebuild(1.0 / np.sqrt(np.maximum(inner_vals, floor)), inner_vecs)
+    return sym(np.eye(half.shape[0]) - half @ inner_inv_half @ half)

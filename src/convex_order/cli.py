@@ -143,10 +143,12 @@ def main():
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", type=click.Choice(["auto", "closed-form", "pgd"]),
               default="auto", show_default=True)
-@click.option("--eta", type=float, default=None, help="Constant descent step size.")
+@click.option("--eta", type=float, default=None,
+              help="Initial descent step; later steps follow the Barzilai-Borwein rule.")
 @click.option("--max-iter", type=int, default=10_000, show_default=True)
 @click.option("--tol", type=float, default=1e-8, show_default=True,
-              help="Projected-step residual threshold for the descent.")
+              help="Descent stops once the gradient mapping ||S - S+|| / eta falls "
+                   "below tol * (1 + ||cov_nu||_F).")
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
               help="Write the descent trace as CSV (iteration, objective, grad_norm).")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
@@ -169,6 +171,15 @@ def cmd_project_gaussian(problem, method, eta, max_iter, tol, trace_path, output
     trace_data = diagnostics.pop("trace", None)
     if trace_path:
         _write_trace(trace_path, trace_data)
+    # a singular target runs the descent on its reduced problem
+    prefix = "reduced_" if "reduced_pgd_converged" in diagnostics else ""
+    converged = diagnostics.get(prefix + "pgd_converged", True)
+    if not converged:
+        click.echo(
+            "warning: the descent stopped before convergence "
+            f"({diagnostics[prefix + 'stop_reason']}); the transform is still certified",
+            err=True,
+        )
 
     shift = float(np.sum((mu.mean - nu.mean) ** 2))
     transform = below.transform
@@ -195,6 +206,7 @@ def cmd_project_gaussian(problem, method, eta, max_iter, tol, trace_path, output
         },
         "uniqueness": unique_report,
         "diagnostics": diagnostics,
+        "status": "ok" if converged else "not_converged",
     }
     _emit(report, output)
 

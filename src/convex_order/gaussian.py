@@ -40,6 +40,7 @@ from .linalg import (
     sym,
     sym_eigen,
 )
+from .measures import require_finite
 from .pgd import PgdConfig, PgdTrace, pgd_project_above
 
 
@@ -273,6 +274,8 @@ def _solve_pair(
     cov_nu = sym(np.atleast_2d(np.asarray(cov_nu, dtype=float)))
     if cov_mu.shape != cov_nu.shape:
         raise ValueError("dimension mismatch")
+    require_finite(cov_mu, "cov_mu")
+    require_finite(cov_nu, "cov_nu")
     d = cov_mu.shape[0]
     tol = default_order_tol(cov_nu) if order_tol is None else order_tol
 

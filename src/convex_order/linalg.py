@@ -68,11 +68,12 @@ def sym_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-vals, kind="stable")
     vals = vals[order].copy()
     vecs = vecs[:, order].copy()
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        significant = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
-        if significant.size and col[significant[0]] < 0.0:
-            vecs[:, k] = -col
+    if vecs.size == 0:
+        return vals, vecs
+    mags = np.abs(vecs)
+    significant = mags > 1e-12 * mags.max(axis=0)
+    lead = vecs[significant.argmax(axis=0), np.arange(vecs.shape[1])]
+    vecs *= np.where(significant.any(axis=0) & (lead < 0.0), -1.0, 1.0)
     return vals, vecs
 
 

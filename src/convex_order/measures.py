@@ -16,6 +16,12 @@ class EmptyMeasureError(ValueError):
     """A measure needs at least one atom."""
 
 
+def require_finite(values: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` unless every entry of ``values`` is finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite (got NaN or inf)")
+
+
 @dataclass(frozen=True)
 class GaussianMeasure:
     """Gaussian distribution with the given mean vector and covariance."""
@@ -30,6 +36,8 @@ class GaussianMeasure:
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean of size {mean.size}"
             )
+        require_finite(mean, "mean")
+        require_finite(cov, "covariance")
         psd_eigen(cov)  # raises NotPsdError on bad input
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -67,6 +75,8 @@ class DiscreteMeasure:
         w = np.asarray(self.weights, dtype=float).ravel()
         if w.shape[0] != pts.shape[0]:
             raise ValueError("one weight per support point required")
+        require_finite(pts, "support points")
+        require_finite(w, "weights")
         if np.any(w <= 0.0):
             raise ValueError("weights must be strictly positive")
         total = float(w.sum())

@@ -13,6 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .bures import bw2_gradient_from_inner
 from .linalg import (
     EIG_TOL,
     _rebuild,
@@ -28,20 +29,28 @@ from .linalg import (
 class PgdConfig:
     """Knobs for the projected gradient descent.
 
-    ``step_size=None`` picks a crude curvature-based default from the
-    spectra of the two inputs.  ``step_schedule`` may supply a
-    non-increasing sequence ``i -> eta_i`` (1-based) overriding the
-    constant step.  Backtracking halves the step within an iteration
-    whenever the objective would increase.
+    ``step_size`` is the initial step; ``None`` picks a crude
+    curvature-based default from the spectra of the two inputs.  Later
+    steps follow the Barzilai-Borwein rule, kept within a fixed band around
+    the initial step.  ``step_schedule`` may supply a sequence
+    ``i -> eta_i`` (1-based) that overrides the step of every iteration.
+    Backtracking halves the step within an iteration until the candidate
+    meets the sufficient-decrease bound, so the objective never increases.
+    The descent stops once the gradient mapping ``||S - S+|| / eta`` at the
+    accepted step falls below ``residual_tol * (1 + ||cov_nu||_F)``, which
+    does not depend on the step size.
     """
 
     step_size: float | None = None
     step_schedule: Callable[[int], float] | None = None
     max_iter: int = 10_000
     residual_tol: float = 1e-8  # scaled by (1 + ||cov_nu||_F)
-    decrease_tol: float = 0.0  # extra stop: relative objective decrease below this
     reg_factor: float = 1e-10  # eps_reg = reg_factor * tr(cov_nu)
     max_backtracks: int = 60
+
+
+# Barzilai-Borwein steps stay within [eta0 / BB_BAND, eta0 * BB_BAND].
+BB_BAND = 1e4
 
 
 @dataclass
@@ -102,20 +111,12 @@ class _Objective:
             )
         self.trace_nu = float(np.trace(self.cov_nu))
         self.half = _rebuild(np.sqrt(vals), vecs)
-        self.eye = np.eye(self.cov_nu.shape[0])
 
-    def value(self, s: np.ndarray) -> float:
-        inner_vals, _ = psd_eigen(sym(self.half @ s @ self.half))
-        return float(
-            self.trace_nu + np.trace(s) - 2.0 * np.sum(np.sqrt(inner_vals))
-        )
-
-    def gradient(self, s: np.ndarray) -> np.ndarray:
+    def value_and_gradient(self, s: np.ndarray) -> tuple[float, np.ndarray]:
+        """Objective and gradient at ``s`` from one eigensolve."""
         inner_vals, inner_vecs = psd_eigen(sym(self.half @ s @ self.half))
-        floor = default_rank_tol(inner_vals)
-        safe = np.maximum(inner_vals, max(floor, np.finfo(float).tiny))
-        inv_half = _rebuild(1.0 / np.sqrt(safe), inner_vecs)
-        return sym(self.eye - self.half @ inv_half @ self.half)
+        value = float(self.trace_nu + np.trace(s) - 2.0 * np.sum(np.sqrt(inner_vals)))
+        return value, bw2_gradient_from_inner(self.half, inner_vals, inner_vecs)
 
 
 def default_step_size(cov_nu: np.ndarray, cov_mu: np.ndarray, reg: float) -> float:
@@ -143,75 +144,79 @@ def pgd_project_above(
 ) -> tuple[PgdOutcome, PgdTrace]:
     """Minimize ``bw2(cov_nu, S)`` over ``{S >= cov_mu}`` by projected descent.
 
-    ``cov_nu`` must be positive definite (``cov_mu`` may be singular: the
-    initializer dominates ``cov_nu`` and near-singular iterates are
-    regularized before the gradient evaluation).  Stops when the
-    projected-step residual falls below ``residual_tol * (1 + ||cov_nu||_F)``
-    or after ``max_iter`` iterations, whichever comes first.
+    ``cov_nu`` must be positive definite; ``cov_mu`` may be singular (the
+    initializer dominates ``cov_nu``, and the gradient floors the inner
+    eigenvalues of near-singular iterates).  Each iteration starts from a
+    Barzilai-Borwein step ``<dS, dS> / <dS, dG>`` (doubled instead when the
+    curvature estimate is not positive) clipped to ``[eta0 / BB_BAND,
+    eta0 * BB_BAND]`` around the initial step ``eta0``, then halves it until
+    ``f(S+) <= f(S) + <G, S+ - S> + ||S+ - S||^2 / (2 eta)``.  Stops when the
+    gradient mapping ``||S - S+|| / eta`` at the accepted step falls below
+    ``residual_tol * (1 + ||cov_nu||_F)`` or after ``max_iter`` iterations,
+    whichever comes first; ``residual`` reports that gradient mapping.
     """
     cfg = config or PgdConfig()
     nu = sym(cov_nu)
     mu = sym(cov_mu)
     objective = _Objective(nu)
-    reg = cfg.reg_factor * float(np.trace(nu))
-    if cfg.step_schedule is not None:
-        schedule = cfg.step_schedule
-    else:
-        eta0 = cfg.step_size if cfg.step_size is not None else default_step_size(
-            nu, mu, reg
-        )
-        schedule = lambda i: eta0  # noqa: E731
+    eta0 = float(
+        cfg.step_size
+        if cfg.step_size is not None
+        else default_step_size(nu, mu, cfg.reg_factor * float(np.trace(nu)))
+    )
+    eta_lo, eta_hi = eta0 / BB_BAND, eta0 * BB_BAND
 
     s = frobenius_project_above(nu, mu)
-    f = objective.value(s)
-    res_scale = 1.0 + float(np.linalg.norm(nu))
+    f, grad = objective.value_and_gradient(s)
+    tol = cfg.residual_tol * (1.0 + float(np.linalg.norm(nu)))
     trace = PgdTrace()
     residual = np.inf
     converged = False
     reason = "max_iter"
     iterations = 0
+    eta = eta0
+    prev: tuple[np.ndarray, np.ndarray] | None = None
 
     for i in range(1, cfg.max_iter + 1):
         iterations = i
-        s_eval = s
-        min_eig = float(np.linalg.eigvalsh(s)[0])
-        if min_eig < reg:
-            s_eval = sym(s + reg * np.eye(s.shape[0]))
-        grad = objective.gradient(s_eval)
-        grad_norm = float(np.linalg.norm(grad))
+        if cfg.step_schedule is not None:
+            eta = float(cfg.step_schedule(i))
+        elif prev is not None:
+            ds, dg = s - prev[0], grad - prev[1]
+            curvature = float(np.sum(ds * dg))
+            if curvature > 0.0:
+                eta = float(np.sum(ds * ds)) / curvature
+            else:
+                eta *= 2.0
+            eta = min(max(eta, eta_lo), eta_hi)
 
-        eta = float(schedule(i))
-        candidate = frobenius_project_above(s - eta * grad, mu)
-        residual = float(np.linalg.norm(s - candidate))
-        if residual <= cfg.residual_tol * res_scale:
-            converged = True
-            reason = "residual"
-            break
-
-        f_cand = objective.value(candidate)
-        accepted = False
+        # near the optimum the decrease sinks below the roundoff of f
         slack = 1e-12 * (1.0 + abs(f))
+        accepted = False
         for _ in range(cfg.max_backtracks):
-            if f_cand <= f + slack:
+            candidate = frobenius_project_above(s - eta * grad, mu)
+            step = candidate - s
+            f_cand, grad_cand = objective.value_and_gradient(candidate)
+            bound = f + float(np.sum(grad * step)) + float(np.sum(step * step)) / (2.0 * eta)
+            if f_cand <= bound + slack:
                 accepted = True
                 break
             eta *= 0.5
-            candidate = frobenius_project_above(s - eta * grad, mu)
-            f_cand = objective.value(candidate)
         if not accepted:
             reason = "stalled"
             break
 
-        decrease = f - f_cand
-        s = candidate
-        f = f_cand
+        residual = float(np.linalg.norm(step)) / eta
+        prev = (s, grad)
+        trace.grad_norm.append(float(np.linalg.norm(grad)))
+        s, f, grad = candidate, f_cand, grad_cand
         viol = float(np.linalg.eigvalsh(sym(s - mu))[0])
-        trace.objective.append(f_cand)
-        trace.grad_norm.append(grad_norm)
+        trace.objective.append(f)
         trace.cone_violation.append(max(0.0, -viol))
         trace.step_size.append(eta)
-        if cfg.decrease_tol > 0.0 and decrease <= cfg.decrease_tol * (1.0 + abs(f)):
-            reason = "decrease"
+        if residual <= tol:
+            converged = True
+            reason = "residual"
             break
 
     outcome = PgdOutcome(

@@ -124,6 +124,32 @@ class TestProjectGaussian:
         result = runner.invoke(main, ["project-gaussian", problem])
         assert result.exit_code == 2
 
+    def test_non_finite_input_is_parse_error(self, runner, tmp_path):
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"mean": [0.0, 0.0], "cov": [[float("nan"), 0.0], [0.0, 1.0]]},
+            "nu": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+        })
+        result = runner.invoke(main, ["project-gaussian", problem])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
+    def test_non_convergence_is_reported(self, runner, tmp_path):
+        # two descent iterations leave the gradient mapping above --tol,
+        # but on this pair the transform they give already certifies
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"mean": [0.0, 0.0], "cov": [[1.18, -0.16], [-0.16, 1.3]]},
+            "nu": {"mean": [0.0, 0.0], "cov": [[1.95, -1.54], [-1.54, 3.43]]},
+        })
+        result = runner.invoke(main, ["project-gaussian", problem, "--max-iter", "2"])
+        assert result.exit_code == 0
+        assert "warning" in result.stderr
+        report = json.loads(result.stdout)
+        assert report["status"] == "not_converged"
+        assert report["transform"]["certified"]
+        converged = runner.invoke(main, ["project-gaussian", problem])
+        assert json.loads(converged.stdout)["status"] == "ok"
+        assert "warning" not in converged.stderr
+
     def test_closed_form_refusal_is_solver_error(self, runner, tmp_path):
         # a pair outside the shared-correlation regime cannot be forced
         # through the closed form

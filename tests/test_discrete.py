@@ -37,6 +37,12 @@ class TestMeasureConstruction:
         with pytest.raises(ValueError):
             DiscreteMeasure([[0.0]], [0.5])
 
+    def test_rejects_non_finite_atoms_and_weights(self):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure.from_1d([0.0, np.nan], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure([[0.0], [1.0]], [np.inf, 0.5])
+
     def test_renormalizes_near_one(self):
         m = DiscreteMeasure([[0.0], [1.0]], [0.5 + 1e-9, 0.5])
         assert float(np.sum(m.weights)) == pytest.approx(1.0, abs=1e-15)

@@ -15,6 +15,7 @@ from convex_order.gaussian import (
     shared_correlation_fast_path,
 )
 from convex_order.linalg import loewner_leq, sym_eigen
+from convex_order.measures import GaussianMeasure
 from convex_order.pgd import pgd_project_above
 from _utils import random_commuting_pair, random_orthogonal, random_psd_singular, random_spd
 
@@ -38,6 +39,20 @@ def assert_transform_valid(t, cov_mu, cov_nu, tol=1e-7):
             assert ratios[i] == 1.0
     assert loewner_leq(ratios[:, None] * m_mu * ratios[None, :], m_nu, tol)
     assert t.certified
+
+
+class TestNonFiniteInput:
+    def test_measure_rejects_nan_covariance(self):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianMeasure([0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_measure_rejects_inf_mean(self):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianMeasure([0.0, np.inf], np.eye(2))
+
+    def test_project_pair_rejects_non_finite_matrix(self):
+        with pytest.raises(ValueError, match="finite"):
+            project_pair(np.eye(2), np.array([[1.0, np.inf], [np.inf, 1.0]]))
 
 
 class TestOrderTransform:

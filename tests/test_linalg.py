@@ -49,6 +49,31 @@ class TestSymEigen:
                 lead = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0][0]
                 assert col[lead] > 0
 
+    def test_sign_fix_matches_per_column_reference(self):
+        # reference: the per-column loop the vectorised sign fix replaced
+        def reference(m):
+            vals, vecs = np.linalg.eigh(m)
+            order = np.argsort(-vals, kind="stable")
+            vals, vecs = vals[order].copy(), vecs[:, order].copy()
+            for k in range(vecs.shape[1]):
+                col = vecs[:, k]
+                significant = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
+                if significant.size and col[significant[0]] < 0.0:
+                    vecs[:, k] = -col
+            return vals, vecs
+
+        rng = np.random.default_rng(11)
+        block = np.zeros((5, 5))
+        block[1:3, 1:3] = [[1.0, -2.0], [-2.0, 1.0]]
+        block[4, 4] = -3.0
+        cases = [block, -np.eye(3), np.array([[0.0, -1.0], [-1.0, 0.0]])]
+        cases += [random_symmetric(rng, int(rng.integers(1, 9))) for _ in range(40)]
+        for m in cases:
+            vals, vecs = sym_eigen(m)
+            ref_vals, ref_vecs = reference(m)
+            np.testing.assert_array_equal(vals, ref_vals)
+            np.testing.assert_array_equal(vecs, ref_vecs)
+
     def test_reconstruction(self):
         rng = np.random.default_rng(1)
         for _ in range(25):

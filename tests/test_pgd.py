@@ -2,15 +2,99 @@ import numpy as np
 import pytest
 
 from convex_order.bures import bw2
-from convex_order.gaussian import shared_correlation_fast_path
+from convex_order.gaussian import project_pair, shared_correlation_fast_path
 from convex_order.linalg import loewner_leq, sym_eigen
 from convex_order.pgd import (
     PgdConfig,
+    default_step_size,
     frobenius_project_above,
     frobenius_project_below,
     pgd_project_above,
 )
 from _utils import random_spd, random_symmetric
+
+# Random d = 4 pair (eigenvalues uniform on [0.2, 3], Haar eigenbasis) on
+# which a stop tested before backtracking ran to max_iter at 64x the
+# default step.
+D4_MU = np.array([
+    [1.5378921525343272, 0.7132636896765547, -0.23220199096467684, -0.31254648644324035],
+    [0.7132636896765547, 1.8839195363683416, 0.7397788902527065, -0.10910421171774322],
+    [-0.23220199096467684, 0.7397788902527065, 2.2870978533467006, 0.1779163523134928],
+    [-0.31254648644324035, -0.10910421171774322, 0.1779163523134928, 2.6077001448775454],
+])
+D4_NU = np.array([
+    [1.6820841652009173, 0.21835787297595805, 0.23697820336675723, 0.2954449072905925],
+    [0.21835787297595805, 1.3254957377898617, 0.09823165058226221, -0.29624822791214944],
+    [0.23697820336675723, 0.09823165058226221, 1.7954147184331872, 0.10759729229529559],
+    [0.2954449072905925, -0.29624822791214944, 0.10759729229529559, 1.2065316206175518],
+])
+
+# d = 10 pair of the same kind on which a stop at the projected-step
+# residual came out too loose: the transform missed certification by -3.1e-6.
+D10_MU = np.array([
+    [2.0548376619877153, 0.12280391942535161, 0.06902706799552469, 0.4883250000987184,
+     -0.18227501941627344, 0.022469936960220885, 0.3425077191201274, -0.2477801319465904,
+     -0.08470623787639853, 0.1696310260028256],
+    [0.12280391942535161, 1.8885600406335281, 0.007175126197223291, -0.16947501362880396,
+     -0.1703066878001427, -0.02937482225259926, -0.19144236037399334, -0.12322092585021173,
+     0.15212868636211474, 0.4013264273759438],
+    [0.06902706799552469, 0.007175126197223291, 1.4466702494204393, 0.07729128227496915,
+     -0.08026109940214267, 0.05798332894334467, 0.12889348077232454, -0.018083826310582404,
+     0.0994402862920435, 0.043184359531289046],
+    [0.4883250000987184, -0.16947501362880396, 0.07729128227496915, 1.897864327600241,
+     0.05068207561893301, -0.07099387865953591, 0.37034949948505946, -0.11216819208555748,
+     -0.33719360072640514, 0.042413444062704336],
+    [-0.18227501941627344, -0.1703066878001427, -0.08026109940214267, 0.05068207561893301,
+     1.7067466465350125, -0.037252104196197344, 0.12938885740004463, -0.031521199850325456,
+     -0.41171016794138876, -0.2946989285979811],
+    [0.022469936960220885, -0.02937482225259926, 0.05798332894334467, -0.07099387865953591,
+     -0.037252104196197344, 1.688155473757453, 0.20903885304314263, -0.09971157440655104,
+     0.3727391684495853, -0.1320205750273506],
+    [0.3425077191201274, -0.19144236037399334, 0.12889348077232454, 0.37034949948505946,
+     0.12938885740004463, 0.20903885304314263, 1.9305814211059074, -0.11763719545234524,
+     0.0314892214608247, -0.032404501444632736],
+    [-0.2477801319465904, -0.12322092585021173, -0.018083826310582404, -0.11216819208555748,
+     -0.031521199850325456, -0.09971157440655104, -0.11763719545234524, 1.6915107648628342,
+     -0.17019533363419959, 0.1356620885214983],
+    [-0.08470623787639853, 0.15212868636211474, 0.0994402862920435, -0.33719360072640514,
+     -0.41171016794138876, 0.3727391684495853, 0.0314892214608247, -0.17019533363419959,
+     2.3181261903028414, -0.17992837401413553],
+    [0.1696310260028256, 0.4013264273759438, 0.043184359531289046, 0.042413444062704336,
+     -0.2946989285979811, -0.1320205750273506, -0.032404501444632736, 0.1356620885214983,
+     -0.17992837401413553, 2.1273559206890154],
+])
+D10_NU = np.array([
+    [1.6783655258977463, 0.352004841622957, -0.4431324884867134, -0.17078417666616347,
+     -0.1333145954795072, -0.1246152664765468, 0.2610881945942271, -0.17628998567950233,
+     0.12444594214498016, -0.20241153923607885],
+    [0.352004841622957, 1.839173156243692, -0.14797145438411358, 0.6267988093189001,
+     0.37820991456087705, -0.18832239531655376, 0.3475877263919237, -0.2425945448782474,
+     -0.08618685330484557, -0.05479361596270872],
+    [-0.4431324884867134, -0.14797145438411358, 1.742572164437821, -0.04304458758917034,
+     -0.14000324503036551, -0.39042016983786093, 0.2255099914047514, -0.515933333673058,
+     -0.536532146746056, 0.24155266225782313],
+    [-0.17078417666616347, 0.6267988093189001, -0.04304458758917034, 1.0581797110953053,
+     -0.01762075974858315, 0.2521457257189199, 0.36322746869075745, 0.3459281753570984,
+     -0.017612741807247752, 0.19495166972416572],
+    [-0.1333145954795072, 0.37820991456087705, -0.14000324503036551, -0.01762075974858315,
+     1.252763781462839, 0.2656278584794278, 0.11840909526109625, 0.0622912562608038,
+     -0.7070660918814566, 0.13161741676825317],
+    [-0.1246152664765468, -0.18832239531655376, -0.39042016983786093, 0.2521457257189199,
+     0.2656278584794278, 1.0587201158985076, 0.36078526921325704, 0.33299487198585237,
+     0.12412289365897526, 0.23625975853594866],
+    [0.2610881945942271, 0.3475877263919237, 0.2255099914047514, 0.36322746869075745,
+     0.11840909526109625, 0.36078526921325704, 1.49876719042733, -0.10777791825939967,
+     -0.3985479179405982, -0.03307541905965665],
+    [-0.17628998567950233, -0.2425945448782474, -0.515933333673058, 0.3459281753570984,
+     0.0622912562608038, 0.33299487198585237, -0.10777791825939967, 1.7013831101031982,
+     -0.24170915542097018, -0.07816972132339015],
+    [0.12444594214498016, -0.08618685330484557, -0.536532146746056, -0.017612741807247752,
+     -0.7070660918814566, 0.12412289365897526, -0.3985479179405982, -0.24170915542097018,
+     2.137430692101395, 0.27267963368347803],
+    [-0.20241153923607885, -0.05479361596270872, 0.24155266225782313, 0.19495166972416572,
+     0.13161741676825317, 0.23625975853594866, -0.03307541905965665, -0.07816972132339015,
+     0.27267963368347803, 1.8898805030267185],
+])
 
 
 class TestFrobeniusAbove:
@@ -152,3 +236,25 @@ class TestPgd:
         a, b = random_spd(rng, 3), random_spd(rng, 3)
         outcome, _ = pgd_project_above(b, a)
         assert outcome.objective == pytest.approx(bw2(b, outcome.covariance), abs=1e-9)
+
+
+class TestStoppingRule:
+    def test_converges_for_any_initial_step(self):
+        base = default_step_size(D4_NU, D4_MU, 1e-10 * float(np.trace(D4_NU)))
+        objectives = []
+        for factor in (1, 16, 64, 1024):
+            outcome, _ = pgd_project_above(
+                D4_NU, D4_MU, PgdConfig(step_size=factor * base)
+            )
+            assert outcome.stop_reason == "residual"
+            assert outcome.iterations <= 50
+            objectives.append(outcome.objective)
+        assert max(objectives) - min(objectives) <= 1e-12
+
+    def test_stop_is_tight_enough_to_certify(self):
+        below, above = project_pair(D10_MU, D10_NU)
+        assert below.method == "pgd"
+        assert below.transform.certified
+        assert below.diagnostics["pgd_converged"]
+        assert loewner_leq(below.covariance, D10_NU, 1e-7)
+        assert loewner_leq(D10_MU, above.covariance, 1e-7)
