@@ -271,6 +271,7 @@ def cmd_project_discrete(problem, tol, max_iter, coupling_csv, output):
         "barycenter_residual": float(
             np.linalg.norm(projection.barycenter - nu.barycenter)
         ),
+        "diagnostics": result.diagnostics,
     }
     _emit(report, output)
 

@@ -2,10 +2,13 @@
 
 Minimizes the barycentric cost ``sum_i w_i |x_i - m(pi_{x_i})|^2`` over the
 transportation polytope with Frank-Wolfe: linear subproblems are solved
-exactly by a small transportation simplex, and a corrective step
+exactly by a network simplex on the transportation basis tree (Dantzig
+pricing with a Bland fallback against cycling), and a corrective step
 re-optimizes the quadratic over the hull of the vertices seen so far.  The
-pushforward of the first marginal under the conditional-barycenter map of
-an optimal coupling realizes the dominated-side Wasserstein projection.
+marginals stay fixed across one solve, so every oracle call warm-starts
+from the optimal basis of the previous one.  The pushforward of the first
+marginal under the conditional-barycenter map of an optimal coupling
+realizes the dominated-side Wasserstein projection.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ from .one_dim import integrated_quantile_nodes, quantile_of
 
 MARGINAL_TOL = 1e-9
 CX_TOL = 1e-9
+# Dantzig pricing gives way to Bland's rule after _DEGENERATE_RUNS * (n + m)
+# degenerate pivots in a row (0: Bland's rule throughout)
+_DEGENERATE_RUNS = 1
 
 
 class BudgetExceededError(ValueError):
@@ -108,79 +114,156 @@ def _northwest_corner(
     return pi, basis
 
 
-def _tree_potentials(
-    basis: list[tuple[int, int]], cost: np.ndarray, n: int, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dual potentials u, v with u_i + v_j = c_ij on the basis tree."""
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n + m)]
-    for k, (i, j) in enumerate(basis):
-        adj[i].append((n + j, k))
-        adj[n + j].append((i, k))
-    u = np.zeros(n)
-    v = np.zeros(m)
-    seen = np.zeros(n + m, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        node = stack.pop()
-        for other, k in adj[node]:
-            if seen[other]:
-                continue
-            seen[other] = True
-            i, j = basis[k]
-            if other >= n:  # settled the row, derive the column
-                v[j] = cost[i, j] - u[i]
-            else:
-                u[i] = cost[i, j] - v[j]
-            stack.append(other)
-    if not seen.all():
-        raise LpInfeasibleError("basis does not span the bipartite graph")
-    return u, v
+class _TransportBasis:
+    """Spanning-tree basis of the transportation simplex, with its flows
+    and dual potentials.
 
-
-def _basis_cycle(
-    basis: list[tuple[int, int]], enter: tuple[int, int], n: int, m: int
-) -> list[tuple[int, int]]:
-    """Alternating cycle created by adding ``enter`` to the basis tree.
-
-    Returns the cycle as a cell sequence starting at ``enter``; cells at
-    even positions gain mass, odd positions lose it.
+    Nodes ``0..n-1`` are the rows and ``n..n+m-1`` the columns; the tree is
+    rooted at row 0.  Every other node ``k`` hangs from ``parent[k]`` at
+    ``depth[k]`` through the basis cell ``cell[k]`` (flat index
+    ``i * m + j``), which carries the mass ``flow[k]``; ``children[k]``
+    lists the nodes hung below ``k``; ``in_basis`` flags the basis cells
+    by flat index.  ``pot`` holds the potentials ``u`` (rows) then ``v``
+    (columns), with ``u_i + v_j = c_ij`` on every basis cell and the root
+    at 0.  A basic feasible solution stays feasible when
+    only the cost changes, so one basis can warm-start a sequence of solves
+    that share the marginals.
     """
-    adj: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for i, j in basis:
-        adj.setdefault(i, []).append((n + j, (i, j)))
-        adj.setdefault(n + j, []).append((i, (i, j)))
-    start, goal = enter[0], n + enter[1]
-    parent: dict[int, tuple[int, tuple[int, int]]] = {start: (-1, enter)}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for other, cell in adj.get(node, []):
-            if other not in parent:
-                parent[other] = (node, cell)
-                stack.append(other)
-    if goal not in parent:
-        raise LpInfeasibleError("entering cell closes no cycle")
-    path_cells = []
-    node = goal
-    while node != start:
-        prev, cell = parent[node]
-        path_cells.append(cell)
-        node = prev
-    return [enter] + path_cells
+
+    def __init__(self, pi: np.ndarray, cells: list[tuple[int, int]]):
+        """Tree of the basic solution ``pi`` on ``cells``, listed so that
+        each cell joins one new node to the tree grown from row 0 (as
+        :func:`_northwest_corner` lists them)."""
+        n, m = pi.shape
+        size = n + m
+        self.n, self.m = n, m
+        self.parent = [-1] * size
+        self.depth = [0] * size
+        self.cell = [-1] * size
+        self.flow = [0.0] * size
+        self.children: list[list[int]] = [[] for _ in range(size)]
+        self.pot = [0.0] * size
+        self.pivots = 0
+        placed = [True] + [False] * (size - 1)
+        for i, j in cells:
+            if placed[i] == placed[n + j]:
+                raise LpInfeasibleError("basis cells do not grow a spanning tree")
+            child, up = (n + j, i) if placed[i] else (i, n + j)
+            placed[child] = True
+            self.parent[child] = up
+            self.depth[child] = self.depth[up] + 1
+            self.cell[child] = i * m + j
+            self.flow[child] = float(pi[i, j])
+            self.children[up].append(child)
+        if not all(placed):
+            raise LpInfeasibleError("basis cells do not grow a spanning tree")
+        self.in_basis = np.zeros(n * m, dtype=bool)
+        self.in_basis[self.cell[1:]] = True
+
+    def coupling(self) -> np.ndarray:
+        """The basic solution as a dense ``n x m`` matrix."""
+        pi = np.zeros(self.n * self.m)
+        pi[self.cell[1:]] = self.flow[1:]
+        return pi.reshape(self.n, self.m)
+
+    def settle(self, top: int, cost: list[float]) -> None:
+        """Recompute depth and potential of ``top`` and of every node below it."""
+        parent, depth, cell, pot, children = (
+            self.parent, self.depth, self.cell, self.pot, self.children
+        )
+        stack = [top]
+        while stack:
+            node = stack.pop()
+            up = parent[node]
+            if up >= 0:
+                depth[node] = depth[up] + 1
+                pot[node] = cost[cell[node]] - pot[up]
+            stack.extend(children[node])
+
+    def pivot(
+        self, i: int, j: int, up_col: list[int], up_row: list[int], cost: list[float]
+    ) -> float:
+        """Enter cell ``(i, j)``, whose cycle is ``_basis_cycle``'s output.
+
+        Moves the largest feasible mass ``theta`` around the cycle, drops
+        the first emptied losing cell in row-major order (Bland's leaving
+        rule) and re-hangs the subtree it cut off from the entering cell.
+        Returns ``theta``.
+        """
+        n, m = self.n, self.m
+        parent, cell, flow, children = self.parent, self.cell, self.flow, self.children
+        losing = up_col[0::2] + up_row[0::2]
+        theta = min(flow[k] for k in losing)
+        leave = min((k for k in losing if flow[k] <= theta), key=cell.__getitem__)
+        if theta > 0.0:
+            for k in losing:
+                flow[k] -= theta
+            for k in up_col[1::2] + up_row[1::2]:
+                flow[k] += theta
+        # the path from the entering cell's end down to ``leave`` flips over
+        if leave in up_col:
+            path, anchor = up_col[: up_col.index(leave) + 1], i
+        else:
+            path, anchor = up_row[: up_row.index(leave) + 1], n + j
+        self.in_basis[cell[leave]] = False
+        self.in_basis[i * m + j] = True
+        hang = (anchor, i * m + j, theta)
+        for node in path:
+            children[parent[node]].remove(node)
+            old = (parent[node], cell[node], flow[node])
+            parent[node], cell[node], flow[node] = hang
+            children[hang[0]].append(node)
+            hang = (node, old[1], old[2])
+        self.settle(path[0], cost)
+        self.pivots += 1
+        return theta
+
+
+def _basis_cycle(basis: _TransportBasis, i: int, j: int) -> tuple[list[int], list[int]]:
+    """Cycle closed by adding cell ``(i, j)`` to the basis tree.
+
+    Returns the nodes passed walking up from column ``j`` and from row
+    ``i`` to their lowest common ancestor, that ancestor excluded; each
+    node stands for the cell joining it to its parent.  Along either walk
+    the cells alternately lose and gain mass, starting with a loss.
+    """
+    parent, depth = basis.parent, basis.depth
+    a, b = basis.n + j, i
+    up_col: list[int] = []
+    up_row: list[int] = []
+    while depth[a] > depth[b]:
+        up_col.append(a)
+        a = parent[a]
+    while depth[b] > depth[a]:
+        up_row.append(b)
+        b = parent[b]
+    while a != b:
+        up_col.append(a)
+        a = parent[a]
+        up_row.append(b)
+        b = parent[b]
+    return up_col, up_row
 
 
 def solve_transport_lp(
-    cost: np.ndarray, row_weights: np.ndarray, col_weights: np.ndarray
+    cost: np.ndarray,
+    row_weights: np.ndarray,
+    col_weights: np.ndarray,
+    *,
+    basis: _TransportBasis | None = None,
 ) -> np.ndarray:
     """Exact optimal vertex of the transportation polytope.
 
-    Northwest-corner start, then simplex pivots with Bland's rule (first
-    cell in row-major order with sufficiently negative reduced cost), which
-    rules out cycling on degenerate instances.  With zero cost the
-    northwest-corner vertex is returned unchanged.
+    Network simplex on the basis tree.  Without ``basis`` it starts cold
+    from the northwest corner; with one (built for the same marginals) it
+    starts from that basis and leaves the optimal basis in it, ready to
+    warm-start the next cost.  The entering cell has the most negative
+    reduced cost (Dantzig pricing); after ``n + m`` degenerate pivots in a
+    row, Bland's rule (first cell in row-major order with sufficiently
+    negative reduced cost) takes over until a pivot moves mass, which rules
+    out cycling.  Potentials are recomputed only on the subtree that each
+    pivot re-hangs.  With zero cost the starting vertex is returned
+    unchanged.
     """
     cost = np.asarray(cost, dtype=float)
     row_w = np.asarray(row_weights, dtype=float)
@@ -190,29 +273,32 @@ def solve_transport_lp(
     if abs(row_w.sum() - col_w.sum()) > 1e-9 * (1.0 + row_w.sum()):
         raise LpInfeasibleError("row and column weights have different totals")
     n, m = row_w.size, col_w.size
-    pi, basis = _northwest_corner(row_w, col_w)
+    if basis is None:
+        basis = _TransportBasis(*_northwest_corner(row_w, col_w))
+    elif (basis.n, basis.m) != (n, m):
+        raise ValueError("warm-start basis does not match the weights")
+    flat_cost = cost.ravel().tolist()
+    basis.settle(0, flat_cost)
     threshold = 1e-12 * (1.0 + float(np.abs(cost).max()))
     max_pivots = 40 * (n + m) * max(n, m)
+    max_degenerate = _DEGENERATE_RUNS * (n + m)
+    degenerate = 0
 
     for _ in range(max_pivots):
-        u, v = _tree_potentials(basis, cost, n, m)
-        reduced = cost - u[:, None] - v[None, :]
-        basis_mask = np.zeros((n, m), dtype=bool)
-        rows, cols = zip(*basis)
-        basis_mask[list(rows), list(cols)] = True
-        candidates = np.argwhere(~basis_mask & (reduced < -threshold))
-        if candidates.size == 0:
-            return pi
-        enter = tuple(int(t) for t in candidates[0])  # Bland: first in row-major order
-        cycle = _basis_cycle(basis, enter, n, m)
-        losing = cycle[1::2]
-        theta = min(pi[c] for c in losing)
-        leave = min(c for c in losing if pi[c] <= theta)  # Bland again on ties
-        for idx, cell in enumerate(cycle):
-            pi[cell] += theta if idx % 2 == 0 else -theta
-            if idx % 2 == 1:
-                pi[cell] = max(pi[cell], 0.0)
-        basis[basis.index(leave)] = enter
+        pot = np.array(basis.pot)
+        reduced = cost - pot[:n, None]
+        reduced -= pot[None, n:]
+        flat = reduced.ravel()
+        flat[basis.in_basis] = 0.0
+        enter = int(flat.argmin())
+        if flat[enter] >= -threshold:
+            return basis.coupling()
+        if degenerate >= max_degenerate:  # Bland: first in row-major order
+            enter = int(np.flatnonzero(flat < -threshold)[0])
+        i, j = divmod(enter, m)
+        up_col, up_row = _basis_cycle(basis, i, j)
+        theta = basis.pivot(i, j, up_col, up_row, flat_cost)
+        degenerate = degenerate + 1 if theta == 0.0 else 0
     raise LpInfeasibleError("transportation simplex exceeded its pivot budget")
 
 
@@ -311,7 +397,11 @@ def solve_wot(
     quadratic exactly over the convex hull of the vertices visited so far,
     which kills the sublinear Frank-Wolfe tail on unevenly weighted
     instances.  A result with ``converged=False`` carries the best iterate
-    and its remaining gap.
+    and its remaining gap.  ``diagnostics`` counts ``lp_calls`` (one per
+    iteration) and simplex ``pivots``, gives the ``active_vertices`` kept,
+    and names the ``stop_reason``: ``"gap"``, ``"no_descent"`` (the exact
+    line search found no descent before the gap target was met) or
+    ``"max_iter"``.
     """
     cfg = config or WotConfig()
     if mu.dim != nu.dim:
@@ -330,20 +420,26 @@ def solve_wot(
             base - 2.0 * np.sum(x * p) + np.sum(np.sum(p**2, axis=1) / w)
         )
 
-    pi, _ = _northwest_corner(w, nu.weights)
+    pi, cells = _northwest_corner(w, nu.weights)
+    # the marginals never change, so each oracle call warm-starts from the
+    # optimal basis of the previous one
+    basis = _TransportBasis(pi, cells)
     vertices: list[np.ndarray] = [pi.copy()]
     images: list[np.ndarray] = [pi @ y]
+    keys: list[bytes] = [pi.tobytes()]
     value = value_of_image(images[0])
     gap = np.inf
     iterations = 0
     converged = False
+    stop_reason = "max_iter"
 
     for iterations in range(1, cfg.max_iter + 1):
         grad = _wot_gradient(pi, mu, nu)
-        vertex = solve_transport_lp(grad, w, nu.weights)
+        vertex = solve_transport_lp(grad, w, nu.weights, basis=basis)
         gap = float(np.sum(grad * (pi - vertex)))
         if gap <= cfg.fw_tol * (1.0 + abs(value)):
             converged = True
+            stop_reason = "gap"
             break
 
         # guaranteed-descent Frank-Wolfe step with exact line search
@@ -356,13 +452,15 @@ def solve_wot(
         else:
             gamma = float(np.clip(-slope / (2.0 * curvature), 0.0, 1.0))
         if gamma <= 0.0:
-            break  # descent exhausted at roundoff level
+            stop_reason = "no_descent"  # descent exhausted at roundoff level
+            break
         pi = pi + gamma * direction
 
-        keys = [v.tobytes() for v in vertices]
-        if vertex.tobytes() not in keys:
-            vertices.append(vertex.copy())
+        key = vertex.tobytes()
+        if key not in keys:
+            vertices.append(vertex)
             images.append(vertex @ y)
+            keys.append(key)
 
         if cfg.corrective and len(vertices) > 1:
             # exact re-optimization over the hull of the stored vertices
@@ -379,9 +477,11 @@ def solve_wot(
                 keep = alpha > 1e-15
                 vertices = [v for v, k in zip(vertices, keep) if k]
                 images = [p for p, k in zip(images, keep) if k]
+                keys = [b for b, k in zip(keys, keep) if k]
         if len(vertices) > cfg.max_vertices:
             vertices = vertices[-cfg.max_vertices :]
             images = images[-cfg.max_vertices :]
+            keys = keys[-cfg.max_vertices :]
         value = value_of_image(pi @ y)
 
     coupling = Coupling(pi, mu, nu)
@@ -391,7 +491,12 @@ def solve_wot(
         gap=gap,
         iterations=iterations,
         converged=converged,
-        diagnostics={"active_vertices": len(vertices)},
+        diagnostics={
+            "active_vertices": len(vertices),
+            "lp_calls": iterations,
+            "pivots": basis.pivots,
+            "stop_reason": stop_reason,
+        },
     )
 
 

@@ -221,6 +221,8 @@ def shared_correlation_fast_path(
     cov_nu = sym(cov_nu)
     if cov_mu.shape != cov_nu.shape:
         raise ValueError("dimension mismatch")
+    require_finite(cov_mu, "cov_mu")
+    require_finite(cov_nu, "cov_nu")
     tol = default_order_tol(cov_nu) if order_tol is None else order_tol
     try:
         basis, corr = shared_correlation_transform(cov_mu, cov_nu)
@@ -377,6 +379,9 @@ def recover_below_from_above(
     """
     cov_mu = sym(cov_mu)
     cov_nu = sym(cov_nu)
+    require_finite(cov_mu, "cov_mu")
+    require_finite(cov_nu, "cov_nu")
+    require_finite(cov_above, "cov_above")
     tol = default_order_tol(cov_nu) if order_tol is None else order_tol
     transform = _order_transform_from_above(cov_mu, cov_nu, cov_above, tol)
     if not transform.certified:
@@ -402,6 +407,8 @@ def reduce_singular_above(
     """
     cov_nu = sym(cov_nu)
     cov_mu = sym(cov_mu)
+    require_finite(cov_nu, "cov_nu")
+    require_finite(cov_mu, "cov_mu")
     d = cov_nu.shape[0]
     nu_vals, nu_vecs = psd_eigen(cov_nu)
     rank = int(np.sum(nu_vals > default_rank_tol(nu_vals)))

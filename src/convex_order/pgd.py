@@ -23,6 +23,7 @@ from .linalg import (
     sym,
     sym_eigen,
 )
+from .measures import require_finite
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,7 @@ class _Objective:
                 "pgd_project_above needs a positive definite target; "
                 "route singular targets through the rank reduction first"
             )
+        self.vals = vals
         self.trace_nu = float(np.trace(self.cov_nu))
         self.half = _rebuild(np.sqrt(vals), vecs)
 
@@ -130,6 +132,12 @@ def default_step_size(cov_nu: np.ndarray, cov_mu: np.ndarray, reg: float) -> flo
     halves the step whenever the objective would increase.
     """
     nu_vals, _ = psd_eigen(sym(cov_nu))
+    return _default_step(nu_vals, cov_mu, reg)
+
+
+def _default_step(nu_vals: np.ndarray, cov_mu: np.ndarray, reg: float) -> float:
+    """:func:`default_step_size` with the target's eigenvalues (descending)
+    already at hand."""
     mu_vals, _ = psd_eigen(sym(cov_mu))
     lo_nu = float(nu_vals[-1])
     hi_nu = float(nu_vals[0])
@@ -158,11 +166,13 @@ def pgd_project_above(
     cfg = config or PgdConfig()
     nu = sym(cov_nu)
     mu = sym(cov_mu)
+    require_finite(nu, "cov_nu")
+    require_finite(mu, "cov_mu")
     objective = _Objective(nu)
     eta0 = float(
         cfg.step_size
         if cfg.step_size is not None
-        else default_step_size(nu, mu, cfg.reg_factor * float(np.trace(nu)))
+        else _default_step(objective.vals, mu, cfg.reg_factor * float(np.trace(nu)))
     )
     eta_lo, eta_hi = eta0 / BB_BAND, eta0 * BB_BAND
 

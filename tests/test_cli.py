@@ -201,6 +201,22 @@ class TestProjectDiscrete:
         report = json.loads(result.output)
         assert report["value"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_report_carries_solver_diagnostics(self, runner, tmp_path):
+        payload = {
+            "mu": {"points": [[0.0, 0.0], [1.0, 0.5], [-1.0, 2.0]], "weights": [0.2, 0.3, 0.5]},
+            "nu": {"points": [[-1.0, 0.0], [1.0, 0.0], [0.0, 3.0], [2.0, 2.0]],
+                   "weights": [0.1, 0.2, 0.3, 0.4]},
+        }
+        problem = write_problem(tmp_path / "p.json", payload)
+        result = runner.invoke(main, ["project-discrete", problem])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        diag = report["diagnostics"]
+        assert diag["stop_reason"] == "gap"
+        assert diag["lp_calls"] == report["iterations"]
+        assert diag["pivots"] >= 0
+        assert diag["active_vertices"] >= 1
+
     def test_agrees_with_1d_command(self, runner, tmp_path):
         problem = write_problem(tmp_path / "p.json", ONE_D)
         discrete = json.loads(runner.invoke(main, ["project-discrete", problem]).output)

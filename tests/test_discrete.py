@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from convex_order import discrete
 from convex_order.discrete import (
     BudgetExceededError,
     Coupling,
@@ -15,12 +18,27 @@ from convex_order.discrete import (
     wot_objective,
 )
 from convex_order.measures import DiscreteMeasure
-from convex_order.one_dim import project_1d, w2_1d
+from convex_order.one_dim import project_1d, project_1d_detail, w2_1d
 from _utils import random_discrete, random_discrete_1d
 
 
 def measure_1d(values, weights):
     return DiscreteMeasure.from_1d(values, weights)
+
+
+def brute_force_assignment(cost):
+    """Optimal cost over the couplings of two uniform n-atom measures.
+
+    By Birkhoff-von Neumann the transportation polytope is then the
+    permutation matrices' hull, so enumerating them finds the optimum.
+    """
+    n = cost.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))))
+    return float(cost[np.arange(n), perms].sum(axis=1).min()) / n
+
+
+def cold_basis(row, col):
+    return discrete._TransportBasis(*discrete._northwest_corner(row, col))
 
 
 class TestMeasureConstruction:
@@ -122,6 +140,73 @@ class TestTransportLp:
         assert isinstance(coupling, Coupling)
 
 
+class TestTransportLpOracles:
+    def test_equal_weights_match_permutation_brute_force(self):
+        rng = np.random.default_rng(40)
+        for d in (1, 2, 3):
+            for n in range(1, 6):
+                for _ in range(4):
+                    uniform = np.full(n, 1.0 / n)
+                    mu = DiscreteMeasure(rng.normal(size=(n, d)), uniform)
+                    nu = DiscreteMeasure(rng.normal(size=(n, d)), uniform)
+                    cost = np.sum((mu.points[:, None] - nu.points[None]) ** 2, axis=2)
+                    best = brute_force_assignment(cost)
+                    pi = solve_transport_lp(cost, uniform, uniform)
+                    assert np.sum(pi * cost) == pytest.approx(best, abs=1e-12 * (1 + best))
+                    assert exact_w2_sq(mu, nu) == pytest.approx(best, abs=1e-12 * (1 + best))
+
+    @pytest.mark.parametrize("runs", [1, 0])
+    def test_degenerate_integer_costs_terminate_at_the_optimum(self, monkeypatch, runs):
+        # runs=0 prices every pivot with Bland's rule; with Dantzig pricing,
+        # 40000 such instances never ran n + m degenerate pivots in a row
+        monkeypatch.setattr(discrete, "_DEGENERATE_RUNS", runs)
+        rng = np.random.default_rng(41)
+        for n in range(2, 6):
+            uniform = np.full(n, 1.0 / n)
+            for _ in range(30):
+                cost = rng.integers(0, 3, size=(n, n)).astype(float)
+                pi = solve_transport_lp(cost, uniform, uniform)
+                np.testing.assert_allclose(pi.sum(axis=1), uniform, atol=1e-15)
+                np.testing.assert_allclose(pi.sum(axis=0), uniform, atol=1e-15)
+                assert np.sum(pi * cost) == pytest.approx(
+                    brute_force_assignment(cost), abs=1e-12
+                )
+
+    def test_warm_start_matches_cold_start(self):
+        rng = np.random.default_rng(42)
+        row, col = rng.dirichlet(np.ones(9)), rng.dirichlet(np.ones(11))
+        warm = cold_basis(row, col)
+        cold_pivots = 0
+        cost = rng.normal(size=(9, 11))
+        for _ in range(30):
+            cost = cost + 0.05 * rng.normal(size=cost.shape)
+            cold = cold_basis(row, col)
+            pi_cold = solve_transport_lp(cost, row, col, basis=cold)
+            pi_warm = solve_transport_lp(cost, row, col, basis=warm)
+            cold_pivots += cold.pivots
+            np.testing.assert_allclose(pi_warm.sum(axis=1), row, atol=1e-12)
+            np.testing.assert_allclose(pi_warm.sum(axis=0), col, atol=1e-12)
+            value = float(np.sum(pi_cold * cost))
+            assert np.sum(pi_warm * cost) == pytest.approx(value, abs=1e-12 * (1 + abs(value)))
+            np.testing.assert_array_equal(pi_cold, solve_transport_lp(cost, row, col))
+        assert warm.pivots < cold_pivots / 2
+
+    def test_zero_cost_keeps_the_warm_vertex(self):
+        rng = np.random.default_rng(43)
+        row, col = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(4))
+        basis = cold_basis(row, col)
+        pi = solve_transport_lp(rng.normal(size=(5, 4)), row, col, basis=basis)
+        np.testing.assert_array_equal(
+            solve_transport_lp(np.zeros((5, 4)), row, col, basis=basis), pi
+        )
+
+    def test_basis_of_the_wrong_shape_is_refused(self):
+        row = np.full(3, 1.0 / 3)
+        basis = cold_basis(np.full(2, 0.5), row)
+        with pytest.raises(ValueError, match="basis"):
+            solve_transport_lp(np.zeros((3, 3)), row, row, basis=basis)
+
+
 class TestSolveWot:
     def test_dirac_source_costs_nothing(self):
         mu = measure_1d([0.0], [1.0])
@@ -203,6 +288,50 @@ class TestSolveWot:
             below, _ = project_1d(mu, nu)
             projection, _ = project_discrete(mu, nu, WotConfig(fw_tol=1e-13))
             assert w2_1d(below, projection) <= 1e-6
+
+    def test_one_dimensional_agreement_at_30_atoms(self):
+        rng = np.random.default_rng(44)
+        for _ in range(2):
+            mu = measure_1d(rng.normal(size=30), rng.dirichlet(np.ones(30)))
+            nu = measure_1d(0.8 * rng.normal(size=30), rng.dirichlet(np.ones(30)))
+            below, _ = project_1d(mu, nu)
+            projection, result = project_discrete(mu, nu, WotConfig(fw_tol=1e-12))
+            assert result.converged
+            assert w2_1d(below, projection) <= 1e-6
+            reference = project_1d_detail(mu, nu).distance_sq
+            assert result.value == pytest.approx(reference, abs=1e-9 * (1 + reference))
+
+    def test_diagnostics_count_the_work_and_name_the_stop(self):
+        rng = np.random.default_rng(45)
+        mu = DiscreteMeasure(rng.normal(size=(6, 2)), rng.dirichlet(np.ones(6)))
+        nu = DiscreteMeasure(rng.normal(size=(7, 2)), rng.dirichlet(np.ones(7)))
+        result = solve_wot(mu, nu)
+        diag = result.diagnostics
+        assert set(diag) == {"active_vertices", "lp_calls", "pivots", "stop_reason"}
+        assert diag["stop_reason"] == "gap" and result.converged
+        assert diag["lp_calls"] == result.iterations
+        assert isinstance(diag["pivots"], int) and diag["pivots"] > 0
+
+        capped = solve_wot(mu, nu, WotConfig(max_iter=1))
+        assert not capped.converged
+        assert capped.diagnostics["stop_reason"] == "max_iter"
+        assert capped.diagnostics["lp_calls"] == 1
+
+        # a negative gap target is never met; the loop ends when no step descends
+        dirac = measure_1d([0.0], [1.0])
+        spread = measure_1d([-1.0, 1.0], [0.5, 0.5])
+        stalled = solve_wot(dirac, spread, WotConfig(fw_tol=-1.0))
+        assert stalled.diagnostics["stop_reason"] == "no_descent"
+        assert not stalled.converged
+
+    def test_reruns_are_bit_identical(self):
+        rng = np.random.default_rng(46)
+        mu = DiscreteMeasure(rng.normal(size=(12, 2)), rng.dirichlet(np.ones(12)))
+        nu = DiscreteMeasure(rng.normal(size=(10, 2)), rng.dirichlet(np.ones(10)))
+        first, second = solve_wot(mu, nu), solve_wot(mu, nu)
+        np.testing.assert_array_equal(first.coupling.pi, second.coupling.pi)
+        assert first.value == second.value
+        assert first.diagnostics == second.diagnostics
 
 
 class TestPushforward:

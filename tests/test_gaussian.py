@@ -40,6 +40,8 @@ def assert_transform_valid(t, cov_mu, cov_nu, tol=1e-7):
     assert loewner_leq(ratios[:, None] * m_mu * ratios[None, :], m_nu, tol)
     assert t.certified
 
+NAN_COV = np.array([[np.nan, 0.0], [0.0, 1.0]])
+
 
 class TestNonFiniteInput:
     def test_measure_rejects_nan_covariance(self):
@@ -53,6 +55,20 @@ class TestNonFiniteInput:
     def test_project_pair_rejects_non_finite_matrix(self):
         with pytest.raises(ValueError, match="finite"):
             project_pair(np.eye(2), np.array([[1.0, np.inf], [np.inf, 1.0]]))
+
+    def test_fast_path_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            shared_correlation_fast_path(np.eye(2), NAN_COV)
+
+    def test_recovery_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            recover_below_from_above(np.eye(2), NAN_COV, 2.0 * np.eye(2))
+        with pytest.raises(ValueError, match="finite"):
+            recover_below_from_above(np.eye(2), np.eye(2), NAN_COV)
+
+    def test_singular_reduction_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            reduce_singular_above(NAN_COV, np.eye(2))
 
 
 class TestOrderTransform:

@@ -3,9 +3,10 @@ import pytest
 
 from convex_order.bures import bw2
 from convex_order.gaussian import project_pair, shared_correlation_fast_path
-from convex_order.linalg import loewner_leq, sym_eigen
+from convex_order.linalg import loewner_leq, psd_eigen, sym, sym_eigen
 from convex_order.pgd import (
     PgdConfig,
+    _default_step,
     default_step_size,
     frobenius_project_above,
     frobenius_project_below,
@@ -230,6 +231,24 @@ class TestPgd:
         )
         assert outcome.iterations <= 40
         assert len(trace.step_size) <= 40
+
+    def test_rejects_nan_target(self):
+        with pytest.raises(ValueError, match="finite"):
+            pgd_project_above(np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_default_step_reuses_the_target_spectrum_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for d in (2, 4, 7):
+            mu, nu = random_spd(rng, d), random_spd(rng, d)
+            reg = 1e-10 * float(np.trace(nu))
+            nu_vals, _ = psd_eigen(sym(nu))
+            assert _default_step(nu_vals, mu, reg) == default_step_size(nu, mu, reg)
+            implicit, _ = pgd_project_above(nu, mu)
+            explicit, _ = pgd_project_above(
+                nu, mu, PgdConfig(step_size=default_step_size(nu, mu, reg))
+            )
+            assert np.array_equal(implicit.covariance, explicit.covariance)
+            assert implicit.iterations == explicit.iterations
 
     def test_objective_value_matches_distance(self):
         rng = np.random.default_rng(10)
