@@ -30,6 +30,7 @@ from .discrete import (
 )
 from .gaussian import (
     CertificationError,
+    ProjectionResult,
     RankAmbiguousError,
     is_above_projection_unique,
     project_pair,
@@ -302,8 +303,9 @@ def cmd_distance(problem, output):
     _emit(report, output)
 
 
-def _gaussian_checks(mu: GaussianMeasure, nu: GaussianMeasure) -> list[dict]:
-    below, above = project_pair(mu.cov, nu.cov)
+def _gaussian_checks(
+    mu: GaussianMeasure, nu: GaussianMeasure, below: ProjectionResult, above: ProjectionResult
+) -> list[dict]:
     scale = 1.0 + abs(float(np.trace(mu.cov))) + abs(float(np.trace(nu.cov)))
     order_tol = 1e-7 * scale
     trace_residual = abs(
@@ -311,6 +313,8 @@ def _gaussian_checks(mu: GaussianMeasure, nu: GaussianMeasure) -> list[dict]:
               - np.trace(mu.cov) - np.trace(nu.cov))
     )
     distance_residual = abs(bw2(mu.cov, below.covariance) - bw2(nu.cov, above.covariance))
+    below_gap = loewner_gap(below.covariance, nu.cov)
+    above_gap = loewner_gap(mu.cov, above.covariance)
     # evaluating bw2 at singular matrices carries sqrt(eps)-level noise, so
     # the distance check runs at the looser order tolerance
     return [
@@ -318,12 +322,10 @@ def _gaussian_checks(mu: GaussianMeasure, nu: GaussianMeasure) -> list[dict]:
          "tolerance": 1e-8 * scale, "passed": trace_residual <= 1e-8 * scale},
         {"name": "distance_equality", "value": distance_residual,
          "tolerance": 1e-7 * scale, "passed": distance_residual <= 1e-7 * scale},
-        {"name": "below_is_dominated", "value": -loewner_gap(below.covariance, nu.cov),
-         "tolerance": order_tol,
-         "passed": loewner_gap(below.covariance, nu.cov) >= -order_tol},
-        {"name": "above_dominates", "value": -loewner_gap(mu.cov, above.covariance),
-         "tolerance": order_tol,
-         "passed": loewner_gap(mu.cov, above.covariance) >= -order_tol},
+        {"name": "below_is_dominated", "value": -below_gap,
+         "tolerance": order_tol, "passed": below_gap >= -order_tol},
+        {"name": "above_dominates", "value": -above_gap,
+         "tolerance": order_tol, "passed": above_gap >= -order_tol},
     ]
 
 
@@ -376,7 +378,8 @@ def cmd_check(problem, assert_file, output):
     mu, nu = _measure_pair(data, mode)
     try:
         if mode == "gaussian":
-            checks = _gaussian_checks(mu, nu)
+            below, above = project_pair(mu.cov, nu.cov)
+            checks = _gaussian_checks(mu, nu, below, above)
         elif mode == "one_d":
             checks = _one_d_checks(mu, nu)
         else:
@@ -388,7 +391,6 @@ def cmd_check(problem, assert_file, output):
         expected = _load_json(assert_file)
         tol = float(expected.get("tol", 1e-8))
         if mode == "gaussian":
-            below, above = project_pair(mu.cov, nu.cov)
             for key, actual in (("below_cov", below.covariance),
                                 ("above_cov", above.covariance)):
                 if key in expected:

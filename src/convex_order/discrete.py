@@ -6,7 +6,9 @@ exactly by a network simplex on the transportation basis tree (Dantzig
 pricing with a Bland fallback against cycling), and a corrective step
 re-optimizes the quadratic over the hull of the vertices seen so far.  The
 marginals stay fixed across one solve, so every oracle call warm-starts
-from the optimal basis of the previous one.  The pushforward of the first
+from the optimal basis of the previous one; likewise every corrective QP
+starts from the iterate's own weights on the stored vertices, over a Gram
+matrix that grows by one row per new vertex.  The pushforward of the first
 marginal under the conditional-barycenter map of an optimal coupling
 realizes the dominated-side Wasserstein projection.
 """
@@ -311,68 +313,68 @@ def lp_oracle(
     return Coupling(pi, mu, nu)
 
 
-def _simplex_qp(quad: np.ndarray, lin: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+def _simplex_qp(
+    quad: np.ndarray, lin: np.ndarray, start: np.ndarray, tol: float = 1e-13
+) -> tuple[np.ndarray, int]:
     """Exact minimizer of ``a' quad a + lin' a`` over the probability simplex.
 
-    Primal active-set method on the nonnegativity bounds; ``quad`` is PSD
-    (possibly singular, handled by a least-squares KKT solve).  Sizes here
-    are tiny (one variable per stored polytope vertex).
+    Primal active-set method on the nonnegativity bounds, started from the
+    feasible point ``start`` and its support; ``quad`` is PSD (possibly
+    singular, handled by a least-squares KKT solve).  Sizes here are tiny
+    (one variable per stored polytope vertex).  Returns the minimizer and
+    the number of KKT solves it took.
     """
     k = quad.shape[0]
-    if k == 1:
-        return np.ones(1)
-    alpha = np.zeros(k)
-    alpha[int(np.argmin(np.diag(quad) + lin))] = 1.0
-    support = {int(np.argmin(np.diag(quad) + lin))}
+    alpha = np.array(start, dtype=float)
+    support = alpha > 0.0
     scale = 1.0 + float(np.abs(quad).max()) + float(np.abs(lin).max())
-    for _ in range(60 * k + 40):
-        idx = sorted(support)
-        s = len(idx)
+    for steps in range(1, 60 * k + 41):
+        idx = np.flatnonzero(support)
+        s = idx.size
         kkt = np.zeros((s + 1, s + 1))
         kkt[:s, :s] = 2.0 * quad[np.ix_(idx, idx)]
         kkt[:s, s] = 1.0
         kkt[s, :s] = 1.0
         rhs = np.concatenate((-lin[idx], [1.0]))
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        target = np.zeros(k)
-        target[idx] = sol[:s]
+        target = sol[:s]
         lam = -sol[s]  # the KKT rows read 2 Q a + sol[s] * 1 = -lin
-        if np.all(target[idx] >= -tol):
-            alpha = np.clip(target, 0.0, None)
+        if np.all(target >= -tol):
+            alpha = np.zeros(k)
+            alpha[idx] = np.clip(target, 0.0, None)
             alpha /= alpha.sum()
-            grad = 2.0 * quad @ alpha + lin
-            outside = [i for i in range(k) if i not in support]
-            if not outside:
-                return alpha
-            worst = min(outside, key=lambda i: grad[i] - lam)
-            if grad[worst] - lam >= -1e-12 * scale:
-                return alpha
-            support.add(worst)
+            reduced = 2.0 * quad @ alpha + lin - lam
+            reduced[support] = np.inf
+            worst = int(np.argmin(reduced))
+            if reduced[worst] >= -1e-12 * scale:
+                return alpha, steps
+            support[worst] = True
         else:
-            step = target - alpha
-            blockers = [
-                (alpha[i] / (alpha[i] - target[i]), i)
-                for i in idx
-                if target[i] < -tol and alpha[i] - target[i] > 0.0
-            ]
-            t, drop = min(blockers)
-            alpha = np.clip(alpha + t * step, 0.0, None)
+            # move towards the target until the first support weight hits 0
+            current = alpha[idx]
+            falling = (target < -tol) & (current > target)
+            ratios = current[falling] / (current[falling] - target[falling])
+            first = int(np.argmin(ratios))
+            drop = idx[falling][first]
+            alpha[idx] = np.clip(current + ratios[first] * (target - current), 0.0, None)
             alpha[drop] = 0.0
             total = alpha.sum()
             if total > 0.0:
                 alpha /= total
-            support.discard(drop)
-            if not support:
-                support = {int(np.argmax(alpha))}
-    return alpha  # active-set budget hit: return the best feasible point seen
+            support[drop] = False
+            if not support.any():
+                support[int(np.argmax(alpha))] = True
+    return alpha, steps  # active-set budget hit: return the best feasible point seen
+
+
+# vertices kept for the corrective step; the oldest go first
+_MAX_VERTICES = 200
 
 
 @dataclass(frozen=True)
 class WotConfig:
     fw_tol: float = 1e-8  # relative duality-gap target
     max_iter: int = 50_000
-    corrective: bool = True  # re-optimize exactly over the stored vertex hull
-    max_vertices: int = 200
     budget: int = 1_000_000  # max n * m
 
 
@@ -392,16 +394,18 @@ def solve_wot(
     """Minimize the barycentric cost over the couplings of ``(mu, nu)``.
 
     Frank-Wolfe with an exact transportation-LP oracle, exact line search
-    and duality-gap stopping at ``fw_tol * (1 + value)``.  With
-    ``corrective=True`` (the default) every iteration re-optimizes the
-    quadratic exactly over the convex hull of the vertices visited so far,
+    and duality-gap stopping at ``fw_tol * (1 + value)``.  Every iteration
+    then re-optimizes the quadratic exactly over the convex hull of the
+    vertices stored so far (at most ``_MAX_VERTICES``, dropping the oldest),
     which kills the sublinear Frank-Wolfe tail on unevenly weighted
-    instances.  A result with ``converged=False`` carries the best iterate
-    and its remaining gap.  ``diagnostics`` counts ``lp_calls`` (one per
-    iteration) and simplex ``pivots``, gives the ``active_vertices`` kept,
-    and names the ``stop_reason``: ``"gap"``, ``"no_descent"`` (the exact
-    line search found no descent before the gap target was met) or
-    ``"max_iter"``.
+    instances.  That corrective QP starts from the iterate's own weights on
+    the stored vertices, and its Gram matrix grows by one row and column
+    per new vertex.  A result with ``converged=False`` carries the best
+    iterate and its remaining gap.  ``diagnostics`` counts ``lp_calls`` (one
+    per iteration), simplex ``pivots`` and ``qp_steps`` (KKT solves of the
+    corrective QP), gives the ``active_vertices`` kept, and names the
+    ``stop_reason``: ``"gap"``, ``"no_descent"`` (the exact line search
+    found no descent before the gap target was met) or ``"max_iter"``.
     """
     cfg = config or WotConfig()
     if mu.dim != nu.dim:
@@ -424,12 +428,33 @@ def solve_wot(
     # the marginals never change, so each oracle call warm-starts from the
     # optimal basis of the previous one
     basis = _TransportBasis(pi, cells)
-    vertices: list[np.ndarray] = [pi.copy()]
-    images: list[np.ndarray] = [pi @ y]
-    keys: list[bytes] = [pi.tobytes()]
-    value = value_of_image(images[0])
+    # the stored vertices; their images p / w, flattened, one row each; the
+    # quadratic's Gram matrix and linear term over them; and the iterate's
+    # barycentric coordinates, which start the next corrective QP
+    vertices: list[np.ndarray] = []
+    keys: list[bytes] = []
+    scaled = np.empty((0, x.size))
+    quad, lin = np.empty((0, 0)), np.empty(0)
+
+    def store(vertex: np.ndarray) -> None:
+        # one new row and column of the Gram matrix: <p, p_k / w> for every k
+        nonlocal scaled, quad, lin
+        image = vertex @ y
+        flat_scaled = (image / w[:, None]).ravel()
+        row = scaled @ image.ravel()
+        corner = np.array([[flat_scaled @ image.ravel()]])
+        quad = np.block([[quad, row[:, None]], [row[None, :], corner]])
+        lin = np.append(lin, -2.0 * float(np.sum(x * image)))
+        scaled = np.vstack((scaled, flat_scaled))
+        vertices.append(vertex)
+        keys.append(vertex.tobytes())
+
+    store(pi.copy())
+    coords = np.ones(1)
+    value = value_of_image(pi @ y)
     gap = np.inf
     iterations = 0
+    qp_steps = 0
     converged = False
     stop_reason = "max_iter"
 
@@ -455,34 +480,40 @@ def solve_wot(
             stop_reason = "no_descent"  # descent exhausted at roundoff level
             break
         pi = pi + gamma * direction
+        coords *= 1.0 - gamma
 
         key = vertex.tobytes()
-        if key not in keys:
-            vertices.append(vertex)
-            images.append(vertex @ y)
-            keys.append(key)
+        if key in keys:
+            coords[keys.index(key)] += gamma
+        else:
+            store(vertex)
+            coords = np.append(coords, gamma)
+        value = value_of_image(pi @ y)
 
-        if cfg.corrective and len(vertices) > 1:
+        if len(vertices) > 1:
             # exact re-optimization over the hull of the stored vertices
-            flat = np.stack([(img / w[:, None]).ravel() for img in images])
-            weighted = np.stack([img.ravel() for img in images])
-            quad = weighted @ flat.T
-            quad = 0.5 * (quad + quad.T)
-            lin = -2.0 * np.array([float(np.sum(x * img)) for img in images])
-            alpha = _simplex_qp(quad, lin)
+            alpha, steps = _simplex_qp(quad, lin, coords)
+            qp_steps += steps
             candidate = sum(a * v for a, v in zip(alpha, vertices) if a > 0.0)
             cand_value = value_of_image(candidate @ y)
-            if cand_value <= value_of_image(pi @ y) + 1e-15 * (1.0 + abs(value)):
-                pi = candidate
+            if cand_value <= value + 1e-15 * (1.0 + abs(value)):
+                pi, value = candidate, cand_value
                 keep = alpha > 1e-15
                 vertices = [v for v, k in zip(vertices, keep) if k]
-                images = [p for p, k in zip(images, keep) if k]
                 keys = [b for b, k in zip(keys, keep) if k]
-        if len(vertices) > cfg.max_vertices:
-            vertices = vertices[-cfg.max_vertices :]
-            images = images[-cfg.max_vertices :]
-            keys = keys[-cfg.max_vertices :]
-        value = value_of_image(pi @ y)
+                scaled, quad, lin = scaled[keep], quad[np.ix_(keep, keep)], lin[keep]
+                coords = alpha[keep]
+        if len(vertices) > _MAX_VERTICES:
+            vertices = vertices[-_MAX_VERTICES:]
+            keys = keys[-_MAX_VERTICES:]
+            scaled, lin = scaled[-_MAX_VERTICES:], lin[-_MAX_VERTICES:]
+            quad = quad[-_MAX_VERTICES:, -_MAX_VERTICES:]
+            coords = coords[-_MAX_VERTICES:]
+            total = coords.sum()
+            if total > 0.0:
+                coords /= total
+            else:  # the kept vertices carry no weight: start from the newest
+                coords[-1] = 1.0
 
     coupling = Coupling(pi, mu, nu)
     return WotResult(
@@ -495,6 +526,7 @@ def solve_wot(
             "active_vertices": len(vertices),
             "lp_calls": iterations,
             "pivots": basis.pivots,
+            "qp_steps": qp_steps,
             "stop_reason": stop_reason,
         },
     )

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from convex_order import cli
 from convex_order.cli import main
+from convex_order.gaussian import project_pair
 
 
 @pytest.fixture
@@ -215,6 +217,7 @@ class TestProjectDiscrete:
         assert diag["stop_reason"] == "gap"
         assert diag["lp_calls"] == report["iterations"]
         assert diag["pivots"] >= 0
+        assert diag["qp_steps"] >= 1
         assert diag["active_vertices"] >= 1
 
     def test_agrees_with_1d_command(self, runner, tmp_path):
@@ -333,3 +336,19 @@ class TestCheck:
         })
         result = runner.invoke(main, ["check", problem, "--assert-file", assert_file])
         assert result.exit_code == 0
+
+    def test_assertions_reuse_the_checked_solve(self, runner, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return project_pair(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "project_pair", counting)
+        problem = write_problem(tmp_path / "p.json", GAUSSIAN_SINGULAR)
+        assert_file = write_problem(tmp_path / "expect.json", {
+            "below_cov": [[1.0, 0.0], [0.0, 0.0]], "tol": 1e-6,
+        })
+        result = runner.invoke(main, ["check", problem, "--assert-file", assert_file])
+        assert result.exit_code == 0
+        assert len(calls) == 1

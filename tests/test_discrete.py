@@ -41,6 +41,45 @@ def cold_basis(row, col):
     return discrete._TransportBasis(*discrete._northwest_corner(row, col))
 
 
+def qp_value(quad, lin, alpha):
+    return float(alpha @ quad @ alpha + lin @ alpha)
+
+
+def brute_force_simplex_qp(quad, lin):
+    """Minimum of ``a' quad a + lin' a`` over the probability simplex.
+
+    A minimizer of smallest support is the only stationary point of the
+    problem restricted to the affine hull of that support (otherwise a
+    move along the stationary set would empty one more weight), so solving
+    the KKT system on every support and keeping the nonnegative solutions
+    finds the minimum.
+    """
+    k = len(lin)
+    best = np.inf
+    for size in range(1, k + 1):
+        for idx in map(list, itertools.combinations(range(k), size)):
+            kkt = np.zeros((size + 1, size + 1))
+            kkt[:size, :size] = 2.0 * quad[np.ix_(idx, idx)]
+            kkt[:size, size] = kkt[size, :size] = 1.0
+            sol = np.linalg.lstsq(kkt, np.append(-lin[idx], 1.0), rcond=None)[0]
+            if np.all(sol[:size] >= -1e-14):
+                alpha = np.zeros(k)
+                alpha[idx] = np.clip(sol[:size], 0.0, None)
+                best = min(best, qp_value(quad, lin, alpha / alpha.sum()))
+    return best
+
+
+def corrective_qp_instance(rng, k, atoms, repeats):
+    """The corrective QP over ``k`` vertices whose row images are random
+    ``atoms``-vectors, the last ``repeats`` of them copies of the first
+    ones (vertices with the same image, as 1-d instances produce)."""
+    weights = rng.dirichlet(np.ones(atoms))
+    x = rng.normal(size=atoms)
+    images = rng.normal(size=(k, atoms))
+    images[k - repeats:] = images[:repeats]
+    return (images / weights) @ images.T, -2.0 * images @ x
+
+
 class TestMeasureConstruction:
     def test_merges_duplicate_atoms(self):
         m = DiscreteMeasure([[0.0], [0.0], [1.0]], [0.25, 0.25, 0.5])
@@ -207,6 +246,37 @@ class TestTransportLpOracles:
             solve_transport_lp(np.zeros((3, 3)), row, row, basis=basis)
 
 
+class TestSimplexQp:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_brute_force_from_any_start(self, k):
+        rng = np.random.default_rng(50 + k)
+        instances = [corrective_qp_instance(rng, k, k + 2, 0) for _ in range(4)]
+        # singular: fewer atoms than vertices, and repeated image rows
+        instances += [corrective_qp_instance(rng, k, 2, 0) for _ in range(4)]
+        instances += [corrective_qp_instance(rng, k, 3, k // 2) for _ in range(4)]
+        for quad, lin in instances:
+            best = brute_force_simplex_qp(quad, lin)
+            starts = [np.eye(k)[int(rng.integers(k))], np.full(k, 1.0 / k),
+                      rng.dirichlet(np.ones(k))]
+            for start in starts:
+                alpha, steps = discrete._simplex_qp(quad, lin, start)
+                assert steps >= 1
+                assert np.all(alpha >= 0.0) and alpha.sum() == pytest.approx(1.0, abs=1e-15)
+                assert qp_value(quad, lin, alpha) == pytest.approx(
+                    best, abs=1e-12 * (1.0 + abs(best))
+                )
+
+    def test_start_at_the_minimizer_takes_one_solve(self):
+        rng = np.random.default_rng(57)
+        for k in range(1, 7):
+            for _ in range(4):
+                quad, lin = corrective_qp_instance(rng, k, k + 2, 0)
+                alpha, _ = discrete._simplex_qp(quad, lin, np.eye(k)[0])
+                again, steps = discrete._simplex_qp(quad, lin, alpha)
+                assert steps == 1
+                np.testing.assert_allclose(again, alpha, atol=1e-12)
+
+
 class TestSolveWot:
     def test_dirac_source_costs_nothing(self):
         mu = measure_1d([0.0], [1.0])
@@ -307,10 +377,16 @@ class TestSolveWot:
         nu = DiscreteMeasure(rng.normal(size=(7, 2)), rng.dirichlet(np.ones(7)))
         result = solve_wot(mu, nu)
         diag = result.diagnostics
-        assert set(diag) == {"active_vertices", "lp_calls", "pivots", "stop_reason"}
+        assert set(diag) == {
+            "active_vertices", "lp_calls", "pivots", "qp_steps", "stop_reason"
+        }
         assert diag["stop_reason"] == "gap" and result.converged
         assert diag["lp_calls"] == result.iterations
         assert isinstance(diag["pivots"], int) and diag["pivots"] > 0
+        # at least one KKT solve per corrective step, one of those per
+        # iteration that moved
+        assert isinstance(diag["qp_steps"], int)
+        assert diag["qp_steps"] >= result.iterations - 1
 
         capped = solve_wot(mu, nu, WotConfig(max_iter=1))
         assert not capped.converged
@@ -322,7 +398,22 @@ class TestSolveWot:
         spread = measure_1d([-1.0, 1.0], [0.5, 0.5])
         stalled = solve_wot(dirac, spread, WotConfig(fw_tol=-1.0))
         assert stalled.diagnostics["stop_reason"] == "no_descent"
+        assert stalled.diagnostics["qp_steps"] == 0
         assert not stalled.converged
+
+    def test_vertex_cap_keeps_the_answer(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        mu = DiscreteMeasure(rng.normal(size=(6, 2)), rng.dirichlet(np.ones(6)))
+        nu = DiscreteMeasure(0.8 * rng.normal(size=(6, 2)), rng.dirichlet(np.ones(6)))
+        config = WotConfig(fw_tol=1e-12)
+        free = solve_wot(mu, nu, config)
+        assert free.diagnostics["active_vertices"] > 3
+        monkeypatch.setattr(discrete, "_MAX_VERTICES", 3)
+        capped = solve_wot(mu, nu, config)
+        assert capped.converged
+        assert capped.diagnostics["active_vertices"] <= 3
+        assert np.all(np.isfinite(capped.coupling.pi))
+        assert capped.value == pytest.approx(free.value, abs=1e-10 * (1.0 + free.value))
 
     def test_reruns_are_bit_identical(self):
         rng = np.random.default_rng(46)
