@@ -13,7 +13,6 @@ from .discrete import (
     barycentric_pushforward,
     exact_w2_sq,
     is_convex_ordered_1d,
-    lp_oracle,
     project_discrete,
     solve_transport_lp,
     solve_wot,
@@ -27,20 +26,15 @@ from .gaussian import (
     UniquenessVerdict,
     dominance_check,
     is_above_projection_unique,
-    order_transform,
-    project_above,
     project_below,
     project_pair,
-    recover_below_from_above,
     reduce_singular_above,
     shared_correlation_fast_path,
 )
 from .linalg import (
-    diag_part,
     loewner_leq,
     positive_part,
     shared_correlation_transform,
-    spd_inv_sqrt,
     spd_sqrt,
     sym_eigen,
 )
@@ -82,7 +76,6 @@ __all__ = [
     "bw2",
     "bw2_gradient",
     "centered_w2",
-    "diag_part",
     "dominance_check",
     "exact_w2_sq",
     "frobenius_project_above",
@@ -93,24 +86,19 @@ __all__ = [
     "is_convex_ordered_1d",
     "loewner_leq",
     "lower_convex_hull",
-    "lp_oracle",
-    "order_transform",
     "pgd_project_above",
     "positive_part",
     "project_1d",
     "project_1d_detail",
-    "project_above",
     "project_below",
     "project_discrete",
     "project_pair",
     "quantile_of",
-    "recover_below_from_above",
     "reduce_singular_above",
     "shared_correlation_fast_path",
     "shared_correlation_transform",
     "solve_transport_lp",
     "solve_wot",
-    "spd_inv_sqrt",
     "spd_sqrt",
     "sym_eigen",
     "w2_1d",

@@ -163,7 +163,7 @@ def cmd_project_gaussian(problem, method, eta, max_iter, tol, trace_path, output
     except (CertificationError, LinalgError) as exc:
         _fail(SOLVER_ERROR, str(exc))
     try:
-        uniqueness = is_above_projection_unique(mu.cov, nu.cov, config=config)
+        uniqueness = is_above_projection_unique(mu.cov, nu.cov, above.reduction)
         unique_report = {"unique": uniqueness.unique, "reason": uniqueness.reason}
     except RankAmbiguousError as exc:
         unique_report = {"unique": None, "reason": str(exc)}

@@ -304,15 +304,6 @@ def solve_transport_lp(
     raise LpInfeasibleError("transportation simplex exceeded its pivot budget")
 
 
-def lp_oracle(
-    gradient_cost: np.ndarray, mu: DiscreteMeasure, nu: DiscreteMeasure
-) -> Coupling:
-    """Exact vertex minimizing a linear cost over the couplings of
-    ``(mu, nu)``; the Frank-Wolfe direction-finding step."""
-    pi = solve_transport_lp(gradient_cost, mu.weights, nu.weights)
-    return Coupling(pi, mu, nu)
-
-
 def _simplex_qp(
     quad: np.ndarray, lin: np.ndarray, start: np.ndarray, tol: float = 1e-13
 ) -> tuple[np.ndarray, int]:

@@ -14,9 +14,13 @@ Given such a pair,
 * both squared distances equal ``sum_i (sqrt((O'SmuO)_ii) -
   sqrt((O'SnuO)_ii))_+^2``.
 
-The transform is found by a shared-correlation fast path when applicable
-and otherwise through the projected-gradient solver, with a rank reduction
-for singular ``Snu``.
+Each solve decomposes ``Smu`` and ``Snu`` once and takes one route per
+rank of ``Snu``: rank 0 has a closed form in the identity basis; full rank
+tries the shared-correlation fast path and otherwise runs the
+projected-gradient solver, whose dominating-side answer yields ``O`` as the
+eigenbasis of the transport map onto ``Snu``; any other rank goes through
+the rank reduction, which solves the full-rank problem on the range of
+``Snu``.
 """
 
 from __future__ import annotations
@@ -31,23 +35,19 @@ from .linalg import (
     CorrelationResidualError,
     LinalgError,
     _rebuild,
+    cleaned_diag,
+    conjugate_to_shared_correlation,
     default_rank_tol,
     loewner_gap,
     loewner_leq,
+    positive_diag_mask,
     psd_eigen,
-    shared_correlation_transform,
     spd_sqrt,
     sym,
-    sym_eigen,
+    transport_map_basis,
 )
 from .measures import require_finite
-from .pgd import PgdConfig, PgdTrace, pgd_project_above
-
-
-def default_order_tol(cov_nu: np.ndarray) -> float:
-    vals, _ = psd_eigen(sym(cov_nu))
-    top = float(vals[0]) if vals.size else 0.0
-    return 1e-7 * (1.0 + top)
+from .pgd import PgdConfig, pgd_project_above
 
 
 class CertificationError(LinalgError):
@@ -96,6 +96,7 @@ class ProjectionResult:
     transform: OrderTransform | None
     method: str
     diagnostics: dict[str, Any]
+    reduction: SingularReduction | None = None  # filled on the singular-target route
 
 
 @dataclass(frozen=True)
@@ -138,70 +139,112 @@ class UniquenessVerdict:
     reason: str
 
 
-def _positive_diag_mask(diag: np.ndarray) -> np.ndarray:
-    top = max(float(diag.max(initial=0.0)), 0.0)
-    return diag > diag.size * top * (2.0**-50)
+@dataclass(frozen=True)
+class _Pair:
+    """A covariance pair decomposed once per solve: the :func:`psd_eigen`
+    pairs of both covariances, the rank of ``cov_nu`` and the order
+    tolerance."""
+
+    cov_mu: np.ndarray
+    cov_nu: np.ndarray
+    mu_eig: tuple[np.ndarray, np.ndarray]
+    nu_eig: tuple[np.ndarray, np.ndarray]
+    rank_nu: int
+    order_tol: float
 
 
-def _ratio_diag(mu_diag: np.ndarray, nu_diag: np.ndarray) -> np.ndarray:
-    """D_ii = min(1, sqrt(nu_ii / mu_ii)), with 1 where mu_ii vanishes.
+def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray, order_tol: float | None) -> _Pair:
+    cov_mu = sym(np.atleast_2d(np.asarray(cov_mu, dtype=float)))
+    cov_nu = sym(np.atleast_2d(np.asarray(cov_nu, dtype=float)))
+    if cov_mu.shape != cov_nu.shape:
+        raise ValueError("dimension mismatch")
+    require_finite(cov_mu, "cov_mu")
+    require_finite(cov_nu, "cov_nu")
+    nu_vals, nu_vecs = psd_eigen(cov_nu)
+    mu_eig = psd_eigen(cov_mu)
+    if order_tol is None:
+        order_tol = 1e-7 * (1.0 + (float(nu_vals[0]) if nu_vals.size else 0.0))
+    rank_nu = int(np.sum(nu_vals > default_rank_tol(nu_vals)))
+    return _Pair(cov_mu, cov_nu, mu_eig, (nu_vals, nu_vecs), rank_nu, order_tol)
 
-    Sub-cutoff nu diagonals are flushed to zero first (they are exact zeros
-    plus conjugation roundoff, and the square root would amplify them).
-    """
-    mu_pos = _positive_diag_mask(mu_diag)
-    nu_clean = np.where(_positive_diag_mask(nu_diag), np.clip(nu_diag, 0.0, None), 0.0)
-    safe_mu = np.where(mu_pos, mu_diag, 1.0)
-    ratios = np.sqrt(nu_clean / safe_mu)
-    return np.where(mu_pos, np.minimum(1.0, ratios), 1.0)
 
-
-def _build_transform(
-    cov_mu: np.ndarray,
-    cov_nu: np.ndarray,
-    basis: np.ndarray,
-    order_tol: float,
-    ratios_hat: np.ndarray | None = None,
-    correlation: np.ndarray | None = None,
-) -> OrderTransform:
-    m_mu = sym(basis.T @ cov_mu @ basis)
-    m_nu = sym(basis.T @ cov_nu @ basis)
-    ratios = _ratio_diag(np.diag(m_mu), np.diag(m_nu))
-    gap = loewner_gap(ratios[:, None] * m_mu * ratios[None, :], m_nu)
-    return OrderTransform(
-        basis=basis,
-        ratios=ratios,
-        order_residual=gap,
-        certified=bool(gap >= -order_tol),
-        ratios_hat=ratios_hat,
-        correlation=correlation,
+def _results(
+    transform: OrderTransform,
+    below: np.ndarray,
+    above: np.ndarray,
+    distance_sq: float,
+    method: str,
+    diagnostics: dict[str, Any],
+    reduction: SingularReduction | None = None,
+) -> tuple[ProjectionResult, ProjectionResult]:
+    return tuple(
+        ProjectionResult(cov, distance_sq, transform, method, diagnostics, reduction)
+        for cov in (below, above)
     )
 
 
-def _projections_from_transform(
-    cov_mu: np.ndarray, cov_nu: np.ndarray, transform: OrderTransform
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Both projected covariances and the shared squared distance."""
-    basis = transform.basis
-    d = transform.ratios
-    m_mu = sym(basis.T @ cov_mu @ basis)
-    m_nu = sym(basis.T @ cov_nu @ basis)
-    below = sym(basis @ (d[:, None] * m_mu * d[None, :]) @ basis.T)
+def _project(
+    pair: _Pair,
+    basis: np.ndarray,
+    conj: tuple[np.ndarray, np.ndarray] | None = None,
+    ratios_hat: np.ndarray | None = None,
+    correlation: np.ndarray | None = None,
+) -> tuple[OrderTransform, np.ndarray, np.ndarray, float]:
+    """Transform, both projected covariances and the shared squared distance
+    in ``basis``; ``conj`` is the pair conjugated into it, when at hand.
 
-    nu_pos = _positive_diag_mask(np.diag(m_nu))
-    mu_pos = _positive_diag_mask(np.diag(m_mu))
-    nu_diag = np.where(nu_pos, np.clip(np.diag(m_nu), 0.0, None), 0.0)
-    mu_diag = np.where(mu_pos, np.clip(np.diag(m_mu), 0.0, None), 0.0)
-    pair_pos = np.outer(nu_pos, nu_pos)
+    ``D_ii = min(1, sqrt(nu_ii / mu_ii))``, with 1 where ``mu_ii`` vanishes.
+    Sub-cutoff diagonals are flushed to zero first (they are exact zeros
+    plus conjugation roundoff, and the square root would amplify them).
+    """
+    if conj is None:
+        conj = sym(basis.T @ pair.cov_mu @ basis), sym(basis.T @ pair.cov_nu @ basis)
+    m_mu, m_nu = conj
+    mu_pos = positive_diag_mask(m_mu)
+    nu_pos = positive_diag_mask(m_nu)
+    mu_diag = cleaned_diag(m_mu)
+    nu_diag = cleaned_diag(m_nu)
+    ratios = np.sqrt(nu_diag / np.where(mu_pos, mu_diag, 1.0))
+    d = np.where(mu_pos, np.minimum(1.0, ratios), 1.0)
+    contracted = d[:, None] * m_mu * d[None, :]
+    gap = loewner_gap(contracted, m_nu)
+    transform = OrderTransform(
+        basis=basis,
+        ratios=d,
+        order_residual=gap,
+        certified=bool(gap >= -pair.order_tol),
+        ratios_hat=ratios_hat,
+        correlation=correlation,
+    )
+    below = sym(basis @ contracted @ basis.T)
+
     safe_d = np.where(d > 0.0, d, 1.0)  # d vanishes only where nu_diag does
     scaled = m_nu / np.outer(safe_d, safe_d)
-    above_tilde = np.where(pair_pos, scaled, m_mu)
+    above_tilde = np.where(np.outer(nu_pos, nu_pos), scaled, m_mu)
     above = sym(basis @ sym(above_tilde) @ basis.T)
 
     distance_sq = float(
         np.sum(np.clip(np.sqrt(mu_diag) - np.sqrt(nu_diag), 0.0, None) ** 2)
     )
-    return below, above, distance_sq
+    return transform, below, above, distance_sq
+
+
+def _fast_path(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult] | None:
+    try:
+        basis, corr, m_mu, m_nu = conjugate_to_shared_correlation(
+            pair.cov_mu, pair.cov_nu, pair.mu_eig, pair.nu_eig
+        )
+    except CorrelationResidualError:
+        return None
+    if not (np.all(positive_diag_mask(m_mu)) and np.all(positive_diag_mask(m_nu))):
+        return None
+    ratios_hat = np.minimum(1.0, np.sqrt(np.diag(m_mu) / np.diag(m_nu)))
+    contracted = ratios_hat[:, None] * corr * ratios_hat[None, :]
+    if not loewner_leq(contracted, corr, 1e-10):
+        return None
+    transform, *projected = _project(pair, basis, (m_mu, m_nu), ratios_hat, corr)
+    method = "commuting" if np.linalg.norm(corr - np.eye(corr.shape[0])) <= 1e-10 else "fast_path"
+    return _results(transform, *projected, method, {"order_residual": transform.order_residual})
 
 
 def shared_correlation_fast_path(
@@ -217,50 +260,8 @@ def shared_correlation_fast_path(
     ``None`` when the diagonals are not all positive or the correlation
     condition fails; absence is an answer, not an error.
     """
-    cov_mu = sym(cov_mu)
-    cov_nu = sym(cov_nu)
-    if cov_mu.shape != cov_nu.shape:
-        raise ValueError("dimension mismatch")
-    require_finite(cov_mu, "cov_mu")
-    require_finite(cov_nu, "cov_nu")
-    tol = default_order_tol(cov_nu) if order_tol is None else order_tol
-    try:
-        basis, corr = shared_correlation_transform(cov_mu, cov_nu)
-    except CorrelationResidualError:
-        return None
-    m_mu = sym(basis.T @ cov_mu @ basis)
-    m_nu = sym(basis.T @ cov_nu @ basis)
-    mu_diag = np.diag(m_mu)
-    nu_diag = np.diag(m_nu)
-    if not (np.all(_positive_diag_mask(mu_diag)) and np.all(_positive_diag_mask(nu_diag))):
-        return None
-    ratios_hat = np.minimum(1.0, np.sqrt(mu_diag / nu_diag))
-    contracted = ratios_hat[:, None] * corr * ratios_hat[None, :]
-    if not loewner_leq(contracted, corr, 1e-10):
-        return None
-    transform = _build_transform(
-        cov_mu, cov_nu, basis, tol, ratios_hat=ratios_hat, correlation=corr
-    )
-    below_cov, above_cov, dist_sq = _projections_from_transform(
-        cov_mu, cov_nu, transform
-    )
-    method = "commuting" if np.linalg.norm(corr - np.eye(corr.shape[0])) <= 1e-10 else "fast_path"
-    diag = {"order_residual": transform.order_residual}
-    below = ProjectionResult(below_cov, dist_sq, transform, method, diag)
-    above = ProjectionResult(above_cov, dist_sq, transform, method, diag)
-    return transform, below, above
-
-
-@dataclass(frozen=True)
-class _PairSolution:
-    transform: OrderTransform
-    below_cov: np.ndarray
-    above_cov: np.ndarray
-    distance_sq: float
-    method: str
-    diagnostics: dict[str, Any]
-    reduction: SingularReduction | None = None
-    pgd_trace: PgdTrace | None = None
+    fast = _fast_path(_decompose(cov_mu, cov_nu, order_tol))
+    return None if fast is None else (fast[0].transform, *fast)
 
 
 def _solve_pair(
@@ -269,51 +270,43 @@ def _solve_pair(
     method: str = "auto",
     config: PgdConfig | None = None,
     order_tol: float | None = None,
-) -> _PairSolution:
+) -> tuple[ProjectionResult, ProjectionResult]:
     if method not in ("auto", "closed-form", "pgd"):
         raise ValueError(f"unknown method {method!r}")
-    cov_mu = sym(np.atleast_2d(np.asarray(cov_mu, dtype=float)))
-    cov_nu = sym(np.atleast_2d(np.asarray(cov_nu, dtype=float)))
-    if cov_mu.shape != cov_nu.shape:
-        raise ValueError("dimension mismatch")
-    require_finite(cov_mu, "cov_mu")
-    require_finite(cov_nu, "cov_nu")
-    d = cov_mu.shape[0]
-    tol = default_order_tol(cov_nu) if order_tol is None else order_tol
+    pair = _decompose(cov_mu, cov_nu, order_tol)
+    d = pair.cov_nu.shape[0]
 
-    nu_vals, _ = psd_eigen(cov_nu)
-    psd_eigen(cov_mu)
-    rank_nu = int(np.sum(nu_vals > default_rank_tol(nu_vals)))
+    if pair.rank_nu == 0:
+        return _results(*_project(pair, np.eye(d)), "closed_form", {"rank_nu": 0})
 
-    if rank_nu == 0:
-        transform = _build_transform(cov_mu, cov_nu, np.eye(d), tol)
-        below, above, dist_sq = _projections_from_transform(cov_mu, cov_nu, transform)
-        return _PairSolution(
-            transform, below, above, dist_sq, "closed_form", {"rank_nu": 0}
+    if pair.rank_nu == d and method != "pgd":
+        fast = _fast_path(pair)
+        if fast is not None:
+            return fast
+    if method == "closed-form":
+        raise LinalgError(
+            "shared-correlation fast path does not apply to this pair; "
+            "use method='auto' or 'pgd'"
         )
 
-    if method in ("auto", "closed-form"):
-        fast = shared_correlation_fast_path(cov_mu, cov_nu, tol)
-        if fast is not None:
-            transform, below_res, above_res = fast
-            return _PairSolution(
-                transform,
-                below_res.covariance,
-                above_res.covariance,
-                below_res.distance_sq,
-                below_res.method,
-                dict(below_res.diagnostics),
-            )
-        if method == "closed-form":
-            raise LinalgError(
-                "shared-correlation fast path does not apply to this pair; "
-                "use method='auto' or 'pgd'"
-            )
-
-    if rank_nu == d:
-        outcome, trace = pgd_project_above(cov_nu, cov_mu, config)
-        transform = _order_transform_from_above(cov_mu, cov_nu, outcome.covariance, tol)
-        below, above, dist_sq = _projections_from_transform(cov_mu, cov_nu, transform)
+    if pair.rank_nu == d:
+        outcome, trace = pgd_project_above(pair.cov_nu, pair.cov_mu, config)
+        # the transport map sending the dominating projection onto cov_nu
+        basis = transport_map_basis(*pair.nu_eig, outcome.covariance)
+        reduction = None
+    else:
+        reduction = reduce_singular_above(
+            pair.cov_nu, pair.cov_mu, method=method, config=config
+        )
+        # compose the spectral split of the target with the reduced solve's
+        # rotation; the kernel coordinates keep the spectral basis vectors
+        block = np.eye(d)
+        block[: reduction.rank, : reduction.rank] = reduction.inner_transform.basis
+        basis = reduction.basis @ block
+    transform, *projected = _project(pair, basis)
+    if not transform.certified:
+        raise CertificationError(transform)
+    if reduction is None:
         diagnostics = {
             "iterations": outcome.iterations,
             "pgd_objective": outcome.objective,
@@ -323,73 +316,13 @@ def _solve_pair(
             "order_residual": transform.order_residual,
             "trace": {"objective": trace.objective, "grad_norm": trace.grad_norm},
         }
-        if not transform.certified:
-            raise CertificationError(transform)
-        return _PairSolution(
-            transform, below, above, dist_sq, "pgd", diagnostics, pgd_trace=trace
-        )
-
-    reduction = reduce_singular_above(cov_nu, cov_mu, method=method, config=config)
-    transform = _transform_from_reduction(cov_mu, cov_nu, reduction, tol)
-    below, above, dist_sq = _projections_from_transform(cov_mu, cov_nu, transform)
+        return _results(transform, *projected, "pgd", diagnostics)
     diagnostics = {
         "rank_nu": reduction.rank,
         "order_residual": transform.order_residual,
         **{f"reduced_{k}": v for k, v in reduction.diagnostics.items()},
     }
-    if not transform.certified:
-        raise CertificationError(transform)
-    return _PairSolution(
-        transform, below, above, dist_sq, "singular_reduction", diagnostics, reduction
-    )
-
-
-def _order_transform_from_above(
-    cov_mu: np.ndarray,
-    cov_nu: np.ndarray,
-    cov_above: np.ndarray,
-    order_tol: float,
-) -> OrderTransform:
-    """Basis from diagonalizing the transport map sending the dominating
-    projection back onto the target covariance."""
-    nu_vals, nu_vecs = psd_eigen(cov_nu)
-    half = _rebuild(np.sqrt(nu_vals), nu_vecs)
-    floor = default_rank_tol(nu_vals)
-    inv_half = _rebuild(
-        np.where(nu_vals > floor, 1.0 / np.sqrt(np.maximum(nu_vals, floor)), 0.0),
-        nu_vecs,
-    )
-    middle = spd_sqrt(sym(half @ sym(cov_above) @ half))
-    _, basis = sym_eigen(sym(inv_half @ middle @ inv_half))
-    return _build_transform(cov_mu, cov_nu, basis, order_tol)
-
-
-def recover_below_from_above(
-    cov_mu: np.ndarray,
-    cov_nu: np.ndarray,
-    cov_above: np.ndarray,
-    order_tol: float | None = None,
-) -> ProjectionResult:
-    """Dominated-side projection recovered from the dominating-side one.
-
-    ``cov_nu`` must be positive definite and ``cov_above`` should dominate
-    ``cov_mu`` (typically the output of :func:`pgd.pgd_project_above`).
-    Raises :class:`CertificationError` when the recovered transform fails
-    the Loewner check, which signals an inaccurate ``cov_above``.
-    """
-    cov_mu = sym(cov_mu)
-    cov_nu = sym(cov_nu)
-    require_finite(cov_mu, "cov_mu")
-    require_finite(cov_nu, "cov_nu")
-    require_finite(cov_above, "cov_above")
-    tol = default_order_tol(cov_nu) if order_tol is None else order_tol
-    transform = _order_transform_from_above(cov_mu, cov_nu, cov_above, tol)
-    if not transform.certified:
-        raise CertificationError(transform)
-    below, _, dist_sq = _projections_from_transform(cov_mu, cov_nu, transform)
-    return ProjectionResult(
-        below, dist_sq, transform, "pgd", {"order_residual": transform.order_residual}
-    )
+    return _results(transform, *projected, "singular_reduction", diagnostics, reduction)
 
 
 def reduce_singular_above(
@@ -420,9 +353,9 @@ def reduce_singular_above(
     conj_mu = sym(nu_vecs.T @ cov_mu @ nu_vecs)
     reduced_nu = np.diag(nu_vals[:rank])
     reduced_mu = conj_mu[:rank, :rank].copy()
-    inner = _solve_pair(reduced_mu, reduced_nu, method=method, config=config)
+    _, inner = _solve_pair(reduced_mu, reduced_nu, method=method, config=config)
     assembled_conj = conj_mu.copy()
-    assembled_conj[:rank, :rank] = inner.above_cov
+    assembled_conj[:rank, :rank] = inner.covariance
     assembled = sym(nu_vecs @ assembled_conj @ nu_vecs.T)
 
     diagnostics = {"method": inner.method}
@@ -432,40 +365,11 @@ def reduce_singular_above(
         basis=nu_vecs,
         reduced_nu=reduced_nu,
         reduced_mu=reduced_mu,
-        reduced_solution=inner.above_cov,
+        reduced_solution=inner.covariance,
         assembled=assembled,
         inner_transform=inner.transform,
         diagnostics=diagnostics,
     )
-
-
-def _transform_from_reduction(
-    cov_mu: np.ndarray,
-    cov_nu: np.ndarray,
-    reduction: SingularReduction,
-    order_tol: float,
-) -> OrderTransform:
-    # compose the spectral split of the target with the reduced solve's
-    # rotation; the kernel coordinates keep the spectral basis vectors
-    d = cov_nu.shape[0]
-    block = np.eye(d)
-    block[: reduction.rank, : reduction.rank] = reduction.inner_transform.basis
-    return _build_transform(cov_mu, cov_nu, reduction.basis @ block, order_tol)
-
-
-def order_transform(
-    cov_mu: np.ndarray,
-    cov_nu: np.ndarray,
-    method: str = "auto",
-    config: PgdConfig | None = None,
-    order_tol: float | None = None,
-) -> OrderTransform:
-    """Certified orthogonal/diagonal pair for the covariance pair.
-
-    Raises :class:`CertificationError` (carrying the best candidate) when
-    the Loewner check fails beyond tolerance.
-    """
-    return _solve_pair(cov_mu, cov_nu, method, config, order_tol).transform
 
 
 def project_below(
@@ -477,25 +381,7 @@ def project_below(
 ) -> ProjectionResult:
     """Covariance of the projection of ``N(0, cov_mu)`` onto the measures
     dominated by ``N(0, cov_nu)`` in the convex order."""
-    sol = _solve_pair(cov_mu, cov_nu, method, config, order_tol)
-    return ProjectionResult(
-        sol.below_cov, sol.distance_sq, sol.transform, sol.method, sol.diagnostics
-    )
-
-
-def project_above(
-    cov_nu: np.ndarray,
-    cov_mu: np.ndarray,
-    method: str = "auto",
-    config: PgdConfig | None = None,
-    order_tol: float | None = None,
-) -> ProjectionResult:
-    """Covariance of the (unique Gaussian) projection of ``N(0, cov_nu)``
-    onto the measures dominating ``N(0, cov_mu)`` in the convex order."""
-    sol = _solve_pair(cov_mu, cov_nu, method, config, order_tol)
-    return ProjectionResult(
-        sol.above_cov, sol.distance_sq, sol.transform, sol.method, sol.diagnostics
-    )
+    return _solve_pair(cov_mu, cov_nu, method, config, order_tol)[0]
 
 
 def project_pair(
@@ -506,14 +392,7 @@ def project_pair(
     order_tol: float | None = None,
 ) -> tuple[ProjectionResult, ProjectionResult]:
     """Both projections from one solve: ``(below, above)``."""
-    sol = _solve_pair(cov_mu, cov_nu, method, config, order_tol)
-    below = ProjectionResult(
-        sol.below_cov, sol.distance_sq, sol.transform, sol.method, sol.diagnostics
-    )
-    above = ProjectionResult(
-        sol.above_cov, sol.distance_sq, sol.transform, sol.method, sol.diagnostics
-    )
-    return below, above
+    return _solve_pair(cov_mu, cov_nu, method, config, order_tol)
 
 
 def dominance_check(
@@ -529,10 +408,10 @@ def dominance_check(
     cov_nu = sym(cov_nu)
     if cov_mu.shape != cov_nu.shape:
         raise ValueError("dimension mismatch")
+    vals, vecs = psd_eigen(cov_nu)
     if tol is None:
-        vals, _ = psd_eigen(cov_nu)
         tol = 1e-9 * (1.0 + (float(vals[0]) if vals.size else 0.0))
-    half = spd_sqrt(cov_nu)
+    half = _rebuild(np.sqrt(vals), vecs)
     probe = spd_sqrt(sym(half @ cov_mu @ half))
     if loewner_leq(cov_nu, probe, tol):
         return DominanceVerdict.SATURATED
@@ -542,15 +421,17 @@ def dominance_check(
 def is_above_projection_unique(
     cov_mu: np.ndarray,
     cov_nu: np.ndarray,
-    config: PgdConfig | None = None,
+    reduction: SingularReduction | None = None,
     rank_band: float = 10.0,
 ) -> UniquenessVerdict:
     """Is the dominating-side projection unique among all measures?
 
     Always true for positive definite ``cov_nu``.  For singular ``cov_nu``
     the projection is unique iff the assembled covariance keeps the rank of
-    ``cov_nu`` or the saturation inequality holds.  Eigenvalues within a
-    factor ``rank_band`` of the rank cutoff raise
+    ``cov_nu`` or the saturation inequality holds.  ``reduction`` is the
+    rank reduction of a solve already made (``ProjectionResult.reduction``);
+    without it one is computed with the default settings.  Eigenvalues
+    within a factor ``rank_band`` of the rank cutoff raise
     :class:`RankAmbiguousError` instead of guessing a rank.
     """
     cov_mu = sym(cov_mu)
@@ -576,7 +457,8 @@ def is_above_projection_unique(
         return UniquenessVerdict(
             True, "zero target covariance: the projection is the lower measure itself"
         )
-    reduction = reduce_singular_above(cov_nu, cov_mu, config=config)
+    if reduction is None:
+        reduction = reduce_singular_above(cov_nu, cov_mu)
     rank_star = guarded_rank(reduction.assembled, "the assembled projection")
     if rank_star == rank_nu:
         return UniquenessVerdict(True, "assembled covariance keeps the target rank")

@@ -1,7 +1,7 @@
 """Deterministic symmetric linear algebra.
 
-Spectral decompositions, matrix square roots, pseudo-inverse square roots,
-positive parts, Loewner-order tests, and the shared-correlation orthogonal
+Spectral decompositions, matrix square roots, positive parts, Loewner-order
+tests, the transport-map eigenbasis and the shared-correlation orthogonal
 transform used by the Gaussian projection solvers.
 
 All functions are pure and operate on plain ``numpy`` arrays.  Eigenvalue
@@ -100,13 +100,6 @@ def psd_eigen(
     return np.clip(vals, 0.0, None), vecs
 
 
-def rank_psd(matrix: np.ndarray, rank_tol: float | None = None) -> int:
-    """Numerical rank of a PSD matrix."""
-    vals, _ = psd_eigen(matrix)
-    tol = default_rank_tol(vals) if rank_tol is None else rank_tol
-    return int(np.sum(vals > tol))
-
-
 def _rebuild(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return sym((vecs * vals) @ vecs.T)
 
@@ -115,21 +108,6 @@ def spd_sqrt(matrix: np.ndarray, eig_tol: float = EIG_TOL) -> np.ndarray:
     """Principal square root of a PSD matrix."""
     vals, vecs = psd_eigen(matrix, eig_tol)
     return _rebuild(np.sqrt(vals), vecs)
-
-
-def spd_inv_sqrt(
-    matrix: np.ndarray,
-    rank_tol: float | None = None,
-    eig_tol: float = EIG_TOL,
-) -> np.ndarray:
-    """Moore-Penrose inverse square root of a PSD matrix.
-
-    Eigenvalues above the rank cutoff map to ``lambda**-0.5``, the rest to 0.
-    """
-    vals, vecs = psd_eigen(matrix, eig_tol)
-    tol = default_rank_tol(vals) if rank_tol is None else rank_tol
-    inv = np.where(vals > tol, 1.0 / np.sqrt(np.where(vals > tol, vals, 1.0)), 0.0)
-    return _rebuild(inv, vecs)
 
 
 def positive_part(matrix: np.ndarray) -> np.ndarray:
@@ -149,18 +127,8 @@ def loewner_gap(a: np.ndarray, b: np.ndarray) -> float:
     return float(vals[-1])
 
 
-def diag_part(matrix: np.ndarray) -> np.ndarray:
-    """Diagonal matrix built from the diagonal of ``matrix``."""
-    return np.diag(np.diag(np.asarray(matrix, dtype=float)))
-
-
-def orthogonal_residual(basis: np.ndarray) -> float:
-    """Frobenius distance of ``basis.T @ basis`` from the identity."""
-    d = basis.shape[0]
-    return float(np.linalg.norm(basis.T @ basis - np.eye(d)))
-
-
-def _positive_diag_mask(matrix: np.ndarray) -> np.ndarray:
+def positive_diag_mask(matrix: np.ndarray) -> np.ndarray:
+    """Diagonal entries above the rank cutoff ``d * max_diag * RANK_REL``."""
     diag = np.diag(matrix)
     top = max(float(diag.max(initial=0.0)), 0.0)
     return diag > diag.size * top * RANK_REL
@@ -169,38 +137,48 @@ def _positive_diag_mask(matrix: np.ndarray) -> np.ndarray:
 def cleaned_diag(matrix: np.ndarray) -> np.ndarray:
     """Diagonal with sub-cutoff entries (roundoff leftovers of exact zeros)
     flushed to zero; used wherever a square root would amplify the noise."""
-    return np.where(_positive_diag_mask(matrix), np.clip(np.diag(matrix), 0.0, None), 0.0)
+    return np.where(positive_diag_mask(matrix), np.clip(np.diag(matrix), 0.0, None), 0.0)
 
 
-def _shared_correlation_basis(s1: np.ndarray, s2: np.ndarray) -> np.ndarray:
+def transport_map_basis(vals: np.ndarray, vecs: np.ndarray, s2: np.ndarray) -> np.ndarray:
+    """Eigenbasis of the optimal-transport map ``s1^{-1/2} (s1^{1/2} s2
+    s1^{1/2})^{1/2} s1^{-1/2}`` for a nonsingular ``s1`` given by its
+    eigenpairs ``(vals, vecs)``."""
+    half = _rebuild(np.sqrt(vals), vecs)
+    inv_half = _rebuild(1.0 / np.sqrt(vals), vecs)
+    middle = spd_sqrt(sym(half @ s2 @ half))
+    _, basis = sym_eigen(sym(inv_half @ middle @ inv_half))
+    return basis
+
+
+def _shared_correlation_basis(
+    s1: np.ndarray,
+    s2: np.ndarray,
+    eig1: tuple[np.ndarray, np.ndarray],
+    eig2: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
     """Orthogonal basis under which ``s1`` and ``s2`` share a correlation.
 
-    When both matrices are nonsingular this is the eigenbasis of the
-    optimal-transport map ``s1^{-1/2} (s1^{1/2} s2 s1^{1/2})^{1/2}
-    s1^{-1/2}``.  A singular matrix is diagonalized first (its kernel is
-    then split off exactly rather than through ill-conditioned inverse
-    square roots) and the construction recurses on the top-rank block, so
-    the number of positive diagonal entries of the conjugated singular
-    matrix equals its rank.
+    ``eig1`` and ``eig2`` are the :func:`psd_eigen` pairs of the inputs.
+    When both matrices are nonsingular this is :func:`transport_map_basis`.
+    A singular matrix is diagonalized first (its kernel is then split off
+    exactly rather than through ill-conditioned inverse square roots) and
+    the construction recurses on the top-rank block, so the number of
+    positive diagonal entries of the conjugated singular matrix equals its
+    rank.
     """
     d = s1.shape[0]
-    vals, vecs = psd_eigen(s1)
+    vals, vecs = eig1
     rank = int(np.sum(vals > default_rank_tol(vals)))
     if rank == d:
-        vals2, _ = psd_eigen(s2)
-        if int(np.sum(vals2 > default_rank_tol(vals2))) < d:
-            return _shared_correlation_basis(s2, s1)  # shared-ness is symmetric
-        half = _rebuild(np.sqrt(vals), vecs)
-        inv_half = _rebuild(1.0 / np.sqrt(vals), vecs)
-        middle = spd_sqrt(sym(half @ s2 @ half))
-        transport = sym(inv_half @ middle @ inv_half)
-        _, basis = sym_eigen(transport)
-        return basis
+        if int(np.sum(eig2[0] > default_rank_tol(eig2[0]))) < d:
+            return _shared_correlation_basis(s2, s1, eig2, eig1)  # shared-ness is symmetric
+        return transport_map_basis(vals, vecs, s2)
     if rank == 0:
-        _, basis = sym_eigen(s2)
-        return basis
+        return eig2[1]
     conj = sym(vecs.T @ s2 @ vecs)
-    top = _shared_correlation_basis(np.diag(vals[:rank]), conj[:rank, :rank])
+    top1, top2 = np.diag(vals[:rank]), conj[:rank, :rank]
+    top = _shared_correlation_basis(top1, top2, psd_eigen(top1), psd_eigen(top2))
     block = np.eye(d)
     block[:rank, :rank] = top
     return vecs @ block
@@ -217,8 +195,8 @@ def _correlation_from_pair(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     zero off-diagonals.
     """
     d = m1.shape[0]
-    mask1 = _positive_diag_mask(m1)
-    mask2 = _positive_diag_mask(m2)
+    mask1 = positive_diag_mask(m1)
+    mask2 = positive_diag_mask(m2)
     corr = np.zeros((d, d))
 
     def fill(matrix: np.ndarray, mask: np.ndarray, out: np.ndarray) -> None:
@@ -247,19 +225,17 @@ def _correlation_from_pair(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
     return sym(corr)
 
 
-def shared_correlation_transform(
-    s1: np.ndarray, s2: np.ndarray, corr_tol: float = CORR_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthogonal ``O`` and correlation ``C`` shared by two PSD matrices.
-
-    After conjugation, ``O.T @ s_k @ O == dg^{1/2} C dg^{1/2}`` holds for
-    both inputs with ``dg`` the respective diagonal parts.  Raises
-    :class:`CorrelationResidualError` if the reconstruction residual
-    exceeds ``corr_tol`` (relative to each input's Frobenius norm).
-    """
-    s1 = sym(s1)
-    s2 = sym(s2)
-    basis = _shared_correlation_basis(s1, s2)
+def conjugate_to_shared_correlation(
+    s1: np.ndarray,
+    s2: np.ndarray,
+    eig1: tuple[np.ndarray, np.ndarray],
+    eig2: tuple[np.ndarray, np.ndarray],
+    corr_tol: float = CORR_TOL,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`shared_correlation_transform` for symmetric inputs whose
+    :func:`psd_eigen` pairs are at hand; also returns the two conjugated
+    matrices ``O.T @ s_k @ O``."""
+    basis = _shared_correlation_basis(s1, s2, eig1, eig2)
     m1 = sym(basis.T @ s1 @ basis)
     m2 = sym(basis.T @ s2 @ basis)
     corr = _correlation_from_pair(m1, m2)
@@ -272,4 +248,22 @@ def shared_correlation_transform(
         raise CorrelationResidualError(
             "shared-correlation reconstruction failed", worst
         )
+    return basis, corr, m1, m2
+
+
+def shared_correlation_transform(
+    s1: np.ndarray, s2: np.ndarray, corr_tol: float = CORR_TOL
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orthogonal ``O`` and correlation ``C`` shared by two PSD matrices.
+
+    After conjugation, ``O.T @ s_k @ O == dg^{1/2} C dg^{1/2}`` holds for
+    both inputs with ``dg`` the respective diagonal parts.  Raises
+    :class:`CorrelationResidualError` if the reconstruction residual
+    exceeds ``corr_tol`` (relative to each input's Frobenius norm).
+    """
+    s1 = sym(s1)
+    s2 = sym(s2)
+    basis, corr, _, _ = conjugate_to_shared_correlation(
+        s1, s2, psd_eigen(s1), psd_eigen(s2), corr_tol
+    )
     return basis, corr

@@ -1,9 +1,9 @@
 """Projected gradient descent on the cone of matrices dominating a bound.
 
-Computes ``argmin bw2(cov_nu, S)`` over ``{S : S >= cov_mu}`` with the two
-Frobenius cone projections, and recovers the dominated-side projection from
-the dominating one.  Iterations, initialization and the cone projection
-follow the positive-part construction; the descent is fully deterministic.
+Computes ``argmin bw2(cov_nu, S)`` over ``{S : S >= cov_mu}``, the
+dominating-side projection, with the two Frobenius cone projections.
+Iterations, initialization and the cone projection follow the positive-part
+construction; the descent is fully deterministic.
 """
 
 from __future__ import annotations
@@ -56,12 +56,11 @@ BB_BAND = 1e4
 
 @dataclass
 class PgdTrace:
-    """Per accepted iteration: objective, gradient norm, cone violation,
-    step size actually taken."""
+    """Per accepted iteration: objective, gradient norm, step size actually
+    taken."""
 
     objective: list[float] = field(default_factory=list)
     grad_norm: list[float] = field(default_factory=list)
-    cone_violation: list[float] = field(default_factory=list)
     step_size: list[float] = field(default_factory=list)
 
 
@@ -121,8 +120,9 @@ class _Objective:
         return value, bw2_gradient_from_inner(self.half, inner_vals, inner_vecs)
 
 
-def default_step_size(cov_nu: np.ndarray, cov_mu: np.ndarray, reg: float) -> float:
-    """Crude curvature bound: the gradient's inverse square root is
+def _default_step(nu_vals: np.ndarray, cov_mu: np.ndarray, reg: float) -> float:
+    """Crude curvature bound from the target's eigenvalues (descending) and
+    the spectrum of the lower bound: the gradient's inverse square root is
     controlled by the spectra entering it.
 
     The lower-bound spectrum is floored by the target's smallest eigenvalue:
@@ -131,13 +131,6 @@ def default_step_size(cov_nu: np.ndarray, cov_mu: np.ndarray, reg: float) -> flo
     the regularization scale and stall the descent.  Backtracking still
     halves the step whenever the objective would increase.
     """
-    nu_vals, _ = psd_eigen(sym(cov_nu))
-    return _default_step(nu_vals, cov_mu, reg)
-
-
-def _default_step(nu_vals: np.ndarray, cov_mu: np.ndarray, reg: float) -> float:
-    """:func:`default_step_size` with the target's eigenvalues (descending)
-    already at hand."""
     mu_vals, _ = psd_eigen(sym(cov_mu))
     lo_nu = float(nu_vals[-1])
     hi_nu = float(nu_vals[0])
@@ -220,9 +213,7 @@ def pgd_project_above(
         prev = (s, grad)
         trace.grad_norm.append(float(np.linalg.norm(grad)))
         s, f, grad = candidate, f_cand, grad_cand
-        viol = float(np.linalg.eigvalsh(sym(s - mu))[0])
         trace.objective.append(f)
-        trace.cone_violation.append(max(0.0, -viol))
         trace.step_size.append(eta)
         if residual <= tol:
             converged = True

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from convex_order import cli
+from convex_order import cli, gaussian
 from convex_order.cli import main
-from convex_order.gaussian import project_pair
+from convex_order.gaussian import project_pair, reduce_singular_above
 
 
 @pytest.fixture
@@ -161,6 +161,22 @@ class TestProjectGaussian:
         })
         result = runner.invoke(main, ["project-gaussian", problem, "--method", "closed-form"])
         assert result.exit_code == 3
+
+    def test_uniqueness_reuses_the_reduction(self, runner, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return reduce_singular_above(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "reduce_singular_above", counting)
+        problem = write_problem(tmp_path / "p.json", GAUSSIAN_SINGULAR)
+        for method in ("auto", "pgd"):
+            calls.clear()
+            result = runner.invoke(main, ["project-gaussian", problem, "--method", method])
+            assert result.exit_code == 0
+            assert json.loads(result.output)["uniqueness"]["unique"] is False
+            assert len(calls) == 1
 
 
 class TestProject1d:
@@ -352,3 +368,4 @@ class TestCheck:
         result = runner.invoke(main, ["check", problem, "--assert-file", assert_file])
         assert result.exit_code == 0
         assert len(calls) == 1
+

@@ -11,7 +11,6 @@ from convex_order.discrete import (
     barycentric_pushforward,
     exact_w2_sq,
     is_convex_ordered_1d,
-    lp_oracle,
     project_discrete,
     solve_transport_lp,
     solve_wot,
@@ -175,7 +174,8 @@ class TestTransportLp:
         rng = np.random.default_rng(4)
         mu = random_discrete(rng, 2, 5)
         nu = random_discrete(rng, 2, 6)
-        coupling = lp_oracle(rng.normal(size=(mu.size, nu.size)), mu, nu)
+        pi = solve_transport_lp(rng.normal(size=(mu.size, nu.size)), mu.weights, nu.weights)
+        coupling = Coupling(pi, mu, nu)  # raises unless pi couples mu and nu
         assert isinstance(coupling, Coupling)
 
 
@@ -333,8 +333,11 @@ class TestSolveWot:
         for _ in range(20):
             mu = random_discrete(rng, 2, 5)
             nu = random_discrete(rng, 2, 5)
-            pi_a = lp_oracle(rng.normal(size=(mu.size, nu.size)), mu, nu)
-            pi_b = lp_oracle(rng.normal(size=(mu.size, nu.size)), mu, nu)
+            pi_a, pi_b = (
+                Coupling(solve_transport_lp(rng.normal(size=(mu.size, nu.size)),
+                                            mu.weights, nu.weights), mu, nu)
+                for _ in range(2)
+            )
             mid = Coupling(0.5 * (pi_a.pi + pi_b.pi), mu, nu)
             assert wot_objective(mid) <= 0.5 * (
                 wot_objective(pi_a) + wot_objective(pi_b)

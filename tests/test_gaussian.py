@@ -1,22 +1,23 @@
+import json
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
+from convex_order import gaussian, pgd
 from convex_order.bures import bw2
+from convex_order.cli import main
 from convex_order.gaussian import (
     DominanceVerdict,
     dominance_check,
     is_above_projection_unique,
-    order_transform,
-    project_above,
     project_below,
     project_pair,
-    recover_below_from_above,
     reduce_singular_above,
     shared_correlation_fast_path,
 )
-from convex_order.linalg import loewner_leq, sym_eigen
+from convex_order.linalg import loewner_leq
 from convex_order.measures import GaussianMeasure
-from convex_order.pgd import pgd_project_above
 from _utils import random_commuting_pair, random_orthogonal, random_psd_singular, random_spd
 
 
@@ -60,12 +61,6 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="finite"):
             shared_correlation_fast_path(np.eye(2), NAN_COV)
 
-    def test_recovery_rejects_nan(self):
-        with pytest.raises(ValueError, match="finite"):
-            recover_below_from_above(np.eye(2), NAN_COV, 2.0 * np.eye(2))
-        with pytest.raises(ValueError, match="finite"):
-            recover_below_from_above(np.eye(2), np.eye(2), NAN_COV)
-
     def test_singular_reduction_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             reduce_singular_above(NAN_COV, np.eye(2))
@@ -75,13 +70,13 @@ class TestOrderTransform:
     def test_equal_covariances(self):
         rng = np.random.default_rng(0)
         s = random_spd(rng, 3)
-        t = order_transform(s, s)
+        t = project_pair(s, s)[0].transform
         np.testing.assert_allclose(t.ratios, np.ones(3), atol=1e-12)
         assert_transform_valid(t, s, s)
 
     def test_commuting_diagonals(self):
         mu_cov, nu_cov = np.diag([4.0, 1.0]), np.diag([1.0, 4.0])
-        t = order_transform(mu_cov, nu_cov)
+        t = project_pair(mu_cov, nu_cov)[0].transform
         assert_transform_valid(t, mu_cov, nu_cov)
         # the contraction shrinks exactly the too-wide coordinate
         contracted = t.basis @ np.diag(t.ratios) @ t.basis.T
@@ -90,7 +85,7 @@ class TestOrderTransform:
         )
 
     def test_singular_bound_uses_unit_convention(self):
-        t = order_transform(np.eye(2), np.diag([2.0, 0.0]))
+        t = project_pair(np.eye(2), np.diag([2.0, 0.0]))[0].transform
         assert_transform_valid(t, np.eye(2), np.diag([2.0, 0.0]))
         assert sorted(t.ratios) == pytest.approx([0.0, 1.0], abs=1e-12)
 
@@ -99,7 +94,7 @@ class TestOrderTransform:
         for _ in range(30):
             d = int(rng.integers(1, 7))
             a, b = random_spd(rng, d), random_spd(rng, d)
-            assert_transform_valid(order_transform(a, b), a, b)
+            assert_transform_valid(project_pair(a, b)[0].transform, a, b)
 
 
 class TestProjectBelow:
@@ -128,24 +123,24 @@ class TestProjectBelow:
 
 class TestProjectAbove:
     def test_rank_one_bound_identity_lower(self):
-        res = project_above(np.diag([2.0, 0.0]), np.eye(2))
+        res = project_pair(np.eye(2), np.diag([2.0, 0.0]))[1]
         np.testing.assert_allclose(res.covariance, np.diag([2.0, 1.0]), atol=1e-8)
 
     def test_rank_one_bound_correlated_lower(self):
-        res = project_above(np.diag([2.0, 0.0]), np.array([[1.0, 1.0], [1.0, 1.0]]))
+        res = project_pair(np.array([[1.0, 1.0], [1.0, 1.0]]), np.diag([2.0, 0.0]))[1]
         np.testing.assert_allclose(
             res.covariance, np.array([[2.0, 1.0], [1.0, 1.0]]), atol=1e-8
         )
 
     def test_dominating_lower_bound_forces_itself(self):
-        res = project_above(np.eye(2), 2.0 * np.eye(2))
+        res = project_pair(2.0 * np.eye(2), np.eye(2))[1]
         np.testing.assert_allclose(res.covariance, 2.0 * np.eye(2), atol=1e-10)
         assert res.distance_sq == pytest.approx(2.0 * (np.sqrt(2.0) - 1.0) ** 2, abs=1e-10)
 
     def test_zero_target(self):
         rng = np.random.default_rng(2)
         s = random_spd(rng, 3)
-        res = project_above(np.zeros((3, 3)), s)
+        res = project_pair(s, np.zeros((3, 3)))[1]
         np.testing.assert_allclose(res.covariance, s, atol=1e-12)
 
 
@@ -276,27 +271,26 @@ class TestDominance:
 
 
 class TestRecoverBelow:
+    # the descent route recovers the dominated side from the dominating one
     def test_from_exact_dominating_projection(self):
-        res = recover_below_from_above(
-            np.diag([4.0, 1.0]), np.diag([1.0, 4.0]), np.diag([4.0, 4.0])
-        )
-        np.testing.assert_allclose(res.covariance, np.eye(2), atol=1e-10)
+        below, _ = project_pair(np.diag([4.0, 1.0]), np.diag([1.0, 4.0]), method="pgd")
+        assert below.method == "pgd"
+        np.testing.assert_allclose(below.covariance, np.eye(2), atol=1e-10)
 
     def test_trivial_case(self):
         # lower bound already dominated: the dominating projection is the
         # target itself and the recovered matrix is the lower bound
-        res = recover_below_from_above(np.eye(2), 2.0 * np.eye(2), 2.0 * np.eye(2))
-        np.testing.assert_allclose(res.covariance, np.eye(2), atol=1e-10)
+        below, _ = project_pair(np.eye(2), 2.0 * np.eye(2), method="pgd")
+        np.testing.assert_allclose(below.covariance, np.eye(2), atol=1e-10)
 
     def test_distance_equality_on_random_pairs(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             d = int(rng.integers(2, 5))
             mu_cov, nu_cov = random_spd(rng, d), random_spd(rng, d)
-            outcome, _ = pgd_project_above(nu_cov, mu_cov)
-            res = recover_below_from_above(mu_cov, nu_cov, outcome.covariance)
-            assert bw2(mu_cov, res.covariance) == pytest.approx(
-                bw2(nu_cov, outcome.covariance), abs=1e-6
+            below, above = project_pair(mu_cov, nu_cov, method="pgd")
+            assert bw2(mu_cov, below.covariance) == pytest.approx(
+                bw2(nu_cov, above.covariance), abs=1e-6
             )
 
 
@@ -429,7 +423,7 @@ class TestPairInvariants:
             np.testing.assert_allclose(
                 again_below.covariance, below.covariance, atol=1e-8
             )
-            again_above = project_above(above.covariance, a)
+            again_above = project_pair(a, above.covariance)[1]
             np.testing.assert_allclose(
                 again_above.covariance, above.covariance, atol=1e-8
             )
@@ -499,3 +493,70 @@ class TestPairInvariants:
             assert abs(
                 np.sqrt(bw2(b, above_1.covariance)) - np.sqrt(bw2(b2, above_2.covariance))
             ) <= slack
+
+
+@pytest.fixture
+def eigensolves(monkeypatch):
+    """Counts ``numpy.linalg.eigh``/``eigvalsh`` calls, one per call."""
+    count = {"n": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            count["n"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    return count
+
+
+class TestSpectralWork:
+    """Each solve decomposes both covariances once; the ceilings below pin
+    the eigensolves each route makes."""
+
+    def test_commuting_pair(self, eigensolves):
+        rng = np.random.default_rng(24)
+        a, b, *_ = random_commuting_pair(rng, 4)
+        below, _ = project_pair(a, b)
+        assert below.method == "commuting"
+        assert eigensolves["n"] <= 6
+
+    def test_descent_route(self, eigensolves, monkeypatch):
+        inside = {"eig": 0, "cone": 0}
+        descend = gaussian.pgd_project_above
+        cone = pgd.frobenius_project_above
+
+        def counted_descent(*args, **kwargs):
+            before = eigensolves["n"]
+            result = descend(*args, **kwargs)
+            inside["eig"] += eigensolves["n"] - before
+            return result
+
+        def counted_cone(*args, **kwargs):
+            inside["cone"] += 1
+            return cone(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "pgd_project_above", counted_descent)
+        monkeypatch.setattr(pgd, "frobenius_project_above", counted_cone)
+        rng = np.random.default_rng(25)
+        for d in (3, 6, 9):
+            eigensolves["n"] = inside["eig"] = inside["cone"] = 0
+            below, _ = project_pair(random_spd(rng, d), random_spd(rng, d))
+            assert below.method == "pgd"
+            assert eigensolves["n"] - inside["eig"] <= 8
+            # set-up decomposes both inputs once; each cone projection is
+            # followed by one objective-and-gradient eigensolve
+            assert inside["eig"] == 2 + 2 * inside["cone"]
+
+    def test_project_gaussian_on_a_singular_target(self, eigensolves, tmp_path):
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "mu": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "nu": {"mean": [0.0, 0.0], "cov": [[2.0, 0.0], [0.0, 0.0]]},
+        }))
+        result = CliRunner().invoke(main, ["project-gaussian", str(problem)])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["method"] == "singular_reduction"
+        assert eigensolves["n"] <= 19

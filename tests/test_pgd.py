@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from convex_order import pgd
 from convex_order.bures import bw2
 from convex_order.gaussian import project_pair, shared_correlation_fast_path
 from convex_order.linalg import loewner_leq, psd_eigen, sym, sym_eigen
 from convex_order.pgd import (
     PgdConfig,
     _default_step,
-    default_step_size,
     frobenius_project_above,
     frobenius_project_below,
     pgd_project_above,
@@ -204,11 +204,21 @@ class TestPgd:
             if obj.size > 1:
                 assert np.max(np.diff(obj)) <= 1e-9
 
-    def test_iterates_stay_feasible(self):
+    def test_iterates_stay_feasible(self, monkeypatch):
+        # every candidate the descent evaluates, accepted or not, is a cone
+        # projection and dominates the lower bound
+        candidates = []
+
+        def recording(matrix, lower):
+            candidates.append(frobenius_project_above(matrix, lower))
+            return candidates[-1]
+
+        monkeypatch.setattr(pgd, "frobenius_project_above", recording)
         rng = np.random.default_rng(7)
         a, b = random_spd(rng, 4), random_spd(rng, 4)
-        outcome, trace = pgd_project_above(b, a)
-        assert all(v <= 1e-10 for v in trace.cone_violation)
+        outcome, _ = pgd_project_above(b, a)
+        assert len(candidates) > outcome.iterations
+        assert all(loewner_leq(a, c, 1e-10) for c in candidates)
         assert loewner_leq(a, outcome.covariance, 1e-8)
 
     def test_singular_lower_bound_is_allowed(self):
@@ -242,10 +252,9 @@ class TestPgd:
             mu, nu = random_spd(rng, d), random_spd(rng, d)
             reg = 1e-10 * float(np.trace(nu))
             nu_vals, _ = psd_eigen(sym(nu))
-            assert _default_step(nu_vals, mu, reg) == default_step_size(nu, mu, reg)
             implicit, _ = pgd_project_above(nu, mu)
             explicit, _ = pgd_project_above(
-                nu, mu, PgdConfig(step_size=default_step_size(nu, mu, reg))
+                nu, mu, PgdConfig(step_size=_default_step(nu_vals, mu, reg))
             )
             assert np.array_equal(implicit.covariance, explicit.covariance)
             assert implicit.iterations == explicit.iterations
@@ -259,7 +268,8 @@ class TestPgd:
 
 class TestStoppingRule:
     def test_converges_for_any_initial_step(self):
-        base = default_step_size(D4_NU, D4_MU, 1e-10 * float(np.trace(D4_NU)))
+        nu_vals, _ = psd_eigen(D4_NU)
+        base = _default_step(nu_vals, D4_MU, 1e-10 * float(np.trace(D4_NU)))
         objectives = []
         for factor in (1, 16, 64, 1024):
             outcome, _ = pgd_project_above(
