@@ -34,7 +34,6 @@ from .gaussian import (
 from .linalg import (
     loewner_leq,
     positive_part,
-    shared_correlation_transform,
     spd_sqrt,
     sym_eigen,
 )
@@ -96,7 +95,6 @@ __all__ = [
     "quantile_of",
     "reduce_singular_above",
     "shared_correlation_fast_path",
-    "shared_correlation_transform",
     "solve_transport_lp",
     "solve_wot",
     "spd_sqrt",

@@ -5,12 +5,16 @@ from __future__ import annotations
 import numpy as np
 
 from .linalg import (
+    EIG_TOL,
     LinalgError,
+    NotPsdError,
     _rebuild,
+    clamped_eigen,
     default_rank_tol,
     psd_eigen,
     spd_sqrt,
     sym,
+    sym_eigen,
 )
 from .measures import GaussianMeasure
 
@@ -29,7 +33,12 @@ def bw2(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     a = sym(cov_a)
     b = sym(cov_b)
     half = spd_sqrt(a)
-    cross_vals, _ = psd_eigen(sym(half @ b @ half))
+    cross_vals, _ = sym_eigen(sym(half @ b @ half))
+    # the product is checked at the scale it inherits from a and b (near
+    # zero when their ranges are disjoint, whatever its roundoff), then clamped
+    if cross_vals[-1] < -EIG_TOL * (1.0 + abs(np.trace(a)) * abs(np.trace(b))):
+        raise NotPsdError(f"bw2: A^1/2 B A^1/2 has eigenvalue {cross_vals[-1]:.3e}")
+    cross_vals = np.clip(cross_vals, 0.0, None)
     value = float(np.trace(a) + np.trace(b) - 2.0 * np.sum(np.sqrt(cross_vals)))
     # eigenvalue roundoff passes through the square root as ~sqrt(eps);
     # anything more negative than that indicates a genuine bug
@@ -75,7 +84,7 @@ def bw2_gradient(cov_fixed: np.ndarray, cov: np.ndarray) -> np.ndarray:
                 f"(min eigenvalue {vals[-1]:.3e})"
             )
     half = spd_sqrt(fixed)
-    inner_vals, inner_vecs = psd_eigen(sym(half @ s @ half))
+    inner_vals, inner_vecs = clamped_eigen(sym(half @ s @ half))
     if inner_vals[-1] <= default_rank_tol(inner_vals):
         raise SingularInputError("inner matrix of bw2_gradient is singular")
     return bw2_gradient_from_inner(half, inner_vals, inner_vecs)

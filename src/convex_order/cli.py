@@ -18,7 +18,7 @@ from typing import Any
 import click
 import numpy as np
 
-from .bures import bw2, centered_w2, gaussian_w2
+from .bures import bw2
 from .discrete import (
     BudgetExceededError,
     LpInfeasibleError,
@@ -167,6 +167,8 @@ def cmd_project_gaussian(problem, method, eta, max_iter, tol, trace_path, output
         unique_report = {"unique": uniqueness.unique, "reason": uniqueness.reason}
     except RankAmbiguousError as exc:
         unique_report = {"unique": None, "reason": str(exc)}
+    except LinalgError as exc:
+        _fail(SOLVER_ERROR, str(exc))
 
     diagnostics = dict(below.diagnostics)
     trace_data = diagnostics.pop("trace", None)
@@ -286,14 +288,13 @@ def cmd_distance(problem, output):
     mode = _problem_mode(data)
     mu, nu = _measure_pair(data, mode)
     if mode == "gaussian":
-        w2 = gaussian_w2(mu, nu)
-        report = {
-            "mode": mode,
-            "w2": w2,
-            "w2_sq": w2 * w2,
-            "centered_w2": centered_w2(mu, nu),
-            "bw2": bw2(mu.cov, nu.cov),
-        }
+        try:
+            bw2_sq = bw2(mu.cov, nu.cov)
+        except LinalgError as exc:
+            _fail(SOLVER_ERROR, str(exc))
+        w2 = float(np.sqrt(float(np.sum((mu.mean - nu.mean) ** 2)) + bw2_sq))
+        report = {"mode": mode, "w2": w2, "w2_sq": w2 * w2,
+                  "centered_w2": float(np.sqrt(bw2_sq)), "bw2": bw2_sq}
     elif mode == "one_d":
         w2 = w2_1d(mu, nu)
         report = {"mode": mode, "w2": w2, "w2_sq": w2 * w2}

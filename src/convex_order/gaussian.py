@@ -14,13 +14,15 @@ Given such a pair,
 * both squared distances equal ``sum_i (sqrt((O'SmuO)_ii) -
   sqrt((O'SnuO)_ii))_+^2``.
 
-Each solve decomposes ``Smu`` and ``Snu`` once and takes one route per
-rank of ``Snu``: rank 0 has a closed form in the identity basis; full rank
-tries the shared-correlation fast path and otherwise runs the
-projected-gradient solver, whose dominating-side answer yields ``O`` as the
-eigenbasis of the transport map onto ``Snu``; any other rank goes through
-the rank reduction, which solves the full-rank problem on the range of
-``Snu``.
+Each public call validates and decomposes ``Smu`` and ``Snu`` once into a
+pair record and routes on it: rank-0 ``Snu`` has a closed form in the
+identity basis; full-rank ``Snu`` tries the shared-correlation fast path
+(when ``Smu`` has full rank too) and otherwise runs the projected-gradient
+solver, whose dominating-side answer yields ``O`` as the eigenbasis of the
+transport map onto ``Snu``; any other rank goes through the rank reduction,
+which routes the full-rank problem on the range of ``Snu`` from the
+spectrum already at hand.  Matrices derived from validated input are
+clamped, not checked again.
 """
 
 from __future__ import annotations
@@ -32,9 +34,11 @@ from typing import Any
 import numpy as np
 
 from .linalg import (
-    CorrelationResidualError,
+    EIG_TOL,
     LinalgError,
+    NotPsdError,
     _rebuild,
+    clamped_eigen,
     cleaned_diag,
     conjugate_to_shared_correlation,
     default_rank_tol,
@@ -42,12 +46,19 @@ from .linalg import (
     loewner_leq,
     positive_diag_mask,
     psd_eigen,
-    spd_sqrt,
     sym,
+    sym_eigen,
     transport_map_basis,
 )
 from .measures import require_finite
 from .pgd import PgdConfig, pgd_project_above
+
+# Order tolerance: certification wants the order residual above
+# -ORDER_REL * (1 + lambda_max(Snu)).
+ORDER_REL = 1e-7
+# Eigenvalues within this factor of the rank cutoff make the uniqueness
+# test refuse to classify.
+RANK_BAND = 10.0
 
 
 class CertificationError(LinalgError):
@@ -75,18 +86,15 @@ class OrderTransform:
 
     ``ratios`` holds the diagonal of ``D``: ``min(1, sqrt(nu_ii / mu_ii))``
     on the conjugated diagonals, with the convention ``1`` where the
-    mu-diagonal vanishes.  ``ratios_hat`` and ``correlation`` are filled
-    when the transform came from the shared-correlation path.
-    ``order_residual`` is the smallest eigenvalue of
-    ``O'SnuO - D O'SmuO D`` (certification wants it above ``-order_tol``).
+    mu-diagonal vanishes.  ``order_residual`` is the smallest eigenvalue of
+    ``O'SnuO - D O'SmuO D`` (certification wants it above
+    ``-ORDER_REL * (1 + lambda_max(Snu))``).
     """
 
     basis: np.ndarray
     ratios: np.ndarray
     order_residual: float
     certified: bool
-    ratios_hat: np.ndarray | None = None
-    correlation: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -141,31 +149,40 @@ class UniquenessVerdict:
 
 @dataclass(frozen=True)
 class _Pair:
-    """A covariance pair decomposed once per solve: the :func:`psd_eigen`
-    pairs of both covariances, the rank of ``cov_nu`` and the order
+    """A validated covariance pair decomposed once per solve: the clamped
+    spectral decompositions of both covariances, their ranks and the order
     tolerance."""
 
     cov_mu: np.ndarray
     cov_nu: np.ndarray
     mu_eig: tuple[np.ndarray, np.ndarray]
     nu_eig: tuple[np.ndarray, np.ndarray]
+    rank_mu: int
     rank_nu: int
     order_tol: float
 
 
-def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray, order_tol: float | None) -> _Pair:
+def _rank(vals: np.ndarray) -> int:
+    return int(np.sum(vals > default_rank_tol(vals)))
+
+
+def _pair(cov_mu: np.ndarray, cov_nu: np.ndarray, mu_eig: tuple, nu_eig: tuple) -> _Pair:
+    nu_vals = nu_eig[0]
+    order_tol = ORDER_REL * (1.0 + (float(nu_vals[0]) if nu_vals.size else 0.0))
+    return _Pair(cov_mu, cov_nu, mu_eig, nu_eig, _rank(mu_eig[0]), _rank(nu_vals), order_tol)
+
+
+def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
+    """Validate a raw covariance pair (shape, finiteness, PSD) and decompose
+    it: the only check a public call makes on its inputs."""
     cov_mu = sym(np.atleast_2d(np.asarray(cov_mu, dtype=float)))
     cov_nu = sym(np.atleast_2d(np.asarray(cov_nu, dtype=float)))
     if cov_mu.shape != cov_nu.shape:
         raise ValueError("dimension mismatch")
     require_finite(cov_mu, "cov_mu")
     require_finite(cov_nu, "cov_nu")
-    nu_vals, nu_vecs = psd_eigen(cov_nu)
-    mu_eig = psd_eigen(cov_mu)
-    if order_tol is None:
-        order_tol = 1e-7 * (1.0 + (float(nu_vals[0]) if nu_vals.size else 0.0))
-    rank_nu = int(np.sum(nu_vals > default_rank_tol(nu_vals)))
-    return _Pair(cov_mu, cov_nu, mu_eig, (nu_vals, nu_vecs), rank_nu, order_tol)
+    nu_eig = psd_eigen(cov_nu)
+    return _pair(cov_mu, cov_nu, psd_eigen(cov_mu), nu_eig)
 
 
 def _results(
@@ -184,11 +201,7 @@ def _results(
 
 
 def _project(
-    pair: _Pair,
-    basis: np.ndarray,
-    conj: tuple[np.ndarray, np.ndarray] | None = None,
-    ratios_hat: np.ndarray | None = None,
-    correlation: np.ndarray | None = None,
+    pair: _Pair, basis: np.ndarray, conj: tuple[np.ndarray, np.ndarray] | None = None
 ) -> tuple[OrderTransform, np.ndarray, np.ndarray, float]:
     """Transform, both projected covariances and the shared squared distance
     in ``basis``; ``conj`` is the pair conjugated into it, when at hand.
@@ -213,8 +226,6 @@ def _project(
         ratios=d,
         order_residual=gap,
         certified=bool(gap >= -pair.order_tol),
-        ratios_hat=ratios_hat,
-        correlation=correlation,
     )
     below = sym(basis @ contracted @ basis.T)
 
@@ -230,56 +241,51 @@ def _project(
 
 
 def _fast_path(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult] | None:
-    try:
-        basis, corr, m_mu, m_nu = conjugate_to_shared_correlation(
-            pair.cov_mu, pair.cov_nu, pair.mu_eig, pair.nu_eig
-        )
-    except CorrelationResidualError:
+    d = pair.cov_nu.shape[0]
+    if pair.rank_mu < d or pair.rank_nu < d:
         return None
+    conj = conjugate_to_shared_correlation(pair.cov_mu, pair.cov_nu, pair.mu_eig)
+    if conj is None:
+        return None
+    basis, corr, m_mu, m_nu = conj
     if not (np.all(positive_diag_mask(m_mu)) and np.all(positive_diag_mask(m_nu))):
         return None
     ratios_hat = np.minimum(1.0, np.sqrt(np.diag(m_mu) / np.diag(m_nu)))
     contracted = ratios_hat[:, None] * corr * ratios_hat[None, :]
     if not loewner_leq(contracted, corr, 1e-10):
         return None
-    transform, *projected = _project(pair, basis, (m_mu, m_nu), ratios_hat, corr)
+    transform, *projected = _project(pair, basis, (m_mu, m_nu))
     method = "commuting" if np.linalg.norm(corr - np.eye(corr.shape[0])) <= 1e-10 else "fast_path"
     return _results(transform, *projected, method, {"order_residual": transform.order_residual})
 
 
 def shared_correlation_fast_path(
-    cov_mu: np.ndarray,
-    cov_nu: np.ndarray,
-    order_tol: float | None = None,
+    cov_mu: np.ndarray, cov_nu: np.ndarray
 ) -> tuple[OrderTransform, ProjectionResult, ProjectionResult] | None:
     """Projection pair through a shared correlation matrix, when valid.
 
     Conjugates both covariances into a basis where they share a correlation
     ``C``; if the contracted correlation ``Dhat C Dhat`` stays below ``C``
     in the Loewner order, both projections follow in closed form.  Returns
-    ``None`` when the diagonals are not all positive or the correlation
-    condition fails; absence is an answer, not an error.
+    ``None`` when either covariance is singular, the diagonals are not all
+    positive or the correlation condition fails; absence is an answer, not
+    an error.
     """
-    fast = _fast_path(_decompose(cov_mu, cov_nu, order_tol))
+    fast = _fast_path(_decompose(cov_mu, cov_nu))
     return None if fast is None else (fast[0].transform, *fast)
 
 
-def _solve_pair(
-    cov_mu: np.ndarray,
-    cov_nu: np.ndarray,
-    method: str = "auto",
-    config: PgdConfig | None = None,
-    order_tol: float | None = None,
+def _route(
+    pair: _Pair, method: str, config: PgdConfig | None
 ) -> tuple[ProjectionResult, ProjectionResult]:
+    """Solve a validated pair: one route per rank of ``cov_nu``."""
     if method not in ("auto", "closed-form", "pgd"):
         raise ValueError(f"unknown method {method!r}")
-    pair = _decompose(cov_mu, cov_nu, order_tol)
     d = pair.cov_nu.shape[0]
-
     if pair.rank_nu == 0:
         return _results(*_project(pair, np.eye(d)), "closed_form", {"rank_nu": 0})
 
-    if pair.rank_nu == d and method != "pgd":
+    if method != "pgd":
         fast = _fast_path(pair)
         if fast is not None:
             return fast
@@ -336,7 +342,9 @@ def reduce_singular_above(
     Diagonalizes ``cov_nu``, solves the nonsingular subproblem on the top
     ``rank`` coordinates, and re-embeds: the assembled matrix carries the
     reduced solution on the top block and the conjugated ``cov_mu`` entries
-    everywhere else.
+    everywhere else.  The reduced target's spectrum is the top of
+    ``cov_nu``'s; the reduced ``cov_mu`` block is decomposed once and
+    checked against the scale of ``cov_mu``, not its own.
     """
     cov_nu = sym(cov_nu)
     cov_mu = sym(cov_mu)
@@ -344,7 +352,7 @@ def reduce_singular_above(
     require_finite(cov_mu, "cov_mu")
     d = cov_nu.shape[0]
     nu_vals, nu_vecs = psd_eigen(cov_nu)
-    rank = int(np.sum(nu_vals > default_rank_tol(nu_vals)))
+    rank = _rank(nu_vals)
     if not 1 <= rank < d:
         raise ValueError(
             f"rank reduction expects 1 <= rank < {d}, got rank {rank}; "
@@ -353,7 +361,14 @@ def reduce_singular_above(
     conj_mu = sym(nu_vecs.T @ cov_mu @ nu_vecs)
     reduced_nu = np.diag(nu_vals[:rank])
     reduced_mu = conj_mu[:rank, :rank].copy()
-    _, inner = _solve_pair(reduced_mu, reduced_nu, method=method, config=config)
+    mu_vals, mu_vecs = sym_eigen(reduced_mu)
+    if mu_vals[-1] < 0.0:  # a block of PSD cov_mu: roundoff at the scale of cov_mu
+        if mu_vals[-1] < -EIG_TOL * (1.0 + float(np.linalg.norm(conj_mu))):
+            raise NotPsdError(f"cov_mu has eigenvalue {mu_vals[-1]:.3e} on the range of cov_nu")
+        mu_vals = np.clip(mu_vals, 0.0, None)
+        reduced_mu = _rebuild(mu_vals, mu_vecs)
+    inner_pair = _pair(reduced_mu, reduced_nu, (mu_vals, mu_vecs), (nu_vals[:rank], np.eye(rank)))
+    _, inner = _route(inner_pair, method, config)
     assembled_conj = conj_mu.copy()
     assembled_conj[:rank, :rank] = inner.covariance
     assembled = sym(nu_vecs @ assembled_conj @ nu_vecs.T)
@@ -377,11 +392,10 @@ def project_below(
     cov_nu: np.ndarray,
     method: str = "auto",
     config: PgdConfig | None = None,
-    order_tol: float | None = None,
 ) -> ProjectionResult:
     """Covariance of the projection of ``N(0, cov_mu)`` onto the measures
     dominated by ``N(0, cov_nu)`` in the convex order."""
-    return _solve_pair(cov_mu, cov_nu, method, config, order_tol)[0]
+    return _route(_decompose(cov_mu, cov_nu), method, config)[0]
 
 
 def project_pair(
@@ -389,10 +403,9 @@ def project_pair(
     cov_nu: np.ndarray,
     method: str = "auto",
     config: PgdConfig | None = None,
-    order_tol: float | None = None,
 ) -> tuple[ProjectionResult, ProjectionResult]:
     """Both projections from one solve: ``(below, above)``."""
-    return _solve_pair(cov_mu, cov_nu, method, config, order_tol)
+    return _route(_decompose(cov_mu, cov_nu), method, config)
 
 
 def dominance_check(
@@ -409,10 +422,12 @@ def dominance_check(
     if cov_mu.shape != cov_nu.shape:
         raise ValueError("dimension mismatch")
     vals, vecs = psd_eigen(cov_nu)
+    psd_eigen(cov_mu)  # validates the raw input; the product below is derived
     if tol is None:
         tol = 1e-9 * (1.0 + (float(vals[0]) if vals.size else 0.0))
     half = _rebuild(np.sqrt(vals), vecs)
-    probe = spd_sqrt(sym(half @ cov_mu @ half))
+    probe_vals, probe_vecs = clamped_eigen(sym(half @ cov_mu @ half))
+    probe = _rebuild(np.sqrt(probe_vals), probe_vecs)
     if loewner_leq(cov_nu, probe, tol):
         return DominanceVerdict.SATURATED
     return DominanceVerdict.NEITHER
@@ -422,7 +437,6 @@ def is_above_projection_unique(
     cov_mu: np.ndarray,
     cov_nu: np.ndarray,
     reduction: SingularReduction | None = None,
-    rank_band: float = 10.0,
 ) -> UniquenessVerdict:
     """Is the dominating-side projection unique among all measures?
 
@@ -431,26 +445,25 @@ def is_above_projection_unique(
     ``cov_nu`` or the saturation inequality holds.  ``reduction`` is the
     rank reduction of a solve already made (``ProjectionResult.reduction``);
     without it one is computed with the default settings.  Eigenvalues
-    within a factor ``rank_band`` of the rank cutoff raise
+    within a factor ``RANK_BAND`` of the rank cutoff raise
     :class:`RankAmbiguousError` instead of guessing a rank.
     """
     cov_mu = sym(cov_mu)
     cov_nu = sym(cov_nu)
     d = cov_nu.shape[0]
 
-    def guarded_rank(matrix: np.ndarray, name: str) -> int:
-        vals, _ = psd_eigen(matrix)
+    def guarded_rank(vals: np.ndarray, name: str) -> int:
         cutoff = default_rank_tol(vals)
         if cutoff > 0.0 and np.any(
-            (vals > cutoff / rank_band) & (vals < cutoff * rank_band)
+            (vals > cutoff / RANK_BAND) & (vals < cutoff * RANK_BAND)
         ):
             raise RankAmbiguousError(
-                f"an eigenvalue of {name} lies within a factor {rank_band} of "
+                f"an eigenvalue of {name} lies within a factor {RANK_BAND} of "
                 f"the rank cutoff {cutoff:.3e}; refusing to classify"
             )
         return int(np.sum(vals > cutoff))
 
-    rank_nu = guarded_rank(cov_nu, "the dominating-side covariance")
+    rank_nu = guarded_rank(psd_eigen(cov_nu)[0], "the dominating-side covariance")
     if rank_nu == d:
         return UniquenessVerdict(True, "nonsingular target covariance")
     if rank_nu == 0:
@@ -459,7 +472,7 @@ def is_above_projection_unique(
         )
     if reduction is None:
         reduction = reduce_singular_above(cov_nu, cov_mu)
-    rank_star = guarded_rank(reduction.assembled, "the assembled projection")
+    rank_star = guarded_rank(clamped_eigen(reduction.assembled)[0], "the assembled projection")
     if rank_star == rank_nu:
         return UniquenessVerdict(True, "assembled covariance keeps the target rank")
     if dominance_check(cov_mu, cov_nu) is DominanceVerdict.SATURATED:

@@ -9,7 +9,7 @@ construction; the descent is fully deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .bures import bw2_gradient_from_inner
 from .linalg import (
     EIG_TOL,
     _rebuild,
+    clamped_eigen,
     default_rank_tol,
     positive_part,
     psd_eigen,
@@ -33,25 +34,24 @@ class PgdConfig:
     ``step_size`` is the initial step; ``None`` picks a crude
     curvature-based default from the spectra of the two inputs.  Later
     steps follow the Barzilai-Borwein rule, kept within a fixed band around
-    the initial step.  ``step_schedule`` may supply a sequence
-    ``i -> eta_i`` (1-based) that overrides the step of every iteration.
-    Backtracking halves the step within an iteration until the candidate
-    meets the sufficient-decrease bound, so the objective never increases.
+    the initial step.  Backtracking halves the step, at most
+    ``MAX_BACKTRACKS`` times per iteration, until the candidate meets the
+    sufficient-decrease bound, so the objective never increases.
     The descent stops once the gradient mapping ``||S - S+|| / eta`` at the
     accepted step falls below ``residual_tol * (1 + ||cov_nu||_F)``, which
     does not depend on the step size.
     """
 
     step_size: float | None = None
-    step_schedule: Callable[[int], float] | None = None
     max_iter: int = 10_000
     residual_tol: float = 1e-8  # scaled by (1 + ||cov_nu||_F)
-    reg_factor: float = 1e-10  # eps_reg = reg_factor * tr(cov_nu)
-    max_backtracks: int = 60
 
 
 # Barzilai-Borwein steps stay within [eta0 / BB_BAND, eta0 * BB_BAND].
 BB_BAND = 1e4
+# The default step floors the lower bound's spectrum at REG_FACTOR * tr(cov_nu).
+REG_FACTOR = 1e-10
+MAX_BACKTRACKS = 60
 
 
 @dataclass
@@ -115,7 +115,7 @@ class _Objective:
 
     def value_and_gradient(self, s: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective and gradient at ``s`` from one eigensolve."""
-        inner_vals, inner_vecs = psd_eigen(sym(self.half @ s @ self.half))
+        inner_vals, inner_vecs = clamped_eigen(sym(self.half @ s @ self.half))
         value = float(self.trace_nu + np.trace(s) - 2.0 * np.sum(np.sqrt(inner_vals)))
         return value, bw2_gradient_from_inner(self.half, inner_vals, inner_vecs)
 
@@ -165,7 +165,7 @@ def pgd_project_above(
     eta0 = float(
         cfg.step_size
         if cfg.step_size is not None
-        else _default_step(objective.vals, mu, cfg.reg_factor * float(np.trace(nu)))
+        else _default_step(objective.vals, mu, REG_FACTOR * float(np.trace(nu)))
     )
     eta_lo, eta_hi = eta0 / BB_BAND, eta0 * BB_BAND
 
@@ -182,9 +182,7 @@ def pgd_project_above(
 
     for i in range(1, cfg.max_iter + 1):
         iterations = i
-        if cfg.step_schedule is not None:
-            eta = float(cfg.step_schedule(i))
-        elif prev is not None:
+        if prev is not None:
             ds, dg = s - prev[0], grad - prev[1]
             curvature = float(np.sum(ds * dg))
             if curvature > 0.0:
@@ -196,7 +194,7 @@ def pgd_project_above(
         # near the optimum the decrease sinks below the roundoff of f
         slack = 1e-12 * (1.0 + abs(f))
         accepted = False
-        for _ in range(cfg.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             candidate = frobenius_project_above(s - eta * grad, mu)
             step = candidate - s
             f_cand, grad_cand = objective.value_and_gradient(candidate)

@@ -5,8 +5,11 @@ import pytest
 from click.testing import CliRunner
 
 from convex_order import cli, gaussian
+from convex_order.bures import bw2, centered_w2, gaussian_w2
 from convex_order.cli import main
 from convex_order.gaussian import project_pair, reduce_singular_above
+from convex_order.linalg import NotPsdError
+from convex_order.measures import GaussianMeasure
 
 
 @pytest.fixture
@@ -179,6 +182,17 @@ class TestProjectGaussian:
             assert len(calls) == 1
 
 
+    def test_uniqueness_failure_is_solver_error(self, runner, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NotPsdError("injected")
+
+        monkeypatch.setattr(cli, "is_above_projection_unique", failing)
+        problem = write_problem(tmp_path / "p.json", GAUSSIAN_SINGULAR)
+        result = runner.invoke(main, ["project-gaussian", problem])
+        assert result.exit_code == 3
+        assert "injected" in result.stderr
+
+
 class TestProject1d:
     def test_spread_and_dirac(self, runner, tmp_path):
         problem = write_problem(tmp_path / "p.json", ONE_D)
@@ -274,6 +288,29 @@ class TestDistance:
         report = json.loads(runner.invoke(main, ["distance", problem]).output)
         assert report["w2"] == pytest.approx(1.0)
         assert report["centered_w2"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_gaussian_mode_matches_the_library(self, runner, tmp_path):
+        payload = {
+            "mu": {"mean": [1.0, 0.0], "cov": [[2.0, 0.5], [0.5, 1.0]]},
+            "nu": {"mean": [0.0, -2.0], "cov": [[1.0, 0.0], [0.0, 0.0]]},
+        }
+        problem = write_problem(tmp_path / "p.json", payload)
+        report = json.loads(runner.invoke(main, ["distance", problem]).output)
+        mu, nu = (GaussianMeasure(np.asarray(payload[k]["mean"]), np.asarray(payload[k]["cov"]))
+                  for k in ("mu", "nu"))
+        assert report["w2"] == gaussian_w2(mu, nu)
+        assert report["centered_w2"] == centered_w2(mu, nu)
+        assert report["bw2"] == bw2(mu.cov, nu.cov)
+
+    def test_gaussian_failure_is_solver_error(self, runner, tmp_path, monkeypatch):
+        def failing(*args, **kwargs):
+            raise NotPsdError("injected")
+
+        monkeypatch.setattr(cli, "bw2", failing)
+        problem = write_problem(tmp_path / "p.json", GAUSSIAN_SINGULAR)
+        result = runner.invoke(main, ["distance", problem])
+        assert result.exit_code == 3
+        assert "injected" in result.stderr
 
     def test_one_d_mode(self, runner, tmp_path):
         problem = write_problem(tmp_path / "p.json", ONE_D)

@@ -16,7 +16,7 @@ from convex_order.gaussian import (
     reduce_singular_above,
     shared_correlation_fast_path,
 )
-from convex_order.linalg import loewner_leq
+from convex_order.linalg import conjugate_to_shared_correlation, loewner_leq, psd_eigen
 from convex_order.measures import GaussianMeasure
 from _utils import random_commuting_pair, random_orthogonal, random_psd_singular, random_spd
 
@@ -164,12 +164,10 @@ class TestFastPath:
         # in dimension 2 applicability is exactly a bound on the squared
         # correlation in terms of the contracted diagonal ratios
         rng = np.random.default_rng(4)
-        from convex_order.linalg import shared_correlation_transform
-
         checked_apply = checked_refuse = 0
         for _ in range(200):
             a, b = random_spd(rng, 2), random_spd(rng, 2)
-            basis, corr = shared_correlation_transform(a, b)
+            basis, corr, _, _ = conjugate_to_shared_correlation(a, b, psd_eigen(a))
             m_mu = np.diag(basis.T @ a @ basis)
             m_nu = np.diag(basis.T @ b @ basis)
             d_hat = np.minimum(1.0, np.sqrt(m_mu / m_nu))
@@ -187,6 +185,22 @@ class TestFastPath:
             checked_apply += expected
             checked_refuse += not expected
         assert checked_apply > 10 and checked_refuse > 10
+
+
+    def test_singular_pairs_give_none(self):
+        # the shared-correlation path needs both covariances nonsingular
+        rng = np.random.default_rng(27)
+        pairs = [_rotated_disjoint_pair(1e6), _disjoint_rank_two_against_rank_one()]
+        for _ in range(40):
+            d = int(rng.integers(2, 6))
+            scale = 10.0 ** rng.integers(-6, 7)
+            mu_cov = random_psd_singular(rng, d, int(rng.integers(0, d)))
+            nu_cov = random_spd(rng, d) if rng.uniform() < 0.5 else random_psd_singular(
+                rng, d, int(rng.integers(0, d + 1))
+            )
+            pairs += [(scale * mu_cov, scale * nu_cov), (scale * nu_cov, scale * mu_cov)]
+        for mu_cov, nu_cov in pairs:
+            assert shared_correlation_fast_path(mu_cov, nu_cov) is None
 
 
 class TestSingularReduction:
@@ -371,6 +385,73 @@ class TestSingularConfigurations:
             assert loewner_leq(mu_cov, above.covariance, tol)
 
 
+def _rotated_disjoint_pair(scale):
+    # rotated diag(1, 0) against diag(0, 1): the ranges are disjoint, so
+    # every product of the two covariances is roundoff at the pair's scale
+    theta = 0.2690747942844946
+    q = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    return scale * q @ np.diag([1.0, 0.0]) @ q.T, scale * q @ np.diag([0.0, 1.0]) @ q.T
+
+
+def _disjoint_rank_two_against_rank_one(scale=1e4):
+    rng = np.random.default_rng(2)
+    q = random_orthogonal(rng, 3)
+    mu_cov = scale * (q[:, :2] * rng.uniform(0.2, 3.0, 2)) @ q[:, :2].T
+    nu_cov = scale * rng.uniform(0.2, 3.0) * np.outer(q[:, 2], q[:, 2])
+    return mu_cov, nu_cov
+
+
+DISJOINT_PAIRS = {
+    "rotated_2d_1e3": _rotated_disjoint_pair(1e3),
+    "rotated_2d_1e6": _rotated_disjoint_pair(1e6),
+    "rank2_vs_rank1_3d_1e4": _disjoint_rank_two_against_rank_one(),
+}
+
+
+class TestDisjointRangesAtScale:
+    """Derived matrices (the reduced block of Smu, A^1/2 B A^1/2) are
+    roundoff at the pair's scale here; they must be clamped, not rejected
+    as non-PSD against their own tiny scale."""
+
+    @pytest.mark.parametrize("name", sorted(DISJOINT_PAIRS))
+    def test_projection_certifies(self, name):
+        mu_cov, nu_cov = DISJOINT_PAIRS[name]
+        below, above = project_pair(mu_cov, nu_cov)
+        assert below.method == "singular_reduction"
+        assert below.transform.certified
+        scale = 1.0 + np.trace(mu_cov) + np.trace(nu_cov)
+        assert abs(
+            np.trace(below.covariance) + np.trace(above.covariance)
+            - np.trace(mu_cov) - np.trace(nu_cov)
+        ) <= 1e-8 * scale
+        assert abs(
+            bw2(mu_cov, below.covariance) - bw2(nu_cov, above.covariance)
+        ) <= 1e-7 * scale
+        assert is_above_projection_unique(mu_cov, nu_cov, above.reduction).reason
+        assert is_above_projection_unique(mu_cov, nu_cov).reason
+
+    # the cross term is sqrt of roundoff, about sqrt(eps) relative; on the
+    # rotated pairs the sum of traces is twice the scale
+    @pytest.mark.parametrize("name", sorted(DISJOINT_PAIRS))
+    def test_bw2_is_the_sum_of_traces(self, name):
+        mu_cov, nu_cov = DISJOINT_PAIRS[name]
+        expected = np.trace(mu_cov) + np.trace(nu_cov)
+        assert bw2(mu_cov, nu_cov) == pytest.approx(expected, rel=1e-7)
+
+    @pytest.mark.parametrize("name", sorted(DISJOINT_PAIRS))
+    @pytest.mark.parametrize("command", ["project-gaussian", "check", "distance"])
+    def test_cli_commands_succeed(self, name, command, tmp_path):
+        mu_cov, nu_cov = DISJOINT_PAIRS[name]
+        d = mu_cov.shape[0]
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "mu": {"mean": [0.0] * d, "cov": mu_cov.tolist()},
+            "nu": {"mean": [0.0] * d, "cov": nu_cov.tolist()},
+        }))
+        result = CliRunner().invoke(main, [command, str(problem)])
+        assert result.exit_code == 0, result.output
+
+
 class TestPairInvariants:
     def test_trace_identity_and_distance_equality(self):
         rng = np.random.default_rng(10)
@@ -549,6 +630,35 @@ class TestSpectralWork:
             # set-up decomposes both inputs once; each cone projection is
             # followed by one objective-and-gradient eigensolve
             assert inside["eig"] == 2 + 2 * inside["cone"]
+
+    def test_singular_lower_with_definite_target(self, eigensolves, monkeypatch):
+        # no shared-correlation attempt: the fast path needs both covariances
+        # nonsingular; outside the descent remain the two decompositions, the
+        # transport map (2) and the certificate
+        inside = {"eig": 0}
+        descend = gaussian.pgd_project_above
+
+        def counted_descent(*args, **kwargs):
+            before = eigensolves["n"]
+            result = descend(*args, **kwargs)
+            inside["eig"] += eigensolves["n"] - before
+            return result
+
+        monkeypatch.setattr(gaussian, "pgd_project_above", counted_descent)
+        rng = np.random.default_rng(26)
+        for d in (3, 5, 7):
+            eigensolves["n"] = inside["eig"] = 0
+            below, _ = project_pair(random_psd_singular(rng, d, d - 1), random_spd(rng, d))
+            assert below.method == "pgd"
+            assert eigensolves["n"] - inside["eig"] <= 5
+
+    def test_fast_path_on_a_singular_lower_covariance(self, eigensolves):
+        rng = np.random.default_rng(26)
+        for d in (3, 5, 7):
+            eigensolves["n"] = 0
+            mu_cov, nu_cov = random_psd_singular(rng, d, d - 1), random_spd(rng, d)
+            assert shared_correlation_fast_path(mu_cov, nu_cov) is None
+            assert eigensolves["n"] <= 2
 
     def test_project_gaussian_on_a_singular_target(self, eigensolves, tmp_path):
         problem = tmp_path / "p.json"

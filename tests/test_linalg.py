@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from convex_order.linalg import (
     NotPsdError,
     cleaned_diag,
+    conjugate_to_shared_correlation,
     loewner_leq,
     positive_part,
     psd_eigen,
-    shared_correlation_transform,
     spd_sqrt,
     sym_eigen,
 )
-from _utils import random_orthogonal, random_psd_singular, random_spd, random_symmetric
+from _utils import random_orthogonal, random_spd, random_symmetric
 
 
 class TestSymEigen:
@@ -149,21 +149,26 @@ def _assert_shared(s1, s2, basis, corr, tol=1e-10):
         np.testing.assert_allclose(np.outer(scale, scale) * corr, m, atol=tol)
 
 
+def shared_correlation(s1, s2):
+    basis, corr, _, _ = conjugate_to_shared_correlation(s1, s2, psd_eigen(s1))
+    return basis, corr
+
+
 class TestSharedCorrelation:
     def test_matrix_shares_its_own_correlation(self):
         rng = np.random.default_rng(5)
         s = random_spd(rng, 3)
-        basis, corr = shared_correlation_transform(s, s)
+        basis, corr = shared_correlation(s, s)
         _assert_shared(s, s, basis, corr)
 
     def test_commuting_diagonals_give_identity_correlation(self):
-        basis, corr = shared_correlation_transform(np.diag([4.0, 1.0]), np.diag([1.0, 9.0]))
+        basis, corr = shared_correlation(np.diag([4.0, 1.0]), np.diag([1.0, 9.0]))
         np.testing.assert_allclose(corr, np.eye(2), atol=1e-12)
         _assert_shared(np.diag([4.0, 1.0]), np.diag([1.0, 9.0]), basis, corr)
 
     def test_identity_versus_correlated(self):
         s2 = np.array([[2.0, 1.0], [1.0, 2.0]])
-        basis, corr = shared_correlation_transform(np.eye(2), s2)
+        basis, corr = shared_correlation(np.eye(2), s2)
         np.testing.assert_allclose(corr, np.eye(2), atol=1e-10)
         _assert_shared(np.eye(2), s2, basis, corr)
 
@@ -172,7 +177,7 @@ class TestSharedCorrelation:
         for _ in range(40):
             d = int(rng.integers(1, 7))
             s1, s2 = random_spd(rng, d), random_spd(rng, d)
-            basis, corr = shared_correlation_transform(s1, s2)
+            basis, corr = shared_correlation(s1, s2)
             _assert_shared(s1, s2, basis, corr)
             # nonsingular first argument keeps every conjugated diagonal positive
             assert np.all(np.diag(basis.T @ s1 @ basis) > 0)
@@ -180,27 +185,11 @@ class TestSharedCorrelation:
             assert vals[-1] >= -1e-10
             np.testing.assert_allclose(np.diag(corr), np.ones(d), atol=1e-12)
 
-    def test_singular_first_argument(self):
-        rng = np.random.default_rng(7)
-        for _ in range(40):
-            d = int(rng.integers(2, 6))
-            rank = int(rng.integers(0, d))
-            s1 = random_psd_singular(rng, d, rank)
-            s2 = random_spd(rng, d) if rng.uniform() < 0.5 else random_psd_singular(
-                rng, d, int(rng.integers(1, d + 1))
-            )
-            basis, corr = shared_correlation_transform(s1, s2)
-            _assert_shared(s1, s2, basis, corr)
-            diag1 = np.diag(basis.T @ s1 @ basis)
-            assert np.sum(diag1 > 1e-10) == rank
-            vals, _ = psd_eigen(corr)
-            assert vals[-1] >= -1e-9
-
     def test_rotation_of_commuting_pair(self):
         rng = np.random.default_rng(8)
         q = random_orthogonal(rng, 3)
         s1 = q @ np.diag([3.0, 2.0, 1.0]) @ q.T
         s2 = q @ np.diag([1.0, 5.0, 2.0]) @ q.T
-        basis, corr = shared_correlation_transform(s1, s2)
+        basis, corr = shared_correlation(s1, s2)
         np.testing.assert_allclose(corr, np.eye(3), atol=1e-9)
         _assert_shared(s1, s2, basis, corr, tol=1e-9)
