@@ -12,7 +12,6 @@ from .discrete import (
     WotResult,
     barycentric_pushforward,
     exact_w2_sq,
-    is_convex_ordered_1d,
     project_discrete,
     solve_transport_lp,
     solve_wot,
@@ -39,13 +38,11 @@ from .linalg import (
 )
 from .measures import DiscreteMeasure, GaussianMeasure
 from .one_dim import (
-    GFunction,
-    QuantileFunction,
     g_function,
+    is_convex_ordered_1d,
     lower_convex_hull,
     project_1d,
     project_1d_detail,
-    quantile_of,
     w2_1d,
 )
 from .pgd import (
@@ -60,13 +57,11 @@ __all__ = [
     "Coupling",
     "DiscreteMeasure",
     "DominanceVerdict",
-    "GFunction",
     "GaussianMeasure",
     "OrderTransform",
     "PgdConfig",
     "PgdTrace",
     "ProjectionResult",
-    "QuantileFunction",
     "SingularReduction",
     "UniquenessVerdict",
     "WotConfig",
@@ -92,7 +87,6 @@ __all__ = [
     "project_below",
     "project_discrete",
     "project_pair",
-    "quantile_of",
     "reduce_singular_above",
     "shared_correlation_fast_path",
     "solve_transport_lp",

@@ -25,7 +25,6 @@ from .discrete import (
     WotConfig,
     barycentric_pushforward,
     exact_w2_sq,
-    is_convex_ordered_1d,
     solve_wot,
 )
 from .gaussian import (
@@ -37,7 +36,7 @@ from .gaussian import (
 )
 from .linalg import LinalgError, loewner_gap
 from .measures import DiscreteMeasure, EmptyMeasureError, GaussianMeasure
-from .one_dim import project_1d_detail, w2_1d
+from .one_dim import convex_order_tol, is_convex_ordered_1d, project_1d_detail, w2_1d
 from .pgd import PgdConfig
 
 PARSE_ERROR = 2
@@ -345,9 +344,11 @@ def _one_d_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
          "tolerance": 1e-12 * scale, "passed": moment_residual <= 1e-12 * scale},
         {"name": "distance_symmetry", "value": symmetry_residual,
          "tolerance": 1e-10 * scale, "passed": symmetry_residual <= 1e-10 * scale},
-        {"name": "below_in_convex_order", "value": 0.0, "tolerance": 1e-9,
+        {"name": "below_in_convex_order", "value": 0.0,
+         "tolerance": convex_order_tol(detail.below, nu),
          "passed": is_convex_ordered_1d(detail.below, nu)},
-        {"name": "above_in_convex_order", "value": 0.0, "tolerance": 1e-9,
+        {"name": "above_in_convex_order", "value": 0.0,
+         "tolerance": convex_order_tol(mu, detail.above),
          "passed": is_convex_ordered_1d(mu, detail.above)},
     ]
 

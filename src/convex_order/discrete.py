@@ -10,7 +10,9 @@ from the optimal basis of the previous one; likewise every corrective QP
 starts from the iterate's own weights on the stored vertices, over a Gram
 matrix that grows by one row per new vertex.  The pushforward of the first
 marginal under the conditional-barycenter map of an optimal coupling
-realizes the dominated-side Wasserstein projection.
+realizes the dominated-side Wasserstein projection.  ``exact_w2_sq`` solves
+the same transportation LP for exact W2 between small measures; the 1-d
+quantile formulas and convex-order test live in :mod:`.one_dim`.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ from typing import Any
 import numpy as np
 
 from .measures import DiscreteMeasure
-from .one_dim import integrated_quantile_nodes, quantile_of
 
 MARGINAL_TOL = 1e-9
-CX_TOL = 1e-9
 # Dantzig pricing gives way to Bland's rule after _DEGENERATE_RUNS * (n + m)
 # degenerate pivots in a row (0: Bland's rule throughout)
 _DEGENERATE_RUNS = 1
@@ -550,22 +550,3 @@ def exact_w2_sq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     pi = solve_transport_lp(cost, mu.weights, nu.weights)
     return float(np.sum(pi * cost))
 
-
-def is_convex_ordered_1d(
-    eta: DiscreteMeasure, nu: DiscreteMeasure, cx_tol: float = CX_TOL
-) -> bool:
-    """Integrated-quantile test for ``eta <=cx nu`` on the line.
-
-    True iff ``int_0^u F_eta^-1 >= int_0^u F_nu^-1`` at every breakpoint,
-    with equality (matching barycenters) at ``u = 1``.
-    """
-    if eta.dim != 1 or nu.dim != 1:
-        raise ValueError("convex-order test needs one-dimensional measures")
-    grid = np.unique(
-        np.concatenate((quantile_of(eta).breakpoints, quantile_of(nu).breakpoints))
-    )
-    k_eta = integrated_quantile_nodes(eta, grid)
-    k_nu = integrated_quantile_nodes(nu, grid)
-    if np.any(k_eta - k_nu < -cx_tol):
-        return False
-    return bool(abs(k_eta[-1] - k_nu[-1]) <= cx_tol)

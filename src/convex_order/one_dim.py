@@ -1,10 +1,13 @@
-"""Exact projections in dimension one via quantile functions.
+"""Exact projections and the convex-order test in dimension one.
 
 For finitely supported measures on the line both projections have explicit
-quantile formulas: integrate the difference of the two quantile functions,
-take the lower convex hull of that integral, and shift each quantile
-function by the hull's left derivative.  Everything here is piecewise
-constant/linear arithmetic on a common breakpoint grid.
+quantile formulas: integrate the difference of the two quantile functions
+into ``g``, take the lower convex hull of ``g``, and shift each quantile
+function by the hull's slope.  Everything here is read off one common
+breakpoint grid of the two measures (:func:`_quantile_grid`): both quantile
+functions are constant on each of its pieces, ``g`` is linear on each, and
+the hull's vertices are nodes of the grid.  The same grid gives the
+quadratic Wasserstein distance and the convex-order test.
 """
 
 from __future__ import annotations
@@ -15,161 +18,91 @@ import numpy as np
 
 from .measures import DiscreteMeasure
 
+# convex-order tolerance per unit of the largest atom magnitude (at least 1)
+CX_TOL = 1e-9
 
-@dataclass(frozen=True)
-class QuantileFunction:
-    """Left-continuous step function on (0, 1].
 
-    ``values[j]`` is taken on the interval ``(breakpoints[j],
-    breakpoints[j+1]]``; breakpoints start at 0 and end at 1, values are
-    non-decreasing.
+def _quantile_grid(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[np.ndarray, ...]:
+    """Common breakpoint grid of two 1-d measures, the value of each
+    quantile function on each piece ``(grid[j], grid[j+1]]``, and the values
+    of ``g = int_0^u (F_mu^-1 - F_nu^-1)`` at the grid's nodes.
+
+    The grid merges both measures' cumulative weights; breakpoints closer
+    than 1e-15 collapse to the last of their cluster (so the endpoint 1.0
+    survives exactly) and the origin is restored exactly.  Each quantile
+    function is read at the midpoint of each piece, so an atom whose weight
+    is below that resolution takes no piece of its own.
     """
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if bp.size != vals.size + 1:
-            raise ValueError("need one more breakpoint than values")
-        if bp[0] != 0.0 or abs(bp[-1] - 1.0) > 1e-12 or np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must increase strictly from 0 to 1")
-        if np.any(np.diff(vals) < -1e-12):
-            raise ValueError("quantile values must be non-decreasing")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "values", vals)
-
-    def widths(self) -> np.ndarray:
-        return np.diff(self.breakpoints)
-
-    def mean(self) -> float:
-        return float(self.widths() @ self.values)
-
-    def on_grid(self, grid: np.ndarray) -> np.ndarray:
-        """Values on the pieces of a refined grid (midpoint evaluation)."""
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        idx = np.clip(np.searchsorted(self.breakpoints, mids) - 1, 0, self.values.size - 1)
-        return self.values[idx]
-
-    def to_measure(self) -> DiscreteMeasure:
-        return DiscreteMeasure.from_1d(self.values, self.widths())
-
-
-@dataclass(frozen=True)
-class GFunction:
-    """Continuous piecewise-linear function on [0, 1] with node values."""
-
-    breakpoints: np.ndarray
-    node_values: np.ndarray
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        vals = np.asarray(self.node_values, dtype=float)
-        if bp.size != vals.size:
-            raise ValueError("one node value per breakpoint")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "node_values", vals)
-
-    def slopes(self) -> np.ndarray:
-        return np.diff(self.node_values) / np.diff(self.breakpoints)
-
-    def left_slope_on_grid(self, grid: np.ndarray) -> np.ndarray:
-        """Left derivative on the pieces of a refined grid."""
-        slopes = self.slopes()
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        idx = np.clip(np.searchsorted(self.breakpoints, mids) - 1, 0, slopes.size - 1)
-        return slopes[idx]
-
-
-def quantile_of(measure: DiscreteMeasure) -> QuantileFunction:
-    """Quantile function of a one-dimensional discrete measure."""
-    values = measure.values_1d  # sorted by canonical construction
-    cuts = np.concatenate(([0.0], np.cumsum(measure.weights)))
-    cuts[-1] = 1.0
-    return QuantileFunction(cuts, values)
-
-
-def _union_grid(*breakpoint_sets: np.ndarray) -> np.ndarray:
-    grid = np.unique(np.concatenate(breakpoint_sets))
-    # collapse numerically-equal breakpoints (keep the last of each cluster,
-    # so the exact endpoint 1.0 survives), then restore the exact origin
-    keep = np.concatenate((np.diff(grid) > 1e-15, [True]))
-    grid = grid[keep]
+    cuts = [np.concatenate(([0.0], np.cumsum(m.weights[:-1]), [1.0])) for m in (mu, nu)]
+    grid = np.unique(np.concatenate(cuts))
+    grid = grid[np.concatenate((np.diff(grid) > 1e-15, [True]))]
     grid[0] = 0.0
-    return grid
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    q_mu, q_nu = (
+        m.values_1d[np.clip(np.searchsorted(cut, mids) - 1, 0, m.size - 1)]
+        for m, cut in zip((mu, nu), cuts)
+    )
+    g_nodes = np.concatenate(([0.0], np.cumsum((q_mu - q_nu) * np.diff(grid))))
+    return grid, q_mu, q_nu, g_nodes
 
 
-def g_function(mu: DiscreteMeasure, nu: DiscreteMeasure) -> GFunction:
-    """Integral of the quantile difference: ``u -> int_0^u (Fmu^-1 - Fnu^-1)``."""
-    qmu = quantile_of(mu)
-    qnu = quantile_of(nu)
-    grid = _union_grid(qmu.breakpoints, qnu.breakpoints)
-    slopes = qmu.on_grid(grid) - qnu.on_grid(grid)
-    nodes = np.concatenate(([0.0], np.cumsum(slopes * np.diff(grid))))
-    return GFunction(grid, nodes)
+def g_function(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of ``g: u -> int_0^u (F_mu^-1 - F_nu^-1)``: the common
+    breakpoint grid and the values of ``g`` there."""
+    grid, _, _, g_nodes = _quantile_grid(mu, nu)
+    return grid, g_nodes
 
 
-def lower_convex_hull(g: GFunction) -> GFunction:
-    """Greatest convex minorant of a piecewise-linear function on [0, 1].
+def lower_convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Indices of the vertices of the greatest convex minorant of the
+    piecewise-linear function with nodes ``(x, y)``, ``x`` increasing.
 
-    Monotone-chain lower hull of the graph nodes; output slopes are
-    non-decreasing and the hull agrees with ``g`` at both endpoints.
+    Monotone-chain lower hull: the first and last nodes are vertices, and
+    the slopes between consecutive vertices increase.
     """
-    x = g.breakpoints
-    y = g.node_values
-    hull: list[int] = [0]
-    for i in range(1, x.size):
+    xs = np.asarray(x, dtype=float).tolist()
+    ys = np.asarray(y, dtype=float).tolist()
+    hull = [0]
+    for i in range(1, len(xs)):
         while len(hull) >= 2:
             a, b = hull[-2], hull[-1]
-            cross = (x[b] - x[a]) * (y[i] - y[a]) - (y[b] - y[a]) * (x[i] - x[a])
-            if cross <= 0.0:
-                hull.pop()
-            else:
+            if (xs[b] - xs[a]) * (ys[i] - ys[a]) - (ys[b] - ys[a]) * (xs[i] - xs[a]) > 0.0:
                 break
+            hull.pop()
         hull.append(i)
-    idx = np.asarray(hull)
-    return GFunction(x[idx], y[idx])
+    return np.asarray(hull)
 
 
 @dataclass(frozen=True)
 class OneDimProjection:
-    """Both projections with the hull bookkeeping used to build them."""
+    """Both projections with their distances."""
 
     below: DiscreteMeasure
     above: DiscreteMeasure
-    g: GFunction
-    hull: GFunction
     distance_sq: float  # = W2^2(mu, below) = W2^2(nu, above)
     cross_distance_sq: float  # = W2^2(nu, below) = W2^2(mu, above)
 
 
 def project_1d_detail(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OneDimProjection:
-    if mu.dim != 1 or nu.dim != 1:
-        raise ValueError("1-d projection needs one-dimensional measures")
-    qmu = quantile_of(mu)
-    qnu = quantile_of(nu)
-    g = g_function(mu, nu)
-    hull = lower_convex_hull(g)
-
-    grid = g.breakpoints  # hull vertices are a subset of these nodes
+    grid, q_mu, q_nu, nodes = _quantile_grid(mu, nu)
     widths = np.diff(grid)
-    shift = hull.left_slope_on_grid(grid)
-    below_vals = qmu.on_grid(grid) - shift
-    above_vals = qnu.on_grid(grid) + shift
-    # the hull construction makes both non-decreasing; enforce against roundoff
+    vertices = lower_convex_hull(grid, nodes)
+    # the hull is linear between consecutive vertices: one slope per piece
+    slopes = np.diff(nodes[vertices]) / np.diff(grid[vertices])
+    shift = np.repeat(slopes, np.diff(vertices))
+    below_vals = q_mu - shift
+    above_vals = q_nu + shift
+    # the hull construction makes both non-decreasing; enforce against
+    # roundoff, which grows with the magnitude of the atoms
+    tol = 1e-9 * (1.0 + max(float(np.abs(q_mu).max()), float(np.abs(q_nu).max())))
     for vals in (below_vals, above_vals):
-        if np.any(np.diff(vals) < -1e-9):
+        if np.any(np.diff(vals) < -tol):
             raise AssertionError("projected quantile lost monotonicity")
-    below_vals = np.maximum.accumulate(below_vals)
-    above_vals = np.maximum.accumulate(above_vals)
-
-    below = DiscreteMeasure.from_1d(below_vals, widths)
-    above = DiscreteMeasure.from_1d(above_vals, widths)
+    below = DiscreteMeasure.from_1d(np.maximum.accumulate(below_vals), widths)
+    above = DiscreteMeasure.from_1d(np.maximum.accumulate(above_vals), widths)
     distance_sq = float(widths @ shift**2)
-    residual = g.left_slope_on_grid(grid) - shift
-    cross_distance_sq = float(widths @ residual**2)
-    return OneDimProjection(below, above, g, hull, distance_sq, cross_distance_sq)
+    cross_distance_sq = float(widths @ (np.diff(nodes) / widths - shift) ** 2)
+    return OneDimProjection(below, above, distance_sq, cross_distance_sq)
 
 
 def project_1d(
@@ -188,15 +121,24 @@ def project_1d(
 
 def w2_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Quadratic Wasserstein distance on the line via quantile coupling."""
-    qmu = quantile_of(mu)
-    qnu = quantile_of(nu)
-    grid = _union_grid(qmu.breakpoints, qnu.breakpoints)
-    diff = qmu.on_grid(grid) - qnu.on_grid(grid)
-    return float(np.sqrt(np.diff(grid) @ diff**2))
+    grid, q_mu, q_nu, _ = _quantile_grid(mu, nu)
+    return float(np.sqrt(np.diff(grid) @ (q_mu - q_nu) ** 2))
 
 
-def integrated_quantile_nodes(measure: DiscreteMeasure, grid: np.ndarray) -> np.ndarray:
-    """Values of ``u -> int_0^u F^-1`` at the nodes of ``grid``."""
-    q = quantile_of(measure)
-    vals = q.on_grid(grid)
-    return np.concatenate(([0.0], np.cumsum(vals * np.diff(grid))))
+def convex_order_tol(eta: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """Tolerance of :func:`is_convex_ordered_1d`: ``CX_TOL`` times the
+    largest atom magnitude of either measure, and at least ``CX_TOL``."""
+    return CX_TOL * max(1.0, float(np.abs(eta.values_1d).max()),
+                        float(np.abs(nu.values_1d).max()))
+
+
+def is_convex_ordered_1d(eta: DiscreteMeasure, nu: DiscreteMeasure) -> bool:
+    """Integrated-quantile test for ``eta <=cx nu`` on the line.
+
+    True iff ``g(eta, nu)``, the integral of ``F_eta^-1 - F_nu^-1``, stays
+    above ``-tol`` at every breakpoint and ends within ``tol`` of 0
+    (matching barycenters), with ``tol`` from :func:`convex_order_tol`.
+    """
+    _, nodes = g_function(eta, nu)
+    tol = convex_order_tol(eta, nu)
+    return bool(nodes.min() >= -tol and abs(nodes[-1]) <= tol)

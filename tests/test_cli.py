@@ -30,6 +30,12 @@ ONE_D = {
     "mu": {"points": [-1.0, 1.0], "weights": [0.5, 0.5]},
     "nu": {"points": [0.0], "weights": [1.0]},
 }
+# atoms near 1e6, on which a fixed 1e-9 monotonicity guard fired on roundoff
+ONE_D_LARGE = {
+    "mu": {"points": [-563671.23341115, 800878.51477627, 1356371.30473552],
+           "weights": [0.72035459, 0.24629555, 0.03334986]},
+    "nu": {"points": [-2881413.47883863], "weights": [1.0]},
+}
 
 
 class TestProjectGaussian:
@@ -318,6 +324,15 @@ class TestDistance:
         assert report["mode"] == "one_d"
         assert report["w2"] == pytest.approx(1.0)
 
+    def test_one_d_tiny_weight(self, runner, tmp_path):
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"points": [0.0, 1.0, 2.0], "weights": [0.5, 1e-17, 0.5 - 1e-17]},
+            "nu": {"points": [-1.0, 3.0], "weights": [0.5, 0.5]},
+        })
+        result = runner.invoke(main, ["distance", problem])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["w2"] == 1.0
+
     def test_discrete_mode(self, runner, tmp_path):
         payload = {
             "mu": {"points": [[0.0, 0.0]], "weights": [1.0]},
@@ -357,6 +372,24 @@ class TestCheck:
         result = runner.invoke(main, ["check", problem])
         assert result.exit_code == 0
         assert json.loads(result.output)["passed"] is True
+
+    def test_one_d_identities_pass_at_large_scale(self, runner, tmp_path):
+        problem = write_problem(tmp_path / "p.json", ONE_D_LARGE)
+        projected = runner.invoke(main, ["project-1d", problem])
+        assert projected.exit_code == 0
+        result = runner.invoke(main, ["check", problem])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        assert report["passed"] is True
+        # the convex-order checks report the tolerance they applied: 1e-9
+        # per unit of the largest atom magnitude of the pair they compare
+        tolerance = {c["name"]: c["tolerance"] for c in report["checks"]}
+        projection = json.loads(projected.output)
+        pairs = {"below_in_convex_order": ("nu", "below"), "above_in_convex_order": ("mu", "above")}
+        for name, (given, projected_side) in pairs.items():
+            points = np.concatenate((ONE_D_LARGE[given]["points"],
+                                     np.ravel(projection[projected_side]["points"])))
+            assert tolerance[name] == pytest.approx(1e-9 * np.abs(points).max())
 
     def test_discrete_identities_pass(self, runner, tmp_path):
         payload = {

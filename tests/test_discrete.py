@@ -10,14 +10,13 @@ from convex_order.discrete import (
     WotConfig,
     barycentric_pushforward,
     exact_w2_sq,
-    is_convex_ordered_1d,
     project_discrete,
     solve_transport_lp,
     solve_wot,
     wot_objective,
 )
 from convex_order.measures import DiscreteMeasure
-from convex_order.one_dim import project_1d, project_1d_detail, w2_1d
+from convex_order.one_dim import is_convex_ordered_1d, project_1d, project_1d_detail, w2_1d
 from _utils import random_discrete, random_discrete_1d
 
 

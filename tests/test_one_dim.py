@@ -3,23 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convex_order.discrete import (
-    WotConfig,
-    barycentric_pushforward,
-    is_convex_ordered_1d,
-    solve_wot,
-)
+from convex_order.discrete import WotConfig, barycentric_pushforward, exact_w2_sq, solve_wot
 from convex_order.measures import DiscreteMeasure, EmptyMeasureError
 from convex_order.one_dim import (
-    GFunction,
+    _quantile_grid,
     g_function,
+    is_convex_ordered_1d,
     lower_convex_hull,
     project_1d,
     project_1d_detail,
-    quantile_of,
     w2_1d,
 )
 from _utils import random_discrete_1d
+
+
+def quantile(measure):
+    """Breakpoints and values of a measure's own quantile function."""
+    grid, values, _, _ = _quantile_grid(measure, measure)
+    return grid, values
 
 
 def measure_1d(values, weights):
@@ -37,19 +38,19 @@ def discrete_1d(draw, max_atoms=6):
 
 class TestQuantile:
     def test_dirac(self):
-        q = quantile_of(measure_1d([0.0], [1.0]))
-        np.testing.assert_allclose(q.breakpoints, [0.0, 1.0])
-        np.testing.assert_allclose(q.values, [0.0])
+        breakpoints, values = quantile(measure_1d([0.0], [1.0]))
+        np.testing.assert_allclose(breakpoints, [0.0, 1.0])
+        np.testing.assert_allclose(values, [0.0])
 
     def test_symmetric_two_point(self):
-        q = quantile_of(measure_1d([-1.0, 1.0], [0.5, 0.5]))
-        np.testing.assert_allclose(q.breakpoints, [0.0, 0.5, 1.0])
-        np.testing.assert_allclose(q.values, [-1.0, 1.0])
+        breakpoints, values = quantile(measure_1d([-1.0, 1.0], [0.5, 0.5]))
+        np.testing.assert_allclose(breakpoints, [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(values, [-1.0, 1.0])
 
     def test_uneven_weights(self):
-        q = quantile_of(measure_1d([0.0, 2.0], [0.25, 0.75]))
-        np.testing.assert_allclose(q.breakpoints, [0.0, 0.25, 1.0])
-        np.testing.assert_allclose(q.values, [0.0, 2.0])
+        breakpoints, values = quantile(measure_1d([0.0, 2.0], [0.25, 0.75]))
+        np.testing.assert_allclose(breakpoints, [0.0, 0.25, 1.0])
+        np.testing.assert_allclose(values, [0.0, 2.0])
 
     def test_empty_measure_rejected(self):
         with pytest.raises(EmptyMeasureError):
@@ -58,69 +59,70 @@ class TestQuantile:
     @settings(max_examples=50, deadline=None)
     @given(discrete_1d())
     def test_quantile_roundtrip(self, measure):
-        q = quantile_of(measure)
-        assert np.all(np.diff(q.values) >= 0)
-        back = q.to_measure()
+        breakpoints, values = quantile(measure)
+        assert np.all(np.diff(values) >= 0)
+        back = DiscreteMeasure.from_1d(values, np.diff(breakpoints))
         np.testing.assert_allclose(back.points, measure.points, atol=1e-12)
         np.testing.assert_allclose(back.weights, measure.weights, atol=1e-12)
-        assert q.mean() == pytest.approx(float(measure.barycenter[0]), abs=1e-12)
+        mean = float(np.diff(breakpoints) @ values)
+        assert mean == pytest.approx(float(measure.barycenter[0]), abs=1e-12)
 
 
 class TestGFunction:
     def test_identical_measures_give_zero(self):
         m = measure_1d([-1.0, 1.0], [0.5, 0.5])
-        g = g_function(m, m)
-        np.testing.assert_allclose(g.node_values, 0.0, atol=1e-15)
+        _, nodes = g_function(m, m)
+        np.testing.assert_allclose(nodes, 0.0, atol=1e-15)
 
     def test_spread_minus_dirac_is_a_vee(self):
-        g = g_function(measure_1d([-1.0, 1.0], [0.5, 0.5]), measure_1d([0.0], [1.0]))
-        np.testing.assert_allclose(g.breakpoints, [0.0, 0.5, 1.0])
-        np.testing.assert_allclose(g.node_values, [0.0, -0.5, 0.0], atol=1e-15)
+        grid, nodes = g_function(measure_1d([-1.0, 1.0], [0.5, 0.5]), measure_1d([0.0], [1.0]))
+        np.testing.assert_allclose(grid, [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(nodes, [0.0, -0.5, 0.0], atol=1e-15)
 
     def test_dirac_minus_spread_is_a_tent(self):
-        g = g_function(measure_1d([0.0], [1.0]), measure_1d([-1.0, 1.0], [0.5, 0.5]))
-        np.testing.assert_allclose(g.node_values, [0.0, 0.5, 0.0], atol=1e-15)
+        _, nodes = g_function(measure_1d([0.0], [1.0]), measure_1d([-1.0, 1.0], [0.5, 0.5]))
+        np.testing.assert_allclose(nodes, [0.0, 0.5, 0.0], atol=1e-15)
 
     @settings(max_examples=50, deadline=None)
     @given(discrete_1d(), discrete_1d())
     def test_endpoint_is_mean_difference(self, mu, nu):
-        g = g_function(mu, nu)
-        assert g.node_values[0] == 0.0
+        _, nodes = g_function(mu, nu)
+        assert nodes[0] == 0.0
         expected = float(mu.barycenter[0] - nu.barycenter[0])
-        assert g.node_values[-1] == pytest.approx(expected, abs=1e-12)
+        assert nodes[-1] == pytest.approx(expected, abs=1e-12)
 
 
 class TestLowerConvexHull:
     def test_convex_input_is_unchanged(self):
-        g = GFunction([0.0, 0.5, 1.0], [0.0, -0.5, 0.0])
-        hull = lower_convex_hull(g)
-        np.testing.assert_allclose(hull.breakpoints, g.breakpoints)
-        np.testing.assert_allclose(hull.node_values, g.node_values)
+        x, y = np.array([0.0, 0.5, 1.0]), np.array([0.0, -0.5, 0.0])
+        idx = lower_convex_hull(x, y)
+        np.testing.assert_allclose(x[idx], x)
+        np.testing.assert_allclose(y[idx], y)
 
     def test_tent_collapses_to_chord(self):
-        g = GFunction([0.0, 0.5, 1.0], [0.0, 0.5, 0.0])
-        hull = lower_convex_hull(g)
-        np.testing.assert_allclose(hull.breakpoints, [0.0, 1.0])
-        np.testing.assert_allclose(hull.node_values, [0.0, 0.0])
+        x, y = np.array([0.0, 0.5, 1.0]), np.array([0.0, 0.5, 0.0])
+        idx = lower_convex_hull(x, y)
+        np.testing.assert_allclose(x[idx], [0.0, 1.0])
+        np.testing.assert_allclose(y[idx], [0.0, 0.0])
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-3, 3), min_size=2, max_size=12))
     def test_hull_is_convex_minorant_and_idempotent(self, nodes):
         grid = np.linspace(0.0, 1.0, len(nodes))
-        g = GFunction(grid, nodes)
-        hull = lower_convex_hull(g)
-        assert np.all(np.diff(hull.slopes()) >= -1e-12)
-        assert hull.node_values[0] == g.node_values[0]
-        assert hull.node_values[-1] == g.node_values[-1]
+        y = np.asarray(nodes, dtype=float)
+        idx = lower_convex_hull(grid, y)
+        hull_x, hull_y = grid[idx], y[idx]
+        hull_slopes = np.diff(hull_y) / np.diff(hull_x)
+        assert np.all(np.diff(hull_slopes) >= -1e-12)
+        assert hull_y[0] == y[0]
+        assert hull_y[-1] == y[-1]
         # minorant on the original nodes
-        idx = np.searchsorted(hull.breakpoints, grid, side="right") - 1
-        idx = np.clip(idx, 0, hull.breakpoints.size - 2)
-        left = hull.breakpoints[idx]
-        slopes = hull.slopes()[idx]
-        values = hull.node_values[idx] + slopes * (grid - left)
-        assert np.all(values <= np.asarray(nodes) + 1e-9)
-        again = lower_convex_hull(hull)
-        np.testing.assert_allclose(again.node_values, hull.node_values, atol=1e-12)
+        piece = np.searchsorted(hull_x, grid, side="right") - 1
+        piece = np.clip(piece, 0, hull_x.size - 2)
+        values = hull_y[piece] + hull_slopes[piece] * (grid - hull_x[piece])
+        assert np.all(values <= y + 1e-9)
+        again = lower_convex_hull(hull_x, hull_y)
+        np.testing.assert_allclose(hull_y[again], hull_y, atol=1e-12)
 
 
 class TestProject1d:
@@ -214,3 +216,132 @@ class TestProject1d:
             result = solve_wot(mu, nu, WotConfig(fw_tol=1e-13))
             pushed = barycentric_pushforward(result.coupling)
             assert w2_1d(below, pushed) <= 1e-6
+
+
+class TestLargeScale:
+    """The monotonicity guard and the convex-order test scale with the atoms."""
+
+    @pytest.mark.parametrize("scale", [1e6, 1e8])
+    def test_projections_at_large_scale(self, scale):
+        for s in range(100):
+            rng = np.random.default_rng([9, s])
+            mu = random_discrete_1d(rng, scale=scale)
+            nu = random_discrete_1d(rng, scale=scale)
+            detail = project_1d_detail(mu, nu)
+            assert is_convex_ordered_1d(detail.below, nu)
+            assert is_convex_ordered_1d(mu, detail.above)
+            lhs = detail.below.second_moment() + detail.above.second_moment()
+            rhs = mu.second_moment() + nu.second_moment()
+            assert lhs == pytest.approx(rhs, abs=1e-12 * (1.0 + abs(rhs)))
+
+
+class TestTinyWeights:
+    """An atom whose weight is below the grid's resolution takes no piece."""
+
+    mu = measure_1d([0.0, 1.0, 2.0], [0.5, 1e-17, 0.5 - 1e-17])
+    mu_plain = measure_1d([0.0, 2.0], [0.5, 0.5])
+    nu = measure_1d([-1.0, 3.0], [0.5, 0.5])
+
+    def test_matches_the_measure_without_the_atom(self):
+        assert self.mu.size == 3
+        assert w2_1d(self.mu, self.nu) == w2_1d(self.mu_plain, self.nu) == 1.0
+        detail = project_1d_detail(self.mu, self.nu)
+        plain = project_1d_detail(self.mu_plain, self.nu)
+        for got, want in ((detail.below, plain.below), (detail.above, plain.above)):
+            np.testing.assert_array_equal(got.points, want.points)
+            np.testing.assert_array_equal(got.weights, want.weights)
+        assert detail.distance_sq == plain.distance_sq == 0.0
+        assert detail.cross_distance_sq == plain.cross_distance_sq
+        assert is_convex_ordered_1d(self.mu, self.nu)
+        assert is_convex_ordered_1d(self.mu_plain, self.nu)
+        assert not is_convex_ordered_1d(self.nu, self.mu)
+
+    def test_matches_the_transport_solver(self):
+        below, _ = project_1d(self.mu, self.nu)
+        result = solve_wot(self.mu, self.nu, WotConfig(fw_tol=1e-13))
+        assert result.value == pytest.approx(0.0, abs=1e-12)
+        assert w2_1d(below, barycentric_pushforward(result.coupling)) <= 1e-6
+        assert w2_1d(self.mu, self.nu) ** 2 == pytest.approx(
+            exact_w2_sq(self.mu, self.nu), abs=1e-12
+        )
+
+
+def stop_loss_margin(eta, nu):
+    """Independent convex-order oracle: ``eta <=cx nu`` iff the means agree
+    and ``E(eta - k)+ <= E(nu - k)+`` at every atom ``k`` of either measure.
+
+    Returns the mean difference and the smallest ``E(nu - k)+ - E(eta - k)+``
+    over the atoms strictly inside the joint support (``inf`` if none): at
+    the outermost atoms that gap is the mean difference and 0.
+    """
+    atoms = np.union1d(eta.values_1d, nu.values_1d)[1:-1]
+
+    def stop_loss(m):
+        return np.maximum(m.values_1d[None, :] - atoms[:, None], 0.0) @ m.weights
+
+    gap = stop_loss(nu) - stop_loss(eta)
+    mean_gap = float(eta.barycenter[0] - nu.barycenter[0])
+    return mean_gap, float(gap.min()) if gap.size else np.inf
+
+
+class TestConvexOrderOracle:
+    def test_projections_are_ordered_for_the_oracle(self):
+        rng = np.random.default_rng(21)
+        for _ in range(100):
+            mu, nu = random_discrete_1d(rng), random_discrete_1d(rng)
+            below, above = project_1d(mu, nu)
+            for eta, target in ((below, nu), (mu, above)):
+                assert is_convex_ordered_1d(eta, target)
+                mean_gap, margin = stop_loss_margin(eta, target)
+                assert abs(mean_gap) <= 1e-12
+                assert margin >= -1e-12
+
+    def test_verdicts_match_the_oracle(self):
+        rng = np.random.default_rng(22)
+        verdicts = []
+        for _ in range(600):
+            mu, nu = random_discrete_1d(rng), random_discrete_1d(rng)
+            # recentre mu on nu's mean (most of the time) and rescale it, so
+            # that both verdicts are common
+            centre = nu.barycenter[0] if rng.random() < 0.8 else mu.barycenter[0]
+            spread = rng.uniform(0.1, 1.5)
+            eta = measure_1d(centre + spread * (mu.values_1d - mu.barycenter[0]), mu.weights)
+            mean_gap, margin = stop_loss_margin(eta, nu)
+            if abs(mean_gap) > 1e-6:
+                expected = False
+            elif abs(margin) > 1e-6:
+                expected = margin > 0.0
+            else:
+                continue
+            assert is_convex_ordered_1d(eta, nu) is expected
+            verdicts.append(expected)
+        assert len(verdicts) >= 500
+        assert 100 <= sum(verdicts) <= len(verdicts) - 100
+
+
+class TestRegularity:
+    """The paper's regularity bounds for the dominated-side projection,
+    checked with ``w2_1d`` and a roundoff slack only."""
+
+    def test_bounds_on_random_pairs(self):
+        for s in range(500):
+            rng = np.random.default_rng([3, s])
+            mu, mu2, nu, nu2 = (random_discrete_1d(rng) for _ in range(4))
+            below = project_1d(mu, nu)[0]
+            below_mu2 = project_1d(mu2, nu)[0]
+            below_nu2 = project_1d(mu, nu2)[0]
+            scale = 1.0 + max(m.second_moment() for m in (mu, mu2, nu, nu2))
+            slack = 1e-12 * scale
+            w2_mu = w2_1d(mu, mu2)
+            dist, dist_mu2, dist_nu2 = (
+                w2_1d(m, b) for m, b in ((mu, below), (mu2, below_mu2), (mu, below_nu2))
+            )
+            w2_nu = w2_1d(nu, nu2)
+            # non-expansive in mu
+            assert w2_1d(below, below_mu2) <= w2_mu + slack
+            # 1/2-Hoelder in nu
+            assert w2_1d(below, below_nu2) ** 2 <= (dist + dist_nu2) * w2_nu + slack
+            # the projection distance is 1-Lipschitz in mu, and in nu too,
+            # since it is also the distance from nu to its projection above mu
+            assert abs(dist - dist_mu2) <= w2_mu + slack
+            assert abs(dist - dist_nu2) <= w2_nu + slack

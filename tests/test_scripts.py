@@ -1,5 +1,7 @@
-"""Each experiment script runs to completion on its defaults."""
+"""Each experiment script, and the benchmark's self-test, runs to completion
+on its defaults."""
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -22,3 +24,20 @@ def test_script_runs(script, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_benchmark_selftest(tmp_path):
+    """The benchmark's checks accept right answers and name wrong ones; this
+    also fails when an entry point that the benchmark calls is renamed."""
+    workdir = ROOT / "benchmark" / "out"
+    created = not workdir.exists()
+    try:
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "benchmark" / "selftest.py")], cwd=tmp_path,
+            capture_output=True, text=True, timeout=120,
+        )
+    finally:
+        if created:  # the self-test removes its own run directory inside
+            with contextlib.suppress(OSError):
+                workdir.rmdir()
+    assert result.returncode == 0, result.stdout + result.stderr
