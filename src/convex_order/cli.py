@@ -36,7 +36,7 @@ from .gaussian import (
 )
 from .linalg import LinalgError, loewner_gap
 from .measures import DiscreteMeasure, EmptyMeasureError, GaussianMeasure
-from .one_dim import convex_order_tol, is_convex_ordered_1d, project_1d_detail, w2_1d
+from .one_dim import convex_order_tol, convex_order_violation, project_1d_detail, w2_1d
 from .pgd import PgdConfig
 
 PARSE_ERROR = 2
@@ -105,11 +105,14 @@ def _problem_mode(problem: dict) -> str:
     mode = problem.get("mode")
     if mode in ("gaussian", "one_d", "discrete"):
         return mode
-    mu = problem.get("mu", {})
+    mu = problem.get("mu")
     if isinstance(mu, dict) and "cov" in mu:
         return "gaussian"
-    points = np.asarray(mu.get("points", []), dtype=float) if isinstance(mu, dict) else None
-    if points is not None and points.size and (points.ndim == 1 or points.shape[1] == 1):
+    try:
+        points = np.asarray(mu["points"], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        return "discrete"  # parsing reports the malformed measure
+    if points.size and (points.ndim == 1 or points.shape[1:] == (1,)):
         return "one_d"
     return "discrete"
 
@@ -344,13 +347,16 @@ def _one_d_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
          "tolerance": 1e-12 * scale, "passed": moment_residual <= 1e-12 * scale},
         {"name": "distance_symmetry", "value": symmetry_residual,
          "tolerance": 1e-10 * scale, "passed": symmetry_residual <= 1e-10 * scale},
-        {"name": "below_in_convex_order", "value": 0.0,
-         "tolerance": convex_order_tol(detail.below, nu),
-         "passed": is_convex_ordered_1d(detail.below, nu)},
-        {"name": "above_in_convex_order", "value": 0.0,
-         "tolerance": convex_order_tol(mu, detail.above),
-         "passed": is_convex_ordered_1d(mu, detail.above)},
+        _convex_order_check("below_in_convex_order", detail.below, nu),
+        _convex_order_check("above_in_convex_order", mu, detail.above),
     ]
+
+
+def _convex_order_check(name: str, eta: DiscreteMeasure, nu: DiscreteMeasure) -> dict:
+    # the verdict of is_convex_ordered_1d(eta, nu), with the violation it tests
+    value = convex_order_violation(eta, nu)
+    tol = convex_order_tol(eta, nu)
+    return {"name": name, "value": value, "tolerance": tol, "passed": value <= tol}
 
 
 def _discrete_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:

@@ -17,7 +17,7 @@ quantile formulas and convex-order test live in :mod:`.one_dim`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -25,6 +25,8 @@ import numpy as np
 from .measures import DiscreteMeasure
 
 MARGINAL_TOL = 1e-9
+# weights of the corrective QP's target above -_QP_TOL count as nonnegative
+_QP_TOL = 1e-13
 # Dantzig pricing gives way to Bland's rule after _DEGENERATE_RUNS * (n + m)
 # degenerate pivots in a row (0: Bland's rule throughout)
 _DEGENERATE_RUNS = 1
@@ -46,7 +48,6 @@ class Coupling:
     pi: np.ndarray
     mu: DiscreteMeasure
     nu: DiscreteMeasure
-    marginal_tol: float = field(default=MARGINAL_TOL, repr=False)
 
     def __post_init__(self):
         pi = np.asarray(self.pi, dtype=float)
@@ -56,10 +57,10 @@ class Coupling:
             raise ValueError("coupling must be entrywise nonnegative")
         row_err = float(np.abs(pi.sum(axis=1) - self.mu.weights).max())
         col_err = float(np.abs(pi.sum(axis=0) - self.nu.weights).max())
-        if max(row_err, col_err) > self.marginal_tol:
+        if max(row_err, col_err) > MARGINAL_TOL:
             raise ValueError(
                 f"marginal residuals ({row_err:.3e}, {col_err:.3e}) exceed "
-                f"{self.marginal_tol}"
+                f"{MARGINAL_TOL}"
             )
         pi = np.clip(pi, 0.0, None)
         pi.setflags(write=False)
@@ -68,12 +69,6 @@ class Coupling:
     def conditional_barycenters(self) -> np.ndarray:
         """Row-wise barycenters ``m(pi_{x_i})`` of the disintegration."""
         return (self.pi @ self.nu.points) / self.mu.weights[:, None]
-
-    def cross_covariance(self) -> np.ndarray:
-        """Cross-covariance block of the coupling's covariance matrix."""
-        x = self.mu.points - self.mu.barycenter
-        y = self.nu.points - self.nu.barycenter
-        return x.T @ self.pi @ y
 
 
 def wot_objective(coupling: Coupling) -> float:
@@ -305,7 +300,7 @@ def solve_transport_lp(
 
 
 def _simplex_qp(
-    quad: np.ndarray, lin: np.ndarray, start: np.ndarray, tol: float = 1e-13
+    quad: np.ndarray, lin: np.ndarray, start: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """Exact minimizer of ``a' quad a + lin' a`` over the probability simplex.
 
@@ -330,7 +325,7 @@ def _simplex_qp(
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         target = sol[:s]
         lam = -sol[s]  # the KKT rows read 2 Q a + sol[s] * 1 = -lin
-        if np.all(target >= -tol):
+        if np.all(target >= -_QP_TOL):
             alpha = np.zeros(k)
             alpha[idx] = np.clip(target, 0.0, None)
             alpha /= alpha.sum()
@@ -343,7 +338,7 @@ def _simplex_qp(
         else:
             # move towards the target until the first support weight hits 0
             current = alpha[idx]
-            falling = (target < -tol) & (current > target)
+            falling = (target < -_QP_TOL) & (current > target)
             ratios = current[falling] / (current[falling] - target[falling])
             first = int(np.argmin(ratios))
             drop = idx[falling][first]

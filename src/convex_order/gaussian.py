@@ -408,9 +408,7 @@ def project_pair(
     return _route(_decompose(cov_mu, cov_nu), method, config)
 
 
-def dominance_check(
-    cov_mu: np.ndarray, cov_nu: np.ndarray, tol: float | None = None
-) -> DominanceVerdict:
+def dominance_check(cov_mu: np.ndarray, cov_nu: np.ndarray) -> DominanceVerdict:
     """Saturation test for the projection pair.
 
     ``SATURATED`` iff ``cov_nu <= (cov_nu^{1/2} cov_mu cov_nu^{1/2})^{1/2}``
@@ -423,8 +421,7 @@ def dominance_check(
         raise ValueError("dimension mismatch")
     vals, vecs = psd_eigen(cov_nu)
     psd_eigen(cov_mu)  # validates the raw input; the product below is derived
-    if tol is None:
-        tol = 1e-9 * (1.0 + (float(vals[0]) if vals.size else 0.0))
+    tol = 1e-9 * (1.0 + (float(vals[0]) if vals.size else 0.0))
     half = _rebuild(np.sqrt(vals), vecs)
     probe_vals, probe_vecs = clamped_eigen(sym(half @ cov_mu @ half))
     probe = _rebuild(np.sqrt(probe_vals), probe_vecs)

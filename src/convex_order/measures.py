@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,16 +55,17 @@ class GaussianMeasure:
 class DiscreteMeasure:
     """Finitely supported measure: points in R^d with positive weights.
 
-    Construction canonicalizes the support: points are sorted
-    lexicographically, duplicates (within ``MERGE_TOL``) are merged with
-    their weights summed, and the weights are renormalized to sum to one
-    (rejecting inputs further than ``weight_tol`` from a probability
-    vector).
+    Construction canonicalizes the support: weights are renormalized to
+    sum to one (rejecting inputs further than ``WEIGHT_TOL`` from that) and
+    points are sorted lexicographically.  A point within ``MERGE_TOL`` (max
+    norm) of its sorted predecessor joins its cluster, which keeps its first
+    point and sums its weights.  So a run of points each within ``MERGE_TOL``
+    of the one before is one atom, however far it spans: 1-d atoms at 0,
+    0.6e-12 and 1.2e-12 merge into one atom at 0.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    weight_tol: float = field(default=WEIGHT_TOL, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -80,8 +81,8 @@ class DiscreteMeasure:
         if np.any(w <= 0.0):
             raise ValueError("weights must be strictly positive")
         total = float(w.sum())
-        if abs(total - 1.0) > self.weight_tol:
-            raise ValueError(f"weights sum to {total}, not 1 within {self.weight_tol}")
+        if abs(total - 1.0) > WEIGHT_TOL:
+            raise ValueError(f"weights sum to {total}, not 1 within {WEIGHT_TOL}")
         w = w / total
         pts, w = _merge_atoms(pts, w)
         pts.setflags(write=False)
@@ -116,19 +117,12 @@ class DiscreteMeasure:
     def from_1d(cls, values, weights) -> "DiscreteMeasure":
         return cls(np.asarray(values, dtype=float)[:, None], weights)
 
-    @classmethod
-    def dirac(cls, point) -> "DiscreteMeasure":
-        return cls(np.atleast_1d(np.asarray(point, dtype=float))[None, :], [1.0])
-
 
 def _merge_atoms(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.lexsort(points.T[::-1])
     points = points[order]
-    weights = weights[order]
-    keep: list[int] = [0]
-    for i in range(1, points.shape[0]):
-        if np.max(np.abs(points[i] - points[keep[-1]])) <= MERGE_TOL:
-            weights[keep[-1]] += weights[i]
-        else:
-            keep.append(i)
-    return points[keep].copy(), weights[keep].copy()
+    fresh = np.ones(points.shape[0], dtype=bool)
+    fresh[1:] = np.abs(np.diff(points, axis=0)).max(axis=1) > MERGE_TOL
+    # bincount adds each cluster's weights one by one in index order;
+    # np.add.reduceat may sum them pairwise, which changes the last bits
+    return points[fresh], np.bincount(np.cumsum(fresh) - 1, weights=weights[order])

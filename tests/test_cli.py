@@ -9,7 +9,8 @@ from convex_order.bures import bw2, centered_w2, gaussian_w2
 from convex_order.cli import main
 from convex_order.gaussian import project_pair, reduce_singular_above
 from convex_order.linalg import NotPsdError
-from convex_order.measures import GaussianMeasure
+from convex_order.measures import DiscreteMeasure, GaussianMeasure
+from convex_order.one_dim import g_function, is_convex_ordered_1d, project_1d_detail
 
 
 @pytest.fixture
@@ -373,6 +374,25 @@ class TestCheck:
         assert result.exit_code == 0
         assert json.loads(result.output)["passed"] is True
 
+    def test_one_d_order_checks_report_the_violation(self, runner, tmp_path):
+        payload = {
+            "mu": {"points": [-1.3, 0.2, 0.9, 2.4], "weights": [0.1, 0.4, 0.3, 0.2]},
+            "nu": {"points": [-0.4, 0.5, 1.1], "weights": [0.5, 0.2, 0.3]},
+        }
+        problem = write_problem(tmp_path / "p.json", payload)
+        result = runner.invoke(main, ["check", problem])
+        assert result.exit_code == 0
+        checks = {c["name"]: c for c in json.loads(result.output)["checks"]}
+        mu = DiscreteMeasure.from_1d(payload["mu"]["points"], payload["mu"]["weights"])
+        nu = DiscreteMeasure.from_1d(payload["nu"]["points"], payload["nu"]["weights"])
+        detail = project_1d_detail(mu, nu)
+        pairs = {"below_in_convex_order": (detail.below, nu),
+                 "above_in_convex_order": (mu, detail.above)}
+        for name, (eta, target) in pairs.items():
+            _, nodes = g_function(eta, target)
+            assert checks[name]["value"] == max(-nodes.min(), abs(nodes[-1]))
+            assert checks[name]["passed"] is is_convex_ordered_1d(eta, target)
+
     def test_one_d_identities_pass_at_large_scale(self, runner, tmp_path):
         problem = write_problem(tmp_path / "p.json", ONE_D_LARGE)
         projected = runner.invoke(main, ["project-1d", problem])
@@ -439,3 +459,18 @@ class TestCheck:
         assert result.exit_code == 0
         assert len(calls) == 1
 
+
+
+class TestMalformedPoints:
+    """Points that numpy cannot read as an (n, d) array are parse errors."""
+
+    @pytest.mark.parametrize("command", ["distance", "check"])
+    @pytest.mark.parametrize("points", [[[0.0, 1.0], [2.0]], 3.0], ids=["ragged", "scalar"])
+    def test_exit_code_is_parse_error(self, runner, tmp_path, command, points):
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"points": points, "weights": [0.5, 0.5]},
+            "nu": {"points": [[0.0, 0.0]], "weights": [1.0]},
+        })
+        result = runner.invoke(main, [command, problem])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: measure 'mu':")

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from convex_order import discrete
+from convex_order import discrete, measures
 from convex_order.discrete import (
     BudgetExceededError,
     Coupling,
@@ -78,11 +78,56 @@ def corrective_qp_instance(rng, k, atoms, repeats):
     return (images / weights) @ images.T, -2.0 * images @ x
 
 
+def merge_atoms_loop(points, weights):
+    """Atom merge rule as one pass over the sorted atoms: an atom within
+    ``MERGE_TOL`` of the last kept atom adds its weight to it."""
+    order = np.lexsort(points.T[::-1])
+    points = points[order]
+    weights = weights[order]
+    keep = [0]
+    for i in range(1, points.shape[0]):
+        if np.max(np.abs(points[i] - points[keep[-1]])) <= measures.MERGE_TOL:
+            weights[keep[-1]] += weights[i]
+        else:
+            keep.append(i)
+    return points[keep], weights[keep]
+
+
+def clustered_atoms(rng, dim):
+    """Atoms on a coarse grid (ties in every coordinate), each repeated up to
+    twelve times with per-coordinate offsets of 0, 1e-13 or 4e-13, so that
+    every input carries exact duplicates, near-duplicates and a run of more
+    than eight atoms."""
+    centres = rng.integers(-3, 4, size=(int(rng.integers(1, 6)), dim)) * 0.5
+    centres = np.unique(centres, axis=0)
+    counts = rng.integers(1, 13, size=len(centres))
+    counts[0] = 9 + counts[0] % 4
+    points = np.repeat(centres, counts, axis=0)
+    points = points + rng.choice([0.0, 1e-13, 4e-13], size=points.shape)
+    points = points[rng.permutation(len(points))]
+    return points, rng.dirichlet(np.ones(len(points)))
+
+
 class TestMeasureConstruction:
     def test_merges_duplicate_atoms(self):
         m = DiscreteMeasure([[0.0], [0.0], [1.0]], [0.25, 0.25, 0.5])
         assert m.size == 2
         np.testing.assert_allclose(m.weights, [0.5, 0.5])
+
+    def test_merge_matches_the_per_atom_loop_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            points, weights = clustered_atoms(rng, int(rng.integers(1, 4)))
+            expected = merge_atoms_loop(points.copy(), weights.copy())
+            merged = measures._merge_atoms(points.copy(), weights.copy())
+            assert np.array_equal(merged[0], expected[0])
+            assert np.array_equal(merged[1], expected[1])
+
+    def test_run_of_close_atoms_merges_into_its_first(self):
+        # each atom is within MERGE_TOL of the one before, the run spans more
+        m = DiscreteMeasure.from_1d([1.2e-12, 0.0, 0.6e-12], [0.25, 0.5, 0.25])
+        assert np.array_equal(m.points, [[0.0]])
+        assert np.array_equal(m.weights, [1.0])
 
     def test_rejects_non_positive_weights(self):
         with pytest.raises(ValueError):
@@ -120,15 +165,6 @@ class TestObjective:
             mu.weights @ np.sum((mu.points - nu.barycenter) ** 2, axis=1)
         )
         assert wot_objective(coupling) == pytest.approx(expected, abs=1e-12)
-
-    def test_cross_covariance_shape(self):
-        rng = np.random.default_rng(1)
-        mu = random_discrete(rng, 3, 4)
-        nu = random_discrete(rng, 3, 5)
-        pi = np.outer(mu.weights, nu.weights)
-        theta = Coupling(pi, mu, nu).cross_covariance()
-        # the product coupling has no cross-covariance
-        np.testing.assert_allclose(theta, np.zeros((3, 3)), atol=1e-12)
 
 
 class TestTransportLp:

@@ -7,6 +7,8 @@ from convex_order.discrete import WotConfig, barycentric_pushforward, exact_w2_s
 from convex_order.measures import DiscreteMeasure, EmptyMeasureError
 from convex_order.one_dim import (
     _quantile_grid,
+    convex_order_tol,
+    convex_order_violation,
     g_function,
     is_convex_ordered_1d,
     lower_convex_hull,
@@ -234,6 +236,17 @@ class TestLargeScale:
             rhs = mu.second_moment() + nu.second_moment()
             assert lhs == pytest.approx(rhs, abs=1e-12 * (1.0 + abs(rhs)))
 
+    def test_narrow_hull_segments_keep_the_projections_monotone(self):
+        # 3e4 atoms a side: hull segments as narrow as 2e-11, over which a
+        # difference of g's cumulative sums lost the slope's precision
+        n = 30000
+        rng = np.random.default_rng([77, n, 7])
+        mu = measure_1d(rng.normal(size=n), rng.dirichlet(np.ones(n)))
+        nu = measure_1d(0.8 * rng.normal(size=n), rng.dirichlet(np.ones(n)))
+        detail = project_1d_detail(mu, nu)
+        assert is_convex_ordered_1d(detail.below, nu)
+        assert is_convex_ordered_1d(mu, detail.above)
+
 
 class TestTinyWeights:
     """An atom whose weight is below the grid's resolution takes no piece."""
@@ -282,6 +295,30 @@ def stop_loss_margin(eta, nu):
     gap = stop_loss(nu) - stop_loss(eta)
     mean_gap = float(eta.barycenter[0] - nu.barycenter[0])
     return mean_gap, float(gap.min()) if gap.size else np.inf
+
+
+class TestConvexOrderViolation:
+    def test_spread_is_not_below_a_dirac(self):
+        spread = measure_1d([-1.0, 1.0], [0.5, 0.5])
+        dirac = measure_1d([0.0], [1.0])
+        # g dips to -1/2 at u = 1/2 and ends at 0
+        assert convex_order_violation(spread, dirac) == 0.5
+        assert convex_order_violation(dirac, spread) == 0.0
+        assert not is_convex_ordered_1d(spread, dirac)
+        assert is_convex_ordered_1d(dirac, spread)
+
+    def test_barycenter_gap_is_a_violation(self):
+        # g rises to 1 and ends there: only |g(1)| counts
+        assert convex_order_violation(measure_1d([1.0], [1.0]), measure_1d([0.0], [1.0])) == 1.0
+
+    def test_verdict_is_violation_within_tolerance(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            eta, nu = random_discrete_1d(rng), random_discrete_1d(rng)
+            _, nodes = g_function(eta, nu)
+            value = convex_order_violation(eta, nu)
+            assert value == max(-nodes.min(), abs(nodes[-1]))
+            assert is_convex_ordered_1d(eta, nu) is (value <= convex_order_tol(eta, nu))
 
 
 class TestConvexOrderOracle:
