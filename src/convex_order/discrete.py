@@ -1,14 +1,14 @@
 """Weak-optimal-transport solver for finitely supported measures.
 
 Minimizes the barycentric cost ``sum_i w_i |x_i - m(pi_{x_i})|^2`` over the
-transportation polytope with Frank-Wolfe: linear subproblems are solved
-exactly by a network simplex on the transportation basis tree (Dantzig
-pricing with a Bland fallback against cycling), and a corrective step
-re-optimizes the quadratic over the hull of the vertices seen so far.  The
-marginals stay fixed across one solve, so every oracle call warm-starts
-from the optimal basis of the previous one; likewise every corrective QP
-starts from the iterate's own weights on the stored vertices, over a Gram
-matrix that grows by one row per new vertex.  The pushforward of the first
+transportation polytope with fully-corrective Frank-Wolfe: linear
+subproblems are solved exactly by a network simplex on the transportation
+basis tree (Dantzig pricing with a Bland fallback against cycling), and
+each new vertex joins the stored ones, over whose hull an exact QP
+re-optimizes the quadratic.  The marginals stay fixed across one solve, so
+every oracle call warm-starts from the optimal basis of the previous one;
+likewise every QP starts from the iterate's weights, over a Gram matrix
+that grows by one row per new vertex.  The pushforward of the first
 marginal under the conditional-barycenter map of an optimal coupling
 realizes the dominated-side Wasserstein projection.  ``exact_w2_sq`` solves
 the same transportation LP for exact W2 between small measures; the 1-d
@@ -25,7 +25,7 @@ import numpy as np
 from .measures import DiscreteMeasure
 
 MARGINAL_TOL = 1e-9
-# weights of the corrective QP's target above -_QP_TOL count as nonnegative
+# weights after a corrective QP step above -_QP_TOL count as nonnegative
 _QP_TOL = 1e-13
 # Dantzig pricing gives way to Bland's rule after _DEGENERATE_RUNS * (n + m)
 # degenerate pivots in a row (0: Bland's rule throughout)
@@ -300,61 +300,60 @@ def solve_transport_lp(
 
 
 def _simplex_qp(
-    quad: np.ndarray, lin: np.ndarray, start: np.ndarray
+    quad: np.ndarray, lin: np.ndarray, start: np.ndarray, enter: int
 ) -> tuple[np.ndarray, int]:
     """Exact minimizer of ``a' quad a + lin' a`` over the probability simplex.
 
-    Primal active-set method on the nonnegativity bounds, started from the
-    feasible point ``start`` and its support; ``quad`` is PSD (possibly
-    singular, handled by a least-squares KKT solve).  Sizes here are tiny
-    (one variable per stored polytope vertex).  Returns the minimizer and
-    the number of KKT solves it took.
+    Primal active-set method on the nonnegativity bounds, from the feasible
+    point ``start`` with index ``enter`` added to its support.  Each KKT
+    solve gives the least-squares step from the current point.  On a
+    singular ``quad`` (PSD; repeated or affinely dependent vertex images)
+    that step leaves the weights alone where the quadratic is flat, unless
+    the linear term descends there: that ray is followed to the boundary.
+    Returns the minimizer and the number of KKT solves it took.
     """
     k = quad.shape[0]
     alpha = np.array(start, dtype=float)
     support = alpha > 0.0
+    support[enter] = True
     scale = 1.0 + float(np.abs(quad).max()) + float(np.abs(lin).max())
     for steps in range(1, 60 * k + 41):
         idx = np.flatnonzero(support)
         s = idx.size
         kkt = np.zeros((s + 1, s + 1))
         kkt[:s, :s] = 2.0 * quad[np.ix_(idx, idx)]
-        kkt[:s, s] = 1.0
-        kkt[s, :s] = 1.0
-        rhs = np.concatenate((-lin[idx], [1.0]))
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        target = sol[:s]
-        lam = -sol[s]  # the KKT rows read 2 Q a + sol[s] * 1 = -lin
-        if np.all(target >= -_QP_TOL):
-            alpha = np.zeros(k)
-            alpha[idx] = np.clip(target, 0.0, None)
+        kkt[:s, s] = kkt[s, :s] = 1.0
+        rhs = np.append(-(2.0 * quad @ alpha + lin)[idx], 0.0)
+        sol, _, rank, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        current, step = alpha[idx], sol[:s]
+        # a singular KKT system without a solution leaves a residual along
+        # which the quadratic is flat and the linear term descends
+        ray = rhs[:s] - kkt[:s] @ sol
+        if rank <= s and np.abs(ray).max() > 1e-12 * scale:
+            step, blocking = ray, ray < 0.0
+        else:
+            blocking = current + step < -_QP_TOL
+        if not blocking.any():
+            alpha[idx] = np.clip(current + step, 0.0, None)  # 0 off the support
             alpha /= alpha.sum()
-            reduced = 2.0 * quad @ alpha + lin - lam
+            # the KKT rows read 2 Q (a + step) + sol[s] * 1 = -lin on the support
+            reduced = 2.0 * quad @ alpha + lin + sol[s]
             reduced[support] = np.inf
             worst = int(np.argmin(reduced))
             if reduced[worst] >= -1e-12 * scale:
                 return alpha, steps
             support[worst] = True
         else:
-            # move towards the target until the first support weight hits 0
-            current = alpha[idx]
-            falling = (target < -_QP_TOL) & (current > target)
-            ratios = current[falling] / (current[falling] - target[falling])
+            # move along the step until the first support weight hits 0; the
+            # step sums to 0, so some other weight stays positive
+            ratios = current[blocking] / -step[blocking]
             first = int(np.argmin(ratios))
-            drop = idx[falling][first]
-            alpha[idx] = np.clip(current + ratios[first] * (target - current), 0.0, None)
+            drop = idx[blocking][first]
+            alpha[idx] = np.clip(current + ratios[first] * step, 0.0, None)
             alpha[drop] = 0.0
-            total = alpha.sum()
-            if total > 0.0:
-                alpha /= total
+            alpha /= alpha.sum()
             support[drop] = False
-            if not support.any():
-                support[int(np.argmax(alpha))] = True
     return alpha, steps  # active-set budget hit: return the best feasible point seen
-
-
-# vertices kept for the corrective step; the oldest go first
-_MAX_VERTICES = 200
 
 
 @dataclass(frozen=True)
@@ -379,19 +378,18 @@ def solve_wot(
 ) -> WotResult:
     """Minimize the barycentric cost over the couplings of ``(mu, nu)``.
 
-    Frank-Wolfe with an exact transportation-LP oracle, exact line search
-    and duality-gap stopping at ``fw_tol * (1 + value)``.  Every iteration
-    then re-optimizes the quadratic exactly over the convex hull of the
-    vertices stored so far (at most ``_MAX_VERTICES``, dropping the oldest),
-    which kills the sublinear Frank-Wolfe tail on unevenly weighted
-    instances.  That corrective QP starts from the iterate's own weights on
-    the stored vertices, and its Gram matrix grows by one row and column
-    per new vertex.  A result with ``converged=False`` carries the best
-    iterate and its remaining gap.  ``diagnostics`` counts ``lp_calls`` (one
-    per iteration), simplex ``pivots`` and ``qp_steps`` (KKT solves of the
-    corrective QP), gives the ``active_vertices`` kept, and names the
-    ``stop_reason``: ``"gap"``, ``"no_descent"`` (the exact line search
-    found no descent before the gap target was met) or ``"max_iter"``.
+    Fully-corrective Frank-Wolfe with an exact transportation-LP oracle and
+    duality-gap stopping at ``fw_tol * (1 + value)``: each oracle vertex
+    joins the stored ones, and an exact QP over their hull, started from
+    the iterate's weights with the new vertex at 0, gives the next iterate.
+    Vertices left without weight are dropped, so the iterate is always the
+    weighted sum of the stored vertices.  A result with ``converged=False``
+    carries the best iterate and its remaining gap.  ``diagnostics`` counts
+    ``lp_calls`` (one per iteration), simplex ``pivots`` and ``qp_steps``
+    (KKT solves), gives the ``active_vertices`` that carry the iterate, and
+    names the ``stop_reason``: ``"gap"``, ``"no_descent"`` (before the gap
+    target was met, the oracle returned a stored vertex or the QP did not
+    descend) or ``"max_iter"``.
     """
     cfg = config or WotConfig()
     if mu.dim != nu.dim:
@@ -414,9 +412,9 @@ def solve_wot(
     # the marginals never change, so each oracle call warm-starts from the
     # optimal basis of the previous one
     basis = _TransportBasis(pi, cells)
-    # the stored vertices; their images p / w, flattened, one row each; the
-    # quadratic's Gram matrix and linear term over them; and the iterate's
-    # barycentric coordinates, which start the next corrective QP
+    # the stored vertices, their bytes and flattened images p / w; the
+    # quadratic's Gram matrix and linear term over them; and (below) alpha,
+    # the iterate's weights on them, which start the next QP
     vertices: list[np.ndarray] = []
     keys: list[bytes] = []
     scaled = np.empty((0, x.size))
@@ -427,21 +425,18 @@ def solve_wot(
         nonlocal scaled, quad, lin
         image = vertex @ y
         flat_scaled = (image / w[:, None]).ravel()
-        row = scaled @ image.ravel()
-        corner = np.array([[flat_scaled @ image.ravel()]])
-        quad = np.block([[quad, row[:, None]], [row[None, :], corner]])
+        row = np.append(scaled @ image.ravel(), flat_scaled @ image.ravel())
+        quad = np.block([[quad, row[:-1, None]], [row[None, :]]])
         lin = np.append(lin, -2.0 * float(np.sum(x * image)))
         scaled = np.vstack((scaled, flat_scaled))
         vertices.append(vertex)
         keys.append(vertex.tobytes())
 
-    store(pi.copy())
-    coords = np.ones(1)
+    store(pi)
+    alpha = np.ones(1)
     value = value_of_image(pi @ y)
     gap = np.inf
-    iterations = 0
-    qp_steps = 0
-    converged = False
+    iterations = qp_steps = 0
     stop_reason = "max_iter"
 
     for iterations in range(1, cfg.max_iter + 1):
@@ -449,67 +444,34 @@ def solve_wot(
         vertex = solve_transport_lp(grad, w, nu.weights, basis=basis)
         gap = float(np.sum(grad * (pi - vertex)))
         if gap <= cfg.fw_tol * (1.0 + abs(value)):
-            converged = True
             stop_reason = "gap"
             break
-
-        # guaranteed-descent Frank-Wolfe step with exact line search
-        direction = vertex - pi
-        delta_image = direction @ y
-        curvature = float(np.sum(np.sum(delta_image**2, axis=1) / w))
-        slope = float(np.sum(grad * direction))
-        if curvature <= 0.0:
-            gamma = 1.0 if slope < 0.0 else 0.0
-        else:
-            gamma = float(np.clip(-slope / (2.0 * curvature), 0.0, 1.0))
-        if gamma <= 0.0:
-            stop_reason = "no_descent"  # descent exhausted at roundoff level
+        if vertex.tobytes() in keys:
+            # the iterate already minimizes over this vertex, up to roundoff
+            stop_reason = "no_descent"
             break
-        pi = pi + gamma * direction
-        coords *= 1.0 - gamma
+        store(vertex)  # then re-optimize exactly over the stored vertices' hull
+        weights, steps = _simplex_qp(quad, lin, np.append(alpha, 0.0), alpha.size)
+        qp_steps += steps
+        keep = weights > 1e-15
+        candidate = sum(a * v for a, v, k in zip(weights, vertices, keep) if k)
+        cand_value = value_of_image(candidate @ y)
+        if cand_value > value + 1e-15 * (1.0 + abs(value)):
+            stop_reason = "no_descent"
+            break
+        pi, value, alpha = candidate, cand_value, weights[keep]
+        vertices = [v for v, k in zip(vertices, keep) if k]
+        keys = [b for b, k in zip(keys, keep) if k]
+        scaled, quad, lin = scaled[keep], quad[np.ix_(keep, keep)], lin[keep]
 
-        key = vertex.tobytes()
-        if key in keys:
-            coords[keys.index(key)] += gamma
-        else:
-            store(vertex)
-            coords = np.append(coords, gamma)
-        value = value_of_image(pi @ y)
-
-        if len(vertices) > 1:
-            # exact re-optimization over the hull of the stored vertices
-            alpha, steps = _simplex_qp(quad, lin, coords)
-            qp_steps += steps
-            candidate = sum(a * v for a, v in zip(alpha, vertices) if a > 0.0)
-            cand_value = value_of_image(candidate @ y)
-            if cand_value <= value + 1e-15 * (1.0 + abs(value)):
-                pi, value = candidate, cand_value
-                keep = alpha > 1e-15
-                vertices = [v for v, k in zip(vertices, keep) if k]
-                keys = [b for b, k in zip(keys, keep) if k]
-                scaled, quad, lin = scaled[keep], quad[np.ix_(keep, keep)], lin[keep]
-                coords = alpha[keep]
-        if len(vertices) > _MAX_VERTICES:
-            vertices = vertices[-_MAX_VERTICES:]
-            keys = keys[-_MAX_VERTICES:]
-            scaled, lin = scaled[-_MAX_VERTICES:], lin[-_MAX_VERTICES:]
-            quad = quad[-_MAX_VERTICES:, -_MAX_VERTICES:]
-            coords = coords[-_MAX_VERTICES:]
-            total = coords.sum()
-            if total > 0.0:
-                coords /= total
-            else:  # the kept vertices carry no weight: start from the newest
-                coords[-1] = 1.0
-
-    coupling = Coupling(pi, mu, nu)
     return WotResult(
-        coupling=coupling,
+        coupling=Coupling(pi, mu, nu),
         value=value,
         gap=gap,
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason == "gap",
         diagnostics={
-            "active_vertices": len(vertices),
+            "active_vertices": alpha.size,
             "lp_calls": iterations,
             "pivots": basis.pivots,
             "qp_steps": qp_steps,

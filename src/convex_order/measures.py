@@ -71,8 +71,8 @@ class DiscreteMeasure:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise EmptyMeasureError("measure needs a nonempty (n, d) support")
+        if pts.ndim != 2 or 0 in pts.shape:
+            raise EmptyMeasureError("measure needs a nonempty (n, d) support, d >= 1")
         w = np.asarray(self.weights, dtype=float).ravel()
         if w.shape[0] != pts.shape[0]:
             raise ValueError("one weight per support point required")

@@ -273,6 +273,15 @@ class TestProjectDiscrete:
         pi = np.loadtxt(csv_path, delimiter=",")
         np.testing.assert_allclose(pi, [0.5, 0.5])
 
+    def test_points_without_coordinates_are_a_parse_error(self, runner, tmp_path):
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"points": [[], []], "weights": [0.5, 0.5]},
+            "nu": {"points": [[0.0], [1.0]], "weights": [0.5, 0.5]},
+        })
+        result = runner.invoke(main, ["project-discrete", problem])
+        assert result.exit_code == 2
+        assert "measure 'mu': measure needs a nonempty (n, d) support" in result.output
+
     def test_budget_exit_code(self, runner, tmp_path):
         payload = {
             "mu": {"points": [[0.0], [1.0], [2.0]], "weights": [0.3, 0.3, 0.4]},

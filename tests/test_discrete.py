@@ -15,7 +15,7 @@ from convex_order.discrete import (
     solve_wot,
     wot_objective,
 )
-from convex_order.measures import DiscreteMeasure
+from convex_order.measures import DiscreteMeasure, EmptyMeasureError
 from convex_order.one_dim import is_convex_ordered_1d, project_1d, project_1d_detail, w2_1d
 from _utils import random_discrete, random_discrete_1d
 
@@ -128,6 +128,10 @@ class TestMeasureConstruction:
         m = DiscreteMeasure.from_1d([1.2e-12, 0.0, 0.6e-12], [0.25, 0.5, 0.25])
         assert np.array_equal(m.points, [[0.0]])
         assert np.array_equal(m.weights, [1.0])
+
+    def test_rejects_points_without_coordinates(self):
+        with pytest.raises(EmptyMeasureError):
+            DiscreteMeasure(np.zeros((3, 0)), np.full(3, 1.0 / 3.0))
 
     def test_rejects_non_positive_weights(self):
         with pytest.raises(ValueError):
@@ -294,7 +298,7 @@ class TestSimplexQp:
             starts = [np.eye(k)[int(rng.integers(k))], np.full(k, 1.0 / k),
                       rng.dirichlet(np.ones(k))]
             for start in starts:
-                alpha, steps = discrete._simplex_qp(quad, lin, start)
+                alpha, steps = discrete._simplex_qp(quad, lin, start, k - 1)
                 assert steps >= 1
                 assert np.all(alpha >= 0.0) and alpha.sum() == pytest.approx(1.0, abs=1e-15)
                 assert qp_value(quad, lin, alpha) == pytest.approx(
@@ -306,10 +310,28 @@ class TestSimplexQp:
         for k in range(1, 7):
             for _ in range(4):
                 quad, lin = corrective_qp_instance(rng, k, k + 2, 0)
-                alpha, _ = discrete._simplex_qp(quad, lin, np.eye(k)[0])
-                again, steps = discrete._simplex_qp(quad, lin, alpha)
+                alpha, _ = discrete._simplex_qp(quad, lin, np.eye(k)[0], k - 1)
+                again, steps = discrete._simplex_qp(quad, lin, alpha, int(np.argmax(alpha)))
                 assert steps == 1
                 np.testing.assert_allclose(again, alpha, atol=1e-12)
+
+    def test_singular_gram_with_a_descending_flat_direction(self):
+        # the Gram matrix of 15 stored vertices has an eigenvalue of 1.8e-14,
+        # and the linear term descends along that direction, so the minimum
+        # lies on a face the least-squares step alone does not reach
+        k = SINGULAR_GRAM.shape[0]
+        assert np.linalg.eigvalsh(SINGULAR_GRAM)[0] < 1e-13
+        best = brute_force_simplex_qp(SINGULAR_GRAM, SINGULAR_GRAM_LIN)
+        entered_at_zero = SINGULAR_GRAM_START.copy()
+        entered_at_zero[-1] = 0.0
+        entered_at_zero /= entered_at_zero.sum()
+        for start in (SINGULAR_GRAM_START, entered_at_zero, np.full(k, 1.0 / k)):
+            alpha, steps = discrete._simplex_qp(SINGULAR_GRAM, SINGULAR_GRAM_LIN, start, k - 1)
+            assert steps < 60 * k + 40  # the budget is 60 k + 40 solves
+            assert np.all(alpha >= 0.0) and alpha.sum() == pytest.approx(1.0, abs=1e-15)
+            assert qp_value(SINGULAR_GRAM, SINGULAR_GRAM_LIN, alpha) == pytest.approx(
+                best, abs=1e-12 * (1.0 + abs(best))
+            )
 
 
 class TestSolveWot:
@@ -439,19 +461,28 @@ class TestSolveWot:
         assert stalled.diagnostics["qp_steps"] == 0
         assert not stalled.converged
 
-    def test_vertex_cap_keeps_the_answer(self, monkeypatch):
+    def test_stored_vertices_stay_within_the_caratheodory_bound(self):
+        # the objective sees a coupling only through its image pi @ y, a
+        # point of R^(n x d), so some optimum mixes at most n d + 1 vertices
         rng = np.random.default_rng(51)
-        mu = DiscreteMeasure(rng.normal(size=(6, 2)), rng.dirichlet(np.ones(6)))
-        nu = DiscreteMeasure(0.8 * rng.normal(size=(6, 2)), rng.dirichlet(np.ones(6)))
-        config = WotConfig(fw_tol=1e-12)
-        free = solve_wot(mu, nu, config)
-        assert free.diagnostics["active_vertices"] > 3
-        monkeypatch.setattr(discrete, "_MAX_VERTICES", 3)
-        capped = solve_wot(mu, nu, config)
-        assert capped.converged
-        assert capped.diagnostics["active_vertices"] <= 3
-        assert np.all(np.isfinite(capped.coupling.pi))
-        assert capped.value == pytest.approx(free.value, abs=1e-10 * (1.0 + free.value))
+        for d in (1, 2):
+            for _ in range(15):
+                n, m = (int(v) for v in rng.integers(3, 13, size=2))
+                mu = DiscreteMeasure(rng.normal(size=(n, d)), rng.dirichlet(np.ones(n)))
+                nu = DiscreteMeasure(0.8 * rng.normal(size=(m, d)), rng.dirichlet(np.ones(m)))
+                result = solve_wot(mu, nu, WotConfig(fw_tol=1e-12))
+                assert result.diagnostics["stop_reason"] != "max_iter"
+                assert 1 <= result.diagnostics["active_vertices"] <= mu.size * d + 1
+
+    def test_singular_gram_instance_converges(self):
+        # in later iterations the stored vertices' Gram matrix is singular to
+        # roundoff; the corrective QP must not spend its budget there
+        mu = DiscreteMeasure(RUNAWAY_X, RUNAWAY_WX)
+        nu = DiscreteMeasure(RUNAWAY_Y, RUNAWAY_WY)
+        result = solve_wot(mu, nu, WotConfig(max_iter=200))
+        assert result.converged
+        assert result.diagnostics["stop_reason"] == "gap"
+        assert result.diagnostics["qp_steps"] <= 3 * result.iterations
 
     def test_reruns_are_bit_identical(self):
         rng = np.random.default_rng(46)
@@ -532,3 +563,162 @@ class TestConvexOrder1d:
         m = measure_1d([0.0, 1.0], [0.5, 0.5])
         shifted = measure_1d([0.5, 1.5], [0.5, 0.5])
         assert not is_convex_ordered_1d(m, shifted)
+
+
+class TestRegularity:
+    """The paper's regularity theorems for the dominated-side projection in
+    2-d, with W2 from the transportation LP.
+
+    The computed projection lies within sqrt(gap) of the exact one in W2:
+    the objective is ``sum_i |p_i|^2 / w_i`` plus terms linear in the image
+    ``p = pi @ y``, so ``f(p) - f* >= sum_i |p_i - p*_i|^2 / w_i``, which
+    bounds the squared W2 distance of the two pushforwards, and the duality
+    gap bounds ``f - f*``.
+    """
+
+    @staticmethod
+    def projection(mu, nu):
+        projection, result = project_discrete(mu, nu, WotConfig(fw_tol=1e-12))
+        return projection, np.sqrt(max(result.gap, 0.0))
+
+    @staticmethod
+    def pair(seed, moved):
+        # the pair's second measure is its first with the points moved
+        rng = np.random.default_rng([4, seed])
+        n, m = (int(v) for v in rng.integers(3, 9, size=2))
+        mu = DiscreteMeasure(rng.normal(size=(n, 2)), rng.dirichlet(np.ones(n)))
+        nu = DiscreteMeasure(0.8 * rng.normal(size=(m, 2)), rng.dirichlet(np.ones(m)))
+        first = mu if moved == "mu" else nu
+        second = DiscreteMeasure(first.points + 0.05 * rng.normal(size=first.points.shape),
+                                 first.weights)
+        return mu, nu, second
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_non_expansive_in_mu(self, seed):
+        mu1, nu, mu2 = self.pair(seed, "mu")
+        (p1, s1), (p2, s2) = self.projection(mu1, nu), self.projection(mu2, nu)
+        assert np.sqrt(exact_w2_sq(p1, p2)) <= np.sqrt(exact_w2_sq(mu1, mu2)) + s1 + s2
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_half_holder_in_nu(self, seed):
+        mu, nu1, nu2 = self.pair(seed, "nu")
+        (p1, s1), (p2, s2) = self.projection(mu, nu1), self.projection(mu, nu2)
+        apart = max(np.sqrt(exact_w2_sq(p1, p2)) - s1 - s2, 0.0)
+        reach = np.sqrt(exact_w2_sq(mu, p1)) + s1 + np.sqrt(exact_w2_sq(mu, p2)) + s2
+        assert apart**2 <= reach * np.sqrt(exact_w2_sq(nu1, nu2))
+
+
+# wot-simplex seed 603, problem 195 (10 x 12 atoms in 2-d), as the benchmark
+# generator draws it: WotSimplex().generate(default_rng([2, 603]), 196)[195]
+RUNAWAY_X = np.array([
+    [-0.7484138228839391, 1.1760701761596022],
+    [-0.16298006694569714, -0.7867065421876419],
+    [0.0021680597921651156, -0.8879749472810006],
+    [0.0064950988079253945, -0.9635979539192342],
+    [0.07710582577192761, 0.5828972007901464],
+    [0.07888657947522143, -1.5531992814976117],
+    [0.2760304409742831, -0.5291857202952823],
+    [1.0756359798847888, -0.1169394882551191],
+    [1.5806404602574091, 0.7166136839328756],
+    [2.413795269823661, -2.200684070034568],
+])
+RUNAWAY_WX = np.array([
+    0.0036595693809986837, 0.08656131389896371, 0.13238087781452856,
+    0.29104561622104785, 0.13956074416178077, 0.08214570789607219, 0.13180122469426406,
+    0.09188904165084387, 0.03997028095864469, 0.0009856233228557412
+])
+RUNAWAY_Y = np.array([
+    [-1.5588551743198646, 0.02279061650541676],
+    [-0.8613905502340338, 0.317287030965127],
+    [-0.6807217532104987, 0.6500397721124923],
+    [-0.18331705113260605, -0.5313581145539962],
+    [-0.048694241192508037, -1.339092286717784],
+    [0.13610138736922428, -0.5344398117977053],
+    [0.2847919436796139, -0.3690493435984362],
+    [0.3087345050826356, -0.052277342746687196],
+    [0.39524178849490665, -0.36364040032826533],
+    [0.7918958091982452, 1.7023593289259975],
+    [0.9028985867666137, 2.1146077843494004],
+    [1.0347804004891317, 2.1319423275712297],
+])
+RUNAWAY_WY = np.array([
+    0.11489930773593046, 0.02301554772735182, 0.06510391997418438, 0.22399719457360964,
+    0.008364504024586005, 0.1293641967868597, 0.26702826243522826, 0.013324246760727972,
+    0.004065043333792953, 0.06820824385845625, 0.07281007820931103, 0.009819454579961582
+])
+# a corrective QP captured while solving that instance: 15 stored vertices,
+# the last one just entered with a small weight
+SINGULAR_GRAM = np.array([
+    [0.9086336333772139, 0.48140879695923033, 0.4297560930378555, 0.6421816167261357,
+     0.3743156502295904, 0.34047651370387005, 0.46070851299477156, 0.4276703749981747,
+     0.27965744330273895, 0.5135216447232039, 0.4621913254965676, 0.31369228534451477,
+     0.30738881117397876, 0.4823611728822839, 0.6756902829021446],
+    [0.48140879695923033, 0.7301937622075207, 0.4275005657822774, 0.4801357339285943,
+     0.5211155102560224, 0.43079805762505385, 0.36091692756564486, 0.38430022182063606,
+     0.41411973262311713, 0.23942037797638782, 0.24710372321251478, 0.467649384301975,
+     0.4820191952578234, 0.42756443522899673, 0.66729018108761],
+    [0.4297560930378555, 0.4275005657822774, 0.8148516634565561, 0.45135040562691675,
+     0.4008119343027008, 0.6203894201722975, 0.6232996032325119, 0.592011784733141,
+     0.35979478745844823, 0.5252691581827824, 0.5412380436278993, 0.5588354369703611,
+     0.42255585032293386, 0.745496815054042, 0.5803285195178759],
+    [0.6421816167261357, 0.4801357339285943, 0.45135040562691675, 0.7281911483871986,
+     0.49794695156812746, 0.3223907636262433, 0.3262356663055372, 0.5039103233984459,
+     0.5141263077569355, 0.3969450343263633, 0.4288247456696434, 0.3142704316338518,
+     0.27266925903677514, 0.5543101746911028, 0.49745715628717113],
+    [0.3743156502295904, 0.5211155102560224, 0.4008119343027008, 0.49794695156812746,
+     0.6508403703816182, 0.2901301940977392, 0.3293169749667029, 0.39651332991630467,
+     0.589749506850596, 0.27876671104789696, 0.4040618374388534, 0.3718762318282837,
+     0.32630235704250554, 0.5034322610805554, 0.38315116752653644],
+    [0.34047651370387005, 0.43079805762505385, 0.6203894201722975, 0.3223907636262433,
+     0.2901301940977392, 0.9117161714198282, 0.39513557543311206, 0.449320758820959,
+     0.26126340179115054, 0.590709571801087, 0.2539282941785453, 0.743994788351318,
+     0.33323514818728495, 0.4170901813466216, 0.6862669635381239],
+    [0.46070851299477156, 0.36091692756564486, 0.6232996032325119, 0.3262356663055372,
+     0.3293169749667029, 0.39513557543311206, 0.6616009179647416, 0.45601720387455585,
+     0.2851352499128611, 0.44696622186817125, 0.525691836476494, 0.4291759648187078,
+     0.38742854777192304, 0.5952564830472318, 0.4338129137036312],
+    [0.4276703749981747, 0.38430022182063606, 0.592011784733141, 0.5039103233984459,
+     0.39651332991630467, 0.449320758820959, 0.45601720387455585, 0.5843000322185135,
+     0.42453726658450447, 0.45700040983189516, 0.43729621610609315, 0.4323903605611066,
+     0.2579863506608562, 0.6337441218846269, 0.43169234001085494],
+    [0.27965744330273895, 0.41411973262311713, 0.35979478745844823, 0.5141263077569355,
+     0.589749506850596, 0.26126340179115054, 0.2851352499128611, 0.42453726658450447,
+     0.7097300400029161, 0.3167101480894739, 0.4130789134159245, 0.34285765451630956,
+     0.25981600620894785, 0.4719778232611898, 0.1613968799229508],
+    [0.5135216447232039, 0.23942037797638782, 0.5252691581827824, 0.3969450343263633,
+     0.27876671104789696, 0.590709571801087, 0.44696622186817125, 0.45700040983189516,
+     0.3167101480894739, 0.6964901053026028, 0.47725309824267664, 0.48025686405532775,
+     0.259527569270935, 0.4703730448924416, 0.4322178158718715],
+    [0.4621913254965676, 0.24710372321251478, 0.5412380436278993, 0.4288247456696434,
+     0.4040618374388534, 0.2539282941785453, 0.525691836476494, 0.43729621610609315,
+     0.4130789134159245, 0.47725309824267664, 0.6097539327142244, 0.27163308653441315,
+     0.30851747518577566, 0.6050844387985804, 0.25339386166937283],
+    [0.31369228534451477, 0.467649384301975, 0.5588354369703611, 0.3142704316338518,
+     0.3718762318282837, 0.743994788351318, 0.4291759648187078, 0.4323903605611066,
+     0.34285765451630956, 0.48025686405532775, 0.27163308653441315, 0.7422170872397383,
+     0.33011676825614156, 0.39074551820833414, 0.6124775035225236],
+    [0.30738881117397876, 0.4820191952578234, 0.42255585032293386, 0.27266925903677514,
+     0.32630235704250554, 0.33323514818728495, 0.38742854777192304, 0.2579863506608562,
+     0.25981600620894785, 0.259527569270935, 0.30851747518577566, 0.33011676825614156,
+     0.5431746797862995, 0.36682259222603597, 0.46214957057551076],
+    [0.4823611728822839, 0.42756443522899673, 0.745496815054042, 0.5543101746911028,
+     0.5034322610805554, 0.4170901813466216, 0.5952564830472318, 0.6337441218846269,
+     0.4719778232611898, 0.4703730448924416, 0.6050844387985804, 0.39074551820833414,
+     0.36682259222603597, 0.8250793447835741, 0.4578981641760635],
+    [0.6756902829021446, 0.66729018108761, 0.5803285195178759, 0.49745715628717113,
+     0.38315116752653644, 0.6862669635381239, 0.4338129137036312, 0.43169234001085494,
+     0.1613968799229508, 0.4322178158718715, 0.25339386166937283, 0.6124775035225236,
+     0.46214957057551076, 0.4578981641760635, 1.020952320993926],
+])
+SINGULAR_GRAM_LIN = np.array([
+    -0.9407144906328647, -0.8927156303253586, -1.12707398563902, -0.9285867183920974,
+    -0.8540383072895404, -1.054273588731199, -0.9253368538010315, -0.9512106234139427,
+    -0.8084185385153505, -0.9543028876435857, -0.8524307680872006, -1.0073066699521942,
+    -0.6975283929654031, -1.0707609302702346, -1.049824122102684
+])
+SINGULAR_GRAM_START = np.array([
+    0.09257810341976513, 0.026296919756972237, 0.07723365100876929, 0.08709034472758048,
+    0.07033296460710001, 0.15126307767812366, 0.07830554611224946, 0.012225263967790868,
+    0.06692930471458035, 0.03632253868449542, 0.06776721859032209, 0.1495600729673636,
+    0.020785635017767236, 0.06330819010697035, 1.1686401499828828e-06
+])
