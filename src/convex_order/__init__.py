@@ -15,7 +15,6 @@ from .discrete import (
     project_discrete,
     solve_transport_lp,
     solve_wot,
-    wot_objective,
 )
 from .gaussian import (
     DominanceVerdict,
@@ -94,5 +93,4 @@ __all__ = [
     "spd_sqrt",
     "sym_eigen",
     "w2_1d",
-    "wot_objective",
 ]

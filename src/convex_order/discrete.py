@@ -1,18 +1,22 @@
 """Weak-optimal-transport solver for finitely supported measures.
 
 Minimizes the barycentric cost ``sum_i w_i |x_i - m(pi_{x_i})|^2`` over the
-transportation polytope with fully-corrective Frank-Wolfe: linear
-subproblems are solved exactly by a network simplex on the transportation
-basis tree (Dantzig pricing with a Bland fallback against cycling), and
-each new vertex joins the stored ones, over whose hull an exact QP
-re-optimizes the quadratic.  The marginals stay fixed across one solve, so
-every oracle call warm-starts from the optimal basis of the previous one;
-likewise every QP starts from the iterate's weights, over a Gram matrix
-that grows by one row per new vertex.  The pushforward of the first
-marginal under the conditional-barycenter map of an optimal coupling
-realizes the dominated-side Wasserstein projection.  ``exact_w2_sq`` solves
-the same transportation LP for exact W2 between small measures; the 1-d
-quantile formulas and convex-order test live in :mod:`.one_dim`.
+transportation polytope with fully-corrective Frank-Wolfe, that is Wolfe's
+minimum-norm-point method.  The cost sees a coupling only through its row
+image ``p = pi @ y``, so the iterate is kept as the image ``p`` of a convex
+combination of stored vertices, and only the linear subproblem, solved
+exactly by a network simplex on the transportation basis tree (Dantzig
+pricing with a Bland fallback against cycling), works on ``n x m``
+couplings.  Each new vertex joins the stored ones, over whose hull an exact
+QP re-optimizes the quadratic; its active-set steps solve the support's
+KKT system by LU.  The marginals stay fixed across one solve, so every
+oracle call warm-starts from the optimal basis of the previous one;
+likewise every QP starts from the iterate's weights.  The pushforward of
+the first marginal under the conditional-barycenter map of an optimal
+coupling realizes the dominated-side Wasserstein projection.
+``exact_w2_sq`` solves the same transportation LP for exact W2 between
+small measures; the 1-d quantile formulas and convex-order test live in
+:mod:`.one_dim`.
 """
 
 from __future__ import annotations
@@ -69,19 +73,6 @@ class Coupling:
     def conditional_barycenters(self) -> np.ndarray:
         """Row-wise barycenters ``m(pi_{x_i})`` of the disintegration."""
         return (self.pi @ self.nu.points) / self.mu.weights[:, None]
-
-
-def wot_objective(coupling: Coupling) -> float:
-    """Barycentric transport cost of a coupling."""
-    bary = coupling.conditional_barycenters()
-    disp = coupling.mu.points - bary
-    return float(coupling.mu.weights @ np.sum(disp**2, axis=1))
-
-
-def _wot_gradient(pi: np.ndarray, mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
-    # d/dpi_ij of the objective: -2 (x_i - m(pi_{x_i})) . y_j
-    bary = (pi @ nu.points) / mu.weights[:, None]
-    return -2.0 * (mu.points - bary) @ nu.points.T
 
 
 def _northwest_corner(
@@ -304,40 +295,61 @@ def _simplex_qp(
 ) -> tuple[np.ndarray, int]:
     """Exact minimizer of ``a' quad a + lin' a`` over the probability simplex.
 
-    Primal active-set method on the nonnegativity bounds, from the feasible
-    point ``start`` with index ``enter`` added to its support.  Each KKT
-    solve gives the least-squares step from the current point.  On a
+    Primal active-set method on the nonnegativity bounds (Wolfe's minor
+    cycle), from the feasible point ``start`` with index ``enter`` added to
+    its support.  Each step solves the support's bordered KKT system by LU
+    for the step from the current point to the minimizer over the support's
+    affine hull.  When that system is singular (LU fails, or leaves a
+    residual above roundoff), a least-squares solve takes its place: on a
     singular ``quad`` (PSD; repeated or affinely dependent vertex images)
-    that step leaves the weights alone where the quadratic is flat, unless
+    its step leaves the weights alone where the quadratic is flat, unless
     the linear term descends there: that ray is followed to the boundary.
-    Returns the minimizer and the number of KKT solves it took.
+    Returns the minimizer and the number of active-set steps it took.
     """
     k = quad.shape[0]
     alpha = np.array(start, dtype=float)
-    support = alpha > 0.0
-    support[enter] = True
     scale = 1.0 + float(np.abs(quad).max()) + float(np.abs(lin).max())
+    # [[2 quad, scale], [scale, 0]]: the KKT matrix of a support is its
+    # principal submatrix on the support's rows and the last one, always
+    # flagged.  A border at the scale of quad keeps the least-squares rank
+    # decision independent of the units of the points.
+    bordered = np.full((k + 1, k + 1), scale)
+    bordered[:k, :k] = 2.0 * quad
+    bordered[k, k] = 0.0
+    flagged = np.ones(k + 1, dtype=bool)
+    support = flagged[:k]
+    support[:] = alpha > 0.0
+    support[enter] = True
     for steps in range(1, 60 * k + 41):
-        idx = np.flatnonzero(support)
-        s = idx.size
-        kkt = np.zeros((s + 1, s + 1))
-        kkt[:s, :s] = 2.0 * quad[np.ix_(idx, idx)]
-        kkt[:s, s] = kkt[s, :s] = 1.0
-        rhs = np.append(-(2.0 * quad @ alpha + lin)[idx], 0.0)
-        sol, _, rank, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
+        rows = flagged.nonzero()[0]
+        s = rows.size - 1
+        idx = rows[:s]
+        kkt = bordered[rows[:, None], rows]
+        rhs = np.zeros(s + 1)
+        rhs[:s] = -(bordered[:k, :k] @ alpha + lin)[idx]
+        ray = None
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+            regular = np.abs(kkt @ sol - rhs).max() <= 1e-12 * scale
+        except np.linalg.LinAlgError:
+            regular = False
+        if not regular:
+            sol, _, rank, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
+            # a singular KKT system without a solution leaves a residual
+            # along which the quadratic is flat and the linear term descends
+            residual = rhs[:s] - kkt[:s] @ sol
+            if rank <= s and np.abs(residual).max() > 1e-12 * scale:
+                ray = residual
         current, step = alpha[idx], sol[:s]
-        # a singular KKT system without a solution leaves a residual along
-        # which the quadratic is flat and the linear term descends
-        ray = rhs[:s] - kkt[:s] @ sol
-        if rank <= s and np.abs(ray).max() > 1e-12 * scale:
+        if ray is not None:
             step, blocking = ray, ray < 0.0
         else:
             blocking = current + step < -_QP_TOL
         if not blocking.any():
-            alpha[idx] = np.clip(current + step, 0.0, None)  # 0 off the support
+            alpha[idx] = np.maximum(current + step, 0.0)  # 0 off the support
             alpha /= alpha.sum()
-            # the KKT rows read 2 Q (a + step) + sol[s] * 1 = -lin on the support
-            reduced = 2.0 * quad @ alpha + lin + sol[s]
+            # the KKT rows read 2 Q (a + step) + scale sol[s] = -lin on the support
+            reduced = bordered[:k, :k] @ alpha + lin + scale * sol[s]
             reduced[support] = np.inf
             worst = int(np.argmin(reduced))
             if reduced[worst] >= -1e-12 * scale:
@@ -349,7 +361,7 @@ def _simplex_qp(
             ratios = current[blocking] / -step[blocking]
             first = int(np.argmin(ratios))
             drop = idx[blocking][first]
-            alpha[idx] = np.clip(current + ratios[first] * step, 0.0, None)
+            alpha[idx] = np.maximum(current + ratios[first] * step, 0.0)
             alpha[drop] = 0.0
             alpha /= alpha.sum()
             support[drop] = False
@@ -378,18 +390,25 @@ def solve_wot(
 ) -> WotResult:
     """Minimize the barycentric cost over the couplings of ``(mu, nu)``.
 
-    Fully-corrective Frank-Wolfe with an exact transportation-LP oracle and
-    duality-gap stopping at ``fw_tol * (1 + value)``: each oracle vertex
-    joins the stored ones, and an exact QP over their hull, started from
-    the iterate's weights with the new vertex at 0, gives the next iterate.
-    Vertices left without weight are dropped, so the iterate is always the
-    weighted sum of the stored vertices.  A result with ``converged=False``
-    carries the best iterate and its remaining gap.  ``diagnostics`` counts
-    ``lp_calls`` (one per iteration), simplex ``pivots`` and ``qp_steps``
-    (KKT solves), gives the ``active_vertices`` that carry the iterate, and
-    names the ``stop_reason``: ``"gap"``, ``"no_descent"`` (before the gap
-    target was met, the oracle returned a stored vertex or the QP did not
-    descend) or ``"max_iter"``.
+    Fully-corrective Frank-Wolfe (Wolfe's minimum-norm-point method) with
+    an exact transportation-LP oracle and duality-gap stopping at
+    ``fw_tol * (1 + value)``.  The iterate is the row image
+    ``p = sum_k alpha_k V_k y`` of a convex combination of stored vertices
+    ``V_k``; with the residual ``r = x - p / w`` the gradient in the
+    coupling is ``-2 r y'``, and the gap against an oracle vertex with image
+    ``q`` is ``2 sum r . (q - p)``.  Each oracle vertex joins the stored
+    ones, and an exact QP over their hull, started from the iterate's
+    weights with the new vertex at 0, gives the next iterate.  Vertices
+    left without weight are dropped, and the coupling ``sum_k alpha_k V_k``
+    is formed once, at return.  On the last allowed iteration the loop
+    stops after the gap test, so the reported gap is always that of the
+    returned coupling.  A result with ``converged=False`` carries the best
+    iterate and its remaining gap.  ``diagnostics`` counts ``lp_calls``
+    (one per iteration), simplex ``pivots`` and ``qp_steps`` (active-set
+    steps of the QP), gives the ``active_vertices`` that carry the iterate,
+    and names the ``stop_reason``: ``"gap"``, ``"no_descent"`` (before the
+    gap target was met, the oracle returned a stored vertex or the QP did
+    not descend) or ``"max_iter"``.
     """
     cfg = config or WotConfig()
     if mu.dim != nu.dim:
@@ -399,71 +418,71 @@ def solve_wot(
             f"instance size {mu.size}x{nu.size} exceeds the budget {cfg.budget}"
         )
     x, y, w = mu.points, nu.points, mu.weights
-    # the objective touches a coupling only through its row image pi @ y:
-    # value = sum_i w_i |x_i|^2 - 2 x_i . p_i + |p_i|^2 / w_i with p = pi @ y
-    base = float(w @ np.sum(x**2, axis=1))
+    w_col = w[:, None]
+    root_w = np.sqrt(w_col)
 
-    def value_of_image(p: np.ndarray) -> float:
-        return float(
-            base - 2.0 * np.sum(x * p) + np.sum(np.sum(p**2, axis=1) / w)
-        )
+    def residual_and_value(p: np.ndarray) -> tuple[np.ndarray, float]:
+        # the objective touches a coupling only through its row image
+        # p = pi @ y: it is sum_i w_i |r_i|^2 with the residual r = x - p / w
+        residual = x - p / w_col
+        return residual, float(w @ np.sum(residual**2, axis=1))
 
     pi, cells = _northwest_corner(w, nu.weights)
     # the marginals never change, so each oracle call warm-starts from the
     # optimal basis of the previous one
     basis = _TransportBasis(pi, cells)
-    # the stored vertices, their bytes and flattened images p / w; the
-    # quadratic's Gram matrix and linear term over them; and (below) alpha,
-    # the iterate's weights on them, which start the next QP
-    vertices: list[np.ndarray] = []
-    keys: list[bytes] = []
-    scaled = np.empty((0, x.size))
-    quad, lin = np.empty((0, 0)), np.empty(0)
-
-    def store(vertex: np.ndarray) -> None:
-        # one new row and column of the Gram matrix: <p, p_k / w> for every k
-        nonlocal scaled, quad, lin
-        image = vertex @ y
-        flat_scaled = (image / w[:, None]).ravel()
-        row = np.append(scaled @ image.ravel(), flat_scaled @ image.ravel())
-        quad = np.block([[quad, row[:-1, None]], [row[None, :]]])
-        lin = np.append(lin, -2.0 * float(np.sum(x * image)))
-        scaled = np.vstack((scaled, flat_scaled))
-        vertices.append(vertex)
-        keys.append(vertex.tobytes())
-
-    store(pi)
+    # the stored vertices and their bytes; their images q_k = V_k y, divided
+    # by sqrt(w) and flattened into the rows of ``scaled``, so that the
+    # quadratic's Gram matrix is scaled @ scaled.T; its linear term over
+    # them (value = sum_i w_i |x_i|^2 + alpha' Gram alpha + lin' alpha); and
+    # alpha, the iterate's weights on them, which start the next QP
+    vertices, keys = [pi], [pi.tobytes()]
+    p = pi @ y
+    scaled = (p / root_w).reshape(1, -1)
+    lin = np.array([-2.0 * float(np.vdot(x, p))])
     alpha = np.ones(1)
-    value = value_of_image(pi @ y)
+    residual, value = residual_and_value(p)
     gap = np.inf
     iterations = qp_steps = 0
     stop_reason = "max_iter"
 
     for iterations in range(1, cfg.max_iter + 1):
-        grad = _wot_gradient(pi, mu, nu)
-        vertex = solve_transport_lp(grad, w, nu.weights, basis=basis)
-        gap = float(np.sum(grad * (pi - vertex)))
+        vertex = solve_transport_lp(-2.0 * residual @ y.T, w, nu.weights, basis=basis)
+        q = vertex @ y
+        gap = 2.0 * float(np.vdot(residual, q - p))
         if gap <= cfg.fw_tol * (1.0 + abs(value)):
             stop_reason = "gap"
             break
-        if vertex.tobytes() in keys:
+        key = vertex.tobytes()
+        if key in keys:
             # the iterate already minimizes over this vertex, up to roundoff
             stop_reason = "no_descent"
             break
-        store(vertex)  # then re-optimize exactly over the stored vertices' hull
-        weights, steps = _simplex_qp(quad, lin, np.append(alpha, 0.0), alpha.size)
+        if iterations == cfg.max_iter:
+            break  # return the iterate whose gap was just measured
+        # re-optimize exactly over the hull of the stored vertices and this one
+        vertices.append(vertex)
+        keys.append(key)
+        scaled = np.vstack((scaled, (q / root_w).ravel()))
+        lin = np.append(lin, -2.0 * float(np.vdot(x, q)))
+        weights, steps = _simplex_qp(
+            scaled @ scaled.T, lin, np.append(alpha, 0.0), alpha.size
+        )
         qp_steps += steps
         keep = weights > 1e-15
-        candidate = sum(a * v for a, v, k in zip(weights, vertices, keep) if k)
-        cand_value = value_of_image(candidate @ y)
+        candidate = (weights[keep] @ scaled[keep]).reshape(x.shape) * root_w
+        cand_residual, cand_value = residual_and_value(candidate)
         if cand_value > value + 1e-15 * (1.0 + abs(value)):
             stop_reason = "no_descent"
             break
-        pi, value, alpha = candidate, cand_value, weights[keep]
+        p, residual, value = candidate, cand_residual, cand_value
+        alpha = weights[keep]
         vertices = [v for v, k in zip(vertices, keep) if k]
         keys = [b for b, k in zip(keys, keep) if k]
-        scaled, quad, lin = scaled[keep], quad[np.ix_(keep, keep)], lin[keep]
+        scaled, lin = scaled[keep], lin[keep]
 
+    # after a rejected QP the last stored vertex carries no weight
+    pi = np.tensordot(alpha, vertices[: alpha.size], axes=1)
     return WotResult(
         coupling=Coupling(pi, mu, nu),
         value=value,

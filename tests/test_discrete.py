@@ -13,7 +13,6 @@ from convex_order.discrete import (
     project_discrete,
     solve_transport_lp,
     solve_wot,
-    wot_objective,
 )
 from convex_order.measures import DiscreteMeasure, EmptyMeasureError
 from convex_order.one_dim import is_convex_ordered_1d, project_1d, project_1d_detail, w2_1d
@@ -33,6 +32,18 @@ def brute_force_assignment(cost):
     n = cost.shape[0]
     perms = np.array(list(itertools.permutations(range(n))))
     return float(cost[np.arange(n), perms].sum(axis=1).min()) / n
+
+
+def barycentric_cost(pi, mu, nu):
+    """The WOT objective ``sum_i w_i |x_i - m(pi_{x_i})|^2``, from its definition."""
+    bary = (pi @ nu.points) / mu.weights[:, None]
+    return float(mu.weights @ np.sum((mu.points - bary) ** 2, axis=1))
+
+
+def wot_gradient(pi, mu, nu):
+    """d/dpi_ij of ``barycentric_cost``: -2 (x_i - m(pi_{x_i})) . y_j."""
+    bary = (pi @ nu.points) / mu.weights[:, None]
+    return -2.0 * (mu.points - bary) @ nu.points.T
 
 
 def cold_basis(row, col):
@@ -156,19 +167,18 @@ class TestObjective:
     def test_single_target_atom(self):
         mu = measure_1d([-1.0, 1.0], [0.5, 0.5])
         nu = measure_1d([0.0], [1.0])
-        coupling = Coupling(mu.weights[:, None].copy(), mu, nu)
-        assert wot_objective(coupling) == pytest.approx(1.0)
+        assert solve_wot(mu, nu).value == pytest.approx(1.0)
 
     def test_product_coupling_collapses_to_target_mean(self):
+        # a Dirac on either side leaves the product coupling as the only one
         rng = np.random.default_rng(0)
-        mu = random_discrete(rng, 2, 5)
-        nu = random_discrete(rng, 2, 5)
-        pi = np.outer(mu.weights, nu.weights)
-        coupling = Coupling(pi, mu, nu)
-        expected = float(
-            mu.weights @ np.sum((mu.points - nu.barycenter) ** 2, axis=1)
-        )
-        assert wot_objective(coupling) == pytest.approx(expected, abs=1e-12)
+        spread = random_discrete(rng, 2, 5)
+        for mu, nu in ((spread, random_discrete(rng, 2, 1)),
+                       (random_discrete(rng, 2, 1), spread)):
+            expected = float(
+                mu.weights @ np.sum((mu.points - nu.barycenter) ** 2, axis=1)
+            )
+            assert solve_wot(mu, nu).value == pytest.approx(expected, abs=1e-12)
 
 
 class TestTransportLp:
@@ -365,24 +375,19 @@ class TestSolveWot:
             solve_wot(mu, nu, WotConfig(budget=4))
 
     def test_gradient_matches_finite_differences(self):
-        from convex_order.discrete import _wot_gradient
-
+        # the gradient the gap oracles below rely on
         rng = np.random.default_rng(6)
         mu = random_discrete(rng, 2, 4)
         nu = random_discrete(rng, 2, 5)
         pi = np.outer(mu.weights, nu.weights)
-        grad = _wot_gradient(pi, mu, nu)
+        grad = wot_gradient(pi, mu, nu)
         h = 1e-7
-
-        def value(p):
-            bary = (p @ nu.points) / mu.weights[:, None]
-            return float(mu.weights @ np.sum((mu.points - bary) ** 2, axis=1))
-
         for i in range(mu.size):
             for j in range(nu.size):
                 bump = np.zeros_like(pi)
                 bump[i, j] = h
-                numeric = (value(pi + bump) - value(pi - bump)) / (2 * h)
+                numeric = (barycentric_cost(pi + bump, mu, nu)
+                           - barycentric_cost(pi - bump, mu, nu)) / (2 * h)
                 assert numeric == pytest.approx(grad[i, j], abs=1e-5)
 
     def test_objective_is_convex_along_couplings(self):
@@ -396,8 +401,8 @@ class TestSolveWot:
                 for _ in range(2)
             )
             mid = Coupling(0.5 * (pi_a.pi + pi_b.pi), mu, nu)
-            assert wot_objective(mid) <= 0.5 * (
-                wot_objective(pi_a) + wot_objective(pi_b)
+            assert barycentric_cost(mid.pi, mu, nu) <= 0.5 * (
+                barycentric_cost(pi_a.pi, mu, nu) + barycentric_cost(pi_b.pi, mu, nu)
             ) + 1e-12
 
     def test_value_equals_projection_distance(self):
@@ -492,6 +497,82 @@ class TestSolveWot:
         np.testing.assert_array_equal(first.coupling.pi, second.coupling.pi)
         assert first.value == second.value
         assert first.diagnostics == second.diagnostics
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3])
+    def test_gap_at_max_iter_is_that_of_the_returned_coupling(self, max_iter):
+        rng = np.random.default_rng(45)
+        mu = DiscreteMeasure(rng.normal(size=(6, 2)), rng.dirichlet(np.ones(6)))
+        nu = DiscreteMeasure(rng.normal(size=(7, 2)), rng.dirichlet(np.ones(7)))
+        result = solve_wot(mu, nu, WotConfig(max_iter=max_iter))
+        assert result.diagnostics["stop_reason"] == "max_iter"
+        assert result.diagnostics["lp_calls"] == result.iterations == max_iter
+        # the LP oracle re-run on the returned coupling
+        pi = result.coupling.pi
+        grad = wot_gradient(pi, mu, nu)
+        vertex = solve_transport_lp(grad, mu.weights, nu.weights)
+        assert result.gap == pytest.approx(float(np.sum(grad * (pi - vertex))), rel=1e-12)
+        assert result.value == pytest.approx(barycentric_cost(pi, mu, nu), rel=1e-12)
+
+    def test_large_scale_instances_scale_with_their_points(self):
+        # the value of c mu against c nu is c^2 times the unit-scale value
+        for s in range(40):
+            rng = np.random.default_rng([5, s])
+            n = 6 + s % 7
+            mu = DiscreteMeasure(rng.normal(size=(n, 2)), rng.dirichlet(np.ones(n)))
+            nu = DiscreteMeasure(0.8 * rng.normal(size=(n + 1, 2)),
+                                 rng.dirichlet(np.ones(n + 1)))
+            unit = solve_wot(mu, nu).value
+            for c in (1e4, 1e6):
+                result = solve_wot(DiscreteMeasure(c * mu.points, mu.weights),
+                                   DiscreteMeasure(c * nu.points, nu.weights),
+                                   WotConfig(max_iter=300))
+                assert result.diagnostics["stop_reason"] == "gap", (s, c)
+                assert result.value == pytest.approx(c**2 * unit, rel=1e-12), (s, c)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_measures_on_a_line_match_the_quantile_engine(self, dim):
+        # every measure dominated by nu lives on the line through nu's atoms,
+        # so 1-d data embedded as t u + b must give the 1-d projection
+        for s in range(30):
+            rng = np.random.default_rng([8, s])
+            n, m = (int(v) for v in rng.integers(5, 11, size=2))
+            t_mu, w_mu = rng.normal(size=n), rng.dirichlet(np.ones(n))
+            t_nu, w_nu = 0.8 * rng.normal(size=m), rng.dirichlet(np.ones(m))
+            u = rng.normal(size=dim)
+            u /= np.linalg.norm(u)
+            b = rng.normal(size=dim)
+            mu = DiscreteMeasure(b + t_mu[:, None] * u, w_mu)
+            nu = DiscreteMeasure(b + t_nu[:, None] * u, w_nu)
+            projection, result = project_discrete(mu, nu)
+            reference = project_1d_detail(measure_1d(t_mu, w_mu), measure_1d(t_nu, w_nu))
+            assert result.value == pytest.approx(reference.distance_sq, rel=1e-12), s
+            along = (projection.points - b) @ u
+            off_line = projection.points - b - along[:, None] * u
+            assert np.abs(off_line).max() <= 1e-12, s
+            pulled_back = measure_1d(along, projection.weights)
+            assert w2_1d(pulled_back, reference.below) <= 1e-12, s
+
+    def test_oracle_and_pivots_pass_through_the_traced_names(self, monkeypatch):
+        # a benchmark tracer wraps these two module globals to count LP
+        # calls and pivots; a call that bypasses them would read as no work
+        counts = {"solve_transport_lp": 0, "_basis_cycle": 0}
+
+        def counting(name):
+            original = getattr(discrete, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(discrete, name, counting(name))
+        rng = np.random.default_rng(46)
+        mu = DiscreteMeasure(rng.normal(size=(12, 2)), rng.dirichlet(np.ones(12)))
+        nu = DiscreteMeasure(rng.normal(size=(10, 2)), rng.dirichlet(np.ones(10)))
+        result = solve_wot(mu, nu)
+        assert counts["solve_transport_lp"] == result.diagnostics["lp_calls"] > 1
+        assert counts["_basis_cycle"] == result.diagnostics["pivots"] > 0
 
 
 class TestPushforward:
