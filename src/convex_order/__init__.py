@@ -5,7 +5,7 @@ transform, exact quantile formulas in dimension one, and a barycentric
 weak-optimal-transport solver for finitely supported measures.
 """
 
-from .bures import bw2, bw2_gradient, centered_w2, gaussian_w2
+from .bures import bw2, bw2_gradient
 from .discrete import (
     Coupling,
     WotConfig,
@@ -46,7 +46,6 @@ from .one_dim import (
 )
 from .pgd import (
     PgdConfig,
-    PgdTrace,
     frobenius_project_above,
     frobenius_project_below,
     pgd_project_above,
@@ -59,7 +58,6 @@ __all__ = [
     "GaussianMeasure",
     "OrderTransform",
     "PgdConfig",
-    "PgdTrace",
     "ProjectionResult",
     "SingularReduction",
     "UniquenessVerdict",
@@ -68,13 +66,11 @@ __all__ = [
     "barycentric_pushforward",
     "bw2",
     "bw2_gradient",
-    "centered_w2",
     "dominance_check",
     "exact_w2_sq",
     "frobenius_project_above",
     "frobenius_project_below",
     "g_function",
-    "gaussian_w2",
     "is_above_projection_unique",
     "is_convex_ordered_1d",
     "loewner_leq",

@@ -16,7 +16,6 @@ from .linalg import (
     sym,
     sym_eigen,
 )
-from .measures import GaussianMeasure
 
 
 class SingularInputError(LinalgError):
@@ -48,22 +47,6 @@ def bw2(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     if value < floor:
         raise LinalgError(f"bw2 came out {value:.3e}, below the roundoff floor")
     return max(value, 0.0)
-
-
-def gaussian_w2(mu: GaussianMeasure, nu: GaussianMeasure) -> float:
-    """Quadratic Wasserstein distance between two Gaussian measures."""
-    if mu.dim != nu.dim:
-        raise ValueError("dimension mismatch")
-    shift = float(np.sum((mu.mean - nu.mean) ** 2))
-    return float(np.sqrt(shift + bw2(mu.cov, nu.cov)))
-
-
-def centered_w2(mu: GaussianMeasure, nu: GaussianMeasure) -> float:
-    """Wasserstein distance after aligning the means; depends only on the
-    covariances."""
-    if mu.dim != nu.dim:
-        raise ValueError("dimension mismatch")
-    return float(np.sqrt(bw2(mu.cov, nu.cov)))
 
 
 def bw2_gradient(cov_fixed: np.ndarray, cov: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from typing import Any
 
 import click
@@ -50,19 +51,12 @@ def _fail(code: int, message: str) -> None:
 
 
 def _jsonify(value: Any) -> Any:
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
+    # converted up front: a json ``default`` hook slows the Python encoder
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
-    return value
+    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
 
 
 def _emit(report: dict, output: str | None) -> None:
@@ -101,23 +95,18 @@ def _parse_discrete(obj: Any, name: str) -> DiscreteMeasure:
         _fail(PARSE_ERROR, f"measure {name!r}: {exc}")
 
 
-def _problem_mode(problem: dict) -> str:
+def _problem_mode(problem: dict) -> str | None:
+    """The declared mode, else gaussian when ``mu`` has a covariance, else
+    ``None``: the parsed points choose."""
     mode = problem.get("mode")
     if mode in ("gaussian", "one_d", "discrete"):
         return mode
     mu = problem.get("mu")
-    if isinstance(mu, dict) and "cov" in mu:
-        return "gaussian"
-    try:
-        points = np.asarray(mu["points"], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        return "discrete"  # parsing reports the malformed measure
-    if points.size and (points.ndim == 1 or points.shape[1:] == (1,)):
-        return "one_d"
-    return "discrete"
+    return "gaussian" if isinstance(mu, dict) and "cov" in mu else None
 
 
-def _measure_pair(problem: dict, mode: str):
+def _measure_pair(problem: dict, mode: str | None):
+    """``(mode, mu, nu)``; a ``None`` mode becomes one_d or discrete."""
     if "mu" not in problem or "nu" not in problem:
         _fail(PARSE_ERROR, "problem needs 'mu' and 'nu' entries")
     if mode == "gaussian":
@@ -130,7 +119,7 @@ def _measure_pair(problem: dict, mode: str):
         _fail(PARSE_ERROR, f"dimension mismatch: mu has {mu.dim}, nu has {nu.dim}")
     if mode == "one_d" and mu.dim != 1:
         _fail(PARSE_ERROR, "project-1d needs one-dimensional measures")
-    return mu, nu
+    return mode or ("one_d" if mu.dim == 1 else "discrete"), mu, nu
 
 
 def _measure_report(m: DiscreteMeasure) -> dict:
@@ -147,18 +136,19 @@ def main():
 @click.option("--method", type=click.Choice(["auto", "closed-form", "pgd"]),
               default="auto", show_default=True)
 @click.option("--eta", type=float, default=None,
-              help="Initial descent step; later steps follow the Barzilai-Borwein rule.")
+              help="Initial descent step at unit scale; later steps follow the "
+                   "Barzilai-Borwein rule.")
 @click.option("--max-iter", type=int, default=10_000, show_default=True)
 @click.option("--tol", type=float, default=1e-8, show_default=True,
               help="Descent stops once the gradient mapping ||S - S+|| / eta falls "
-                   "below tol * (1 + ||cov_nu||_F).")
+                   "below tol * (1 + ||cov_nu||_F), at unit scale.")
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
               help="Write the descent trace as CSV (iteration, objective, grad_norm).")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def cmd_project_gaussian(problem, method, eta, max_iter, tol, trace_path, output):
     """Project two Gaussian measures onto each other's convex-order cones."""
     data = _load_json(problem)
-    mu, nu = _measure_pair(data, "gaussian")
+    _, mu, nu = _measure_pair(data, "gaussian")
     config = PgdConfig(step_size=eta, max_iter=max_iter, residual_tol=tol)
     try:
         below, above = project_pair(mu.cov, nu.cov, method=method, config=config)
@@ -187,7 +177,6 @@ def cmd_project_gaussian(problem, method, eta, max_iter, tol, trace_path, output
         )
 
     shift = float(np.sum((mu.mean - nu.mean) ** 2))
-    transform = below.transform
     report = {
         "mode": "gaussian",
         "method": below.method,
@@ -203,12 +192,7 @@ def cmd_project_gaussian(problem, method, eta, max_iter, tol, trace_path, output
             "centered_distance_sq": above.distance_sq,
             "distance_sq": above.distance_sq + shift,
         },
-        "transform": {
-            "basis": transform.basis,
-            "ratios": transform.ratios,
-            "order_residual": transform.order_residual,
-            "certified": transform.certified,
-        },
+        "transform": asdict(below.transform),
         "uniqueness": unique_report,
         "diagnostics": diagnostics,
         "status": "ok" if converged else "not_converged",
@@ -233,7 +217,7 @@ def _write_trace(path: str, trace_data: dict | None) -> None:
 def cmd_project_1d(problem, output):
     """Quantile-formula projections for 1-d discrete measures."""
     data = _load_json(problem)
-    mu, nu = _measure_pair(data, "one_d")
+    _, mu, nu = _measure_pair(data, "one_d")
     detail = project_1d_detail(mu, nu)
     report = {
         "mode": "one_d",
@@ -256,7 +240,7 @@ def cmd_project_1d(problem, output):
 def cmd_project_discrete(problem, tol, max_iter, coupling_csv, output):
     """Weak-optimal-transport projection for discrete measures in R^d."""
     data = _load_json(problem)
-    mu, nu = _measure_pair(data, "discrete")
+    _, mu, nu = _measure_pair(data, "discrete")
     try:
         result = solve_wot(mu, nu, WotConfig(fw_tol=tol, max_iter=max_iter))
     except (BudgetExceededError, LpInfeasibleError) as exc:
@@ -287,8 +271,7 @@ def cmd_project_discrete(problem, tol, max_iter, coupling_csv, output):
 def cmd_distance(problem, output):
     """Wasserstein-2 distance between the two measures of a problem file."""
     data = _load_json(problem)
-    mode = _problem_mode(data)
-    mu, nu = _measure_pair(data, mode)
+    mode, mu, nu = _measure_pair(data, _problem_mode(data))
     if mode == "gaussian":
         try:
             bw2_sq = bw2(mu.cov, nu.cov)
@@ -306,6 +289,10 @@ def cmd_distance(problem, output):
     _emit(report, output)
 
 
+def _check(name: str, value: float, tolerance: float) -> dict:
+    return {"name": name, "value": value, "tolerance": tolerance, "passed": value <= tolerance}
+
+
 def _gaussian_checks(
     mu: GaussianMeasure, nu: GaussianMeasure, below: ProjectionResult, above: ProjectionResult
 ) -> list[dict]:
@@ -321,14 +308,10 @@ def _gaussian_checks(
     # evaluating bw2 at singular matrices carries sqrt(eps)-level noise, so
     # the distance check runs at the looser order tolerance
     return [
-        {"name": "trace_identity", "value": trace_residual,
-         "tolerance": 1e-8 * scale, "passed": trace_residual <= 1e-8 * scale},
-        {"name": "distance_equality", "value": distance_residual,
-         "tolerance": 1e-7 * scale, "passed": distance_residual <= 1e-7 * scale},
-        {"name": "below_is_dominated", "value": -below_gap,
-         "tolerance": order_tol, "passed": below_gap >= -order_tol},
-        {"name": "above_dominates", "value": -above_gap,
-         "tolerance": order_tol, "passed": above_gap >= -order_tol},
+        _check("trace_identity", trace_residual, 1e-8 * scale),
+        _check("distance_equality", distance_residual, 1e-7 * scale),
+        _check("below_is_dominated", -below_gap, order_tol),
+        _check("above_dominates", -above_gap, order_tol),
     ]
 
 
@@ -342,21 +325,15 @@ def _one_d_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
     symmetry_residual = abs(
         w2_1d(nu, detail.below) ** 2 - detail.cross_distance_sq
     ) + abs(w2_1d(mu, detail.above) ** 2 - detail.cross_distance_sq)
+    # the verdicts of is_convex_ordered_1d, with the violations they test
     return [
-        {"name": "second_moment_identity", "value": moment_residual,
-         "tolerance": 1e-12 * scale, "passed": moment_residual <= 1e-12 * scale},
-        {"name": "distance_symmetry", "value": symmetry_residual,
-         "tolerance": 1e-10 * scale, "passed": symmetry_residual <= 1e-10 * scale},
-        _convex_order_check("below_in_convex_order", detail.below, nu),
-        _convex_order_check("above_in_convex_order", mu, detail.above),
+        _check("second_moment_identity", moment_residual, 1e-12 * scale),
+        _check("distance_symmetry", symmetry_residual, 1e-10 * scale),
+        _check("below_in_convex_order", convex_order_violation(detail.below, nu),
+               convex_order_tol(detail.below, nu)),
+        _check("above_in_convex_order", convex_order_violation(mu, detail.above),
+               convex_order_tol(mu, detail.above)),
     ]
-
-
-def _convex_order_check(name: str, eta: DiscreteMeasure, nu: DiscreteMeasure) -> dict:
-    # the verdict of is_convex_ordered_1d(eta, nu), with the violation it tests
-    value = convex_order_violation(eta, nu)
-    tol = convex_order_tol(eta, nu)
-    return {"name": name, "value": value, "tolerance": tol, "passed": value <= tol}
 
 
 def _discrete_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
@@ -365,11 +342,8 @@ def _discrete_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
     value_residual = abs(result.value - exact_w2_sq(mu, projection))
     bary_residual = float(np.linalg.norm(projection.barycenter - nu.barycenter))
     return [
-        {"name": "value_equals_projection_distance", "value": value_residual,
-         "tolerance": 1e-8 * (1.0 + result.value),
-         "passed": value_residual <= 1e-8 * (1.0 + result.value)},
-        {"name": "pushforward_barycenter", "value": bary_residual,
-         "tolerance": 1e-10, "passed": bary_residual <= 1e-10},
+        _check("value_equals_projection_distance", value_residual, 1e-8 * (1.0 + result.value)),
+        _check("pushforward_barycenter", bary_residual, 1e-10),
     ]
 
 
@@ -382,8 +356,7 @@ def _discrete_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
 def cmd_check(problem, assert_file, output):
     """Run the solver identities on a problem and report pass/fail."""
     data = _load_json(problem)
-    mode = _problem_mode(data)
-    mu, nu = _measure_pair(data, mode)
+    mode, mu, nu = _measure_pair(data, _problem_mode(data))
     try:
         if mode == "gaussian":
             below, above = project_pair(mu.cov, nu.cov)
@@ -405,8 +378,7 @@ def cmd_check(problem, assert_file, output):
                     residual = float(
                         np.linalg.norm(np.asarray(expected[key], dtype=float) - actual)
                     )
-                    checks.append({"name": f"assert_{key}", "value": residual,
-                                   "tolerance": tol, "passed": residual <= tol})
+                    checks.append(_check(f"assert_{key}", residual, tol))
         else:
             _fail(PARSE_ERROR, "--assert-file is only supported in gaussian mode")
 

@@ -21,6 +21,7 @@ small measures; the 1-d quantile formulas and convex-order test live in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -392,23 +393,26 @@ def solve_wot(
 
     Fully-corrective Frank-Wolfe (Wolfe's minimum-norm-point method) with
     an exact transportation-LP oracle and duality-gap stopping at
-    ``fw_tol * (1 + value)``.  The iterate is the row image
-    ``p = sum_k alpha_k V_k y`` of a convex combination of stored vertices
-    ``V_k``; with the residual ``r = x - p / w`` the gradient in the
-    coupling is ``-2 r y'``, and the gap against an oracle vertex with image
-    ``q`` is ``2 sum r . (q - p)``.  Each oracle vertex joins the stored
-    ones, and an exact QP over their hull, started from the iterate's
-    weights with the new vertex at 0, gives the next iterate.  Vertices
-    left without weight are dropped, and the coupling ``sum_k alpha_k V_k``
-    is formed once, at return.  On the last allowed iteration the loop
-    stops after the gap test, so the reported gap is always that of the
-    returned coupling.  A result with ``converged=False`` carries the best
-    iterate and its remaining gap.  ``diagnostics`` counts ``lp_calls``
-    (one per iteration), simplex ``pivots`` and ``qp_steps`` (active-set
-    steps of the QP), gives the ``active_vertices`` that carry the iterate,
-    and names the ``stop_reason``: ``"gap"``, ``"no_descent"`` (before the
-    gap target was met, the oracle returned a stored vertex or the QP did
-    not descend) or ``"max_iter"``.
+    ``fw_tol * (1 + value)``, at unit scale: the points are divided by the
+    power of two ``2^scale_exponent`` that brings the largest |coordinate|
+    into ``[2, 4)``, and ``value`` and ``gap`` multiplied back by its
+    square.  The iterate is the row image ``p = sum_k alpha_k V_k y`` of a
+    convex combination of stored vertices ``V_k``; with the residual
+    ``r = x - p / w`` the gradient in the coupling is ``-2 r y'``, and the
+    gap against an oracle vertex with image ``q`` is ``2 sum r . (q - p)``.
+    Each oracle vertex joins the stored ones, and an exact QP over their
+    hull, started from the iterate's weights with the new vertex at 0,
+    gives the next iterate.  Vertices left without weight are dropped, and
+    the coupling ``sum_k alpha_k V_k`` is formed once, at return.  On the
+    last allowed iteration the loop stops after the gap test, so the
+    reported gap is always that of the returned coupling.  A result with
+    ``converged=False`` carries the best iterate and its remaining gap.
+    ``diagnostics`` counts ``lp_calls`` (one per iteration), simplex
+    ``pivots`` and ``qp_steps`` (active-set steps of the QP), gives the
+    ``active_vertices`` that carry the iterate, and names the
+    ``stop_reason``: ``"gap"``, ``"no_descent"`` (before the gap target was
+    met, the oracle returned a stored vertex or the QP did not descend) or
+    ``"max_iter"``.
     """
     cfg = config or WotConfig()
     if mu.dim != nu.dim:
@@ -417,7 +421,12 @@ def solve_wot(
         raise BudgetExceededError(
             f"instance size {mu.size}x{nu.size} exceeds the budget {cfg.budget}"
         )
-    x, y, w = mu.points, nu.points, mu.weights
+    # unit scale through an exact power of two; [2, 4) rather than [1, 2),
+    # where N(0, 1) data would see the absolute part of the gap target grow
+    top = max(float(np.abs(mu.points).max()), float(np.abs(nu.points).max()))
+    k = math.frexp(top)[1] - 2 if 2.0**-1000 <= top <= 2.0**500 else 0  # 2^-k, 4^k finite
+    unit = math.ldexp(1.0, -k)
+    x, y, w = unit * mu.points, unit * nu.points, mu.weights
     w_col = w[:, None]
     root_w = np.sqrt(w_col)
 
@@ -485,8 +494,8 @@ def solve_wot(
     pi = np.tensordot(alpha, vertices[: alpha.size], axes=1)
     return WotResult(
         coupling=Coupling(pi, mu, nu),
-        value=value,
-        gap=gap,
+        value=math.ldexp(value, 2 * k),
+        gap=math.ldexp(gap, 2 * k),
         iterations=iterations,
         converged=stop_reason == "gap",
         diagnostics={
@@ -494,6 +503,7 @@ def solve_wot(
             "lp_calls": iterations,
             "pivots": basis.pivots,
             "qp_steps": qp_steps,
+            "scale_exponent": k,
             "stop_reason": stop_reason,
         },
     )

@@ -15,8 +15,13 @@ Given such a pair,
   sqrt((O'SnuO)_ii))_+^2``.
 
 Each public call validates and decomposes ``Smu`` and ``Snu`` once into a
-pair record and routes on it: rank-0 ``Snu`` has a closed form in the
-identity basis; full-rank ``Snu`` tries the shared-correlation fast path
+pair record at unit scale, divided by the power of four ``4^k``
+(``diagnostics["scale_exponent"]``) that brings the larger top eigenvalue
+into ``[1, 4)``; outputs in covariance units are multiplied back by ``4^k``.
+Both projections commute with dilations and powers of two are exact, so
+every tolerance acts at unit scale.  The solve routes on the record:
+rank-0 ``Snu`` has a closed form in the identity basis; full-rank ``Snu``
+tries the shared-correlation fast path
 (when ``Smu`` has full rank too) and otherwise runs the projected-gradient
 solver, whose dominating-side answer yields ``O`` as the eigenbasis of the
 transport map onto ``Snu``; any other rank goes through the rank reduction,
@@ -28,15 +33,14 @@ clamped, not checked again.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any
 
 import numpy as np
 
 from .linalg import (
-    EIG_TOL,
     LinalgError,
-    NotPsdError,
     _rebuild,
     clamped_eigen,
     cleaned_diag,
@@ -54,7 +58,7 @@ from .measures import require_finite
 from .pgd import PgdConfig, pgd_project_above
 
 # Order tolerance: certification wants the order residual above
-# -ORDER_REL * (1 + lambda_max(Snu)).
+# -ORDER_REL * (1 + lambda_max(Snu)), at unit scale.
 ORDER_REL = 1e-7
 # Eigenvalues within this factor of the rank cutoff make the uniqueness
 # test refuse to classify.
@@ -88,7 +92,7 @@ class OrderTransform:
     on the conjugated diagonals, with the convention ``1`` where the
     mu-diagonal vanishes.  ``order_residual`` is the smallest eigenvalue of
     ``O'SnuO - D O'SmuO D`` (certification wants it above
-    ``-ORDER_REL * (1 + lambda_max(Snu))``).
+    ``-ORDER_REL * (1 + lambda_max(Snu))`` at unit scale).
     """
 
     basis: np.ndarray
@@ -149,9 +153,9 @@ class UniquenessVerdict:
 
 @dataclass(frozen=True)
 class _Pair:
-    """A validated covariance pair decomposed once per solve: the clamped
-    spectral decompositions of both covariances, their ranks and the order
-    tolerance."""
+    """A validated covariance pair decomposed once per solve: both
+    covariances and their clamped spectral decompositions, divided by
+    ``4^scale_exponent``, their ranks and the order tolerance."""
 
     cov_mu: np.ndarray
     cov_nu: np.ndarray
@@ -160,39 +164,81 @@ class _Pair:
     rank_mu: int
     rank_nu: int
     order_tol: float
+    scale_exponent: int
 
 
 def _rank(vals: np.ndarray) -> int:
     return int(np.sum(vals > default_rank_tol(vals)))
 
 
-def _pair(cov_mu: np.ndarray, cov_nu: np.ndarray, mu_eig: tuple, nu_eig: tuple) -> _Pair:
+def _pair(cov_mu: np.ndarray, cov_nu: np.ndarray, mu_eig: tuple, nu_eig: tuple, k: int) -> _Pair:
     nu_vals = nu_eig[0]
     order_tol = ORDER_REL * (1.0 + (float(nu_vals[0]) if nu_vals.size else 0.0))
-    return _Pair(cov_mu, cov_nu, mu_eig, nu_eig, _rank(mu_eig[0]), _rank(nu_vals), order_tol)
+    return _Pair(cov_mu, cov_nu, mu_eig, nu_eig, _rank(mu_eig[0]), _rank(nu_vals), order_tol, k)
 
 
 def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
-    """Validate a raw covariance pair (shape, finiteness, PSD) and decompose
-    it: the only check a public call makes on its inputs."""
+    """Validate a raw covariance pair (shape, finiteness, PSD), decompose it
+    and divide it by ``4^k``, the larger top eigenvalue in ``[4^k, 4^(k+1))``
+    (``k = 0`` below ``2^-1000``): the only check a public call makes on
+    its inputs.  The eigensolver commutes with powers of two, so the scaled
+    spectra are those of the scaled pair."""
     cov_mu = sym(np.atleast_2d(np.asarray(cov_mu, dtype=float)))
     cov_nu = sym(np.atleast_2d(np.asarray(cov_nu, dtype=float)))
     if cov_mu.shape != cov_nu.shape:
         raise ValueError("dimension mismatch")
     require_finite(cov_mu, "cov_mu")
     require_finite(cov_nu, "cov_nu")
-    nu_eig = psd_eigen(cov_nu)
-    return _pair(cov_mu, cov_nu, psd_eigen(cov_mu), nu_eig)
+    nu_vals, nu_vecs = psd_eigen(cov_nu)
+    mu_vals, mu_vecs = psd_eigen(cov_mu)
+    top = max(mu_vals.max(initial=0.0), nu_vals.max(initial=0.0))
+    k = (math.frexp(top)[1] - 1) // 2 if top >= 2.0**-1000 else 0  # 4^-k stays finite
+    c = math.ldexp(1.0, -2 * k)
+    return _pair(c * cov_mu, c * cov_nu, (c * mu_vals, mu_vecs), (c * nu_vals, nu_vecs), k)
+
+
+# result fields and diagnostics that carry the units of a covariance
+_UNIT_KEYS = frozenset({
+    "covariance", "distance_sq", "order_residual", "reduced_order_residual", "pgd_objective",
+    "reduced_pgd_objective", "objective", "reduced_nu", "reduced_mu", "reduced_solution",
+    "assembled",
+})
+
+
+def _in_caller_units(value: Any, k: int) -> Any:
+    """A unit-scale answer in the caller's units, the only way out of the unit
+    scale: each entry named in ``_UNIT_KEYS`` times ``4^k``, each
+    ``diagnostics`` dict tagged with ``scale_exponent``."""
+    c = math.ldexp(1.0, 2 * k)
+
+    def convert(key: str | None, v: Any) -> Any:
+        if key in _UNIT_KEYS:
+            return [c * x for x in v] if isinstance(v, list) else c * v
+        if isinstance(v, tuple):
+            return tuple(convert(key, x) for x in v)
+        if isinstance(v, dict):
+            out = {name: convert(name, x) for name, x in v.items()}
+            return {**out, "scale_exponent": k} if key == "diagnostics" else out
+        if is_dataclass(v):
+            return replace(v, **{f.name: convert(f.name, getattr(v, f.name)) for f in fields(v)})
+        return v
+
+    return convert(None, value)
+
+
+def _at_unit_scale(cov_mu: np.ndarray, cov_nu: np.ndarray, solve) -> Any:
+    """``solve`` run on the unit-scale record of a raw pair, its answer (or
+    the transform a :class:`CertificationError` carries) in caller units."""
+    pair = _decompose(cov_mu, cov_nu)
+    try:
+        return _in_caller_units(solve(pair), pair.scale_exponent)
+    except CertificationError as exc:
+        raise CertificationError(_in_caller_units(exc.transform, pair.scale_exponent)) from None
 
 
 def _results(
-    transform: OrderTransform,
-    below: np.ndarray,
-    above: np.ndarray,
-    distance_sq: float,
-    method: str,
-    diagnostics: dict[str, Any],
-    reduction: SingularReduction | None = None,
+    transform: OrderTransform, below: np.ndarray, above: np.ndarray, distance_sq: float,
+    method: str, diagnostics: dict[str, Any], reduction: SingularReduction | None = None,
 ) -> tuple[ProjectionResult, ProjectionResult]:
     return tuple(
         ProjectionResult(cov, distance_sq, transform, method, diagnostics, reduction)
@@ -271,7 +317,7 @@ def shared_correlation_fast_path(
     positive or the correlation condition fails; absence is an answer, not
     an error.
     """
-    fast = _fast_path(_decompose(cov_mu, cov_nu))
+    fast = _at_unit_scale(cov_mu, cov_nu, _fast_path)
     return None if fast is None else (fast[0].transform, *fast)
 
 
@@ -301,9 +347,7 @@ def _route(
         basis = transport_map_basis(*pair.nu_eig, outcome.covariance)
         reduction = None
     else:
-        reduction = reduce_singular_above(
-            pair.cov_nu, pair.cov_mu, method=method, config=config
-        )
+        reduction = _reduce(pair, method, config)
         # compose the spectral split of the target with the reduced solve's
         # rotation; the kernel coordinates keep the spectral basis vectors
         block = np.eye(d)
@@ -331,44 +375,23 @@ def _route(
     return _results(transform, *projected, "singular_reduction", diagnostics, reduction)
 
 
-def reduce_singular_above(
-    cov_nu: np.ndarray,
-    cov_mu: np.ndarray,
-    method: str = "auto",
-    config: PgdConfig | None = None,
-) -> SingularReduction:
-    """Reduce the dominating-side projection for singular ``cov_nu``.
-
-    Diagonalizes ``cov_nu``, solves the nonsingular subproblem on the top
-    ``rank`` coordinates, and re-embeds: the assembled matrix carries the
-    reduced solution on the top block and the conjugated ``cov_mu`` entries
-    everywhere else.  The reduced target's spectrum is the top of
-    ``cov_nu``'s; the reduced ``cov_mu`` block is decomposed once and
-    checked against the scale of ``cov_mu``, not its own.
-    """
-    cov_nu = sym(cov_nu)
-    cov_mu = sym(cov_mu)
-    require_finite(cov_nu, "cov_nu")
-    require_finite(cov_mu, "cov_mu")
-    d = cov_nu.shape[0]
-    nu_vals, nu_vecs = psd_eigen(cov_nu)
-    rank = _rank(nu_vals)
+def _reduce(pair: _Pair, method: str, config: PgdConfig | None) -> SingularReduction:
+    """Rank reduction of a record, at its scale.  The reduced target's
+    spectrum is the top of ``cov_nu``'s; the reduced ``cov_mu`` block,
+    derived from validated input, is decomposed once and clamped."""
+    nu_vals, nu_vecs = pair.nu_eig
+    rank, d = pair.rank_nu, nu_vals.size
     if not 1 <= rank < d:
-        raise ValueError(
-            f"rank reduction expects 1 <= rank < {d}, got rank {rank}; "
-            "rank 0 and full rank are handled directly"
-        )
-    conj_mu = sym(nu_vecs.T @ cov_mu @ nu_vecs)
+        raise ValueError(f"rank reduction expects 1 <= rank < {d}, got rank {rank}")
+    conj_mu = sym(nu_vecs.T @ pair.cov_mu @ nu_vecs)
     reduced_nu = np.diag(nu_vals[:rank])
     reduced_mu = conj_mu[:rank, :rank].copy()
     mu_vals, mu_vecs = sym_eigen(reduced_mu)
     if mu_vals[-1] < 0.0:  # a block of PSD cov_mu: roundoff at the scale of cov_mu
-        if mu_vals[-1] < -EIG_TOL * (1.0 + float(np.linalg.norm(conj_mu))):
-            raise NotPsdError(f"cov_mu has eigenvalue {mu_vals[-1]:.3e} on the range of cov_nu")
         mu_vals = np.clip(mu_vals, 0.0, None)
         reduced_mu = _rebuild(mu_vals, mu_vecs)
-    inner_pair = _pair(reduced_mu, reduced_nu, (mu_vals, mu_vecs), (nu_vals[:rank], np.eye(rank)))
-    _, inner = _route(inner_pair, method, config)
+    reduced = _pair(reduced_mu, reduced_nu, (mu_vals, mu_vecs), (nu_vals[:rank], np.eye(rank)), 0)
+    _, inner = _route(reduced, method, config)
     assembled_conj = conj_mu.copy()
     assembled_conj[:rank, :rank] = inner.covariance
     assembled = sym(nu_vecs @ assembled_conj @ nu_vecs.T)
@@ -387,6 +410,22 @@ def reduce_singular_above(
     )
 
 
+def reduce_singular_above(
+    cov_nu: np.ndarray,
+    cov_mu: np.ndarray,
+    method: str = "auto",
+    config: PgdConfig | None = None,
+) -> SingularReduction:
+    """Reduce the dominating-side projection for singular ``cov_nu``.
+
+    Diagonalizes ``cov_nu``, solves the nonsingular subproblem on the top
+    ``rank`` coordinates, and re-embeds: the assembled matrix carries the
+    reduced solution on the top block and the conjugated ``cov_mu`` entries
+    everywhere else.
+    """
+    return _at_unit_scale(cov_mu, cov_nu, lambda pair: _reduce(pair, method, config))
+
+
 def project_below(
     cov_mu: np.ndarray,
     cov_nu: np.ndarray,
@@ -395,7 +434,7 @@ def project_below(
 ) -> ProjectionResult:
     """Covariance of the projection of ``N(0, cov_mu)`` onto the measures
     dominated by ``N(0, cov_nu)`` in the convex order."""
-    return _route(_decompose(cov_mu, cov_nu), method, config)[0]
+    return project_pair(cov_mu, cov_nu, method, config)[0]
 
 
 def project_pair(
@@ -404,8 +443,19 @@ def project_pair(
     method: str = "auto",
     config: PgdConfig | None = None,
 ) -> tuple[ProjectionResult, ProjectionResult]:
-    """Both projections from one solve: ``(below, above)``."""
-    return _route(_decompose(cov_mu, cov_nu), method, config)
+    """Both projections from one solve at unit scale: ``(below, above)``,
+    in the caller's units."""
+    return _at_unit_scale(cov_mu, cov_nu, lambda pair: _route(pair, method, config))
+
+
+def _saturated(pair: _Pair) -> bool:
+    """``cov_nu <= (cov_nu^{1/2} cov_mu cov_nu^{1/2})^{1/2}`` on the record."""
+    vals, vecs = pair.nu_eig
+    tol = 1e-9 * (1.0 + (float(vals[0]) if vals.size else 0.0))
+    half = _rebuild(np.sqrt(vals), vecs)
+    probe_vals, probe_vecs = clamped_eigen(sym(half @ pair.cov_mu @ half))
+    probe = _rebuild(np.sqrt(probe_vals), probe_vecs)
+    return loewner_leq(pair.cov_nu, probe, tol)
 
 
 def dominance_check(cov_mu: np.ndarray, cov_nu: np.ndarray) -> DominanceVerdict:
@@ -415,19 +465,8 @@ def dominance_check(cov_mu: np.ndarray, cov_nu: np.ndarray) -> DominanceVerdict:
     in the Loewner order, which happens in particular whenever
     ``cov_nu <= cov_mu``.
     """
-    cov_mu = sym(cov_mu)
-    cov_nu = sym(cov_nu)
-    if cov_mu.shape != cov_nu.shape:
-        raise ValueError("dimension mismatch")
-    vals, vecs = psd_eigen(cov_nu)
-    psd_eigen(cov_mu)  # validates the raw input; the product below is derived
-    tol = 1e-9 * (1.0 + (float(vals[0]) if vals.size else 0.0))
-    half = _rebuild(np.sqrt(vals), vecs)
-    probe_vals, probe_vecs = clamped_eigen(sym(half @ cov_mu @ half))
-    probe = _rebuild(np.sqrt(probe_vals), probe_vecs)
-    if loewner_leq(cov_nu, probe, tol):
-        return DominanceVerdict.SATURATED
-    return DominanceVerdict.NEITHER
+    saturated = _saturated(_decompose(cov_mu, cov_nu))
+    return DominanceVerdict.SATURATED if saturated else DominanceVerdict.NEITHER
 
 
 def is_above_projection_unique(
@@ -445,34 +484,31 @@ def is_above_projection_unique(
     within a factor ``RANK_BAND`` of the rank cutoff raise
     :class:`RankAmbiguousError` instead of guessing a rank.
     """
-    cov_mu = sym(cov_mu)
-    cov_nu = sym(cov_nu)
-    d = cov_nu.shape[0]
+    pair = _decompose(cov_mu, cov_nu)
+    d = pair.cov_nu.shape[0]
 
     def guarded_rank(vals: np.ndarray, name: str) -> int:
         cutoff = default_rank_tol(vals)
-        if cutoff > 0.0 and np.any(
-            (vals > cutoff / RANK_BAND) & (vals < cutoff * RANK_BAND)
-        ):
+        if cutoff > 0.0 and np.any((vals > cutoff / RANK_BAND) & (vals < cutoff * RANK_BAND)):
             raise RankAmbiguousError(
                 f"an eigenvalue of {name} lies within a factor {RANK_BAND} of "
                 f"the rank cutoff {cutoff:.3e}; refusing to classify"
             )
         return int(np.sum(vals > cutoff))
 
-    rank_nu = guarded_rank(psd_eigen(cov_nu)[0], "the dominating-side covariance")
+    rank_nu = guarded_rank(pair.nu_eig[0], "the dominating-side covariance")
     if rank_nu == d:
         return UniquenessVerdict(True, "nonsingular target covariance")
     if rank_nu == 0:
         return UniquenessVerdict(
             True, "zero target covariance: the projection is the lower measure itself"
         )
-    if reduction is None:
-        reduction = reduce_singular_above(cov_nu, cov_mu)
-    rank_star = guarded_rank(clamped_eigen(reduction.assembled)[0], "the assembled projection")
+    # ranks do not see the scale, so a reduction in the caller's units will do
+    assembled = (reduction or _reduce(pair, "auto", None)).assembled
+    rank_star = guarded_rank(clamped_eigen(assembled)[0], "the assembled projection")
     if rank_star == rank_nu:
         return UniquenessVerdict(True, "assembled covariance keeps the target rank")
-    if dominance_check(cov_mu, cov_nu) is DominanceVerdict.SATURATED:
+    if _saturated(pair):
         return UniquenessVerdict(True, "saturation inequality holds")
     return UniquenessVerdict(
         False,

@@ -39,7 +39,8 @@ class PgdConfig:
     sufficient-decrease bound, so the objective never increases.
     The descent stops once the gradient mapping ``||S - S+|| / eta`` at the
     accepted step falls below ``residual_tol * (1 + ||cov_nu||_F)``, which
-    does not depend on the step size.
+    does not depend on the step size.  Gaussian solves run the descent on
+    their pair at unit scale, so there both knobs act at unit scale.
     """
 
     step_size: float | None = None

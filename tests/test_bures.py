@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from convex_order.bures import SingularInputError, bw2, bw2_gradient, centered_w2, gaussian_w2
+from convex_order.bures import SingularInputError, bw2, bw2_gradient
+from convex_order.cli import main
 from convex_order.discrete import exact_w2_sq, solve_wot, WotConfig
 from convex_order.measures import GaussianMeasure
 from _utils import (
@@ -50,41 +54,55 @@ class TestBw2:
             assert mid <= 0.5 * (bw2(ref, a) + bw2(ref, b)) + 1e-9
 
 
-class TestGaussianW2:
-    def test_identical(self):
-        g = GaussianMeasure([1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]])
-        assert gaussian_w2(g, g) == pytest.approx(0.0, abs=1e-9)
+def distance_report(tmp_path, a: GaussianMeasure, b: GaussianMeasure) -> dict:
+    """The ``distance`` command's report on the pair ``(a, b)``."""
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({
+        side: {"mean": g.mean.tolist(), "cov": g.cov.tolist()}
+        for side, g in (("mu", a), ("nu", b))
+    }))
+    result = CliRunner().invoke(main, ["distance", str(problem)])
+    assert result.exit_code == 0, result.output
+    return json.loads(result.output)
 
-    def test_point_masses(self):
+
+class TestGaussianW2:
+    def test_identical(self, tmp_path):
+        g = GaussianMeasure([1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]])
+        assert distance_report(tmp_path, g, g)["w2"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_point_masses(self, tmp_path):
         a = GaussianMeasure([0.0, 0.0], np.zeros((2, 2)))
         b = GaussianMeasure([3.0, 4.0], np.zeros((2, 2)))
-        assert gaussian_w2(a, b) == pytest.approx(5.0)
+        assert distance_report(tmp_path, a, b)["w2"] == pytest.approx(5.0)
 
-    def test_translation_of_equal_covariances(self):
+    def test_translation_of_equal_covariances(self, tmp_path):
         a = GaussianMeasure([0.0, 0.0], np.eye(2))
         b = GaussianMeasure([1.0, 0.0], np.eye(2))
-        assert gaussian_w2(a, b) == pytest.approx(1.0)
+        assert distance_report(tmp_path, a, b)["w2"] == pytest.approx(1.0)
 
 
 class TestCenteredW2:
-    def test_equal_covariances_any_means(self):
+    def test_equal_covariances_any_means(self, tmp_path):
         a = GaussianMeasure([5.0, -3.0], np.eye(2))
         b = GaussianMeasure([0.0, 7.0], np.eye(2))
-        assert centered_w2(a, b) == pytest.approx(0.0, abs=1e-9)
+        assert distance_report(tmp_path, a, b)["centered_w2"] == pytest.approx(0.0, abs=1e-9)
 
-    def test_commuting_value(self):
+    def test_commuting_value(self, tmp_path):
         a = GaussianMeasure([5.0, 5.0], np.eye(2))
         b = GaussianMeasure([0.0, 0.0], 4.0 * np.eye(2))
-        assert centered_w2(a, b) == pytest.approx(np.sqrt(2.0))
+        assert distance_report(tmp_path, a, b)["centered_w2"] == pytest.approx(np.sqrt(2.0))
 
-    def test_mean_invariance(self):
+    def test_mean_invariance(self, tmp_path):
         rng = np.random.default_rng(4)
         s1, s2 = random_spd(rng, 3), random_spd(rng, 3)
         a = GaussianMeasure(rng.normal(size=3), s1)
         b = GaussianMeasure(rng.normal(size=3), s2)
         a0 = GaussianMeasure(np.zeros(3), s1)
         b0 = GaussianMeasure(np.zeros(3), s2)
-        assert centered_w2(a, b) == pytest.approx(centered_w2(a0, b0), abs=1e-12)
+        assert distance_report(tmp_path, a, b)["centered_w2"] == pytest.approx(
+            distance_report(tmp_path, a0, b0)["centered_w2"], abs=1e-12
+        )
 
 
 class TestGradient:

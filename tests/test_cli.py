@@ -5,9 +5,9 @@ import pytest
 from click.testing import CliRunner
 
 from convex_order import cli, gaussian
-from convex_order.bures import bw2, centered_w2, gaussian_w2
+from convex_order.bures import bw2
 from convex_order.cli import main
-from convex_order.gaussian import project_pair, reduce_singular_above
+from convex_order.gaussian import project_pair
 from convex_order.linalg import NotPsdError
 from convex_order.measures import DiscreteMeasure, GaussianMeasure
 from convex_order.one_dim import g_function, is_convex_ordered_1d, project_1d_detail
@@ -174,12 +174,13 @@ class TestProjectGaussian:
 
     def test_uniqueness_reuses_the_reduction(self, runner, tmp_path, monkeypatch):
         calls = []
+        reduce = gaussian._reduce
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return reduce_singular_above(*args, **kwargs)
+            return reduce(*args, **kwargs)
 
-        monkeypatch.setattr(gaussian, "reduce_singular_above", counting)
+        monkeypatch.setattr(gaussian, "_reduce", counting)
         problem = write_problem(tmp_path / "p.json", GAUSSIAN_SINGULAR)
         for method in ("auto", "pgd"):
             calls.clear()
@@ -314,8 +315,10 @@ class TestDistance:
         report = json.loads(runner.invoke(main, ["distance", problem]).output)
         mu, nu = (GaussianMeasure(np.asarray(payload[k]["mean"]), np.asarray(payload[k]["cov"]))
                   for k in ("mu", "nu"))
-        assert report["w2"] == gaussian_w2(mu, nu)
-        assert report["centered_w2"] == centered_w2(mu, nu)
+        # the Gaussian W2 formula, with and without the shift of the means
+        shift = float(np.sum((mu.mean - nu.mean) ** 2))
+        assert report["w2"] == float(np.sqrt(shift + bw2(mu.cov, nu.cov)))
+        assert report["centered_w2"] == float(np.sqrt(bw2(mu.cov, nu.cov)))
         assert report["bw2"] == bw2(mu.cov, nu.cov)
 
     def test_gaussian_failure_is_solver_error(self, runner, tmp_path, monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -443,8 +444,9 @@ class TestSolveWot:
         result = solve_wot(mu, nu)
         diag = result.diagnostics
         assert set(diag) == {
-            "active_vertices", "lp_calls", "pivots", "qp_steps", "stop_reason"
+            "active_vertices", "lp_calls", "pivots", "qp_steps", "scale_exponent", "stop_reason"
         }
+        assert diag["scale_exponent"] == -1  # the largest |coordinate| lies in [1, 2)
         assert diag["stop_reason"] == "gap" and result.converged
         assert diag["lp_calls"] == result.iterations
         assert isinstance(diag["pivots"], int) and diag["pivots"] > 0
@@ -514,7 +516,9 @@ class TestSolveWot:
         assert result.value == pytest.approx(barycentric_cost(pi, mu, nu), rel=1e-12)
 
     def test_large_scale_instances_scale_with_their_points(self):
-        # the value of c mu against c nu is c^2 times the unit-scale value
+        # the value of c mu against c nu is c^2 times the unit-scale value,
+        # also far below unit scale, where an absolute gap target would stop
+        # early
         for s in range(40):
             rng = np.random.default_rng([5, s])
             n = 6 + s % 7
@@ -522,12 +526,30 @@ class TestSolveWot:
             nu = DiscreteMeasure(0.8 * rng.normal(size=(n + 1, 2)),
                                  rng.dirichlet(np.ones(n + 1)))
             unit = solve_wot(mu, nu).value
-            for c in (1e4, 1e6):
+            for c in (1e-6, 1e-4, 1e-2, 1e4, 1e6):
                 result = solve_wot(DiscreteMeasure(c * mu.points, mu.weights),
                                    DiscreteMeasure(c * nu.points, nu.weights),
                                    WotConfig(max_iter=300))
                 assert result.diagnostics["stop_reason"] == "gap", (s, c)
                 assert result.value == pytest.approx(c**2 * unit, rel=1e-12), (s, c)
+
+    def test_dilations_by_powers_of_two_are_exact(self):
+        # the solve runs on the points divided by a power of two, so 2^j
+        # times the points gives the same coupling and 4^j times the value
+        for s in range(3):
+            rng = np.random.default_rng([5, s])
+            n = 6 + s
+            x, wx = rng.normal(size=(n, 2)), rng.dirichlet(np.ones(n))
+            y, wy = 0.8 * rng.normal(size=(n + 1, 2)), rng.dirichlet(np.ones(n + 1))
+            base = solve_wot(DiscreteMeasure(x, wx), DiscreteMeasure(y, wy))
+            for j in range(-10, 11):
+                c = math.ldexp(1.0, j)
+                result = solve_wot(DiscreteMeasure(c * x, wx), DiscreteMeasure(c * y, wy))
+                np.testing.assert_array_equal(result.coupling.pi, base.coupling.pi)
+                assert result.value == math.ldexp(base.value, 2 * j)
+                assert result.gap == math.ldexp(base.gap, 2 * j)
+                exponent = result.diagnostics["scale_exponent"]
+                assert exponent == base.diagnostics["scale_exponent"] + j
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_measures_on_a_line_match_the_quantile_engine(self, dim):

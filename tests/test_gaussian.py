@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from convex_order import gaussian, pgd
 from convex_order.bures import bw2
 from convex_order.cli import main
 from convex_order.gaussian import (
+    CertificationError,
     DominanceVerdict,
     dominance_check,
     is_above_projection_unique,
@@ -16,7 +18,12 @@ from convex_order.gaussian import (
     reduce_singular_above,
     shared_correlation_fast_path,
 )
-from convex_order.linalg import conjugate_to_shared_correlation, loewner_leq, psd_eigen
+from convex_order.linalg import (
+    NotPsdError,
+    conjugate_to_shared_correlation,
+    loewner_leq,
+    psd_eigen,
+)
 from convex_order.measures import GaussianMeasure
 from _utils import random_commuting_pair, random_orthogonal, random_psd_singular, random_spd
 
@@ -64,6 +71,89 @@ class TestNonFiniteInput:
     def test_singular_reduction_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             reduce_singular_above(NAN_COV, np.eye(2))
+
+
+class TestValidatedOnce:
+    """Every public Gaussian call validates its pair through one record."""
+
+    def test_reduction_rejects_a_non_psd_lower_covariance(self):
+        with pytest.raises((NotPsdError, ValueError)):
+            reduce_singular_above(np.diag([2.0, 0.0]), np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("cov_mu, cov_nu", [
+        (np.diag([1.0, -1.0]), np.eye(2)),
+        (np.diag([1.0, np.nan]), np.eye(2)),
+        (np.diag([1.0, -1.0]), np.diag([2.0, 0.0])),
+    ])
+    def test_uniqueness_rejects_an_invalid_pair(self, cov_mu, cov_nu):
+        with pytest.raises((NotPsdError, ValueError)):
+            is_above_projection_unique(cov_mu, cov_nu)
+
+
+def spd(rng, d, rank=None):
+    """Covariance with eigenvalues drawn from [0.2, 3] (the benchmark's
+    generator); ``rank`` zeroes the rest."""
+    q = random_orthogonal(rng, d)[:, : rank or d]
+    m = (q * rng.uniform(0.2, 3.0, size=q.shape[1])) @ q.T
+    return 0.5 * (m + m.T)
+
+
+class TestUnitScale:
+    """Each call solves its pair divided by the power of four that brings
+    the larger top eigenvalue into [1, 4), and multiplies the outputs back."""
+
+    def test_dilations_by_powers_of_four_are_exact(self):
+        pairs = []
+        for d in range(2, 9):
+            rng = np.random.default_rng([12, d])
+            pairs.append((spd(rng, d), spd(rng, d)))
+        for d in (2, 3, 4):
+            rng = np.random.default_rng([13, d])
+            pairs.append((spd(rng, d), spd(rng, d, rank=d - 1)))
+        for mu_cov, nu_cov in pairs:
+            base = project_pair(mu_cov, nu_cov)
+            base_t = base[0].transform
+            for j in range(-10, 11):
+                c = math.ldexp(1.0, 2 * j)
+                results = project_pair(c * mu_cov, c * nu_cov)
+                t = results[0].transform
+                assert results[0].method == base[0].method
+                np.testing.assert_array_equal(t.basis, base_t.basis)
+                np.testing.assert_array_equal(t.ratios, base_t.ratios)
+                assert t.order_residual == c * base_t.order_residual
+                for result, unit in zip(results, base):
+                    np.testing.assert_array_equal(result.covariance, c * unit.covariance)
+                    assert result.distance_sq == c * unit.distance_sq
+                exponent = results[0].diagnostics["scale_exponent"]
+                assert exponent == base[0].diagnostics["scale_exponent"] + j
+                if base[1].reduction is not None:
+                    np.testing.assert_array_equal(
+                        results[1].reduction.assembled, c * base[1].reduction.assembled
+                    )
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4, 1e6])
+    def test_pairs_certify_at_every_scale(self, scale):
+        for s in range(200):
+            rng = np.random.default_rng([11, s])
+            d = 2 + s % 7
+            mu_cov, nu_cov = spd(rng, d), spd(rng, d)
+            try:
+                below, _ = project_pair(scale * mu_cov, scale * nu_cov)
+            except CertificationError as exc:
+                pytest.fail(f"pair {s} at scale {scale}: {exc}")
+            assert below.transform.certified
+
+    def test_reduction_and_fast_path_leave_in_caller_units(self):
+        mu_cov, nu_cov = 1e6 * np.eye(2), np.diag([2e6, 0.0])
+        reduction = reduce_singular_above(nu_cov, mu_cov)
+        assert reduction.diagnostics["scale_exponent"] == 10
+        np.testing.assert_allclose(reduction.assembled, np.diag([2e6, 1e6]), rtol=1e-12)
+        np.testing.assert_allclose(reduction.reduced_nu, [[2e6]], rtol=1e-12)
+        transform, below, above = shared_correlation_fast_path(4e6 * np.eye(2), 1e6 * np.eye(2))
+        np.testing.assert_allclose(below.covariance, 1e6 * np.eye(2), rtol=1e-12)
+        np.testing.assert_allclose(above.covariance, 4e6 * np.eye(2), rtol=1e-12)
+        assert below.distance_sq == pytest.approx(2e6, rel=1e-12)
+        assert transform.order_residual == below.transform.order_residual
 
 
 class TestOrderTransform:
@@ -669,4 +759,42 @@ class TestSpectralWork:
         result = CliRunner().invoke(main, ["project-gaussian", str(problem)])
         assert result.exit_code == 0
         assert json.loads(result.output)["method"] == "singular_reduction"
-        assert eigensolves["n"] <= 19
+        # two measures, the pair record (2), the reduction and the
+        # certificate, then the uniqueness check on its own record
+        assert eigensolves["n"] <= 15
+
+    def test_uniqueness_check(self, eigensolves):
+        # its record (2), the assembled rank and the saturation test (2),
+        # plus the reduction when it is not handed one
+        mu_cov, nu_cov = np.eye(2), np.diag([2.0, 0.0])
+        _, above = project_pair(mu_cov, nu_cov)
+        eigensolves["n"] = 0
+        assert not is_above_projection_unique(mu_cov, nu_cov, above.reduction).unique
+        assert eigensolves["n"] <= 5
+        eigensolves["n"] = 0
+        assert not is_above_projection_unique(mu_cov, nu_cov).unique
+        assert eigensolves["n"] <= 10
+
+    def test_every_descent_passes_through_the_traced_name(self, monkeypatch):
+        # a benchmark tracer wraps this module global to count PGD
+        # iterations; a descent that bypassed it would read as no work
+        calls = {"n": 0}
+        descend = gaussian.pgd_project_above
+
+        def counted_descent(*args, **kwargs):
+            calls["n"] += 1
+            return descend(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "pgd_project_above", counted_descent)
+        rng = np.random.default_rng(27)
+        cases = [(random_spd(rng, d), random_spd(rng, d), "auto") for d in (3, 5)]
+        cases += [(random_spd(rng, d), random_psd_singular(rng, d, d - 1), method)
+                  for d in (3, 4) for method in ("auto", "pgd")]
+        descents = 0
+        for mu_cov, nu_cov, method in cases:
+            calls["n"] = 0
+            below, _ = project_pair(mu_cov, nu_cov, method=method)
+            reported = [below.method, below.diagnostics.get("reduced_method")].count("pgd")
+            assert calls["n"] == reported
+            descents += reported
+        assert descents >= 4
