@@ -2,9 +2,10 @@
 
 Subcommands: ``project-gaussian``, ``project-1d``, ``project-discrete``,
 ``distance``, ``check``.  Problems arrive as JSON files holding the two
-measures; reports leave as JSON with canonical key order (floats use the
-shortest round-trip representation, so emit -> parse -> emit is
-byte-identical).
+measures; reports leave as one line of JSON with canonical key order
+(floats use the shortest round-trip representation, so emit -> parse ->
+emit is byte-identical).  The line keeps json's C encoder, which any
+``indent`` turns off; ``python -m json.tool`` indents a report for reading.
 
 Exit codes: 0 success, 1 check failure, 2 parse error, 3 solver failure.
 """
@@ -50,17 +51,16 @@ def _fail(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _jsonify(value: Any) -> Any:
-    # converted up front: a json ``default`` hook slows the Python encoder
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value.tolist() if isinstance(value, (np.ndarray, np.generic)) else value
+def _plain(value: Any) -> Any:
+    """The encoder's hook: numpy arrays and scalars as lists and numbers
+    (``np.float64`` is a float and never reaches it)."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(_jsonify(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, default=_plain) + "\n"
     if output:
         with open(output, "w") as handle:
             handle.write(text)
@@ -163,11 +163,11 @@ def cmd_project_gaussian(problem, method, eta, max_iter, tol, trace_path, output
         _fail(SOLVER_ERROR, str(exc))
 
     diagnostics = dict(below.diagnostics)
-    trace_data = diagnostics.pop("trace", None)
-    if trace_path:
-        _write_trace(trace_path, trace_data)
     # a singular target runs the descent on its reduced problem
     prefix = "reduced_" if "reduced_pgd_converged" in diagnostics else ""
+    trace_data = diagnostics.pop(prefix + "trace", None)
+    if trace_path:
+        _write_trace(trace_path, trace_data)
     converged = diagnostics.get(prefix + "pgd_converged", True)
     if not converged:
         click.echo(
@@ -177,21 +177,16 @@ def cmd_project_gaussian(problem, method, eta, max_iter, tol, trace_path, output
         )
 
     shift = float(np.sum((mu.mean - nu.mean) ** 2))
+
+    def side(mean: np.ndarray, result: ProjectionResult) -> dict:
+        return {"mean": mean, "cov": result.covariance, "centered_distance_sq": result.distance_sq,
+                "distance_sq": result.distance_sq + shift}
+
     report = {
         "mode": "gaussian",
         "method": below.method,
-        "below": {
-            "mean": nu.mean,
-            "cov": below.covariance,
-            "centered_distance_sq": below.distance_sq,
-            "distance_sq": below.distance_sq + shift,
-        },
-        "above": {
-            "mean": mu.mean,
-            "cov": above.covariance,
-            "centered_distance_sq": above.distance_sq,
-            "distance_sq": above.distance_sq + shift,
-        },
+        "below": side(nu.mean, below),
+        "above": side(mu.mean, above),
         "transform": asdict(below.transform),
         "uniqueness": unique_report,
         "diagnostics": diagnostics,
@@ -347,6 +342,23 @@ def _discrete_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
     ]
 
 
+def _load_assertions(path: str, mode: str, dim: int) -> tuple[float, dict[str, np.ndarray]]:
+    """The tolerance and the expected covariances of an assert file, read
+    and vetted before any solve."""
+    if mode != "gaussian":
+        _fail(PARSE_ERROR, "--assert-file is only supported in gaussian mode")
+    data = _load_json(path)
+    try:
+        tol = float(data.get("tol", 1e-8))
+        expected = {key: np.asarray(data[key], dtype=float)
+                    for key in ("below_cov", "above_cov") if key in data}
+        if any(cov.shape != (dim, dim) for cov in expected.values()):
+            raise ValueError(f"expected covariances of shape {(dim, dim)}")
+    except (TypeError, ValueError) as exc:
+        _fail(PARSE_ERROR, f"assert file {path}: {exc}")
+    return tol, expected
+
+
 @main.command("check")
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 @click.option("--assert-file", "assert_file", type=click.Path(exists=True, dir_okay=False),
@@ -357,6 +369,7 @@ def cmd_check(problem, assert_file, output):
     """Run the solver identities on a problem and report pass/fail."""
     data = _load_json(problem)
     mode, mu, nu = _measure_pair(data, _problem_mode(data))
+    tol, expected = _load_assertions(assert_file, mode, mu.dim) if assert_file else (0.0, {})
     try:
         if mode == "gaussian":
             below, above = project_pair(mu.cov, nu.cov)
@@ -368,19 +381,9 @@ def cmd_check(problem, assert_file, output):
     except (CertificationError, LinalgError, BudgetExceededError) as exc:
         _fail(SOLVER_ERROR, str(exc))
 
-    if assert_file:
-        expected = _load_json(assert_file)
-        tol = float(expected.get("tol", 1e-8))
-        if mode == "gaussian":
-            for key, actual in (("below_cov", below.covariance),
-                                ("above_cov", above.covariance)):
-                if key in expected:
-                    residual = float(
-                        np.linalg.norm(np.asarray(expected[key], dtype=float) - actual)
-                    )
-                    checks.append(_check(f"assert_{key}", residual, tol))
-        else:
-            _fail(PARSE_ERROR, "--assert-file is only supported in gaussian mode")
+    for key, cov in expected.items():  # gaussian mode only
+        actual = (below if key == "below_cov" else above).covariance
+        checks.append(_check(f"assert_{key}", float(np.linalg.norm(cov - actual)), tol))
 
     passed = all(c["passed"] for c in checks)
     _emit({"mode": mode, "checks": checks, "passed": passed}, output)

@@ -396,8 +396,7 @@ def _reduce(pair: _Pair, method: str, config: PgdConfig | None) -> SingularReduc
     assembled_conj[:rank, :rank] = inner.covariance
     assembled = sym(nu_vecs @ assembled_conj @ nu_vecs.T)
 
-    diagnostics = {"method": inner.method}
-    diagnostics.update((k, v) for k, v in inner.diagnostics.items() if k != "trace")
+    diagnostics = {"method": inner.method, **inner.diagnostics}
     return SingularReduction(
         rank=rank,
         basis=nu_vecs,

@@ -57,12 +57,10 @@ MAX_BACKTRACKS = 60
 
 @dataclass
 class PgdTrace:
-    """Per accepted iteration: objective, gradient norm, step size actually
-    taken."""
+    """Per accepted iteration: objective and gradient norm."""
 
     objective: list[float] = field(default_factory=list)
     grad_norm: list[float] = field(default_factory=list)
-    step_size: list[float] = field(default_factory=list)
 
 
 class PgdOutcome(NamedTuple):
@@ -213,7 +211,6 @@ def pgd_project_above(
         trace.grad_norm.append(float(np.linalg.norm(grad)))
         s, f, grad = candidate, f_cand, grad_cand
         trace.objective.append(f)
-        trace.step_size.append(eta)
         if residual <= tol:
             converged = True
             reason = "residual"

@@ -31,6 +31,10 @@ ONE_D = {
     "mu": {"points": [-1.0, 1.0], "weights": [0.5, 0.5]},
     "nu": {"points": [0.0], "weights": [1.0]},
 }
+DISCRETE = {
+    "mu": {"points": [[0.0, 1.0], [1.0, -1.0], [-0.5, 0.2]], "weights": [0.3, 0.3, 0.4]},
+    "nu": {"points": [[0.5, 0.5], [-1.0, 0.0]], "weights": [0.6, 0.4]},
+}
 # atoms near 1e6, on which a fixed 1e-9 monotonicity guard fired on roundoff
 ONE_D_LARGE = {
     "mu": {"points": [-563671.23341115, 800878.51477627, 1356371.30473552],
@@ -105,14 +109,41 @@ class TestProjectGaussian:
         assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
 
     def test_output_file_round_trip(self, runner, tmp_path):
-        problem = write_problem(tmp_path / "p.json", GAUSSIAN_SINGULAR)
+        # every report is one line of sorted keys, byte-identical after
+        # parse -> emit
+        gaussian_problem = write_problem(tmp_path / "g.json", GAUSSIAN_SINGULAR)
+        one_d_problem = write_problem(tmp_path / "o.json", ONE_D)
+        discrete_problem = write_problem(tmp_path / "d.json", DISCRETE)
+        commands = [("project-gaussian", gaussian_problem), ("project-1d", one_d_problem),
+                    ("project-discrete", discrete_problem), ("distance", gaussian_problem),
+                    ("check", discrete_problem)]
         out = tmp_path / "report.json"
-        result = runner.invoke(main, ["project-gaussian", problem, "--output", str(out)])
+        for command, problem in commands:
+            result = runner.invoke(main, [command, problem, "--output", str(out)])
+            assert result.exit_code == 0, command
+            text = out.read_text()
+            assert json.dumps(json.loads(text), sort_keys=True) + "\n" == text, command
+            assert text.count("\n") == 1, command
+
+    def test_trace_records_the_reduced_descent(self, runner, tmp_path):
+        # a singular target runs the descent on its reduced problem
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"mean": [0.0] * 3,
+                   "cov": [[1.5, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.7]]},
+            "nu": {"mean": [0.0] * 3,
+                   "cov": [[2.0, 0.5, 0.0], [0.5, 0.9, 0.0], [0.0, 0.0, 0.0]]},
+        })
+        trace_path = tmp_path / "trace.csv"
+        result = runner.invoke(
+            main, ["project-gaussian", problem, "--method", "pgd", "--trace", str(trace_path)]
+        )
         assert result.exit_code == 0
-        text = out.read_text()
-        report = json.loads(text)
-        again = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        assert again == text
+        diagnostics = json.loads(result.output)["diagnostics"]
+        assert "reduced_trace" not in diagnostics
+        rows = trace_path.read_text().strip().splitlines()[1:]
+        assert 1 <= len(rows) <= diagnostics["reduced_iterations"]
+        objectives = [float(row.split(",")[1]) for row in rows]
+        assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
 
     def test_parse_error_exit_code(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -424,12 +455,7 @@ class TestCheck:
             assert tolerance[name] == pytest.approx(1e-9 * np.abs(points).max())
 
     def test_discrete_identities_pass(self, runner, tmp_path):
-        payload = {
-            "mu": {"points": [[0.0, 1.0], [1.0, -1.0], [-0.5, 0.2]],
-                   "weights": [0.3, 0.3, 0.4]},
-            "nu": {"points": [[0.5, 0.5], [-1.0, 0.0]], "weights": [0.6, 0.4]},
-        }
-        problem = write_problem(tmp_path / "p.json", payload)
+        problem = write_problem(tmp_path / "p.json", DISCRETE)
         result = runner.invoke(main, ["check", problem])
         assert result.exit_code == 0
 
@@ -470,6 +496,35 @@ class TestCheck:
         result = runner.invoke(main, ["check", problem, "--assert-file", assert_file])
         assert result.exit_code == 0
         assert len(calls) == 1
+
+    def test_assert_file_outside_gaussian_mode_fails_before_solving(
+        self, runner, tmp_path, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "solve_wot", lambda *args, **kwargs: calls.append(args))
+        problem = write_problem(tmp_path / "p.json", DISCRETE)
+        assert_file = write_problem(tmp_path / "expect.json", {"tol": 1e-6})
+        result = runner.invoke(main, ["check", problem, "--assert-file", assert_file])
+        assert result.exit_code == 2
+        assert "only supported in gaussian mode" in result.output
+        assert calls == []
+
+    @pytest.mark.parametrize("expected", [
+        {"below_cov": [[1.0, 0.0], [0.0]]},
+        {"above_cov": [[2.0, 0.0, 0.0]]},
+        {"below_cov": [[1.0, 0.0], [0.0, 0.0]], "tol": "tight"},
+    ], ids=["ragged", "wrong_shape", "bad_tol"])
+    def test_malformed_assert_file_fails_before_solving(
+        self, runner, tmp_path, monkeypatch, expected
+    ):
+        calls = []
+        monkeypatch.setattr(cli, "project_pair", lambda *args, **kwargs: calls.append(args))
+        problem = write_problem(tmp_path / "p.json", GAUSSIAN_SINGULAR)
+        assert_file = write_problem(tmp_path / "expect.json", expected)
+        result = runner.invoke(main, ["check", problem, "--assert-file", assert_file])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: assert file {assert_file}:")
+        assert calls == []
 
 
 

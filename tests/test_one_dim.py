@@ -299,13 +299,32 @@ def stop_loss_margin(eta, nu):
 
 class TestConvexOrderViolation:
     def test_spread_is_not_below_a_dirac(self):
-        spread = measure_1d([-1.0, 1.0], [0.5, 0.5])
         dirac = measure_1d([0.0], [1.0])
-        # g dips to -1/2 at u = 1/2 and ends at 0
-        assert convex_order_violation(spread, dirac) == 0.5
-        assert convex_order_violation(dirac, spread) == 0.0
-        assert not is_convex_ordered_1d(spread, dirac)
-        assert is_convex_ordered_1d(dirac, spread)
+        for scale in (1.0, 2.0**-34):  # the verdict has no absolute floor
+            spread = measure_1d([-scale, scale], [0.5, 0.5])
+            # g dips to -scale/2 at u = 1/2 and ends at 0
+            assert convex_order_violation(spread, dirac) == 0.5 * scale
+            assert convex_order_violation(dirac, spread) == 0.0
+            assert not is_convex_ordered_1d(spread, dirac)
+            assert is_convex_ordered_1d(dirac, spread)
+
+    def test_verdicts_scale_with_the_atoms(self):
+        # both measures times 2^j: g scales exactly, and so must the
+        # tolerance; the sweep stops where the constructor's absolute merge
+        # tolerance starts to merge distinct atoms
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            n, m = rng.integers(2, 12), rng.integers(2, 12)
+            x, wx = rng.normal(size=n), rng.dirichlet(np.ones(n))
+            y, wy = 0.8 * rng.normal(size=m), rng.dirichlet(np.ones(m))
+            mu, nu = measure_1d(x, wx), measure_1d(y, wy)
+            verdict, violation = is_convex_ordered_1d(mu, nu), convex_order_violation(mu, nu)
+            for j in range(-27, 41):
+                c = 2.0**j
+                mu_c, nu_c = measure_1d(c * x, wx), measure_1d(c * y, wy)
+                assert convex_order_violation(mu_c, nu_c) == c * violation, j
+                assert is_convex_ordered_1d(mu_c, nu_c) is verdict, j
+                project_1d_detail(mu_c, nu_c)  # the monotonicity guard holds
 
     def test_barycenter_gap_is_a_violation(self):
         # g rises to 1 and ends there: only |g(1)| counts

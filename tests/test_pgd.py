@@ -239,7 +239,7 @@ class TestPgd:
         a, b = random_spd(rng, 4), random_spd(rng, 4)
         outcome, trace = pgd_project_above(b, a, PgdConfig(max_iter=4))
         assert outcome.iterations <= 4
-        assert len(trace.step_size) <= 4
+        assert len(trace.objective) <= 4
         assert outcome.stop_reason == "max_iter"
 
     def test_rejects_nan_target(self):

@@ -10,7 +10,7 @@ import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "convex_order"
-SETTABLE_VALUES = 24
+SETTABLE_VALUES = 23
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
