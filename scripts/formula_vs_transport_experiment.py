@@ -11,7 +11,6 @@ import numpy as np
 
 from convex_order import (
     DiscreteMeasure,
-    WotConfig,
     barycentric_pushforward,
     project_1d_detail,
     solve_wot,
@@ -38,7 +37,7 @@ def main():
         mu = random_measure(rng, args.max_atoms)
         nu = random_measure(rng, args.max_atoms)
         detail = project_1d_detail(mu, nu)
-        result = solve_wot(mu, nu, WotConfig(fw_tol=1e-13))
+        result = solve_wot(mu, nu, fw_tol=1e-13)
         pushed = barycentric_pushforward(result.coupling)
         gap = w2_1d(detail.below, pushed)
         worst = max(worst, gap)

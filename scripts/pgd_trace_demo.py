@@ -11,14 +11,12 @@ import argparse
 import numpy as np
 
 from convex_order import pgd_project_above, shared_correlation_fast_path
-from convex_order.pgd import PgdConfig
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dim", type=int, default=4)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--eta", type=float, default=None)
     parser.add_argument("--out", default="pgd_trace.csv")
     args = parser.parse_args()
 
@@ -29,9 +27,7 @@ def main():
         return q @ np.diag(rng.uniform(0.3, 3.0, d)) @ q.T
 
     mu_cov, nu_cov = rand_spd(args.dim), rand_spd(args.dim)
-    outcome, trace = pgd_project_above(
-        nu_cov, mu_cov, PgdConfig(step_size=args.eta)
-    )
+    outcome, trace = pgd_project_above(nu_cov, mu_cov)
 
     with open(args.out, "w") as handle:
         handle.write("iteration,objective,grad_norm\n")

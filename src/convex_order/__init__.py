@@ -8,7 +8,6 @@ weak-optimal-transport solver for finitely supported measures.
 from .bures import bw2, bw2_gradient
 from .discrete import (
     Coupling,
-    WotConfig,
     WotResult,
     barycentric_pushforward,
     exact_w2_sq,
@@ -45,7 +44,6 @@ from .one_dim import (
     w2_1d,
 )
 from .pgd import (
-    PgdConfig,
     frobenius_project_above,
     frobenius_project_below,
     pgd_project_above,
@@ -57,11 +55,9 @@ __all__ = [
     "DominanceVerdict",
     "GaussianMeasure",
     "OrderTransform",
-    "PgdConfig",
     "ProjectionResult",
     "SingularReduction",
     "UniquenessVerdict",
-    "WotConfig",
     "WotResult",
     "barycentric_pushforward",
     "bw2",

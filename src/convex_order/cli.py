@@ -24,7 +24,6 @@ from .bures import bw2
 from .discrete import (
     BudgetExceededError,
     LpInfeasibleError,
-    WotConfig,
     barycentric_pushforward,
     exact_w2_sq,
     solve_wot,
@@ -39,7 +38,6 @@ from .gaussian import (
 from .linalg import LinalgError, loewner_gap
 from .measures import DiscreteMeasure, EmptyMeasureError, GaussianMeasure
 from .one_dim import convex_order_tol, convex_order_violation, project_1d_detail, w2_1d
-from .pgd import PgdConfig
 
 PARSE_ERROR = 2
 SOLVER_ERROR = 3
@@ -135,23 +133,15 @@ def main():
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", type=click.Choice(["auto", "closed-form", "pgd"]),
               default="auto", show_default=True)
-@click.option("--eta", type=float, default=None,
-              help="Initial descent step at unit scale; later steps follow the "
-                   "Barzilai-Borwein rule.")
-@click.option("--max-iter", type=int, default=10_000, show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True,
-              help="Descent stops once the gradient mapping ||S - S+|| / eta falls "
-                   "below tol * (1 + ||cov_nu||_F), at unit scale.")
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
               help="Write the descent trace as CSV (iteration, objective, grad_norm).")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
-def cmd_project_gaussian(problem, method, eta, max_iter, tol, trace_path, output):
+def cmd_project_gaussian(problem, method, trace_path, output):
     """Project two Gaussian measures onto each other's convex-order cones."""
     data = _load_json(problem)
     _, mu, nu = _measure_pair(data, "gaussian")
-    config = PgdConfig(step_size=eta, max_iter=max_iter, residual_tol=tol)
     try:
-        below, above = project_pair(mu.cov, nu.cov, method=method, config=config)
+        below, above = project_pair(mu.cov, nu.cov, method=method)
     except (CertificationError, LinalgError) as exc:
         _fail(SOLVER_ERROR, str(exc))
     try:
@@ -228,16 +218,15 @@ def cmd_project_1d(problem, output):
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 @click.option("--tol", type=float, default=1e-8, show_default=True,
               help="Relative duality-gap target.")
-@click.option("--max-iter", type=int, default=50_000, show_default=True)
 @click.option("--coupling-csv", type=click.Path(dir_okay=False), default=None,
               help="Dump the optimal coupling as dense CSV.")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
-def cmd_project_discrete(problem, tol, max_iter, coupling_csv, output):
+def cmd_project_discrete(problem, tol, coupling_csv, output):
     """Weak-optimal-transport projection for discrete measures in R^d."""
     data = _load_json(problem)
     _, mu, nu = _measure_pair(data, "discrete")
     try:
-        result = solve_wot(mu, nu, WotConfig(fw_tol=tol, max_iter=max_iter))
+        result = solve_wot(mu, nu, fw_tol=tol)
     except (BudgetExceededError, LpInfeasibleError) as exc:
         _fail(SOLVER_ERROR, str(exc))
     if not result.converged:
@@ -332,7 +321,7 @@ def _one_d_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
 
 
 def _discrete_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
-    result = solve_wot(mu, nu, WotConfig(fw_tol=1e-12))
+    result = solve_wot(mu, nu, fw_tol=1e-12)
     projection = barycentric_pushforward(result.coupling)
     value_residual = abs(result.value - exact_w2_sq(mu, projection))
     bary_residual = float(np.linalg.norm(projection.barycenter - nu.barycenter))

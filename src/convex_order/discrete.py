@@ -35,10 +35,13 @@ _QP_TOL = 1e-13
 # Dantzig pricing gives way to Bland's rule after _DEGENERATE_RUNS * (n + m)
 # degenerate pivots in a row (0: Bland's rule throughout)
 _DEGENERATE_RUNS = 1
+# Frank-Wolfe iterations per solve, and the largest n * m it accepts
+MAX_ITER = 50_000
+BUDGET = 1_000_000
 
 
 class BudgetExceededError(ValueError):
-    """The instance is larger than the configured size budget."""
+    """The instance is larger than the size budget ``BUDGET``."""
 
 
 class LpInfeasibleError(RuntimeError):
@@ -370,13 +373,6 @@ def _simplex_qp(
 
 
 @dataclass(frozen=True)
-class WotConfig:
-    fw_tol: float = 1e-8  # relative duality-gap target
-    max_iter: int = 50_000
-    budget: int = 1_000_000  # max n * m
-
-
-@dataclass(frozen=True)
 class WotResult:
     coupling: Coupling
     value: float
@@ -386,9 +382,7 @@ class WotResult:
     diagnostics: dict[str, Any]
 
 
-def solve_wot(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, config: WotConfig | None = None
-) -> WotResult:
+def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) -> WotResult:
     """Minimize the barycentric cost over the couplings of ``(mu, nu)``.
 
     Fully-corrective Frank-Wolfe (Wolfe's minimum-norm-point method) with
@@ -412,14 +406,14 @@ def solve_wot(
     ``active_vertices`` that carry the iterate, and names the
     ``stop_reason``: ``"gap"``, ``"no_descent"`` (before the gap target was
     met, the oracle returned a stored vertex or the QP did not descend) or
-    ``"max_iter"``.
+    ``"max_iter"`` (after ``MAX_ITER`` iterations).  Instances with more
+    than ``BUDGET`` cells ``n * m`` raise :class:`BudgetExceededError`.
     """
-    cfg = config or WotConfig()
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
-    if mu.size * nu.size > cfg.budget:
+    if mu.size * nu.size > BUDGET:
         raise BudgetExceededError(
-            f"instance size {mu.size}x{nu.size} exceeds the budget {cfg.budget}"
+            f"instance size {mu.size}x{nu.size} exceeds the budget {BUDGET}"
         )
     # unit scale through an exact power of two; [2, 4) rather than [1, 2),
     # where N(0, 1) data would see the absolute part of the gap target grow
@@ -455,11 +449,11 @@ def solve_wot(
     iterations = qp_steps = 0
     stop_reason = "max_iter"
 
-    for iterations in range(1, cfg.max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         vertex = solve_transport_lp(-2.0 * residual @ y.T, w, nu.weights, basis=basis)
         q = vertex @ y
         gap = 2.0 * float(np.vdot(residual, q - p))
-        if gap <= cfg.fw_tol * (1.0 + abs(value)):
+        if gap <= fw_tol * (1.0 + abs(value)):
             stop_reason = "gap"
             break
         key = vertex.tobytes()
@@ -467,7 +461,7 @@ def solve_wot(
             # the iterate already minimizes over this vertex, up to roundoff
             stop_reason = "no_descent"
             break
-        if iterations == cfg.max_iter:
+        if iterations == MAX_ITER:
             break  # return the iterate whose gap was just measured
         # re-optimize exactly over the hull of the stored vertices and this one
         vertices.append(vertex)
@@ -520,10 +514,10 @@ def barycentric_pushforward(coupling: Coupling) -> DiscreteMeasure:
 
 
 def project_discrete(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, config: WotConfig | None = None
+    mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8
 ) -> tuple[DiscreteMeasure, WotResult]:
     """Dominated-side projection of ``mu`` with the solver result."""
-    result = solve_wot(mu, nu, config)
+    result = solve_wot(mu, nu, fw_tol)
     return barycentric_pushforward(result.coupling), result
 
 

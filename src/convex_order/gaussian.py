@@ -55,7 +55,7 @@ from .linalg import (
     transport_map_basis,
 )
 from .measures import require_finite
-from .pgd import PgdConfig, pgd_project_above
+from .pgd import pgd_project_above
 
 # Order tolerance: certification wants the order residual above
 # -ORDER_REL * (1 + lambda_max(Snu)), at unit scale.
@@ -321,9 +321,7 @@ def shared_correlation_fast_path(
     return None if fast is None else (fast[0].transform, *fast)
 
 
-def _route(
-    pair: _Pair, method: str, config: PgdConfig | None
-) -> tuple[ProjectionResult, ProjectionResult]:
+def _route(pair: _Pair, method: str) -> tuple[ProjectionResult, ProjectionResult]:
     """Solve a validated pair: one route per rank of ``cov_nu``."""
     if method not in ("auto", "closed-form", "pgd"):
         raise ValueError(f"unknown method {method!r}")
@@ -342,12 +340,12 @@ def _route(
         )
 
     if pair.rank_nu == d:
-        outcome, trace = pgd_project_above(pair.cov_nu, pair.cov_mu, config)
+        outcome, trace = pgd_project_above(pair.cov_nu, pair.cov_mu)
         # the transport map sending the dominating projection onto cov_nu
         basis = transport_map_basis(*pair.nu_eig, outcome.covariance)
         reduction = None
     else:
-        reduction = _reduce(pair, method, config)
+        reduction = _reduce(pair, method)
         # compose the spectral split of the target with the reduced solve's
         # rotation; the kernel coordinates keep the spectral basis vectors
         block = np.eye(d)
@@ -375,7 +373,7 @@ def _route(
     return _results(transform, *projected, "singular_reduction", diagnostics, reduction)
 
 
-def _reduce(pair: _Pair, method: str, config: PgdConfig | None) -> SingularReduction:
+def _reduce(pair: _Pair, method: str) -> SingularReduction:
     """Rank reduction of a record, at its scale.  The reduced target's
     spectrum is the top of ``cov_nu``'s; the reduced ``cov_mu`` block,
     derived from validated input, is decomposed once and clamped."""
@@ -391,7 +389,7 @@ def _reduce(pair: _Pair, method: str, config: PgdConfig | None) -> SingularReduc
         mu_vals = np.clip(mu_vals, 0.0, None)
         reduced_mu = _rebuild(mu_vals, mu_vecs)
     reduced = _pair(reduced_mu, reduced_nu, (mu_vals, mu_vecs), (nu_vals[:rank], np.eye(rank)), 0)
-    _, inner = _route(reduced, method, config)
+    _, inner = _route(reduced, method)
     assembled_conj = conj_mu.copy()
     assembled_conj[:rank, :rank] = inner.covariance
     assembled = sym(nu_vecs @ assembled_conj @ nu_vecs.T)
@@ -410,10 +408,7 @@ def _reduce(pair: _Pair, method: str, config: PgdConfig | None) -> SingularReduc
 
 
 def reduce_singular_above(
-    cov_nu: np.ndarray,
-    cov_mu: np.ndarray,
-    method: str = "auto",
-    config: PgdConfig | None = None,
+    cov_nu: np.ndarray, cov_mu: np.ndarray, method: str = "auto"
 ) -> SingularReduction:
     """Reduce the dominating-side projection for singular ``cov_nu``.
 
@@ -422,29 +417,23 @@ def reduce_singular_above(
     reduced solution on the top block and the conjugated ``cov_mu`` entries
     everywhere else.
     """
-    return _at_unit_scale(cov_mu, cov_nu, lambda pair: _reduce(pair, method, config))
+    return _at_unit_scale(cov_mu, cov_nu, lambda pair: _reduce(pair, method))
 
 
 def project_below(
-    cov_mu: np.ndarray,
-    cov_nu: np.ndarray,
-    method: str = "auto",
-    config: PgdConfig | None = None,
+    cov_mu: np.ndarray, cov_nu: np.ndarray, method: str = "auto"
 ) -> ProjectionResult:
     """Covariance of the projection of ``N(0, cov_mu)`` onto the measures
     dominated by ``N(0, cov_nu)`` in the convex order."""
-    return project_pair(cov_mu, cov_nu, method, config)[0]
+    return project_pair(cov_mu, cov_nu, method)[0]
 
 
 def project_pair(
-    cov_mu: np.ndarray,
-    cov_nu: np.ndarray,
-    method: str = "auto",
-    config: PgdConfig | None = None,
+    cov_mu: np.ndarray, cov_nu: np.ndarray, method: str = "auto"
 ) -> tuple[ProjectionResult, ProjectionResult]:
     """Both projections from one solve at unit scale: ``(below, above)``,
     in the caller's units."""
-    return _at_unit_scale(cov_mu, cov_nu, lambda pair: _route(pair, method, config))
+    return _at_unit_scale(cov_mu, cov_nu, lambda pair: _route(pair, method))
 
 
 def _saturated(pair: _Pair) -> bool:
@@ -479,7 +468,7 @@ def is_above_projection_unique(
     the projection is unique iff the assembled covariance keeps the rank of
     ``cov_nu`` or the saturation inequality holds.  ``reduction`` is the
     rank reduction of a solve already made (``ProjectionResult.reduction``);
-    without it one is computed with the default settings.  Eigenvalues
+    without it one is computed with ``method="auto"``.  Eigenvalues
     within a factor ``RANK_BAND`` of the rank cutoff raise
     :class:`RankAmbiguousError` instead of guessing a rank.
     """
@@ -503,7 +492,7 @@ def is_above_projection_unique(
             True, "zero target covariance: the projection is the lower measure itself"
         )
     # ranks do not see the scale, so a reduction in the caller's units will do
-    assembled = (reduction or _reduce(pair, "auto", None)).assembled
+    assembled = (reduction or _reduce(pair, "auto")).assembled
     rank_star = guarded_rank(clamped_eigen(assembled)[0], "the assembled projection")
     if rank_star == rank_nu:
         return UniquenessVerdict(True, "assembled covariance keeps the target rank")

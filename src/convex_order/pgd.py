@@ -27,27 +27,10 @@ from .linalg import (
 from .measures import require_finite
 
 
-@dataclass(frozen=True)
-class PgdConfig:
-    """Knobs for the projected gradient descent.
-
-    ``step_size`` is the initial step; ``None`` picks a crude
-    curvature-based default from the spectra of the two inputs.  Later
-    steps follow the Barzilai-Borwein rule, kept within a fixed band around
-    the initial step.  Backtracking halves the step, at most
-    ``MAX_BACKTRACKS`` times per iteration, until the candidate meets the
-    sufficient-decrease bound, so the objective never increases.
-    The descent stops once the gradient mapping ``||S - S+|| / eta`` at the
-    accepted step falls below ``residual_tol * (1 + ||cov_nu||_F)``, which
-    does not depend on the step size.  Gaussian solves run the descent on
-    their pair at unit scale, so there both knobs act at unit scale.
-    """
-
-    step_size: float | None = None
-    max_iter: int = 10_000
-    residual_tol: float = 1e-8  # scaled by (1 + ||cov_nu||_F)
-
-
+# The descent stops at gradient mapping RESIDUAL_TOL * (1 + ||cov_nu||_F),
+# or after MAX_ITER iterations; Gaussian solves run it at unit scale.
+MAX_ITER = 10_000
+RESIDUAL_TOL = 1e-8
 # Barzilai-Borwein steps stay within [eta0 / BB_BAND, eta0 * BB_BAND].
 BB_BAND = 1e4
 # The default step floors the lower bound's spectrum at REG_FACTOR * tr(cov_nu).
@@ -138,9 +121,7 @@ def _default_step(nu_vals: np.ndarray, cov_mu: np.ndarray, reg: float) -> float:
 
 
 def pgd_project_above(
-    cov_nu: np.ndarray,
-    cov_mu: np.ndarray,
-    config: PgdConfig | None = None,
+    cov_nu: np.ndarray, cov_mu: np.ndarray
 ) -> tuple[PgdOutcome, PgdTrace]:
     """Minimize ``bw2(cov_nu, S)`` over ``{S >= cov_mu}`` by projected descent.
 
@@ -149,28 +130,25 @@ def pgd_project_above(
     eigenvalues of near-singular iterates).  Each iteration starts from a
     Barzilai-Borwein step ``<dS, dS> / <dS, dG>`` (doubled instead when the
     curvature estimate is not positive) clipped to ``[eta0 / BB_BAND,
-    eta0 * BB_BAND]`` around the initial step ``eta0``, then halves it until
-    ``f(S+) <= f(S) + <G, S+ - S> + ||S+ - S||^2 / (2 eta)``.  Stops when the
-    gradient mapping ``||S - S+|| / eta`` at the accepted step falls below
-    ``residual_tol * (1 + ||cov_nu||_F)`` or after ``max_iter`` iterations,
+    eta0 * BB_BAND]`` around the initial step ``eta0 = _default_step(...)``,
+    then halves it, at most ``MAX_BACKTRACKS`` times, until
+    ``f(S+) <= f(S) + <G, S+ - S> + ||S+ - S||^2 / (2 eta)``, so the
+    objective never increases.  Stops when the gradient mapping
+    ``||S - S+|| / eta`` at the accepted step falls below
+    ``RESIDUAL_TOL * (1 + ||cov_nu||_F)`` or after ``MAX_ITER`` iterations,
     whichever comes first; ``residual`` reports that gradient mapping.
     """
-    cfg = config or PgdConfig()
     nu = sym(cov_nu)
     mu = sym(cov_mu)
     require_finite(nu, "cov_nu")
     require_finite(mu, "cov_mu")
     objective = _Objective(nu)
-    eta0 = float(
-        cfg.step_size
-        if cfg.step_size is not None
-        else _default_step(objective.vals, mu, REG_FACTOR * float(np.trace(nu)))
-    )
+    eta0 = float(_default_step(objective.vals, mu, REG_FACTOR * float(np.trace(nu))))
     eta_lo, eta_hi = eta0 / BB_BAND, eta0 * BB_BAND
 
     s = frobenius_project_above(nu, mu)
     f, grad = objective.value_and_gradient(s)
-    tol = cfg.residual_tol * (1.0 + float(np.linalg.norm(nu)))
+    tol = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(nu)))
     trace = PgdTrace()
     residual = np.inf
     converged = False
@@ -179,7 +157,7 @@ def pgd_project_above(
     eta = eta0
     prev: tuple[np.ndarray, np.ndarray] | None = None
 
-    for i in range(1, cfg.max_iter + 1):
+    for i in range(1, MAX_ITER + 1):
         iterations = i
         if prev is not None:
             ds, dg = s - prev[0], grad - prev[1]

@@ -11,7 +11,6 @@ import pytest
 
 from convex_order.bures import bw2, bw2_gradient
 from convex_order.discrete import (
-    WotConfig,
     barycentric_pushforward,
     solve_wot,
 )
@@ -203,7 +202,7 @@ def test_criterion_08_quantile_formula_versus_transport():
         mu = random_discrete_1d(rng, max_atoms=8)
         nu = random_discrete_1d(rng, max_atoms=8)
         detail = project_1d_detail(mu, nu)
-        result = solve_wot(mu, nu, WotConfig(fw_tol=1e-13))
+        result = solve_wot(mu, nu, fw_tol=1e-13)
         pushed = barycentric_pushforward(result.coupling)
         worst_w2 = max(worst_w2, w2_1d(detail.below, pushed))
         worst_moment = max(worst_moment, abs(

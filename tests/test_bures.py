@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from convex_order.bures import SingularInputError, bw2, bw2_gradient
 from convex_order.cli import main
-from convex_order.discrete import exact_w2_sq, solve_wot, WotConfig
+from convex_order.discrete import exact_w2_sq, solve_wot
 from convex_order.measures import GaussianMeasure
 from _utils import (
     moment_matched_discretization,
@@ -161,5 +161,5 @@ class TestCouplingLowerBound:
             a, b = random_spd(rng, d), random_spd(rng, d)
             ma = moment_matched_discretization(a)
             mb = moment_matched_discretization(b)
-            value = solve_wot(ma, mb, WotConfig(fw_tol=1e-12)).value
+            value = solve_wot(ma, mb, fw_tol=1e-12).value
             assert value >= project_below(a, b).distance_sq - 1e-9

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from convex_order import cli, gaussian
+from convex_order import cli, discrete, gaussian, pgd
 from convex_order.bures import bw2
 from convex_order.cli import main
 from convex_order.gaussian import project_pair
@@ -21,6 +21,15 @@ def runner():
 def write_problem(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def write_discrete_problem(path, rng, n, m):
+    """N(0, I) atoms in the plane, ``n`` against ``m``, Dirichlet weights."""
+    return write_problem(path, {
+        side: {"points": rng.normal(size=(k, 2)).tolist(),
+               "weights": rng.dirichlet(np.ones(k)).tolist()}
+        for side, k in (("mu", n), ("nu", m))
+    })
 
 
 GAUSSIAN_SINGULAR = {
@@ -176,14 +185,16 @@ class TestProjectGaussian:
         assert result.exit_code == 2
         assert "finite" in result.output
 
-    def test_non_convergence_is_reported(self, runner, tmp_path):
-        # two descent iterations leave the gradient mapping above --tol,
+    def test_non_convergence_is_reported(self, runner, tmp_path, monkeypatch):
+        # two descent iterations leave the gradient mapping above its stop,
         # but on this pair the transform they give already certifies
         problem = write_problem(tmp_path / "p.json", {
             "mu": {"mean": [0.0, 0.0], "cov": [[1.18, -0.16], [-0.16, 1.3]]},
             "nu": {"mean": [0.0, 0.0], "cov": [[1.95, -1.54], [-1.54, 3.43]]},
         })
-        result = runner.invoke(main, ["project-gaussian", problem, "--max-iter", "2"])
+        with monkeypatch.context() as patch:
+            patch.setattr(pgd, "MAX_ITER", 2)
+            result = runner.invoke(main, ["project-gaussian", problem])
         assert result.exit_code == 0
         assert "warning" in result.stderr
         report = json.loads(result.stdout)
@@ -315,16 +326,22 @@ class TestProjectDiscrete:
         assert "measure 'mu': measure needs a nonempty (n, d) support" in result.output
 
     def test_budget_exit_code(self, runner, tmp_path):
-        payload = {
-            "mu": {"points": [[0.0], [1.0], [2.0]], "weights": [0.3, 0.3, 0.4]},
-            "nu": {"points": [[0.0], [1.0]], "weights": [0.5, 0.5]},
-        }
-        problem = write_problem(tmp_path / "p.json", payload)
-        result = runner.invoke(main, ["project-discrete", problem, "--max-iter", "1"])
-        # one iteration cannot certify the gap on a nontrivial instance
-        assert result.exit_code in (0, 3)
-        bad = runner.invoke(main, ["project-discrete", problem])
-        assert bad.exit_code == 0
+        # 1001 x 1000 cells are one row more than the budget allows
+        problem = write_discrete_problem(tmp_path / "p.json", np.random.default_rng(46), 1001, 1000)
+        for command in ("project-discrete", "check"):
+            result = runner.invoke(main, [command, problem])
+            assert result.exit_code == 3, command
+            assert "exceeds the budget 1000000" in result.stderr, command
+
+    def test_unmet_gap_exit_code(self, runner, tmp_path, monkeypatch):
+        # one Frank-Wolfe iteration leaves this instance at gap 1.77
+        problem = write_discrete_problem(tmp_path / "p.json", np.random.default_rng(45), 6, 7)
+        with monkeypatch.context() as patch:
+            patch.setattr(discrete, "MAX_ITER", 1)
+            result = runner.invoke(main, ["project-discrete", problem])
+        assert result.exit_code == 3
+        assert "duality gap 1.766e+00 not reached in 1 iterations" in result.stderr
+        assert runner.invoke(main, ["project-discrete", problem]).exit_code == 0
 
 
 class TestDistance:

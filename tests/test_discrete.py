@@ -8,7 +8,6 @@ from convex_order import discrete, measures
 from convex_order.discrete import (
     BudgetExceededError,
     Coupling,
-    WotConfig,
     barycentric_pushforward,
     exact_w2_sq,
     project_discrete,
@@ -17,7 +16,7 @@ from convex_order.discrete import (
 )
 from convex_order.measures import DiscreteMeasure, EmptyMeasureError
 from convex_order.one_dim import is_convex_ordered_1d, project_1d, project_1d_detail, w2_1d
-from _utils import random_discrete, random_discrete_1d
+from _utils import random_discrete, random_discrete_1d, random_orthogonal
 
 
 def measure_1d(values, weights):
@@ -368,12 +367,13 @@ class TestSolveWot:
         assert result.value == pytest.approx(2.0, abs=1e-12)
         np.testing.assert_allclose(projection.points, [[0.0]])
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
         rng = np.random.default_rng(5)
         mu = random_discrete(rng, 1, 5)
         nu = random_discrete(rng, 1, 5)
+        monkeypatch.setattr(discrete, "BUDGET", 4)
         with pytest.raises(BudgetExceededError):
-            solve_wot(mu, nu, WotConfig(budget=4))
+            solve_wot(mu, nu)
 
     def test_gradient_matches_finite_differences(self):
         # the gradient the gap oracles below rely on
@@ -412,7 +412,7 @@ class TestSolveWot:
             d = int(rng.integers(1, 3))
             mu = random_discrete(rng, d, 6)
             nu = random_discrete(rng, d, 6)
-            projection, result = project_discrete(mu, nu, WotConfig(fw_tol=1e-12))
+            projection, result = project_discrete(mu, nu, fw_tol=1e-12)
             assert result.value == pytest.approx(
                 exact_w2_sq(mu, projection), abs=1e-8 * (1.0 + result.value)
             )
@@ -422,7 +422,7 @@ class TestSolveWot:
         for _ in range(25):
             mu, nu = random_discrete_1d(rng), random_discrete_1d(rng)
             below, _ = project_1d(mu, nu)
-            projection, _ = project_discrete(mu, nu, WotConfig(fw_tol=1e-13))
+            projection, _ = project_discrete(mu, nu, fw_tol=1e-13)
             assert w2_1d(below, projection) <= 1e-6
 
     def test_one_dimensional_agreement_at_30_atoms(self):
@@ -431,13 +431,13 @@ class TestSolveWot:
             mu = measure_1d(rng.normal(size=30), rng.dirichlet(np.ones(30)))
             nu = measure_1d(0.8 * rng.normal(size=30), rng.dirichlet(np.ones(30)))
             below, _ = project_1d(mu, nu)
-            projection, result = project_discrete(mu, nu, WotConfig(fw_tol=1e-12))
+            projection, result = project_discrete(mu, nu, fw_tol=1e-12)
             assert result.converged
             assert w2_1d(below, projection) <= 1e-6
             reference = project_1d_detail(mu, nu).distance_sq
             assert result.value == pytest.approx(reference, abs=1e-9 * (1 + reference))
 
-    def test_diagnostics_count_the_work_and_name_the_stop(self):
+    def test_diagnostics_count_the_work_and_name_the_stop(self, monkeypatch):
         rng = np.random.default_rng(45)
         mu = DiscreteMeasure(rng.normal(size=(6, 2)), rng.dirichlet(np.ones(6)))
         nu = DiscreteMeasure(rng.normal(size=(7, 2)), rng.dirichlet(np.ones(7)))
@@ -455,7 +455,9 @@ class TestSolveWot:
         assert isinstance(diag["qp_steps"], int)
         assert diag["qp_steps"] >= result.iterations - 1
 
-        capped = solve_wot(mu, nu, WotConfig(max_iter=1))
+        with monkeypatch.context() as patch:
+            patch.setattr(discrete, "MAX_ITER", 1)
+            capped = solve_wot(mu, nu)
         assert not capped.converged
         assert capped.diagnostics["stop_reason"] == "max_iter"
         assert capped.diagnostics["lp_calls"] == 1
@@ -463,7 +465,7 @@ class TestSolveWot:
         # a negative gap target is never met; the loop ends when no step descends
         dirac = measure_1d([0.0], [1.0])
         spread = measure_1d([-1.0, 1.0], [0.5, 0.5])
-        stalled = solve_wot(dirac, spread, WotConfig(fw_tol=-1.0))
+        stalled = solve_wot(dirac, spread, fw_tol=-1.0)
         assert stalled.diagnostics["stop_reason"] == "no_descent"
         assert stalled.diagnostics["qp_steps"] == 0
         assert not stalled.converged
@@ -477,16 +479,17 @@ class TestSolveWot:
                 n, m = (int(v) for v in rng.integers(3, 13, size=2))
                 mu = DiscreteMeasure(rng.normal(size=(n, d)), rng.dirichlet(np.ones(n)))
                 nu = DiscreteMeasure(0.8 * rng.normal(size=(m, d)), rng.dirichlet(np.ones(m)))
-                result = solve_wot(mu, nu, WotConfig(fw_tol=1e-12))
+                result = solve_wot(mu, nu, fw_tol=1e-12)
                 assert result.diagnostics["stop_reason"] != "max_iter"
                 assert 1 <= result.diagnostics["active_vertices"] <= mu.size * d + 1
 
-    def test_singular_gram_instance_converges(self):
+    def test_singular_gram_instance_converges(self, monkeypatch):
         # in later iterations the stored vertices' Gram matrix is singular to
         # roundoff; the corrective QP must not spend its budget there
         mu = DiscreteMeasure(RUNAWAY_X, RUNAWAY_WX)
         nu = DiscreteMeasure(RUNAWAY_Y, RUNAWAY_WY)
-        result = solve_wot(mu, nu, WotConfig(max_iter=200))
+        monkeypatch.setattr(discrete, "MAX_ITER", 200)
+        result = solve_wot(mu, nu)
         assert result.converged
         assert result.diagnostics["stop_reason"] == "gap"
         assert result.diagnostics["qp_steps"] <= 3 * result.iterations
@@ -501,11 +504,12 @@ class TestSolveWot:
         assert first.diagnostics == second.diagnostics
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
-    def test_gap_at_max_iter_is_that_of_the_returned_coupling(self, max_iter):
+    def test_gap_at_max_iter_is_that_of_the_returned_coupling(self, max_iter, monkeypatch):
         rng = np.random.default_rng(45)
         mu = DiscreteMeasure(rng.normal(size=(6, 2)), rng.dirichlet(np.ones(6)))
         nu = DiscreteMeasure(rng.normal(size=(7, 2)), rng.dirichlet(np.ones(7)))
-        result = solve_wot(mu, nu, WotConfig(max_iter=max_iter))
+        monkeypatch.setattr(discrete, "MAX_ITER", max_iter)
+        result = solve_wot(mu, nu)
         assert result.diagnostics["stop_reason"] == "max_iter"
         assert result.diagnostics["lp_calls"] == result.iterations == max_iter
         # the LP oracle re-run on the returned coupling
@@ -515,7 +519,7 @@ class TestSolveWot:
         assert result.gap == pytest.approx(float(np.sum(grad * (pi - vertex))), rel=1e-12)
         assert result.value == pytest.approx(barycentric_cost(pi, mu, nu), rel=1e-12)
 
-    def test_large_scale_instances_scale_with_their_points(self):
+    def test_large_scale_instances_scale_with_their_points(self, monkeypatch):
         # the value of c mu against c nu is c^2 times the unit-scale value,
         # also far below unit scale, where an absolute gap target would stop
         # early
@@ -527,9 +531,10 @@ class TestSolveWot:
                                  rng.dirichlet(np.ones(n + 1)))
             unit = solve_wot(mu, nu).value
             for c in (1e-6, 1e-4, 1e-2, 1e4, 1e6):
-                result = solve_wot(DiscreteMeasure(c * mu.points, mu.weights),
-                                   DiscreteMeasure(c * nu.points, nu.weights),
-                                   WotConfig(max_iter=300))
+                with monkeypatch.context() as patch:
+                    patch.setattr(discrete, "MAX_ITER", 300)
+                    result = solve_wot(DiscreteMeasure(c * mu.points, mu.weights),
+                                       DiscreteMeasure(c * nu.points, nu.weights))
                 assert result.diagnostics["stop_reason"] == "gap", (s, c)
                 assert result.value == pytest.approx(c**2 * unit, rel=1e-12), (s, c)
 
@@ -573,6 +578,26 @@ class TestSolveWot:
             assert np.abs(off_line).max() <= 1e-12, s
             pulled_back = measure_1d(along, projection.weights)
             assert w2_1d(pulled_back, reference.below) <= 1e-12, s
+
+    def test_rotations_and_translations_move_the_projection_along(self):
+        # the cost sees only differences of points, so x -> Q x + b applied
+        # to both measures keeps the value and maps the projection by it
+        for s in range(40):
+            rng = np.random.default_rng([9, s])
+            dim, n = 2 + s % 2, 5 + s % 6
+            atoms = []
+            for size, spread in ((n, 1.0), (n + 1, 0.8)):
+                points = spread * rng.normal(size=(size, dim))
+                atoms.append((points[np.lexsort(points.T[::-1])], rng.dirichlet(np.ones(size))))
+            q, b = random_orthogonal(rng, dim), 3.0 * rng.normal(size=dim)
+            mu, nu = (DiscreteMeasure(x, w) for x, w in atoms)
+            moved_mu, moved_nu = (DiscreteMeasure(x @ q.T + b, w) for x, w in atoms)
+            projection, result = project_discrete(mu, nu)
+            moved_projection, moved = project_discrete(moved_mu, moved_nu)
+            assert moved.value == pytest.approx(result.value, rel=1e-12), s
+            pulled_back = DiscreteMeasure((moved_projection.points - b) @ q,
+                                          moved_projection.weights)
+            assert exact_w2_sq(pulled_back, projection) <= 1e-12 * (1.0 + result.value), s
 
     def test_oracle_and_pivots_pass_through_the_traced_names(self, monkeypatch):
         # a benchmark tracer wraps these two module globals to count LP
@@ -681,7 +706,7 @@ class TestRegularity:
 
     @staticmethod
     def projection(mu, nu):
-        projection, result = project_discrete(mu, nu, WotConfig(fw_tol=1e-12))
+        projection, result = project_discrete(mu, nu, fw_tol=1e-12)
         return projection, np.sqrt(max(result.gap, 0.0))
 
     @staticmethod

@@ -463,6 +463,27 @@ class TestSingularConfigurations:
             assert loewner_leq(below.covariance, nu_cov, tol)
             assert loewner_leq(mu_cov, above.covariance, tol)
 
+    def test_projections_are_continuous_at_a_singular_target(self):
+        # the paper's first result: where the dominating-side projection onto
+        # a singular target is unique, both projections are continuous in the
+        # target, so moving it by eps I into the definite cone moves them by
+        # o(1); sqrt(eps) relative bounds the worst pair by a factor 24
+        kept = 0
+        for s in range(60):
+            rng = np.random.default_rng([21, s])
+            d = 2 + s % 4
+            mu_cov, nu_cov = spd(rng, d), spd(rng, d, rank=1 + s % (d - 1))
+            if not is_above_projection_unique(mu_cov, nu_cov).unique:
+                continue
+            kept += 1
+            singular = project_pair(mu_cov, nu_cov)
+            for eps in (1e-4, 1e-5, 1e-6):
+                moved = project_pair(mu_cov, nu_cov + eps * np.eye(d))
+                for at, near in zip(singular, moved):
+                    distance = np.linalg.norm(near.covariance - at.covariance)
+                    assert distance <= np.sqrt(eps) * np.linalg.norm(at.covariance), (s, eps)
+        assert kept == 11
+
     def test_both_singular(self):
         rng = np.random.default_rng(21)
         for _ in range(40):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convex_order.discrete import WotConfig, barycentric_pushforward, exact_w2_sq, solve_wot
+from convex_order.discrete import barycentric_pushforward, exact_w2_sq, solve_wot
 from convex_order.measures import DiscreteMeasure, EmptyMeasureError
 from convex_order.one_dim import (
     _quantile_grid,
@@ -215,7 +215,7 @@ class TestProject1d:
         for _ in range(25):
             mu, nu = random_discrete_1d(rng), random_discrete_1d(rng)
             below, _ = project_1d(mu, nu)
-            result = solve_wot(mu, nu, WotConfig(fw_tol=1e-13))
+            result = solve_wot(mu, nu, fw_tol=1e-13)
             pushed = barycentric_pushforward(result.coupling)
             assert w2_1d(below, pushed) <= 1e-6
 
@@ -271,7 +271,7 @@ class TestTinyWeights:
 
     def test_matches_the_transport_solver(self):
         below, _ = project_1d(self.mu, self.nu)
-        result = solve_wot(self.mu, self.nu, WotConfig(fw_tol=1e-13))
+        result = solve_wot(self.mu, self.nu, fw_tol=1e-13)
         assert result.value == pytest.approx(0.0, abs=1e-12)
         assert w2_1d(below, barycentric_pushforward(result.coupling)) <= 1e-6
         assert w2_1d(self.mu, self.nu) ** 2 == pytest.approx(

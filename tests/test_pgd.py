@@ -6,7 +6,6 @@ from convex_order.bures import bw2
 from convex_order.gaussian import project_pair, shared_correlation_fast_path
 from convex_order.linalg import loewner_leq, psd_eigen, sym, sym_eigen
 from convex_order.pgd import (
-    PgdConfig,
     _default_step,
     frobenius_project_above,
     frobenius_project_below,
@@ -233,11 +232,12 @@ class TestPgd:
         with pytest.raises(ValueError):
             pgd_project_above(np.diag([1.0, 0.0]), np.eye(2))
 
-    def test_respects_max_iter(self):
+    def test_respects_max_iter(self, monkeypatch):
         # this pair needs 10 iterations to converge
         rng = np.random.default_rng(9)
         a, b = random_spd(rng, 4), random_spd(rng, 4)
-        outcome, trace = pgd_project_above(b, a, PgdConfig(max_iter=4))
+        monkeypatch.setattr(pgd, "MAX_ITER", 4)
+        outcome, trace = pgd_project_above(b, a)
         assert outcome.iterations <= 4
         assert len(trace.objective) <= 4
         assert outcome.stop_reason == "max_iter"
@@ -246,16 +246,19 @@ class TestPgd:
         with pytest.raises(ValueError, match="finite"):
             pgd_project_above(np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    def test_default_step_reuses_the_target_spectrum_bit_for_bit(self):
+    def test_default_step_reuses_the_target_spectrum_bit_for_bit(self, monkeypatch):
+        # the descent started from the step computed apart from it, from a
+        # fresh eigensolve of the target, is the default descent
         rng = np.random.default_rng(12)
         for d in (2, 4, 7):
             mu, nu = random_spd(rng, d), random_spd(rng, d)
             reg = 1e-10 * float(np.trace(nu))
             nu_vals, _ = psd_eigen(sym(nu))
+            step = _default_step(nu_vals, mu, reg)
             implicit, _ = pgd_project_above(nu, mu)
-            explicit, _ = pgd_project_above(
-                nu, mu, PgdConfig(step_size=_default_step(nu_vals, mu, reg))
-            )
+            with monkeypatch.context() as patch:
+                patch.setattr(pgd, "_default_step", lambda *args: step)
+                explicit, _ = pgd_project_above(nu, mu)
             assert np.array_equal(implicit.covariance, explicit.covariance)
             assert implicit.iterations == explicit.iterations
 
@@ -267,14 +270,13 @@ class TestPgd:
 
 
 class TestStoppingRule:
-    def test_converges_for_any_initial_step(self):
-        nu_vals, _ = psd_eigen(D4_NU)
-        base = _default_step(nu_vals, D4_MU, 1e-10 * float(np.trace(D4_NU)))
+    def test_converges_for_any_initial_step(self, monkeypatch):
         objectives = []
         for factor in (1, 16, 64, 1024):
-            outcome, _ = pgd_project_above(
-                D4_NU, D4_MU, PgdConfig(step_size=factor * base)
+            monkeypatch.setattr(
+                pgd, "_default_step", lambda *args, f=factor: f * _default_step(*args)
             )
+            outcome, _ = pgd_project_above(D4_NU, D4_MU)
             assert outcome.stop_reason == "residual"
             assert outcome.iterations <= 50
             objectives.append(outcome.objective)
