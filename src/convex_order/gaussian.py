@@ -208,8 +208,16 @@ _UNIT_KEYS = frozenset({
 def _in_caller_units(value: Any, k: int) -> Any:
     """A unit-scale answer in the caller's units, the only way out of the unit
     scale: each entry named in ``_UNIT_KEYS`` times ``4^k``, each
-    ``diagnostics`` dict tagged with ``scale_exponent``."""
+    ``diagnostics`` dict tagged with ``scale_exponent`` (at ``k = 0``, only that)."""
     c = math.ldexp(1.0, 2 * k)
+
+    def tag(v: Any) -> Any:
+        if isinstance(v, tuple):
+            return tuple(tag(x) for x in v)
+        if not isinstance(v, (ProjectionResult, SingularReduction)):
+            return v
+        nested = {"reduction": tag(v.reduction)} if getattr(v, "reduction", None) else {}
+        return replace(v, diagnostics={**v.diagnostics, "scale_exponent": 0}, **nested)
 
     def convert(key: str | None, v: Any) -> Any:
         if key in _UNIT_KEYS:
@@ -223,7 +231,7 @@ def _in_caller_units(value: Any, k: int) -> Any:
             return replace(v, **{f.name: convert(f.name, getattr(v, f.name)) for f in fields(v)})
         return v
 
-    return convert(None, value)
+    return convert(None, value) if k else tag(value)
 
 
 def _at_unit_scale(cov_mu: np.ndarray, cov_nu: np.ndarray, solve) -> Any:
@@ -278,7 +286,7 @@ def _project(
     safe_d = np.where(d > 0.0, d, 1.0)  # d vanishes only where nu_diag does
     scaled = m_nu / np.outer(safe_d, safe_d)
     above_tilde = np.where(np.outer(nu_pos, nu_pos), scaled, m_mu)
-    above = sym(basis @ sym(above_tilde) @ basis.T)
+    above = sym(basis @ above_tilde @ basis.T)
 
     distance_sq = float(
         np.sum(np.clip(np.sqrt(mu_diag) - np.sqrt(nu_diag), 0.0, None) ** 2)

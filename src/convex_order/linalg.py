@@ -4,9 +4,9 @@ Spectral decompositions, matrix square roots, positive parts, Loewner-order
 tests, the transport-map eigenbasis and the shared-correlation conjugation
 used by the Gaussian projection solvers.
 
-All functions are pure and operate on plain ``numpy`` arrays.  Eigenvalue
-ordering (descending) and eigenvector signs (first significant entry
-positive) are fixed so that repeated runs and golden tests are stable.
+All functions are pure and operate on plain ``numpy`` arrays.  Bases that
+leave a call come from :func:`sym_eigen` (eigenvalues descending, signs fixed);
+rebuilt matrices and read spectra keep LAPACK's ascending order and raw signs.
 """
 
 from __future__ import annotations
@@ -95,14 +95,13 @@ def _rebuild(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 
 def clamped_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`sym_eigen` with negative eigenvalues clamped to zero, unchecked.
-
-    For matrices derived from validated PSD input (products, blocks), whose
-    negative eigenvalues are roundoff at the scale of that input rather than
-    at their own.
-    """
-    vals, vecs = sym_eigen(matrix)
-    return np.clip(vals, 0.0, None), vecs
+    """Eigenpairs of a symmetric matrix (its lower triangle is read), negative
+    eigenvalues clamped to zero unchecked, in LAPACK's ascending order with
+    raw signs: only to rebuild a matrix or read order-free quantities.  For
+    matrices derived from validated PSD input (products, blocks), whose
+    negative eigenvalues are roundoff at the scale of that input."""
+    vals, vecs = np.linalg.eigh(matrix)
+    return np.maximum(vals, 0.0), vecs
 
 
 def spd_sqrt(matrix: np.ndarray) -> np.ndarray:
@@ -112,7 +111,7 @@ def spd_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 
 def positive_part(matrix: np.ndarray) -> np.ndarray:
-    """Spectral positive part: eigenvalues clamped at zero, same basis."""
+    """Positive part of a symmetric matrix: eigenvalues clamped at zero."""
     return _rebuild(*clamped_eigen(matrix))
 
 
@@ -123,8 +122,7 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
 
 def loewner_gap(a: np.ndarray, b: np.ndarray) -> float:
     """Smallest eigenvalue of ``b - a`` (negative means the order fails)."""
-    vals, _ = sym_eigen(sym(b) - sym(a))
-    return float(vals[-1])
+    return float(np.linalg.eigvalsh(sym(b) - sym(a))[0])
 
 
 def positive_diag_mask(matrix: np.ndarray) -> np.ndarray:
@@ -148,8 +146,7 @@ def transport_map_basis(vals: np.ndarray, vecs: np.ndarray, s2: np.ndarray) -> n
     inv_half = _rebuild(1.0 / np.sqrt(vals), vecs)
     mid_vals, mid_vecs = clamped_eigen(sym(half @ s2 @ half))
     middle = _rebuild(np.sqrt(mid_vals), mid_vecs)
-    _, basis = sym_eigen(sym(inv_half @ middle @ inv_half))
-    return basis
+    return sym_eigen(inv_half @ middle @ inv_half)[1]
 
 
 def conjugate_to_shared_correlation(

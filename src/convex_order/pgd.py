@@ -22,7 +22,6 @@ from .linalg import (
     positive_part,
     psd_eigen,
     sym,
-    sym_eigen,
 )
 from .measures import require_finite
 
@@ -61,7 +60,7 @@ def frobenius_project_above(matrix: np.ndarray, lower: np.ndarray) -> np.ndarray
     ``matrix + (lower - matrix)^+``; always PSD when ``lower`` is.
     """
     m = sym(matrix)
-    return sym(m + positive_part(sym(lower) - m))
+    return m + positive_part(sym(lower) - m)
 
 
 def frobenius_project_below(
@@ -74,25 +73,24 @@ def frobenius_project_below(
     (up to the usual eigenvalue slack).
     """
     m = sym(matrix)
-    projected = sym(m - positive_part(m - sym(upper)))
-    vals, _ = sym_eigen(projected)
+    projected = m - positive_part(m - sym(upper))
+    vals = np.linalg.eigvalsh(projected)
     scale = 1.0 + (float(np.abs(vals).max()) if vals.size else 0.0)
-    return projected, bool(vals[-1] >= -EIG_TOL * scale)
+    return projected, bool(vals[0] >= -EIG_TOL * scale)
 
 
 class _Objective:
-    """bw2(cov_nu, .) with the decomposition of cov_nu precomputed."""
+    """bw2(cov_nu, .) for a symmetric cov_nu, its decomposition precomputed."""
 
     def __init__(self, cov_nu: np.ndarray):
-        self.cov_nu = sym(cov_nu)
-        vals, vecs = psd_eigen(self.cov_nu)
+        vals, vecs = psd_eigen(cov_nu)
         if vals[-1] <= default_rank_tol(vals):
             raise ValueError(
                 "pgd_project_above needs a positive definite target; "
                 "route singular targets through the rank reduction first"
             )
         self.vals = vals
-        self.trace_nu = float(np.trace(self.cov_nu))
+        self.trace_nu = float(np.trace(cov_nu))
         self.half = _rebuild(np.sqrt(vals), vecs)
 
     def value_and_gradient(self, s: np.ndarray) -> tuple[float, np.ndarray]:
@@ -113,7 +111,7 @@ def _default_step(nu_vals: np.ndarray, cov_mu: np.ndarray, reg: float) -> float:
     the regularization scale and stall the descent.  Backtracking still
     halves the step whenever the objective would increase.
     """
-    mu_vals, _ = psd_eigen(sym(cov_mu))
+    mu_vals, _ = psd_eigen(cov_mu)
     lo_nu = float(nu_vals[-1])
     hi_nu = float(nu_vals[0])
     lo = max(float(mu_vals[-1]), lo_nu) + reg
@@ -157,13 +155,12 @@ def pgd_project_above(
     eta = eta0
     prev: tuple[np.ndarray, np.ndarray] | None = None
 
-    for i in range(1, MAX_ITER + 1):
-        iterations = i
+    for iterations in range(1, MAX_ITER + 1):
         if prev is not None:
             ds, dg = s - prev[0], grad - prev[1]
-            curvature = float(np.sum(ds * dg))
+            curvature = float(np.vdot(ds, dg))
             if curvature > 0.0:
-                eta = float(np.sum(ds * ds)) / curvature
+                eta = float(np.vdot(ds, ds)) / curvature
             else:
                 eta *= 2.0
             eta = min(max(eta, eta_lo), eta_hi)
@@ -175,7 +172,7 @@ def pgd_project_above(
             candidate = frobenius_project_above(s - eta * grad, mu)
             step = candidate - s
             f_cand, grad_cand = objective.value_and_gradient(candidate)
-            bound = f + float(np.sum(grad * step)) + float(np.sum(step * step)) / (2.0 * eta)
+            bound = f + float(np.vdot(grad, step)) + float(np.vdot(step, step)) / (2.0 * eta)
             if f_cand <= bound + slack:
                 accepted = True
                 break
@@ -194,12 +191,6 @@ def pgd_project_above(
             reason = "residual"
             break
 
-    outcome = PgdOutcome(
-        covariance=s,
-        objective=f,
-        iterations=iterations,
-        residual=residual,
-        converged=converged,
-        stop_reason=reason,
-    )
+    outcome = PgdOutcome(covariance=s, objective=f, iterations=iterations, residual=residual,
+                         converged=converged, stop_reason=reason)
     return outcome, trace

@@ -1,12 +1,15 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from convex_order import gaussian, pgd
-from convex_order.bures import bw2
+from convex_order import bures, gaussian, linalg, pgd
+from convex_order.bures import bw2, bw2_gradient
 from convex_order.cli import main
 from convex_order.gaussian import (
     CertificationError,
@@ -21,8 +24,11 @@ from convex_order.gaussian import (
 from convex_order.linalg import (
     NotPsdError,
     conjugate_to_shared_correlation,
+    loewner_gap,
     loewner_leq,
+    positive_part,
     psd_eigen,
+    spd_sqrt,
 )
 from convex_order.measures import GaussianMeasure
 from _utils import random_commuting_pair, random_orthogonal, random_psd_singular, random_spd
@@ -90,12 +96,17 @@ class TestValidatedOnce:
             is_above_projection_unique(cov_mu, cov_nu)
 
 
+def sym_of(q, vals):
+    """``q diag(vals) q'``, symmetrised."""
+    m = (q * vals) @ q.T
+    return 0.5 * (m + m.T)
+
+
 def spd(rng, d, rank=None):
     """Covariance with eigenvalues drawn from [0.2, 3] (the benchmark's
     generator); ``rank`` zeroes the rest."""
     q = random_orthogonal(rng, d)[:, : rank or d]
-    m = (q * rng.uniform(0.2, 3.0, size=q.shape[1])) @ q.T
-    return 0.5 * (m + m.T)
+    return sym_of(q, rng.uniform(0.2, 3.0, size=q.shape[1]))
 
 
 class TestUnitScale:
@@ -580,6 +591,34 @@ class TestPairInvariants:
             )
             assert bw2(a, below.covariance) == pytest.approx(below.distance_sq, abs=1e-8)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_identities_and_certificates_at_every_scale(self, data):
+        # eigenvalues in [0.2, 3] under random rotations, an exactly zero tail
+        # for nu (near-singular full-rank targets are left out: CHANGES.md,
+        # FOUND), both times 4^j; the tolerances act at the unit scale 4^k
+        d = data.draw(st.integers(2, 6))
+        spectrum = st.lists(st.floats(0.2, 3.0), min_size=d, max_size=d)
+        mu_vals, nu_vals = np.array(data.draw(spectrum)), np.array(data.draw(spectrum))
+        nu_vals[data.draw(st.integers(1, d)):] = 0.0
+        c = math.ldexp(1.0, 2 * data.draw(st.integers(-10, 10)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        mu_cov, nu_cov = (
+            c * sym_of(random_orthogonal(rng, d), vals) for vals in (mu_vals, nu_vals)
+        )
+        below, above = project_pair(mu_cov, nu_cov)
+        unit = math.ldexp(1.0, 2 * below.diagnostics["scale_exponent"])
+        traces = np.trace(mu_cov) + np.trace(nu_cov)
+        assert abs(np.trace(below.covariance) + np.trace(above.covariance) - traces) <= (
+            1e-8 * unit
+        )
+        # a singular target leaves roundoff under bw2's square root
+        slack = 1e-8 * unit if nu_vals[-1] > 0.0 else 1e-7 * (unit + traces)
+        assert abs(bw2(mu_cov, below.covariance) - bw2(nu_cov, above.covariance)) <= slack
+        order_tol = gaussian.ORDER_REL * (unit + np.linalg.norm(nu_cov, 2))
+        assert loewner_gap(below.covariance, nu_cov) >= -order_tol
+        assert loewner_gap(mu_cov, above.covariance) >= -order_tol
+
     def test_order(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
@@ -704,6 +743,61 @@ def eigensolves(monkeypatch):
     return count
 
 
+def patch_everywhere(monkeypatch, name, replacement):
+    """Replace the ``linalg`` function ``name`` under every library module
+    name bound to it, so calls through any import see the replacement."""
+    original = getattr(linalg, name)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("convex_order") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
+class TestEigenConvention:
+    """Only bases that leave a call carry the eigen-convention (descending
+    order, fixed signs); every other caller reads order-free quantities."""
+
+    def test_no_caller_depends_on_the_order_or_signs(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        pairs = [random_commuting_pair(rng, 3)[:2]]
+        pairs += [(spd(rng, d), spd(rng, d)) for d in (2, 2, 2, 2, *range(3, 10))]
+        pairs += [(spd(rng, d), spd(rng, d, rank=d - 1)) for d in range(2, 10)]
+        pairs += [(spd(rng, d, rank=d - 1), spd(rng, d)) for d in (3, 5)]
+        matrices = [random_spd(rng, d) for d in (2, 4, 6)]
+        indefinite = [m - 1.5 * np.eye(m.shape[0]) for m in matrices]
+
+        def answers():
+            out = []
+            for mu_cov, nu_cov in pairs:
+                below, above = project_pair(mu_cov, nu_cov)
+                diagnostics = below.diagnostics
+                work = diagnostics.get("iterations", diagnostics.get("reduced_iterations"))
+                out.append((below.method, work, below.covariance, above.covariance,
+                            np.array([below.distance_sq])))
+            out += [("positive_part", None, positive_part(m)) for m in indefinite]
+            out += [("spd_sqrt", None, spd_sqrt(m)) for m in matrices]
+            out += [("bw2", None, np.array([bw2(m, 2.0 * m + np.eye(m.shape[0]))]),
+                     bw2_gradient(m, 2.0 * m + np.eye(m.shape[0]))) for m in matrices]
+            return out
+
+        reference = answers()
+        eigen = linalg.clamped_eigen
+
+        def scrambled(matrix):
+            vals, vecs = eigen(matrix)
+            flips = np.where(np.arange(vals.size) % 2 == 1, -1.0, 1.0)
+            return vals[::-1].copy(), vecs[:, ::-1] * flips
+
+        patch_everywhere(monkeypatch, "clamped_eigen", scrambled)
+        assert all(m.clamped_eigen is scrambled for m in (linalg, pgd, bures, gaussian))
+        methods = set()
+        for want, got in zip(reference, answers(), strict=True):
+            assert got[:2] == want[:2]
+            methods.add(want[0])
+            for x, y in zip(got[2:], want[2:]):
+                assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+        assert {"commuting", "fast_path", "pgd", "singular_reduction"} <= methods
+
+
 class TestSpectralWork:
     """Each solve decomposes both covariances once; the ceilings below pin
     the eigensolves each route makes."""
@@ -716,15 +810,22 @@ class TestSpectralWork:
         assert eigensolves["n"] <= 6
 
     def test_descent_route(self, eigensolves, monkeypatch):
-        inside = {"eig": 0, "cone": 0}
+        inside = {"eig": 0, "cone": 0, "sym_eigen": 0}
         descend = gaussian.pgd_project_above
         cone = pgd.frobenius_project_above
+        sym_eigen = linalg.sym_eigen
+        conventions = {"n": 0}
 
         def counted_descent(*args, **kwargs):
-            before = eigensolves["n"]
+            before, before_sym = eigensolves["n"], conventions["n"]
             result = descend(*args, **kwargs)
             inside["eig"] += eigensolves["n"] - before
+            inside["sym_eigen"] += conventions["n"] - before_sym
             return result
+
+        def counted_sym_eigen(*args, **kwargs):
+            conventions["n"] += 1
+            return sym_eigen(*args, **kwargs)
 
         def counted_cone(*args, **kwargs):
             inside["cone"] += 1
@@ -732,15 +833,18 @@ class TestSpectralWork:
 
         monkeypatch.setattr(gaussian, "pgd_project_above", counted_descent)
         monkeypatch.setattr(pgd, "frobenius_project_above", counted_cone)
+        patch_everywhere(monkeypatch, "sym_eigen", counted_sym_eigen)
         rng = np.random.default_rng(25)
         for d in (3, 6, 9):
-            eigensolves["n"] = inside["eig"] = inside["cone"] = 0
+            eigensolves["n"] = inside["eig"] = inside["cone"] = inside["sym_eigen"] = 0
             below, _ = project_pair(random_spd(rng, d), random_spd(rng, d))
             assert below.method == "pgd"
             assert eigensolves["n"] - inside["eig"] <= 8
             # set-up decomposes both inputs once; each cone projection is
             # followed by one objective-and-gradient eigensolve
             assert inside["eig"] == 2 + 2 * inside["cone"]
+            # only those two set-up decompositions pay for the eigen-convention
+            assert inside["sym_eigen"] <= 2
 
     def test_singular_lower_with_definite_target(self, eigensolves, monkeypatch):
         # no shared-correlation attempt: the fast path needs both covariances
