@@ -58,15 +58,18 @@ def bw2_gradient(cov_fixed: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """
     fixed = sym(cov_fixed)
     s = sym(cov)
+    spectra = []
     for name, m in (("first", fixed), ("second", s)):
-        vals, _ = psd_eigen(m)
+        vals, vecs = psd_eigen(m)
         if vals[-1] <= default_rank_tol(vals):
             raise SingularInputError(
                 f"{name} argument of bw2_gradient is singular "
                 f"(min eigenvalue {vals[-1]:.3e})"
             )
-    half = spd_sqrt(fixed)
-    inner_vals, inner_vecs = clamped_eigen(sym(half @ s @ half))
+        spectra.append((vals, vecs))
+    fixed_vals, fixed_vecs = spectra[0]
+    half = _rebuild(np.sqrt(fixed_vals), fixed_vecs)
+    inner_vals, inner_vecs = clamped_eigen(half @ s @ half)
     if inner_vals.min() <= default_rank_tol(inner_vals):
         raise SingularInputError("inner matrix of bw2_gradient is singular")
     return bw2_gradient_from_inner(half, inner_vals, inner_vecs)
@@ -80,7 +83,10 @@ def bw2_gradient_from_inner(
 
     Inner eigenvalues below the rank cutoff are floored there, so a flat
     ``S`` gives a large but finite gradient pointing back into the interior.
+    The product is formed as ``I - w @ w.T`` with ``w = F^{1/2} V
+    diag(lambda)^{-1/4}``, a Gram form that numpy computes with BLAS
+    ``syrk``, so the gradient is exactly symmetric without a ``sym``.
     """
     floor = max(default_rank_tol(inner_vals), np.finfo(float).tiny)
-    inner_inv_half = _rebuild(1.0 / np.sqrt(np.maximum(inner_vals, floor)), inner_vecs)
-    return sym(np.eye(half.shape[0]) - half @ inner_inv_half @ half)
+    w = (half @ inner_vecs) * np.maximum(inner_vals, floor) ** -0.25
+    return np.eye(half.shape[0]) - w @ w.T

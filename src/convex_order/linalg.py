@@ -111,8 +111,12 @@ def spd_sqrt(matrix: np.ndarray) -> np.ndarray:
 
 
 def positive_part(matrix: np.ndarray) -> np.ndarray:
-    """Positive part of a symmetric matrix: eigenvalues clamped at zero."""
-    return _rebuild(*clamped_eigen(matrix))
+    """Positive part of a symmetric matrix (its lower triangle is read):
+    eigenvalues clamped at zero, rebuilt in Gram form, so the result is
+    exactly symmetric."""
+    vals, vecs = clamped_eigen(matrix)
+    root = vecs * np.sqrt(vals)
+    return root @ root.T
 
 
 def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:

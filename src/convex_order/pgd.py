@@ -3,7 +3,9 @@
 Computes ``argmin bw2(cov_nu, S)`` over ``{S : S >= cov_mu}``, the
 dominating-side projection, with the two Frobenius cone projections.
 Iterations, initialization and the cone projection follow the positive-part
-construction; the descent is fully deterministic.
+construction; Barzilai-Borwein steps are accepted by the Armijo test along
+the projection arc (Bertsekas 1976; Birgin, Martinez and Raydan 2000).  The
+descent is fully deterministic.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ BB_BAND = 1e4
 # The default step floors the lower bound's spectrum at REG_FACTOR * tr(cov_nu).
 REG_FACTOR = 1e-10
 MAX_BACKTRACKS = 60
+# Armijo fraction of the first-order decrease <G, S+ - S> a candidate must achieve.
+ARMIJO = 1e-4
 
 
 @dataclass
@@ -95,7 +99,7 @@ class _Objective:
 
     def value_and_gradient(self, s: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective and gradient at ``s`` from one eigensolve."""
-        inner_vals, inner_vecs = clamped_eigen(sym(self.half @ s @ self.half))
+        inner_vals, inner_vecs = clamped_eigen(self.half @ s @ self.half)
         value = float(self.trace_nu + np.trace(s) - 2.0 * np.sum(np.sqrt(inner_vals)))
         return value, bw2_gradient_from_inner(self.half, inner_vals, inner_vecs)
 
@@ -129,12 +133,16 @@ def pgd_project_above(
     Barzilai-Borwein step ``<dS, dS> / <dS, dG>`` (doubled instead when the
     curvature estimate is not positive) clipped to ``[eta0 / BB_BAND,
     eta0 * BB_BAND]`` around the initial step ``eta0 = _default_step(...)``,
-    then halves it, at most ``MAX_BACKTRACKS`` times, until
-    ``f(S+) <= f(S) + <G, S+ - S> + ||S+ - S||^2 / (2 eta)``, so the
-    objective never increases.  Stops when the gradient mapping
-    ``||S - S+|| / eta`` at the accepted step falls below
+    then halves it, at most ``MAX_BACKTRACKS`` times, until the candidate
+    ``S+ = P(S - eta G)`` passes the Armijo test
+    ``f(S+) <= f(S) + ARMIJO * <G, S+ - S>`` (up to a roundoff slack of
+    ``1e-12 * (1 + |f(S)|)``).  A projection step has ``<G, S+ - S> <=
+    -||S+ - S||^2 / eta``, so the objective never increases.  Stops when the
+    gradient mapping ``||S - S+|| / eta`` at the accepted step falls below
     ``RESIDUAL_TOL * (1 + ||cov_nu||_F)`` or after ``MAX_ITER`` iterations,
-    whichever comes first; ``residual`` reports that gradient mapping.
+    whichever comes first; ``residual`` reports that gradient mapping.  The
+    mapping does not grow as ``eta`` grows, so it depends on the step: it is
+    tested at the step taken, not at a fixed one.
     """
     nu = sym(cov_nu)
     mu = sym(cov_mu)
@@ -172,8 +180,7 @@ def pgd_project_above(
             candidate = frobenius_project_above(s - eta * grad, mu)
             step = candidate - s
             f_cand, grad_cand = objective.value_and_gradient(candidate)
-            bound = f + float(np.vdot(grad, step)) + float(np.vdot(step, step)) / (2.0 * eta)
-            if f_cand <= bound + slack:
+            if f_cand <= f + ARMIJO * float(np.vdot(grad, step)) + slack:
                 accepted = True
                 break
             eta *= 0.5

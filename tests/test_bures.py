@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from convex_order.bures import SingularInputError, bw2, bw2_gradient
+from convex_order.bures import SingularInputError, bw2, bw2_gradient, bw2_gradient_from_inner
 from convex_order.cli import main
 from convex_order.discrete import exact_w2_sq, solve_wot
+from convex_order.linalg import clamped_eigen, spd_sqrt
 from convex_order.measures import GaussianMeasure
 from _utils import (
     moment_matched_discretization,
@@ -118,6 +119,14 @@ class TestGradient:
         np.testing.assert_allclose(
             bw2_gradient(np.diag([4.0, 1.0]), np.eye(2)), np.diag([-1.0, 0.0]), atol=1e-12
         )
+
+    def test_exactly_symmetric(self):
+        # I - w @ w.T goes through BLAS syrk, so no symmetrisation is needed
+        rng = np.random.default_rng(7)
+        for d in range(1, 13):
+            half = spd_sqrt(random_spd(rng, d))
+            grad = bw2_gradient_from_inner(half, *clamped_eigen(half @ random_spd(rng, d) @ half))
+            assert np.array_equal(grad, grad.T), d
 
     def test_refuses_singular_inputs(self):
         with pytest.raises(SingularInputError):

@@ -900,6 +900,12 @@ class TestSpectralWork:
         assert not is_above_projection_unique(mu_cov, nu_cov).unique
         assert eigensolves["n"] <= 10
 
+    def test_bw2_gradient(self, eigensolves):
+        # both inputs validated once; the square root reuses the first
+        # argument's eigenpairs; one more for the inner product
+        bw2_gradient(np.diag([1.0, 2.0]), np.diag([3.0, 1.0]))
+        assert eigensolves["n"] == 3
+
     def test_every_descent_passes_through_the_traced_name(self, monkeypatch):
         # a benchmark tracer wraps this module global to count PGD
         # iterations; a descent that bypassed it would read as no work

@@ -122,6 +122,14 @@ class TestPositivePart:
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(positive_part(m), 0.5 * np.ones((2, 2)), atol=1e-12)
 
+    def test_exactly_symmetric(self):
+        # the Gram-form rebuild goes through BLAS syrk, which fills one
+        # triangle and mirrors it; a general product would not
+        rng = np.random.default_rng(30)
+        for d in range(1, 13):
+            plus = positive_part(random_symmetric(rng, d, 2.0))
+            assert np.array_equal(plus, plus.T), d
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-5, 5), min_size=9, max_size=9))
     def test_optimality_conditions(self, entries):
