@@ -4,18 +4,20 @@ Minimizes the barycentric cost ``sum_i w_i |x_i - m(pi_{x_i})|^2`` over the
 transportation polytope with fully-corrective Frank-Wolfe, that is Wolfe's
 minimum-norm-point method.  The cost sees a coupling only through its row
 image ``p = pi @ y``, so the iterate is kept as the image ``p`` of a convex
-combination of stored vertices, and only the linear subproblem, solved
-exactly by a network simplex on the transportation basis tree (Dantzig
-pricing with a Bland fallback against cycling), works on ``n x m``
-couplings.  Each new vertex joins the stored ones, over whose hull an exact
-QP re-optimizes the quadratic; its active-set steps solve the support's
-KKT system by LU.  The marginals stay fixed across one solve, so every
-oracle call warm-starts from the optimal basis of the previous one;
-likewise every QP starts from the iterate's weights.  The pushforward of
-the first marginal under the conditional-barycenter map of an optimal
-coupling realizes the dominated-side Wasserstein projection.
-``exact_w2_sq`` solves the same transportation LP for exact W2 between
-small measures; the 1-d quantile formulas and convex-order test live in
+combination of stored vertices, and only the linear subproblem works on
+``n x m`` couplings.  Its cost ``-2 r y'`` has rank d.  In one dimension
+the comonotone coupling of the residuals ``r`` with ``y`` solves it in
+closed form; otherwise a network simplex on the transportation basis tree
+(Dantzig pricing with a Bland fallback against cycling) solves it exactly.
+Each new vertex joins the stored ones, over whose hull an exact QP
+re-optimizes the quadratic; its active-set steps solve the support's KKT
+system by LU.  The marginals stay fixed across one solve, so every LP
+warm-starts from the optimal basis of the previous one; likewise every QP
+starts from the iterate's weights.  The pushforward of the first marginal
+under the conditional-barycenter map of an optimal coupling realizes the
+dominated-side Wasserstein projection.  ``exact_w2_sq`` solves the
+transportation LP by the same simplex for exact W2 between small measures,
+in every dimension; the 1-d quantile formulas and convex-order test live in
 :mod:`.one_dim`.
 """
 
@@ -106,6 +108,29 @@ def _northwest_corner(
     return pi, basis
 
 
+def _comonotone_vertex(r: np.ndarray, row_w: np.ndarray, col_w: np.ndarray) -> np.ndarray:
+    """Optimal vertex of the transportation LP with the rank-one cost
+    ``-r_i y_j``, for columns ``y`` in ascending order.
+
+    That is the comonotone coupling: rows ordered by ``r`` (stable, so tied
+    entries keep their order), columns as given, mass laid down on the
+    merged cumulative weights of the two.  Each piece between consecutive
+    merged cuts is one cell, in the row and column that the cuts before it
+    have passed; a row cut sorts before an equal column cut, so a tie moves
+    down first, as in :func:`_northwest_corner`.
+    """
+    n, m = row_w.size, col_w.size
+    order = np.argsort(r, kind="stable")
+    cuts = np.concatenate((np.cumsum(row_w[order][:-1]), np.cumsum(col_w[:-1])))
+    by_cut = np.argsort(cuts, kind="stable")
+    passed_col = by_cut >= n - 1
+    rows = np.concatenate(([0], np.cumsum(~passed_col)))
+    cols = np.concatenate(([0], np.cumsum(passed_col)))
+    pi = np.zeros((n, m))
+    pi[order[rows], cols] = np.diff(np.concatenate(([0.0], cuts[by_cut], [1.0])))
+    return pi
+
+
 class _TransportBasis:
     """Spanning-tree basis of the transportation simplex, with its flows
     and dual potentials.
@@ -184,19 +209,24 @@ class _TransportBasis:
         """
         n, m = self.n, self.m
         parent, cell, flow, children = self.parent, self.cell, self.flow, self.children
-        losing = up_col[0::2] + up_row[0::2]
-        theta = min(flow[k] for k in losing)
-        leave = min((k for k in losing if flow[k] <= theta), key=cell.__getitem__)
+        # one pass over the losing cells keeps the least (flow, cell), the
+        # walk it lies on, its position there and the entering cell's end
+        # across from that walk
+        theta = math.inf
+        for walk, end in ((up_col, i), (up_row, n + j)):
+            for at in range(0, len(walk), 2):
+                k = walk[at]
+                f = flow[k]
+                if f < theta or (f == theta and cell[k] < cell[leave]):
+                    theta, leave, found = f, k, (walk, at, end)
         if theta > 0.0:
-            for k in losing:
+            for k in up_col[0::2] + up_row[0::2]:
                 flow[k] -= theta
             for k in up_col[1::2] + up_row[1::2]:
                 flow[k] += theta
         # the path from the entering cell's end down to ``leave`` flips over
-        if leave in up_col:
-            path, anchor = up_col[: up_col.index(leave) + 1], i
-        else:
-            path, anchor = up_row[: up_row.index(leave) + 1], n + j
+        walk, at, anchor = found
+        path = walk[: at + 1]
         self.in_basis[cell[leave]] = False
         self.in_basis[i * m + j] = True
         hang = (anchor, i * m + j, theta)
@@ -255,7 +285,8 @@ def solve_transport_lp(
     negative reduced cost) takes over until a pivot moves mass, which rules
     out cycling.  Potentials are recomputed only on the subtree that each
     pivot re-hangs.  With zero cost the starting vertex is returned
-    unchanged.
+    unchanged.  ``solve_wot`` calls it for measures in two or more
+    dimensions, and ``exact_w2_sq`` in every dimension.
     """
     cost = np.asarray(cost, dtype=float)
     row_w = np.asarray(row_weights, dtype=float)
@@ -386,7 +417,7 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) ->
     """Minimize the barycentric cost over the couplings of ``(mu, nu)``.
 
     Fully-corrective Frank-Wolfe (Wolfe's minimum-norm-point method) with
-    an exact transportation-LP oracle and duality-gap stopping at
+    an exact linear oracle over the couplings and duality-gap stopping at
     ``fw_tol * (1 + value)``, at unit scale: the points are divided by the
     power of two ``2^scale_exponent`` that brings the largest |coordinate|
     into ``[2, 4)``, and ``value`` and ``gap`` multiplied back by its
@@ -394,15 +425,20 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) ->
     convex combination of stored vertices ``V_k``; with the residual
     ``r = x - p / w`` the gradient in the coupling is ``-2 r y'``, and the
     gap against an oracle vertex with image ``q`` is ``2 sum r . (q - p)``.
-    Each oracle vertex joins the stored ones, and an exact QP over their
-    hull, started from the iterate's weights with the new vertex at 0,
-    gives the next iterate.  Vertices left without weight are dropped, and
-    the coupling ``sum_k alpha_k V_k`` is formed once, at return.  On the
-    last allowed iteration the loop stops after the gap test, so the
-    reported gap is always that of the returned coupling.  A result with
-    ``converged=False`` carries the best iterate and its remaining gap.
-    ``diagnostics`` counts ``lp_calls`` (one per iteration), simplex
-    ``pivots`` and ``qp_steps`` (active-set steps of the QP), gives the
+    For measures on the real line the oracle vertex is the comonotone
+    coupling of ``r`` with ``y``; in two or more dimensions it is the
+    optimum of the transportation LP, which ``solve_transport_lp`` finds
+    warm-started from the previous call's basis.  Points on a line in R^d,
+    d >= 2, take the LP.  Each oracle vertex joins the stored ones, and an
+    exact QP over their hull, started from the iterate's weights with the
+    new vertex at 0, gives the next iterate.  Vertices left without weight
+    are dropped, and the coupling ``sum_k alpha_k V_k`` is formed once, at
+    return.  On the last allowed iteration the loop stops after the gap
+    test, so the reported gap is always that of the returned coupling.  A
+    result with ``converged=False`` carries the best iterate and its
+    remaining gap.  ``diagnostics`` counts ``lp_calls`` (LP solves: one per
+    iteration, none in 1-d), simplex ``pivots`` (0 in 1-d) and
+    ``qp_steps`` (active-set steps of the QP), gives the
     ``active_vertices`` that carry the iterate, and names the
     ``stop_reason``: ``"gap"``, ``"no_descent"`` (before the gap target was
     met, the oracle returned a stored vertex or the QP did not descend) or
@@ -431,9 +467,10 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) ->
         return residual, float(w @ np.sum(residual**2, axis=1))
 
     pi, cells = _northwest_corner(w, nu.weights)
-    # the marginals never change, so each oracle call warm-starts from the
+    # in 1-d the oracle is the comonotone coupling, which needs no basis;
+    # otherwise the marginals never change, so each LP warm-starts from the
     # optimal basis of the previous one
-    basis = _TransportBasis(pi, cells)
+    basis = None if mu.dim == 1 else _TransportBasis(pi, cells)
     # the stored vertices and their bytes; their images q_k = V_k y, divided
     # by sqrt(w) and flattened into the rows of ``scaled``, so that the
     # quadratic's Gram matrix is scaled @ scaled.T; its linear term over
@@ -450,7 +487,12 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) ->
     stop_reason = "max_iter"
 
     for iterations in range(1, MAX_ITER + 1):
-        vertex = solve_transport_lp(-2.0 * residual @ y.T, w, nu.weights, basis=basis)
+        if basis is None:
+            # the cost -2 r y' has rank one and nu's atoms are ascending
+            # (DiscreteMeasure sorts them)
+            vertex = _comonotone_vertex(residual[:, 0], w, nu.weights)
+        else:
+            vertex = solve_transport_lp(-2.0 * residual @ y.T, w, nu.weights, basis=basis)
         q = vertex @ y
         gap = 2.0 * float(np.vdot(residual, q - p))
         if gap <= fw_tol * (1.0 + abs(value)):
@@ -494,8 +536,8 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) ->
         converged=stop_reason == "gap",
         diagnostics={
             "active_vertices": alpha.size,
-            "lp_calls": iterations,
-            "pivots": basis.pivots,
+            "lp_calls": 0 if basis is None else iterations,
+            "pivots": 0 if basis is None else basis.pivots,
             "qp_steps": qp_steps,
             "scale_exponent": k,
             "stop_reason": stop_reason,

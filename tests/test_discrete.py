@@ -294,6 +294,63 @@ class TestTransportLpOracles:
         with pytest.raises(ValueError, match="basis"):
             solve_transport_lp(np.zeros((3, 3)), row, row, basis=basis)
 
+    def test_comonotone_vertex_solves_rank_one_costs(self):
+        # the 1-d Frank-Wolfe oracle: the cost -2 r y' with y ascending
+        for s in range(400):
+            rng = np.random.default_rng([47, s])
+            n, m = (int(v) for v in rng.integers(2, 17, size=2))
+            row, col = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+            y = np.sort(rng.normal(size=m))
+            r = rng.normal(size=n)
+            tied = s % 4 == 0
+            if tied:
+                r = np.round(r)
+            cost = -2.0 * np.outer(r, y)
+            pi = discrete._comonotone_vertex(r, row, col)
+            lp = solve_transport_lp(cost, row, col)
+            assert pi.min() >= 0.0, s
+            np.testing.assert_allclose(pi.sum(axis=1), row, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(pi.sum(axis=0), col, rtol=0, atol=1e-15)
+            value = float(np.sum(lp * cost))
+            assert abs(np.sum(pi * cost) - value) <= 1e-12 * (1.0 + abs(value)), s
+            if not tied:  # the optimum is unique
+                np.testing.assert_allclose(pi, lp, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("flows, leaving", [
+        # (0, 1) and (1, 0) empty together, on the column and the row walk
+        ((0.125, 0.25, 0.25, 0.0625, 0.3125), (0, 1)),
+        # (1, 0) and (2, 2) empty together, on the row and the column walk
+        ((0.125, 0.3125, 0.25, 0.0625, 0.25), (1, 0)),
+    ])
+    def test_pivot_drops_the_first_emptied_cell_in_row_major_order(self, flows, leaving):
+        # the tree row 0 - col 0 - row 1 and row 0 - col 1 - row 2 - col 2;
+        # entering (1, 2) closes the cycle +(1,2) -(2,2) +(2,1) -(0,1) +(0,0) -(1,0)
+        cells = [(0, 0), (0, 1), (1, 0), (2, 1), (2, 2)]
+        pi = np.zeros((3, 3))
+        for cell, flow in zip(cells, flows):
+            pi[cell] = flow
+        basis = discrete._TransportBasis(pi, cells)
+        cost = np.array([[0.0, 1.0, 5.0], [1.0, 3.0, 0.0], [4.0, 2.0, 1.0]])
+        flat_cost = cost.ravel().tolist()
+        basis.settle(0, flat_cost)
+        theta = basis.pivot(1, 2, *discrete._basis_cycle(basis, 1, 2), flat_cost)
+        assert theta == 0.25
+        expected = pi.copy()
+        for cell, sign in zip([(1, 2), (2, 2), (2, 1), (0, 1), (0, 0), (1, 0)], [1, -1] * 3):
+            expected[cell] += sign * theta
+        np.testing.assert_array_equal(basis.coupling(), expected)
+        in_basis = {divmod(c, 3) for c in basis.cell[1:]}
+        assert in_basis == set(cells) - {leaving} | {(1, 2)}
+        assert {divmod(int(c), 3) for c in np.flatnonzero(basis.in_basis)} == in_basis
+        for node in range(1, 6):
+            i, j = divmod(basis.cell[node], 3)
+            assert basis.pot[i] + basis.pot[3 + j] == cost[i, j]
+            steps, up = 0, node
+            while up != 0:
+                steps, up = steps + 1, basis.parent[up]
+            assert basis.depth[node] == steps
+            assert node in basis.children[basis.parent[node]]
+
 
 class TestSimplexQp:
     @pytest.mark.parametrize("k", range(1, 7))
@@ -600,9 +657,9 @@ class TestSolveWot:
             assert exact_w2_sq(pulled_back, projection) <= 1e-12 * (1.0 + result.value), s
 
     def test_oracle_and_pivots_pass_through_the_traced_names(self, monkeypatch):
-        # a benchmark tracer wraps these two module globals to count LP
+        # a benchmark tracer wraps the first two module globals to count LP
         # calls and pivots; a call that bypasses them would read as no work
-        counts = {"solve_transport_lp": 0, "_basis_cycle": 0}
+        counts = {"solve_transport_lp": 0, "_basis_cycle": 0, "_comonotone_vertex": 0}
 
         def counting(name):
             original = getattr(discrete, name)
@@ -620,6 +677,17 @@ class TestSolveWot:
         result = solve_wot(mu, nu)
         assert counts["solve_transport_lp"] == result.diagnostics["lp_calls"] > 1
         assert counts["_basis_cycle"] == result.diagnostics["pivots"] > 0
+        assert counts["_comonotone_vertex"] == 0
+
+        # in 1-d every oracle call is the comonotone coupling: no LP, no pivot
+        counts.update(dict.fromkeys(counts, 0))
+        mu = measure_1d(rng.normal(size=16), rng.dirichlet(np.ones(16)))
+        nu = measure_1d(0.8 * rng.normal(size=16), rng.dirichlet(np.ones(16)))
+        result = solve_wot(mu, nu)
+        assert result.converged
+        assert result.diagnostics["lp_calls"] == result.diagnostics["pivots"] == 0
+        assert counts["solve_transport_lp"] == counts["_basis_cycle"] == 0
+        assert counts["_comonotone_vertex"] == result.iterations > 1
 
 
 class TestPushforward:
@@ -734,6 +802,34 @@ class TestRegularity:
         apart = max(np.sqrt(exact_w2_sq(p1, p2)) - s1 - s2, 0.0)
         reach = np.sqrt(exact_w2_sq(mu, p1)) + s1 + np.sqrt(exact_w2_sq(mu, p2)) + s2
         assert apart**2 <= reach * np.sqrt(exact_w2_sq(nu1, nu2))
+
+    def test_barycentric_map_is_firmly_non_expansive(self):
+        # Gozlan and Juillet (Proc. LMS 120, 2020): the optimal barycentric
+        # map T is the gradient of a convex function with a 1-Lipschitz
+        # gradient, so |T(x) - T(y)|^2 <= <T(x) - T(y), x - y>.  By the
+        # bound in the class docstring, each computed T(x_i) lies within
+        # e_i = sqrt(gap / w_i) of the exact one, which moves the two sides
+        # apart by at most e (2 |dT| + |dx|) + 3 e^2, e = e_i + e_k.  The
+        # reported gap is itself exact only up to its roundoff, taken as
+        # 64 ulps of 1 + value.
+        for s in range(200):
+            rng = np.random.default_rng([41, s])
+            dim, n = 1 + s % 3, int(rng.integers(4, 13))
+            atoms = []
+            for size, spread in ((n, 1.0), (n + 1, 0.8)):
+                points = spread * rng.normal(size=(size, dim))
+                atoms.append((points[np.lexsort(points.T[::-1])], rng.dirichlet(np.ones(size))))
+            mu, nu = (DiscreteMeasure(x, w) for x, w in atoms)
+            result = solve_wot(mu, nu, fw_tol=1e-12)
+            assert result.converged, s
+            t = result.coupling.conditional_barycenters()
+            gap = max(result.gap, 0.0) + 64.0 * np.finfo(float).eps * (1.0 + result.value)
+            err = np.sqrt(gap / mu.weights)
+            i, k = np.triu_indices(mu.size, 1)
+            dt, dx, e = t[i] - t[k], mu.points[i] - mu.points[k], err[i] + err[k]
+            excess = np.sum(dt**2, axis=1) - np.sum(dt * dx, axis=1)
+            norm_dt, norm_dx = np.linalg.norm(dt, axis=1), np.linalg.norm(dx, axis=1)
+            assert np.all(excess <= e * (2.0 * norm_dt + norm_dx) + 3.0 * e**2), s
 
 
 # wot-simplex seed 603, problem 195 (10 x 12 atoms in 2-d), as the benchmark
