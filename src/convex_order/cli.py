@@ -58,7 +58,9 @@ def _plain(value: Any) -> Any:
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, default=_plain) + "\n"
+    # a report is a tree the command has just built, so the encoder's
+    # reference-cycle bookkeeping would find nothing
+    text = json.dumps(report, sort_keys=True, check_circular=False, default=_plain) + "\n"
     if output:
         with open(output, "w") as handle:
             handle.write(text)

@@ -59,9 +59,33 @@ def lower_convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     Monotone-chain lower hull: the first and last nodes are vertices, and
     the slopes between consecutive vertices increase.
+
+    The chain runs only over the nodes that survive a vectorised pre-filter.
+    Each numpy pass drops, all at once, every interior candidate whose
+    cross product with its current neighbours is ``<= 0``, the predicate on
+    which the chain pops.  A dropped node lies on or above a chord between
+    two points of the epigraph, so in exact arithmetic it is never a vertex.
+    In floating point the vertices are the full chain's, except on runs of
+    nodes collinear only up to roundoff (``g`` of a measure against its
+    translate), where each keeps its own roundoff-level vertices.  Pruning
+    to the fixed point could take one pass per node (a parabola whose last
+    node lies deep below drops one node a pass), so the passes stop after
+    one that removes fewer than a quarter of the candidates.  The passes
+    then cost at most about ``4n`` cross products, and the worst case is
+    one O(n) pass plus the chain over every node.
     """
-    xs = np.asarray(x, dtype=float).tolist()
-    ys = np.asarray(y, dtype=float).tolist()
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    keep = np.arange(x.size)
+    while keep.size > 2:
+        candidates = keep.size
+        xk, yk = x[keep], y[keep]
+        cross = ((xk[1:-1] - xk[:-2]) * (yk[2:] - yk[:-2])
+                 - (yk[1:-1] - yk[:-2]) * (xk[2:] - xk[:-2]))
+        keep = keep[np.concatenate(([True], cross > 0.0, [True]))]
+        if 4 * (candidates - keep.size) < candidates:
+            break
+    xs, ys = x[keep].tolist(), y[keep].tolist()
     hull = [0]
     for i in range(1, len(xs)):
         while len(hull) >= 2:
@@ -70,7 +94,7 @@ def lower_convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                 break
             hull.pop()
         hull.append(i)
-    return np.asarray(hull)
+    return keep[hull]
 
 
 @dataclass(frozen=True)

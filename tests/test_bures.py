@@ -69,8 +69,16 @@ def distance_report(tmp_path, a: GaussianMeasure, b: GaussianMeasure) -> dict:
 
 class TestGaussianW2:
     def test_identical(self, tmp_path):
-        g = GaussianMeasure([1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]])
-        assert distance_report(tmp_path, g, g)["w2"] == pytest.approx(0.0, abs=1e-9)
+        # bw2(S, S) is roundoff, up to 15.2 eps (1 + tr S) over 8000 such
+        # matrices (default_rng(0..9), d = 1..8), so 64 leaves 4x headroom;
+        # w2 = sqrt(bw2) would turn one ulp of it into ~sqrt(eps)
+        rng = np.random.default_rng(70)
+        eps = np.finfo(float).eps
+        for d in list(range(1, 9)) * 4:
+            cov = random_spd(rng, d)
+            g = GaussianMeasure(rng.normal(size=d), cov)
+            report = distance_report(tmp_path, g, g)
+            assert 0.0 <= report["bw2"] <= 64.0 * eps * (1.0 + np.trace(cov))
 
     def test_point_masses(self, tmp_path):
         a = GaussianMeasure([0.0, 0.0], np.zeros((2, 2)))

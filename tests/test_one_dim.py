@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from convex_order import one_dim
 from convex_order.discrete import barycentric_pushforward, exact_w2_sq, solve_wot
 from convex_order.measures import DiscreteMeasure, EmptyMeasureError
 from convex_order.one_dim import (
@@ -94,6 +95,58 @@ class TestGFunction:
         assert nodes[-1] == pytest.approx(expected, abs=1e-12)
 
 
+def monotone_chain(x, y):
+    """The lower hull as a plain monotone chain over every node: the
+    reference that the pruned :func:`lower_convex_hull` must reproduce."""
+    xs, ys = np.asarray(x, dtype=float).tolist(), np.asarray(y, dtype=float).tolist()
+    hull = [0]
+    for i in range(1, len(xs)):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            if (xs[b] - xs[a]) * (ys[i] - ys[a]) - (ys[b] - ys[a]) * (xs[i] - xs[a]) > 0.0:
+                break
+            hull.pop()
+        hull.append(i)
+    return np.asarray(hull)
+
+
+HULL_FAMILIES = ("gaussian", "integer", "cauchy", "even", "exponential")
+
+
+def family_measure(rng, family, n, spread):
+    """``n`` atoms of one family; integer atoms with uniform weights (and
+    merged repeats) give ``g`` exactly collinear runs, up to the grid's
+    roundoff."""
+    weights = rng.dirichlet(np.ones(n))
+    if family == "gaussian":
+        values = spread * rng.normal(size=n)
+    elif family == "integer":
+        values, weights = rng.integers(-20, 21, size=n).astype(float), np.full(n, 1.0 / n)
+    elif family == "cauchy":
+        values = spread * rng.standard_cauchy(size=n)
+    elif family == "even":
+        values, weights = spread * np.linspace(-1.0, 1.0, n), np.full(n, 1.0 / n)
+    else:
+        values = spread * rng.exponential(size=n)
+    return measure_1d(values, weights)
+
+
+def projection_or_error(mu, nu):
+    """The projection, or the message of the monotonicity guard's error."""
+    try:
+        return project_1d_detail(mu, nu)
+    except AssertionError as exc:
+        return str(exc)
+
+
+def assert_same_projection(got, want):
+    for side in ("below", "above"):
+        np.testing.assert_array_equal(getattr(got, side).points, getattr(want, side).points)
+        np.testing.assert_array_equal(getattr(got, side).weights, getattr(want, side).weights)
+    assert got.distance_sq == want.distance_sq
+    assert got.cross_distance_sq == want.cross_distance_sq
+
+
 class TestLowerConvexHull:
     def test_convex_input_is_unchanged(self):
         x, y = np.array([0.0, 0.5, 1.0]), np.array([0.0, -0.5, 0.0])
@@ -107,8 +160,72 @@ class TestLowerConvexHull:
         np.testing.assert_allclose(x[idx], [0.0, 1.0])
         np.testing.assert_allclose(y[idx], [0.0, 0.0])
 
+    def test_matches_the_monotone_chain(self, monkeypatch):
+        # grids of up to 4000 atoms, where several prune passes run
+        for s in range(400):
+            rng = np.random.default_rng([18, s])
+            family = HULL_FAMILIES[s % len(HULL_FAMILIES)]
+            high = 30 if s % 3 == 0 else 2001
+            mu = family_measure(rng, family, int(rng.integers(1, high)), 1.0)
+            nu = family_measure(rng, family, int(rng.integers(1, high)), 0.8)
+            grid, _, _, nodes = _quantile_grid(mu, nu)
+            np.testing.assert_array_equal(lower_convex_hull(grid, nodes),
+                                          monotone_chain(grid, nodes))
+            pruned = projection_or_error(mu, nu)
+            with monkeypatch.context() as patch:
+                patch.setattr(one_dim, "lower_convex_hull", monotone_chain)
+                chain = projection_or_error(mu, nu)
+            if isinstance(chain, str):  # s = 43 trips the guard on both hulls (see
+                # test_coincident_cuts_keep_the_projection_monotone)
+                assert pruned == chain
+            else:
+                assert_same_projection(pruned, chain)
+
+    def test_cascade_falls_back_to_the_chain(self):
+        # a parabola whose last node lies deep below: each node is dropped
+        # only once its right neighbour is, one node a pass
+        x = np.linspace(0.0, 1.0, 5000)
+        y = x**2
+        y[-1] = -100.0
+        np.testing.assert_array_equal(lower_convex_hull(x, y), [0, 4999])
+        np.testing.assert_array_equal(monotone_chain(x, y), [0, 4999])
+
+    def test_collinear_nodes_keep_only_the_endpoints(self):
+        # integer nodes: every cross product is exactly zero
+        rng = np.random.default_rng(18)
+        for x in (np.arange(5000.0), np.unique(rng.integers(0, 10**6, size=3000)).astype(float)):
+            y = 3.0 * x - 7.0
+            np.testing.assert_array_equal(lower_convex_hull(x, y), [0, x.size - 1])
+            np.testing.assert_array_equal(monotone_chain(x, y), [0, x.size - 1])
+
+    @pytest.mark.parametrize("y", [[0.5], [1.0, -2.0], [0.0, 0.5, 0.0], [0.0, -0.5, 0.0],
+                                   [0.0, 1.0, 2.0]])
+    def test_few_nodes(self, y):
+        x = np.arange(float(len(y)))
+        np.testing.assert_array_equal(lower_convex_hull(x, y), monotone_chain(x, y))
+
+    def test_translates_agree_to_roundoff(self, monkeypatch):
+        # mu against its translate: g is a line up to the grid's roundoff,
+        # and the pruned hull may keep other roundoff vertices than the chain
+        for s in range(40):
+            rng = np.random.default_rng([19, s])
+            n = int(rng.integers(2, 2001))
+            values, weights = rng.normal(size=n), rng.dirichlet(np.ones(n))
+            mu, nu = measure_1d(values, weights), measure_1d(values + rng.normal(), weights)
+            pruned = project_1d_detail(mu, nu)
+            with monkeypatch.context() as patch:
+                patch.setattr(one_dim, "lower_convex_hull", monotone_chain)
+                chain = project_1d_detail(mu, nu)
+            for side in ("below", "above"):
+                got, want = getattr(pruned, side), getattr(chain, side)
+                np.testing.assert_allclose(got.points, want.points, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=1e-12)
+            assert pruned.distance_sq == pytest.approx(chain.distance_sq, rel=1e-12)
+            assert pruned.cross_distance_sq == pytest.approx(chain.cross_distance_sq,
+                                                             abs=1e-12)
+
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.floats(-3, 3), min_size=2, max_size=12))
+    @given(st.lists(st.floats(-3, 3), min_size=2, max_size=300))
     def test_hull_is_convex_minorant_and_idempotent(self, nodes):
         grid = np.linspace(0.0, 1.0, len(nodes))
         y = np.asarray(nodes, dtype=float)
@@ -246,6 +363,18 @@ class TestLargeScale:
         detail = project_1d_detail(mu, nu)
         assert is_convex_ordered_1d(detail.below, nu)
         assert is_convex_ordered_1d(mu, detail.above)
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="cuts equal in exact arithmetic land more than 1e-15 apart")
+    def test_coincident_cuts_keep_the_projection_monotone(self):
+        # evenly spaced atoms, uniform weights: k/969 = j/1530 at each
+        # multiple of 1/51, but the cumulative sums leave such cuts apart by
+        # more than the grid's 1e-15 merge, so one quantile jumps a node
+        # before the other and the hull's slope change shows as a drop
+        mu = measure_1d(np.linspace(-1.0, 1.0, 969), np.full(969, 1.0 / 969))
+        nu = measure_1d(np.linspace(-0.8, 0.8, 1530), np.full(1530, 1.0 / 1530))
+        detail = project_1d_detail(mu, nu)
+        assert is_convex_ordered_1d(detail.below, nu)
 
 
 class TestTinyWeights:

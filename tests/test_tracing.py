@@ -48,7 +48,7 @@ def test_tracer_reads_every_layer_through_its_names(tmp_path):
 
     metrics = tracer.layer_metrics(3)
     for name in ("pgd.iterations", "discrete.lp_calls", "discrete.pivots",
-                 "one_dim.project_ms", "cli.parse_ms", "cli.emit_ms"):
+                 "one_dim.project_ms", "one_dim.hull_ms", "cli.parse_ms", "cli.emit_ms"):
         assert metrics[name][0] > 0, name
     assert np.linalg.eigh is eigh
     assert cli._emit is emit
