@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .linalg import (
@@ -15,6 +17,9 @@ from .linalg import (
     spd_sqrt,
     sym,
 )
+
+
+_TINY = np.finfo(float).tiny
 
 
 class SingularInputError(LinalgError):
@@ -61,10 +66,10 @@ def bw2_gradient(cov_fixed: np.ndarray, cov: np.ndarray) -> np.ndarray:
     spectra = []
     for name, m in (("first", fixed), ("second", s)):
         vals, vecs = psd_eigen(m)
-        if vals[-1] <= default_rank_tol(vals):
+        low = float(vals.min())
+        if low <= default_rank_tol(vals):
             raise SingularInputError(
-                f"{name} argument of bw2_gradient is singular "
-                f"(min eigenvalue {vals[-1]:.3e})"
+                f"{name} argument of bw2_gradient is singular (min eigenvalue {low:.3e})"
             )
         spectra.append((vals, vecs))
     fixed_vals, fixed_vecs = spectra[0]
@@ -87,6 +92,14 @@ def bw2_gradient_from_inner(
     diag(lambda)^{-1/4}``, a Gram form that numpy computes with BLAS
     ``syrk``, so the gradient is exactly symmetric without a ``sym``.
     """
-    floor = max(default_rank_tol(inner_vals), np.finfo(float).tiny)
+    floor = max(default_rank_tol(inner_vals), _TINY)
     w = (half @ inner_vecs) * np.maximum(inner_vals, floor) ** -0.25
-    return np.eye(half.shape[0]) - w @ w.T
+    return _identity(half.shape[0]) - w @ w.T
+
+
+@functools.lru_cache(maxsize=32)
+def _identity(d: int) -> np.ndarray:
+    """A read-only identity, shared by every gradient of its dimension."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye

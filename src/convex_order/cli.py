@@ -37,7 +37,13 @@ from .gaussian import (
 )
 from .linalg import LinalgError, loewner_gap
 from .measures import DiscreteMeasure, EmptyMeasureError, GaussianMeasure
-from .one_dim import convex_order_tol, convex_order_violation, project_1d_detail, w2_1d
+from .one_dim import (
+    QuantileOrderError,
+    convex_order_tol,
+    convex_order_violation,
+    project_1d_detail,
+    w2_1d,
+)
 
 PARSE_ERROR = 2
 SOLVER_ERROR = 3
@@ -205,7 +211,10 @@ def cmd_project_1d(problem, output):
     """Quantile-formula projections for 1-d discrete measures."""
     data = _load_json(problem)
     _, mu, nu = _measure_pair(data, "one_d")
-    detail = project_1d_detail(mu, nu)
+    try:
+        detail = project_1d_detail(mu, nu)
+    except QuantileOrderError as exc:
+        _fail(SOLVER_ERROR, str(exc))
     report = {
         "mode": "one_d",
         "below": _measure_report(detail.below),
@@ -369,7 +378,7 @@ def cmd_check(problem, assert_file, output):
             checks = _one_d_checks(mu, nu)
         else:
             checks = _discrete_checks(mu, nu)
-    except (CertificationError, LinalgError, BudgetExceededError) as exc:
+    except (CertificationError, LinalgError, BudgetExceededError, QuantileOrderError) as exc:
         _fail(SOLVER_ERROR, str(exc))
 
     for key, cov in expected.items():  # gaussian mode only

@@ -24,10 +24,10 @@ rank-0 ``Snu`` has a closed form in the identity basis; full-rank ``Snu``
 tries the shared-correlation fast path
 (when ``Smu`` has full rank too) and otherwise runs the projected-gradient
 solver, whose dominating-side answer yields ``O`` as the eigenbasis of the
-transport map onto ``Snu``; any other rank goes through the rank reduction,
-which routes the full-rank problem on the range of ``Snu`` from the
-spectrum already at hand.  Matrices derived from validated input are
-clamped, not checked again.
+transport map onto ``Snu``, read from the descent's last gradient; any
+other rank goes through the rank reduction, which routes the full-rank
+problem on the range of ``Snu`` from the spectrum already at hand.
+Matrices derived from validated input are clamped, not checked again.
 """
 
 from __future__ import annotations
@@ -39,9 +39,12 @@ from typing import Any
 
 import numpy as np
 
+from .bures import bw2_gradient_from_inner
 from .linalg import (
     LinalgError,
+    _ordered,
     _rebuild,
+    _validated_eigh,
     clamped_eigen,
     cleaned_diag,
     conjugate_to_shared_correlation,
@@ -154,13 +157,16 @@ class UniquenessVerdict:
 @dataclass(frozen=True)
 class _Pair:
     """A validated covariance pair decomposed once per solve: both
-    covariances and their clamped spectral decompositions, divided by
-    ``4^scale_exponent``, their ranks and the order tolerance."""
+    covariances and their clamped spectral decompositions (LAPACK's order),
+    divided by ``4^scale_exponent``, the eigenvalues of ``cov_nu`` before the
+    clamp (they order its basis on the reduction route, as :func:`sym_eigen`
+    would), the ranks and the order tolerance."""
 
     cov_mu: np.ndarray
     cov_nu: np.ndarray
     mu_eig: tuple[np.ndarray, np.ndarray]
     nu_eig: tuple[np.ndarray, np.ndarray]
+    nu_unclamped: np.ndarray
     rank_mu: int
     rank_nu: int
     order_tol: float
@@ -171,10 +177,14 @@ def _rank(vals: np.ndarray) -> int:
     return int(np.sum(vals > default_rank_tol(vals)))
 
 
-def _pair(cov_mu: np.ndarray, cov_nu: np.ndarray, mu_eig: tuple, nu_eig: tuple, k: int) -> _Pair:
+def _pair(
+    cov_mu: np.ndarray, cov_nu: np.ndarray, mu_eig: tuple, nu_eig: tuple,
+    nu_unclamped: np.ndarray, k: int,
+) -> _Pair:
     nu_vals = nu_eig[0]
-    order_tol = ORDER_REL * (1.0 + (float(nu_vals[0]) if nu_vals.size else 0.0))
-    return _Pair(cov_mu, cov_nu, mu_eig, nu_eig, _rank(mu_eig[0]), _rank(nu_vals), order_tol, k)
+    order_tol = ORDER_REL * (1.0 + (float(nu_vals.max()) if nu_vals.size else 0.0))
+    return _Pair(cov_mu, cov_nu, mu_eig, nu_eig, nu_unclamped, _rank(mu_eig[0]), _rank(nu_vals),
+                 order_tol, k)
 
 
 def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
@@ -189,12 +199,14 @@ def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
         raise ValueError("dimension mismatch")
     require_finite(cov_mu, "cov_mu")
     require_finite(cov_nu, "cov_nu")
-    nu_vals, nu_vecs = psd_eigen(cov_nu)
+    nu_raw, nu_vecs = _validated_eigh(cov_nu)
+    nu_vals = np.clip(nu_raw, 0.0, None)
     mu_vals, mu_vecs = psd_eigen(cov_mu)
     top = max(mu_vals.max(initial=0.0), nu_vals.max(initial=0.0))
     k = (math.frexp(top)[1] - 1) // 2 if top >= 2.0**-1000 else 0  # 4^-k stays finite
     c = math.ldexp(1.0, -2 * k)
-    return _pair(c * cov_mu, c * cov_nu, (c * mu_vals, mu_vecs), (c * nu_vals, nu_vecs), k)
+    return _pair(c * cov_mu, c * cov_nu, (c * mu_vals, mu_vecs), (c * nu_vals, nu_vecs),
+                 c * nu_raw, k)
 
 
 # result fields and diagnostics that carry the units of a covariance
@@ -298,17 +310,23 @@ def _fast_path(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult] | None:
     d = pair.cov_nu.shape[0]
     if pair.rank_mu < d or pair.rank_nu < d:
         return None
-    conj = conjugate_to_shared_correlation(pair.cov_mu, pair.cov_nu, pair.mu_eig)
+    # the Bures gradient at cov_nu about cov_mu, whose eigenbasis is that of
+    # the transport map from cov_mu onto cov_nu; the tests below read no order
+    mu_vals, mu_vecs = pair.mu_eig
+    half = _rebuild(np.sqrt(mu_vals), mu_vecs)
+    gradient = bw2_gradient_from_inner(half, *clamped_eigen(half @ pair.cov_nu @ half))
+    vals, vecs = transport_map_basis(gradient)
+    conj = conjugate_to_shared_correlation(pair.cov_mu, pair.cov_nu, vecs)
     if conj is None:
         return None
-    basis, corr, m_mu, m_nu = conj
+    corr, m_mu, m_nu = conj
     if not (np.all(positive_diag_mask(m_mu)) and np.all(positive_diag_mask(m_nu))):
         return None
     ratios_hat = np.minimum(1.0, np.sqrt(np.diag(m_mu) / np.diag(m_nu)))
     contracted = ratios_hat[:, None] * corr * ratios_hat[None, :]
     if not loewner_leq(contracted, corr, 1e-10):
         return None
-    transform, *projected = _project(pair, basis, (m_mu, m_nu))
+    transform, *projected = _project(pair, _ordered(vals, vecs)[1])
     method = "commuting" if np.linalg.norm(corr - np.eye(corr.shape[0])) <= 1e-10 else "fast_path"
     return _results(transform, *projected, method, {"order_residual": transform.order_residual})
 
@@ -349,8 +367,9 @@ def _route(pair: _Pair, method: str) -> tuple[ProjectionResult, ProjectionResult
 
     if pair.rank_nu == d:
         outcome, trace = pgd_project_above(pair.cov_nu, pair.cov_mu)
-        # the transport map sending the dominating projection onto cov_nu
-        basis = transport_map_basis(*pair.nu_eig, outcome.covariance)
+        # the gradient at the dominating projection is I minus the inverse of
+        # the transport map from cov_nu onto it
+        basis = _ordered(*transport_map_basis(outcome.gradient))[1]
         reduction = None
     else:
         reduction = _reduce(pair, method)
@@ -383,9 +402,10 @@ def _route(pair: _Pair, method: str) -> tuple[ProjectionResult, ProjectionResult
 
 def _reduce(pair: _Pair, method: str) -> SingularReduction:
     """Rank reduction of a record, at its scale.  The reduced target's
-    spectrum is the top of ``cov_nu``'s; the reduced ``cov_mu`` block,
+    spectrum is the top of ``cov_nu``'s, ordered before the clamp so that
+    ties in the kernel keep their order; the reduced ``cov_mu`` block,
     derived from validated input, is decomposed once and clamped."""
-    nu_vals, nu_vecs = pair.nu_eig
+    nu_vals, nu_vecs = _ordered(pair.nu_unclamped, pair.nu_eig[1])
     rank, d = pair.rank_nu, nu_vals.size
     if not 1 <= rank < d:
         raise ValueError(f"rank reduction expects 1 <= rank < {d}, got rank {rank}")
@@ -396,7 +416,8 @@ def _reduce(pair: _Pair, method: str) -> SingularReduction:
     if mu_vals[-1] < 0.0:  # a block of PSD cov_mu: roundoff at the scale of cov_mu
         mu_vals = np.clip(mu_vals, 0.0, None)
         reduced_mu = _rebuild(mu_vals, mu_vecs)
-    reduced = _pair(reduced_mu, reduced_nu, (mu_vals, mu_vecs), (nu_vals[:rank], np.eye(rank)), 0)
+    top = nu_vals[:rank]
+    reduced = _pair(reduced_mu, reduced_nu, (mu_vals, mu_vecs), (top, np.eye(rank)), top, 0)
     _, inner = _route(reduced, method)
     assembled_conj = conj_mu.copy()
     assembled_conj[:rank, :rank] = inner.covariance
@@ -447,7 +468,7 @@ def project_pair(
 def _saturated(pair: _Pair) -> bool:
     """``cov_nu <= (cov_nu^{1/2} cov_mu cov_nu^{1/2})^{1/2}`` on the record."""
     vals, vecs = pair.nu_eig
-    tol = 1e-9 * (1.0 + (float(vals[0]) if vals.size else 0.0))
+    tol = 1e-9 * (1.0 + (float(vals.max()) if vals.size else 0.0))
     half = _rebuild(np.sqrt(vals), vecs)
     probe_vals, probe_vecs = clamped_eigen(sym(half @ pair.cov_mu @ half))
     probe = _rebuild(np.sqrt(probe_vals), probe_vecs)

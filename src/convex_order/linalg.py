@@ -4,9 +4,12 @@ Spectral decompositions, matrix square roots, positive parts, Loewner-order
 tests, the transport-map eigenbasis and the shared-correlation conjugation
 used by the Gaussian projection solvers.
 
-All functions are pure and operate on plain ``numpy`` arrays.  Bases that
-leave a call come from :func:`sym_eigen` (eigenvalues descending, signs fixed);
-rebuilt matrices and read spectra keep LAPACK's ascending order and raw signs.
+All functions are pure and operate on plain ``numpy`` arrays.  Only bases
+that leave a call pay for the eigen-convention (eigenvalues descending, signs
+fixed, :func:`_ordered`): those of :func:`sym_eigen`, and those a caller
+orders from :func:`psd_eigen` or :func:`transport_map_basis`.  Validated
+spectra, rebuilt matrices and read spectra keep LAPACK's ascending order and
+raw signs, and are read with ``min`` and ``max``.
 """
 
 from __future__ import annotations
@@ -40,25 +43,24 @@ def sym(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def sym_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a symmetric matrix.
-
-    Returns ``(eigenvalues, basis)`` with eigenvalues sorted descending and
-    orthonormal eigenvectors as columns of ``basis``.  Deterministic sign
-    convention: the first entry of each eigenvector whose magnitude exceeds
-    1e-12 of the column maximum is made positive.
-    """
-    a = sym(matrix)
+def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
-        vals, vecs = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigenSolveError(
             f"symmetric eigensolver did not converge on a {a.shape[0]}x{a.shape[0]} "
             f"matrix (|off| = {np.abs(a - np.diag(np.diag(a))).max():.3e})"
         ) from exc
+
+
+def _ordered(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eigen-convention, for eigenpairs whose order or signs leave a call:
+    eigenvalues descending (ties keep their order), and the first entry of
+    each eigenvector whose magnitude exceeds 1e-12 of the column maximum
+    made positive."""
     order = np.argsort(-vals, kind="stable")
-    vals = vals[order].copy()
-    vecs = vecs[:, order].copy()
+    vals = vals[order]
+    vecs = vecs[:, order].copy()  # C order, as every basis has had
     if vecs.size == 0:
         return vals, vecs
     mags = np.abs(vecs)
@@ -68,25 +70,44 @@ def sym_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
+def sym_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral decomposition of a symmetric matrix.
+
+    Returns ``(eigenvalues, basis)`` with eigenvalues sorted descending and
+    orthonormal eigenvectors as columns of ``basis``.  Deterministic sign
+    convention: the first entry of each eigenvector whose magnitude exceeds
+    1e-12 of the column maximum is made positive.
+    """
+    return _ordered(*_eigh(sym(matrix)))
+
+
 def default_rank_tol(eigenvalues: np.ndarray) -> float:
     """Rank cutoff d * lambda_max * 2**-50 for a PSD spectrum."""
     top = float(np.abs(eigenvalues).max()) if eigenvalues.size else 0.0
     return eigenvalues.size * top * RANK_REL
 
 
+def _validated_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`psd_eigen` before the clamp."""
+    vals, vecs = _eigh(sym(matrix))
+    if vals.size:
+        low = float(vals[0])  # LAPACK returns the spectrum ascending
+        if low < -EIG_TOL * (1.0 + max(-low, float(vals[-1]))):
+            raise NotPsdError(f"matrix is not positive semi-definite (min eigenvalue {low:.3e})")
+    return vals, vecs
+
+
 def psd_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral decomposition of a PSD matrix with eigenvalue clamping.
 
     Eigenvalues in ``[-EIG_TOL * scale, 0]`` are clamped to zero; anything
-    below that raises :class:`NotPsdError`.  Meant for raw input; a matrix
+    below that raises :class:`NotPsdError` (``scale`` is one plus the largest
+    eigenvalue magnitude).  The pairs keep LAPACK's ascending order and raw
+    signs, so callers read the spectrum with ``min`` and ``max``, and order a
+    basis that leaves the call themselves.  Meant for raw input; a matrix
     derived from validated input goes through :func:`clamped_eigen`.
     """
-    vals, vecs = sym_eigen(matrix)
-    scale = 1.0 + (float(np.abs(vals).max()) if vals.size else 0.0)
-    if vals.size and vals[-1] < -EIG_TOL * scale:
-        raise NotPsdError(
-            f"matrix is not positive semi-definite (min eigenvalue {vals[-1]:.3e})"
-        )
+    vals, vecs = _validated_eigh(matrix)
     return np.clip(vals, 0.0, None), vecs
 
 
@@ -142,29 +163,30 @@ def cleaned_diag(matrix: np.ndarray) -> np.ndarray:
     return np.where(positive_diag_mask(matrix), np.clip(np.diag(matrix), 0.0, None), 0.0)
 
 
-def transport_map_basis(vals: np.ndarray, vecs: np.ndarray, s2: np.ndarray) -> np.ndarray:
-    """Eigenbasis of the optimal-transport map ``s1^{-1/2} (s1^{1/2} s2
-    s1^{1/2})^{1/2} s1^{-1/2}`` for a nonsingular ``s1`` given by its
-    eigenpairs ``(vals, vecs)``."""
-    half = _rebuild(np.sqrt(vals), vecs)
-    inv_half = _rebuild(1.0 / np.sqrt(vals), vecs)
-    mid_vals, mid_vecs = clamped_eigen(sym(half @ s2 @ half))
-    middle = _rebuild(np.sqrt(mid_vals), mid_vecs)
-    return sym_eigen(inv_half @ middle @ inv_half)[1]
+def transport_map_basis(gradient: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs, in LAPACK's ascending order, of a Bures gradient
+    ``G = grad_S bw2(F, S) = I - T^{-1}`` between nonsingular ``F`` and ``S``
+    (its lower triangle is read), where ``T = F^{-1/2} (F^{1/2} S
+    F^{1/2})^{1/2} F^{-1/2}`` is the optimal-transport map from ``N(0, F)``
+    onto ``N(0, S)``.  Their eigenvectors are ``T``'s, and ``G``'s
+    eigenvalues ``1 - 1/t`` increase with ``T``'s eigenvalues ``t``, so
+    :func:`_ordered` puts the basis in the column order of ``T``'s
+    descending spectrum."""
+    return _eigh(gradient)
 
 
 def conjugate_to_shared_correlation(
-    s1: np.ndarray, s2: np.ndarray, eig1: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """Orthogonal ``O`` and correlation ``C`` shared by two nonsingular PSD
-    matrices, with the conjugated matrices ``m_k = O.T @ s_k @ O``.
+    s1: np.ndarray, s2: np.ndarray, basis: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Correlation ``C`` shared by two nonsingular PSD matrices in the
+    orthogonal ``basis`` (``O``, the :func:`transport_map_basis` of the pair
+    in any column order and signs), with the conjugated matrices
+    ``m_k = O.T @ s_k @ O``.
 
-    ``eig1`` is the :func:`psd_eigen` pair of ``s1``; ``O`` is the
-    :func:`transport_map_basis` and ``C`` the correlation of ``m1``.  Returns
-    ``None`` when ``m2 == dg^{1/2} C dg^{1/2}`` misses by more than
-    ``CORR_TOL`` relative to its Frobenius norm.
+    ``C`` is the correlation of ``m1``.  Returns ``None`` when
+    ``m2 == dg^{1/2} C dg^{1/2}`` misses by more than ``CORR_TOL`` relative
+    to its Frobenius norm.
     """
-    basis = transport_map_basis(*eig1, s2)
     m1 = sym(basis.T @ s1 @ basis)
     m2 = sym(basis.T @ s2 @ basis)
     scale1 = np.sqrt(np.diag(m1))
@@ -175,4 +197,4 @@ def conjugate_to_shared_correlation(
         rebuilt = np.outer(scale, scale) * corr
         if np.linalg.norm(rebuilt - m) / (1.0 + np.linalg.norm(m)) > CORR_TOL:
             return None
-    return basis, corr, m1, m2
+    return corr, m1, m2

@@ -10,6 +10,7 @@ descent is fully deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -50,12 +51,18 @@ class PgdTrace:
 
 
 class PgdOutcome(NamedTuple):
+    """The descent's last iterate ``covariance`` with its objective and
+    ``gradient``, ``grad_S bw2(cov_nu, S) = I - T``, where ``T`` is the
+    transport map from ``N(0, S)`` onto ``N(0, cov_nu)``; the Gaussian solver
+    takes the order transform's basis from its eigenvectors."""
+
     covariance: np.ndarray
     objective: float
     iterations: int
     residual: float
     converged: bool
     stop_reason: str
+    gradient: np.ndarray
 
 
 def frobenius_project_above(matrix: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -88,7 +95,7 @@ class _Objective:
 
     def __init__(self, cov_nu: np.ndarray):
         vals, vecs = psd_eigen(cov_nu)
-        if vals[-1] <= default_rank_tol(vals):
+        if vals.min() <= default_rank_tol(vals):
             raise ValueError(
                 "pgd_project_above needs a positive definite target; "
                 "route singular targets through the rank reduction first"
@@ -105,7 +112,7 @@ class _Objective:
 
 
 def _default_step(nu_vals: np.ndarray, cov_mu: np.ndarray, reg: float) -> float:
-    """Crude curvature bound from the target's eigenvalues (descending) and
+    """Crude curvature bound from the target's eigenvalues (in any order) and
     the spectrum of the lower bound: the gradient's inverse square root is
     controlled by the spectra entering it.
 
@@ -116,9 +123,9 @@ def _default_step(nu_vals: np.ndarray, cov_mu: np.ndarray, reg: float) -> float:
     halves the step whenever the objective would increase.
     """
     mu_vals, _ = psd_eigen(cov_mu)
-    lo_nu = float(nu_vals[-1])
-    hi_nu = float(nu_vals[0])
-    lo = max(float(mu_vals[-1]), lo_nu) + reg
+    lo_nu = float(nu_vals.min())
+    hi_nu = float(nu_vals.max())
+    lo = max(float(mu_vals.min()), lo_nu) + reg
     return 0.5 * np.sqrt(lo_nu) / (1.0 + np.sqrt(hi_nu) / np.sqrt(lo))
 
 
@@ -188,9 +195,9 @@ def pgd_project_above(
             reason = "stalled"
             break
 
-        residual = float(np.linalg.norm(step)) / eta
+        residual = math.sqrt(np.vdot(step, step)) / eta
         prev = (s, grad)
-        trace.grad_norm.append(float(np.linalg.norm(grad)))
+        trace.grad_norm.append(math.sqrt(np.vdot(grad, grad)))
         s, f, grad = candidate, f_cand, grad_cand
         trace.objective.append(f)
         if residual <= tol:
@@ -199,5 +206,5 @@ def pgd_project_above(
             break
 
     outcome = PgdOutcome(covariance=s, objective=f, iterations=iterations, residual=residual,
-                         converged=converged, stop_reason=reason)
+                         converged=converged, stop_reason=reason, gradient=grad)
     return outcome, trace

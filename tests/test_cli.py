@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from convex_order import cli, discrete, gaussian, pgd
+from convex_order import cli, discrete, gaussian, one_dim, pgd
 from convex_order.bures import bw2
 from convex_order.cli import main
 from convex_order.gaussian import project_pair
@@ -269,6 +269,23 @@ class TestProject1d:
         result = runner.invoke(main, ["project-1d", problem])
         report = json.loads(result.output)
         assert report["distance_sq"] == pytest.approx(2.0, abs=1e-12)
+
+    def test_lost_order_is_solver_error(self, runner, tmp_path, monkeypatch):
+        # evenly spaced atoms whose coinciding cuts a fixed 1e-15 merge kept
+        # apart: the monotonicity guard fires, and both commands that project
+        # exit with the solver's code instead of a traceback
+        monkeypatch.setattr(one_dim, "_EPS", 1e-15 / (969 + 1530))
+        payload = {
+            "mu": {"points": np.linspace(-1.0, 1.0, 969).tolist(),
+                   "weights": np.full(969, 1.0 / 969).tolist()},
+            "nu": {"points": np.linspace(-0.8, 0.8, 1530).tolist(),
+                   "weights": np.full(1530, 1.0 / 1530).tolist()},
+        }
+        problem = write_problem(tmp_path / "p.json", payload)
+        for command in ("project-1d", "check"):
+            result = runner.invoke(main, [command, problem])
+            assert result.exit_code == cli.SOLVER_ERROR, command
+            assert "lost monotonicity" in result.output, command
 
 
 class TestProjectDiscrete:

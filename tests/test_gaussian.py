@@ -29,6 +29,8 @@ from convex_order.linalg import (
     positive_part,
     psd_eigen,
     spd_sqrt,
+    sym_eigen,
+    transport_map_basis,
 )
 from convex_order.measures import GaussianMeasure
 from _utils import random_commuting_pair, random_orthogonal, random_psd_singular, random_spd
@@ -268,7 +270,8 @@ class TestFastPath:
         checked_apply = checked_refuse = 0
         for _ in range(200):
             a, b = random_spd(rng, 2), random_spd(rng, 2)
-            basis, corr, _, _ = conjugate_to_shared_correlation(a, b, psd_eigen(a))
+            basis = transport_map_basis(bw2_gradient(a, b))[1]
+            corr, _, _ = conjugate_to_shared_correlation(a, b, basis)
             m_mu = np.diag(basis.T @ a @ basis)
             m_nu = np.diag(basis.T @ b @ basis)
             d_hat = np.minimum(1.0, np.sqrt(m_mu / m_nu))
@@ -797,6 +800,191 @@ class TestEigenConvention:
                 assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
         assert {"commuting", "fast_path", "pgd", "singular_reduction"} <= methods
 
+    def test_no_caller_depends_on_the_order_of_a_validated_spectrum(self, monkeypatch):
+        # psd_eigen and the pair record hand their spectra over in LAPACK's
+        # ascending order; every caller must read them with min and max, and
+        # order a basis itself before it leaves the call
+        rng = np.random.default_rng(31)
+        pairs = [random_commuting_pair(rng, 3)[:2], (np.eye(2), np.diag([2.0, 0.0])),
+                 (np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 0.0, 0.0]))]
+        pairs += [(spd(rng, d), spd(rng, d)) for d in (2, 2, 2, 2, *range(3, 10))]
+        pairs += [(spd(rng, d), spd(rng, d, rank=d - 1)) for d in range(2, 10)]
+        pairs += [(spd(rng, d, rank=d - 1), spd(rng, d)) for d in (3, 5)]
+        pairs += [(spd(rng, d, rank=1), spd(rng, d, rank=2)) for d in (3, 4)]
+        matrices = [random_spd(rng, d) for d in (1, 2, 4, 6)]
+
+        def answers():
+            out = []
+            for mu_cov, nu_cov in pairs:
+                below, above = project_pair(mu_cov, nu_cov)
+                diagnostics = below.diagnostics
+                work = diagnostics.get("iterations", diagnostics.get("reduced_iterations"))
+                out.append((below.method, work, below.covariance, above.covariance,
+                            np.array([below.distance_sq])))
+                fast = shared_correlation_fast_path(mu_cov, nu_cov)
+                out.append(("fast", fast is None, *([] if fast is None else [fast[1].covariance])))
+                out.append(("dominance", dominance_check(mu_cov, nu_cov)))
+                unique = is_above_projection_unique(mu_cov, nu_cov, above.reduction)
+                out.append(("unique", unique.unique, unique.reason))
+            for m in matrices:
+                other = 2.0 * m + np.eye(m.shape[0])
+                outcome, _ = pgd.pgd_project_above(other, m)
+                out.append(("pgd", outcome.iterations, outcome.covariance, outcome.gradient))
+                out.append(("step", None, np.array([pgd._default_step(
+                    psd_eigen(other)[0], m, pgd.REG_FACTOR * float(np.trace(other)))])))
+                out.append(("spd_sqrt", None, spd_sqrt(m)))
+                out.append(("bw2", None, np.array([bw2(m, other)]), bw2_gradient(m, other)))
+                out.append(("measure", None, GaussianMeasure(np.zeros(m.shape[0]), m).cov))
+            return out
+
+        reference = answers()
+        validated = linalg._validated_eigh
+
+        def reversed_and_flipped(matrix):
+            vals, vecs = validated(matrix)
+            flips = np.where(np.arange(vals.size) % 2 == 1, -1.0, 1.0)
+            return vals[::-1].copy(), vecs[:, ::-1] * flips
+
+        patch_everywhere(monkeypatch, "_validated_eigh", reversed_and_flipped)
+        assert linalg._validated_eigh is gaussian._validated_eigh is reversed_and_flipped
+        for m in matrices:
+            assert psd_eigen(m)[0][0] >= psd_eigen(m)[0][-1]  # handed over descending
+        methods = set()
+        for want, got in zip(reference, answers(), strict=True):
+            head = 2 if isinstance(want[1], (int, bool, type(None))) else 1
+            assert got[:head] == want[:head], want[0]
+            methods.add(want[0])
+            for x, y in zip(got[head:], want[head:], strict=True):
+                if isinstance(y, np.ndarray):  # unit-scale outputs; a gradient ends near 0
+                    assert np.linalg.norm(x - y) <= 1e-12 * (1.0 + np.linalg.norm(y)), want[0]
+                else:
+                    assert x == y, want[0]
+        assert {"commuting", "fast_path", "pgd", "singular_reduction"} <= methods
+
+
+class TestValidatedSpectrum:
+    """``psd_eigen`` validates in LAPACK's order what its descending
+    predecessor validated."""
+
+    @staticmethod
+    def descending_rejects(matrix):
+        # the check as it stood on the descending spectrum of sym_eigen
+        vals = np.sort(np.linalg.eigh(0.5 * (matrix + matrix.T))[0])[::-1]
+        scale = 1.0 + float(np.abs(vals).max())
+        return bool(vals[-1] < -linalg.EIG_TOL * scale)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.floats(0.5, 2.0),
+           st.integers(-10, 10), st.booleans())
+    def test_rejects_where_the_descending_check_did(self, d, seed, factor, power, negative_top):
+        # the smallest eigenvalue sits around -EIG_TOL * scale, at scales
+        # 4^-10 to 4^10, with the largest magnitude at either end
+        rng = np.random.default_rng(seed)
+        vals = rng.uniform(0.0, 1.0, size=d) * 4.0**power
+        top = float(np.abs(vals).max()) if d > 1 else 0.0
+        vals[0] = -factor * linalg.EIG_TOL * (1.0 + top)
+        if negative_top and d > 1:
+            vals[1:] *= 1e-3  # the negative eigenvalue has the largest magnitude
+            vals[0] = -factor * linalg.EIG_TOL * (1.0 + abs(vals[0]))
+        q = random_orthogonal(rng, d)
+        matrix = (q * vals) @ q.T
+        expected = self.descending_rejects(matrix)
+        if expected:
+            with pytest.raises(NotPsdError):
+                psd_eigen(matrix)
+        else:
+            got, vecs = psd_eigen(matrix)
+            assert np.all(np.diff(got) >= 0.0)  # ascending, clamped
+            assert got.min() >= 0.0
+            raw = np.linalg.eigh(0.5 * (matrix + matrix.T))[0]
+            np.testing.assert_array_equal(got, np.clip(raw, 0.0, None))
+
+    def test_reads_are_order_free(self):
+        # the default step reads extremes of both spectra, in any order
+        rng = np.random.default_rng(32)
+        for d in (2, 5, 8):
+            mu, nu = random_spd(rng, d), random_spd(rng, d)
+            vals = psd_eigen(nu)[0]
+            reg = pgd.REG_FACTOR * float(np.trace(nu))
+            ascending = pgd._default_step(vals, mu, reg)
+            assert pgd._default_step(vals[::-1].copy(), mu, reg) == ascending
+
+
+class TestTransportMapBasis:
+    """The order transform's basis is the eigenbasis of the transport map,
+    taken from the Bures gradient that the solve already holds."""
+
+    @staticmethod
+    def old_map_basis(fixed, cov):
+        # F^-1/2 (F^1/2 S F^1/2)^1/2 F^-1/2, the map from N(0, F) onto
+        # N(0, S); its eigenbasis in the eigen-convention, from numpy alone
+        vals, vecs = np.linalg.eigh(fixed)
+        half = (vecs * np.sqrt(vals)) @ vecs.T
+        inv_half = (vecs / np.sqrt(vals)) @ vecs.T
+        mid_vals, mid_vecs = np.linalg.eigh(half @ cov @ half)
+        middle = (mid_vecs * np.sqrt(np.clip(mid_vals, 0.0, None))) @ mid_vecs.T
+        return sym_eigen(inv_half @ middle @ inv_half)
+
+    def test_descent_basis_matches_the_old_map(self):
+        rng = np.random.default_rng(33)
+        compared = 0
+        for k in range(60):
+            d = 2 + k % 9
+            mu_cov = random_spd(rng, d) if k % 3 else random_psd_singular(rng, d, d - 1)
+            nu_cov = random_spd(rng, d)
+            below, above = project_pair(mu_cov, nu_cov)
+            if below.method != "pgd":
+                continue
+            compared += self.assert_matches_where_separated(
+                nu_cov, above.covariance, below.transform.basis)
+        assert compared > 150
+
+    @classmethod
+    def assert_matches_where_separated(cls, fixed, cov, basis):
+        t, ref = cls.old_map_basis(fixed, cov)
+        gaps = np.abs(np.diff(t)) > 1e-6 * np.abs(t).max()
+        separated = np.concatenate(([True], gaps)) & np.concatenate((gaps, [True]))
+        np.testing.assert_allclose(basis[:, separated], ref[:, separated], rtol=0, atol=1e-8)
+        return int(separated.sum())
+
+    def test_fast_path_basis_matches_the_old_map(self):
+        # the shared-correlation test runs in LAPACK's basis; the basis
+        # that leaves is ordered like the map from cov_mu onto cov_nu
+        rng = np.random.default_rng(36)
+        compared = 0
+        pairs = [random_commuting_pair(rng, d)[:2] for d in (2, 3, 5, 8)]
+        pairs += [(random_spd(rng, d), random_spd(rng, d)) for d in (2,) * 60 + (3,) * 30]
+        for mu_cov, nu_cov in pairs:
+            below, _ = project_pair(mu_cov, nu_cov)
+            if below.method in ("commuting", "fast_path"):
+                compared += self.assert_matches_where_separated(
+                    mu_cov, nu_cov, below.transform.basis)
+        assert compared > 40
+
+    def test_outcome_carries_the_last_gradient(self):
+        rng = np.random.default_rng(34)
+        for d in (2, 4, 7, 10):
+            mu_cov, nu_cov = random_spd(rng, d), random_spd(rng, d)
+            outcome, _ = pgd.pgd_project_above(nu_cov, mu_cov)
+            expected = bw2_gradient(nu_cov, outcome.covariance)
+            np.testing.assert_allclose(outcome.gradient, expected, rtol=0, atol=1e-12)
+
+    def test_reduction_basis_is_the_ordered_target_basis(self):
+        # ordered before the clamp, the kernel keeps sym_eigen's column order
+        rng = np.random.default_rng(35)
+        cases = [(np.eye(3), np.diag([2.0, 0.0, 0.0])), (np.eye(4), np.diag([0.0, 3.0, 0.0, 1.0]))]
+        for k in range(120):
+            d = 2 + k % 7
+            scale = 4.0 ** int(rng.integers(-6, 7)) * (1.0 + k % 3)
+            nu_cov = scale * random_psd_singular(rng, d, 1 + k % (d - 1))
+            cases.append((scale * random_spd(rng, d), nu_cov))
+        for mu_cov, nu_cov in cases:
+            expected = sym_eigen(nu_cov)[1]
+            _, above = project_pair(mu_cov, nu_cov)
+            assert above.method == "singular_reduction"
+            assert np.array_equal(above.reduction.basis, expected)
+            assert np.array_equal(reduce_singular_above(nu_cov, mu_cov).basis, expected)
+
 
 class TestSpectralWork:
     """Each solve decomposes both covariances once; the ceilings below pin
@@ -839,17 +1027,20 @@ class TestSpectralWork:
             eigensolves["n"] = inside["eig"] = inside["cone"] = inside["sym_eigen"] = 0
             below, _ = project_pair(random_spd(rng, d), random_spd(rng, d))
             assert below.method == "pgd"
-            assert eigensolves["n"] - inside["eig"] <= 8
+            # the pair (2), the shared-correlation attempt (2, plus its
+            # Loewner test when the correlation is shared), the basis from
+            # the descent's last gradient and the certificate
+            assert eigensolves["n"] - inside["eig"] <= 7
             # set-up decomposes both inputs once; each cone projection is
             # followed by one objective-and-gradient eigensolve
             assert inside["eig"] == 2 + 2 * inside["cone"]
-            # only those two set-up decompositions pay for the eigen-convention
-            assert inside["sym_eigen"] <= 2
+            # no basis leaves the descent, so none pays for the eigen-convention
+            assert inside["sym_eigen"] == 0
 
     def test_singular_lower_with_definite_target(self, eigensolves, monkeypatch):
         # no shared-correlation attempt: the fast path needs both covariances
         # nonsingular; outside the descent remain the two decompositions, the
-        # transport map (2) and the certificate
+        # basis from the descent's last gradient and the certificate
         inside = {"eig": 0}
         descend = gaussian.pgd_project_above
 
@@ -865,7 +1056,7 @@ class TestSpectralWork:
             eigensolves["n"] = inside["eig"] = 0
             below, _ = project_pair(random_psd_singular(rng, d, d - 1), random_spd(rng, d))
             assert below.method == "pgd"
-            assert eigensolves["n"] - inside["eig"] <= 5
+            assert eigensolves["n"] - inside["eig"] <= 4
 
     def test_fast_path_on_a_singular_lower_covariance(self, eigensolves):
         rng = np.random.default_rng(26)
