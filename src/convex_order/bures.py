@@ -8,6 +8,7 @@ import numpy as np
 
 from .linalg import (
     EIG_TOL,
+    RANK_REL,
     LinalgError,
     NotPsdError,
     _rebuild,
@@ -84,7 +85,8 @@ def bw2_gradient_from_inner(
     half: np.ndarray, inner_vals: np.ndarray, inner_vecs: np.ndarray
 ) -> np.ndarray:
     """``I - F^{1/2} (F^{1/2} S F^{1/2})^{-1/2} F^{1/2}`` from ``half =
-    F^{1/2}`` and the spectral decomposition of ``F^{1/2} S F^{1/2}``.
+    F^{1/2}`` and the spectral decomposition of ``F^{1/2} S F^{1/2}``, its
+    eigenvalues clamped at zero (as :func:`clamped_eigen` returns them).
 
     Inner eigenvalues below the rank cutoff are floored there, so a flat
     ``S`` gives a large but finite gradient pointing back into the interior.
@@ -92,7 +94,8 @@ def bw2_gradient_from_inner(
     diag(lambda)^{-1/4}``, a Gram form that numpy computes with BLAS
     ``syrk``, so the gradient is exactly symmetric without a ``sym``.
     """
-    floor = max(default_rank_tol(inner_vals), _TINY)
+    # default_rank_tol without its abs, which a clamped spectrum does not need
+    floor = max(inner_vals.size * float(inner_vals.max()) * RANK_REL, _TINY)
     w = (half @ inner_vecs) * np.maximum(inner_vals, floor) ** -0.25
     return _identity(half.shape[0]) - w @ w.T
 

@@ -46,13 +46,13 @@ from .linalg import (
     _rebuild,
     _validated_eigh,
     clamped_eigen,
-    cleaned_diag,
-    conjugate_to_shared_correlation,
+    correlation,
     default_rank_tol,
     loewner_gap,
     loewner_leq,
     positive_diag_mask,
     psd_eigen,
+    shares_correlation,
     sym,
     sym_eigen,
     transport_map_basis,
@@ -267,22 +267,22 @@ def _results(
 
 
 def _project(
-    pair: _Pair, basis: np.ndarray, conj: tuple[np.ndarray, np.ndarray] | None = None
+    pair: _Pair, basis: np.ndarray
 ) -> tuple[OrderTransform, np.ndarray, np.ndarray, float]:
     """Transform, both projected covariances and the shared squared distance
-    in ``basis``; ``conj`` is the pair conjugated into it, when at hand.
+    in ``basis``.
 
     ``D_ii = min(1, sqrt(nu_ii / mu_ii))``, with 1 where ``mu_ii`` vanishes.
-    Sub-cutoff diagonals are flushed to zero first (they are exact zeros
-    plus conjugation roundoff, and the square root would amplify them).
+    Diagonals outside :func:`positive_diag_mask` are flushed to zero first
+    (they are exact zeros plus conjugation roundoff, and the square root
+    would amplify them); those inside it are positive.
     """
-    if conj is None:
-        conj = sym(basis.T @ pair.cov_mu @ basis), sym(basis.T @ pair.cov_nu @ basis)
-    m_mu, m_nu = conj
+    m_mu = sym(basis.T @ pair.cov_mu @ basis)
+    m_nu = sym(basis.T @ pair.cov_nu @ basis)
     mu_pos = positive_diag_mask(m_mu)
     nu_pos = positive_diag_mask(m_nu)
-    mu_diag = cleaned_diag(m_mu)
-    nu_diag = cleaned_diag(m_nu)
+    mu_diag = np.where(mu_pos, np.diag(m_mu), 0.0)
+    nu_diag = np.where(nu_pos, np.diag(m_nu), 0.0)
     ratios = np.sqrt(nu_diag / np.where(mu_pos, mu_diag, 1.0))
     d = np.where(mu_pos, np.minimum(1.0, ratios), 1.0)
     contracted = d[:, None] * m_mu * d[None, :]
@@ -316,15 +316,15 @@ def _fast_path(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult] | None:
     half = _rebuild(np.sqrt(mu_vals), mu_vecs)
     gradient = bw2_gradient_from_inner(half, *clamped_eigen(half @ pair.cov_nu @ half))
     vals, vecs = transport_map_basis(gradient)
-    conj = conjugate_to_shared_correlation(pair.cov_mu, pair.cov_nu, vecs)
-    if conj is None:
-        return None
-    corr, m_mu, m_nu = conj
+    m_mu = sym(vecs.T @ pair.cov_mu @ vecs)
+    m_nu = sym(vecs.T @ pair.cov_nu @ vecs)
     if not (np.all(positive_diag_mask(m_mu)) and np.all(positive_diag_mask(m_nu))):
         return None
+    corr = correlation(m_mu)
     ratios_hat = np.minimum(1.0, np.sqrt(np.diag(m_mu) / np.diag(m_nu)))
     contracted = ratios_hat[:, None] * corr * ratios_hat[None, :]
-    if not loewner_leq(contracted, corr, 1e-10):
+    # the order test refuses nearly every refused pair, so it runs first
+    if not (loewner_leq(contracted, corr, 1e-10) and shares_correlation(m_nu, corr)):
         return None
     transform, *projected = _project(pair, _ordered(vals, vecs)[1])
     method = "commuting" if np.linalg.norm(corr - np.eye(corr.shape[0])) <= 1e-10 else "fast_path"

@@ -1,8 +1,8 @@
 """Deterministic symmetric linear algebra.
 
 Spectral decompositions, matrix square roots, positive parts, Loewner-order
-tests, the transport-map eigenbasis and the shared-correlation conjugation
-used by the Gaussian projection solvers.
+tests, the transport-map eigenbasis and the shared-correlation test used by
+the Gaussian projection solvers.
 
 All functions are pure and operate on plain ``numpy`` arrays.  Only bases
 that leave a call pay for the eigen-convention (eigenvalues descending, signs
@@ -157,12 +157,6 @@ def positive_diag_mask(matrix: np.ndarray) -> np.ndarray:
     return diag > diag.size * top * RANK_REL
 
 
-def cleaned_diag(matrix: np.ndarray) -> np.ndarray:
-    """Diagonal with sub-cutoff entries (roundoff leftovers of exact zeros)
-    flushed to zero; used wherever a square root would amplify the noise."""
-    return np.where(positive_diag_mask(matrix), np.clip(np.diag(matrix), 0.0, None), 0.0)
-
-
 def transport_map_basis(gradient: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs, in LAPACK's ascending order, of a Bures gradient
     ``G = grad_S bw2(F, S) = I - T^{-1}`` between nonsingular ``F`` and ``S``
@@ -175,26 +169,26 @@ def transport_map_basis(gradient: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _eigh(gradient)
 
 
-def conjugate_to_shared_correlation(
-    s1: np.ndarray, s2: np.ndarray, basis: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Correlation ``C`` shared by two nonsingular PSD matrices in the
-    orthogonal ``basis`` (``O``, the :func:`transport_map_basis` of the pair
-    in any column order and signs), with the conjugated matrices
-    ``m_k = O.T @ s_k @ O``.
-
-    ``C`` is the correlation of ``m1``.  Returns ``None`` when
-    ``m2 == dg^{1/2} C dg^{1/2}`` misses by more than ``CORR_TOL`` relative
-    to its Frobenius norm.
-    """
-    m1 = sym(basis.T @ s1 @ basis)
-    m2 = sym(basis.T @ s2 @ basis)
-    scale1 = np.sqrt(np.diag(m1))
-    corr = m1 / np.outer(scale1, scale1)
+def correlation(matrix: np.ndarray) -> np.ndarray:
+    """Correlation ``dg^{-1/2} M dg^{-1/2}`` of a matrix ``M`` whose diagonal
+    ``dg`` is positive (:func:`positive_diag_mask` all true), its diagonal
+    set to exactly 1."""
+    scale = np.sqrt(np.diag(matrix))
+    corr = matrix / np.outer(scale, scale)
     np.fill_diagonal(corr, 1.0)
-    for m in (m1, m2):
-        scale = np.sqrt(cleaned_diag(m))
-        rebuilt = np.outer(scale, scale) * corr
-        if np.linalg.norm(rebuilt - m) / (1.0 + np.linalg.norm(m)) > CORR_TOL:
-            return None
-    return corr, m1, m2
+    return corr
+
+
+def shares_correlation(matrix: np.ndarray, corr: np.ndarray) -> bool:
+    """Does ``matrix``, with a positive diagonal ``dg``, equal ``dg^{1/2} C
+    dg^{1/2}`` to ``CORR_TOL`` relative to its Frobenius norm?
+
+    In the :func:`transport_map_basis` of two nonsingular PSD matrices, in
+    any column order and signs, the transport map is a diagonal ``L``, so the
+    conjugated target ``L m L`` shares the :func:`correlation` ``C`` of the
+    conjugated source ``m`` up to roundoff; the source shares its own by
+    construction and needs no test.
+    """
+    scale = np.sqrt(np.diag(matrix))
+    rebuilt = np.outer(scale, scale) * corr
+    return bool(np.linalg.norm(rebuilt - matrix) / (1.0 + np.linalg.norm(matrix)) <= CORR_TOL)

@@ -5,7 +5,10 @@ dominating-side projection, with the two Frobenius cone projections.
 Iterations, initialization and the cone projection follow the positive-part
 construction; Barzilai-Borwein steps are accepted by the Armijo test along
 the projection arc (Bertsekas 1976; Birgin, Martinez and Raydan 2000).  The
-descent is fully deterministic.
+descent is fully deterministic.  Its iterates and gradients are exactly
+symmetric, so it projects them with the private :func:`_project_above`;
+:func:`frobenius_project_above` is the public wrapper that symmetrises raw
+input first.
 """
 
 from __future__ import annotations
@@ -68,10 +71,18 @@ class PgdOutcome(NamedTuple):
 def frobenius_project_above(matrix: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Frobenius projection of ``matrix`` onto ``{S : S >= lower}``.
 
-    ``matrix + (lower - matrix)^+``; always PSD when ``lower`` is.
+    ``matrix + (lower - matrix)^+``; always PSD when ``lower`` is.  Both
+    inputs are symmetrised, then projected by :func:`_project_above`, so the
+    result is exactly symmetric.
     """
-    m = sym(matrix)
-    return m + positive_part(sym(lower) - m)
+    return _project_above(sym(matrix), sym(lower))
+
+
+def _project_above(matrix: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    """:func:`frobenius_project_above` of exactly symmetric inputs, which the
+    descent's iterates, steps and lower bound are (sums of Gram forms and
+    symmetrised input): ``sym`` would return them bit for bit."""
+    return matrix + positive_part(lower - matrix)
 
 
 def frobenius_project_below(
@@ -159,7 +170,7 @@ def pgd_project_above(
     eta0 = float(_default_step(objective.vals, mu, REG_FACTOR * float(np.trace(nu))))
     eta_lo, eta_hi = eta0 / BB_BAND, eta0 * BB_BAND
 
-    s = frobenius_project_above(nu, mu)
+    s = _project_above(nu, mu)
     f, grad = objective.value_and_gradient(s)
     tol = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(nu)))
     trace = PgdTrace()
@@ -168,11 +179,12 @@ def pgd_project_above(
     reason = "max_iter"
     iterations = 0
     eta = eta0
+    # the last accepted step S - S_prev and the gradient at S_prev
     prev: tuple[np.ndarray, np.ndarray] | None = None
 
     for iterations in range(1, MAX_ITER + 1):
         if prev is not None:
-            ds, dg = s - prev[0], grad - prev[1]
+            ds, dg = prev[0], grad - prev[1]
             curvature = float(np.vdot(ds, dg))
             if curvature > 0.0:
                 eta = float(np.vdot(ds, ds)) / curvature
@@ -184,7 +196,7 @@ def pgd_project_above(
         slack = 1e-12 * (1.0 + abs(f))
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            candidate = frobenius_project_above(s - eta * grad, mu)
+            candidate = _project_above(s - eta * grad, mu)
             step = candidate - s
             f_cand, grad_cand = objective.value_and_gradient(candidate)
             if f_cand <= f + ARMIJO * float(np.vdot(grad, step)) + slack:
@@ -196,7 +208,7 @@ def pgd_project_above(
             break
 
         residual = math.sqrt(np.vdot(step, step)) / eta
-        prev = (s, grad)
+        prev = (step, grad)
         trace.grad_norm.append(math.sqrt(np.vdot(grad, grad)))
         s, f, grad = candidate, f_cand, grad_cand
         trace.objective.append(f)

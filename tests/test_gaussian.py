@@ -23,12 +23,13 @@ from convex_order.gaussian import (
 )
 from convex_order.linalg import (
     NotPsdError,
-    conjugate_to_shared_correlation,
+    correlation,
     loewner_gap,
     loewner_leq,
     positive_part,
     psd_eigen,
     spd_sqrt,
+    sym,
     sym_eigen,
     transport_map_basis,
 )
@@ -247,7 +248,85 @@ class TestProjectAbove:
         np.testing.assert_allclose(res.covariance, s, atol=1e-12)
 
 
+def former_fast_path(pair):
+    """The fast path in its former order: both conjugates tested against the
+    shared correlation, then the diagonals, then the order test."""
+    d = pair.cov_nu.shape[0]
+    if pair.rank_mu < d or pair.rank_nu < d:
+        return None
+    mu_vals, mu_vecs = pair.mu_eig
+    half = linalg._rebuild(np.sqrt(mu_vals), mu_vecs)
+    inner = linalg.clamped_eigen(half @ pair.cov_nu @ half)
+    vals, vecs = transport_map_basis(bures.bw2_gradient_from_inner(half, *inner))
+    m1 = sym(vecs.T @ pair.cov_mu @ vecs)
+    m2 = sym(vecs.T @ pair.cov_nu @ vecs)
+    scale1 = np.sqrt(np.diag(m1))
+    corr = m1 / np.outer(scale1, scale1)
+    np.fill_diagonal(corr, 1.0)
+    for m in (m1, m2):
+        cleaned = np.where(linalg.positive_diag_mask(m), np.clip(np.diag(m), 0.0, None), 0.0)
+        scale = np.sqrt(cleaned)
+        residual = np.linalg.norm(np.outer(scale, scale) * corr - m) / (1.0 + np.linalg.norm(m))
+        if residual > linalg.CORR_TOL:
+            return None
+    if not (np.all(linalg.positive_diag_mask(m1)) and np.all(linalg.positive_diag_mask(m2))):
+        return None
+    ratios_hat = np.minimum(1.0, np.sqrt(np.diag(m1) / np.diag(m2)))
+    if not loewner_leq(ratios_hat[:, None] * corr * ratios_hat[None, :], corr, 1e-10):
+        return None
+    return gaussian._project(pair, linalg._ordered(vals, vecs)[1])
+
+
+def fast_path_family(rng, k):
+    """Full-rank pairs of five kinds, d = 2..8: random, commuting,
+    block-diagonal in a rotated basis, cov_mu <= cov_nu, and cov_nu = T cov_mu T
+    with a map T <= I."""
+    d = 2 + k % 7
+    kind = k % 5
+    if kind == 0:
+        return random_spd(rng, d), random_spd(rng, d)
+    if kind == 1:
+        return random_commuting_pair(rng, d)[:2]
+    if kind == 2:
+        q, split = random_orthogonal(rng, d), 1 + k % (d - 1)
+        blocks = []
+        for _ in range(2):
+            m = np.zeros((d, d))
+            m[:split, :split] = random_spd(rng, split)
+            m[split:, split:] = random_spd(rng, d - split)
+            blocks.append(q @ m @ q.T)
+        return tuple(blocks)
+    mu_cov = random_spd(rng, d)
+    if kind == 3:
+        return mu_cov, mu_cov + random_spd(rng, d, 0.0, 1.0)
+    t = random_spd(rng, d, 0.1, 1.0)
+    return mu_cov, t @ mu_cov @ t
+
+
 class TestFastPath:
+    def test_order_of_the_tests_changes_no_decision(self):
+        # the order test runs before the correlation test, and only the
+        # target's conjugate is tested: every decision and result stay
+        rng = np.random.default_rng(44)
+        accepted = refused = 0
+        for k in range(500):
+            pair = gaussian._decompose(*fast_path_family(rng, k))
+            former, fast = former_fast_path(pair), gaussian._fast_path(pair)
+            assert (former is None) == (fast is None), k
+            if fast is None:
+                refused += 1
+                continue
+            accepted += 1
+            transform, below, above, distance_sq = former
+            assert fast[0].transform.certified
+            assert np.array_equal(fast[0].transform.basis, transform.basis)
+            assert np.array_equal(fast[0].transform.ratios, transform.ratios)
+            assert fast[0].transform.order_residual == transform.order_residual
+            assert np.array_equal(fast[0].covariance, below)
+            assert np.array_equal(fast[1].covariance, above)
+            assert fast[0].distance_sq == distance_sq
+        assert accepted > 150 and refused > 100
+
     def test_commuting_applies(self):
         out = shared_correlation_fast_path(np.diag([4.0, 1.0]), np.diag([1.0, 4.0]))
         assert out is not None
@@ -271,7 +350,7 @@ class TestFastPath:
         for _ in range(200):
             a, b = random_spd(rng, 2), random_spd(rng, 2)
             basis = transport_map_basis(bw2_gradient(a, b))[1]
-            corr, _, _ = conjugate_to_shared_correlation(a, b, basis)
+            corr = correlation(sym(basis.T @ a @ basis))
             m_mu = np.diag(basis.T @ a @ basis)
             m_nu = np.diag(basis.T @ b @ basis)
             d_hat = np.minimum(1.0, np.sqrt(m_mu / m_nu))
@@ -1000,7 +1079,7 @@ class TestSpectralWork:
     def test_descent_route(self, eigensolves, monkeypatch):
         inside = {"eig": 0, "cone": 0, "sym_eigen": 0}
         descend = gaussian.pgd_project_above
-        cone = pgd.frobenius_project_above
+        cone = pgd._project_above
         sym_eigen = linalg.sym_eigen
         conventions = {"n": 0}
 
@@ -1020,7 +1099,7 @@ class TestSpectralWork:
             return cone(*args, **kwargs)
 
         monkeypatch.setattr(gaussian, "pgd_project_above", counted_descent)
-        monkeypatch.setattr(pgd, "frobenius_project_above", counted_cone)
+        monkeypatch.setattr(pgd, "_project_above", counted_cone)
         patch_everywhere(monkeypatch, "sym_eigen", counted_sym_eigen)
         rng = np.random.default_rng(25)
         for d in (3, 6, 9):
@@ -1028,7 +1107,7 @@ class TestSpectralWork:
             below, _ = project_pair(random_spd(rng, d), random_spd(rng, d))
             assert below.method == "pgd"
             # the pair (2), the shared-correlation attempt (2, plus its
-            # Loewner test when the correlation is shared), the basis from
+            # Loewner test when the diagonals are positive), the basis from
             # the descent's last gradient and the certificate
             assert eigensolves["n"] - inside["eig"] <= 7
             # set-up decomposes both inputs once; each cone projection is

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from convex_order.bures import bw2_gradient
 from convex_order.linalg import (
     NotPsdError,
-    cleaned_diag,
-    conjugate_to_shared_correlation,
+    correlation,
     loewner_leq,
+    positive_diag_mask,
     positive_part,
     psd_eigen,
+    shares_correlation,
     spd_sqrt,
+    sym,
     sym_eigen,
     transport_map_basis,
 )
@@ -155,13 +157,15 @@ def _assert_shared(s1, s2, basis, corr, tol=1e-10):
     np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-10)
     for s in (s1, s2):
         m = basis.T @ s @ basis
-        scale = np.sqrt(cleaned_diag(m))
+        scale = np.sqrt(np.where(positive_diag_mask(m), np.diag(m), 0.0))
         np.testing.assert_allclose(np.outer(scale, scale) * corr, m, atol=tol)
 
 
 def shared_correlation(s1, s2):
     basis = transport_map_basis(bw2_gradient(s1, s2))[1]
-    corr, _, _ = conjugate_to_shared_correlation(s1, s2, basis)
+    m1, m2 = (sym(basis.T @ s @ basis) for s in (s1, s2))
+    corr = correlation(m1)
+    assert shares_correlation(m1, corr) and shares_correlation(m2, corr)
     return basis, corr
 
 

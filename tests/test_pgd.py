@@ -4,7 +4,7 @@ import pytest
 from convex_order import pgd
 from convex_order.bures import bw2
 from convex_order.gaussian import project_pair, shared_correlation_fast_path
-from convex_order.linalg import loewner_leq, psd_eigen, sym, sym_eigen
+from convex_order.linalg import loewner_leq, positive_part, psd_eigen, sym, sym_eigen
 from convex_order.pgd import (
     _default_step,
     frobenius_project_above,
@@ -113,6 +113,19 @@ class TestFrobeniusAbove:
         out = frobenius_project_above(np.diag([3.0, 0.0]), np.eye(2))
         np.testing.assert_allclose(out, np.diag([3.0, 1.0]), atol=1e-12)
 
+    def test_symmetrises_raw_input(self):
+        # the public wrapper projects sym(matrix) above sym(lower), exactly
+        # symmetric however asymmetric its input
+        rng = np.random.default_rng(2)
+        for d in (2, 3, 5, 8):
+            matrix = rng.normal(size=(d, d))
+            lower = random_spd(rng, d) + 1e-3 * rng.normal(size=(d, d))
+            projected = frobenius_project_above(matrix, lower)
+            assert not np.array_equal(matrix, matrix.T)
+            assert np.array_equal(projected, projected.T)
+            assert np.array_equal(projected, frobenius_project_above(sym(matrix), sym(lower)))
+            assert loewner_leq(sym(lower), projected, 1e-10)
+
     def test_beats_random_feasible_points(self):
         rng = np.random.default_rng(1)
         d = 4
@@ -207,12 +220,13 @@ class TestPgd:
         # every candidate the descent evaluates, accepted or not, is a cone
         # projection and dominates the lower bound
         candidates = []
+        project = pgd._project_above
 
         def recording(matrix, lower):
-            candidates.append(frobenius_project_above(matrix, lower))
+            candidates.append(project(matrix, lower))
             return candidates[-1]
 
-        monkeypatch.setattr(pgd, "frobenius_project_above", recording)
+        monkeypatch.setattr(pgd, "_project_above", recording)
         rng = np.random.default_rng(7)
         a, b = random_spd(rng, 4), random_spd(rng, 4)
         outcome, _ = pgd_project_above(b, a)
@@ -313,20 +327,47 @@ class TestAccuracy:
             assert mapping <= pgd.RESIDUAL_TOL * (1.0 + np.linalg.norm(nu)), k
 
 
+def public_projection(matrix, lower):
+    """The descent's cone projection as the public wrapper made it, with
+    both inputs symmetrised."""
+    m = sym(matrix)
+    return m + positive_part(sym(lower) - m)
+
+
 class TestWork:
+    def test_private_projection_changes_no_bit(self, monkeypatch):
+        # the descent's iterates, steps and lower bound are exactly symmetric,
+        # so symmetrising them again returns them bit for bit
+        rng = np.random.default_rng(42)
+        for d in range(3, 11):
+            for _ in range(2):
+                mu, nu = random_spd(rng, d), random_spd(rng, d)
+                outcome, trace = pgd_project_above(nu, mu)
+                with monkeypatch.context() as patch:
+                    patch.setattr(pgd, "_project_above", public_projection)
+                    reference, reference_trace = pgd_project_above(nu, mu)
+                assert np.array_equal(outcome.covariance, reference.covariance)
+                assert np.array_equal(outcome.gradient, reference.gradient)
+                assert outcome.iterations == reference.iterations
+                assert outcome.objective == reference.objective
+                assert outcome.residual == reference.residual
+                assert trace.objective == reference_trace.objective
+                assert trace.grad_norm == reference_trace.grad_norm
+
     def test_cone_projections_on_a_seeded_set(self, monkeypatch):
-        # each evaluated candidate costs one cone projection and one
-        # objective eigensolve; this set evaluates 284 candidates
+        # each start and each evaluated candidate costs one cone projection
+        # and one objective eigensolve; this set makes 284 projections
         cones = {"n": 0}
+        project = pgd._project_above
 
         def counted_cone(matrix, lower):
             cones["n"] += 1
-            return frobenius_project_above(matrix, lower)
+            return project(matrix, lower)
 
-        monkeypatch.setattr(pgd, "frobenius_project_above", counted_cone)
+        monkeypatch.setattr(pgd, "_project_above", counted_cone)
         rng = np.random.default_rng(25)
         for d in range(3, 11):
             for _ in range(3):
                 mu, nu = random_spd(rng, d), random_spd(rng, d)
                 assert pgd_project_above(nu, mu)[0].stop_reason == "residual"
-        assert cones["n"] <= 290
+        assert 0 < cones["n"] <= 290
