@@ -29,7 +29,6 @@ from .discrete import (
     solve_wot,
 )
 from .gaussian import (
-    CertificationError,
     ProjectionResult,
     RankAmbiguousError,
     is_above_projection_unique,
@@ -139,18 +138,16 @@ def main():
 
 @main.command("project-gaussian")
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@click.option("--method", type=click.Choice(["auto", "closed-form", "pgd"]),
-              default="auto", show_default=True)
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
               help="Write the descent trace as CSV (iteration, objective, grad_norm).")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
-def cmd_project_gaussian(problem, method, trace_path, output):
+def cmd_project_gaussian(problem, trace_path, output):
     """Project two Gaussian measures onto each other's convex-order cones."""
     data = _load_json(problem)
     _, mu, nu = _measure_pair(data, "gaussian")
     try:
-        below, above = project_pair(mu.cov, nu.cov, method=method)
-    except (CertificationError, LinalgError) as exc:
+        below, above = project_pair(mu.cov, nu.cov)
+    except LinalgError as exc:
         _fail(SOLVER_ERROR, str(exc))
     try:
         uniqueness = is_above_projection_unique(mu.cov, nu.cov, above.reduction)
@@ -378,7 +375,7 @@ def cmd_check(problem, assert_file, output):
             checks = _one_d_checks(mu, nu)
         else:
             checks = _discrete_checks(mu, nu)
-    except (CertificationError, LinalgError, BudgetExceededError, QuantileOrderError) as exc:
+    except (LinalgError, BudgetExceededError, QuantileOrderError) as exc:
         _fail(SOLVER_ERROR, str(exc))
 
     for key, cov in expected.items():  # gaussian mode only

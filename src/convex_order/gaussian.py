@@ -347,23 +347,16 @@ def shared_correlation_fast_path(
     return None if fast is None else (fast[0].transform, *fast)
 
 
-def _route(pair: _Pair, method: str) -> tuple[ProjectionResult, ProjectionResult]:
+def _route(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult]:
     """Solve a validated pair: one route per rank of ``cov_nu``."""
-    if method not in ("auto", "closed-form", "pgd"):
-        raise ValueError(f"unknown method {method!r}")
     d = pair.cov_nu.shape[0]
     if pair.rank_nu == 0:
         return _results(*_project(pair, np.eye(d)), "closed_form", {"rank_nu": 0})
 
-    if method != "pgd":
-        fast = _fast_path(pair)
-        if fast is not None:
-            return fast
-    if method == "closed-form":
-        raise LinalgError(
-            "shared-correlation fast path does not apply to this pair; "
-            "use method='auto' or 'pgd'"
-        )
+    # tests force the descent by replacing this module global: call it by name
+    fast = _fast_path(pair)
+    if fast is not None:
+        return fast
 
     if pair.rank_nu == d:
         outcome, trace = pgd_project_above(pair.cov_nu, pair.cov_mu)
@@ -372,7 +365,7 @@ def _route(pair: _Pair, method: str) -> tuple[ProjectionResult, ProjectionResult
         basis = _ordered(*transport_map_basis(outcome.gradient))[1]
         reduction = None
     else:
-        reduction = _reduce(pair, method)
+        reduction = _reduce(pair)
         # compose the spectral split of the target with the reduced solve's
         # rotation; the kernel coordinates keep the spectral basis vectors
         block = np.eye(d)
@@ -400,7 +393,7 @@ def _route(pair: _Pair, method: str) -> tuple[ProjectionResult, ProjectionResult
     return _results(transform, *projected, "singular_reduction", diagnostics, reduction)
 
 
-def _reduce(pair: _Pair, method: str) -> SingularReduction:
+def _reduce(pair: _Pair) -> SingularReduction:
     """Rank reduction of a record, at its scale.  The reduced target's
     spectrum is the top of ``cov_nu``'s, ordered before the clamp so that
     ties in the kernel keep their order; the reduced ``cov_mu`` block,
@@ -418,7 +411,7 @@ def _reduce(pair: _Pair, method: str) -> SingularReduction:
         reduced_mu = _rebuild(mu_vals, mu_vecs)
     top = nu_vals[:rank]
     reduced = _pair(reduced_mu, reduced_nu, (mu_vals, mu_vecs), (top, np.eye(rank)), top, 0)
-    _, inner = _route(reduced, method)
+    _, inner = _route(reduced)
     assembled_conj = conj_mu.copy()
     assembled_conj[:rank, :rank] = inner.covariance
     assembled = sym(nu_vecs @ assembled_conj @ nu_vecs.T)
@@ -436,9 +429,7 @@ def _reduce(pair: _Pair, method: str) -> SingularReduction:
     )
 
 
-def reduce_singular_above(
-    cov_nu: np.ndarray, cov_mu: np.ndarray, method: str = "auto"
-) -> SingularReduction:
+def reduce_singular_above(cov_nu: np.ndarray, cov_mu: np.ndarray) -> SingularReduction:
     """Reduce the dominating-side projection for singular ``cov_nu``.
 
     Diagonalizes ``cov_nu``, solves the nonsingular subproblem on the top
@@ -446,23 +437,21 @@ def reduce_singular_above(
     reduced solution on the top block and the conjugated ``cov_mu`` entries
     everywhere else.
     """
-    return _at_unit_scale(cov_mu, cov_nu, lambda pair: _reduce(pair, method))
+    return _at_unit_scale(cov_mu, cov_nu, _reduce)
 
 
-def project_below(
-    cov_mu: np.ndarray, cov_nu: np.ndarray, method: str = "auto"
-) -> ProjectionResult:
+def project_below(cov_mu: np.ndarray, cov_nu: np.ndarray) -> ProjectionResult:
     """Covariance of the projection of ``N(0, cov_mu)`` onto the measures
     dominated by ``N(0, cov_nu)`` in the convex order."""
-    return project_pair(cov_mu, cov_nu, method)[0]
+    return project_pair(cov_mu, cov_nu)[0]
 
 
 def project_pair(
-    cov_mu: np.ndarray, cov_nu: np.ndarray, method: str = "auto"
+    cov_mu: np.ndarray, cov_nu: np.ndarray
 ) -> tuple[ProjectionResult, ProjectionResult]:
     """Both projections from one solve at unit scale: ``(below, above)``,
     in the caller's units."""
-    return _at_unit_scale(cov_mu, cov_nu, lambda pair: _route(pair, method))
+    return _at_unit_scale(cov_mu, cov_nu, _route)
 
 
 def _saturated(pair: _Pair) -> bool:
@@ -497,7 +486,7 @@ def is_above_projection_unique(
     the projection is unique iff the assembled covariance keeps the rank of
     ``cov_nu`` or the saturation inequality holds.  ``reduction`` is the
     rank reduction of a solve already made (``ProjectionResult.reduction``);
-    without it one is computed with ``method="auto"``.  Eigenvalues
+    without it one is computed.  Eigenvalues
     within a factor ``RANK_BAND`` of the rank cutoff raise
     :class:`RankAmbiguousError` instead of guessing a rank.
     """
@@ -521,7 +510,7 @@ def is_above_projection_unique(
             True, "zero target covariance: the projection is the lower measure itself"
         )
     # ranks do not see the scale, so a reduction in the caller's units will do
-    assembled = (reduction or _reduce(pair, "auto")).assembled
+    assembled = (reduction or _reduce(pair)).assembled
     rank_star = guarded_rank(clamped_eigen(assembled)[0], "the assembled projection")
     if rank_star == rank_nu:
         return UniquenessVerdict(True, "assembled covariance keeps the target rank")

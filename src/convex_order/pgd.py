@@ -14,7 +14,7 @@ input first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -49,8 +49,8 @@ ARMIJO = 1e-4
 class PgdTrace:
     """Per accepted iteration: objective and gradient norm."""
 
-    objective: list[float] = field(default_factory=list)
-    grad_norm: list[float] = field(default_factory=list)
+    objective: list[float]
+    grad_norm: list[float]
 
 
 class PgdOutcome(NamedTuple):
@@ -173,7 +173,7 @@ def pgd_project_above(
     s = _project_above(nu, mu)
     f, grad = objective.value_and_gradient(s)
     tol = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(nu)))
-    trace = PgdTrace()
+    trace = PgdTrace([], [])
     residual = np.inf
     converged = False
     reason = "max_iter"

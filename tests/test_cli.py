@@ -89,9 +89,12 @@ class TestProjectGaussian:
             "mu": {"mean": [0.0, 0.0], "cov": [[4.0, 0.0], [0.0, 1.0]]},
             "nu": {"mean": [1.0, 0.0], "cov": [[1.0, 0.0], [0.0, 4.0]]},
         })
-        result = runner.invoke(main, ["project-gaussian", problem])
+        trace_path = tmp_path / "trace.csv"
+        result = runner.invoke(main, ["project-gaussian", problem, "--trace", str(trace_path)])
         report = json.loads(result.output)
         assert report["method"] == "commuting"
+        # no descent ran, so the trace is its header alone
+        assert trace_path.read_text() == "iteration,objective,grad_norm\n"
         np.testing.assert_allclose(report["below"]["cov"], np.eye(2), atol=1e-10)
         np.testing.assert_allclose(report["above"]["cov"], 4 * np.eye(2), atol=1e-10)
         # mean shift enters the full squared distance
@@ -106,8 +109,7 @@ class TestProjectGaussian:
         })
         trace_path = tmp_path / "trace.csv"
         result = runner.invoke(
-            main, ["project-gaussian", problem, "--method", "pgd",
-                   "--trace", str(trace_path)]
+            main, ["project-gaussian", problem, "--trace", str(trace_path)]
         )
         assert result.exit_code == 0
         report = json.loads(result.output)
@@ -144,7 +146,7 @@ class TestProjectGaussian:
         })
         trace_path = tmp_path / "trace.csv"
         result = runner.invoke(
-            main, ["project-gaussian", problem, "--method", "pgd", "--trace", str(trace_path)]
+            main, ["project-gaussian", problem, "--trace", str(trace_path)]
         )
         assert result.exit_code == 0
         diagnostics = json.loads(result.output)["diagnostics"]
@@ -204,15 +206,15 @@ class TestProjectGaussian:
         assert json.loads(converged.stdout)["status"] == "ok"
         assert "warning" not in converged.stderr
 
-    def test_closed_form_refusal_is_solver_error(self, runner, tmp_path):
-        # a pair outside the shared-correlation regime cannot be forced
-        # through the closed form
+    def test_pair_outside_the_fast_path_takes_the_descent(self, runner, tmp_path):
+        # the shared-correlation fast path refuses this pair
         problem = write_problem(tmp_path / "p.json", {
             "mu": {"mean": [0.0, 0.0], "cov": [[2.5, 0.0], [0.0, 0.4]]},
             "nu": {"mean": [0.0, 0.0], "cov": [[1.0, 0.9], [0.9, 1.0]]},
         })
-        result = runner.invoke(main, ["project-gaussian", problem, "--method", "closed-form"])
-        assert result.exit_code == 3
+        result = runner.invoke(main, ["project-gaussian", problem])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["method"] == "pgd"
 
     def test_uniqueness_reuses_the_reduction(self, runner, tmp_path, monkeypatch):
         calls = []
@@ -224,11 +226,16 @@ class TestProjectGaussian:
 
         monkeypatch.setattr(gaussian, "_reduce", counting)
         problem = write_problem(tmp_path / "p.json", GAUSSIAN_SINGULAR)
-        for method in ("auto", "pgd"):
+        for try_fast in (True, False):
             calls.clear()
-            result = runner.invoke(main, ["project-gaussian", problem, "--method", method])
+            with monkeypatch.context() as patch:
+                if not try_fast:
+                    patch.setattr(gaussian, "_fast_path", lambda pair: None)
+                result = runner.invoke(main, ["project-gaussian", problem])
             assert result.exit_code == 0
-            assert json.loads(result.output)["uniqueness"]["unique"] is False
+            report = json.loads(result.output)
+            assert report["uniqueness"]["unique"] is False
+            assert report["diagnostics"]["reduced_method"] == ("commuting" if try_fast else "pgd")
             assert len(calls) == 1
 
 

@@ -468,16 +468,21 @@ class TestDominance:
 
 
 class TestRecoverBelow:
-    # the descent route recovers the dominated side from the dominating one
+    # the descent route recovers the dominated side from the dominating one,
+    # also on commuting pairs that the fast path would solve in closed form
+    @pytest.fixture(autouse=True)
+    def descent_only(self, monkeypatch):
+        monkeypatch.setattr(gaussian, "_fast_path", lambda pair: None)
+
     def test_from_exact_dominating_projection(self):
-        below, _ = project_pair(np.diag([4.0, 1.0]), np.diag([1.0, 4.0]), method="pgd")
+        below, _ = project_pair(np.diag([4.0, 1.0]), np.diag([1.0, 4.0]))
         assert below.method == "pgd"
         np.testing.assert_allclose(below.covariance, np.eye(2), atol=1e-10)
 
     def test_trivial_case(self):
         # lower bound already dominated: the dominating projection is the
         # target itself and the recovered matrix is the lower bound
-        below, _ = project_pair(np.eye(2), 2.0 * np.eye(2), method="pgd")
+        below, _ = project_pair(np.eye(2), 2.0 * np.eye(2))
         np.testing.assert_allclose(below.covariance, np.eye(2), atol=1e-10)
 
     def test_distance_equality_on_random_pairs(self):
@@ -485,7 +490,7 @@ class TestRecoverBelow:
         for _ in range(10):
             d = int(rng.integers(2, 5))
             mu_cov, nu_cov = random_spd(rng, d), random_spd(rng, d)
-            below, above = project_pair(mu_cov, nu_cov, method="pgd")
+            below, above = project_pair(mu_cov, nu_cov)
             assert bw2(mu_cov, below.covariance) == pytest.approx(
                 bw2(nu_cov, above.covariance), abs=1e-6
             )
@@ -1176,7 +1181,8 @@ class TestSpectralWork:
         bw2_gradient(np.diag([1.0, 2.0]), np.diag([3.0, 1.0]))
         assert eigensolves["n"] == 3
 
-    def test_every_descent_passes_through_the_traced_name(self, monkeypatch):
+    @pytest.mark.parametrize("try_fast", [True, False])
+    def test_every_descent_passes_through_the_traced_name(self, monkeypatch, try_fast):
         # a benchmark tracer wraps this module global to count PGD
         # iterations; a descent that bypassed it would read as no work
         calls = {"n": 0}
@@ -1187,15 +1193,17 @@ class TestSpectralWork:
             return descend(*args, **kwargs)
 
         monkeypatch.setattr(gaussian, "pgd_project_above", counted_descent)
+        if not try_fast:
+            monkeypatch.setattr(gaussian, "_fast_path", lambda pair: None)
         rng = np.random.default_rng(27)
-        cases = [(random_spd(rng, d), random_spd(rng, d), "auto") for d in (3, 5)]
-        cases += [(random_spd(rng, d), random_psd_singular(rng, d, d - 1), method)
-                  for d in (3, 4) for method in ("auto", "pgd")]
+        cases = [(random_spd(rng, d), random_spd(rng, d)) for d in (3, 5)]
+        cases += [(random_spd(rng, d), random_psd_singular(rng, d, d - 1))
+                  for d in (3, 4) for _ in range(2)]
         descents = 0
-        for mu_cov, nu_cov, method in cases:
+        for mu_cov, nu_cov in cases:
             calls["n"] = 0
-            below, _ = project_pair(mu_cov, nu_cov, method=method)
+            below, _ = project_pair(mu_cov, nu_cov)
             reported = [below.method, below.diagnostics.get("reduced_method")].count("pgd")
             assert calls["n"] == reported
             descents += reported
-        assert descents >= 4
+        assert descents >= (4 if try_fast else len(cases))

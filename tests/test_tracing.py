@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import convex_order
-from convex_order import cli
+from convex_order import cli, gaussian
 from _utils import random_spd
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
@@ -24,7 +24,8 @@ def _load_tracing():
     return module
 
 
-def test_tracer_reads_every_layer_through_its_names(tmp_path):
+def test_tracer_reads_every_layer_through_its_names(tmp_path, monkeypatch):
+    monkeypatch.setattr(gaussian, "_fast_path", lambda pair: None)
     rng = np.random.default_rng(3)
     cov_mu, cov_nu = random_spd(rng, 4), random_spd(rng, 4)
     mu = convex_order.DiscreteMeasure(rng.normal(size=(6, 2)), rng.dirichlet(np.ones(6)))
@@ -38,7 +39,7 @@ def test_tracer_reads_every_layer_through_its_names(tmp_path):
     tracer.install(convex_order)
     try:
         tracer.enabled = True
-        convex_order.project_pair(cov_mu, cov_nu, method="pgd")
+        convex_order.project_pair(cov_mu, cov_nu)
         convex_order.project_discrete(mu, nu)
         with tracer.span("cli.command"):
             cli.main.main(args=["project-1d", str(problem), "--output", str(tmp_path / "r.json")],
