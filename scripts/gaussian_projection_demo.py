@@ -7,11 +7,7 @@ identities that certify them.
 
 import numpy as np
 
-from convex_order import (
-    bw2,
-    is_above_projection_unique,
-    project_pair,
-)
+from convex_order import bw2, project_pair
 
 
 def show(label, mu_cov, nu_cov):
@@ -31,7 +27,7 @@ def show(label, mu_cov, nu_cov):
     distance_residual = bw2(mu_cov, below.covariance) - bw2(nu_cov, above.covariance)
     print(f"trace identity residual:    {trace_residual:+.3e}")
     print(f"distance equality residual: {distance_residual:+.3e}")
-    verdict = is_above_projection_unique(mu_cov, nu_cov)
+    verdict = above.uniqueness
     print(f"projection above unique: {verdict.unique} ({verdict.reason})")
     print()
 

@@ -19,13 +19,11 @@ from .gaussian import (
     DominanceVerdict,
     OrderTransform,
     ProjectionResult,
-    SingularReduction,
     UniquenessVerdict,
     dominance_check,
     is_above_projection_unique,
     project_below,
     project_pair,
-    reduce_singular_above,
     shared_correlation_fast_path,
 )
 from .linalg import (
@@ -56,7 +54,6 @@ __all__ = [
     "GaussianMeasure",
     "OrderTransform",
     "ProjectionResult",
-    "SingularReduction",
     "UniquenessVerdict",
     "WotResult",
     "barycentric_pushforward",
@@ -78,7 +75,6 @@ __all__ = [
     "project_below",
     "project_discrete",
     "project_pair",
-    "reduce_singular_above",
     "shared_correlation_fast_path",
     "solve_transport_lp",
     "solve_wot",

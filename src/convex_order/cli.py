@@ -28,12 +28,7 @@ from .discrete import (
     exact_w2_sq,
     solve_wot,
 )
-from .gaussian import (
-    ProjectionResult,
-    RankAmbiguousError,
-    is_above_projection_unique,
-    project_pair,
-)
+from .gaussian import ProjectionResult, project_pair
 from .linalg import LinalgError, loewner_gap
 from .measures import DiscreteMeasure, EmptyMeasureError, GaussianMeasure
 from .one_dim import (
@@ -149,13 +144,6 @@ def cmd_project_gaussian(problem, trace_path, output):
         below, above = project_pair(mu.cov, nu.cov)
     except LinalgError as exc:
         _fail(SOLVER_ERROR, str(exc))
-    try:
-        uniqueness = is_above_projection_unique(mu.cov, nu.cov, above.reduction)
-        unique_report = {"unique": uniqueness.unique, "reason": uniqueness.reason}
-    except RankAmbiguousError as exc:
-        unique_report = {"unique": None, "reason": str(exc)}
-    except LinalgError as exc:
-        _fail(SOLVER_ERROR, str(exc))
 
     diagnostics = dict(below.diagnostics)
     # a singular target runs the descent on its reduced problem
@@ -183,7 +171,7 @@ def cmd_project_gaussian(problem, trace_path, output):
         "below": side(nu.mean, below),
         "above": side(mu.mean, above),
         "transform": asdict(below.transform),
-        "uniqueness": unique_report,
+        "uniqueness": asdict(above.uniqueness),
         "diagnostics": diagnostics,
         "status": "ok" if converged else "not_converged",
     }

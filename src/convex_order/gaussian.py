@@ -26,7 +26,10 @@ tries the shared-correlation fast path
 solver, whose dominating-side answer yields ``O`` as the eigenbasis of the
 transport map onto ``Snu``, read from the descent's last gradient; any
 other rank goes through the rank reduction, which routes the full-rank
-problem on the range of ``Snu`` from the spectrum already at hand.
+problem on the range of ``Snu`` from the spectrum already at hand.  The
+same solve classifies the dominating side as unique or not among all
+measures, from the record and, on a singular ``Snu``, the reduced solution
+re-embedded in the full space.
 Matrices derived from validated input are clamped, not checked again.
 """
 
@@ -35,7 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -105,35 +108,30 @@ class OrderTransform:
 
 
 @dataclass(frozen=True)
+class UniquenessVerdict:
+    """Is the dominating-side projection unique among all measures?
+
+    ``unique`` is ``None`` when an eigenvalue lies within a factor
+    ``RANK_BAND`` of a rank cutoff; ``reason`` then names the matrix and the
+    cutoff, in the caller's units.
+    """
+
+    unique: bool | None
+    reason: str
+
+
+@dataclass(frozen=True)
 class ProjectionResult:
+    """One side of a solved pair.  Both sides share ``transform``,
+    ``method``, ``diagnostics`` and ``uniqueness``, the verdict on the
+    dominating side (see :func:`is_above_projection_unique`)."""
+
     covariance: np.ndarray
     distance_sq: float
     transform: OrderTransform | None
     method: str
     diagnostics: dict[str, Any]
-    reduction: SingularReduction | None = None  # filled on the singular-target route
-
-
-@dataclass(frozen=True)
-class SingularReduction:
-    """Rank reduction of the dominating-side projection for singular Snu.
-
-    ``basis`` diagonalizes ``Snu`` (positive eigenvalues first); the
-    problem restricted to the top ``rank`` coordinates is nonsingular and
-    its solution ``reduced_solution`` is re-embedded into ``assembled``,
-    whose remaining entries in the ``basis`` frame are those of the
-    conjugated ``Smu``.  ``inner_transform`` certifies the reduced solve;
-    composed with ``basis`` it certifies the full-dimensional problem.
-    """
-
-    rank: int
-    basis: np.ndarray
-    reduced_nu: np.ndarray
-    reduced_mu: np.ndarray
-    reduced_solution: np.ndarray
-    assembled: np.ndarray
-    inner_transform: OrderTransform
-    diagnostics: dict[str, Any]
+    uniqueness: UniquenessVerdict
 
 
 class DominanceVerdict(enum.Enum):
@@ -149,18 +147,12 @@ class DominanceVerdict(enum.Enum):
 
 
 @dataclass(frozen=True)
-class UniquenessVerdict:
-    unique: bool
-    reason: str
-
-
-@dataclass(frozen=True)
 class _Pair:
     """A validated covariance pair decomposed once per solve: both
     covariances and their clamped spectral decompositions (LAPACK's order),
     divided by ``4^scale_exponent``, the eigenvalues of ``cov_nu`` before the
     clamp (they order its basis on the reduction route, as :func:`sym_eigen`
-    would), the ranks and the order tolerance."""
+    would), the ranks, the rank cutoff of ``cov_nu`` and the order tolerance."""
 
     cov_mu: np.ndarray
     cov_nu: np.ndarray
@@ -169,6 +161,7 @@ class _Pair:
     nu_unclamped: np.ndarray
     rank_mu: int
     rank_nu: int
+    nu_cutoff: float
     order_tol: float
     scale_exponent: int
 
@@ -182,9 +175,10 @@ def _pair(
     nu_unclamped: np.ndarray, k: int,
 ) -> _Pair:
     nu_vals = nu_eig[0]
+    nu_cutoff = default_rank_tol(nu_vals)
     order_tol = ORDER_REL * (1.0 + (float(nu_vals.max()) if nu_vals.size else 0.0))
-    return _Pair(cov_mu, cov_nu, mu_eig, nu_eig, nu_unclamped, _rank(mu_eig[0]), _rank(nu_vals),
-                 order_tol, k)
+    return _Pair(cov_mu, cov_nu, mu_eig, nu_eig, nu_unclamped, _rank(mu_eig[0]),
+                 int(np.sum(nu_vals > nu_cutoff)), nu_cutoff, order_tol, k)
 
 
 def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
@@ -212,8 +206,7 @@ def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
 # result fields and diagnostics that carry the units of a covariance
 _UNIT_KEYS = frozenset({
     "covariance", "distance_sq", "order_residual", "reduced_order_residual", "pgd_objective",
-    "reduced_pgd_objective", "objective", "reduced_nu", "reduced_mu", "reduced_solution",
-    "assembled",
+    "reduced_pgd_objective", "objective",
 })
 
 
@@ -226,10 +219,9 @@ def _in_caller_units(value: Any, k: int) -> Any:
     def tag(v: Any) -> Any:
         if isinstance(v, tuple):
             return tuple(tag(x) for x in v)
-        if not isinstance(v, (ProjectionResult, SingularReduction)):
+        if not isinstance(v, ProjectionResult):
             return v
-        nested = {"reduction": tag(v.reduction)} if getattr(v, "reduction", None) else {}
-        return replace(v, diagnostics={**v.diagnostics, "scale_exponent": 0}, **nested)
+        return replace(v, diagnostics={**v.diagnostics, "scale_exponent": 0})
 
     def convert(key: str | None, v: Any) -> Any:
         if key in _UNIT_KEYS:
@@ -258,10 +250,10 @@ def _at_unit_scale(cov_mu: np.ndarray, cov_nu: np.ndarray, solve) -> Any:
 
 def _results(
     transform: OrderTransform, below: np.ndarray, above: np.ndarray, distance_sq: float,
-    method: str, diagnostics: dict[str, Any], reduction: SingularReduction | None = None,
+    method: str, diagnostics: dict[str, Any], uniqueness: UniquenessVerdict,
 ) -> tuple[ProjectionResult, ProjectionResult]:
     return tuple(
-        ProjectionResult(cov, distance_sq, transform, method, diagnostics, reduction)
+        ProjectionResult(cov, distance_sq, transform, method, diagnostics, uniqueness)
         for cov in (below, above)
     )
 
@@ -328,7 +320,8 @@ def _fast_path(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult] | None:
         return None
     transform, *projected = _project(pair, _ordered(vals, vecs)[1])
     method = "commuting" if np.linalg.norm(corr - np.eye(corr.shape[0])) <= 1e-10 else "fast_path"
-    return _results(transform, *projected, method, {"order_residual": transform.order_residual})
+    return _results(transform, *projected, method, {"order_residual": transform.order_residual},
+                    _uniqueness(pair, None))
 
 
 def shared_correlation_fast_path(
@@ -348,10 +341,12 @@ def shared_correlation_fast_path(
 
 
 def _route(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult]:
-    """Solve a validated pair: one route per rank of ``cov_nu``."""
+    """Solve a validated pair: one route per rank of ``cov_nu``; the solve
+    also classifies the dominating side."""
     d = pair.cov_nu.shape[0]
     if pair.rank_nu == 0:
-        return _results(*_project(pair, np.eye(d)), "closed_form", {"rank_nu": 0})
+        return _results(*_project(pair, np.eye(d)), "closed_form", {"rank_nu": 0},
+                        _uniqueness(pair, None))
 
     # tests force the descent by replacing this module global: call it by name
     fast = _fast_path(pair)
@@ -363,18 +358,18 @@ def _route(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult]:
         # the gradient at the dominating projection is I minus the inverse of
         # the transport map from cov_nu onto it
         basis = _ordered(*transport_map_basis(outcome.gradient))[1]
-        reduction = None
+        assembled = None
     else:
-        reduction = _reduce(pair)
+        nu_vecs, inner, assembled = _reduce(pair)
         # compose the spectral split of the target with the reduced solve's
         # rotation; the kernel coordinates keep the spectral basis vectors
         block = np.eye(d)
-        block[: reduction.rank, : reduction.rank] = reduction.inner_transform.basis
-        basis = reduction.basis @ block
+        block[: pair.rank_nu, : pair.rank_nu] = inner.transform.basis
+        basis = nu_vecs @ block
     transform, *projected = _project(pair, basis)
     if not transform.certified:
         raise CertificationError(transform)
-    if reduction is None:
+    if assembled is None:
         diagnostics = {
             "iterations": outcome.iterations,
             "pgd_objective": outcome.objective,
@@ -384,60 +379,40 @@ def _route(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult]:
             "order_residual": transform.order_residual,
             "trace": {"objective": trace.objective, "grad_norm": trace.grad_norm},
         }
-        return _results(transform, *projected, "pgd", diagnostics)
+        return _results(transform, *projected, "pgd", diagnostics, _uniqueness(pair, None))
     diagnostics = {
-        "rank_nu": reduction.rank,
+        "rank_nu": pair.rank_nu,
         "order_residual": transform.order_residual,
-        **{f"reduced_{k}": v for k, v in reduction.diagnostics.items()},
+        "reduced_method": inner.method,
+        **{f"reduced_{k}": v for k, v in inner.diagnostics.items()},
     }
-    return _results(transform, *projected, "singular_reduction", diagnostics, reduction)
+    return _results(transform, *projected, "singular_reduction", diagnostics,
+                    _uniqueness(pair, lambda: assembled))
 
 
-def _reduce(pair: _Pair) -> SingularReduction:
-    """Rank reduction of a record, at its scale.  The reduced target's
-    spectrum is the top of ``cov_nu``'s, ordered before the clamp so that
-    ties in the kernel keep their order; the reduced ``cov_mu`` block,
-    derived from validated input, is decomposed once and clamped."""
+def _reduce(pair: _Pair) -> tuple[np.ndarray, ProjectionResult, np.ndarray]:
+    """Rank reduction of a record with singular, nonzero ``cov_nu``, at its
+    scale: the ordered basis of ``cov_nu``, the dominating side of the
+    nonsingular problem on its top ``rank_nu`` coordinates, and that solution
+    re-embedded in the full space, whose other entries in the basis frame are
+    those of the conjugated ``cov_mu``.  The reduced target's spectrum is the
+    top of ``cov_nu``'s, ordered before the clamp so that ties in the kernel
+    keep their order; the reduced ``cov_mu`` block, derived from validated
+    input, is decomposed once and clamped."""
     nu_vals, nu_vecs = _ordered(pair.nu_unclamped, pair.nu_eig[1])
-    rank, d = pair.rank_nu, nu_vals.size
-    if not 1 <= rank < d:
-        raise ValueError(f"rank reduction expects 1 <= rank < {d}, got rank {rank}")
+    rank = pair.rank_nu
     conj_mu = sym(nu_vecs.T @ pair.cov_mu @ nu_vecs)
-    reduced_nu = np.diag(nu_vals[:rank])
     reduced_mu = conj_mu[:rank, :rank].copy()
     mu_vals, mu_vecs = sym_eigen(reduced_mu)
     if mu_vals[-1] < 0.0:  # a block of PSD cov_mu: roundoff at the scale of cov_mu
         mu_vals = np.clip(mu_vals, 0.0, None)
         reduced_mu = _rebuild(mu_vals, mu_vecs)
     top = nu_vals[:rank]
-    reduced = _pair(reduced_mu, reduced_nu, (mu_vals, mu_vecs), (top, np.eye(rank)), top, 0)
+    reduced = _pair(reduced_mu, np.diag(top), (mu_vals, mu_vecs), (top, np.eye(rank)), top, 0)
     _, inner = _route(reduced)
     assembled_conj = conj_mu.copy()
     assembled_conj[:rank, :rank] = inner.covariance
-    assembled = sym(nu_vecs @ assembled_conj @ nu_vecs.T)
-
-    diagnostics = {"method": inner.method, **inner.diagnostics}
-    return SingularReduction(
-        rank=rank,
-        basis=nu_vecs,
-        reduced_nu=reduced_nu,
-        reduced_mu=reduced_mu,
-        reduced_solution=inner.covariance,
-        assembled=assembled,
-        inner_transform=inner.transform,
-        diagnostics=diagnostics,
-    )
-
-
-def reduce_singular_above(cov_nu: np.ndarray, cov_mu: np.ndarray) -> SingularReduction:
-    """Reduce the dominating-side projection for singular ``cov_nu``.
-
-    Diagonalizes ``cov_nu``, solves the nonsingular subproblem on the top
-    ``rank`` coordinates, and re-embeds: the assembled matrix carries the
-    reduced solution on the top block and the conjugated ``cov_mu`` entries
-    everywhere else.
-    """
-    return _at_unit_scale(cov_mu, cov_nu, _reduce)
+    return nu_vecs, inner, sym(nu_vecs @ assembled_conj @ nu_vecs.T)
 
 
 def project_below(cov_mu: np.ndarray, cov_nu: np.ndarray) -> ProjectionResult:
@@ -475,49 +450,62 @@ def dominance_check(cov_mu: np.ndarray, cov_nu: np.ndarray) -> DominanceVerdict:
     return DominanceVerdict.SATURATED if saturated else DominanceVerdict.NEITHER
 
 
-def is_above_projection_unique(
-    cov_mu: np.ndarray,
-    cov_nu: np.ndarray,
-    reduction: SingularReduction | None = None,
-) -> UniquenessVerdict:
-    """Is the dominating-side projection unique among all measures?
+def _refusal(vals: np.ndarray, cutoff: float, name: str, k: int) -> str | None:
+    """Why a spectrum cannot be ranked, or ``None``: an eigenvalue within a
+    factor ``RANK_BAND`` of the rank ``cutoff``, which is printed times ``4^k``."""
+    if cutoff > 0.0 and np.any((vals > cutoff / RANK_BAND) & (vals < cutoff * RANK_BAND)):
+        return (
+            f"an eigenvalue of {name} lies within a factor {RANK_BAND} of "
+            f"the rank cutoff {math.ldexp(cutoff, 2 * k):.3e}; refusing to classify"
+        )
+    return None
 
-    Always true for positive definite ``cov_nu``.  For singular ``cov_nu``
-    the projection is unique iff the assembled covariance keeps the rank of
-    ``cov_nu`` or the saturation inequality holds.  ``reduction`` is the
-    rank reduction of a solve already made (``ProjectionResult.reduction``);
-    without it one is computed.  Eigenvalues
-    within a factor ``RANK_BAND`` of the rank cutoff raise
-    :class:`RankAmbiguousError` instead of guessing a rank.
-    """
-    pair = _decompose(cov_mu, cov_nu)
-    d = pair.cov_nu.shape[0]
 
-    def guarded_rank(vals: np.ndarray, name: str) -> int:
-        cutoff = default_rank_tol(vals)
-        if cutoff > 0.0 and np.any((vals > cutoff / RANK_BAND) & (vals < cutoff * RANK_BAND)):
-            raise RankAmbiguousError(
-                f"an eigenvalue of {name} lies within a factor {RANK_BAND} of "
-                f"the rank cutoff {cutoff:.3e}; refusing to classify"
-            )
-        return int(np.sum(vals > cutoff))
-
-    rank_nu = guarded_rank(pair.nu_eig[0], "the dominating-side covariance")
-    if rank_nu == d:
+def _uniqueness(pair: _Pair, assembled: Callable[[], np.ndarray] | None) -> UniquenessVerdict:
+    """The verdict on the dominating side of a record.  ``assembled()``
+    returns :func:`_reduce`'s re-embedded solution, whose rank is read; it is
+    called only when ``cov_nu`` is singular, nonzero and clear of the rank
+    band (``None`` will do elsewhere)."""
+    d, k = pair.cov_nu.shape[0], pair.scale_exponent
+    refusal = _refusal(pair.nu_eig[0], pair.nu_cutoff, "the dominating-side covariance", k)
+    if refusal:
+        return UniquenessVerdict(None, refusal)
+    if pair.rank_nu == d:
         return UniquenessVerdict(True, "nonsingular target covariance")
-    if rank_nu == 0:
+    if pair.rank_nu == 0:
         return UniquenessVerdict(
             True, "zero target covariance: the projection is the lower measure itself"
         )
-    # ranks do not see the scale, so a reduction in the caller's units will do
-    assembled = (reduction or _reduce(pair)).assembled
-    rank_star = guarded_rank(clamped_eigen(assembled)[0], "the assembled projection")
-    if rank_star == rank_nu:
+    vals = clamped_eigen(assembled())[0]
+    cutoff = default_rank_tol(vals)
+    refusal = _refusal(vals, cutoff, "the assembled projection", k)
+    if refusal:
+        return UniquenessVerdict(None, refusal)
+    rank_star = int(np.sum(vals > cutoff))
+    if rank_star == pair.rank_nu:
         return UniquenessVerdict(True, "assembled covariance keeps the target rank")
     if _saturated(pair):
         return UniquenessVerdict(True, "saturation inequality holds")
     return UniquenessVerdict(
         False,
-        f"rank grows from {rank_nu} to {rank_star} and the saturation "
+        f"rank grows from {pair.rank_nu} to {rank_star} and the saturation "
         "inequality fails: non-Gaussian projections with the same covariance exist",
     )
+
+
+def is_above_projection_unique(cov_mu: np.ndarray, cov_nu: np.ndarray) -> UniquenessVerdict:
+    """Is the dominating-side projection unique among all measures?
+
+    The verdict a solve carries as ``ProjectionResult.uniqueness``, from one
+    record.  Always true for positive definite or zero ``cov_nu``, which need
+    no solve.  For singular ``cov_nu`` the projection is unique iff the
+    reduced solution, re-embedded in the full space, keeps the rank of
+    ``cov_nu`` or the saturation inequality holds.  Eigenvalues within a
+    factor ``RANK_BAND`` of the rank cutoff raise :class:`RankAmbiguousError`
+    instead of guessing a rank.
+    """
+    pair = _decompose(cov_mu, cov_nu)
+    verdict = _uniqueness(pair, lambda: _reduce(pair)[2])
+    if verdict.unique is None:
+        raise RankAmbiguousError(verdict.reason)
+    return verdict

@@ -4,6 +4,7 @@ import numpy as np
 
 from convex_order.linalg import spd_sqrt
 from convex_order.measures import DiscreteMeasure
+from convex_order.pgd import pgd_project_above
 
 
 def random_orthogonal(rng, d):
@@ -52,3 +53,22 @@ def moment_matched_discretization(cov):
     points = np.vstack([np.sqrt(d) * root[:, i] for i in range(d)]
                        + [-np.sqrt(d) * root[:, i] for i in range(d)])
     return DiscreteMeasure(points, np.full(2 * d, 1.0 / (2 * d)))
+
+
+def reduced_descent(mu_cov, nu_cov):
+    """The dominating-side projection onto a singular target, built apart
+    from the library's rank reduction: numpy's eigendecomposition of the
+    target (descending), the descent on its top block, and the entries of
+    ``mu_cov`` in that frame everywhere else.  Returns ``(rank, basis,
+    reduced_solution, assembled)``."""
+    from convex_order.pgd import pgd_project_above
+
+    vals, vecs = np.linalg.eigh(nu_cov)
+    order = np.argsort(-vals, kind="stable")
+    vals, basis = vals[order], vecs[:, order]
+    rank = int(np.sum(vals > 1e-9 * vals[0]))
+    conj_mu = basis.T @ mu_cov @ basis
+    outcome, _ = pgd_project_above(np.diag(vals[:rank]), conj_mu[:rank, :rank])
+    assembled = conj_mu.copy()
+    assembled[:rank, :rank] = outcome.covariance
+    return rank, basis, outcome.covariance, basis @ assembled @ basis.T

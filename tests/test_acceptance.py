@@ -20,7 +20,6 @@ from convex_order.gaussian import (
     is_above_projection_unique,
     project_below,
     project_pair,
-    reduce_singular_above,
     shared_correlation_fast_path,
 )
 from convex_order.linalg import loewner_leq, spd_sqrt, sym_eigen
@@ -35,6 +34,7 @@ from _utils import (
     random_discrete_1d,
     random_spd,
     random_symmetric,
+    reduced_descent,
 )
 
 
@@ -53,17 +53,14 @@ def test_criterion_01_singular_pair_reproduction():
         below, above = project_pair(mu_cov, nu_cov)
         np.testing.assert_allclose(above.covariance, expected_above, atol=1e-8)
 
-        # the same answer through descent on the reduced nonsingular block
-        red = reduce_singular_above(nu_cov, mu_cov)
-        outcome, _ = pgd_project_above(red.reduced_nu, red.reduced_mu)
-        assembled = red.basis.T @ mu_cov @ red.basis
-        assembled = np.array(assembled)
-        assembled[: red.rank, : red.rank] = outcome.covariance
-        assembled = red.basis @ assembled @ red.basis.T
+        # the same answer through descent on the reduced nonsingular block,
+        # in the frame of numpy's eigendecomposition of the target
+        *_, assembled = reduced_descent(mu_cov, nu_cov)
         np.testing.assert_allclose(assembled, expected_above, atol=1e-5)
 
         verdict = is_above_projection_unique(mu_cov, nu_cov)
         assert verdict.unique is False
+        assert above.uniqueness == below.uniqueness == verdict
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     report(f"criterion 1 PASS: rank-deficient pair reproduction ({elapsed:.2f}s)")

@@ -216,15 +216,17 @@ class TestProjectGaussian:
         assert result.exit_code == 0
         assert json.loads(result.output)["method"] == "pgd"
 
-    def test_uniqueness_reuses_the_reduction(self, runner, tmp_path, monkeypatch):
+    def test_one_solve_per_command(self, runner, tmp_path, monkeypatch):
+        # the solve carries the uniqueness verdict, so each command
+        # validates and decomposes its pair exactly once
         calls = []
-        reduce = gaussian._reduce
+        decompose = gaussian._decompose
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return reduce(*args, **kwargs)
+            return decompose(*args, **kwargs)
 
-        monkeypatch.setattr(gaussian, "_reduce", counting)
+        monkeypatch.setattr(gaussian, "_decompose", counting)
         problem = write_problem(tmp_path / "p.json", GAUSSIAN_SINGULAR)
         for try_fast in (True, False):
             calls.clear()
@@ -237,17 +239,22 @@ class TestProjectGaussian:
             assert report["uniqueness"]["unique"] is False
             assert report["diagnostics"]["reduced_method"] == ("commuting" if try_fast else "pgd")
             assert len(calls) == 1
+        calls.clear()
+        result = runner.invoke(main, ["check", problem])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["passed"]
+        assert len(calls) == 1
 
-
-    def test_uniqueness_failure_is_solver_error(self, runner, tmp_path, monkeypatch):
-        def failing(*args, **kwargs):
-            raise NotPsdError("injected")
-
-        monkeypatch.setattr(cli, "is_above_projection_unique", failing)
-        problem = write_problem(tmp_path / "p.json", GAUSSIAN_SINGULAR)
+    def test_ambiguous_rank_leaves_the_verdict_open(self, runner, tmp_path):
+        # nu's second eigenvalue is its rank cutoff, inside the rank band
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "nu": {"mean": [0.0, 0.0], "cov": [[2.0, 0.0], [0.0, 2.0**-48]]},
+        })
         result = runner.invoke(main, ["project-gaussian", problem])
-        assert result.exit_code == 3
-        assert "injected" in result.stderr
+        assert result.exit_code == 0
+        assert '"unique": null' in result.output
+        assert "refusing to classify" in json.loads(result.output)["uniqueness"]["reason"]
 
 
 class TestProject1d:

@@ -14,11 +14,11 @@ from convex_order.cli import main
 from convex_order.gaussian import (
     CertificationError,
     DominanceVerdict,
+    RankAmbiguousError,
     dominance_check,
     is_above_projection_unique,
     project_below,
     project_pair,
-    reduce_singular_above,
     shared_correlation_fast_path,
 )
 from convex_order.linalg import (
@@ -34,7 +34,13 @@ from convex_order.linalg import (
     transport_map_basis,
 )
 from convex_order.measures import GaussianMeasure
-from _utils import random_commuting_pair, random_orthogonal, random_psd_singular, random_spd
+from _utils import (
+    random_commuting_pair,
+    random_orthogonal,
+    random_psd_singular,
+    random_spd,
+    reduced_descent,
+)
 
 
 def assert_transform_valid(t, cov_mu, cov_nu, tol=1e-7):
@@ -79,7 +85,7 @@ class TestNonFiniteInput:
 
     def test_singular_reduction_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
-            reduce_singular_above(NAN_COV, np.eye(2))
+            project_pair(np.eye(2), NAN_COV)
 
 
 class TestValidatedOnce:
@@ -87,7 +93,7 @@ class TestValidatedOnce:
 
     def test_reduction_rejects_a_non_psd_lower_covariance(self):
         with pytest.raises((NotPsdError, ValueError)):
-            reduce_singular_above(np.diag([2.0, 0.0]), np.diag([1.0, -1.0]))
+            project_pair(np.diag([1.0, -1.0]), np.diag([2.0, 0.0]))
 
     @pytest.mark.parametrize("cov_mu, cov_nu", [
         (np.diag([1.0, -1.0]), np.eye(2)),
@@ -140,10 +146,7 @@ class TestUnitScale:
                     assert result.distance_sq == c * unit.distance_sq
                 exponent = results[0].diagnostics["scale_exponent"]
                 assert exponent == base[0].diagnostics["scale_exponent"] + j
-                if base[1].reduction is not None:
-                    np.testing.assert_array_equal(
-                        results[1].reduction.assembled, c * base[1].reduction.assembled
-                    )
+                assert results[1].uniqueness == base[1].uniqueness
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4, 1e6])
     def test_pairs_certify_at_every_scale(self, scale):
@@ -159,10 +162,11 @@ class TestUnitScale:
 
     def test_reduction_and_fast_path_leave_in_caller_units(self):
         mu_cov, nu_cov = 1e6 * np.eye(2), np.diag([2e6, 0.0])
-        reduction = reduce_singular_above(nu_cov, mu_cov)
-        assert reduction.diagnostics["scale_exponent"] == 10
-        np.testing.assert_allclose(reduction.assembled, np.diag([2e6, 1e6]), rtol=1e-12)
-        np.testing.assert_allclose(reduction.reduced_nu, [[2e6]], rtol=1e-12)
+        below, above = project_pair(mu_cov, nu_cov)
+        assert above.method == "singular_reduction"
+        assert above.diagnostics["scale_exponent"] == 10
+        np.testing.assert_allclose(above.covariance, np.diag([2e6, 1e6]), rtol=1e-12)
+        np.testing.assert_allclose(below.covariance, np.diag([1e6, 0.0]), rtol=1e-12)
         transform, below, above = shared_correlation_fast_path(4e6 * np.eye(2), 1e6 * np.eye(2))
         np.testing.assert_allclose(below.covariance, 1e6 * np.eye(2), rtol=1e-12)
         np.testing.assert_allclose(above.covariance, 4e6 * np.eye(2), rtol=1e-12)
@@ -387,17 +391,26 @@ class TestFastPath:
 
 
 class TestSingularReduction:
+    """The dominating side on a singular target, read in the frame of
+    numpy's eigendecomposition of the target (``reduced_descent``)."""
+
     def test_identity_lower(self):
-        red = reduce_singular_above(np.diag([2.0, 0.0]), np.eye(2))
-        assert red.rank == 1
-        np.testing.assert_allclose(red.reduced_solution, [[2.0]], atol=1e-10)
-        np.testing.assert_allclose(red.assembled, np.diag([2.0, 1.0]), atol=1e-8)
+        _, above = project_pair(np.eye(2), np.diag([2.0, 0.0]))
+        assert above.diagnostics["rank_nu"] == 1
+        rank, basis, _, _ = reduced_descent(np.eye(2), np.diag([2.0, 0.0]))
+        assert rank == 1
+        conj_star = basis.T @ above.covariance @ basis
+        np.testing.assert_allclose(conj_star[:1, :1], [[2.0]], atol=1e-10)
+        np.testing.assert_allclose(above.covariance, np.diag([2.0, 1.0]), atol=1e-8)
 
     def test_correlated_lower(self):
-        red = reduce_singular_above(np.diag([2.0, 0.0]), np.array([[1.0, 1.0], [1.0, 1.0]]))
-        np.testing.assert_allclose(red.reduced_solution, [[2.0]], atol=1e-10)
+        mu_cov, nu_cov = np.array([[1.0, 1.0], [1.0, 1.0]]), np.diag([2.0, 0.0])
+        _, above = project_pair(mu_cov, nu_cov)
+        _, basis, _, _ = reduced_descent(mu_cov, nu_cov)
+        conj_star = basis.T @ above.covariance @ basis
+        np.testing.assert_allclose(conj_star[:1, :1], [[2.0]], atol=1e-10)
         np.testing.assert_allclose(
-            red.assembled, np.array([[2.0, 1.0], [1.0, 1.0]]), atol=1e-8
+            above.covariance, np.array([[2.0, 1.0], [1.0, 1.0]]), atol=1e-8
         )
 
     def test_embedding_keeps_lower_entries(self):
@@ -407,18 +420,19 @@ class TestSingularReduction:
             rank = int(rng.integers(1, d))
             nu_cov = random_psd_singular(rng, d, rank)
             mu_cov = random_spd(rng, d)
-            red = reduce_singular_above(nu_cov, mu_cov)
-            conj_mu = red.basis.T @ mu_cov @ red.basis
-            conj_star = red.basis.T @ red.assembled @ red.basis
-            r = red.rank
-            np.testing.assert_allclose(conj_star[:r, :r], red.reduced_solution, atol=1e-8)
+            _, above = project_pair(mu_cov, nu_cov)
+            r, basis, reduced_solution, _ = reduced_descent(mu_cov, nu_cov)
+            assert r == rank == above.diagnostics["rank_nu"]
+            conj_mu = basis.T @ mu_cov @ basis
+            conj_star = basis.T @ above.covariance @ basis
+            # the top block against the descent, within its stopping tolerance
+            np.testing.assert_allclose(conj_star[:r, :r], reduced_solution, atol=1e-7)
             np.testing.assert_allclose(conj_star[r:, :], conj_mu[r:, :], atol=1e-8)
             np.testing.assert_allclose(conj_star[:r, r:], conj_mu[:r, r:], atol=1e-8)
-            # the spectral frame diagonalizes the bound with the kernel last
-            conj_nu = red.basis.T @ nu_cov @ red.basis
-            np.testing.assert_allclose(conj_nu, np.diag(np.diag(conj_nu)), atol=1e-10)
-            assert np.all(np.diag(conj_nu)[:r] > 0)
-            assert loewner_leq(mu_cov, red.assembled, 1e-7)
+            # the certified basis keeps the kernel of the bound last
+            kernel = above.transform.basis[:, r:]
+            np.testing.assert_allclose(nu_cov @ kernel, 0.0, atol=1e-10)
+            assert loewner_leq(mu_cov, above.covariance, 1e-7)
 
 
 class TestUniqueness:
@@ -448,6 +462,42 @@ class TestUniqueness:
         # covariance keeps the target's rank
         verdict = is_above_projection_unique(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]))
         assert verdict.unique
+
+
+class TestRankAmbiguity:
+    """An eigenvalue within a factor RANK_BAND of a rank cutoff leaves the
+    verdict open (``unique is None``); the verb raises on it."""
+
+    # the target's 2^-48 is its rank cutoff; the second pair's target is
+    # clear of the band, but mu's 2^-48 reaches the assembled projection
+    PAIRS = {
+        "target": (np.eye(2), np.diag([2.0, 2.0**-48])),
+        "assembled": (np.diag([1.0, 2.0**-48]), np.diag([2.0, 0.0])),
+    }
+
+    @pytest.mark.parametrize("side", sorted(PAIRS))
+    def test_verdict_is_open(self, side):
+        mu_cov, nu_cov = self.PAIRS[side]
+        below, above = project_pair(mu_cov, nu_cov)
+        assert above.method == "singular_reduction"
+        assert above.uniqueness.unique is None
+        assert below.uniqueness == above.uniqueness
+        name = "dominating-side covariance" if side == "target" else "assembled projection"
+        assert name in above.uniqueness.reason
+        with pytest.raises(RankAmbiguousError) as raised:
+            is_above_projection_unique(mu_cov, nu_cov)
+        assert str(raised.value) == above.uniqueness.reason
+
+    @pytest.mark.parametrize("side", sorted(PAIRS))
+    def test_cutoff_is_printed_in_caller_units(self, side):
+        # the unit-scale cutoff is 2^-48; dilated by 4^5 it reads 2^-38
+        mu_cov, nu_cov = self.PAIRS[side]
+        c = 4.0**5
+        _, above = project_pair(c * mu_cov, c * nu_cov)
+        assert above.diagnostics["scale_exponent"] == 5
+        assert f"rank cutoff {2.0**-38:.3e};" in above.uniqueness.reason
+        with pytest.raises(RankAmbiguousError, match=f"{2.0**-38:.3e}"):
+            is_above_projection_unique(c * mu_cov, c * nu_cov)
 
 
 class TestDominance:
@@ -546,8 +596,8 @@ class TestSingularConfigurations:
                 np.trace(below.covariance) + np.trace(above.covariance)
                 - np.trace(mu_cov) - np.trace(nu_cov)
             ) <= 1e-8
-            red = reduce_singular_above(nu_cov, mu_cov)
-            np.testing.assert_allclose(red.assembled, above.covariance, atol=1e-6)
+            *_, assembled = reduced_descent(mu_cov, nu_cov)
+            np.testing.assert_allclose(assembled, above.covariance, atol=1e-6)
 
     def test_singular_lower_with_definite_target(self):
         # a flat lower bound exercises the descent with the step floor
@@ -636,8 +686,8 @@ class TestDisjointRangesAtScale:
         assert abs(
             bw2(mu_cov, below.covariance) - bw2(nu_cov, above.covariance)
         ) <= 1e-7 * scale
-        assert is_above_projection_unique(mu_cov, nu_cov, above.reduction).reason
-        assert is_above_projection_unique(mu_cov, nu_cov).reason
+        assert above.uniqueness.reason
+        assert is_above_projection_unique(mu_cov, nu_cov) == above.uniqueness
 
     # the cross term is sqrt of roundoff, about sqrt(eps) relative; on the
     # rotated pairs the sum of traces is twice the scale
@@ -908,8 +958,7 @@ class TestEigenConvention:
                 fast = shared_correlation_fast_path(mu_cov, nu_cov)
                 out.append(("fast", fast is None, *([] if fast is None else [fast[1].covariance])))
                 out.append(("dominance", dominance_check(mu_cov, nu_cov)))
-                unique = is_above_projection_unique(mu_cov, nu_cov, above.reduction)
-                out.append(("unique", unique.unique, unique.reason))
+                out.append(("unique", above.uniqueness.unique, above.uniqueness.reason))
             for m in matrices:
                 other = 2.0 * m + np.eye(m.shape[0])
                 outcome, _ = pgd.pgd_project_above(other, m)
@@ -1063,11 +1112,10 @@ class TestTransportMapBasis:
             nu_cov = scale * random_psd_singular(rng, d, 1 + k % (d - 1))
             cases.append((scale * random_spd(rng, d), nu_cov))
         for mu_cov, nu_cov in cases:
-            expected = sym_eigen(nu_cov)[1]
             _, above = project_pair(mu_cov, nu_cov)
             assert above.method == "singular_reduction"
-            assert np.array_equal(above.reduction.basis, expected)
-            assert np.array_equal(reduce_singular_above(nu_cov, mu_cov).basis, expected)
+            r = above.diagnostics["rank_nu"]
+            assert np.array_equal(above.transform.basis[:, r:], sym_eigen(nu_cov)[1][:, r:])
 
 
 class TestSpectralWork:
@@ -1159,21 +1207,25 @@ class TestSpectralWork:
         result = CliRunner().invoke(main, ["project-gaussian", str(problem)])
         assert result.exit_code == 0
         assert json.loads(result.output)["method"] == "singular_reduction"
-        # two measures, the pair record (2), the reduction and the
-        # certificate, then the uniqueness check on its own record
-        assert eigensolves["n"] <= 15
+        # two measures, the pair record (2), the reduction, the certificate,
+        # and the verdict's assembled rank and saturation test (3)
+        assert eigensolves["n"] <= 13
 
     def test_uniqueness_check(self, eigensolves):
-        # its record (2), the assembled rank and the saturation test (2),
-        # plus the reduction when it is not handed one
+        # on a singular target: its record (2), the reduction, the assembled
+        # rank and the saturation test (2), as many as the solve spends on them
         mu_cov, nu_cov = np.eye(2), np.diag([2.0, 0.0])
-        _, above = project_pair(mu_cov, nu_cov)
-        eigensolves["n"] = 0
-        assert not is_above_projection_unique(mu_cov, nu_cov, above.reduction).unique
-        assert eigensolves["n"] <= 5
-        eigensolves["n"] = 0
         assert not is_above_projection_unique(mu_cov, nu_cov).unique
         assert eigensolves["n"] <= 10
+        # no solve on a full-rank or a zero target, nor on a target the
+        # rank band refuses: the record alone
+        for nu_cov in (np.diag([2.0, 1.0]), np.zeros((2, 2)), np.diag([2.0, 2.0**-48])):
+            eigensolves["n"] = 0
+            try:
+                is_above_projection_unique(mu_cov, nu_cov)
+            except RankAmbiguousError:
+                pass
+            assert eigensolves["n"] == 2
 
     def test_bw2_gradient(self, eigensolves):
         # both inputs validated once; the square root reuses the first
