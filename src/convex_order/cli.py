@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 check failure, 2 parse error, 3 solver failure.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict
 from typing import Any
@@ -70,9 +71,9 @@ def _emit(report: dict, output: str | None) -> None:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         _fail(PARSE_ERROR, f"cannot read problem file {path}: {exc}")
     if not isinstance(data, dict):
         _fail(PARSE_ERROR, f"{path}: expected a JSON object")
@@ -219,6 +220,8 @@ def cmd_project_1d(problem, output):
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
 def cmd_project_discrete(problem, tol, coupling_csv, output):
     """Weak-optimal-transport projection for discrete measures in R^d."""
+    if not 0.0 <= tol < math.inf:
+        _fail(PARSE_ERROR, f"--tol must be finite and nonnegative, got {tol}")
     data = _load_json(problem)
     _, mu, nu = _measure_pair(data, "discrete")
     try:
@@ -335,10 +338,14 @@ def _load_assertions(path: str, mode: str, dim: int) -> tuple[float, dict[str, n
     data = _load_json(path)
     try:
         tol = float(data.get("tol", 1e-8))
+        if not 0.0 <= tol < math.inf:
+            raise ValueError(f"tol must be finite and nonnegative, got {tol}")
         expected = {key: np.asarray(data[key], dtype=float)
                     for key in ("below_cov", "above_cov") if key in data}
         if any(cov.shape != (dim, dim) for cov in expected.values()):
             raise ValueError(f"expected covariances of shape {(dim, dim)}")
+        if not all(np.isfinite(cov).all() for cov in expected.values()):
+            raise ValueError("expected covariances must be finite")
     except (TypeError, ValueError) as exc:
         _fail(PARSE_ERROR, f"assert file {path}: {exc}")
     return tol, expected

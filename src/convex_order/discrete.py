@@ -40,6 +40,8 @@ _DEGENERATE_RUNS = 1
 # Frank-Wolfe iterations per solve, and the largest n * m it accepts
 MAX_ITER = 50_000
 BUDGET = 1_000_000
+# stored vertices that solve_wot first allocates room for; it doubles when full
+_CORRAL_ROWS = 16
 
 
 class BudgetExceededError(ValueError):
@@ -339,6 +341,9 @@ def _simplex_qp(
     singular ``quad`` (PSD; repeated or affinely dependent vertex images)
     its step leaves the weights alone where the quadratic is flat, unless
     the linear term descends there: that ray is followed to the boundary.
+    A support of every index, as from a positive ``start``, solves the
+    whole bordered matrix without copying it, and an unblocked step there
+    returns at once: no index is left to enter.  ``start`` is not written.
     Returns the minimizer and the number of active-set steps it took.
     """
     k = quad.shape[0]
@@ -355,11 +360,16 @@ def _simplex_qp(
     support = flagged[:k]
     support[:] = alpha > 0.0
     support[enter] = True
+    s = int(np.count_nonzero(support))
+    every = np.arange(k)
     for steps in range(1, 60 * k + 41):
-        rows = flagged.nonzero()[0]
-        s = rows.size - 1
-        idx = rows[:s]
-        kkt = bordered[rows[:, None], rows]
+        if s == k:
+            # the whole support, as in the first step from a positive start:
+            # the KKT matrix is ``bordered`` itself
+            idx, kkt = every, bordered
+        else:
+            rows = flagged.nonzero()[0]
+            idx, kkt = rows[:s], bordered[rows[:, None], rows]
         rhs = np.zeros(s + 1)
         rhs[:s] = -(bordered[:k, :k] @ alpha + lin)[idx]
         ray = None
@@ -383,6 +393,8 @@ def _simplex_qp(
         if not blocking.any():
             alpha[idx] = np.maximum(current + step, 0.0)  # 0 off the support
             alpha /= alpha.sum()
+            if s == k:
+                return alpha, steps  # no index is left to enter
             # the KKT rows read 2 Q (a + step) + scale sol[s] = -lin on the support
             reduced = bordered[:k, :k] @ alpha + lin + scale * sol[s]
             reduced[support] = np.inf
@@ -390,6 +402,7 @@ def _simplex_qp(
             if reduced[worst] >= -1e-12 * scale:
                 return alpha, steps
             support[worst] = True
+            s += 1
         else:
             # move along the step until the first support weight hits 0; the
             # step sums to 0, so some other weight stays positive
@@ -400,11 +413,35 @@ def _simplex_qp(
             alpha[drop] = 0.0
             alpha /= alpha.sum()
             support[drop] = False
+            s -= 1
     return alpha, steps  # active-set budget hit: return the best feasible point seen
 
 
 @dataclass(frozen=True)
 class WotResult:
+    """Outcome of :func:`solve_wot`.
+
+    ``coupling`` is the returned coupling ``sum_k alpha_k V_k``.  ``value``
+    is its barycentric cost ``sum_i w_i |x_i - m(pi_{x_i})|^2`` and ``gap``
+    its Frank-Wolfe duality gap against the last oracle vertex, both in the
+    caller's units (squared units of the points), though the solve runs at
+    unit scale.  ``iterations`` counts the Frank-Wolfe iterations, one
+    oracle call each, and ``converged`` tells whether the gap met its
+    target ``fw_tol * (1 + value)``.  ``diagnostics`` holds:
+
+    - ``active_vertices``: the stored vertices that carry the coupling;
+    - ``lp_calls``: transportation-LP solves, one per iteration (0 in 1-d,
+      where the oracle is the comonotone coupling);
+    - ``pivots``: simplex pivots over all LP solves (0 in 1-d);
+    - ``qp_steps``: active-set steps of the corrective QP over all
+      iterations;
+    - ``scale_exponent``: the ``k`` of the unit scale ``2^k`` that divided
+      the points;
+    - ``stop_reason``: ``"gap"``; ``"no_descent"``, when before the gap
+      target was met the oracle returned a stored vertex or the QP did not
+      descend; or ``"max_iter"``, after ``MAX_ITER`` iterations.
+    """
+
     coupling: Coupling
     value: float
     gap: float
@@ -429,24 +466,25 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) ->
     coupling of ``r`` with ``y``; in two or more dimensions it is the
     optimum of the transportation LP, which ``solve_transport_lp`` finds
     warm-started from the previous call's basis.  Points on a line in R^d,
-    d >= 2, take the LP.  Each oracle vertex joins the stored ones, and an
-    exact QP over their hull, started from the iterate's weights with the
-    new vertex at 0, gives the next iterate.  Vertices left without weight
-    are dropped, and the coupling ``sum_k alpha_k V_k`` is formed once, at
+    d >= 2, take the LP.  Each oracle vertex joins the stored ones (the
+    corral), and an exact QP over their hull, started from the iterate's
+    weights with the new vertex at 0, gives the next iterate.  The corral
+    keeps its vertices' images, linear terms and the QP's start in
+    preallocated arrays that double when full; a vertex joins in place,
+    and the arrays are compacted in place only when the QP leaves a vertex
+    without weight, which drops it.  The coupling is formed once, at
     return.  On the last allowed iteration the loop stops after the gap
     test, so the reported gap is always that of the returned coupling.  A
     result with ``converged=False`` carries the best iterate and its
-    remaining gap.  ``diagnostics`` counts ``lp_calls`` (LP solves: one per
-    iteration, none in 1-d), simplex ``pivots`` (0 in 1-d) and
-    ``qp_steps`` (active-set steps of the QP), gives the
-    ``active_vertices`` that carry the iterate, and names the
-    ``stop_reason``: ``"gap"``, ``"no_descent"`` (before the gap target was
-    met, the oracle returned a stored vertex or the QP did not descend) or
-    ``"max_iter"`` (after ``MAX_ITER`` iterations).  Instances with more
-    than ``BUDGET`` cells ``n * m`` raise :class:`BudgetExceededError`.
+    remaining gap; :class:`WotResult` lists the diagnostics.  A NaN or
+    infinite ``fw_tol`` raises ``ValueError``; a negative one is never met.
+    Instances with more than ``BUDGET`` cells ``n * m`` raise
+    :class:`BudgetExceededError`.
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
+    if not math.isfinite(fw_tol):  # an infinite target passes the first vertex
+        raise ValueError(f"fw_tol must be finite, got {fw_tol}")
     if mu.size * nu.size > BUDGET:
         raise BudgetExceededError(
             f"instance size {mu.size}x{nu.size} exceeds the budget {BUDGET}"
@@ -471,16 +509,23 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) ->
     # otherwise the marginals never change, so each LP warm-starts from the
     # optimal basis of the previous one
     basis = None if mu.dim == 1 else _TransportBasis(pi, cells)
-    # the stored vertices and their bytes; their images q_k = V_k y, divided
-    # by sqrt(w) and flattened into the rows of ``scaled``, so that the
-    # quadratic's Gram matrix is scaled @ scaled.T; its linear term over
-    # them (value = sum_i w_i |x_i|^2 + alpha' Gram alpha + lin' alpha); and
-    # alpha, the iterate's weights on them, which start the next QP
-    vertices, keys = [pi], [pi.tobytes()]
+    # the corral: the stored vertices by their bytes, in the order they
+    # joined; in the rows of preallocated arrays, their images q_k = V_k y,
+    # divided by sqrt(w) and flattened (``images``, whose Gram matrix is the
+    # quadratic's), their linear terms ``lin`` (value = sum_i w_i |x_i|^2 +
+    # alpha' Gram alpha + lin' alpha) and ``start``: the weights alpha of
+    # the ``size`` vertices that carry the iterate, then 0 for an entering
+    # vertex, from which the next QP starts.  The arrays double when full
+    # and are compacted in place only when a QP drops a vertex.
+    corral = {pi.tobytes(): pi}
+    images = np.empty((_CORRAL_ROWS, x.size))
+    lin = np.empty(_CORRAL_ROWS)
+    start = np.empty(_CORRAL_ROWS)
     p = pi @ y
-    scaled = (p / root_w).reshape(1, -1)
-    lin = np.array([-2.0 * float(np.vdot(x, p))])
-    alpha = np.ones(1)
+    images[0] = (p / root_w).ravel()
+    lin[0] = -2.0 * float(np.vdot(x, p))
+    start[0] = 1.0
+    size = 1
     residual, value = residual_and_value(p)
     gap = np.inf
     iterations = qp_steps = 0
@@ -499,35 +544,44 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) ->
             stop_reason = "gap"
             break
         key = vertex.tobytes()
-        if key in keys:
+        if key in corral:
             # the iterate already minimizes over this vertex, up to roundoff
             stop_reason = "no_descent"
             break
         if iterations == MAX_ITER:
             break  # return the iterate whose gap was just measured
         # re-optimize exactly over the hull of the stored vertices and this one
-        vertices.append(vertex)
-        keys.append(key)
-        scaled = np.vstack((scaled, (q / root_w).ravel()))
-        lin = np.append(lin, -2.0 * float(np.vdot(x, q)))
-        weights, steps = _simplex_qp(
-            scaled @ scaled.T, lin, np.append(alpha, 0.0), alpha.size
-        )
+        if size == lin.size:
+            images, lin, start = (np.concatenate((full, np.empty_like(full)))
+                                  for full in (images, lin, start))
+        corral[key] = vertex
+        images[size] = (q / root_w).ravel()
+        lin[size] = -2.0 * float(np.vdot(x, q))
+        start[size] = 0.0
+        stored = images[: size + 1]
+        weights, steps = _simplex_qp(stored @ stored.T, lin[: size + 1], start[: size + 1], size)
         qp_steps += steps
         keep = weights > 1e-15
-        candidate = (weights[keep] @ scaled[keep]).reshape(x.shape) * root_w
+        dropped = not keep.all()
+        if dropped:
+            weights, stored = weights[keep], stored[keep]
+        candidate = (weights @ stored).reshape(x.shape) * root_w
         cand_residual, cand_value = residual_and_value(candidate)
         if cand_value > value + 1e-15 * (1.0 + abs(value)):
             stop_reason = "no_descent"
             break
         p, residual, value = candidate, cand_residual, cand_value
-        alpha = weights[keep]
-        vertices = [v for v, k in zip(vertices, keep) if k]
-        keys = [b for b, k in zip(keys, keep) if k]
-        scaled, lin = scaled[keep], lin[keep]
+        if dropped:
+            lin[: weights.size] = lin[: size + 1][keep]
+            images[: weights.size] = stored
+            for joined, kept in zip(list(corral), keep):
+                if not kept:
+                    del corral[joined]
+        size = weights.size
+        start[:size] = weights
 
     # after a rejected QP the last stored vertex carries no weight
-    pi = np.tensordot(alpha, vertices[: alpha.size], axes=1)
+    pi = np.tensordot(start[:size], list(corral.values())[:size], axes=1)
     return WotResult(
         coupling=Coupling(pi, mu, nu),
         value=math.ldexp(value, 2 * k),
@@ -535,7 +589,7 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) ->
         iterations=iterations,
         converged=stop_reason == "gap",
         diagnostics={
-            "active_vertices": alpha.size,
+            "active_vertices": size,
             "lp_calls": 0 if basis is None else iterations,
             "pivots": 0 if basis is None else basis.pivots,
             "qp_steps": qp_steps,

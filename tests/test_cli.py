@@ -374,6 +374,26 @@ class TestProjectDiscrete:
         assert "duality gap 1.766e+00 not reached in 1 iterations" in result.stderr
         assert runner.invoke(main, ["project-discrete", problem]).exit_code == 0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tol_fails_before_solving(self, runner, tmp_path, monkeypatch, tol):
+        # --tol inf passed the first vertex as converged; nan and negative
+        # targets were never met, and the solve ended in a solver error
+        calls = []
+        monkeypatch.setattr(cli, "solve_wot", lambda *args, **kwargs: calls.append(args))
+        problem = write_discrete_problem(tmp_path / "p.json", np.random.default_rng(45), 3, 4)
+        result = runner.invoke(main, ["project-discrete", problem, "--tol", tol])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: --tol must be finite and nonnegative")
+        assert calls == []
+
+    @pytest.mark.parametrize("command", ["project-discrete", "check"])
+    def test_undecodable_problem_file_is_a_parse_error(self, runner, tmp_path, command):
+        problem = tmp_path / "p.json"
+        problem.write_bytes(b"\xff\xfe\x00{\x00}\x00")
+        result = runner.invoke(main, [command, str(problem)])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: cannot read problem file {problem}:")
+
 
 class TestDistance:
     def test_gaussian_mode(self, runner, tmp_path):
@@ -561,7 +581,14 @@ class TestCheck:
         {"below_cov": [[1.0, 0.0], [0.0]]},
         {"above_cov": [[2.0, 0.0, 0.0]]},
         {"below_cov": [[1.0, 0.0], [0.0, 0.0]], "tol": "tight"},
-    ], ids=["ragged", "wrong_shape", "bad_tol"])
+        # a NaN tolerance would fail every assertion and leave a bare NaN in
+        # the report; an infinite one would pass any
+        {"below_cov": [[1.0, 0.0], [0.0, 0.0]], "tol": float("nan")},
+        {"below_cov": [[1.0, 0.0], [0.0, 0.0]], "tol": float("inf")},
+        {"below_cov": [[1.0, 0.0], [0.0, 0.0]], "tol": -1e-6},
+        {"below_cov": [[float("nan"), 0.0], [0.0, 0.0]]},
+    ], ids=["ragged", "wrong_shape", "bad_tol", "nan_tol", "inf_tol", "negative_tol",
+            "nan_entry"])
     def test_malformed_assert_file_fails_before_solving(
         self, runner, tmp_path, monkeypatch, expected
     ):

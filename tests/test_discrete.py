@@ -89,6 +89,75 @@ def corrective_qp_instance(rng, k, atoms, repeats):
     return (images / weights) @ images.T, -2.0 * images @ x
 
 
+def corral_instance(seed):
+    """A 2-d 12 x 10 instance, the largest 2-d size of the benchmark."""
+    rng = np.random.default_rng([47, seed])
+    mu = DiscreteMeasure(rng.normal(size=(12, 2)), rng.dirichlet(np.ones(12)))
+    nu = DiscreteMeasure(0.8 * rng.normal(size=(10, 2)), rng.dirichlet(np.ones(10)))
+    return mu, nu
+
+
+def recording_qp(calls):
+    """``_simplex_qp`` that appends, per call, the number of stored vertices
+    and how many of them the minimizer leaves without weight."""
+    qp = discrete._simplex_qp
+
+    def recording(quad, lin, start, enter):
+        weights, steps = qp(quad, lin, start, enter)
+        calls.append((lin.size, int(np.count_nonzero(weights <= 1e-15))))
+        return weights, steps
+    return recording
+
+
+def solve_wot_restacking(mu, nu):
+    """``solve_wot`` in two or more dimensions with the corral re-stacked
+    and re-filtered on every iteration: the same arithmetic as the solver,
+    so the same bits.  Returns the coupling, value, gap, iterations, QP
+    steps and the number of vertices that carry the coupling."""
+    top = max(float(np.abs(mu.points).max()), float(np.abs(nu.points).max()))
+    k = math.frexp(top)[1] - 2
+    unit = math.ldexp(1.0, -k)
+    x, y, w = unit * mu.points, unit * nu.points, mu.weights
+    root_w = np.sqrt(w[:, None])
+    pi, cells = discrete._northwest_corner(w, nu.weights)
+    basis = discrete._TransportBasis(pi, cells)
+    vertices, keys = [pi], [pi.tobytes()]
+    p = pi @ y
+    scaled = (p / root_w).reshape(1, -1)
+    lin = np.array([-2.0 * float(np.vdot(x, p))])
+    alpha = np.ones(1)
+    residual = x - p / w[:, None]
+    value = float(w @ np.sum(residual**2, axis=1))
+    qp_steps = 0
+    for iterations in itertools.count(1):
+        vertex = solve_transport_lp(-2.0 * residual @ y.T, w, nu.weights, basis=basis)
+        q = vertex @ y
+        gap = 2.0 * float(np.vdot(residual, q - p))
+        if gap <= 1e-8 * (1.0 + abs(value)) or vertex.tobytes() in keys:
+            break
+        vertices.append(vertex)
+        keys.append(vertex.tobytes())
+        scaled = np.vstack((scaled, (q / root_w).ravel()))
+        lin = np.append(lin, -2.0 * float(np.vdot(x, q)))
+        weights, steps = discrete._simplex_qp(
+            scaled @ scaled.T, lin, np.append(alpha, 0.0), alpha.size
+        )
+        qp_steps += steps
+        keep = weights > 1e-15
+        candidate = (weights[keep] @ scaled[keep]).reshape(x.shape) * root_w
+        cand_residual = x - candidate / w[:, None]
+        cand_value = float(w @ np.sum(cand_residual**2, axis=1))
+        if cand_value > value + 1e-15 * (1.0 + abs(value)):
+            break
+        p, residual, value = candidate, cand_residual, cand_value
+        alpha = weights[keep]
+        vertices = [v for v, kept in zip(vertices, keep) if kept]
+        keys = [b for b, kept in zip(keys, keep) if kept]
+        scaled, lin = scaled[keep], lin[keep]
+    pi = np.tensordot(alpha, vertices[: alpha.size], axes=1)
+    return pi, math.ldexp(value, 2 * k), math.ldexp(gap, 2 * k), iterations, qp_steps, alpha.size
+
+
 def merge_atoms_loop(points, weights):
     """Atom merge rule as one pass over the sorted atoms: an atom within
     ``MERGE_TOL`` of the last kept atom adds its weight to it."""
@@ -365,7 +434,9 @@ class TestSimplexQp:
             starts = [np.eye(k)[int(rng.integers(k))], np.full(k, 1.0 / k),
                       rng.dirichlet(np.ones(k))]
             for start in starts:
+                given = start.copy()
                 alpha, steps = discrete._simplex_qp(quad, lin, start, k - 1)
+                np.testing.assert_array_equal(start, given)  # the caller's array
                 assert steps >= 1
                 assert np.all(alpha >= 0.0) and alpha.sum() == pytest.approx(1.0, abs=1e-15)
                 assert qp_value(quad, lin, alpha) == pytest.approx(
@@ -575,6 +646,61 @@ class TestSolveWot:
         vertex = solve_transport_lp(grad, mu.weights, nu.weights)
         assert result.gap == pytest.approx(float(np.sum(grad * (pi - vertex))), rel=1e-12)
         assert result.value == pytest.approx(barycentric_cost(pi, mu, nu), rel=1e-12)
+
+    @pytest.mark.parametrize("seed, event", [(4, "outgrows"), (0, "drops")])
+    def test_corral_growth_and_compaction_keep_the_coupling(self, seed, event, monkeypatch):
+        # seed 4: the corral outgrows its first allocation; seed 0: it stays
+        # within it, and a QP drops stored vertices mid-run
+        mu, nu = corral_instance(seed)
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(discrete, "_simplex_qp", recording_qp(calls))
+            result = solve_wot(mu, nu)
+        sizes = [size for size, _ in calls]
+        if event == "outgrows":
+            first = next(t for t, size in enumerate(sizes) if size > discrete._CORRAL_ROWS)
+        else:
+            assert max(sizes) <= discrete._CORRAL_ROWS
+            first, dropped = next((t, d) for t, (_, d) in enumerate(calls) if d)
+            # the next QP sees the compacted corral and one entering vertex
+            assert sizes[first + 1] == sizes[first] - dropped + 1
+        assert result.converged
+        pi = result.coupling.pi
+        assert result.value == pytest.approx(barycentric_cost(pi, mu, nu), rel=1e-12)
+        # the oracle re-run on the returned coupling finds its gap, met
+        grad = wot_gradient(pi, mu, nu)
+        vertex = solve_transport_lp(grad, mu.weights, nu.weights)
+        assert result.gap == pytest.approx(
+            float(np.sum(grad * (pi - vertex))), abs=1e-12 * (1.0 + result.value)
+        )
+        # the bits of the loop that re-stacks the corral on every iteration
+        reference = solve_wot_restacking(mu, nu)
+        assert reference[0].tobytes() == pi.tobytes()
+        assert reference[1:] == (
+            result.value, result.gap, result.iterations, result.diagnostics["qp_steps"],
+            result.diagnostics["active_vertices"],
+        )
+        # stopped on the iteration after the event, with a gap far from 0
+        monkeypatch.setattr(discrete, "MAX_ITER", first + 2)
+        capped = solve_wot(mu, nu)
+        assert capped.diagnostics["stop_reason"] == "max_iter"
+        pi = capped.coupling.pi
+        grad = wot_gradient(pi, mu, nu)
+        vertex = solve_transport_lp(grad, mu.weights, nu.weights)
+        assert capped.gap > 1e-6
+        assert capped.gap == pytest.approx(float(np.sum(grad * (pi - vertex))), rel=1e-12)
+        assert capped.value == pytest.approx(barycentric_cost(pi, mu, nu), rel=1e-12)
+
+    @pytest.mark.parametrize("fw_tol", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gap_target_is_refused(self, fw_tol):
+        # an infinite target would pass the first vertex as converged
+        mu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.5], [-1.0, 2.0]]),
+                             np.array([0.2, 0.3, 0.5]))
+        nu = DiscreteMeasure(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 3.0], [2.0, 2.0]]),
+                             np.array([0.1, 0.2, 0.3, 0.4]))
+        for solve in (solve_wot, project_discrete):
+            with pytest.raises(ValueError, match="fw_tol must be finite"):
+                solve(mu, nu, fw_tol)
 
     def test_large_scale_instances_scale_with_their_points(self, monkeypatch):
         # the value of c mu against c nu is c^2 times the unit-scale value,
