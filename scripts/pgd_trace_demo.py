@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from convex_order import pgd_project_above, shared_correlation_fast_path
+from convex_order import pgd_project_above, project_pair
 
 
 def main():
@@ -39,9 +39,9 @@ def main():
     print(f"residual:   {outcome.residual:.3e}")
     print(f"trace written to {args.out}")
 
-    fast = shared_correlation_fast_path(mu_cov, nu_cov)
-    if fast is not None:
-        closed = fast[1].distance_sq
+    _, above = project_pair(mu_cov, nu_cov)
+    if above.method in ("commuting", "fast_path"):
+        closed = above.distance_sq
         print(f"closed form available: {closed:.12f} "
               f"(gap {abs(outcome.objective - closed):.3e})")
     else:

@@ -16,15 +16,11 @@ from .discrete import (
     solve_wot,
 )
 from .gaussian import (
-    DominanceVerdict,
     OrderTransform,
     ProjectionResult,
     UniquenessVerdict,
-    dominance_check,
     is_above_projection_unique,
-    project_below,
     project_pair,
-    shared_correlation_fast_path,
 )
 from .linalg import (
     loewner_leq,
@@ -37,20 +33,17 @@ from .one_dim import (
     g_function,
     is_convex_ordered_1d,
     lower_convex_hull,
-    project_1d,
     project_1d_detail,
     w2_1d,
 )
 from .pgd import (
     frobenius_project_above,
-    frobenius_project_below,
     pgd_project_above,
 )
 
 __all__ = [
     "Coupling",
     "DiscreteMeasure",
-    "DominanceVerdict",
     "GaussianMeasure",
     "OrderTransform",
     "ProjectionResult",
@@ -59,10 +52,8 @@ __all__ = [
     "barycentric_pushforward",
     "bw2",
     "bw2_gradient",
-    "dominance_check",
     "exact_w2_sq",
     "frobenius_project_above",
-    "frobenius_project_below",
     "g_function",
     "is_above_projection_unique",
     "is_convex_ordered_1d",
@@ -70,12 +61,9 @@ __all__ = [
     "lower_convex_hull",
     "pgd_project_above",
     "positive_part",
-    "project_1d",
     "project_1d_detail",
-    "project_below",
     "project_discrete",
     "project_pair",
-    "shared_correlation_fast_path",
     "solve_transport_lp",
     "solve_wot",
     "spd_sqrt",

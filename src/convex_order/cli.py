@@ -267,7 +267,10 @@ def cmd_distance(problem, output):
         w2 = w2_1d(mu, nu)
         report = {"mode": mode, "w2": w2, "w2_sq": w2 * w2}
     else:
-        w2_sq = exact_w2_sq(mu, nu)
+        try:
+            w2_sq = exact_w2_sq(mu, nu)
+        except BudgetExceededError as exc:
+            _fail(SOLVER_ERROR, str(exc))
         report = {"mode": mode, "w2": float(np.sqrt(w2_sq)), "w2_sq": w2_sq}
     _emit(report, output)
 

@@ -48,6 +48,13 @@ class BudgetExceededError(ValueError):
     """The instance is larger than the size budget ``BUDGET``."""
 
 
+def _require_budget(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+    if mu.size * nu.size > BUDGET:
+        raise BudgetExceededError(
+            f"instance size {mu.size}x{nu.size} exceeds the budget {BUDGET}"
+        )
+
+
 class LpInfeasibleError(RuntimeError):
     """Marginals are inconsistent (guards bugs; cannot happen for
     probability vectors)."""
@@ -485,10 +492,7 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) ->
         raise ValueError("dimension mismatch")
     if not math.isfinite(fw_tol):  # an infinite target passes the first vertex
         raise ValueError(f"fw_tol must be finite, got {fw_tol}")
-    if mu.size * nu.size > BUDGET:
-        raise BudgetExceededError(
-            f"instance size {mu.size}x{nu.size} exceeds the budget {BUDGET}"
-        )
+    _require_budget(mu, nu)
     # unit scale through an exact power of two; [2, 4) rather than [1, 2),
     # where N(0, 1) data would see the absolute part of the gap target grow
     top = max(float(np.abs(mu.points).max()), float(np.abs(nu.points).max()))
@@ -618,9 +622,13 @@ def project_discrete(
 
 
 def exact_w2_sq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Exact squared Wasserstein-2 distance between small discrete measures."""
+    """Exact squared Wasserstein-2 distance between small discrete measures.
+
+    Instances with more than ``BUDGET`` cells ``n * m`` raise
+    :class:`BudgetExceededError`."""
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
+    _require_budget(mu, nu)
     diff = mu.points[:, None, :] - nu.points[None, :, :]
     cost = np.sum(diff**2, axis=2)
     pi = solve_transport_lp(cost, mu.weights, nu.weights)

@@ -35,7 +35,6 @@ Matrices derived from validated input are clamped, not checked again.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 from typing import Any, Callable
@@ -60,7 +59,7 @@ from .linalg import (
     sym_eigen,
     transport_map_basis,
 )
-from .measures import require_finite
+from .measures import require_finite, require_square
 from .pgd import pgd_project_above
 
 # Order tolerance: certification wants the order residual above
@@ -134,18 +133,6 @@ class ProjectionResult:
     uniqueness: UniquenessVerdict
 
 
-class DominanceVerdict(enum.Enum):
-    """Outcome of the saturation test.
-
-    ``SATURATED`` means the dominated-side projection of ``N(0, Smu)``
-    equals ``N(0, Snu)`` -- equivalently the dominating-side projection of
-    ``N(0, Snu)`` equals ``N(0, Smu)``.
-    """
-
-    SATURATED = "saturated"
-    NEITHER = "neither"
-
-
 @dataclass(frozen=True)
 class _Pair:
     """A validated covariance pair decomposed once per solve: both
@@ -182,13 +169,16 @@ def _pair(
 
 
 def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
-    """Validate a raw covariance pair (shape, finiteness, PSD), decompose it
-    and divide it by ``4^k``, the larger top eigenvalue in ``[4^k, 4^(k+1))``
-    (``k = 0`` below ``2^-1000``): the only check a public call makes on
-    its inputs.  The eigensolver commutes with powers of two, so the scaled
-    spectra are those of the scaled pair."""
-    cov_mu = sym(np.atleast_2d(np.asarray(cov_mu, dtype=float)))
-    cov_nu = sym(np.atleast_2d(np.asarray(cov_nu, dtype=float)))
+    """Validate a raw covariance pair (nonempty, square, equal shapes,
+    finiteness, PSD), decompose it and divide it by ``4^k``, the larger top
+    eigenvalue in ``[4^k, 4^(k+1))`` (``k = 0`` below ``2^-1000``): the only
+    check a public call makes on its inputs.  The eigensolver commutes with
+    powers of two, so the scaled spectra are those of the scaled pair."""
+    cov_mu = np.atleast_2d(np.asarray(cov_mu, dtype=float))
+    cov_nu = np.atleast_2d(np.asarray(cov_nu, dtype=float))
+    require_square(cov_mu, "cov_mu")
+    require_square(cov_nu, "cov_nu")
+    cov_mu, cov_nu = sym(cov_mu), sym(cov_nu)
     if cov_mu.shape != cov_nu.shape:
         raise ValueError("dimension mismatch")
     require_finite(cov_mu, "cov_mu")
@@ -210,24 +200,20 @@ _UNIT_KEYS = frozenset({
 })
 
 
-def _in_caller_units(value: Any, k: int) -> Any:
-    """A unit-scale answer in the caller's units, the only way out of the unit
+def _in_caller_units(
+    results: tuple[ProjectionResult, ProjectionResult], k: int
+) -> tuple[ProjectionResult, ProjectionResult]:
+    """A unit-scale solve in the caller's units, the only way out of the unit
     scale: each entry named in ``_UNIT_KEYS`` times ``4^k``, each
     ``diagnostics`` dict tagged with ``scale_exponent`` (at ``k = 0``, only that)."""
+    if not k:
+        return tuple(replace(r, diagnostics={**r.diagnostics, "scale_exponent": 0})
+                     for r in results)
     c = math.ldexp(1.0, 2 * k)
-
-    def tag(v: Any) -> Any:
-        if isinstance(v, tuple):
-            return tuple(tag(x) for x in v)
-        if not isinstance(v, ProjectionResult):
-            return v
-        return replace(v, diagnostics={**v.diagnostics, "scale_exponent": 0})
 
     def convert(key: str | None, v: Any) -> Any:
         if key in _UNIT_KEYS:
             return [c * x for x in v] if isinstance(v, list) else c * v
-        if isinstance(v, tuple):
-            return tuple(convert(key, x) for x in v)
         if isinstance(v, dict):
             out = {name: convert(name, x) for name, x in v.items()}
             return {**out, "scale_exponent": k} if key == "diagnostics" else out
@@ -235,17 +221,7 @@ def _in_caller_units(value: Any, k: int) -> Any:
             return replace(v, **{f.name: convert(f.name, getattr(v, f.name)) for f in fields(v)})
         return v
 
-    return convert(None, value) if k else tag(value)
-
-
-def _at_unit_scale(cov_mu: np.ndarray, cov_nu: np.ndarray, solve) -> Any:
-    """``solve`` run on the unit-scale record of a raw pair, its answer (or
-    the transform a :class:`CertificationError` carries) in caller units."""
-    pair = _decompose(cov_mu, cov_nu)
-    try:
-        return _in_caller_units(solve(pair), pair.scale_exponent)
-    except CertificationError as exc:
-        raise CertificationError(_in_caller_units(exc.transform, pair.scale_exponent)) from None
+    return tuple(convert(None, r) for r in results)
 
 
 def _results(
@@ -299,6 +275,13 @@ def _project(
 
 
 def _fast_path(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult] | None:
+    """Both projections through a shared correlation matrix, when valid.
+
+    Conjugates both covariances into the eigenbasis of the transport map
+    from ``cov_mu`` onto ``cov_nu``; if they share a correlation ``C`` there
+    and ``Dhat C Dhat`` stays below ``C`` in the Loewner order, both
+    projections follow in closed form.  ``None`` when either covariance is
+    singular, a conjugated diagonal is not positive or either test fails."""
     d = pair.cov_nu.shape[0]
     if pair.rank_mu < d or pair.rank_nu < d:
         return None
@@ -322,22 +305,6 @@ def _fast_path(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult] | None:
     method = "commuting" if np.linalg.norm(corr - np.eye(corr.shape[0])) <= 1e-10 else "fast_path"
     return _results(transform, *projected, method, {"order_residual": transform.order_residual},
                     _uniqueness(pair, None))
-
-
-def shared_correlation_fast_path(
-    cov_mu: np.ndarray, cov_nu: np.ndarray
-) -> tuple[OrderTransform, ProjectionResult, ProjectionResult] | None:
-    """Projection pair through a shared correlation matrix, when valid.
-
-    Conjugates both covariances into a basis where they share a correlation
-    ``C``; if the contracted correlation ``Dhat C Dhat`` stays below ``C``
-    in the Loewner order, both projections follow in closed form.  Returns
-    ``None`` when either covariance is singular, the diagonals are not all
-    positive or the correlation condition fails; absence is an answer, not
-    an error.
-    """
-    fast = _at_unit_scale(cov_mu, cov_nu, _fast_path)
-    return None if fast is None else (fast[0].transform, *fast)
 
 
 def _route(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult]:
@@ -415,18 +382,18 @@ def _reduce(pair: _Pair) -> tuple[np.ndarray, ProjectionResult, np.ndarray]:
     return nu_vecs, inner, sym(nu_vecs @ assembled_conj @ nu_vecs.T)
 
 
-def project_below(cov_mu: np.ndarray, cov_nu: np.ndarray) -> ProjectionResult:
-    """Covariance of the projection of ``N(0, cov_mu)`` onto the measures
-    dominated by ``N(0, cov_nu)`` in the convex order."""
-    return project_pair(cov_mu, cov_nu)[0]
-
-
 def project_pair(
     cov_mu: np.ndarray, cov_nu: np.ndarray
 ) -> tuple[ProjectionResult, ProjectionResult]:
     """Both projections from one solve at unit scale: ``(below, above)``,
-    in the caller's units."""
-    return _at_unit_scale(cov_mu, cov_nu, _route)
+    in the caller's units.  A :class:`CertificationError` carries its
+    transform in the caller's units too."""
+    pair = _decompose(cov_mu, cov_nu)
+    try:
+        return _in_caller_units(_route(pair), pair.scale_exponent)
+    except CertificationError as exc:
+        residual = math.ldexp(exc.transform.order_residual, 2 * pair.scale_exponent)
+        raise CertificationError(replace(exc.transform, order_residual=residual)) from None
 
 
 def _saturated(pair: _Pair) -> bool:
@@ -437,17 +404,6 @@ def _saturated(pair: _Pair) -> bool:
     probe_vals, probe_vecs = clamped_eigen(sym(half @ pair.cov_mu @ half))
     probe = _rebuild(np.sqrt(probe_vals), probe_vecs)
     return loewner_leq(pair.cov_nu, probe, tol)
-
-
-def dominance_check(cov_mu: np.ndarray, cov_nu: np.ndarray) -> DominanceVerdict:
-    """Saturation test for the projection pair.
-
-    ``SATURATED`` iff ``cov_nu <= (cov_nu^{1/2} cov_mu cov_nu^{1/2})^{1/2}``
-    in the Loewner order, which happens in particular whenever
-    ``cov_nu <= cov_mu``.
-    """
-    saturated = _saturated(_decompose(cov_mu, cov_nu))
-    return DominanceVerdict.SATURATED if saturated else DominanceVerdict.NEITHER
 
 
 def _refusal(vals: np.ndarray, cutoff: float, name: str, k: int) -> str | None:

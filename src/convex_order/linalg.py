@@ -140,7 +140,7 @@ def positive_part(matrix: np.ndarray) -> np.ndarray:
     return root @ root.T
 
 
-def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
+def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
     """True iff ``a <= b`` in the Loewner order up to ``tol``."""
     return loewner_gap(a, b) >= -tol
 

@@ -22,6 +22,13 @@ def require_finite(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must be finite (got NaN or inf)")
 
 
+def require_square(matrix: np.ndarray, name: str) -> None:
+    """Raise ``ValueError``, naming the shape, unless ``matrix`` is a
+    nonempty square matrix."""
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
+        raise ValueError(f"{name} must be a nonempty square matrix, got shape {matrix.shape}")
+
+
 @dataclass(frozen=True)
 class GaussianMeasure:
     """Gaussian distribution with the given mean vector and covariance."""
@@ -31,11 +38,13 @@ class GaussianMeasure:
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = sym(np.atleast_2d(np.asarray(self.cov, dtype=float)))
+        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        require_square(cov, "covariance")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean of size {mean.size}"
             )
+        cov = sym(cov)
         require_finite(mean, "mean")
         require_finite(cov, "covariance")
         psd_eigen(cov)  # raises NotPsdError on bad input
@@ -45,10 +54,6 @@ class GaussianMeasure:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-    @classmethod
-    def standard(cls, dim: int) -> "GaussianMeasure":
-        return cls(np.zeros(dim), np.eye(dim))
 
 
 @dataclass(frozen=True)

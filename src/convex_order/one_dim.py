@@ -115,6 +115,17 @@ class OneDimProjection:
 
 
 def project_1d_detail(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OneDimProjection:
+    """Projections of ``mu`` below ``nu`` and of ``nu`` above ``mu``, with
+    their distances.
+
+    ``below`` is the W2-closest measure to ``mu`` among those dominated by
+    ``nu`` in the convex order, ``above`` the W2-closest measure to ``nu``
+    among those dominating ``mu``; the pair does not depend on the
+    Wasserstein index used.  ``distance_sq`` is ``W2^2(mu, below) =
+    W2^2(nu, above)`` and ``cross_distance_sq`` is ``W2^2(nu, below) =
+    W2^2(mu, above)``.  Raises :class:`QuantileOrderError` when a projected
+    quantile function decreases by more than roundoff.
+    """
     grid, q_mu, q_nu, nodes = _quantile_grid(mu, nu)
     widths = np.diff(grid)
     vertices = lower_convex_hull(grid, nodes)
@@ -139,20 +150,6 @@ def project_1d_detail(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OneDimProject
     distance_sq = float(widths @ shift**2)
     cross_distance_sq = float(widths @ (q_mu - q_nu - shift) ** 2)
     return OneDimProjection(below, above, distance_sq, cross_distance_sq)
-
-
-def project_1d(
-    mu: DiscreteMeasure, nu: DiscreteMeasure
-) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-    """Projections of ``mu`` below ``nu`` and of ``nu`` above ``mu``.
-
-    Returns ``(below, above)``: ``below`` is the W2-closest measure to
-    ``mu`` among those dominated by ``nu`` in the convex order, ``above``
-    the W2-closest measure to ``nu`` among those dominating ``mu``.  The
-    pair does not depend on the Wasserstein index used.
-    """
-    detail = project_1d_detail(mu, nu)
-    return detail.below, detail.above
 
 
 def w2_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:

@@ -1,7 +1,7 @@
 """Projected gradient descent on the cone of matrices dominating a bound.
 
 Computes ``argmin bw2(cov_nu, S)`` over ``{S : S >= cov_mu}``, the
-dominating-side projection, with the two Frobenius cone projections.
+dominating-side projection, with the Frobenius projection onto that cone.
 Iterations, initialization and the cone projection follow the positive-part
 construction; Barzilai-Borwein steps are accepted by the Armijo test along
 the projection arc (Bertsekas 1976; Birgin, Martinez and Raydan 2000).  The
@@ -21,7 +21,6 @@ import numpy as np
 
 from .bures import bw2_gradient_from_inner
 from .linalg import (
-    EIG_TOL,
     _rebuild,
     clamped_eigen,
     default_rank_tol,
@@ -83,22 +82,6 @@ def _project_above(matrix: np.ndarray, lower: np.ndarray) -> np.ndarray:
     descent's iterates, steps and lower bound are (sums of Gram forms and
     symmetrised input): ``sym`` would return them bit for bit."""
     return matrix + positive_part(lower - matrix)
-
-
-def frobenius_project_below(
-    matrix: np.ndarray, upper: np.ndarray
-) -> tuple[np.ndarray, bool]:
-    """Frobenius projection of ``matrix`` onto ``{S : S <= upper}``.
-
-    ``matrix - (matrix - upper)^+``.  The result can leave the PSD cone, so
-    it is returned together with a flag telling whether it stayed inside
-    (up to the usual eigenvalue slack).
-    """
-    m = sym(matrix)
-    projected = m - positive_part(m - sym(upper))
-    vals = np.linalg.eigvalsh(projected)
-    scale = 1.0 + (float(np.abs(vals).max()) if vals.size else 0.0)
-    return projected, bool(vals[0] >= -EIG_TOL * scale)
 
 
 class _Objective:

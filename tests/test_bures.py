@@ -170,7 +170,7 @@ class TestCouplingLowerBound:
             assert exact_w2_sq(ma, mb) >= bw2(a, b) - 1e-9
 
     def test_wot_value_dominates_projection_distance(self):
-        from convex_order.gaussian import project_below
+        from convex_order.gaussian import project_pair
 
         rng = np.random.default_rng(8)
         for _ in range(5):
@@ -179,4 +179,4 @@ class TestCouplingLowerBound:
             ma = moment_matched_discretization(a)
             mb = moment_matched_discretization(b)
             value = solve_wot(ma, mb, fw_tol=1e-12).value
-            assert value >= project_below(a, b).distance_sq - 1e-9
+            assert value >= project_pair(a, b)[0].distance_sq - 1e-9

@@ -356,13 +356,17 @@ class TestProjectDiscrete:
         assert result.exit_code == 2
         assert "measure 'mu': measure needs a nonempty (n, d) support" in result.output
 
-    def test_budget_exit_code(self, runner, tmp_path):
-        # 1001 x 1000 cells are one row more than the budget allows
+    def test_budget_exit_code(self, runner, tmp_path, monkeypatch):
+        # 1001 x 1000 cells are one row more than the budget allows; each
+        # command refuses before the transportation simplex runs
         problem = write_discrete_problem(tmp_path / "p.json", np.random.default_rng(46), 1001, 1000)
-        for command in ("project-discrete", "check"):
+        lp_calls = []
+        monkeypatch.setattr(discrete, "solve_transport_lp", lambda *a: lp_calls.append(a))
+        for command in ("project-discrete", "check", "distance"):
             result = runner.invoke(main, [command, problem])
             assert result.exit_code == 3, command
             assert "exceeds the budget 1000000" in result.stderr, command
+        assert lp_calls == []
 
     def test_unmet_gap_exit_code(self, runner, tmp_path, monkeypatch):
         # one Frank-Wolfe iteration leaves this instance at gap 1.77

@@ -15,7 +15,7 @@ from convex_order.discrete import (
     solve_wot,
 )
 from convex_order.measures import DiscreteMeasure, EmptyMeasureError
-from convex_order.one_dim import is_convex_ordered_1d, project_1d, project_1d_detail, w2_1d
+from convex_order.one_dim import is_convex_ordered_1d, project_1d_detail, w2_1d
 from _utils import random_discrete, random_discrete_1d, random_orthogonal
 
 
@@ -549,7 +549,7 @@ class TestSolveWot:
         rng = np.random.default_rng(9)
         for _ in range(25):
             mu, nu = random_discrete_1d(rng), random_discrete_1d(rng)
-            below, _ = project_1d(mu, nu)
+            below = project_1d_detail(mu, nu).below
             projection, _ = project_discrete(mu, nu, fw_tol=1e-13)
             assert w2_1d(below, projection) <= 1e-6
 
@@ -558,7 +558,7 @@ class TestSolveWot:
         for _ in range(2):
             mu = measure_1d(rng.normal(size=30), rng.dirichlet(np.ones(30)))
             nu = measure_1d(0.8 * rng.normal(size=30), rng.dirichlet(np.ones(30)))
-            below, _ = project_1d(mu, nu)
+            below = project_1d_detail(mu, nu).below
             projection, result = project_discrete(mu, nu, fw_tol=1e-12)
             assert result.converged
             assert w2_1d(below, projection) <= 1e-6

@@ -13,13 +13,9 @@ from convex_order.bures import bw2, bw2_gradient
 from convex_order.cli import main
 from convex_order.gaussian import (
     CertificationError,
-    DominanceVerdict,
     RankAmbiguousError,
-    dominance_check,
     is_above_projection_unique,
-    project_below,
     project_pair,
-    shared_correlation_fast_path,
 )
 from convex_order.linalg import (
     NotPsdError,
@@ -64,6 +60,8 @@ def assert_transform_valid(t, cov_mu, cov_nu, tol=1e-7):
     assert t.certified
 
 NAN_COV = np.array([[np.nan, 0.0], [0.0, 1.0]])
+# the method tags of a solve that the shared-correlation fast path answered
+FAST_METHODS = ("commuting", "fast_path")
 
 
 class TestNonFiniteInput:
@@ -81,11 +79,27 @@ class TestNonFiniteInput:
 
     def test_fast_path_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
-            shared_correlation_fast_path(np.eye(2), NAN_COV)
+            project_pair(NAN_COV, np.eye(2))
 
     def test_singular_reduction_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             project_pair(np.eye(2), NAN_COV)
+
+
+class TestShape:
+    """Empty and non-square covariances are refused by shape at the boundary."""
+
+    def test_project_pair_rejects_empty_covariances(self):
+        with pytest.raises(ValueError, match=r"shape \(0, 0\)"):
+            project_pair(np.zeros((0, 0)), np.zeros((0, 0)))
+
+    def test_measure_rejects_empty_covariance(self):
+        with pytest.raises(ValueError, match=r"shape \(0, 0\)"):
+            GaussianMeasure(np.zeros(0), np.zeros((0, 0)))
+
+    def test_project_pair_rejects_non_square_covariance(self):
+        with pytest.raises(ValueError, match=r"cov_nu .*shape \(2, 3\)"):
+            project_pair(np.eye(2), np.ones((2, 3)))
 
 
 class TestValidatedOnce:
@@ -167,11 +181,12 @@ class TestUnitScale:
         assert above.diagnostics["scale_exponent"] == 10
         np.testing.assert_allclose(above.covariance, np.diag([2e6, 1e6]), rtol=1e-12)
         np.testing.assert_allclose(below.covariance, np.diag([1e6, 0.0]), rtol=1e-12)
-        transform, below, above = shared_correlation_fast_path(4e6 * np.eye(2), 1e6 * np.eye(2))
+        below, above = project_pair(4e6 * np.eye(2), 1e6 * np.eye(2))
+        assert below.method == "commuting"
         np.testing.assert_allclose(below.covariance, 1e6 * np.eye(2), rtol=1e-12)
         np.testing.assert_allclose(above.covariance, 4e6 * np.eye(2), rtol=1e-12)
         assert below.distance_sq == pytest.approx(2e6, rel=1e-12)
-        assert transform.order_residual == below.transform.order_residual
+        assert below.transform.order_residual == below.diagnostics["order_residual"]
 
 
 class TestOrderTransform:
@@ -207,24 +222,24 @@ class TestOrderTransform:
 
 class TestProjectBelow:
     def test_already_dominated(self):
-        res = project_below(np.eye(2), 2.0 * np.eye(2))
+        res = project_pair(np.eye(2), 2.0 * np.eye(2))[0]
         np.testing.assert_allclose(res.covariance, np.eye(2), atol=1e-10)
         assert res.distance_sq == pytest.approx(0.0, abs=1e-12)
 
     def test_commuting_minimum(self):
-        res = project_below(np.diag([4.0, 1.0]), np.diag([1.0, 4.0]))
+        res = project_pair(np.diag([4.0, 1.0]), np.diag([1.0, 4.0]))[0]
         np.testing.assert_allclose(res.covariance, np.eye(2), atol=1e-10)
         assert res.distance_sq == pytest.approx(1.0, abs=1e-12)
 
     def test_singular_bound(self):
         # oracle: feasible set for the bound diag(2, 0) is {diag(a, 0), a in [0, 2]}
         # and the objective 2 + a - 2 sqrt(a) over it is minimized at a = 1
-        res = project_below(np.eye(2), np.diag([2.0, 0.0]))
+        res = project_pair(np.eye(2), np.diag([2.0, 0.0]))[0]
         np.testing.assert_allclose(res.covariance, np.diag([1.0, 0.0]), atol=1e-8)
         assert res.distance_sq == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_bound(self):
-        res = project_below(np.eye(3), np.zeros((3, 3)))
+        res = project_pair(np.eye(3), np.zeros((3, 3)))[0]
         np.testing.assert_allclose(res.covariance, np.zeros((3, 3)), atol=1e-12)
         assert res.distance_sq == pytest.approx(3.0)
 
@@ -332,18 +347,16 @@ class TestFastPath:
         assert accepted > 150 and refused > 100
 
     def test_commuting_applies(self):
-        out = shared_correlation_fast_path(np.diag([4.0, 1.0]), np.diag([1.0, 4.0]))
-        assert out is not None
-        _, below, above = out
+        below, above = project_pair(np.diag([4.0, 1.0]), np.diag([1.0, 4.0]))
+        assert below.method == "commuting"
         np.testing.assert_allclose(below.covariance, np.eye(2), atol=1e-10)
         np.testing.assert_allclose(above.covariance, 4.0 * np.eye(2), atol=1e-10)
 
     def test_scalar_multiple_applies(self):
         rng = np.random.default_rng(3)
         s = random_spd(rng, 3)
-        out = shared_correlation_fast_path(0.25 * s, s)
-        assert out is not None
-        _, below, _ = out
+        below, _ = project_pair(0.25 * s, s)
+        assert below.method == "fast_path"
         np.testing.assert_allclose(below.covariance, 0.25 * s, atol=1e-10)
 
     def test_two_dim_threshold(self):
@@ -367,8 +380,7 @@ class TestFastPath:
                 if abs(margin) < 1e-9:
                     continue  # skip knife-edge cases, both answers defensible
                 expected = margin < 0
-            out = shared_correlation_fast_path(a, b)
-            assert (out is not None) == expected
+            assert (project_pair(a, b)[0].method in FAST_METHODS) == expected
             checked_apply += expected
             checked_refuse += not expected
         assert checked_apply > 10 and checked_refuse > 10
@@ -387,7 +399,7 @@ class TestFastPath:
             )
             pairs += [(scale * mu_cov, scale * nu_cov), (scale * nu_cov, scale * mu_cov)]
         for mu_cov, nu_cov in pairs:
-            assert shared_correlation_fast_path(mu_cov, nu_cov) is None
+            assert gaussian._fast_path(gaussian._decompose(mu_cov, nu_cov)) is None
 
 
 class TestSingularReduction:
@@ -500,21 +512,25 @@ class TestRankAmbiguity:
             is_above_projection_unique(c * mu_cov, c * nu_cov)
 
 
+def saturated(mu_cov, nu_cov):
+    return gaussian._saturated(gaussian._decompose(mu_cov, nu_cov))
+
+
 class TestDominance:
     def test_dominated_target(self):
         rng = np.random.default_rng(7)
         mu_cov = random_spd(rng, 3)
         nu_cov = mu_cov - 0.5 * random_spd(rng, 3, 0.1, 0.4)
-        assert loewner_leq(nu_cov, mu_cov)
-        assert dominance_check(mu_cov, nu_cov) is DominanceVerdict.SATURATED
+        assert loewner_leq(nu_cov, mu_cov, 1e-10)
+        assert saturated(mu_cov, nu_cov)
 
     def test_zero_lower_nonzero_target(self):
-        assert dominance_check(np.zeros((2, 2)), np.eye(2)) is DominanceVerdict.NEITHER
+        assert not saturated(np.zeros((2, 2)), np.eye(2))
 
     def test_equal(self):
         rng = np.random.default_rng(8)
         s = random_spd(rng, 3)
-        assert dominance_check(s, s) is DominanceVerdict.SATURATED
+        assert saturated(s, s)
 
 
 class TestRecoverBelow:
@@ -787,7 +803,7 @@ class TestPairInvariants:
             d = int(rng.integers(1, 5))
             a, b = random_spd(rng, d), random_spd(rng, d)
             below, above = project_pair(a, b)
-            again_below = project_below(below.covariance, b)
+            again_below = project_pair(below.covariance, b)[0]
             np.testing.assert_allclose(
                 again_below.covariance, below.covariance, atol=1e-8
             )
@@ -832,8 +848,8 @@ class TestPairInvariants:
         for _ in range(15):
             d = int(rng.integers(2, 5))
             a, a2, b = random_spd(rng, d), random_spd(rng, d), random_spd(rng, d)
-            i1 = project_below(a, b).covariance
-            i2 = project_below(a2, b).covariance
+            i1 = project_pair(a, b)[0].covariance
+            i2 = project_pair(a2, b)[0].covariance
             assert np.sqrt(bw2(i1, i2)) <= np.sqrt(bw2(a, a2)) + 1e-7
 
     def test_holder_bound_in_the_bounding_argument(self):
@@ -841,8 +857,8 @@ class TestPairInvariants:
         for _ in range(15):
             d = int(rng.integers(2, 5))
             a, b, b2 = random_spd(rng, d), random_spd(rng, d), random_spd(rng, d)
-            i1 = project_below(a, b).covariance
-            i2 = project_below(a, b2).covariance
+            i1 = project_pair(a, b)[0].covariance
+            i2 = project_pair(a, b2)[0].covariance
             lhs = bw2(i1, i2)
             rhs = (np.sqrt(bw2(a, i1)) + np.sqrt(bw2(a, i2))) * np.sqrt(bw2(b, b2))
             assert lhs <= rhs + 1e-7
@@ -955,9 +971,10 @@ class TestEigenConvention:
                 work = diagnostics.get("iterations", diagnostics.get("reduced_iterations"))
                 out.append((below.method, work, below.covariance, above.covariance,
                             np.array([below.distance_sq])))
-                fast = shared_correlation_fast_path(mu_cov, nu_cov)
+                pair = gaussian._decompose(mu_cov, nu_cov)
+                fast = gaussian._fast_path(pair)
                 out.append(("fast", fast is None, *([] if fast is None else [fast[1].covariance])))
-                out.append(("dominance", dominance_check(mu_cov, nu_cov)))
+                out.append(("dominance", gaussian._saturated(pair)))
                 out.append(("unique", above.uniqueness.unique, above.uniqueness.reason))
             for m in matrices:
                 other = 2.0 * m + np.eye(m.shape[0])
@@ -1195,7 +1212,7 @@ class TestSpectralWork:
         for d in (3, 5, 7):
             eigensolves["n"] = 0
             mu_cov, nu_cov = random_psd_singular(rng, d, d - 1), random_spd(rng, d)
-            assert shared_correlation_fast_path(mu_cov, nu_cov) is None
+            assert gaussian._fast_path(gaussian._decompose(mu_cov, nu_cov)) is None
             assert eigensolves["n"] <= 2
 
     def test_project_gaussian_on_a_singular_target(self, eigensolves, tmp_path):

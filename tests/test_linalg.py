@@ -148,9 +148,9 @@ class TestPositivePart:
 
 class TestLoewner:
     def test_examples(self):
-        assert loewner_leq(np.eye(2), 2.0 * np.eye(2))
-        assert not loewner_leq(np.diag([2.0, 0.0]), np.diag([1.0, 1.0]))
-        assert loewner_leq(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]))
+        assert loewner_leq(np.eye(2), 2.0 * np.eye(2), 1e-10)
+        assert not loewner_leq(np.diag([2.0, 0.0]), np.diag([1.0, 1.0]), 1e-10)
+        assert loewner_leq(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]), 1e-10)
 
 
 def _assert_shared(s1, s2, basis, corr, tol=1e-10):

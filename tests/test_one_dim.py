@@ -14,7 +14,6 @@ from convex_order.one_dim import (
     g_function,
     is_convex_ordered_1d,
     lower_convex_hull,
-    project_1d,
     project_1d_detail,
     w2_1d,
 )
@@ -249,7 +248,8 @@ class TestProject1d:
     def test_spread_above_dirac(self):
         mu = measure_1d([-1.0, 1.0], [0.5, 0.5])
         nu = measure_1d([0.0], [1.0])
-        below, above = project_1d(mu, nu)
+        detail = project_1d_detail(mu, nu)
+        below, above = detail.below, detail.above
         np.testing.assert_allclose(below.points, [[0.0]])
         np.testing.assert_allclose(above.points, mu.points)
         np.testing.assert_allclose(above.weights, mu.weights)
@@ -257,7 +257,8 @@ class TestProject1d:
     def test_dirac_below_spread(self):
         mu = measure_1d([0.0], [1.0])
         nu = measure_1d([-1.0, 1.0], [0.5, 0.5])
-        below, above = project_1d(mu, nu)
+        detail = project_1d_detail(mu, nu)
+        below, above = detail.below, detail.above
         np.testing.assert_allclose(below.points, [[0.0]])
         np.testing.assert_allclose(above.points, nu.points)
 
@@ -277,7 +278,8 @@ class TestProject1d:
         rng = np.random.default_rng(0)
         for _ in range(30):
             mu, nu = random_discrete_1d(rng), random_discrete_1d(rng)
-            below, above = project_1d(mu, nu)
+            detail = project_1d_detail(mu, nu)
+            below, above = detail.below, detail.above
             assert float(below.barycenter[0]) == pytest.approx(
                 float(nu.barycenter[0]), abs=1e-12
             )
@@ -289,7 +291,8 @@ class TestProject1d:
         rng = np.random.default_rng(1)
         for _ in range(30):
             mu, nu = random_discrete_1d(rng), random_discrete_1d(rng)
-            below, above = project_1d(mu, nu)
+            detail = project_1d_detail(mu, nu)
+            below, above = detail.below, detail.above
             assert is_convex_ordered_1d(below, nu)
             assert is_convex_ordered_1d(mu, above)
 
@@ -297,7 +300,8 @@ class TestProject1d:
         rng = np.random.default_rng(2)
         for _ in range(30):
             mu, nu = random_discrete_1d(rng), random_discrete_1d(rng)
-            below, above = project_1d(mu, nu)
+            detail = project_1d_detail(mu, nu)
+            below, above = detail.below, detail.above
             lhs = below.second_moment() + above.second_moment()
             rhs = mu.second_moment() + nu.second_moment()
             assert lhs == pytest.approx(rhs, abs=1e-12 * (1.0 + abs(rhs)))
@@ -332,7 +336,7 @@ class TestProject1d:
         rng = np.random.default_rng(5)
         for _ in range(25):
             mu, nu = random_discrete_1d(rng), random_discrete_1d(rng)
-            below, _ = project_1d(mu, nu)
+            below = project_1d_detail(mu, nu).below
             result = solve_wot(mu, nu, fw_tol=1e-13)
             pushed = barycentric_pushforward(result.coupling)
             assert w2_1d(below, pushed) <= 1e-6
@@ -420,7 +424,7 @@ class TestTinyWeights:
         assert not is_convex_ordered_1d(self.nu, self.mu)
 
     def test_matches_the_transport_solver(self):
-        below, _ = project_1d(self.mu, self.nu)
+        below = project_1d_detail(self.mu, self.nu).below
         result = solve_wot(self.mu, self.nu, fw_tol=1e-13)
         assert result.value == pytest.approx(0.0, abs=1e-12)
         assert w2_1d(below, barycentric_pushforward(result.coupling)) <= 1e-6
@@ -495,7 +499,8 @@ class TestConvexOrderOracle:
         rng = np.random.default_rng(21)
         for _ in range(100):
             mu, nu = random_discrete_1d(rng), random_discrete_1d(rng)
-            below, above = project_1d(mu, nu)
+            detail = project_1d_detail(mu, nu)
+            below, above = detail.below, detail.above
             for eta, target in ((below, nu), (mu, above)):
                 assert is_convex_ordered_1d(eta, target)
                 mean_gap, margin = stop_loss_margin(eta, target)
@@ -533,9 +538,9 @@ class TestRegularity:
         for s in range(500):
             rng = np.random.default_rng([3, s])
             mu, mu2, nu, nu2 = (random_discrete_1d(rng) for _ in range(4))
-            below = project_1d(mu, nu)[0]
-            below_mu2 = project_1d(mu2, nu)[0]
-            below_nu2 = project_1d(mu, nu2)[0]
+            below = project_1d_detail(mu, nu).below
+            below_mu2 = project_1d_detail(mu2, nu).below
+            below_nu2 = project_1d_detail(mu, nu2).below
             scale = 1.0 + max(m.second_moment() for m in (mu, mu2, nu, nu2))
             slack = 1e-12 * scale
             w2_mu = w2_1d(mu, mu2)

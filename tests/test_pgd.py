@@ -3,12 +3,11 @@ import pytest
 
 from convex_order import pgd
 from convex_order.bures import bw2
-from convex_order.gaussian import project_pair, shared_correlation_fast_path
-from convex_order.linalg import loewner_leq, positive_part, psd_eigen, sym, sym_eigen
+from convex_order.gaussian import project_pair
+from convex_order.linalg import loewner_leq, positive_part, psd_eigen, sym
 from convex_order.pgd import (
     _default_step,
     frobenius_project_above,
-    frobenius_project_below,
     pgd_project_above,
 )
 from _utils import random_spd, random_symmetric
@@ -139,46 +138,6 @@ class TestFrobeniusAbove:
             assert best <= np.linalg.norm(s - feasible) + 1e-9
 
 
-class TestFrobeniusBelow:
-    def test_fixed_point_when_already_below(self):
-        rng = np.random.default_rng(2)
-        upper = random_spd(rng, 3, 1.0, 2.0)
-        s = upper - random_spd(rng, 3, 0.0, 0.5)
-        out, ok = frobenius_project_below(s, upper)
-        np.testing.assert_allclose(out, s, atol=1e-12)
-        assert ok
-
-    def test_mixed_diagonal(self):
-        out, ok = frobenius_project_below(np.diag([3.0, 1.0]), np.diag([1.0, 3.0]))
-        np.testing.assert_allclose(out, np.eye(2), atol=1e-12)
-        assert ok
-
-    def test_result_is_dominated(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            d = int(rng.integers(2, 5))
-            s = random_symmetric(rng, d, 2.0)
-            upper = random_spd(rng, d)
-            out, _ = frobenius_project_below(s, upper)
-            assert loewner_leq(out, upper, 1e-10)
-
-    def test_flag_fires_on_some_instance(self):
-        # the projection below can leave the PSD cone; search a seeded
-        # stream of 2x2 pairs until the flag reports it
-        rng = np.random.default_rng(4)
-        fired = False
-        for _ in range(500):
-            s = random_spd(rng, 2, 0.1, 4.0)
-            upper = random_spd(rng, 2, 0.1, 4.0)
-            out, ok = frobenius_project_below(s, upper)
-            if not ok:
-                vals, _ = sym_eigen(out)
-                assert vals[-1] < 0
-                fired = True
-                break
-        assert fired
-
-
 class TestPgd:
     def test_dominated_lower_is_immediate(self):
         outcome, trace = pgd_project_above(2.0 * np.eye(2), np.eye(2))
@@ -195,15 +154,15 @@ class TestPgd:
         matched = 0
         while matched < 10:
             a, b = random_spd(rng, 3), random_spd(rng, 3)
-            fast = shared_correlation_fast_path(a, b)
-            if fast is None:
+            _, above = project_pair(a, b)
+            if above.method not in ("commuting", "fast_path"):
                 continue
             matched += 1
             outcome, _ = pgd_project_above(b, a)
-            closed = fast[1].distance_sq
+            closed = above.distance_sq
             assert abs(outcome.objective - closed) <= 1e-5 * (1.0 + closed)
             np.testing.assert_allclose(
-                outcome.covariance, fast[2].covariance, atol=1e-4
+                outcome.covariance, above.covariance, atol=1e-4
             )
 
     def test_objective_trace_is_non_increasing(self):
