@@ -1,11 +1,15 @@
 """Command-line front door.
 
 Subcommands: ``project-gaussian``, ``project-1d``, ``project-discrete``,
-``distance``, ``check``.  Problems arrive as JSON files holding the two
-measures; reports leave as one line of JSON with canonical key order
-(floats use the shortest round-trip representation, so emit -> parse ->
-emit is byte-identical).  The line keeps json's C encoder, which any
-``indent`` turns off; ``python -m json.tool`` indents a report for reading.
+``distance``, ``check``.  Problems arrive as UTF-8 JSON files holding the
+two measures; reports leave as one compact line of UTF-8 JSON with sorted
+keys.  Both directions run through orjson: floats are parsed and written
+in C, as the shortest text that reads back to the same double (``1e-7``,
+not ``1e-07``), so emit -> parse -> emit is byte-identical, and a NaN or
+infinite float is written as ``null``.  A file that orjson refuses, such as
+one with ``NaN`` or ``Infinity`` literals, is read again by the stdlib
+json module, whose errors are the ones reported.  ``python -m json.tool``
+indents a report for reading.
 
 Exit codes: 0 success, 1 check failure, 2 parse error, 3 solver failure.
 """
@@ -20,6 +24,7 @@ from typing import Any
 
 import click
 import numpy as np
+import orjson
 
 from .bures import bw2
 from .discrete import (
@@ -51,28 +56,35 @@ def _fail(code: int, message: str) -> None:
 
 
 def _plain(value: Any) -> Any:
-    """The encoder's hook: numpy arrays and scalars as lists and numbers
-    (``np.float64`` is a float and never reaches it)."""
+    """The encoder's hook: the numpy arrays orjson refuses, such as
+    non-contiguous ones, as nested lists."""
     if isinstance(value, (np.ndarray, np.generic)):
         return value.tolist()
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+_EMIT_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+
+
 def _emit(report: dict, output: str | None) -> None:
-    # a report is a tree the command has just built, so the encoder's
-    # reference-cycle bookkeeping would find nothing
-    text = json.dumps(report, sort_keys=True, check_circular=False, default=_plain) + "\n"
+    data = orjson.dumps(report, default=_plain, option=_EMIT_OPTIONS)
     if output:
-        with open(output, "w") as handle:
-            handle.write(text)
+        with open(output, "wb") as handle:
+            handle.write(data)
     else:
-        click.echo(text, nl=False)
+        click.echo(data, nl=False)
 
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+        with open(path, "rb") as handle:
+            raw = handle.read()
+        try:
+            data = orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            # orjson refuses NaN and Infinity literals, which the stdlib
+            # reader accepts; on any other refusal the stdlib words the error
+            data = json.loads(raw.decode("utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         _fail(PARSE_ERROR, f"cannot read problem file {path}: {exc}")
     if not isinstance(data, dict):
@@ -119,7 +131,8 @@ def _measure_pair(problem: dict, mode: str | None):
     if mu.dim != nu.dim:
         _fail(PARSE_ERROR, f"dimension mismatch: mu has {mu.dim}, nu has {nu.dim}")
     if mode == "one_d" and mu.dim != 1:
-        _fail(PARSE_ERROR, "project-1d needs one-dimensional measures")
+        _fail(PARSE_ERROR,
+              f"mode 'one_d' needs one-dimensional measures, got dimension {mu.dim}")
     return mode or ("one_d" if mu.dim == 1 else "discrete"), mu, nu
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -121,20 +122,20 @@ class TestProjectGaussian:
 
     def test_output_file_round_trip(self, runner, tmp_path):
         # every report is one line of sorted keys, byte-identical after
-        # parse -> emit
+        # parse -> emit through the CLI's own reader and writer
         gaussian_problem = write_problem(tmp_path / "g.json", GAUSSIAN_SINGULAR)
         one_d_problem = write_problem(tmp_path / "o.json", ONE_D)
         discrete_problem = write_problem(tmp_path / "d.json", DISCRETE)
         commands = [("project-gaussian", gaussian_problem), ("project-1d", one_d_problem),
                     ("project-discrete", discrete_problem), ("distance", gaussian_problem),
                     ("check", discrete_problem)]
-        out = tmp_path / "report.json"
+        out, again = tmp_path / "report.json", tmp_path / "again.json"
         for command, problem in commands:
             result = runner.invoke(main, [command, problem, "--output", str(out)])
             assert result.exit_code == 0, command
-            text = out.read_text()
-            assert json.dumps(json.loads(text), sort_keys=True) + "\n" == text, command
-            assert text.count("\n") == 1, command
+            cli._emit(cli._load_json(str(out)), str(again))
+            assert again.read_bytes() == out.read_bytes(), command
+            assert out.read_bytes().count(b"\n") == 1, command
 
     def test_trace_records_the_reduced_descent(self, runner, tmp_path):
         # a singular target runs the descent on its reduced problem
@@ -185,7 +186,8 @@ class TestProjectGaussian:
         })
         result = runner.invoke(main, ["project-gaussian", problem])
         assert result.exit_code == 2
-        assert "finite" in result.output
+        assert result.output.startswith("error: measure 'mu':")
+        assert "must be finite" in result.output
 
     def test_non_convergence_is_reported(self, runner, tmp_path, monkeypatch):
         # two descent iterations leave the gradient mapping above its stop,
@@ -253,8 +255,9 @@ class TestProjectGaussian:
         })
         result = runner.invoke(main, ["project-gaussian", problem])
         assert result.exit_code == 0
-        assert '"unique": null' in result.output
-        assert "refusing to classify" in json.loads(result.output)["uniqueness"]["reason"]
+        uniqueness = json.loads(result.output)["uniqueness"]
+        assert uniqueness["unique"] is None
+        assert "refusing to classify" in uniqueness["reason"]
 
 
 class TestProject1d:
@@ -531,6 +534,14 @@ class TestCheck:
         result = runner.invoke(main, ["check", problem])
         assert result.exit_code == 0
 
+    def test_declared_one_d_mode_refuses_planar_points(self, runner, tmp_path):
+        # the message names the mode, not a command: check and distance print it too
+        problem = write_problem(tmp_path / "p.json", {"mode": "one_d", **DISCRETE})
+        result = runner.invoke(main, ["check", problem])
+        assert result.exit_code == 2
+        assert result.output == (
+            "error: mode 'one_d' needs one-dimensional measures, got dimension 2\n")
+
     def test_corrupted_assertion_fails_named_check(self, runner, tmp_path):
         problem = write_problem(tmp_path / "p.json", GAUSSIAN_SINGULAR)
         assert_file = write_problem(tmp_path / "expect.json", {
@@ -620,3 +631,50 @@ class TestMalformedPoints:
         result = runner.invoke(main, [command, problem])
         assert result.exit_code == 2
         assert result.output.startswith("error: measure 'mu':")
+
+
+class TestJsonBoundary:
+    """Problems are read and reports written with orjson."""
+
+    EDGE_FLOATS = [
+        5e-324, 1e-310, 2.225073858507201e-308,  # subnormals, the largest last
+        2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+        -0.0, 0.0, 0.30000000000000004, 0.7999999999999999, 1.0000000000000002,
+        9007199254740993.0, 123456789.12345679, 1e-7, 1e16, 1e22, 1e23,
+    ]
+
+    def test_reader_matches_the_stdlib_bit_for_bit(self, tmp_path, monkeypatch):
+        bits = np.random.default_rng(2525).integers(0, 2**64, size=4000, dtype=np.uint64)
+        values = self.EDGE_FLOATS + [x for x in bits.view(np.float64).tolist() if math.isfinite(x)]
+        path = tmp_path / "floats.json"
+        path.write_text(json.dumps({"values": values}))
+        expected = json.loads(path.read_text())["values"]
+
+        def fallback(*args, **kwargs):
+            raise AssertionError("the stdlib reader ran")
+
+        monkeypatch.setattr(cli.json, "loads", fallback)
+        values = cli._load_json(str(path))["values"]
+        assert np.array(values).view(np.uint64).tolist() == (
+            np.array(expected).view(np.uint64).tolist())
+
+    def test_non_finite_values_are_written_as_null(self, tmp_path):
+        grid = np.array([[1.0, math.nan], [math.inf, -math.inf]])
+        report = {
+            "floats": [math.nan, math.inf, -math.inf],
+            "scalar": np.float64(-math.inf),
+            "grid": grid,
+            "column": grid[:, 1],  # not contiguous: orjson hands it to _plain
+        }
+        out = tmp_path / "report.json"
+        cli._emit(report, str(out))
+
+        def refuse(literal):
+            raise ValueError(f"bare {literal} in the report")
+
+        assert json.loads(out.read_text(), parse_constant=refuse) == {
+            "column": [None, None],
+            "floats": [None, None, None],
+            "grid": [[1.0, None], [None, None]],
+            "scalar": None,
+        }
