@@ -2,8 +2,8 @@
 
 Solves one random pair with the projected gradient method, writes the
 (iteration, objective, grad_norm) trace to CSV, and reports how close the
-final objective sits to the closed-form answer when the shared-correlation
-path applies.
+final objective sits to the closed-form answer when the certificate
+accepts the transport-map candidate basis.
 """
 
 import argparse

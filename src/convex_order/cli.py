@@ -282,7 +282,7 @@ def cmd_distance(problem, output):
     else:
         try:
             w2_sq = exact_w2_sq(mu, nu)
-        except BudgetExceededError as exc:
+        except (BudgetExceededError, LpInfeasibleError) as exc:
             _fail(SOLVER_ERROR, str(exc))
         report = {"mode": mode, "w2": float(np.sqrt(w2_sq)), "w2_sq": w2_sq}
     _emit(report, output)
@@ -386,7 +386,7 @@ def cmd_check(problem, assert_file, output):
             checks = _one_d_checks(mu, nu)
         else:
             checks = _discrete_checks(mu, nu)
-    except (LinalgError, BudgetExceededError, QuantileOrderError) as exc:
+    except (LinalgError, BudgetExceededError, LpInfeasibleError, QuantileOrderError) as exc:
         _fail(SOLVER_ERROR, str(exc))
 
     for key, cov in expected.items():  # gaussian mode only

@@ -12,22 +12,21 @@ Given such a pair,
   rescaled by ``1 / (D_ii D_jj)`` (falling back to the entries of
   ``O' Smu O`` on coordinates where ``O' Snu O`` is degenerate),
 * both squared distances equal ``sum_i (sqrt((O'SmuO)_ii) -
-  sqrt((O'SnuO)_ii))_+^2``.
+  sqrt((O'SnuO)_ii))_+^2``, a lower bound on the distance for every
+  orthogonal ``O``: a certified basis is optimal, however it was found.
 
 Each public call validates and decomposes ``Smu`` and ``Snu`` once into a
 pair record at unit scale, divided by the power of four ``4^k``
 (``diagnostics["scale_exponent"]``) that brings the larger top eigenvalue
 into ``[1, 4)``; outputs in covariance units are multiplied back by ``4^k``.
 Both projections commute with dilations and powers of two are exact, so
-every tolerance acts at unit scale.  The solve routes on the record:
-rank-0 ``Snu`` has a closed form in the identity basis; full-rank ``Snu``
-tries the shared-correlation fast path
-(when ``Smu`` has full rank too) and otherwise runs the projected-gradient
-solver, whose dominating-side answer yields ``O`` as the eigenbasis of the
-transport map onto ``Snu``, read from the descent's last gradient; any
-other rank goes through the rank reduction, which routes the full-rank
-problem on the range of ``Snu`` from the spectrum already at hand.  The
-same solve classifies the dominating side as unique or not among all
+every tolerance acts at unit scale.  The solve tries candidate bases,
+decided by the certificate: the identity for a rank-0 ``Snu``; the
+eigenbasis of the transport map from ``Smu`` onto ``Snu`` when both have
+full rank; then the projected-gradient solver's (the transport map of its
+dominating-side answer) for a full-rank ``Snu``, or else the rank
+reduction's, which solves the full-rank problem on the range of ``Snu``.
+The same solve classifies the dominating side as unique or not among all
 measures, from the record and, on a singular ``Snu``, the reduced solution
 re-embedded in the full space.
 Matrices derived from validated input are clamped, not checked again.
@@ -48,13 +47,11 @@ from .linalg import (
     _rebuild,
     _validated_eigh,
     clamped_eigen,
-    correlation,
     default_rank_tol,
     loewner_gap,
     loewner_leq,
     positive_diag_mask,
     psd_eigen,
-    shares_correlation,
     sym,
     sym_eigen,
     transport_map_basis,
@@ -65,6 +62,11 @@ from .pgd import pgd_project_above
 # Order tolerance: certification wants the order residual above
 # -ORDER_REL * (1 + lambda_max(Snu)), at unit scale.
 ORDER_REL = 1e-7
+# The transport-map candidate certifies at roundoff level instead, above
+# -CLOSED_FORM_REL * (1 + lambda_max(Snu)): at ORDER_REL it passes d = 2 pairs
+# whose closed form lies up to 6e-4 from the projection.  A solve it answers
+# is tagged "commuting" when its conjugated Smu's correlation is I to this bound.
+CLOSED_FORM_REL = 1e-10
 # Eigenvalues within this factor of the rank cutoff make the uniqueness
 # test refuse to classify.
 RANK_BAND = 10.0
@@ -97,7 +99,8 @@ class OrderTransform:
     on the conjugated diagonals, with the convention ``1`` where the
     mu-diagonal vanishes.  ``order_residual`` is the smallest eigenvalue of
     ``O'SnuO - D O'SmuO D`` (certification wants it above
-    ``-ORDER_REL * (1 + lambda_max(Snu))`` at unit scale).
+    ``-ORDER_REL * (1 + lambda_max(Snu))`` at unit scale, or above
+    ``-CLOSED_FORM_REL * (1 + lambda_max(Snu))`` for the transport-map basis).
     """
 
     basis: np.ndarray
@@ -224,21 +227,13 @@ def _in_caller_units(
     return tuple(convert(None, r) for r in results)
 
 
-def _results(
-    transform: OrderTransform, below: np.ndarray, above: np.ndarray, distance_sq: float,
-    method: str, diagnostics: dict[str, Any], uniqueness: UniquenessVerdict,
-) -> tuple[ProjectionResult, ProjectionResult]:
-    return tuple(
-        ProjectionResult(cov, distance_sq, transform, method, diagnostics, uniqueness)
-        for cov in (below, above)
-    )
-
-
-def _project(
-    pair: _Pair, basis: np.ndarray
-) -> tuple[OrderTransform, np.ndarray, np.ndarray, float]:
-    """Transform, both projected covariances and the shared squared distance
-    in ``basis``.
+def _certify(
+    pair: _Pair, basis: np.ndarray, tol: float
+) -> tuple[OrderTransform, tuple[np.ndarray, ...]]:
+    """The certificate on a candidate ``basis``: its transform, certified
+    when the order residual is at least ``-tol``, and the conjugates that
+    :func:`_assemble` reads.  A refused candidate costs two conjugations and
+    one ``eigvalsh``.
 
     ``D_ii = min(1, sqrt(nu_ii / mu_ii))``, with 1 where ``mu_ii`` vanishes.
     Diagonals outside :func:`positive_diag_mask` are flushed to zero first
@@ -255,12 +250,22 @@ def _project(
     d = np.where(mu_pos, np.minimum(1.0, ratios), 1.0)
     contracted = d[:, None] * m_mu * d[None, :]
     gap = loewner_gap(contracted, m_nu)
-    transform = OrderTransform(
-        basis=basis,
-        ratios=d,
-        order_residual=gap,
-        certified=bool(gap >= -pair.order_tol),
-    )
+    transform = OrderTransform(basis=basis, ratios=d, order_residual=gap,
+                               certified=bool(gap >= -tol))
+    return transform, (m_mu, m_nu, nu_pos, mu_diag, nu_diag, contracted)
+
+
+def _assemble(
+    pair: _Pair, transform: OrderTransform, conjugates: tuple[np.ndarray, ...], method: str,
+    diagnostics: dict[str, Any], assembled: Callable[[], np.ndarray] | None,
+) -> tuple[ProjectionResult, ProjectionResult]:
+    """Both projections in a candidate's basis, which must be certified
+    (:class:`CertificationError` otherwise), sharing the squared distance
+    and the verdict of :func:`_uniqueness` (``assembled`` is passed on)."""
+    if not transform.certified:
+        raise CertificationError(transform)
+    m_mu, m_nu, nu_pos, mu_diag, nu_diag, contracted = conjugates
+    basis, d = transform.basis, transform.ratios
     below = sym(basis @ contracted @ basis.T)
 
     safe_d = np.where(d > 0.0, d, 1.0)  # d vanishes only where nu_diag does
@@ -271,72 +276,60 @@ def _project(
     distance_sq = float(
         np.sum(np.clip(np.sqrt(mu_diag) - np.sqrt(nu_diag), 0.0, None) ** 2)
     )
-    return transform, below, above, distance_sq
+    uniqueness = _uniqueness(pair, assembled)
+    return tuple(
+        ProjectionResult(cov, distance_sq, transform, method, diagnostics, uniqueness)
+        for cov in (below, above)
+    )
 
 
-def _fast_path(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult] | None:
-    """Both projections through a shared correlation matrix, when valid.
-
-    Conjugates both covariances into the eigenbasis of the transport map
-    from ``cov_mu`` onto ``cov_nu``; if they share a correlation ``C`` there
-    and ``Dhat C Dhat`` stays below ``C`` in the Loewner order, both
-    projections follow in closed form.  ``None`` when either covariance is
-    singular, a conjugated diagonal is not positive or either test fails."""
+def _transport_candidate(pair: _Pair) -> np.ndarray | None:
+    """The ordered eigenbasis of the transport map from ``cov_mu`` onto
+    ``cov_nu``, read from the Bures gradient at ``cov_nu`` about ``cov_mu``;
+    ``None`` unless both covariances have full rank."""
     d = pair.cov_nu.shape[0]
     if pair.rank_mu < d or pair.rank_nu < d:
         return None
-    # the Bures gradient at cov_nu about cov_mu, whose eigenbasis is that of
-    # the transport map from cov_mu onto cov_nu; the tests below read no order
     mu_vals, mu_vecs = pair.mu_eig
     half = _rebuild(np.sqrt(mu_vals), mu_vecs)
     gradient = bw2_gradient_from_inner(half, *clamped_eigen(half @ pair.cov_nu @ half))
-    vals, vecs = transport_map_basis(gradient)
-    m_mu = sym(vecs.T @ pair.cov_mu @ vecs)
-    m_nu = sym(vecs.T @ pair.cov_nu @ vecs)
-    if not (np.all(positive_diag_mask(m_mu)) and np.all(positive_diag_mask(m_nu))):
-        return None
-    corr = correlation(m_mu)
-    ratios_hat = np.minimum(1.0, np.sqrt(np.diag(m_mu) / np.diag(m_nu)))
-    contracted = ratios_hat[:, None] * corr * ratios_hat[None, :]
-    # the order test refuses nearly every refused pair, so it runs first
-    if not (loewner_leq(contracted, corr, 1e-10) and shares_correlation(m_nu, corr)):
-        return None
-    transform, *projected = _project(pair, _ordered(vals, vecs)[1])
-    method = "commuting" if np.linalg.norm(corr - np.eye(corr.shape[0])) <= 1e-10 else "fast_path"
-    return _results(transform, *projected, method, {"order_residual": transform.order_residual},
-                    _uniqueness(pair, None))
+    return _ordered(*transport_map_basis(gradient))[1]
 
 
 def _route(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult]:
-    """Solve a validated pair: one route per rank of ``cov_nu``; the solve
-    also classifies the dominating side."""
+    """Solve a validated pair: candidate bases, decided by the certificate.
+
+    The first candidate the certificate accepts is assembled: the identity
+    on a zero target; the transport-map basis when both covariances have
+    full rank, at ``CLOSED_FORM_REL``; then the basis of the descent, or of
+    the rank reduction on a singular target, at ``ORDER_REL``, which raises
+    :class:`CertificationError` if refused.  The solve also classifies the
+    dominating side."""
     d = pair.cov_nu.shape[0]
     if pair.rank_nu == 0:
-        return _results(*_project(pair, np.eye(d)), "closed_form", {"rank_nu": 0},
-                        _uniqueness(pair, None))
+        return _assemble(pair, *_certify(pair, np.eye(d), pair.order_tol), "closed_form",
+                         {"rank_nu": 0}, None)
 
     # tests force the descent by replacing this module global: call it by name
-    fast = _fast_path(pair)
-    if fast is not None:
-        return fast
+    basis = _transport_candidate(pair)
+    if basis is not None:
+        tol = CLOSED_FORM_REL * (1.0 + float(pair.nu_eig[0].max()))
+        transform, conjugates = _certify(pair, basis, tol)
+        if transform.certified:
+            m_mu, _, _, mu_diag, _, _ = conjugates
+            scale = np.sqrt(mu_diag)
+            off = m_mu / np.outer(scale, scale)
+            np.fill_diagonal(off, 0.0)  # the off-diagonal of its correlation
+            method = "commuting" if np.linalg.norm(off) <= CLOSED_FORM_REL else "fast_path"
+            return _assemble(pair, transform, conjugates, method,
+                             {"order_residual": transform.order_residual}, None)
 
     if pair.rank_nu == d:
         outcome, trace = pgd_project_above(pair.cov_nu, pair.cov_mu)
         # the gradient at the dominating projection is I minus the inverse of
         # the transport map from cov_nu onto it
         basis = _ordered(*transport_map_basis(outcome.gradient))[1]
-        assembled = None
-    else:
-        nu_vecs, inner, assembled = _reduce(pair)
-        # compose the spectral split of the target with the reduced solve's
-        # rotation; the kernel coordinates keep the spectral basis vectors
-        block = np.eye(d)
-        block[: pair.rank_nu, : pair.rank_nu] = inner.transform.basis
-        basis = nu_vecs @ block
-    transform, *projected = _project(pair, basis)
-    if not transform.certified:
-        raise CertificationError(transform)
-    if assembled is None:
+        transform, conjugates = _certify(pair, basis, pair.order_tol)
         diagnostics = {
             "iterations": outcome.iterations,
             "pgd_objective": outcome.objective,
@@ -346,15 +339,22 @@ def _route(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult]:
             "order_residual": transform.order_residual,
             "trace": {"objective": trace.objective, "grad_norm": trace.grad_norm},
         }
-        return _results(transform, *projected, "pgd", diagnostics, _uniqueness(pair, None))
+        return _assemble(pair, transform, conjugates, "pgd", diagnostics, None)
+
+    nu_vecs, inner, assembled = _reduce(pair)
+    # compose the spectral split of the target with the reduced solve's
+    # rotation; the kernel coordinates keep the spectral basis vectors
+    block = np.eye(d)
+    block[: pair.rank_nu, : pair.rank_nu] = inner.transform.basis
+    transform, conjugates = _certify(pair, nu_vecs @ block, pair.order_tol)
     diagnostics = {
         "rank_nu": pair.rank_nu,
         "order_residual": transform.order_residual,
         "reduced_method": inner.method,
         **{f"reduced_{k}": v for k, v in inner.diagnostics.items()},
     }
-    return _results(transform, *projected, "singular_reduction", diagnostics,
-                    _uniqueness(pair, lambda: assembled))
+    return _assemble(pair, transform, conjugates, "singular_reduction", diagnostics,
+                     lambda: assembled)
 
 
 def _reduce(pair: _Pair) -> tuple[np.ndarray, ProjectionResult, np.ndarray]:

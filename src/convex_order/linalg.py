@@ -1,8 +1,8 @@
 """Deterministic symmetric linear algebra.
 
 Spectral decompositions, matrix square roots, positive parts, Loewner-order
-tests, the transport-map eigenbasis and the shared-correlation test used by
-the Gaussian projection solvers.
+tests and the transport-map eigenbasis: the pieces of the Gaussian solvers'
+candidate bases and of the certificate that decides between them.
 
 All functions are pure and operate on plain ``numpy`` arrays.  Only bases
 that leave a call pay for the eigen-convention (eigenvalues descending, signs
@@ -22,7 +22,6 @@ RANK_REL = 2.0**-50
 # Absolute PSD slack on unit-scaled input; inputs with eigenvalues below
 # -EIG_TOL * scale are rejected, small negatives are clamped to zero.
 EIG_TOL = 1e-12
-CORR_TOL = 1e-10
 
 
 class LinalgError(Exception):
@@ -168,27 +167,3 @@ def transport_map_basis(gradient: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     descending spectrum."""
     return _eigh(gradient)
 
-
-def correlation(matrix: np.ndarray) -> np.ndarray:
-    """Correlation ``dg^{-1/2} M dg^{-1/2}`` of a matrix ``M`` whose diagonal
-    ``dg`` is positive (:func:`positive_diag_mask` all true), its diagonal
-    set to exactly 1."""
-    scale = np.sqrt(np.diag(matrix))
-    corr = matrix / np.outer(scale, scale)
-    np.fill_diagonal(corr, 1.0)
-    return corr
-
-
-def shares_correlation(matrix: np.ndarray, corr: np.ndarray) -> bool:
-    """Does ``matrix``, with a positive diagonal ``dg``, equal ``dg^{1/2} C
-    dg^{1/2}`` to ``CORR_TOL`` relative to its Frobenius norm?
-
-    In the :func:`transport_map_basis` of two nonsingular PSD matrices, in
-    any column order and signs, the transport map is a diagonal ``L``, so the
-    conjugated target ``L m L`` shares the :func:`correlation` ``C`` of the
-    conjugated source ``m`` up to roundoff; the source shares its own by
-    construction and needs no test.
-    """
-    scale = np.sqrt(np.diag(matrix))
-    rebuilt = np.outer(scale, scale) * corr
-    return bool(np.linalg.norm(rebuilt - matrix) / (1.0 + np.linalg.norm(matrix)) <= CORR_TOL)

@@ -209,7 +209,7 @@ class TestProjectGaussian:
         assert "warning" not in converged.stderr
 
     def test_pair_outside_the_fast_path_takes_the_descent(self, runner, tmp_path):
-        # the shared-correlation fast path refuses this pair
+        # the certificate refuses this pair's transport-map basis
         problem = write_problem(tmp_path / "p.json", {
             "mu": {"mean": [0.0, 0.0], "cov": [[2.5, 0.0], [0.0, 0.4]]},
             "nu": {"mean": [0.0, 0.0], "cov": [[1.0, 0.9], [0.9, 1.0]]},
@@ -234,7 +234,7 @@ class TestProjectGaussian:
             calls.clear()
             with monkeypatch.context() as patch:
                 if not try_fast:
-                    patch.setattr(gaussian, "_fast_path", lambda pair: None)
+                    patch.setattr(gaussian, "_transport_candidate", lambda pair: None)
                 result = runner.invoke(main, ["project-gaussian", problem])
             assert result.exit_code == 0
             report = json.loads(result.output)
@@ -436,6 +436,19 @@ class TestDistance:
         result = runner.invoke(main, ["distance", problem])
         assert result.exit_code == 3
         assert "injected" in result.stderr
+
+    @pytest.mark.parametrize("command", ["distance", "check"])
+    def test_infeasible_lp_is_solver_error(self, runner, tmp_path, monkeypatch, command):
+        # both commands exited 1, the check-failed code, with a traceback
+        def infeasible(*args, **kwargs):
+            raise discrete.LpInfeasibleError("injected")
+
+        monkeypatch.setattr(cli, "exact_w2_sq", infeasible)
+        monkeypatch.setattr(cli, "solve_wot", infeasible)
+        problem = write_problem(tmp_path / "p.json", DISCRETE)
+        result = runner.invoke(main, [command, problem])
+        assert result.exit_code == 3
+        assert result.stderr == "error: injected\n"
 
     def test_one_d_mode(self, runner, tmp_path):
         problem = write_problem(tmp_path / "p.json", ONE_D)

@@ -1,10 +1,12 @@
-"""Every exported name has a caller.
+"""Every exported name, public function and constant has a caller.
 
-Each name in ``convex_order.__all__`` must be referenced in the code of
+Each name in ``convex_order.__all__``, and each public module-level function
+and upper-case constant of the package, must be read in the code of
 ``src/``, ``scripts/`` or ``benchmark/`` outside its own definition: as a
-name or an attribute, not in an import, a docstring or a comment.  Names
-that only the tests call are listed in ``TEST_REFERENCES``, each with its
-reason.
+name or an attribute, not in an import, an assignment, a docstring or a
+comment.  Names that only the tests call are listed in ``TEST_REFERENCES``,
+each with its reason; click commands, which their decorator registers, need
+no caller.
 """
 
 import ast
@@ -27,9 +29,10 @@ def references(tree: ast.AST, outside: frozenset = frozenset()) -> set[str]:
     found = set()
     if isinstance(tree, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         outside = outside | {tree.name}
-    if isinstance(tree, ast.Name) and tree.id not in outside:
+    read = isinstance(getattr(tree, "ctx", None), ast.Load)
+    if read and isinstance(tree, ast.Name) and tree.id not in outside:
         found.add(tree.id)
-    elif isinstance(tree, ast.Attribute) and tree.attr not in outside:
+    elif read and isinstance(tree, ast.Attribute) and tree.attr not in outside:
         found.add(tree.attr)
     for child in ast.iter_child_nodes(tree):
         found |= references(child, outside)
@@ -44,10 +47,31 @@ def referenced_names() -> set[str]:
     return found
 
 
+def _registers_a_command(decorator: ast.expr) -> bool:
+    return (isinstance(decorator, ast.Call) and isinstance(decorator.func, ast.Attribute)
+            and decorator.func.attr == "command")
+
+
+def public_definitions() -> set[str]:
+    """The package's public module-level functions, other than click
+    commands, and its upper-case constants."""
+    found = set()
+    for path in sorted((ROOT / "src" / "convex_order").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if not any(map(_registers_a_command, node.decorator_list)):
+                    found.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found |= {t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()}
+    return {name for name in found if not name.startswith("_")}
+
+
 def test_references_skip_comments_imports_and_own_definitions():
     source = '''
 from .gaussian import imported
 # commented()
+ASSIGNED = 1
 def recursive(n):
     """docstring()"""
     return recursive(n - 1)
@@ -58,12 +82,23 @@ used(module.attribute)
 '''
     assert references(ast.parse(source)) >= {"used", "module", "attribute"}
     assert not references(ast.parse(source)) & {
-        "imported", "commented", "recursive", "docstring", "Own"}
+        "imported", "commented", "ASSIGNED", "recursive", "docstring", "Own"}
+
+
+def test_public_definitions_leave_out_commands_and_private_names():
+    found = public_definitions()
+    assert {"project_pair", "transport_map_basis", "ORDER_REL", "EIG_TOL", "main"} <= found
+    assert not found & {"cmd_distance", "_route", "_UNIT_KEYS", "__all__"}
 
 
 def test_every_exported_name_has_a_caller():
     uncalled = set(convex_order.__all__) - referenced_names() - set(TEST_REFERENCES)
     assert not uncalled, f"exported names with no caller outside the tests: {sorted(uncalled)}"
+
+
+def test_every_public_function_and_constant_has_a_caller():
+    uncalled = public_definitions() - referenced_names() - set(TEST_REFERENCES)
+    assert not uncalled, f"public names with no caller outside the tests: {sorted(uncalled)}"
 
 
 def test_test_references_are_exported_and_uncalled():

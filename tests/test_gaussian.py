@@ -19,7 +19,6 @@ from convex_order.gaussian import (
 )
 from convex_order.linalg import (
     NotPsdError,
-    correlation,
     loewner_gap,
     loewner_leq,
     positive_part,
@@ -60,7 +59,7 @@ def assert_transform_valid(t, cov_mu, cov_nu, tol=1e-7):
     assert t.certified
 
 NAN_COV = np.array([[np.nan, 0.0], [0.0, 1.0]])
-# the method tags of a solve that the shared-correlation fast path answered
+# the method tags of a solve that the transport-map candidate answered
 FAST_METHODS = ("commuting", "fast_path")
 
 
@@ -268,8 +267,10 @@ class TestProjectAbove:
 
 
 def former_fast_path(pair):
-    """The fast path in its former order: both conjugates tested against the
-    shared correlation, then the diagonals, then the order test."""
+    """The former shared-correlation fast path, its tests in their original
+    order: both conjugates tested against the shared correlation, then the
+    diagonals, then the order test.  ``None`` when refused, else both
+    projections in the ordered transport-map basis, with its method tag."""
     d = pair.cov_nu.shape[0]
     if pair.rank_mu < d or pair.rank_nu < d:
         return None
@@ -286,14 +287,16 @@ def former_fast_path(pair):
         cleaned = np.where(linalg.positive_diag_mask(m), np.clip(np.diag(m), 0.0, None), 0.0)
         scale = np.sqrt(cleaned)
         residual = np.linalg.norm(np.outer(scale, scale) * corr - m) / (1.0 + np.linalg.norm(m))
-        if residual > linalg.CORR_TOL:
+        if residual > 1e-10:
             return None
     if not (np.all(linalg.positive_diag_mask(m1)) and np.all(linalg.positive_diag_mask(m2))):
         return None
     ratios_hat = np.minimum(1.0, np.sqrt(np.diag(m1) / np.diag(m2)))
     if not loewner_leq(ratios_hat[:, None] * corr * ratios_hat[None, :], corr, 1e-10):
         return None
-    return gaussian._project(pair, linalg._ordered(vals, vecs)[1])
+    method = "commuting" if np.linalg.norm(corr - np.eye(d)) <= 1e-10 else "fast_path"
+    transform, conjugates = gaussian._certify(pair, linalg._ordered(vals, vecs)[1], math.inf)
+    return gaussian._assemble(pair, transform, conjugates, method, {}, None)
 
 
 def fast_path_family(rng, k):
@@ -322,28 +325,64 @@ def fast_path_family(rng, k):
     return mu_cov, t @ mu_cov @ t
 
 
+def lower_bound(mu_cov, nu_cov, basis):
+    """LB(O) = sum_i (sqrt((O'SmuO)_ii) - sqrt((O'SnuO)_ii))_+^2 for an
+    orthogonal ``basis`` O, with negative roundoff diagonals read as zero."""
+    mu_diag, nu_diag = (np.clip(np.diag(basis.T @ cov @ basis), 0.0, None)
+                        for cov in (mu_cov, nu_cov))
+    return float(np.sum(np.clip(np.sqrt(mu_diag) - np.sqrt(nu_diag), 0.0, None) ** 2))
+
+
+class TestOptimalityOracle:
+    """LB(O) bounds the squared distance from N(0, Smu) to the measures
+    dominated by N(0, Snu) for every orthogonal O: each coordinate of O'X is
+    dominated in 1-d by the same coordinate of O'Y, coupling costs add over
+    coordinates, and the 1-d projection costs (sigma_mu - sigma_nu)_+^2.  The
+    route's answer must lie on top of every such bound, and meet it at its
+    own basis, whichever candidate the certificate accepted."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(2, 8), st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(-3, 3))
+    def test_distance_is_the_bound_at_the_basis(self, d, seed, kind, power):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** power
+        mu_cov = scale * random_spd(rng, d)
+        nu_cov = scale * (random_psd_singular(rng, d, int(rng.integers(1, d))) if kind == 0
+                          else random_spd(rng, d))
+        below, above = project_pair(mu_cov, nu_cov)
+        distance = below.distance_sq
+        assert above.distance_sq == distance
+        roundoff = 1e-12 * (np.trace(mu_cov) + np.trace(nu_cov))
+        for _ in range(50):
+            assert lower_bound(mu_cov, nu_cov, random_orthogonal(rng, d)) <= distance + roundoff
+        unit = math.ldexp(1.0, 2 * below.diagnostics["scale_exponent"])
+        at_basis = lower_bound(mu_cov, nu_cov, below.transform.basis)
+        assert abs(at_basis - distance) <= gaussian.ORDER_REL * (unit + distance)
+
+
 class TestFastPath:
     def test_order_of_the_tests_changes_no_decision(self):
-        # the order test runs before the correlation test, and only the
-        # target's conjugate is tested: every decision and result stay
+        # the certificate alone, at CLOSED_FORM_REL on the transport-map
+        # basis, decides as the former tests did: every decision and result stay
         rng = np.random.default_rng(44)
         accepted = refused = 0
         for k in range(500):
             pair = gaussian._decompose(*fast_path_family(rng, k))
-            former, fast = former_fast_path(pair), gaussian._fast_path(pair)
-            assert (former is None) == (fast is None), k
-            if fast is None:
+            former, (below, above) = former_fast_path(pair), gaussian._route(pair)
+            assert (former is None) == (below.method not in FAST_METHODS), k
+            if former is None:
                 refused += 1
                 continue
             accepted += 1
-            transform, below, above, distance_sq = former
-            assert fast[0].transform.certified
-            assert np.array_equal(fast[0].transform.basis, transform.basis)
-            assert np.array_equal(fast[0].transform.ratios, transform.ratios)
-            assert fast[0].transform.order_residual == transform.order_residual
-            assert np.array_equal(fast[0].covariance, below)
-            assert np.array_equal(fast[1].covariance, above)
-            assert fast[0].distance_sq == distance_sq
+            transform = former[0].transform
+            assert below.method == former[0].method
+            assert below.transform.certified
+            assert np.array_equal(below.transform.basis, transform.basis)
+            assert np.array_equal(below.transform.ratios, transform.ratios)
+            assert below.transform.order_residual == transform.order_residual
+            assert np.array_equal(below.covariance, former[0].covariance)
+            assert np.array_equal(above.covariance, former[1].covariance)
+            assert below.distance_sq == former[0].distance_sq
         assert accepted > 150 and refused > 100
 
     def test_commuting_applies(self):
@@ -367,11 +406,11 @@ class TestFastPath:
         for _ in range(200):
             a, b = random_spd(rng, 2), random_spd(rng, 2)
             basis = transport_map_basis(bw2_gradient(a, b))[1]
-            corr = correlation(sym(basis.T @ a @ basis))
-            m_mu = np.diag(basis.T @ a @ basis)
+            conj_mu = sym(basis.T @ a @ basis)
+            m_mu = np.diag(conj_mu)
             m_nu = np.diag(basis.T @ b @ basis)
             d_hat = np.minimum(1.0, np.sqrt(m_mu / m_nu))
-            rho_sq = corr[0, 1] ** 2
+            rho_sq = conj_mu[0, 1] ** 2 / (m_mu[0] * m_mu[1])  # the squared correlation
             if np.allclose(d_hat, 1.0):
                 expected = True
             else:
@@ -387,7 +426,7 @@ class TestFastPath:
 
 
     def test_singular_pairs_give_none(self):
-        # the shared-correlation path needs both covariances nonsingular
+        # no closed-form candidate unless both covariances are nonsingular
         rng = np.random.default_rng(27)
         pairs = [_rotated_disjoint_pair(1e6), _disjoint_rank_two_against_rank_one()]
         for _ in range(40):
@@ -399,7 +438,7 @@ class TestFastPath:
             )
             pairs += [(scale * mu_cov, scale * nu_cov), (scale * nu_cov, scale * mu_cov)]
         for mu_cov, nu_cov in pairs:
-            assert gaussian._fast_path(gaussian._decompose(mu_cov, nu_cov)) is None
+            assert gaussian._transport_candidate(gaussian._decompose(mu_cov, nu_cov)) is None
 
 
 class TestSingularReduction:
@@ -535,10 +574,10 @@ class TestDominance:
 
 class TestRecoverBelow:
     # the descent route recovers the dominated side from the dominating one,
-    # also on commuting pairs that the fast path would solve in closed form
+    # also on commuting pairs whose transport-map basis would certify
     @pytest.fixture(autouse=True)
     def descent_only(self, monkeypatch):
-        monkeypatch.setattr(gaussian, "_fast_path", lambda pair: None)
+        monkeypatch.setattr(gaussian, "_transport_candidate", lambda pair: None)
 
     def test_from_exact_dominating_projection(self):
         below, _ = project_pair(np.diag([4.0, 1.0]), np.diag([1.0, 4.0]))
@@ -972,8 +1011,8 @@ class TestEigenConvention:
                 out.append((below.method, work, below.covariance, above.covariance,
                             np.array([below.distance_sq])))
                 pair = gaussian._decompose(mu_cov, nu_cov)
-                fast = gaussian._fast_path(pair)
-                out.append(("fast", fast is None, *([] if fast is None else [fast[1].covariance])))
+                basis = gaussian._transport_candidate(pair)
+                out.append(("transport", basis is None, *([] if basis is None else [basis])))
                 out.append(("dominance", gaussian._saturated(pair)))
                 out.append(("unique", above.uniqueness.unique, above.uniqueness.reason))
             for m in matrices:
@@ -1098,8 +1137,8 @@ class TestTransportMapBasis:
         return int(separated.sum())
 
     def test_fast_path_basis_matches_the_old_map(self):
-        # the shared-correlation test runs in LAPACK's basis; the basis
-        # that leaves is ordered like the map from cov_mu onto cov_nu
+        # the transport-map candidate is ordered like the map from cov_mu
+        # onto cov_nu
         rng = np.random.default_rng(36)
         compared = 0
         pairs = [random_commuting_pair(rng, d)[:2] for d in (2, 3, 5, 8)]
@@ -1144,7 +1183,8 @@ class TestSpectralWork:
         a, b, *_ = random_commuting_pair(rng, 4)
         below, _ = project_pair(a, b)
         assert below.method == "commuting"
-        assert eigensolves["n"] <= 6
+        # the pair (2), the transport-map candidate (2) and its certificate
+        assert eigensolves["n"] <= 5
 
     def test_descent_route(self, eigensolves, monkeypatch):
         inside = {"eig": 0, "cone": 0, "sym_eigen": 0}
@@ -1176,9 +1216,9 @@ class TestSpectralWork:
             eigensolves["n"] = inside["eig"] = inside["cone"] = inside["sym_eigen"] = 0
             below, _ = project_pair(random_spd(rng, d), random_spd(rng, d))
             assert below.method == "pgd"
-            # the pair (2), the shared-correlation attempt (2, plus its
-            # Loewner test when the diagonals are positive), the basis from
-            # the descent's last gradient and the certificate
+            # the pair (2), the transport-map candidate (2) and its refused
+            # certificate, the basis from the descent's last gradient and
+            # the certificate
             assert eigensolves["n"] - inside["eig"] <= 7
             # set-up decomposes both inputs once; each cone projection is
             # followed by one objective-and-gradient eigensolve
@@ -1187,9 +1227,9 @@ class TestSpectralWork:
             assert inside["sym_eigen"] == 0
 
     def test_singular_lower_with_definite_target(self, eigensolves, monkeypatch):
-        # no shared-correlation attempt: the fast path needs both covariances
-        # nonsingular; outside the descent remain the two decompositions, the
-        # basis from the descent's last gradient and the certificate
+        # no transport-map candidate: it needs both covariances nonsingular;
+        # outside the descent remain the two decompositions, the basis from
+        # the descent's last gradient and the certificate
         inside = {"eig": 0}
         descend = gaussian.pgd_project_above
 
@@ -1207,13 +1247,24 @@ class TestSpectralWork:
             assert below.method == "pgd"
             assert eigensolves["n"] - inside["eig"] <= 4
 
-    def test_fast_path_on_a_singular_lower_covariance(self, eigensolves):
+    def test_fast_path_on_a_singular_lower_covariance(self, eigensolves, monkeypatch):
+        # no closed-form candidate is built on a singular cov_mu: the pair's
+        # two decompositions are all the work before the descent
+        before_descent = []
+        descend = gaussian.pgd_project_above
+
+        def counted_descent(*args, **kwargs):
+            before_descent.append(eigensolves["n"])
+            return descend(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "pgd_project_above", counted_descent)
         rng = np.random.default_rng(26)
         for d in (3, 5, 7):
-            eigensolves["n"] = 0
             mu_cov, nu_cov = random_psd_singular(rng, d, d - 1), random_spd(rng, d)
-            assert gaussian._fast_path(gaussian._decompose(mu_cov, nu_cov)) is None
-            assert eigensolves["n"] <= 2
+            assert gaussian._transport_candidate(gaussian._decompose(mu_cov, nu_cov)) is None
+            eigensolves["n"] = 0
+            assert project_pair(mu_cov, nu_cov)[0].method == "pgd"
+        assert len(before_descent) == 3 and max(before_descent) <= 2
 
     def test_project_gaussian_on_a_singular_target(self, eigensolves, tmp_path):
         problem = tmp_path / "p.json"
@@ -1263,7 +1314,7 @@ class TestSpectralWork:
 
         monkeypatch.setattr(gaussian, "pgd_project_above", counted_descent)
         if not try_fast:
-            monkeypatch.setattr(gaussian, "_fast_path", lambda pair: None)
+            monkeypatch.setattr(gaussian, "_transport_candidate", lambda pair: None)
         rng = np.random.default_rng(27)
         cases = [(random_spd(rng, d), random_spd(rng, d)) for d in (3, 5)]
         cases += [(random_spd(rng, d), random_psd_singular(rng, d, d - 1))

@@ -25,7 +25,7 @@ def _load_tracing():
 
 
 def test_tracer_reads_every_layer_through_its_names(tmp_path, monkeypatch):
-    monkeypatch.setattr(gaussian, "_fast_path", lambda pair: None)
+    monkeypatch.setattr(gaussian, "_transport_candidate", lambda pair: None)
     rng = np.random.default_rng(3)
     cov_mu, cov_nu = random_spd(rng, 4), random_spd(rng, 4)
     mu = convex_order.DiscreteMeasure(rng.normal(size=(6, 2)), rng.dirichlet(np.ones(6)))
