@@ -11,7 +11,8 @@ one with ``NaN`` or ``Infinity`` literals, is read again by the stdlib
 json module, whose errors are the ones reported.  ``python -m json.tool``
 indents a report for reading.
 
-Exit codes: 0 success, 1 check failure, 2 parse error, 3 solver failure.
+Exit codes: 0 success, 1 check failure, 2 parse error, 3 solver failure
+(an engine's typed error), 4 any other error.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .one_dim import (
 PARSE_ERROR = 2
 SOLVER_ERROR = 3
 CHECK_FAILED = 1
+UNEXPECTED_ERROR = 4
 
 
 def _fail(code: int, message: str) -> None:
@@ -140,7 +142,23 @@ def _measure_report(m: DiscreteMeasure) -> dict:
     return {"points": m.points, "weights": m.weights}
 
 
-@click.group()
+class _ExitCodes(click.Group):
+    """Maps an exception that escapes a command to its exit code: the
+    engines' typed errors to ``SOLVER_ERROR``, any other to
+    ``UNEXPECTED_ERROR``.  Click's own exceptions pass through."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except (LinalgError, BudgetExceededError, LpInfeasibleError, QuantileOrderError) as exc:
+            _fail(SOLVER_ERROR, str(exc))
+        except Exception as exc:
+            _fail(UNEXPECTED_ERROR, f"{type(exc).__name__}: {exc}")
+
+
+@click.group(cls=_ExitCodes)
 def main():
     """Wasserstein-2 projections in the convex order."""
 
@@ -154,11 +172,7 @@ def cmd_project_gaussian(problem, trace_path, output):
     """Project two Gaussian measures onto each other's convex-order cones."""
     data = _load_json(problem)
     _, mu, nu = _measure_pair(data, "gaussian")
-    try:
-        below, above = project_pair(mu.cov, nu.cov)
-    except LinalgError as exc:
-        _fail(SOLVER_ERROR, str(exc))
-
+    below, above = project_pair(mu.cov, nu.cov)
     diagnostics = dict(below.diagnostics)
     # a singular target runs the descent on its reduced problem
     prefix = "reduced_" if "reduced_pgd_converged" in diagnostics else ""
@@ -210,10 +224,7 @@ def cmd_project_1d(problem, output):
     """Quantile-formula projections for 1-d discrete measures."""
     data = _load_json(problem)
     _, mu, nu = _measure_pair(data, "one_d")
-    try:
-        detail = project_1d_detail(mu, nu)
-    except QuantileOrderError as exc:
-        _fail(SOLVER_ERROR, str(exc))
+    detail = project_1d_detail(mu, nu)
     report = {
         "mode": "one_d",
         "below": _measure_report(detail.below),
@@ -237,10 +248,7 @@ def cmd_project_discrete(problem, tol, coupling_csv, output):
         _fail(PARSE_ERROR, f"--tol must be finite and nonnegative, got {tol}")
     data = _load_json(problem)
     _, mu, nu = _measure_pair(data, "discrete")
-    try:
-        result = solve_wot(mu, nu, fw_tol=tol)
-    except (BudgetExceededError, LpInfeasibleError) as exc:
-        _fail(SOLVER_ERROR, str(exc))
+    result = solve_wot(mu, nu, fw_tol=tol)
     if not result.converged:
         _fail(SOLVER_ERROR,
               f"duality gap {result.gap:.3e} not reached in {result.iterations} iterations")
@@ -269,10 +277,7 @@ def cmd_distance(problem, output):
     data = _load_json(problem)
     mode, mu, nu = _measure_pair(data, _problem_mode(data))
     if mode == "gaussian":
-        try:
-            bw2_sq = bw2(mu.cov, nu.cov)
-        except LinalgError as exc:
-            _fail(SOLVER_ERROR, str(exc))
+        bw2_sq = bw2(mu.cov, nu.cov)
         w2 = float(np.sqrt(float(np.sum((mu.mean - nu.mean) ** 2)) + bw2_sq))
         report = {"mode": mode, "w2": w2, "w2_sq": w2 * w2,
                   "centered_w2": float(np.sqrt(bw2_sq)), "bw2": bw2_sq}
@@ -280,10 +285,7 @@ def cmd_distance(problem, output):
         w2 = w2_1d(mu, nu)
         report = {"mode": mode, "w2": w2, "w2_sq": w2 * w2}
     else:
-        try:
-            w2_sq = exact_w2_sq(mu, nu)
-        except (BudgetExceededError, LpInfeasibleError) as exc:
-            _fail(SOLVER_ERROR, str(exc))
+        w2_sq = exact_w2_sq(mu, nu)
         report = {"mode": mode, "w2": float(np.sqrt(w2_sq)), "w2_sq": w2_sq}
     _emit(report, output)
 
@@ -378,16 +380,13 @@ def cmd_check(problem, assert_file, output):
     data = _load_json(problem)
     mode, mu, nu = _measure_pair(data, _problem_mode(data))
     tol, expected = _load_assertions(assert_file, mode, mu.dim) if assert_file else (0.0, {})
-    try:
-        if mode == "gaussian":
-            below, above = project_pair(mu.cov, nu.cov)
-            checks = _gaussian_checks(mu, nu, below, above)
-        elif mode == "one_d":
-            checks = _one_d_checks(mu, nu)
-        else:
-            checks = _discrete_checks(mu, nu)
-    except (LinalgError, BudgetExceededError, LpInfeasibleError, QuantileOrderError) as exc:
-        _fail(SOLVER_ERROR, str(exc))
+    if mode == "gaussian":
+        below, above = project_pair(mu.cov, nu.cov)
+        checks = _gaussian_checks(mu, nu, below, above)
+    elif mode == "one_d":
+        checks = _one_d_checks(mu, nu)
+    else:
+        checks = _discrete_checks(mu, nu)
 
     for key, cov in expected.items():  # gaussian mode only
         actual = (below if key == "below_cov" else above).covariance

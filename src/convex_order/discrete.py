@@ -9,6 +9,8 @@ combination of stored vertices, and only the linear subproblem works on
 the comonotone coupling of the residuals ``r`` with ``y`` solves it in
 closed form; otherwise a network simplex on the transportation basis tree
 (Dantzig pricing with a Bland fallback against cycling) solves it exactly.
+The same comonotone staircase, rows in their given order, is the
+northwest corner: the first vertex, and the simplex's cold-start basis.
 Each new vertex joins the stored ones, over whose hull an exact QP
 re-optimizes the quadratic; its active-set steps solve the support's KKT
 system by LU.  The marginals stay fixed across one solve, so every LP
@@ -90,54 +92,33 @@ class Coupling:
         return (self.pi @ self.nu.points) / self.mu.weights[:, None]
 
 
-def _northwest_corner(
-    row_w: np.ndarray, col_w: np.ndarray
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Northwest-corner basic feasible solution with its n + m - 1 basis
-    cells (degenerate cells carry zero mass)."""
-    n, m = row_w.size, col_w.size
-    pi = np.zeros((n, m))
-    basis: list[tuple[int, int]] = []
-    remaining_row = row_w.copy()
-    remaining_col = col_w.copy()
-    i = j = 0
-    while True:
-        amount = min(remaining_row[i], remaining_col[j])
-        pi[i, j] = amount
-        basis.append((i, j))
-        remaining_row[i] -= amount
-        remaining_col[j] -= amount
-        if i == n - 1 and j == m - 1:
-            break
-        # advance exactly one index per step; ties move down (zero cell)
-        if j == m - 1 or (remaining_row[i] <= remaining_col[j] and i < n - 1):
-            i += 1
-        else:
-            j += 1
-    return pi, basis
+def _comonotone_vertex(
+    key: np.ndarray, row_w: np.ndarray, col_w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Comonotone vertex of the transportation polytope and its n + m - 1
+    basis cells ``(rows[k], cols[k])``, degenerate ones with zero mass.
 
-
-def _comonotone_vertex(r: np.ndarray, row_w: np.ndarray, col_w: np.ndarray) -> np.ndarray:
-    """Optimal vertex of the transportation LP with the rank-one cost
-    ``-r_i y_j``, for columns ``y`` in ascending order.
-
-    That is the comonotone coupling: rows ordered by ``r`` (stable, so tied
-    entries keep their order), columns as given, mass laid down on the
-    merged cumulative weights of the two.  Each piece between consecutive
-    merged cuts is one cell, in the row and column that the cuts before it
-    have passed; a row cut sorts before an equal column cut, so a tie moves
-    down first, as in :func:`_northwest_corner`.
+    Rows are ordered by ``key`` (stable, so ties keep their order), columns
+    as given, and mass is laid down on the merged cumulative weights.  Each
+    piece between consecutive merged cuts is one cell, in the row and column
+    that the cuts before it have passed; a row cut sorts before an equal
+    column cut, so a tie moves down first.  Each cell is one row or column
+    on from the last, so the cells grow a spanning tree.  With residuals
+    ``r`` as the key and ``y`` ascending, this is the optimum of the cost
+    ``-r_i y_j``; with ``arange(n)``, the northwest corner, whose tree grows
+    from row 0 as :class:`_TransportBasis` needs.
     """
-    n, m = row_w.size, col_w.size
-    order = np.argsort(r, kind="stable")
-    cuts = np.concatenate((np.cumsum(row_w[order][:-1]), np.cumsum(col_w[:-1])))
+    n = row_w.size
+    order = np.argsort(key, kind="stable")
+    col_cum = np.cumsum(col_w)
+    cuts = np.concatenate((np.cumsum(row_w[order][:-1]), col_cum[:-1]))
     by_cut = np.argsort(cuts, kind="stable")
     passed_col = by_cut >= n - 1
-    rows = np.concatenate(([0], np.cumsum(~passed_col)))
+    rows = order[np.concatenate(([0], np.cumsum(~passed_col)))]
     cols = np.concatenate(([0], np.cumsum(passed_col)))
-    pi = np.zeros((n, m))
-    pi[order[rows], cols] = np.diff(np.concatenate(([0.0], cuts[by_cut], [1.0])))
-    return pi
+    pi = np.zeros((n, col_w.size))
+    pi[rows, cols] = np.diff(np.concatenate(([0.0], cuts[by_cut], col_cum[-1:])))
+    return pi, rows, cols
 
 
 class _TransportBasis:
@@ -156,10 +137,10 @@ class _TransportBasis:
     that share the marginals.
     """
 
-    def __init__(self, pi: np.ndarray, cells: list[tuple[int, int]]):
-        """Tree of the basic solution ``pi`` on ``cells``, listed so that
-        each cell joins one new node to the tree grown from row 0 (as
-        :func:`_northwest_corner` lists them)."""
+    def __init__(self, pi: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+        """Tree of the basic solution ``pi`` on the cells ``(rows[k], cols[k])``,
+        each joining one new node to the tree grown from row 0 (as in the
+        northwest corner of :func:`_comonotone_vertex`)."""
         n, m = pi.shape
         size = n + m
         self.n, self.m = n, m
@@ -171,7 +152,7 @@ class _TransportBasis:
         self.pot = [0.0] * size
         self.pivots = 0
         placed = [True] + [False] * (size - 1)
-        for i, j in cells:
+        for i, j in zip(rows.tolist(), cols.tolist()):
             if placed[i] == placed[n + j]:
                 raise LpInfeasibleError("basis cells do not grow a spanning tree")
             child, up = (n + j, i) if placed[i] else (i, n + j)
@@ -286,16 +267,17 @@ def solve_transport_lp(
     """Exact optimal vertex of the transportation polytope.
 
     Network simplex on the basis tree.  Without ``basis`` it starts cold
-    from the northwest corner; with one (built for the same marginals) it
-    starts from that basis and leaves the optimal basis in it, ready to
-    warm-start the next cost.  The entering cell has the most negative
-    reduced cost (Dantzig pricing); after ``n + m`` degenerate pivots in a
-    row, Bland's rule (first cell in row-major order with sufficiently
-    negative reduced cost) takes over until a pivot moves mass, which rules
-    out cycling.  Potentials are recomputed only on the subtree that each
-    pivot re-hangs.  With zero cost the starting vertex is returned
-    unchanged.  ``solve_wot`` calls it for measures in two or more
-    dimensions, and ``exact_w2_sq`` in every dimension.
+    from the northwest corner (:func:`_comonotone_vertex`); with one (built
+    for the same marginals) it starts from that basis and leaves the
+    optimal basis in it, ready to warm-start the next cost.  The entering
+    cell has the most negative reduced cost (Dantzig pricing); after
+    ``n + m`` degenerate pivots in a row, Bland's rule (first cell in
+    row-major order with sufficiently negative reduced cost) takes over
+    until a pivot moves mass, which rules out cycling.  Potentials are
+    recomputed only on the subtree that each pivot re-hangs.  With zero
+    cost the starting vertex is returned unchanged.  ``solve_wot`` calls it
+    for measures in two or more dimensions, and ``exact_w2_sq`` in every
+    dimension.
     """
     cost = np.asarray(cost, dtype=float)
     row_w = np.asarray(row_weights, dtype=float)
@@ -306,7 +288,7 @@ def solve_transport_lp(
         raise LpInfeasibleError("row and column weights have different totals")
     n, m = row_w.size, col_w.size
     if basis is None:
-        basis = _TransportBasis(*_northwest_corner(row_w, col_w))
+        basis = _TransportBasis(*_comonotone_vertex(np.arange(n), row_w, col_w))
     elif (basis.n, basis.m) != (n, m):
         raise ValueError("warm-start basis does not match the weights")
     flat_cost = cost.ravel().tolist()
@@ -508,11 +490,11 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) ->
         residual = x - p / w_col
         return residual, float(w @ np.sum(residual**2, axis=1))
 
-    pi, cells = _northwest_corner(w, nu.weights)
-    # in 1-d the oracle is the comonotone coupling, which needs no basis;
-    # otherwise the marginals never change, so each LP warm-starts from the
-    # optimal basis of the previous one
-    basis = None if mu.dim == 1 else _TransportBasis(pi, cells)
+    # the northwest corner is the first vertex; in 1-d the oracle needs no
+    # basis, otherwise each LP warm-starts from the previous optimal basis
+    # (the marginals never change)
+    pi, rows, cols = _comonotone_vertex(np.arange(w.size), w, nu.weights)
+    basis = None if mu.dim == 1 else _TransportBasis(pi, rows, cols)
     # the corral: the stored vertices by their bytes, in the order they
     # joined; in the rows of preallocated arrays, their images q_k = V_k y,
     # divided by sqrt(w) and flattened (``images``, whose Gram matrix is the
@@ -539,7 +521,7 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) ->
         if basis is None:
             # the cost -2 r y' has rank one and nu's atoms are ascending
             # (DiscreteMeasure sorts them)
-            vertex = _comonotone_vertex(residual[:, 0], w, nu.weights)
+            vertex = _comonotone_vertex(residual[:, 0], w, nu.weights)[0]
         else:
             vertex = solve_transport_lp(-2.0 * residual @ y.T, w, nu.weights, basis=basis)
         q = vertex @ y
@@ -614,10 +596,11 @@ def barycentric_pushforward(coupling: Coupling) -> DiscreteMeasure:
 
 
 def project_discrete(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8
+    mu: DiscreteMeasure, nu: DiscreteMeasure
 ) -> tuple[DiscreteMeasure, WotResult]:
-    """Dominated-side projection of ``mu`` with the solver result."""
-    result = solve_wot(mu, nu, fw_tol)
+    """Dominated-side projection of ``mu`` with the result of
+    :func:`solve_wot` at its default gap target."""
+    result = solve_wot(mu, nu)
     return barycentric_pushforward(result.coupling), result
 
 

@@ -163,6 +163,24 @@ class TestProjectGaussian:
         result = runner.invoke(main, ["project-gaussian", str(bad)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("payload", [[1.0, 2.0], {"mu": GAUSSIAN_SINGULAR["mu"]}])
+    def test_problem_without_both_measures_is_a_parse_error(self, runner, tmp_path, payload):
+        problem = write_problem(tmp_path / "p.json", payload)
+        result = runner.invoke(main, ["project-gaussian", problem])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+
+    def test_refused_certificate_is_solver_error(self, runner, tmp_path, monkeypatch):
+        # one descent iteration leaves this pair's transform uncertified
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"mean": [0.0, 0.0], "cov": [[2.5, 0.0], [0.0, 0.4]]},
+            "nu": {"mean": [0.0, 0.0], "cov": [[1.0, 0.9], [0.9, 1.0]]},
+        })
+        monkeypatch.setattr(pgd, "MAX_ITER", 1)
+        result = runner.invoke(main, ["project-gaussian", problem])
+        assert result.exit_code == cli.SOLVER_ERROR
+        assert result.stderr.startswith("error: order transform failed certification")
+
     def test_dimension_mismatch_exit_code(self, runner, tmp_path):
         problem = write_problem(tmp_path / "p.json", {
             "mu": {"mean": [0.0], "cov": [[1.0]]},
@@ -449,6 +467,32 @@ class TestDistance:
         result = runner.invoke(main, [command, problem])
         assert result.exit_code == 3
         assert result.stderr == "error: injected\n"
+
+    @pytest.mark.parametrize("command", ["project-discrete", "distance", "check"])
+    def test_unexpected_error_has_its_own_exit_code(self, runner, tmp_path, monkeypatch, command):
+        # exit 1 means a check failed; an untyped error names its type instead
+        def failing(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(cli, "exact_w2_sq", failing)
+        monkeypatch.setattr(cli, "solve_wot", failing)
+        problem = write_problem(tmp_path / "p.json", DISCRETE)
+        result = runner.invoke(main, [command, problem])
+        assert result.exit_code == cli.UNEXPECTED_ERROR
+        assert result.stderr == "error: ValueError: injected\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["project-discrete", "distance", "check"])
+    def test_overflowing_cost_is_not_a_check_failure(self, runner, tmp_path, command):
+        # squared distances of atoms at 1e160 overflow to inf, which the
+        # transportation simplex refuses with a ValueError; it exited 1
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"points": [[1e160, 1e160], [-1e160, 0.0]], "weights": [0.5, 0.5]},
+            "nu": {"points": [[-1e160, 1e160], [1e160, -1e160]], "weights": [0.5, 0.5]},
+        })
+        result = runner.invoke(main, [command, problem])
+        assert result.exit_code == cli.UNEXPECTED_ERROR
+        assert result.stderr == "error: ValueError: cost entries must be finite\n"
 
     def test_one_d_mode(self, runner, tmp_path):
         problem = write_problem(tmp_path / "p.json", ONE_D)

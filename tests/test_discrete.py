@@ -46,8 +46,30 @@ def wot_gradient(pi, mu, nu):
     return -2.0 * (mu.points - bary) @ nu.points.T
 
 
+def northwest_corner(row, col):
+    """The northwest-corner rule as a loop: the current cell takes the lesser
+    remaining weight, then the walk moves down, or right when the column
+    has less left (a tie moves down).  Returns the vertex and its cells."""
+    n, m = row.size, col.size
+    pi = np.zeros((n, m))
+    left_row, left_col = row.copy(), col.copy()
+    cells, i, j = [], 0, 0
+    while True:
+        amount = min(left_row[i], left_col[j])
+        pi[i, j] = amount
+        cells.append((i, j))
+        left_row[i] -= amount
+        left_col[j] -= amount
+        if (i, j) == (n - 1, m - 1):
+            return pi, cells
+        if j == m - 1 or (left_row[i] <= left_col[j] and i < n - 1):
+            i += 1
+        else:
+            j += 1
+
+
 def cold_basis(row, col):
-    return discrete._TransportBasis(*discrete._northwest_corner(row, col))
+    return discrete._TransportBasis(*discrete._comonotone_vertex(np.arange(row.size), row, col))
 
 
 def qp_value(quad, lin, alpha):
@@ -119,8 +141,8 @@ def solve_wot_restacking(mu, nu):
     unit = math.ldexp(1.0, -k)
     x, y, w = unit * mu.points, unit * nu.points, mu.weights
     root_w = np.sqrt(w[:, None])
-    pi, cells = discrete._northwest_corner(w, nu.weights)
-    basis = discrete._TransportBasis(pi, cells)
+    pi, rows, cols = discrete._comonotone_vertex(np.arange(w.size), w, nu.weights)
+    basis = discrete._TransportBasis(pi, rows, cols)
     vertices, keys = [pi], [pi.tobytes()]
     p = pi @ y
     scaled = (p / root_w).reshape(1, -1)
@@ -375,15 +397,46 @@ class TestTransportLpOracles:
             if tied:
                 r = np.round(r)
             cost = -2.0 * np.outer(r, y)
-            pi = discrete._comonotone_vertex(r, row, col)
+            pi, rows, cols = discrete._comonotone_vertex(r, row, col)
             lp = solve_transport_lp(cost, row, col)
             assert pi.min() >= 0.0, s
+            # n + m - 1 distinct cells that carry all of the mass
+            assert len({*zip(rows.tolist(), cols.tolist())}) == rows.size == n + m - 1, s
+            off_cells = pi.copy()
+            off_cells[rows, cols] = 0.0
+            assert not off_cells.any(), s
             np.testing.assert_allclose(pi.sum(axis=1), row, rtol=0, atol=1e-15)
             np.testing.assert_allclose(pi.sum(axis=0), col, rtol=0, atol=1e-15)
             value = float(np.sum(lp * cost))
             assert abs(np.sum(pi * cost) - value) <= 1e-12 * (1.0 + abs(value)), s
             if not tied:  # the optimum is unique
                 np.testing.assert_allclose(pi, lp, rtol=0, atol=1e-14)
+
+    def test_northwest_staircase_matches_the_loop_reference(self):
+        # untied weights: the same cells, and the same flows up to the
+        # roundoff of the cumulative weights
+        rng = np.random.default_rng(49)
+        for _ in range(300):
+            n, m = (int(v) for v in rng.integers(1, 17, size=2))
+            row, col = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(m))
+            pi, rows, cols = discrete._comonotone_vertex(np.arange(n), row, col)
+            reference, cells = northwest_corner(row, col)
+            assert list(zip(rows.tolist(), cols.tolist())) == cells, (n, m)
+            np.testing.assert_allclose(pi, reference, rtol=0,
+                                       atol=(n + m) * np.finfo(float).eps)
+
+    def test_northwest_staircase_is_a_basis_on_tied_weights(self):
+        # small-integer weights tie cumulative row and column cuts, where
+        # the staircase steps through cells that carry no mass
+        rng = np.random.default_rng(48)
+        for n, m in itertools.product(range(1, 13), repeat=2):
+            counts = [rng.integers(1, 4, size=size).astype(float) for size in (n, m)]
+            row, col = counts[0] / counts[0].sum(), counts[1] / counts[1].sum()
+            pi, rows, cols = discrete._comonotone_vertex(np.arange(n), row, col)
+            basis = discrete._TransportBasis(pi, rows, cols)  # raises unless a spanning tree
+            np.testing.assert_array_equal(basis.coupling(), pi)
+            np.testing.assert_allclose(pi.sum(axis=1), row, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(pi.sum(axis=0), col, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("flows, leaving", [
         # (0, 1) and (1, 0) empty together, on the column and the row walk
@@ -398,7 +451,7 @@ class TestTransportLpOracles:
         pi = np.zeros((3, 3))
         for cell, flow in zip(cells, flows):
             pi[cell] = flow
-        basis = discrete._TransportBasis(pi, cells)
+        basis = discrete._TransportBasis(pi, *np.array(cells).T)
         cost = np.array([[0.0, 1.0, 5.0], [1.0, 3.0, 0.0], [4.0, 2.0, 1.0]])
         flat_cost = cost.ravel().tolist()
         basis.settle(0, flat_cost)
@@ -540,7 +593,8 @@ class TestSolveWot:
             d = int(rng.integers(1, 3))
             mu = random_discrete(rng, d, 6)
             nu = random_discrete(rng, d, 6)
-            projection, result = project_discrete(mu, nu, fw_tol=1e-12)
+            result = solve_wot(mu, nu, fw_tol=1e-12)
+            projection = barycentric_pushforward(result.coupling)
             assert result.value == pytest.approx(
                 exact_w2_sq(mu, projection), abs=1e-8 * (1.0 + result.value)
             )
@@ -550,7 +604,8 @@ class TestSolveWot:
         for _ in range(25):
             mu, nu = random_discrete_1d(rng), random_discrete_1d(rng)
             below = project_1d_detail(mu, nu).below
-            projection, _ = project_discrete(mu, nu, fw_tol=1e-13)
+            result = solve_wot(mu, nu, fw_tol=1e-13)
+            projection = barycentric_pushforward(result.coupling)
             assert w2_1d(below, projection) <= 1e-6
 
     def test_one_dimensional_agreement_at_30_atoms(self):
@@ -559,7 +614,8 @@ class TestSolveWot:
             mu = measure_1d(rng.normal(size=30), rng.dirichlet(np.ones(30)))
             nu = measure_1d(0.8 * rng.normal(size=30), rng.dirichlet(np.ones(30)))
             below = project_1d_detail(mu, nu).below
-            projection, result = project_discrete(mu, nu, fw_tol=1e-12)
+            result = solve_wot(mu, nu, fw_tol=1e-12)
+            projection = barycentric_pushforward(result.coupling)
             assert result.converged
             assert w2_1d(below, projection) <= 1e-6
             reference = project_1d_detail(mu, nu).distance_sq
@@ -698,9 +754,8 @@ class TestSolveWot:
                              np.array([0.2, 0.3, 0.5]))
         nu = DiscreteMeasure(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 3.0], [2.0, 2.0]]),
                              np.array([0.1, 0.2, 0.3, 0.4]))
-        for solve in (solve_wot, project_discrete):
-            with pytest.raises(ValueError, match="fw_tol must be finite"):
-                solve(mu, nu, fw_tol)
+        with pytest.raises(ValueError, match="fw_tol must be finite"):
+            solve_wot(mu, nu, fw_tol)
 
     def test_large_scale_instances_scale_with_their_points(self, monkeypatch):
         # the value of c mu against c nu is c^2 times the unit-scale value,
@@ -803,7 +858,8 @@ class TestSolveWot:
         result = solve_wot(mu, nu)
         assert counts["solve_transport_lp"] == result.diagnostics["lp_calls"] > 1
         assert counts["_basis_cycle"] == result.diagnostics["pivots"] > 0
-        assert counts["_comonotone_vertex"] == 0
+        # the northwest corner: the first vertex and the warm-start basis
+        assert counts["_comonotone_vertex"] == 1
 
         # in 1-d every oracle call is the comonotone coupling: no LP, no pivot
         counts.update(dict.fromkeys(counts, 0))
@@ -813,7 +869,7 @@ class TestSolveWot:
         assert result.converged
         assert result.diagnostics["lp_calls"] == result.diagnostics["pivots"] == 0
         assert counts["solve_transport_lp"] == counts["_basis_cycle"] == 0
-        assert counts["_comonotone_vertex"] == result.iterations > 1
+        assert counts["_comonotone_vertex"] == result.iterations + 1 > 2
 
 
 class TestPushforward:
@@ -900,7 +956,8 @@ class TestRegularity:
 
     @staticmethod
     def projection(mu, nu):
-        projection, result = project_discrete(mu, nu, fw_tol=1e-12)
+        result = solve_wot(mu, nu, fw_tol=1e-12)
+        projection = barycentric_pushforward(result.coupling)
         return projection, np.sqrt(max(result.gap, 0.0))
 
     @staticmethod

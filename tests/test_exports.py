@@ -6,7 +6,8 @@ and upper-case constant of the package, must be read in the code of
 name or an attribute, not in an import, an assignment, a docstring or a
 comment.  Names that only the tests call are listed in ``TEST_REFERENCES``,
 each with its reason; click commands, which their decorator registers, need
-no caller.
+no caller.  Each private module-level function and class must be read in
+``src/`` itself, so a helper that only the tests call fails.
 """
 
 import ast
@@ -39,9 +40,9 @@ def references(tree: ast.AST, outside: frozenset = frozenset()) -> set[str]:
     return found
 
 
-def referenced_names() -> set[str]:
+def referenced_names(directories=("src", "scripts", "benchmark")) -> set[str]:
     found = set()
-    for directory in ("src", "scripts", "benchmark"):
+    for directory in directories:
         for path in sorted((ROOT / directory).rglob("*.py")):
             found |= references(ast.parse(path.read_text()))
     return found
@@ -52,19 +53,30 @@ def _registers_a_command(decorator: ast.expr) -> bool:
             and decorator.func.attr == "command")
 
 
+def _module_nodes():
+    for path in sorted((ROOT / "src" / "convex_order").glob("*.py")):
+        yield from ast.parse(path.read_text()).body
+
+
 def public_definitions() -> set[str]:
     """The package's public module-level functions, other than click
     commands, and its upper-case constants."""
     found = set()
-    for path in sorted((ROOT / "src" / "convex_order").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if not any(map(_registers_a_command, node.decorator_list)):
-                    found.add(node.name)
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                found |= {t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()}
+    for node in _module_nodes():
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not any(map(_registers_a_command, node.decorator_list)):
+                found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found |= {t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()}
     return {name for name in found if not name.startswith("_")}
+
+
+def private_definitions() -> set[str]:
+    """The package's private module-level functions and classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in _module_nodes()
+            if isinstance(node, kinds) and node.name.startswith("_")}
 
 
 def test_references_skip_comments_imports_and_own_definitions():
@@ -94,6 +106,17 @@ def test_public_definitions_leave_out_commands_and_private_names():
 def test_every_exported_name_has_a_caller():
     uncalled = set(convex_order.__all__) - referenced_names() - set(TEST_REFERENCES)
     assert not uncalled, f"exported names with no caller outside the tests: {sorted(uncalled)}"
+
+
+def test_private_definitions_are_functions_and_classes():
+    found = private_definitions()
+    assert {"_route", "_TransportBasis", "_comonotone_vertex", "_ExitCodes"} <= found
+    assert not found & {"_UNIT_KEYS", "_QP_TOL", "project_pair", "WotResult"}
+
+
+def test_every_private_function_and_class_is_read_in_the_package():
+    unread = private_definitions() - referenced_names(("src",))
+    assert not unread, f"private names that only the tests read: {sorted(unread)}"
 
 
 def test_every_public_function_and_constant_has_a_caller():

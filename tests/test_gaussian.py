@@ -161,6 +161,20 @@ class TestUnitScale:
                 assert exponent == base[0].diagnostics["scale_exponent"] + j
                 assert results[1].uniqueness == base[1].uniqueness
 
+    def test_refused_certificate_reports_its_residual_in_caller_units(self, monkeypatch):
+        # one descent iteration leaves this pair's transform uncertified
+        monkeypatch.setattr(pgd, "MAX_ITER", 1)
+        mu_cov, nu_cov = np.diag([2.5, 0.4]), np.array([[1.0, 0.9], [0.9, 1.0]])
+        with pytest.raises(CertificationError) as unit:
+            project_pair(mu_cov, nu_cov)
+        residual = unit.value.transform.order_residual
+        assert residual < 0.0 and not unit.value.transform.certified
+        for j in (-6, -1, 1, 5):
+            c = math.ldexp(1.0, 2 * j)
+            with pytest.raises(CertificationError) as scaled:
+                project_pair(c * mu_cov, c * nu_cov)
+            assert scaled.value.transform.order_residual == c * residual, j
+
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4, 1e6])
     def test_pairs_certify_at_every_scale(self, scale):
         for s in range(200):

@@ -215,6 +215,20 @@ class TestPgd:
         assert len(trace.objective) <= 4
         assert outcome.stop_reason == "max_iter"
 
+    def test_no_accepted_step_stops_as_stalled(self, monkeypatch):
+        # without backtracks no candidate is tried, so none is accepted
+        rng = np.random.default_rng(9)
+        a, b = random_spd(rng, 4), random_spd(rng, 4)
+        start, _ = pgd_project_above(b, a)
+        monkeypatch.setattr(pgd, "MAX_BACKTRACKS", 0)
+        outcome, trace = pgd_project_above(b, a)
+        assert outcome.stop_reason == "stalled"
+        assert not outcome.converged
+        assert outcome.iterations == 1 and outcome.residual == np.inf
+        assert trace.objective == trace.grad_norm == []
+        assert loewner_leq(a, outcome.covariance, 1e-12)
+        assert outcome.objective >= start.objective
+
     def test_rejects_nan_target(self):
         with pytest.raises(ValueError, match="finite"):
             pgd_project_above(np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))

@@ -12,7 +12,7 @@ import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "convex_order"
-SETTABLE_VALUES = 4
+SETTABLE_VALUES = 3
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
