@@ -18,25 +18,26 @@ Given such a pair,
 Each public call validates and decomposes ``Smu`` and ``Snu`` once into a
 pair record at unit scale, divided by the power of four ``4^k``
 (``diagnostics["scale_exponent"]``) that brings the larger top eigenvalue
-into ``[1, 4)``; outputs in covariance units are multiplied back by ``4^k``.
-Both projections commute with dilations and powers of two are exact, so
-every tolerance acts at unit scale.  The solve tries candidate bases,
-decided by the certificate: the identity for a rank-0 ``Snu``; the
-eigenbasis of the transport map from ``Smu`` onto ``Snu`` when both have
-full rank; then the projected-gradient solver's (the transport map of its
-dominating-side answer) for a full-rank ``Snu``, or else the rank
-reduction's, which solves the full-rank problem on the range of ``Snu``.
+into ``[1, 4)``; each output in covariance units is multiplied back by
+``4^k`` where it is built.  Both projections commute with dilations and
+powers of two are exact, so every tolerance acts at unit scale.  The solve
+tries candidate bases, decided by the certificate: the identity for a
+rank-0 ``Snu``; the eigenbasis of the transport map from ``Smu`` onto
+``Snu`` when both have full rank; then the projected-gradient solver's (the
+transport map of its dominating-side answer) for a full-rank ``Snu``, or
+else the rank reduction's, which solves the full-rank problem on the range
+of ``Snu``.
 The same solve classifies the dominating side as unique or not among all
-measures, from the record and, on a singular ``Snu``, the reduced solution
-re-embedded in the full space.
+measures, from the record and, on a singular ``Snu``, the rank of the
+dominating projection it assembled.
 Matrices derived from validated input are clamped, not checked again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass, replace
-from typing import Any, Callable
+from dataclasses import dataclass, replace
+from typing import Any
 
 import numpy as np
 
@@ -139,10 +140,12 @@ class ProjectionResult:
 @dataclass(frozen=True)
 class _Pair:
     """A validated covariance pair decomposed once per solve: both
-    covariances and their clamped spectral decompositions (LAPACK's order),
-    divided by ``4^scale_exponent``, the eigenvalues of ``cov_nu`` before the
-    clamp (they order its basis on the reduction route, as :func:`sym_eigen`
-    would), the ranks, the rank cutoff of ``cov_nu`` and the order tolerance."""
+    covariances and their clamped spectral decompositions (in no fixed
+    order), divided by ``4^scale_exponent``, the eigenvalues of ``cov_nu``
+    before the clamp (they order its basis on the reduction route, as
+    :func:`sym_eigen` would), the ranks, the rank cutoff of ``cov_nu``, the
+    order tolerance, and ``unit = 4^scale_exponent``, the factor that takes
+    an output into the caller's units."""
 
     cov_mu: np.ndarray
     cov_nu: np.ndarray
@@ -154,6 +157,7 @@ class _Pair:
     nu_cutoff: float
     order_tol: float
     scale_exponent: int
+    unit: float
 
 
 def _rank(vals: np.ndarray) -> int:
@@ -168,7 +172,8 @@ def _pair(
     nu_cutoff = default_rank_tol(nu_vals)
     order_tol = ORDER_REL * (1.0 + (float(nu_vals.max()) if nu_vals.size else 0.0))
     return _Pair(cov_mu, cov_nu, mu_eig, nu_eig, nu_unclamped, _rank(mu_eig[0]),
-                 int(np.sum(nu_vals > nu_cutoff)), nu_cutoff, order_tol, k)
+                 int(np.sum(nu_vals > nu_cutoff)), nu_cutoff, order_tol, k,
+                 math.ldexp(1.0, 2 * k))
 
 
 def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
@@ -196,42 +201,12 @@ def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
                  c * nu_raw, k)
 
 
-# result fields and diagnostics that carry the units of a covariance
-_UNIT_KEYS = frozenset({
-    "covariance", "distance_sq", "order_residual", "reduced_order_residual", "pgd_objective",
-    "reduced_pgd_objective", "objective",
-})
-
-
-def _in_caller_units(
-    results: tuple[ProjectionResult, ProjectionResult], k: int
-) -> tuple[ProjectionResult, ProjectionResult]:
-    """A unit-scale solve in the caller's units, the only way out of the unit
-    scale: each entry named in ``_UNIT_KEYS`` times ``4^k``, each
-    ``diagnostics`` dict tagged with ``scale_exponent`` (at ``k = 0``, only that)."""
-    if not k:
-        return tuple(replace(r, diagnostics={**r.diagnostics, "scale_exponent": 0})
-                     for r in results)
-    c = math.ldexp(1.0, 2 * k)
-
-    def convert(key: str | None, v: Any) -> Any:
-        if key in _UNIT_KEYS:
-            return [c * x for x in v] if isinstance(v, list) else c * v
-        if isinstance(v, dict):
-            out = {name: convert(name, x) for name, x in v.items()}
-            return {**out, "scale_exponent": k} if key == "diagnostics" else out
-        if is_dataclass(v):
-            return replace(v, **{f.name: convert(f.name, getattr(v, f.name)) for f in fields(v)})
-        return v
-
-    return tuple(convert(None, r) for r in results)
-
-
 def _certify(
     pair: _Pair, basis: np.ndarray, tol: float
 ) -> tuple[OrderTransform, tuple[np.ndarray, ...]]:
     """The certificate on a candidate ``basis``: its transform, certified
-    when the order residual is at least ``-tol``, and the conjugates that
+    when the order residual is at least ``-tol`` at unit scale (it is
+    reported in the caller's units), and the conjugates that
     :func:`_assemble` reads.  A refused candidate costs two conjugations and
     one ``eigvalsh``.
 
@@ -250,18 +225,19 @@ def _certify(
     d = np.where(mu_pos, np.minimum(1.0, ratios), 1.0)
     contracted = d[:, None] * m_mu * d[None, :]
     gap = loewner_gap(contracted, m_nu)
-    transform = OrderTransform(basis=basis, ratios=d, order_residual=gap,
+    transform = OrderTransform(basis=basis, ratios=d, order_residual=pair.unit * gap,
                                certified=bool(gap >= -tol))
     return transform, (m_mu, m_nu, nu_pos, mu_diag, nu_diag, contracted)
 
 
 def _assemble(
     pair: _Pair, transform: OrderTransform, conjugates: tuple[np.ndarray, ...], method: str,
-    diagnostics: dict[str, Any], assembled: Callable[[], np.ndarray] | None,
+    diagnostics: dict[str, Any],
 ) -> tuple[ProjectionResult, ProjectionResult]:
     """Both projections in a candidate's basis, which must be certified
-    (:class:`CertificationError` otherwise), sharing the squared distance
-    and the verdict of :func:`_uniqueness` (``assembled`` is passed on)."""
+    (:class:`CertificationError` otherwise), in the caller's units, sharing
+    the squared distance and the verdict of :func:`_uniqueness` on the
+    dominating side."""
     if not transform.certified:
         raise CertificationError(transform)
     m_mu, m_nu, nu_pos, mu_diag, nu_diag, contracted = conjugates
@@ -273,12 +249,13 @@ def _assemble(
     above_tilde = np.where(np.outer(nu_pos, nu_pos), scaled, m_mu)
     above = sym(basis @ above_tilde @ basis.T)
 
-    distance_sq = float(
+    distance_sq = pair.unit * float(
         np.sum(np.clip(np.sqrt(mu_diag) - np.sqrt(nu_diag), 0.0, None) ** 2)
     )
-    uniqueness = _uniqueness(pair, assembled)
+    uniqueness = _uniqueness(pair, above)
     return tuple(
-        ProjectionResult(cov, distance_sq, transform, method, diagnostics, uniqueness)
+        ProjectionResult(pair.unit * cov, distance_sq, transform, method, diagnostics,
+                         uniqueness)
         for cov in (below, above)
     )
 
@@ -293,7 +270,7 @@ def _transport_candidate(pair: _Pair) -> np.ndarray | None:
     mu_vals, mu_vecs = pair.mu_eig
     half = _rebuild(np.sqrt(mu_vals), mu_vecs)
     gradient = bw2_gradient_from_inner(half, *clamped_eigen(half @ pair.cov_nu @ half))
-    return _ordered(*transport_map_basis(gradient))[1]
+    return transport_map_basis(gradient)
 
 
 def _route(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult]:
@@ -304,11 +281,11 @@ def _route(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult]:
     full rank, at ``CLOSED_FORM_REL``; then the basis of the descent, or of
     the rank reduction on a singular target, at ``ORDER_REL``, which raises
     :class:`CertificationError` if refused.  The solve also classifies the
-    dominating side."""
+    dominating side.  Outputs and diagnostics are in the caller's units."""
     d = pair.cov_nu.shape[0]
     if pair.rank_nu == 0:
         return _assemble(pair, *_certify(pair, np.eye(d), pair.order_tol), "closed_form",
-                         {"rank_nu": 0}, None)
+                         {"rank_nu": 0})
 
     # tests force the descent by replacing this module global: call it by name
     basis = _transport_candidate(pair)
@@ -322,26 +299,27 @@ def _route(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult]:
             np.fill_diagonal(off, 0.0)  # the off-diagonal of its correlation
             method = "commuting" if np.linalg.norm(off) <= CLOSED_FORM_REL else "fast_path"
             return _assemble(pair, transform, conjugates, method,
-                             {"order_residual": transform.order_residual}, None)
+                             {"order_residual": transform.order_residual})
 
     if pair.rank_nu == d:
         outcome, trace = pgd_project_above(pair.cov_nu, pair.cov_mu)
         # the gradient at the dominating projection is I minus the inverse of
         # the transport map from cov_nu onto it
-        basis = _ordered(*transport_map_basis(outcome.gradient))[1]
-        transform, conjugates = _certify(pair, basis, pair.order_tol)
+        transform, conjugates = _certify(pair, transport_map_basis(outcome.gradient),
+                                         pair.order_tol)
         diagnostics = {
             "iterations": outcome.iterations,
-            "pgd_objective": outcome.objective,
+            "pgd_objective": pair.unit * outcome.objective,
             "pgd_residual": outcome.residual,
             "pgd_converged": outcome.converged,
             "stop_reason": outcome.stop_reason,
             "order_residual": transform.order_residual,
-            "trace": {"objective": trace.objective, "grad_norm": trace.grad_norm},
+            "trace": {"objective": [pair.unit * f for f in trace.objective],
+                      "grad_norm": trace.grad_norm},
         }
-        return _assemble(pair, transform, conjugates, "pgd", diagnostics, None)
+        return _assemble(pair, transform, conjugates, "pgd", diagnostics)
 
-    nu_vecs, inner, assembled = _reduce(pair)
+    nu_vecs, inner = _reduce(pair)
     # compose the spectral split of the target with the reduced solve's
     # rotation; the kernel coordinates keep the spectral basis vectors
     block = np.eye(d)
@@ -353,33 +331,29 @@ def _route(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult]:
         "reduced_method": inner.method,
         **{f"reduced_{k}": v for k, v in inner.diagnostics.items()},
     }
-    return _assemble(pair, transform, conjugates, "singular_reduction", diagnostics,
-                     lambda: assembled)
+    return _assemble(pair, transform, conjugates, "singular_reduction", diagnostics)
 
 
-def _reduce(pair: _Pair) -> tuple[np.ndarray, ProjectionResult, np.ndarray]:
+def _reduce(pair: _Pair) -> tuple[np.ndarray, ProjectionResult]:
     """Rank reduction of a record with singular, nonzero ``cov_nu``, at its
-    scale: the ordered basis of ``cov_nu``, the dominating side of the
-    nonsingular problem on its top ``rank_nu`` coordinates, and that solution
-    re-embedded in the full space, whose other entries in the basis frame are
-    those of the conjugated ``cov_mu``.  The reduced target's spectrum is the
-    top of ``cov_nu``'s, ordered before the clamp so that ties in the kernel
-    keep their order; the reduced ``cov_mu`` block, derived from validated
-    input, is decomposed once and clamped."""
+    scale: the ordered basis of ``cov_nu`` and the dominating side of the
+    nonsingular problem on its top ``rank_nu`` coordinates, whose outputs and
+    diagnostics are in the caller's units (the reduced record keeps the
+    outer ``scale_exponent``).  The reduced target's spectrum is the top of
+    ``cov_nu``'s, ordered before the clamp so that ties in the kernel keep
+    their order; the reduced ``cov_mu`` block, derived from validated input,
+    is decomposed once and clamped."""
     nu_vals, nu_vecs = _ordered(pair.nu_unclamped, pair.nu_eig[1])
     rank = pair.rank_nu
-    conj_mu = sym(nu_vecs.T @ pair.cov_mu @ nu_vecs)
-    reduced_mu = conj_mu[:rank, :rank].copy()
+    reduced_mu = sym(nu_vecs.T @ pair.cov_mu @ nu_vecs)[:rank, :rank].copy()
     mu_vals, mu_vecs = sym_eigen(reduced_mu)
     if mu_vals[-1] < 0.0:  # a block of PSD cov_mu: roundoff at the scale of cov_mu
         mu_vals = np.clip(mu_vals, 0.0, None)
         reduced_mu = _rebuild(mu_vals, mu_vecs)
     top = nu_vals[:rank]
-    reduced = _pair(reduced_mu, np.diag(top), (mu_vals, mu_vecs), (top, np.eye(rank)), top, 0)
-    _, inner = _route(reduced)
-    assembled_conj = conj_mu.copy()
-    assembled_conj[:rank, :rank] = inner.covariance
-    return nu_vecs, inner, sym(nu_vecs @ assembled_conj @ nu_vecs.T)
+    reduced = _pair(reduced_mu, np.diag(top), (mu_vals, mu_vecs), (top, np.eye(rank)), top,
+                    pair.scale_exponent)
+    return nu_vecs, _route(reduced)[1]
 
 
 def project_pair(
@@ -389,11 +363,8 @@ def project_pair(
     in the caller's units.  A :class:`CertificationError` carries its
     transform in the caller's units too."""
     pair = _decompose(cov_mu, cov_nu)
-    try:
-        return _in_caller_units(_route(pair), pair.scale_exponent)
-    except CertificationError as exc:
-        residual = math.ldexp(exc.transform.order_residual, 2 * pair.scale_exponent)
-        raise CertificationError(replace(exc.transform, order_residual=residual)) from None
+    stamp = {"scale_exponent": pair.scale_exponent}
+    return tuple(replace(r, diagnostics={**r.diagnostics, **stamp}) for r in _route(pair))
 
 
 def _saturated(pair: _Pair) -> bool:
@@ -406,24 +377,25 @@ def _saturated(pair: _Pair) -> bool:
     return loewner_leq(pair.cov_nu, probe, tol)
 
 
-def _refusal(vals: np.ndarray, cutoff: float, name: str, k: int) -> str | None:
+def _refusal(vals: np.ndarray, cutoff: float, name: str, unit: float) -> str | None:
     """Why a spectrum cannot be ranked, or ``None``: an eigenvalue within a
-    factor ``RANK_BAND`` of the rank ``cutoff``, which is printed times ``4^k``."""
+    factor ``RANK_BAND`` of the rank ``cutoff``, which is printed times ``unit``."""
     if cutoff > 0.0 and np.any((vals > cutoff / RANK_BAND) & (vals < cutoff * RANK_BAND)):
         return (
             f"an eigenvalue of {name} lies within a factor {RANK_BAND} of "
-            f"the rank cutoff {math.ldexp(cutoff, 2 * k):.3e}; refusing to classify"
+            f"the rank cutoff {unit * cutoff:.3e}; refusing to classify"
         )
     return None
 
 
-def _uniqueness(pair: _Pair, assembled: Callable[[], np.ndarray] | None) -> UniquenessVerdict:
-    """The verdict on the dominating side of a record.  ``assembled()``
-    returns :func:`_reduce`'s re-embedded solution, whose rank is read; it is
-    called only when ``cov_nu`` is singular, nonzero and clear of the rank
-    band (``None`` will do elsewhere)."""
-    d, k = pair.cov_nu.shape[0], pair.scale_exponent
-    refusal = _refusal(pair.nu_eig[0], pair.nu_cutoff, "the dominating-side covariance", k)
+def _uniqueness(pair: _Pair, above: np.ndarray | None) -> UniquenessVerdict | None:
+    """The verdict on the dominating side of a record.  When ``cov_nu`` is
+    singular, nonzero and clear of the rank band, it reads the rank of
+    ``above``, the dominating projection that :func:`_assemble` built at unit
+    scale, and is ``None`` if there is none; elsewhere ``above`` is unused."""
+    d = pair.cov_nu.shape[0]
+    refusal = _refusal(pair.nu_eig[0], pair.nu_cutoff, "the dominating-side covariance",
+                       pair.unit)
     if refusal:
         return UniquenessVerdict(None, refusal)
     if pair.rank_nu == d:
@@ -432,9 +404,11 @@ def _uniqueness(pair: _Pair, assembled: Callable[[], np.ndarray] | None) -> Uniq
         return UniquenessVerdict(
             True, "zero target covariance: the projection is the lower measure itself"
         )
-    vals = clamped_eigen(assembled())[0]
+    if above is None:
+        return None
+    vals = clamped_eigen(above)[0]
     cutoff = default_rank_tol(vals)
-    refusal = _refusal(vals, cutoff, "the assembled projection", k)
+    refusal = _refusal(vals, cutoff, "the assembled projection", pair.unit)
     if refusal:
         return UniquenessVerdict(None, refusal)
     rank_star = int(np.sum(vals > cutoff))
@@ -455,13 +429,15 @@ def is_above_projection_unique(cov_mu: np.ndarray, cov_nu: np.ndarray) -> Unique
     The verdict a solve carries as ``ProjectionResult.uniqueness``, from one
     record.  Always true for positive definite or zero ``cov_nu``, which need
     no solve.  For singular ``cov_nu`` the projection is unique iff the
-    reduced solution, re-embedded in the full space, keeps the rank of
-    ``cov_nu`` or the saturation inequality holds.  Eigenvalues within a
-    factor ``RANK_BAND`` of the rank cutoff raise :class:`RankAmbiguousError`
+    assembled dominating projection keeps the rank of ``cov_nu`` or the
+    saturation inequality holds; clear of the rank band, that takes the
+    whole solve, which raises :class:`CertificationError` if its certificate
+    refuses.  Eigenvalues within a factor ``RANK_BAND`` of the rank cutoff
+    of ``cov_nu`` or of that projection raise :class:`RankAmbiguousError`
     instead of guessing a rank.
     """
     pair = _decompose(cov_mu, cov_nu)
-    verdict = _uniqueness(pair, lambda: _reduce(pair)[2])
+    verdict = _uniqueness(pair, None) or _route(pair)[1].uniqueness
     if verdict.unique is None:
         raise RankAmbiguousError(verdict.reason)
     return verdict

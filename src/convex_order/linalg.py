@@ -6,10 +6,11 @@ candidate bases and of the certificate that decides between them.
 
 All functions are pure and operate on plain ``numpy`` arrays.  Only bases
 that leave a call pay for the eigen-convention (eigenvalues descending, signs
-fixed, :func:`_ordered`): those of :func:`sym_eigen`, and those a caller
-orders from :func:`psd_eigen` or :func:`transport_map_basis`.  Validated
-spectra, rebuilt matrices and read spectra keep LAPACK's ascending order and
-raw signs, and are read with ``min`` and ``max``.
+fixed, :func:`_ordered`): those of :func:`sym_eigen` and
+:func:`transport_map_basis`, and those a caller orders from
+:func:`psd_eigen`.  Validated spectra, rebuilt matrices and read spectra
+keep LAPACK's ascending order and raw signs, and are read with ``min`` and
+``max``.
 """
 
 from __future__ import annotations
@@ -156,14 +157,12 @@ def positive_diag_mask(matrix: np.ndarray) -> np.ndarray:
     return diag > diag.size * top * RANK_REL
 
 
-def transport_map_basis(gradient: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs, in LAPACK's ascending order, of a Bures gradient
-    ``G = grad_S bw2(F, S) = I - T^{-1}`` between nonsingular ``F`` and ``S``
-    (its lower triangle is read), where ``T = F^{-1/2} (F^{1/2} S
-    F^{1/2})^{1/2} F^{-1/2}`` is the optimal-transport map from ``N(0, F)``
-    onto ``N(0, S)``.  Their eigenvectors are ``T``'s, and ``G``'s
-    eigenvalues ``1 - 1/t`` increase with ``T``'s eigenvalues ``t``, so
-    :func:`_ordered` puts the basis in the column order of ``T``'s
-    descending spectrum."""
-    return _eigh(gradient)
-
+def transport_map_basis(gradient: np.ndarray) -> np.ndarray:
+    """The ordered eigenbasis of a Bures gradient ``G = grad_S bw2(F, S) =
+    I - T^{-1}`` between nonsingular ``F`` and ``S`` (its lower triangle is
+    read), where ``T = F^{-1/2} (F^{1/2} S F^{1/2})^{1/2} F^{-1/2}`` is the
+    optimal-transport map from ``N(0, F)`` onto ``N(0, S)``.  Its columns are
+    eigenvectors of ``T``, and ``G``'s eigenvalues ``1 - 1/t`` increase with
+    ``T``'s eigenvalues ``t``, so :func:`_ordered` puts them in the order of
+    ``T``'s descending spectrum."""
+    return _ordered(*_eigh(gradient))[1]

@@ -20,7 +20,8 @@ TEST_REFERENCES = {
     "bw2_gradient": "the finite-difference and symmetry reference for the Bures gradient",
     "frobenius_project_above": "the symmetrising reference for the descent's cone projection",
     "is_convex_ordered_1d": "the convex-order test the 1-d projections are checked with",
-    "is_above_projection_unique": "the public uniqueness verb, which needs no solve",
+    "is_above_projection_unique":
+        "the public uniqueness verb, which needs no solve on a full-rank or zero target",
 }
 
 
@@ -100,7 +101,7 @@ used(module.attribute)
 def test_public_definitions_leave_out_commands_and_private_names():
     found = public_definitions()
     assert {"project_pair", "transport_map_basis", "ORDER_REL", "EIG_TOL", "main"} <= found
-    assert not found & {"cmd_distance", "_route", "_UNIT_KEYS", "__all__"}
+    assert not found & {"cmd_distance", "_route", "_CORRAL_ROWS", "__all__"}
 
 
 def test_every_exported_name_has_a_caller():
@@ -111,7 +112,7 @@ def test_every_exported_name_has_a_caller():
 def test_private_definitions_are_functions_and_classes():
     found = private_definitions()
     assert {"_route", "_TransportBasis", "_comonotone_vertex", "_ExitCodes"} <= found
-    assert not found & {"_UNIT_KEYS", "_QP_TOL", "project_pair", "WotResult"}
+    assert not found & {"_CORRAL_ROWS", "_QP_TOL", "project_pair", "WotResult"}
 
 
 def test_every_private_function_and_class_is_read_in_the_package():

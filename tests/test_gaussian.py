@@ -131,6 +131,24 @@ def spd(rng, d, rank=None):
     return sym_of(q, rng.uniform(0.2, 3.0, size=q.shape[1]))
 
 
+def assert_diagnostics_in_caller_units(scaled, unit, c):
+    """``scaled`` holds the diagnostics of the pair ``unit`` was solved on,
+    dilated by ``c = 4^j``: those in covariance units (order residuals,
+    descent objectives and their traces, reduced copies included) are
+    exactly ``c`` times the unit ones, and the rest are unchanged."""
+    assert scaled.keys() == unit.keys()
+    assert "reduced_scale_exponent" not in scaled
+    for key, value in unit.items():
+        name = key.removeprefix("reduced_")
+        if name in ("order_residual", "pgd_objective"):
+            assert scaled[key] == c * value, key
+        elif name == "trace":
+            assert scaled[key]["objective"] == [c * f for f in value["objective"]], key
+            assert scaled[key]["grad_norm"] == value["grad_norm"], key
+        elif name != "scale_exponent":
+            assert scaled[key] == value, key
+
+
 class TestUnitScale:
     """Each call solves its pair divided by the power of four that brings
     the larger top eigenvalue into [1, 4), and multiplies the outputs back."""
@@ -143,9 +161,11 @@ class TestUnitScale:
         for d in (2, 3, 4):
             rng = np.random.default_rng([13, d])
             pairs.append((spd(rng, d), spd(rng, d, rank=d - 1)))
+        keys = set()
         for mu_cov, nu_cov in pairs:
             base = project_pair(mu_cov, nu_cov)
             base_t = base[0].transform
+            keys |= base[0].diagnostics.keys()
             for j in range(-10, 11):
                 c = math.ldexp(1.0, 2 * j)
                 results = project_pair(c * mu_cov, c * nu_cov)
@@ -157,9 +177,13 @@ class TestUnitScale:
                 for result, unit in zip(results, base):
                     np.testing.assert_array_equal(result.covariance, c * unit.covariance)
                     assert result.distance_sq == c * unit.distance_sq
+                    assert_diagnostics_in_caller_units(result.diagnostics, unit.diagnostics, c)
                 exponent = results[0].diagnostics["scale_exponent"]
                 assert exponent == base[0].diagnostics["scale_exponent"] + j
                 assert results[1].uniqueness == base[1].uniqueness
+        # the rank-3 target at d = 4 descends on its reduced problem
+        assert {"pgd_objective", "pgd_residual", "trace", "iterations", "stop_reason",
+                "rank_nu", "reduced_pgd_objective", "reduced_trace"} <= keys
 
     def test_refused_certificate_reports_its_residual_in_caller_units(self, monkeypatch):
         # one descent iteration leaves this pair's transform uncertified
@@ -291,7 +315,7 @@ def former_fast_path(pair):
     mu_vals, mu_vecs = pair.mu_eig
     half = linalg._rebuild(np.sqrt(mu_vals), mu_vecs)
     inner = linalg.clamped_eigen(half @ pair.cov_nu @ half)
-    vals, vecs = transport_map_basis(bures.bw2_gradient_from_inner(half, *inner))
+    vecs = transport_map_basis(bures.bw2_gradient_from_inner(half, *inner))
     m1 = sym(vecs.T @ pair.cov_mu @ vecs)
     m2 = sym(vecs.T @ pair.cov_nu @ vecs)
     scale1 = np.sqrt(np.diag(m1))
@@ -309,8 +333,8 @@ def former_fast_path(pair):
     if not loewner_leq(ratios_hat[:, None] * corr * ratios_hat[None, :], corr, 1e-10):
         return None
     method = "commuting" if np.linalg.norm(corr - np.eye(d)) <= 1e-10 else "fast_path"
-    transform, conjugates = gaussian._certify(pair, linalg._ordered(vals, vecs)[1], math.inf)
-    return gaussian._assemble(pair, transform, conjugates, method, {}, None)
+    transform, conjugates = gaussian._certify(pair, vecs, math.inf)
+    return gaussian._assemble(pair, transform, conjugates, method, {})
 
 
 def fast_path_family(rng, k):
@@ -419,7 +443,7 @@ class TestFastPath:
         checked_apply = checked_refuse = 0
         for _ in range(200):
             a, b = random_spd(rng, 2), random_spd(rng, 2)
-            basis = transport_map_basis(bw2_gradient(a, b))[1]
+            basis = transport_map_basis(bw2_gradient(a, b))
             conj_mu = sym(basis.T @ a @ basis)
             m_mu = np.diag(conj_mu)
             m_nu = np.diag(basis.T @ b @ basis)

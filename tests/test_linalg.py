@@ -163,7 +163,7 @@ def shared_correlation(s1, s2):
     """The transport-map basis of a nonsingular pair and the correlation of
     the conjugated ``s1``, which the conjugated ``s2`` shares to 1e-10 of its
     Frobenius norm: the transport map is diagonal in that basis."""
-    basis = transport_map_basis(bw2_gradient(s1, s2))[1]
+    basis = transport_map_basis(bw2_gradient(s1, s2))
     m1, m2 = (sym(basis.T @ s @ basis) for s in (s1, s2))
     scale = np.sqrt(np.diag(m1))
     corr = m1 / np.outer(scale, scale)
