@@ -19,7 +19,6 @@ from .gaussian import (
     OrderTransform,
     ProjectionResult,
     UniquenessVerdict,
-    is_above_projection_unique,
     project_pair,
 )
 from .linalg import (
@@ -55,7 +54,6 @@ __all__ = [
     "exact_w2_sq",
     "frobenius_project_above",
     "g_function",
-    "is_above_projection_unique",
     "is_convex_ordered_1d",
     "loewner_leq",
     "lower_convex_hull",

@@ -342,9 +342,13 @@ def _discrete_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
     projection = barycentric_pushforward(result.coupling)
     value_residual = abs(result.value - exact_w2_sq(mu, projection))
     bary_residual = float(np.linalg.norm(projection.barycenter - nu.barycenter))
+    # the barycenters' roundoff grows with the coordinates: 2^k scales the
+    # tolerance once the largest |coordinate| reaches 4; below that, the
+    # absolute MERGE_TOL of the pushforward's atoms keeps it from shrinking
+    bary_tol = math.ldexp(1e-10, max(0, result.diagnostics["scale_exponent"]))
     return [
         _check("value_equals_projection_distance", value_residual, 1e-8 * (1.0 + result.value)),
-        _check("pushforward_barycenter", bary_residual, 1e-10),
+        _check("pushforward_barycenter", bary_residual, bary_tol),
     ]
 
 

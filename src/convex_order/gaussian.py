@@ -26,17 +26,17 @@ rank-0 ``Snu``; the eigenbasis of the transport map from ``Smu`` onto
 ``Snu`` when both have full rank; then the projected-gradient solver's (the
 transport map of its dominating-side answer) for a full-rank ``Snu``, or
 else the rank reduction's, which solves the full-rank problem on the range
-of ``Snu``.
-The same solve classifies the dominating side as unique or not among all
-measures, from the record and, on a singular ``Snu``, the rank of the
-dominating projection it assembled.
+of ``Snu``.  Only the first certified candidate is assembled, and with it
+the verdict ``ProjectionResult.uniqueness``: is the dominating side unique
+among all measures?  It reads the record and, on a singular ``Snu``, the
+rank of the dominating projection.
 Matrices derived from validated input are clamped, not checked again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -88,10 +88,6 @@ class CertificationError(LinalgError):
         self.transform = transform
 
 
-class RankAmbiguousError(LinalgError):
-    """An eigenvalue sits too close to the rank cutoff to classify."""
-
-
 @dataclass(frozen=True)
 class OrderTransform:
     """Orthogonal basis and diagonal contraction certifying the order.
@@ -126,12 +122,12 @@ class UniquenessVerdict:
 @dataclass(frozen=True)
 class ProjectionResult:
     """One side of a solved pair.  Both sides share ``transform``,
-    ``method``, ``diagnostics`` and ``uniqueness``, the verdict on the
-    dominating side (see :func:`is_above_projection_unique`)."""
+    ``method``, ``diagnostics`` (with ``scale_exponent``) and
+    ``uniqueness``, the verdict on the dominating side."""
 
     covariance: np.ndarray
     distance_sq: float
-    transform: OrderTransform | None
+    transform: OrderTransform
     method: str
     diagnostics: dict[str, Any]
     uniqueness: UniquenessVerdict
@@ -234,12 +230,13 @@ def _assemble(
     pair: _Pair, transform: OrderTransform, conjugates: tuple[np.ndarray, ...], method: str,
     diagnostics: dict[str, Any],
 ) -> tuple[ProjectionResult, ProjectionResult]:
-    """Both projections in a candidate's basis, which must be certified
-    (:class:`CertificationError` otherwise), in the caller's units, sharing
-    the squared distance and the verdict of :func:`_uniqueness` on the
-    dominating side."""
+    """Both projections in the basis of :func:`_route`'s candidate, which
+    must be certified (:class:`CertificationError` otherwise), in the
+    caller's units, sharing the squared distance, the diagnostics with
+    ``scale_exponent`` and the verdict of :func:`_uniqueness`."""
     if not transform.certified:
         raise CertificationError(transform)
+    diagnostics = {**diagnostics, "scale_exponent": pair.scale_exponent}
     m_mu, m_nu, nu_pos, mu_diag, nu_diag, contracted = conjugates
     basis, d = transform.basis, transform.ratios
     below = sym(basis @ contracted @ basis.T)
@@ -273,19 +270,18 @@ def _transport_candidate(pair: _Pair) -> np.ndarray | None:
     return transport_map_basis(gradient)
 
 
-def _route(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult]:
+def _route(pair: _Pair) -> tuple[OrderTransform, tuple[np.ndarray, ...], str, dict[str, Any]]:
     """Solve a validated pair: candidate bases, decided by the certificate.
 
-    The first candidate the certificate accepts is assembled: the identity
+    Returns the first candidate the certificate accepts, as its transform,
+    conjugates, method and diagnostics (in the caller's units): the identity
     on a zero target; the transport-map basis when both covariances have
     full rank, at ``CLOSED_FORM_REL``; then the basis of the descent, or of
-    the rank reduction on a singular target, at ``ORDER_REL``, which raises
-    :class:`CertificationError` if refused.  The solve also classifies the
-    dominating side.  Outputs and diagnostics are in the caller's units."""
+    the rank reduction on a singular target, at ``ORDER_REL``, returned
+    even if refused, for :func:`_assemble` to raise on."""
     d = pair.cov_nu.shape[0]
     if pair.rank_nu == 0:
-        return _assemble(pair, *_certify(pair, np.eye(d), pair.order_tol), "closed_form",
-                         {"rank_nu": 0})
+        return (*_certify(pair, np.eye(d), pair.order_tol), "closed_form", {"rank_nu": 0})
 
     # tests force the descent by replacing this module global: call it by name
     basis = _transport_candidate(pair)
@@ -298,8 +294,7 @@ def _route(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult]:
             off = m_mu / np.outer(scale, scale)
             np.fill_diagonal(off, 0.0)  # the off-diagonal of its correlation
             method = "commuting" if np.linalg.norm(off) <= CLOSED_FORM_REL else "fast_path"
-            return _assemble(pair, transform, conjugates, method,
-                             {"order_residual": transform.order_residual})
+            return transform, conjugates, method, {"order_residual": transform.order_residual}
 
     if pair.rank_nu == d:
         outcome, trace = pgd_project_above(pair.cov_nu, pair.cov_mu)
@@ -317,32 +312,30 @@ def _route(pair: _Pair) -> tuple[ProjectionResult, ProjectionResult]:
             "trace": {"objective": [pair.unit * f for f in trace.objective],
                       "grad_norm": trace.grad_norm},
         }
-        return _assemble(pair, transform, conjugates, "pgd", diagnostics)
+        return transform, conjugates, "pgd", diagnostics
 
-    nu_vecs, inner = _reduce(pair)
-    # compose the spectral split of the target with the reduced solve's
-    # rotation; the kernel coordinates keep the spectral basis vectors
-    block = np.eye(d)
-    block[: pair.rank_nu, : pair.rank_nu] = inner.transform.basis
-    transform, conjugates = _certify(pair, nu_vecs @ block, pair.order_tol)
+    basis, inner_method, inner_diagnostics = _reduce(pair)
+    transform, conjugates = _certify(pair, basis, pair.order_tol)
     diagnostics = {
         "rank_nu": pair.rank_nu,
         "order_residual": transform.order_residual,
-        "reduced_method": inner.method,
-        **{f"reduced_{k}": v for k, v in inner.diagnostics.items()},
+        "reduced_method": inner_method,
+        **{f"reduced_{k}": v for k, v in inner_diagnostics.items()},
     }
-    return _assemble(pair, transform, conjugates, "singular_reduction", diagnostics)
+    return transform, conjugates, "singular_reduction", diagnostics
 
 
-def _reduce(pair: _Pair) -> tuple[np.ndarray, ProjectionResult]:
-    """Rank reduction of a record with singular, nonzero ``cov_nu``, at its
-    scale: the ordered basis of ``cov_nu`` and the dominating side of the
-    nonsingular problem on its top ``rank_nu`` coordinates, whose outputs and
-    diagnostics are in the caller's units (the reduced record keeps the
-    outer ``scale_exponent``).  The reduced target's spectrum is the top of
-    ``cov_nu``'s, ordered before the clamp so that ties in the kernel keep
-    their order; the reduced ``cov_mu`` block, derived from validated input,
-    is decomposed once and clamped."""
+def _reduce(pair: _Pair) -> tuple[np.ndarray, str, dict[str, Any]]:
+    """Rank reduction of a record with singular, nonzero ``cov_nu``: routes
+    the nonsingular problem on the top ``rank_nu`` coordinates of
+    ``cov_nu`` and returns the record's candidate basis built from the
+    reduced candidate, with that candidate's method and diagnostics.  The
+    reduced pair is never assembled; a refused reduced candidate raises
+    :class:`CertificationError`.  The reduced record keeps the outer
+    ``scale_exponent``, so both are in the caller's units.  The reduced
+    target's spectrum is the top of ``cov_nu``'s, ordered before the clamp
+    so that ties in the kernel keep their order; the reduced ``cov_mu``
+    block, derived from validated input, is decomposed once and clamped."""
     nu_vals, nu_vecs = _ordered(pair.nu_unclamped, pair.nu_eig[1])
     rank = pair.rank_nu
     reduced_mu = sym(nu_vecs.T @ pair.cov_mu @ nu_vecs)[:rank, :rank].copy()
@@ -353,7 +346,14 @@ def _reduce(pair: _Pair) -> tuple[np.ndarray, ProjectionResult]:
     top = nu_vals[:rank]
     reduced = _pair(reduced_mu, np.diag(top), (mu_vals, mu_vecs), (top, np.eye(rank)), top,
                     pair.scale_exponent)
-    return nu_vecs, _route(reduced)[1]
+    transform, _, method, diagnostics = _route(reduced)
+    if not transform.certified:
+        raise CertificationError(transform)
+    # compose the spectral split of the target with the reduced solve's
+    # rotation; the kernel coordinates keep the spectral basis vectors
+    block = np.eye(pair.cov_nu.shape[0])
+    block[:rank, :rank] = transform.basis
+    return nu_vecs @ block, method, diagnostics
 
 
 def project_pair(
@@ -363,8 +363,7 @@ def project_pair(
     in the caller's units.  A :class:`CertificationError` carries its
     transform in the caller's units too."""
     pair = _decompose(cov_mu, cov_nu)
-    stamp = {"scale_exponent": pair.scale_exponent}
-    return tuple(replace(r, diagnostics={**r.diagnostics, **stamp}) for r in _route(pair))
+    return _assemble(pair, *_route(pair))
 
 
 def _saturated(pair: _Pair) -> bool:
@@ -388,11 +387,14 @@ def _refusal(vals: np.ndarray, cutoff: float, name: str, unit: float) -> str | N
     return None
 
 
-def _uniqueness(pair: _Pair, above: np.ndarray | None) -> UniquenessVerdict | None:
-    """The verdict on the dominating side of a record.  When ``cov_nu`` is
-    singular, nonzero and clear of the rank band, it reads the rank of
-    ``above``, the dominating projection that :func:`_assemble` built at unit
-    scale, and is ``None`` if there is none; elsewhere ``above`` is unused."""
+def _uniqueness(pair: _Pair, above: np.ndarray) -> UniquenessVerdict:
+    """The verdict on the dominating side of a record: always unique for a
+    positive definite or zero ``cov_nu``.  When ``cov_nu`` is singular,
+    nonzero and clear of the rank band, it is unique iff ``above``, the
+    dominating projection that :func:`_assemble` built at unit scale, keeps
+    the rank of ``cov_nu`` or the saturation inequality holds.  An
+    eigenvalue within a factor ``RANK_BAND`` of the rank cutoff of either
+    matrix leaves it open (``unique is None``) instead of guessing a rank."""
     d = pair.cov_nu.shape[0]
     refusal = _refusal(pair.nu_eig[0], pair.nu_cutoff, "the dominating-side covariance",
                        pair.unit)
@@ -404,8 +406,6 @@ def _uniqueness(pair: _Pair, above: np.ndarray | None) -> UniquenessVerdict | No
         return UniquenessVerdict(
             True, "zero target covariance: the projection is the lower measure itself"
         )
-    if above is None:
-        return None
     vals = clamped_eigen(above)[0]
     cutoff = default_rank_tol(vals)
     refusal = _refusal(vals, cutoff, "the assembled projection", pair.unit)
@@ -421,23 +421,3 @@ def _uniqueness(pair: _Pair, above: np.ndarray | None) -> UniquenessVerdict | No
         f"rank grows from {pair.rank_nu} to {rank_star} and the saturation "
         "inequality fails: non-Gaussian projections with the same covariance exist",
     )
-
-
-def is_above_projection_unique(cov_mu: np.ndarray, cov_nu: np.ndarray) -> UniquenessVerdict:
-    """Is the dominating-side projection unique among all measures?
-
-    The verdict a solve carries as ``ProjectionResult.uniqueness``, from one
-    record.  Always true for positive definite or zero ``cov_nu``, which need
-    no solve.  For singular ``cov_nu`` the projection is unique iff the
-    assembled dominating projection keeps the rank of ``cov_nu`` or the
-    saturation inequality holds; clear of the rank band, that takes the
-    whole solve, which raises :class:`CertificationError` if its certificate
-    refuses.  Eigenvalues within a factor ``RANK_BAND`` of the rank cutoff
-    of ``cov_nu`` or of that projection raise :class:`RankAmbiguousError`
-    instead of guessing a rank.
-    """
-    pair = _decompose(cov_mu, cov_nu)
-    verdict = _uniqueness(pair, None) or _route(pair)[1].uniqueness
-    if verdict.unique is None:
-        raise RankAmbiguousError(verdict.reason)
-    return verdict

@@ -10,6 +10,9 @@ from .linalg import psd_eigen, sym
 
 WEIGHT_TOL = 1e-6
 MERGE_TOL = 1e-12
+# the largest |coordinate| of a support: squared distances, second moments
+# and their sums over the atoms stay finite below it
+MAX_COORD = 2.0**500
 
 
 class EmptyMeasureError(ValueError):
@@ -61,7 +64,8 @@ class DiscreteMeasure:
     """Finitely supported measure: points in R^d with positive weights.
 
     Construction canonicalizes the support: weights are renormalized to
-    sum to one (rejecting inputs further than ``WEIGHT_TOL`` from that) and
+    sum to one (rejecting inputs further than ``WEIGHT_TOL`` from that), a
+    coordinate beyond ``MAX_COORD`` in absolute value is rejected, and
     points are sorted lexicographically.  A point within ``MERGE_TOL`` (max
     norm) of its sorted predecessor joins its cluster, which keeps its first
     point and sums its weights.  So a run of points each within ``MERGE_TOL``
@@ -83,6 +87,8 @@ class DiscreteMeasure:
             raise ValueError("one weight per support point required")
         require_finite(pts, "support points")
         require_finite(w, "weights")
+        if np.abs(pts).max() > MAX_COORD:
+            raise ValueError(f"support points must lie within {MAX_COORD:.3e} in absolute value")
         if np.any(w <= 0.0):
             raise ValueError("weights must be strictly positive")
         total = float(w.sum())

@@ -481,18 +481,30 @@ class TestDistance:
         assert result.exit_code == cli.UNEXPECTED_ERROR
         assert result.stderr == "error: ValueError: injected\n"
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("command", ["project-discrete", "distance", "check"])
     def test_overflowing_cost_is_not_a_check_failure(self, runner, tmp_path, command):
-        # squared distances of atoms at 1e160 overflow to inf, which the
-        # transportation simplex refuses with a ValueError; it exited 1
+        # squared distances of atoms at 1e160 overflow to inf, so the measure
+        # refuses them before any arithmetic
         problem = write_problem(tmp_path / "p.json", {
             "mu": {"points": [[1e160, 1e160], [-1e160, 0.0]], "weights": [0.5, 0.5]},
             "nu": {"points": [[-1e160, 1e160], [1e160, -1e160]], "weights": [0.5, 0.5]},
         })
         result = runner.invoke(main, [command, problem])
-        assert result.exit_code == cli.UNEXPECTED_ERROR
-        assert result.stderr == "error: ValueError: cost entries must be finite\n"
+        assert result.exit_code == cli.PARSE_ERROR
+        assert result.stderr == ("error: measure 'mu': support points must lie within "
+                                 "3.273e+150 in absolute value\n")
+
+    @pytest.mark.parametrize("command", ["project-1d", "distance", "project-discrete"])
+    def test_one_d_atoms_beyond_the_range_are_a_parse_error(self, runner, tmp_path, command):
+        # their squared distances overflow: refused, not reported as null
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"points": [-1e200, 1e200], "weights": [0.5, 0.5]},
+            "nu": {"points": [0.0], "weights": [1.0]},
+        })
+        result = runner.invoke(main, [command, problem])
+        assert result.exit_code == cli.PARSE_ERROR
+        assert result.stderr == ("error: measure 'mu': support points must lie within "
+                                 "3.273e+150 in absolute value\n")
 
     def test_one_d_mode(self, runner, tmp_path):
         problem = write_problem(tmp_path / "p.json", ONE_D)
@@ -590,6 +602,24 @@ class TestCheck:
         problem = write_problem(tmp_path / "p.json", DISCRETE)
         result = runner.invoke(main, ["check", problem])
         assert result.exit_code == 0
+
+    def test_discrete_identities_pass_at_large_scale(self, runner, tmp_path):
+        # the barycenters' roundoff grows as 2^j with the points, and so does
+        # the tolerance.  The largest |coordinate| lies in [1, 2), so the
+        # solve's scale exponent is j - 1
+        rng = np.random.default_rng([31, 3])
+        sides = {side: (rng.normal(size=(k, 2)), rng.dirichlet(np.ones(k)))
+                 for side, k in (("mu", 5), ("nu", 6))}
+        for j in (0, 10, 20, 30, 40, 480):
+            c = math.ldexp(1.0, j)
+            problem = write_problem(tmp_path / "p.json", {
+                side: {"points": (c * points).tolist(), "weights": weights.tolist()}
+                for side, (points, weights) in sides.items()})
+            result = runner.invoke(main, ["check", problem])
+            assert result.exit_code == 0, j
+            check = json.loads(result.output)["checks"][1]
+            assert check["name"] == "pushforward_barycenter"
+            assert check["tolerance"] == math.ldexp(1e-10, max(0, j - 1)), j
 
     def test_declared_one_d_mode_refuses_planar_points(self, runner, tmp_path):
         # the message names the mode, not a command: check and distance print it too

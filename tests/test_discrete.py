@@ -249,6 +249,14 @@ class TestMeasureConstruction:
         with pytest.raises(ValueError, match="finite"):
             DiscreteMeasure([[0.0], [1.0]], [np.inf, 0.5])
 
+    def test_rejects_coordinates_beyond_the_range(self):
+        # squared distances and second moments of atoms beyond 2^500 can overflow
+        m = DiscreteMeasure([[-measures.MAX_COORD, 0.0], [1.0, measures.MAX_COORD]], [0.5, 0.5])
+        assert np.abs(m.points).max() == measures.MAX_COORD
+        for far in (np.nextafter(measures.MAX_COORD, np.inf), -1e200):
+            with pytest.raises(ValueError, match="support points must lie within 3.273e"):
+                DiscreteMeasure([[0.0, far]], [1.0])
+
     def test_renormalizes_near_one(self):
         m = DiscreteMeasure([[0.0], [1.0]], [0.5 + 1e-9, 0.5])
         assert float(np.sum(m.weights)) == pytest.approx(1.0, abs=1e-15)
@@ -778,14 +786,16 @@ class TestSolveWot:
 
     def test_dilations_by_powers_of_two_are_exact(self):
         # the solve runs on the points divided by a power of two, so 2^j
-        # times the points gives the same coupling and 4^j times the value
+        # times the points gives the same coupling and 4^j times the value,
+        # up to 2^480, close to measures.MAX_COORD; not down to 2^-480,
+        # where the absolute MERGE_TOL merges every atom
         for s in range(3):
             rng = np.random.default_rng([5, s])
             n = 6 + s
             x, wx = rng.normal(size=(n, 2)), rng.dirichlet(np.ones(n))
             y, wy = 0.8 * rng.normal(size=(n + 1, 2)), rng.dirichlet(np.ones(n + 1))
             base = solve_wot(DiscreteMeasure(x, wx), DiscreteMeasure(y, wy))
-            for j in range(-10, 11):
+            for j in [*range(-10, 11), 480]:
                 c = math.ldexp(1.0, j)
                 result = solve_wot(DiscreteMeasure(c * x, wx), DiscreteMeasure(c * y, wy))
                 np.testing.assert_array_equal(result.coupling.pi, base.coupling.pi)

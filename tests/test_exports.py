@@ -1,7 +1,7 @@
 """Every exported name, public function and constant has a caller.
 
-Each name in ``convex_order.__all__``, and each public module-level function
-and upper-case constant of the package, must be read in the code of
+Each name in ``convex_order.__all__``, and each public module-level function,
+class and upper-case constant of the package, must be read in the code of
 ``src/``, ``scripts/`` or ``benchmark/`` outside its own definition: as a
 name or an attribute, not in an import, an assignment, a docstring or a
 comment.  Names that only the tests call are listed in ``TEST_REFERENCES``,
@@ -20,8 +20,6 @@ TEST_REFERENCES = {
     "bw2_gradient": "the finite-difference and symmetry reference for the Bures gradient",
     "frobenius_project_above": "the symmetrising reference for the descent's cone projection",
     "is_convex_ordered_1d": "the convex-order test the 1-d projections are checked with",
-    "is_above_projection_unique":
-        "the public uniqueness verb, which needs no solve on a full-rank or zero target",
 }
 
 
@@ -61,10 +59,11 @@ def _module_nodes():
 
 def public_definitions() -> set[str]:
     """The package's public module-level functions, other than click
-    commands, and its upper-case constants."""
+    commands, its classes, so that a typed error nothing raises fails, and
+    its upper-case constants."""
     found = set()
     for node in _module_nodes():
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             if not any(map(_registers_a_command, node.decorator_list)):
                 found.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -100,8 +99,9 @@ used(module.attribute)
 
 def test_public_definitions_leave_out_commands_and_private_names():
     found = public_definitions()
-    assert {"project_pair", "transport_map_basis", "ORDER_REL", "EIG_TOL", "main"} <= found
-    assert not found & {"cmd_distance", "_route", "_CORRAL_ROWS", "__all__"}
+    assert {"project_pair", "transport_map_basis", "ORDER_REL", "EIG_TOL", "main",
+            "CertificationError", "UniquenessVerdict"} <= found
+    assert not found & {"cmd_distance", "_route", "_Pair", "_CORRAL_ROWS", "__all__"}
 
 
 def test_every_exported_name_has_a_caller():

@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 from convex_order import bures, gaussian, linalg, pgd
 from convex_order.bures import bw2, bw2_gradient
 from convex_order.cli import main
-from convex_order.gaussian import (
-    CertificationError,
-    RankAmbiguousError,
-    is_above_projection_unique,
-    project_pair,
-)
+from convex_order.gaussian import CertificationError, project_pair
 from convex_order.linalg import (
     NotPsdError,
     loewner_gap,
@@ -114,8 +109,9 @@ class TestValidatedOnce:
         (np.diag([1.0, -1.0]), np.diag([2.0, 0.0])),
     ])
     def test_uniqueness_rejects_an_invalid_pair(self, cov_mu, cov_nu):
+        # the verdict comes only with a solve, which validates the pair first
         with pytest.raises((NotPsdError, ValueError)):
-            is_above_projection_unique(cov_mu, cov_nu)
+            project_pair(cov_mu, cov_nu)
 
 
 def sym_of(q, vals):
@@ -406,7 +402,8 @@ class TestFastPath:
         accepted = refused = 0
         for k in range(500):
             pair = gaussian._decompose(*fast_path_family(rng, k))
-            former, (below, above) = former_fast_path(pair), gaussian._route(pair)
+            former = former_fast_path(pair)
+            below, above = gaussian._assemble(pair, *gaussian._route(pair))
             assert (former is None) == (below.method not in FAST_METHODS), k
             if former is None:
                 refused += 1
@@ -483,6 +480,31 @@ class TestSingularReduction:
     """The dominating side on a singular target, read in the frame of
     numpy's eigendecomposition of the target (``reduced_descent``)."""
 
+    def test_each_solve_assembles_once(self, monkeypatch):
+        # only the solve's own pair is assembled: the reduction reads the
+        # reduced candidate's basis, method and diagnostics, whatever its route
+        calls = {"n": 0}
+        assemble = gaussian._assemble
+
+        def counted(*args):
+            calls["n"] += 1
+            return assemble(*args)
+
+        monkeypatch.setattr(gaussian, "_assemble", counted)
+        rng = np.random.default_rng(38)
+        cases = [(np.eye(2), np.zeros((2, 2))), (np.eye(2), np.diag([2.0, 0.0]))]
+        cases += [fast_path_family(rng, k) for k in range(15)]
+        cases += [(random_spd(rng, d), random_psd_singular(rng, d, d - 1)) for d in (3, 4, 5)]
+        routes = set()
+        for mu_cov, nu_cov in cases:
+            calls["n"] = 0
+            below, _ = project_pair(mu_cov, nu_cov)
+            assert calls["n"] == 1, below.method
+            routes.add((below.method, below.diagnostics.get("reduced_method")))
+        assert {method for method, _ in routes} == {
+            "closed_form", "commuting", "fast_path", "pgd", "singular_reduction"}
+        assert {("singular_reduction", "commuting"), ("singular_reduction", "pgd")} <= routes
+
     def test_identity_lower(self):
         _, above = project_pair(np.eye(2), np.diag([2.0, 0.0]))
         assert above.diagnostics["rank_nu"] == 1
@@ -524,38 +546,39 @@ class TestSingularReduction:
             assert loewner_leq(mu_cov, above.covariance, 1e-7)
 
 
+def verdict(mu_cov, nu_cov):
+    """The uniqueness verdict a solve carries on its dominating side."""
+    return project_pair(mu_cov, nu_cov)[1].uniqueness
+
+
 class TestUniqueness:
     def test_nondegenerate_counterexample(self):
-        verdict = is_above_projection_unique(np.eye(2), np.diag([2.0, 0.0]))
-        assert not verdict.unique
+        assert verdict(np.eye(2), np.diag([2.0, 0.0])).unique is False
 
     def test_correlated_counterexample(self):
-        verdict = is_above_projection_unique(
-            np.array([[1.0, 1.0], [1.0, 1.0]]), np.diag([2.0, 0.0])
-        )
-        assert not verdict.unique
+        assert verdict(np.array([[1.0, 1.0], [1.0, 1.0]]), np.diag([2.0, 0.0])).unique is False
 
     def test_saturation_clause(self):
-        verdict = is_above_projection_unique(2.0 * np.eye(2), np.diag([1.0, 0.0]))
-        assert verdict.unique
-        assert "saturation" in verdict.reason
+        found = verdict(2.0 * np.eye(2), np.diag([1.0, 0.0]))
+        assert found.unique is True
+        assert "saturation" in found.reason
 
     def test_nonsingular_is_always_unique(self):
         rng = np.random.default_rng(6)
-        verdict = is_above_projection_unique(random_spd(rng, 3), random_spd(rng, 3))
-        assert verdict.unique
-        assert "nonsingular" in verdict.reason
+        found = verdict(random_spd(rng, 3), random_spd(rng, 3))
+        assert found.unique is True
+        assert "nonsingular" in found.reason
 
     def test_rank_preserving_clause(self):
         # lower bound supported inside the range of the target: the assembled
         # covariance keeps the target's rank
-        verdict = is_above_projection_unique(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]))
-        assert verdict.unique
+        assert verdict(np.diag([1.0, 0.0]), np.diag([2.0, 0.0])).unique is True
 
 
 class TestRankAmbiguity:
     """An eigenvalue within a factor RANK_BAND of a rank cutoff leaves the
-    verdict open (``unique is None``); the verb raises on it."""
+    verdict open (``unique is None``), with the reason, and the solve
+    still answers."""
 
     # the target's 2^-48 is its rank cutoff; the second pair's target is
     # clear of the band, but mu's 2^-48 reaches the assembled projection
@@ -573,9 +596,8 @@ class TestRankAmbiguity:
         assert below.uniqueness == above.uniqueness
         name = "dominating-side covariance" if side == "target" else "assembled projection"
         assert name in above.uniqueness.reason
-        with pytest.raises(RankAmbiguousError) as raised:
-            is_above_projection_unique(mu_cov, nu_cov)
-        assert str(raised.value) == above.uniqueness.reason
+        assert above.uniqueness.reason.endswith("; refusing to classify")
+        assert above.transform.certified
 
     @pytest.mark.parametrize("side", sorted(PAIRS))
     def test_cutoff_is_printed_in_caller_units(self, side):
@@ -584,9 +606,8 @@ class TestRankAmbiguity:
         c = 4.0**5
         _, above = project_pair(c * mu_cov, c * nu_cov)
         assert above.diagnostics["scale_exponent"] == 5
+        assert above.uniqueness.unique is None
         assert f"rank cutoff {2.0**-38:.3e};" in above.uniqueness.reason
-        with pytest.raises(RankAmbiguousError, match=f"{2.0**-38:.3e}"):
-            is_above_projection_unique(c * mu_cov, c * nu_cov)
 
 
 def saturated(mu_cov, nu_cov):
@@ -714,10 +735,10 @@ class TestSingularConfigurations:
             rng = np.random.default_rng([21, s])
             d = 2 + s % 4
             mu_cov, nu_cov = spd(rng, d), spd(rng, d, rank=1 + s % (d - 1))
-            if not is_above_projection_unique(mu_cov, nu_cov).unique:
+            singular = project_pair(mu_cov, nu_cov)
+            if not singular[1].uniqueness.unique:
                 continue
             kept += 1
-            singular = project_pair(mu_cov, nu_cov)
             for eps in (1e-4, 1e-5, 1e-6):
                 moved = project_pair(mu_cov, nu_cov + eps * np.eye(d))
                 for at, near in zip(singular, moved):
@@ -780,7 +801,7 @@ class TestDisjointRangesAtScale:
             bw2(mu_cov, below.covariance) - bw2(nu_cov, above.covariance)
         ) <= 1e-7 * scale
         assert above.uniqueness.reason
-        assert is_above_projection_unique(mu_cov, nu_cov) == above.uniqueness
+        assert below.uniqueness == above.uniqueness
 
     # the cross term is sqrt of roundoff, about sqrt(eps) relative; on the
     # rotated pairs the sum of traces is twice the scale
@@ -1318,20 +1339,14 @@ class TestSpectralWork:
         assert eigensolves["n"] <= 13
 
     def test_uniqueness_check(self, eigensolves):
-        # on a singular target: its record (2), the reduction, the assembled
-        # rank and the saturation test (2), as many as the solve spends on them
-        mu_cov, nu_cov = np.eye(2), np.diag([2.0, 0.0])
-        assert not is_above_projection_unique(mu_cov, nu_cov).unique
+        # a singular target's solve and verdict: its record (2), the
+        # reduction's block, the reduced transport-map candidate (2) and its
+        # certificate, the certificate, and the verdict's assembled rank and
+        # saturation test (3); the reduced pair is never assembled
+        below, above = project_pair(np.eye(2), np.diag([2.0, 0.0]))
+        assert below.diagnostics["reduced_method"] == "commuting"
+        assert above.uniqueness.unique is False
         assert eigensolves["n"] <= 10
-        # no solve on a full-rank or a zero target, nor on a target the
-        # rank band refuses: the record alone
-        for nu_cov in (np.diag([2.0, 1.0]), np.zeros((2, 2)), np.diag([2.0, 2.0**-48])):
-            eigensolves["n"] = 0
-            try:
-                is_above_projection_unique(mu_cov, nu_cov)
-            except RankAmbiguousError:
-                pass
-            assert eigensolves["n"] == 2
 
     def test_bw2_gradient(self, eigensolves):
         # both inputs validated once; the square root reuses the first
