@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .linalg import (
     psd_eigen,
     spd_sqrt,
     sym,
+    unit_scale_exponent,
 )
 
 
@@ -33,9 +35,19 @@ def bw2(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     ``tr(A) + tr(B) - 2 tr((A^{1/2} B A^{1/2})^{1/2})``, clamped at zero.
     Equals the squared quadratic Wasserstein distance between the centered
     Gaussians with these covariances.
+
+    Computed at unit scale: both matrices are divided by ``4^k``, the larger
+    trace in ``[4^k, 4^(k+1))`` (``k = 0`` below ``2^-1000``), and the value
+    is multiplied back by ``4^k``.  Powers of two are exact, so ``4^j``
+    times a pair gives exactly ``4^j`` times its distance, and the product
+    ``A^{1/2} B A^{1/2}`` does not overflow at large scale.
     """
     a = sym(cov_a)
     b = sym(cov_b)
+    top = max(float(np.trace(a)), float(np.trace(b)))
+    k = unit_scale_exponent(top)
+    c = math.ldexp(1.0, -2 * k)
+    a, b = c * a, c * b
     half = spd_sqrt(a)
     cross_vals = np.linalg.eigvalsh(sym(half @ b @ half))
     # the product is checked at the scale it inherits from a and b (near
@@ -51,7 +63,7 @@ def bw2(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     )
     if value < floor:
         raise LinalgError(f"bw2 came out {value:.3e}, below the roundoff floor")
-    return max(value, 0.0)
+    return math.ldexp(max(value, 0.0), 2 * k)
 
 
 def bw2_gradient(cov_fixed: np.ndarray, cov: np.ndarray) -> np.ndarray:

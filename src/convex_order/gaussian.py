@@ -56,6 +56,7 @@ from .linalg import (
     sym,
     sym_eigen,
     transport_map_basis,
+    unit_scale_exponent,
 )
 from .measures import require_finite, require_square
 from .pgd import pgd_project_above
@@ -191,7 +192,7 @@ def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
     nu_vals = np.clip(nu_raw, 0.0, None)
     mu_vals, mu_vecs = psd_eigen(cov_mu)
     top = max(mu_vals.max(initial=0.0), nu_vals.max(initial=0.0))
-    k = (math.frexp(top)[1] - 1) // 2 if top >= 2.0**-1000 else 0  # 4^-k stays finite
+    k = unit_scale_exponent(top)
     c = math.ldexp(1.0, -2 * k)
     return _pair(c * cov_mu, c * cov_nu, (c * mu_vals, mu_vecs), (c * nu_vals, nu_vecs),
                  c * nu_raw, k)

@@ -15,6 +15,8 @@ keep LAPACK's ascending order and raw signs, and are read with ``min`` and
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # Relative rank cutoff: an eigenvalue counts as nonzero when it exceeds
@@ -35,6 +37,14 @@ class EigenSolveError(LinalgError):
 
 class NotPsdError(LinalgError):
     """Input matrix has an eigenvalue below the PSD tolerance."""
+
+
+def unit_scale_exponent(top: float) -> int:
+    """``k`` with ``top`` in ``[4^k, 4^(k+1))``, and ``k = 0`` below
+    ``2^-1000`` (so ``4^-k`` stays finite): dividing a PSD pair whose larger
+    top eigenvalue or trace is ``top`` by ``4^k`` brings it to unit scale
+    exactly."""
+    return (math.frexp(top)[1] - 1) // 2 if top >= 2.0**-1000 else 0
 
 
 def sym(matrix: np.ndarray) -> np.ndarray:

@@ -32,23 +32,37 @@ def _quantile_grid(mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple[np.ndarray
     quantile function on each piece ``(grid[j], grid[j+1]]``, and the values
     of ``g = int_0^u (F_mu^-1 - F_nu^-1)`` at the grid's nodes.
 
-    The grid merges both measures' cumulative weights.  Breakpoints no
-    further apart than ``(mu.size + nu.size) * eps``, a bound on the roundoff
-    of the cumulative sums (cuts equal in exact arithmetic land that close),
-    collapse to the last of their cluster (so the endpoint 1.0 survives
-    exactly), and the origin is restored exactly.  Each quantile function is
-    read at the midpoint of each piece, so an atom whose weight is below
-    that resolution takes no piece of its own.
+    The grid is one merge of both measures' cumulative weights (a stable
+    sort of their two sorted runs).  Breakpoints no further apart than
+    ``(mu.size + nu.size) * eps``, a bound on the roundoff of the cumulative
+    sums (cuts equal in exact arithmetic land that close), collapse to the
+    last of their cluster (so the endpoint 1.0 survives exactly), and the
+    origin is restored exactly.  Each quantile function is read at the
+    midpoint of each piece, so an atom whose weight is below that resolution
+    takes no piece of its own.  The cuts below a midpoint are those up to
+    the piece's left node, counted by origin along the merge, unless a
+    cluster spans the midpoint (a chain of atoms below the resolution); only
+    such pieces search the merge for their midpoint.
     """
-    cuts = [np.concatenate(([0.0], np.cumsum(m.weights[:-1]), [1.0])) for m in (mu, nu)]
-    grid = np.unique(np.concatenate(cuts))
-    grid = grid[np.concatenate((np.diff(grid) > (mu.size + nu.size) * _EPS, [True]))]
+    n = mu.size
+    cuts = np.concatenate(([0.0], np.cumsum(mu.weights[:-1]), [1.0, 0.0],
+                           np.cumsum(nu.weights[:-1]), [1.0]))
+    order = np.argsort(cuts, kind="stable")
+    merged = cuts[order]
+    ends = np.append(np.flatnonzero(np.diff(merged) > (n + nu.size) * _EPS), merged.size - 1)
+    grid = merged[ends]
     grid[0] = 0.0
     mids = 0.5 * (grid[:-1] + grid[1:])
-    q_mu, q_nu = (
-        m.values_1d[np.clip(np.searchsorted(cut, mids) - 1, 0, m.size - 1)]
-        for m, cut in zip((mu, nu), cuts)
-    )
+    # merged position of the last cut below each midpoint: the piece's left
+    # node, unless a cluster spans the midpoint (the next one starts below
+    # it, or the first one, whose node is reset to 0, ends above it)
+    last_below = ends[:-1]
+    late = (merged[last_below] >= mids) | (merged[last_below + 1] < mids)
+    if late.any():
+        last_below[late] = np.searchsorted(merged, mids[late]) - 1
+    mu_below = np.cumsum(order <= n)[last_below]  # the rest of the cuts below are nu's
+    q_mu = mu.values_1d[np.clip(mu_below - 1, 0, n - 1)]
+    q_nu = nu.values_1d[np.clip(last_below - mu_below, 0, nu.size - 1)]
     g_nodes = np.concatenate(([0.0], np.cumsum((q_mu - q_nu) * np.diff(grid))))
     return grid, q_mu, q_nu, g_nodes
 
@@ -77,8 +91,8 @@ def lower_convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     translate), where each keeps its own roundoff-level vertices.  Pruning
     to the fixed point could take one pass per node (a parabola whose last
     node lies deep below drops one node a pass), so the passes stop after
-    one that removes fewer than a quarter of the candidates.  The passes
-    then cost at most about ``4n`` cross products, and the worst case is
+    one that removes fewer than an eighth of the candidates.  The passes
+    then cost at most about ``8n`` cross products, and the worst case is
     one O(n) pass plus the chain over every node.
     """
     x = np.asarray(x, dtype=float)
@@ -90,7 +104,7 @@ def lower_convex_hull(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         cross = ((xk[1:-1] - xk[:-2]) * (yk[2:] - yk[:-2])
                  - (yk[1:-1] - yk[:-2]) * (xk[2:] - xk[:-2]))
         keep = keep[np.concatenate(([True], cross > 0.0, [True]))]
-        if 4 * (candidates - keep.size) < candidates:
+        if 8 * (candidates - keep.size) < candidates:
             break
     xs, ys = x[keep].tolist(), y[keep].tolist()
     hull = [0]

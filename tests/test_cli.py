@@ -531,6 +531,66 @@ class TestDistance:
         assert report["w2"] == pytest.approx(5.0)
 
 
+def gaussian_problem(path, scale, shift):
+    """A full-rank 3-d pair with covariances times ``scale`` and means
+    ``shift`` apart along two axes."""
+    mu = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 0.7]])
+    nu = np.array([[1.0, 0.3, 0.0], [0.3, 1.5, 0.4], [0.0, 0.4, 0.9]])
+    return write_problem(path, {
+        "mu": {"mean": [0.0, shift, 0.0], "cov": (scale * mu).tolist()},
+        "nu": {"mean": [shift, 0.0, 0.0], "cov": (scale * nu).tolist()},
+    })
+
+
+class TestGaussianAtLargeScale:
+    """``bw2`` works at unit scale, as the solve does: in caller units its
+    product ``A^1/2 B A^1/2`` overflowed near 1e160, and ``distance`` and
+    ``check`` exited 4."""
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_distance_and_check_answer(self, runner, tmp_path, scale):
+        problem = gaussian_problem(tmp_path / "p.json", scale, math.sqrt(scale))
+        distance = runner.invoke(main, ["distance", problem])
+        assert distance.exit_code == 0, distance.output
+        assert all(math.isfinite(v) for v in json.loads(distance.output).values()
+                   if not isinstance(v, str))
+        check = runner.invoke(main, ["check", problem])
+        assert check.exit_code == 0, check.output
+        report = json.loads(check.output)
+        assert report["passed"] is True
+        assert all(math.isfinite(c["value"]) and math.isfinite(c["tolerance"])
+                   for c in report["checks"])
+
+    @pytest.mark.parametrize("j", [-498, -265, 265, 498])
+    def test_dilations_by_powers_of_four_are_exact(self, runner, tmp_path, j):
+        # 4^265 is about 1.1e160 and 4^498 about 6.7e299
+        def distance(scale, shift):
+            result = runner.invoke(main, ["distance", gaussian_problem(tmp_path / "p.json",
+                                                                       scale, shift)])
+            assert result.exit_code == 0, result.output
+            return json.loads(result.output)
+
+        unit, scaled = distance(1.0, 1.0), distance(4.0**j, 2.0**j)
+        for key in ("bw2", "w2_sq"):
+            assert scaled[key] == 4.0**j * unit[key], key
+        for key in ("w2", "centered_w2"):
+            assert scaled[key] == 2.0**j * unit[key], key
+
+    @pytest.mark.parametrize("j", [-100, -1, 1, 100])
+    def test_check_distance_equality_dilates_exactly(self, runner, tmp_path, j):
+        # from 1e160 on; the order checks' eigensolves run in caller units
+        def checks(scale):
+            result = runner.invoke(main, ["check", gaussian_problem(tmp_path / "p.json",
+                                                                    scale, 0.0)])
+            assert result.exit_code == 0, result.output
+            return {c["name"]: c for c in json.loads(result.output)["checks"]}
+
+        base, scaled = checks(1e160), checks(1e160 * 4.0**j)
+        for name in ("trace_identity", "distance_equality"):
+            assert scaled[name]["value"] == 4.0**j * base[name]["value"], name
+            assert scaled[name]["tolerance"] == 4.0**j * base[name]["tolerance"], name
+
+
 class TestCheck:
     def test_gaussian_identities_pass(self, runner, tmp_path):
         problem = write_problem(tmp_path / "p.json", {

@@ -131,6 +131,27 @@ def family_measure(rng, family, n, spread):
     return measure_1d(values, weights)
 
 
+def hull_family_pairs():
+    """400 seeded pairs of one family each, up to 2000 atoms a side."""
+    for s in range(400):
+        rng = np.random.default_rng([18, s])
+        family = HULL_FAMILIES[s % len(HULL_FAMILIES)]
+        high = 30 if s % 3 == 0 else 2001
+        mu = family_measure(rng, family, int(rng.integers(1, high)), 1.0)
+        nu = family_measure(rng, family, int(rng.integers(1, high)), 0.8)
+        yield mu, nu
+
+
+def evenly_spaced_pairs():
+    """300 pairs of uniform weights on evenly spaced atoms, whose cuts
+    coincide in exact arithmetic (see test_coincident_cuts_keep_the_projection_monotone)."""
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n, m = (int(x) for x in rng.integers(2, 4001, size=2))
+        yield (measure_1d(np.linspace(-1.0, 1.0, n), np.full(n, 1.0 / n)),
+               measure_1d(np.linspace(-0.8, 0.8, m), np.full(m, 1.0 / m)))
+
+
 def projection_or_error(mu, nu):
     """The projection, or the message of the monotonicity guard's error."""
     try:
@@ -161,13 +182,12 @@ class TestLowerConvexHull:
         np.testing.assert_allclose(y[idx], [0.0, 0.0])
 
     def test_matches_the_monotone_chain(self, monkeypatch):
-        # grids of up to 4000 atoms, where several prune passes run
-        for s in range(400):
-            rng = np.random.default_rng([18, s])
-            family = HULL_FAMILIES[s % len(HULL_FAMILIES)]
-            high = 30 if s % 3 == 0 else 2001
-            mu = family_measure(rng, family, int(rng.integers(1, high)), 1.0)
-            nu = family_measure(rng, family, int(rng.integers(1, high)), 0.8)
+        # grids of up to 4000 atoms, where several prune passes run, then the
+        # 3000 x 1000 shape, whose first pass drops just under a quarter
+        rng = np.random.default_rng([18, 3000, 1000])
+        wide = (family_measure(rng, "gaussian", 3000, 1.0),
+                family_measure(rng, "gaussian", 1000, 0.8))
+        for s, (mu, nu) in enumerate([*hull_family_pairs(), wide]):
             grid, _, _, nodes = _quantile_grid(mu, nu)
             np.testing.assert_array_equal(lower_convex_hull(grid, nodes),
                                           monotone_chain(grid, nodes))
@@ -384,11 +404,7 @@ class TestLargeScale:
         # 300 such pairs of random sizes; under a fixed 1e-15 merge, 9 of
         # them (s = 63, 77, 120, 144, 175, 189, 254, 279, 297) lost
         # monotonicity by far more than the guard's tolerance
-        rng = np.random.default_rng(5)
-        for s in range(300):
-            n, m = (int(x) for x in rng.integers(2, 4001, size=2))
-            mu = measure_1d(np.linspace(-1.0, 1.0, n), np.full(n, 1.0 / n))
-            nu = measure_1d(np.linspace(-0.8, 0.8, m), np.full(m, 1.0 / m))
+        for s, (mu, nu) in enumerate(evenly_spaced_pairs()):
             detail = project_1d_detail(mu, nu)
             assert is_convex_ordered_1d(detail.below, nu), s
             assert is_convex_ordered_1d(mu, detail.above), s
@@ -431,6 +447,48 @@ class TestTinyWeights:
         assert w2_1d(self.mu, self.nu) ** 2 == pytest.approx(
             exact_w2_sq(self.mu, self.nu), abs=1e-12
         )
+
+
+def midpoint_grid(mu, nu):
+    """The common grid by a sort with duplicates removed and one binary
+    search per measure and piece: the reference that the merged
+    :func:`_quantile_grid` must reproduce."""
+    cuts = [np.concatenate(([0.0], np.cumsum(m.weights[:-1]), [1.0])) for m in (mu, nu)]
+    grid = np.unique(np.concatenate(cuts))
+    grid = grid[np.concatenate((np.diff(grid) > (mu.size + nu.size) * one_dim._EPS, [True]))]
+    grid[0] = 0.0
+    mids = 0.5 * (grid[:-1] + grid[1:])
+    q_mu, q_nu = (
+        m.values_1d[np.clip(np.searchsorted(cut, mids) - 1, 0, m.size - 1)]
+        for m, cut in zip((mu, nu), cuts)
+    )
+    g_nodes = np.concatenate(([0.0], np.cumsum((q_mu - q_nu) * np.diff(grid))))
+    return grid, q_mu, q_nu, g_nodes
+
+
+class TestQuantileGrid:
+    def test_matches_the_midpoint_grid(self):
+        rng = np.random.default_rng([30, 10**5])
+        large = tuple(measure_1d(spread * rng.normal(size=n), rng.dirichlet(np.ones(n)))
+                      for n, spread in ((10**5, 1.0), (33000, 0.8)))
+        # a chain of atoms below the grid's resolution: cuts 4e-15 apart from
+        # 0.5 + 1e-14 to 0.5 + 9e-14 are one cluster, which starts below the
+        # midpoint of its piece (0.5, 0.5 + 9e-14], so more cuts lie below
+        # that midpoint than up to the node 0.5 (read there, w2_1d gives
+        # 7.280109889285003, not 7.280109889282401)
+        weights = [0.5, 1e-14] + [4e-15] * 20
+        late = (measure_1d([0.0, 1.0, *range(2, 22), 21.0], [*weights, 1.0 - sum(weights)]),
+                measure_1d([-5.0, 30.0], [0.5, 0.5]))
+        # the first cluster, whose node is reset to 0, runs past the first
+        # piece's midpoint: cuts at 0, 6e-16 and 1.2e-15, then 2.35e-15
+        first = (measure_1d([0.0, 1.0, 2.0], [6e-16, 6e-16, 1.0 - 1.2e-15]),
+                 measure_1d([-5.0, 30.0], [2.35e-15, 1.0 - 2.35e-15]))
+        tiny = (TestTinyWeights.mu, TestTinyWeights.nu)
+        pairs = [*hull_family_pairs(), *evenly_spaced_pairs(), tiny, large, late, first]
+        for s, (mu, nu) in enumerate(pairs):
+            for a, b in ((mu, nu), (nu, mu)):
+                for got, want in zip(_quantile_grid(a, b), midpoint_grid(a, b)):
+                    np.testing.assert_array_equal(got, want, err_msg=f"pair {s}")
 
 
 def stop_loss_margin(eta, nu):
