@@ -102,9 +102,24 @@ def _parse_gaussian(obj: Any, name: str) -> GaussianMeasure:
         _fail(PARSE_ERROR, f"measure {name!r}: {exc}")
 
 
+def _column(points: Any) -> Any:
+    """A list of one-element lists as an ``(n, 1)`` array, read in one flat
+    pass: ``np.asarray`` walks nested lists about 3 times slower.  Any
+    other value, or one the flat pass refuses, is returned unchanged, so
+    ``np.asarray`` reads it or words its error.  The rows' type is checked
+    first: unpacking would also take a one-character string or a one-key
+    dict for an atom."""
+    if type(points) is list and list(map(type, points)).count(list) == len(points):
+        try:
+            return np.fromiter([p for (p,) in points], float, len(points))[:, None]
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return points
+
+
 def _parse_discrete(obj: Any, name: str) -> DiscreteMeasure:
     try:
-        return DiscreteMeasure(np.asarray(obj["points"], dtype=float),
+        return DiscreteMeasure(np.asarray(_column(obj["points"]), dtype=float),
                                np.asarray(obj["weights"], dtype=float))
     except (KeyError, TypeError, ValueError, EmptyMeasureError) as exc:
         _fail(PARSE_ERROR, f"measure {name!r}: {exc}")

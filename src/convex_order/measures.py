@@ -6,13 +6,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import psd_eigen, sym
+from .linalg import _validated_eigh, sym
 
 WEIGHT_TOL = 1e-6
 MERGE_TOL = 1e-12
 # the largest |coordinate| of a support: squared distances, second moments
 # and their sums over the atoms stay finite below it
 MAX_COORD = 2.0**500
+# the largest trace of a Gaussian covariance, MAX_COORD squared: the CLI's
+# checks add traces and scale their tolerances by them
+MAX_TRACE = MAX_COORD**2
 
 
 class EmptyMeasureError(ValueError):
@@ -50,7 +53,9 @@ class GaussianMeasure:
         cov = sym(cov)
         require_finite(mean, "mean")
         require_finite(cov, "covariance")
-        psd_eigen(cov)  # raises NotPsdError on bad input
+        if cov.trace() > MAX_TRACE:
+            raise ValueError(f"covariance trace must not exceed {MAX_TRACE:.3e}")
+        _validated_eigh(cov)  # raises NotPsdError on bad input
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 

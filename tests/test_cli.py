@@ -561,6 +561,16 @@ class TestGaussianAtLargeScale:
         assert all(math.isfinite(c["value"]) and math.isfinite(c["tolerance"])
                    for c in report["checks"])
 
+    @pytest.mark.parametrize("command", ["check", "distance", "project-gaussian"])
+    def test_overflowing_trace_is_a_parse_error(self, runner, tmp_path, command):
+        # at 3e307 check's tolerances, which add the traces, overflowed to
+        # inf and the check passed vacuously
+        problem = gaussian_problem(tmp_path / "p.json", 3e307, 0.0)
+        result = runner.invoke(main, [command, problem])
+        assert result.exit_code == cli.PARSE_ERROR
+        assert result.stderr == ("error: measure 'mu': covariance trace must not exceed "
+                                 "1.072e+301\n")
+
     @pytest.mark.parametrize("j", [-498, -265, 265, 498])
     def test_dilations_by_powers_of_four_are_exact(self, runner, tmp_path, j):
         # 4^265 is about 1.1e160 and 4^498 about 6.7e299
@@ -778,6 +788,76 @@ class TestMalformedPoints:
         result = runner.invoke(main, [command, problem])
         assert result.exit_code == 2
         assert result.output.startswith("error: measure 'mu':")
+
+
+class TestColumnPoints:
+    """1-d points written as one-element rows are read in one flat pass;
+    every other shape, and every row list the pass refuses, is read by
+    ``np.asarray`` as before."""
+
+    @pytest.mark.parametrize("command", ["distance", "project-1d"])
+    @pytest.mark.parametrize("points", [
+        [[], []], [[[0.0]], [[1.0]]], [{"5": 1.0}], [[None]], [], [["a"]], [[0.0], [1.0, 2.0]],
+    ], ids=["empty-rows", "nested-rows", "dict-row", "null", "empty", "string", "ragged"])
+    def test_malformed_rows_keep_the_numpy_error(self, runner, tmp_path, command, points):
+        weights = [1.0 / len(points)] * len(points) if points else []
+        with pytest.raises((TypeError, ValueError)) as numpy_route:
+            DiscreteMeasure(np.asarray(points, dtype=float), np.asarray(weights, dtype=float))
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"points": points, "weights": weights},
+            "nu": {"points": [[0.0]], "weights": [1.0]},
+        })
+        result = runner.invoke(main, [command, problem])
+        assert result.exit_code == cli.PARSE_ERROR
+        assert result.stderr == f"error: measure 'mu': {numpy_route.value}\n"
+
+    def test_rows_read_bit_for_bit_as_numpy_reads_them(self, tmp_path):
+        # JSON integers beyond 64 bits are read by the stdlib fallback
+        edge = [-0.0, 0.0, 5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1, -7, 2**53 + 1, 2**64 - 1, 10**30, True, False]
+        rng = np.random.default_rng(3131)
+        for k in range(20):
+            values = rng.normal(size=int(rng.integers(1, 400))) * 10.0 ** rng.integers(-300, 300)
+            values = values.tolist() + edge
+            rows = [[values[i]] for i in rng.permutation(len(values))]
+            path = tmp_path / f"p{k}.json"
+            path.write_text(json.dumps({"points": rows}))
+            rows = cli._load_json(str(path))["points"]
+            read, expected = cli._column(rows), np.asarray(rows, dtype=float)
+            assert read.shape == expected.shape == (len(values), 1)
+            assert read.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("points", [
+        [0.5, -1.0, 2.0], [[0.0, 1.0], [1.0, -1.0], [-0.5, 0.2]], [[0.0, 1.0]],
+    ], ids=["flat", "planar", "one-planar-row"])
+    def test_other_shapes_are_read_by_numpy(self, points):
+        assert cli._column(points) is points
+        weights = [1.0 / len(points)] * len(points)
+        measure = cli._parse_discrete({"points": points, "weights": weights}, "mu")
+        expected = DiscreteMeasure(np.asarray(points, dtype=float), weights)
+        assert measure.points.shape == expected.points.shape
+        assert measure.points.tobytes() == expected.points.tobytes()
+        assert measure.weights.tobytes() == expected.weights.tobytes()
+
+    def test_reports_match_the_nested_reader_byte_for_byte(self, runner, tmp_path, monkeypatch):
+        rng = np.random.default_rng(3132)
+        payload = {
+            side: {"points": rng.normal(scale=scale, size=(n, 1)).tolist(),
+                   "weights": rng.dirichlet(np.ones(n)).tolist()}
+            for side, n, scale in (("mu", 1000, 2.0), ("nu", 3000, 1.0))
+        }
+        assert cli._column(payload["nu"]["points"]).shape == (3000, 1)
+        problem = write_problem(tmp_path / "p.json", payload)
+
+        def reports():
+            results = [runner.invoke(main, [command, problem])
+                       for command in ("project-1d", "distance", "check")]
+            assert [r.exit_code for r in results] == [0, 0, 0]
+            return [r.stdout_bytes for r in results]
+
+        flat = reports()
+        monkeypatch.setattr(cli, "_column", lambda points: points)
+        assert reports() == flat
 
 
 class TestJsonBoundary:

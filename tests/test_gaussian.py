@@ -252,6 +252,19 @@ class TestOrderTransform:
             a, b = random_spd(rng, d), random_spd(rng, d)
             assert_transform_valid(project_pair(a, b)[0].transform, a, b)
 
+    @pytest.mark.parametrize("multiple, certified", [(3.0, False), (0.3, True)])
+    def test_certificate_refuses_a_residual_beyond_its_tolerance(self, multiple, certified):
+        # the identity basis leaves Smu = [[1, e], [e, 1]] uncontracted under
+        # Snu = I, so the order residual is -e: at 3x the tolerance it must
+        # be refused, which a 10x looser certificate would not do
+        tol = gaussian._decompose(np.eye(2), np.eye(2)).order_tol
+        e = multiple * tol
+        pair = gaussian._decompose(np.array([[1.0, e], [e, 1.0]]), np.eye(2))
+        assert pair.order_tol == tol
+        transform, _ = gaussian._certify(pair, np.eye(2), pair.order_tol)
+        assert transform.order_residual == pytest.approx(-e, rel=1e-6)
+        assert transform.certified is certified
+
 
 class TestProjectBelow:
     def test_already_dominated(self):
