@@ -23,6 +23,7 @@ from .linalg import (
 
 
 _TINY = np.finfo(float).tiny
+_ROOT_EPS = math.sqrt(np.finfo(float).eps)
 
 
 class SingularInputError(LinalgError):
@@ -44,23 +45,21 @@ def bw2(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     """
     a = sym(cov_a)
     b = sym(cov_b)
-    top = max(float(np.trace(a)), float(np.trace(b)))
-    k = unit_scale_exponent(top)
+    k = unit_scale_exponent(max(float(a.trace()), float(b.trace())))
     c = math.ldexp(1.0, -2 * k)
     a, b = c * a, c * b
+    trace_a, trace_b = a.trace(), b.trace()
     half = spd_sqrt(a)
     cross_vals = np.linalg.eigvalsh(sym(half @ b @ half))
     # the product is checked at the scale it inherits from a and b (near
     # zero when their ranges are disjoint, whatever its roundoff), then clamped
-    if cross_vals[0] < -EIG_TOL * (1.0 + abs(np.trace(a)) * abs(np.trace(b))):
+    if cross_vals[0] < -EIG_TOL * (1.0 + abs(trace_a) * abs(trace_b)):
         raise NotPsdError(f"bw2: A^1/2 B A^1/2 has eigenvalue {cross_vals[0]:.3e}")
-    cross_vals = np.clip(cross_vals, 0.0, None)
-    value = float(np.trace(a) + np.trace(b) - 2.0 * np.sum(np.sqrt(cross_vals)))
+    cross_vals = np.maximum(cross_vals, 0.0)
+    value = float(trace_a + trace_b - 2.0 * np.sqrt(cross_vals).sum())
     # eigenvalue roundoff passes through the square root as ~sqrt(eps);
     # anything more negative than that indicates a genuine bug
-    floor = -64.0 * np.sqrt(np.finfo(float).eps) * (
-        abs(np.trace(a)) + abs(np.trace(b)) + 1.0
-    )
+    floor = -64.0 * _ROOT_EPS * (abs(trace_a) + abs(trace_b) + 1.0)
     if value < floor:
         raise LinalgError(f"bw2 came out {value:.3e}, below the roundoff floor")
     return math.ldexp(max(value, 0.0), 2 * k)

@@ -98,7 +98,7 @@ def _parse_gaussian(obj: Any, name: str) -> GaussianMeasure:
     try:
         return GaussianMeasure(np.asarray(obj["mean"], dtype=float),
                                np.asarray(obj["cov"], dtype=float))
-    except (KeyError, TypeError, ValueError, LinalgError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, LinalgError) as exc:
         _fail(PARSE_ERROR, f"measure {name!r}: {exc}")
 
 
@@ -121,7 +121,7 @@ def _parse_discrete(obj: Any, name: str) -> DiscreteMeasure:
     try:
         return DiscreteMeasure(np.asarray(_column(obj["points"]), dtype=float),
                                np.asarray(obj["weights"], dtype=float))
-    except (KeyError, TypeError, ValueError, EmptyMeasureError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, EmptyMeasureError) as exc:
         _fail(PARSE_ERROR, f"measure {name!r}: {exc}")
 
 
@@ -383,7 +383,7 @@ def _load_assertions(path: str, mode: str, dim: int) -> tuple[float, dict[str, n
             raise ValueError(f"expected covariances of shape {(dim, dim)}")
         if not all(np.isfinite(cov).all() for cov in expected.values()):
             raise ValueError("expected covariances must be finite")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         _fail(PARSE_ERROR, f"assert file {path}: {exc}")
     return tol, expected
 

@@ -49,7 +49,6 @@ from .linalg import (
     _validated_eigh,
     clamped_eigen,
     default_rank_tol,
-    loewner_gap,
     loewner_leq,
     positive_diag_mask,
     psd_eigen,
@@ -158,7 +157,7 @@ class _Pair:
 
 
 def _rank(vals: np.ndarray) -> int:
-    return int(np.sum(vals > default_rank_tol(vals)))
+    return int((vals > default_rank_tol(vals)).sum())
 
 
 def _pair(
@@ -169,7 +168,7 @@ def _pair(
     nu_cutoff = default_rank_tol(nu_vals)
     order_tol = ORDER_REL * (1.0 + (float(nu_vals.max()) if nu_vals.size else 0.0))
     return _Pair(cov_mu, cov_nu, mu_eig, nu_eig, nu_unclamped, _rank(mu_eig[0]),
-                 int(np.sum(nu_vals > nu_cutoff)), nu_cutoff, order_tol, k,
+                 int((nu_vals > nu_cutoff).sum()), nu_cutoff, order_tol, k,
                  math.ldexp(1.0, 2 * k))
 
 
@@ -189,7 +188,7 @@ def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
     require_finite(cov_mu, "cov_mu")
     require_finite(cov_nu, "cov_nu")
     nu_raw, nu_vecs = _validated_eigh(cov_nu)
-    nu_vals = np.clip(nu_raw, 0.0, None)
+    nu_vals = np.maximum(nu_raw, 0.0)
     mu_vals, mu_vecs = psd_eigen(cov_mu)
     top = max(mu_vals.max(initial=0.0), nu_vals.max(initial=0.0))
     k = unit_scale_exponent(top)
@@ -216,12 +215,14 @@ def _certify(
     m_nu = sym(basis.T @ pair.cov_nu @ basis)
     mu_pos = positive_diag_mask(m_mu)
     nu_pos = positive_diag_mask(m_nu)
-    mu_diag = np.where(mu_pos, np.diag(m_mu), 0.0)
-    nu_diag = np.where(nu_pos, np.diag(m_nu), 0.0)
+    mu_diag = np.where(mu_pos, m_mu.diagonal(), 0.0)
+    nu_diag = np.where(nu_pos, m_nu.diagonal(), 0.0)
     ratios = np.sqrt(nu_diag / np.where(mu_pos, mu_diag, 1.0))
     d = np.where(mu_pos, np.minimum(1.0, ratios), 1.0)
     contracted = d[:, None] * m_mu * d[None, :]
-    gap = loewner_gap(contracted, m_nu)
+    # the order residual, the Loewner gap of contracted below m_nu; the
+    # record is at unit scale already, and m_nu exactly symmetric
+    gap = float(np.linalg.eigvalsh(m_nu - sym(contracted)).min())
     transform = OrderTransform(basis=basis, ratios=d, order_residual=pair.unit * gap,
                                certified=bool(gap >= -tol))
     return transform, (m_mu, m_nu, nu_pos, mu_diag, nu_diag, contracted)
@@ -243,12 +244,12 @@ def _assemble(
     below = sym(basis @ contracted @ basis.T)
 
     safe_d = np.where(d > 0.0, d, 1.0)  # d vanishes only where nu_diag does
-    scaled = m_nu / np.outer(safe_d, safe_d)
-    above_tilde = np.where(np.outer(nu_pos, nu_pos), scaled, m_mu)
+    scaled = m_nu / (safe_d[:, None] * safe_d[None, :])
+    above_tilde = np.where(nu_pos[:, None] & nu_pos[None, :], scaled, m_mu)
     above = sym(basis @ above_tilde @ basis.T)
 
     distance_sq = pair.unit * float(
-        np.sum(np.clip(np.sqrt(mu_diag) - np.sqrt(nu_diag), 0.0, None) ** 2)
+        (np.maximum(np.sqrt(mu_diag) - np.sqrt(nu_diag), 0.0) ** 2).sum()
     )
     uniqueness = _uniqueness(pair, above)
     return tuple(
@@ -292,9 +293,9 @@ def _route(pair: _Pair) -> tuple[OrderTransform, tuple[np.ndarray, ...], str, di
         if transform.certified:
             m_mu, _, _, mu_diag, _, _ = conjugates
             scale = np.sqrt(mu_diag)
-            off = m_mu / np.outer(scale, scale)
+            off = m_mu / (scale[:, None] * scale[None, :])
             np.fill_diagonal(off, 0.0)  # the off-diagonal of its correlation
-            method = "commuting" if np.linalg.norm(off) <= CLOSED_FORM_REL else "fast_path"
+            method = "commuting" if math.sqrt(np.vdot(off, off)) <= CLOSED_FORM_REL else "fast_path"
             return transform, conjugates, method, {"order_residual": transform.order_residual}
 
     if pair.rank_nu == d:
@@ -342,7 +343,7 @@ def _reduce(pair: _Pair) -> tuple[np.ndarray, str, dict[str, Any]]:
     reduced_mu = sym(nu_vecs.T @ pair.cov_mu @ nu_vecs)[:rank, :rank].copy()
     mu_vals, mu_vecs = sym_eigen(reduced_mu)
     if mu_vals[-1] < 0.0:  # a block of PSD cov_mu: roundoff at the scale of cov_mu
-        mu_vals = np.clip(mu_vals, 0.0, None)
+        mu_vals = np.maximum(mu_vals, 0.0)
         reduced_mu = _rebuild(mu_vals, mu_vecs)
     top = nu_vals[:rank]
     reduced = _pair(reduced_mu, np.diag(top), (mu_vals, mu_vecs), (top, np.eye(rank)), top,
@@ -380,7 +381,7 @@ def _saturated(pair: _Pair) -> bool:
 def _refusal(vals: np.ndarray, cutoff: float, name: str, unit: float) -> str | None:
     """Why a spectrum cannot be ranked, or ``None``: an eigenvalue within a
     factor ``RANK_BAND`` of the rank ``cutoff``, which is printed times ``unit``."""
-    if cutoff > 0.0 and np.any((vals > cutoff / RANK_BAND) & (vals < cutoff * RANK_BAND)):
+    if cutoff > 0.0 and ((vals > cutoff / RANK_BAND) & (vals < cutoff * RANK_BAND)).any():
         return (
             f"an eigenvalue of {name} lies within a factor {RANK_BAND} of "
             f"the rank cutoff {unit * cutoff:.3e}; refusing to classify"
@@ -412,7 +413,7 @@ def _uniqueness(pair: _Pair, above: np.ndarray) -> UniquenessVerdict:
     refusal = _refusal(vals, cutoff, "the assembled projection", pair.unit)
     if refusal:
         return UniquenessVerdict(None, refusal)
-    rank_star = int(np.sum(vals > cutoff))
+    rank_star = int((vals > cutoff).sum())
     if rank_star == pair.rank_nu:
         return UniquenessVerdict(True, "assembled covariance keeps the target rank")
     if _saturated(pair):

@@ -118,7 +118,7 @@ def psd_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     derived from validated input goes through :func:`clamped_eigen`.
     """
     vals, vecs = _validated_eigh(matrix)
-    return np.clip(vals, 0.0, None), vecs
+    return np.maximum(vals, 0.0), vecs
 
 
 def _rebuild(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -156,13 +156,24 @@ def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
 
 
 def loewner_gap(a: np.ndarray, b: np.ndarray) -> float:
-    """Smallest eigenvalue of ``b - a`` (negative means the order fails)."""
-    return float(np.linalg.eigvalsh(sym(b) - sym(a))[0])
+    """Smallest eigenvalue of ``b - a`` (negative means the order fails).
+
+    Computed at unit scale, as :func:`~convex_order.bures.bw2` is: both
+    matrices are divided by ``4^k``, the larger trace in ``[4^k, 4^(k+1))``
+    (:func:`unit_scale_exponent`), and the eigenvalue is multiplied back by
+    ``4^k``.  So ``4^j`` times a pair gives exactly ``4^j`` times its gap,
+    where in caller units LAPACK would rescale a matrix beyond about 1e146
+    (or below 1e-146) by a factor that is not a power of two.
+    """
+    a, b = sym(a), sym(b)
+    k = unit_scale_exponent(max(float(a.trace()), float(b.trace())))
+    c = math.ldexp(1.0, -2 * k)
+    return math.ldexp(float(np.linalg.eigvalsh(c * b - c * a).min()), 2 * k)
 
 
 def positive_diag_mask(matrix: np.ndarray) -> np.ndarray:
     """Diagonal entries above the rank cutoff ``d * max_diag * RANK_REL``."""
-    diag = np.diag(matrix)
+    diag = matrix.diagonal()
     top = max(float(diag.max(initial=0.0)), 0.0)
     return diag > diag.size * top * RANK_REL
 

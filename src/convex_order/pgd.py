@@ -95,13 +95,13 @@ class _Objective:
                 "route singular targets through the rank reduction first"
             )
         self.vals = vals
-        self.trace_nu = float(np.trace(cov_nu))
+        self.trace_nu = float(cov_nu.trace())
         self.half = _rebuild(np.sqrt(vals), vecs)
 
     def value_and_gradient(self, s: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective and gradient at ``s`` from one eigensolve."""
         inner_vals, inner_vecs = clamped_eigen(self.half @ s @ self.half)
-        value = float(self.trace_nu + np.trace(s) - 2.0 * np.sum(np.sqrt(inner_vals)))
+        value = float(self.trace_nu + s.trace() - 2.0 * np.sqrt(inner_vals).sum())
         return value, bw2_gradient_from_inner(self.half, inner_vals, inner_vecs)
 
 
@@ -120,7 +120,7 @@ def _default_step(nu_vals: np.ndarray, cov_mu: np.ndarray, reg: float) -> float:
     lo_nu = float(nu_vals.min())
     hi_nu = float(nu_vals.max())
     lo = max(float(mu_vals.min()), lo_nu) + reg
-    return 0.5 * np.sqrt(lo_nu) / (1.0 + np.sqrt(hi_nu) / np.sqrt(lo))
+    return 0.5 * math.sqrt(lo_nu) / (1.0 + math.sqrt(hi_nu) / math.sqrt(lo))
 
 
 def pgd_project_above(
@@ -150,12 +150,12 @@ def pgd_project_above(
     require_finite(nu, "cov_nu")
     require_finite(mu, "cov_mu")
     objective = _Objective(nu)
-    eta0 = float(_default_step(objective.vals, mu, REG_FACTOR * float(np.trace(nu))))
+    eta0 = float(_default_step(objective.vals, mu, REG_FACTOR * float(nu.trace())))
     eta_lo, eta_hi = eta0 / BB_BAND, eta0 * BB_BAND
 
     s = _project_above(nu, mu)
     f, grad = objective.value_and_gradient(s)
-    tol = RESIDUAL_TOL * (1.0 + float(np.linalg.norm(nu)))
+    tol = RESIDUAL_TOL * (1.0 + math.sqrt(np.vdot(nu, nu)))
     trace = PgdTrace([], [])
     residual = np.inf
     converged = False

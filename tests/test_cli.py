@@ -45,6 +45,8 @@ DISCRETE = {
     "mu": {"points": [[0.0, 1.0], [1.0, -1.0], [-0.5, 0.2]], "weights": [0.3, 0.3, 0.4]},
     "nu": {"points": [[0.5, 0.5], [-1.0, 0.0]], "weights": [0.6, 0.4]},
 }
+# a JSON integer beyond the largest double
+HUGE = 10**400
 # atoms near 1e6, on which a fixed 1e-9 monotonicity guard fired on roundoff
 ONE_D_LARGE = {
     "mu": {"points": [-563671.23341115, 800878.51477627, 1356371.30473552],
@@ -506,6 +508,24 @@ class TestDistance:
         assert result.stderr == ("error: measure 'mu': support points must lie within "
                                  "3.273e+150 in absolute value\n")
 
+    @pytest.mark.parametrize("side, key, value", [
+        ("mu", "points", [[HUGE], [1.0]]),
+        ("mu", "points", [HUGE, 1.0]),
+        ("nu", "weights", [HUGE]),
+        ("mu", "mean", [HUGE, 0.0]),
+        ("nu", "cov", [[HUGE, 0.0], [0.0, 1.0]]),
+    ], ids=["nested_points", "flat_points", "weights", "mean", "cov"])
+    def test_integer_beyond_the_double_range_is_a_parse_error(
+        self, runner, tmp_path, side, key, value
+    ):
+        # numpy's conversion raises OverflowError: refused input, like a NaN
+        base = GAUSSIAN_SINGULAR if key in ("mean", "cov") else ONE_D
+        payload = {name: {**measure} for name, measure in base.items()}
+        payload[side][key] = value
+        result = runner.invoke(main, ["distance", write_problem(tmp_path / "p.json", payload)])
+        assert result.exit_code == cli.PARSE_ERROR
+        assert result.stderr == f"error: measure {side!r}: int too large to convert to float\n"
+
     def test_one_d_mode(self, runner, tmp_path):
         problem = write_problem(tmp_path / "p.json", ONE_D)
         report = json.loads(runner.invoke(main, ["distance", problem]).output)
@@ -588,7 +608,8 @@ class TestGaussianAtLargeScale:
 
     @pytest.mark.parametrize("j", [-100, -1, 1, 100])
     def test_check_distance_equality_dilates_exactly(self, runner, tmp_path, j):
-        # from 1e160 on; the order checks' eigensolves run in caller units
+        # from 1e160 on, where LAPACK rescales a matrix by a factor that is
+        # not a power of two: every check, the Loewner gaps too, runs at unit scale
         def checks(scale):
             result = runner.invoke(main, ["check", gaussian_problem(tmp_path / "p.json",
                                                                     scale, 0.0)])
@@ -596,7 +617,8 @@ class TestGaussianAtLargeScale:
             return {c["name"]: c for c in json.loads(result.output)["checks"]}
 
         base, scaled = checks(1e160), checks(1e160 * 4.0**j)
-        for name in ("trace_identity", "distance_equality"):
+        for name in ("trace_identity", "distance_equality", "below_is_dominated",
+                     "above_dominates"):
             assert scaled[name]["value"] == 4.0**j * base[name]["value"], name
             assert scaled[name]["tolerance"] == 4.0**j * base[name]["tolerance"], name
 
@@ -759,8 +781,11 @@ class TestCheck:
         {"below_cov": [[1.0, 0.0], [0.0, 0.0]], "tol": float("inf")},
         {"below_cov": [[1.0, 0.0], [0.0, 0.0]], "tol": -1e-6},
         {"below_cov": [[float("nan"), 0.0], [0.0, 0.0]]},
+        {"below_cov": [[1.0, 0.0], [0.0, 0.0]], "tol": HUGE},
+        {"below_cov": [[HUGE, 0.0], [0.0, 0.0]]},
+        {"above_cov": [[2.0, 0.0], [0.0, HUGE]]},
     ], ids=["ragged", "wrong_shape", "bad_tol", "nan_tol", "inf_tol", "negative_tol",
-            "nan_entry"])
+            "nan_entry", "huge_tol", "huge_below_entry", "huge_above_entry"])
     def test_malformed_assert_file_fails_before_solving(
         self, runner, tmp_path, monkeypatch, expected
     ):

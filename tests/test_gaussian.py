@@ -623,6 +623,25 @@ class TestRankAmbiguity:
         assert f"rank cutoff {2.0**-38:.3e};" in above.uniqueness.reason
 
 
+    @pytest.mark.parametrize("factor, open_", [(5.0, True), (0.2, True),
+                                                (20.0, False), (0.05, False)])
+    def test_band_reaches_a_factor_of_ten_each_way(self, monkeypatch, factor, open_):
+        # diagonal pairs: the transport-map candidate answers (a full-rank
+        # target) or the rank reduction's does, and no descent runs
+        def no_descent(*args):
+            raise AssertionError("the descent ran")
+
+        monkeypatch.setattr(gaussian, "pgd_project_above", no_descent)
+        _, above = project_pair(np.eye(2), np.diag([2.0, factor * 2.0**-48]))
+        assert above.transform.certified
+        if open_:
+            assert above.uniqueness.unique is None
+            assert "within a factor 10.0 of the rank cutoff" in above.uniqueness.reason
+        else:
+            assert above.uniqueness.unique is not None
+            assert "refusing to classify" not in above.uniqueness.reason
+
+
 def saturated(mu_cov, nu_cov):
     return gaussian._saturated(gaussian._decompose(mu_cov, nu_cov))
 
@@ -703,6 +722,54 @@ class TestBruteForceOptimality:
                     bump = rng.normal(size=(d, d)) * scale
                     candidate = above.covariance + bump @ bump.T
                     assert bw2(nu_cov, candidate) >= above.distance_sq - 1e-9
+
+
+class TestTensorisation:
+    """Block-diagonal pairs conjugated by one orthogonal ``Q``: the
+    projections of ``Q blkdiag(A1, A2) Q'`` are ``Q blkdiag(P1, P2) Q'``,
+    built from the blocks' projections, and the squared distance is the sum
+    of the blocks' (conditional Jensen gives the bound blockwise, and the
+    product of the block solutions attains it).  An oracle that shares no
+    code with the certificate or the assembly: a one-dimensional block is
+    solved in closed form, so a change to either that every solve shares
+    still breaks the identity."""
+
+    @staticmethod
+    def blkdiag(a, b):
+        m = np.zeros((len(a) + len(b),) * 2)
+        m[:len(a), :len(a)] = a
+        m[len(a):, len(a):] = b
+        return m
+
+    @staticmethod
+    def block_solution(a, b):
+        """``(below, above, squared distance)`` of one block; in one
+        dimension ``min(a, b)``, ``max(a, b)`` and ``(sqrt a - sqrt b)_+^2``."""
+        if a.shape == (1, 1):
+            x, y = float(a[0, 0]), float(b[0, 0])
+            return (np.array([[min(x, y)]]), np.array([[max(x, y)]]),
+                    max(math.sqrt(x) - math.sqrt(y), 0.0) ** 2)
+        below, above = project_pair(a, b)
+        return below.covariance, above.covariance, below.distance_sq
+
+    def test_projections_are_the_blocks_projections(self):
+        for s in range(120):
+            rng = np.random.default_rng([8, s])
+            dims = rng.integers(1, 6, size=2)
+            blocks = [(random_spd(rng, d, 0.05, 5.0), random_spd(rng, d, 0.05, 5.0))
+                      for d in dims]
+            q = random_orthogonal(rng, int(dims.sum()))
+            mu_cov = q @ self.blkdiag(blocks[0][0], blocks[1][0]) @ q.T
+            nu_cov = q @ self.blkdiag(blocks[0][1], blocks[1][1]) @ q.T
+            solved = project_pair(mu_cov, nu_cov)
+            parts = [self.block_solution(a, b) for a, b in blocks]
+
+            value = parts[0][2] + parts[1][2]
+            assert abs(solved[0].distance_sq - value) <= 1e-12 * (1.0 + value), s
+            tol = 1e-7 * (1.0 + np.linalg.norm(nu_cov, 2))
+            for side in (0, 1):
+                expected = q @ self.blkdiag(parts[0][side], parts[1][side]) @ q.T
+                assert np.abs(solved[side].covariance - expected).max() <= tol, (s, side)
 
 
 class TestSingularConfigurations:
