@@ -5,7 +5,7 @@ transform, exact quantile formulas in dimension one, and a barycentric
 weak-optimal-transport solver for finitely supported measures.
 """
 
-from .bures import bw2, bw2_gradient
+from .bures import bw2
 from .discrete import (
     Coupling,
     WotResult,
@@ -35,10 +35,6 @@ from .one_dim import (
     project_1d_detail,
     w2_1d,
 )
-from .pgd import (
-    frobenius_project_above,
-    pgd_project_above,
-)
 
 __all__ = [
     "Coupling",
@@ -50,14 +46,11 @@ __all__ = [
     "WotResult",
     "barycentric_pushforward",
     "bw2",
-    "bw2_gradient",
     "exact_w2_sq",
-    "frobenius_project_above",
     "g_function",
     "is_convex_ordered_1d",
     "loewner_leq",
     "lower_convex_hull",
-    "pgd_project_above",
     "positive_part",
     "project_1d_detail",
     "project_discrete",

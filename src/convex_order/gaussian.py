@@ -51,13 +51,12 @@ from .linalg import (
     default_rank_tol,
     loewner_leq,
     positive_diag_mask,
-    psd_eigen,
     sym,
     sym_eigen,
     transport_map_basis,
     unit_scale_exponent,
 )
-from .measures import require_finite, require_square
+from .measures import require_square
 from .pgd import pgd_project_above
 
 # Order tolerance: certification wants the order residual above
@@ -176,8 +175,12 @@ def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
     """Validate a raw covariance pair (nonempty, square, equal shapes,
     finiteness, PSD), decompose it and divide it by ``4^k``, the larger top
     eigenvalue in ``[4^k, 4^(k+1))`` (``k = 0`` below ``2^-1000``): the only
-    check a public call makes on its inputs.  The eigensolver commutes with
-    powers of two, so the scaled spectra are those of the scaled pair."""
+    check a public call makes on its inputs.  Each covariance is
+    eigensolved once, divided by the power of four that brings the largest
+    diagonal entry of the pair (which, unlike the trace, cannot overflow)
+    into ``[1, 4)``, so LAPACK never rescales it.  Powers of two are exact,
+    so the spectra are those of the record's pair, and the PSD test and its
+    message are those of the caller's matrix."""
     cov_mu = np.atleast_2d(np.asarray(cov_mu, dtype=float))
     cov_nu = np.atleast_2d(np.asarray(cov_nu, dtype=float))
     require_square(cov_mu, "cov_mu")
@@ -185,16 +188,17 @@ def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
     cov_mu, cov_nu = sym(cov_mu), sym(cov_nu)
     if cov_mu.shape != cov_nu.shape:
         raise ValueError("dimension mismatch")
-    require_finite(cov_mu, "cov_mu")
-    require_finite(cov_nu, "cov_nu")
-    nu_raw, nu_vecs = _validated_eigh(cov_nu)
-    nu_vals = np.maximum(nu_raw, 0.0)
-    mu_vals, mu_vecs = psd_eigen(cov_mu)
+    j = unit_scale_exponent(max(cov_mu.diagonal().max(), cov_nu.diagonal().max()))
+    c = math.ldexp(1.0, -2 * j)
+    nu_raw, nu_vecs = _validated_eigh(c * cov_nu, c, "cov_nu")
+    mu_vals, mu_vecs = _validated_eigh(c * cov_mu, c, "cov_mu")
+    nu_vals, mu_vals = np.maximum(nu_raw, 0.0), np.maximum(mu_vals, 0.0)
     top = max(mu_vals.max(initial=0.0), nu_vals.max(initial=0.0))
-    k = unit_scale_exponent(top)
+    k = unit_scale_exponent(math.ldexp(top, 2 * j))
+    r = math.ldexp(1.0, 2 * (j - k))  # from the solved scale to the record's
     c = math.ldexp(1.0, -2 * k)
-    return _pair(c * cov_mu, c * cov_nu, (c * mu_vals, mu_vecs), (c * nu_vals, nu_vecs),
-                 c * nu_raw, k)
+    return _pair(c * cov_mu, c * cov_nu, (r * mu_vals, mu_vecs), (r * nu_vals, nu_vecs),
+                 r * nu_raw, k)
 
 
 def _certify(
@@ -299,7 +303,8 @@ def _route(pair: _Pair) -> tuple[OrderTransform, tuple[np.ndarray, ...], str, di
             return transform, conjugates, method, {"order_residual": transform.order_residual}
 
     if pair.rank_nu == d:
-        outcome, trace = pgd_project_above(pair.cov_nu, pair.cov_mu)
+        outcome, trace = pgd_project_above(pair.cov_nu, pair.nu_eig, pair.cov_mu,
+                                           pair.mu_eig[0])
         # the gradient at the dominating projection is I minus the inverse of
         # the transport map from cov_nu onto it
         transform, conjugates = _certify(pair, transport_map_basis(outcome.gradient),

@@ -47,6 +47,12 @@ def unit_scale_exponent(top: float) -> int:
     return (math.frexp(top)[1] - 1) // 2 if top >= 2.0**-1000 else 0
 
 
+def require_finite(values: np.ndarray, name: str) -> None:
+    """Raise ``ValueError`` unless every entry of ``values`` is finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} must be finite (got NaN or inf)")
+
+
 def sym(matrix: np.ndarray) -> np.ndarray:
     """Symmetrize, killing roundoff asymmetry."""
     m = np.asarray(matrix, dtype=float)
@@ -86,9 +92,12 @@ def sym_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(eigenvalues, basis)`` with eigenvalues sorted descending and
     orthonormal eigenvectors as columns of ``basis``.  Deterministic sign
     convention: the first entry of each eigenvector whose magnitude exceeds
-    1e-12 of the column maximum is made positive.
+    1e-12 of the column maximum is made positive.  Raises ``ValueError`` on
+    a NaN or infinite entry.
     """
-    return _ordered(*_eigh(sym(matrix)))
+    m = sym(matrix)
+    require_finite(m, "matrix")
+    return _ordered(*_eigh(m))
 
 
 def default_rank_tol(eigenvalues: np.ndarray) -> float:
@@ -97,13 +106,23 @@ def default_rank_tol(eigenvalues: np.ndarray) -> float:
     return eigenvalues.size * top * RANK_REL
 
 
-def _validated_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`psd_eigen` before the clamp."""
-    vals, vecs = _eigh(sym(matrix))
+def _validated_eigh(
+    matrix: np.ndarray, scale: float, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`psd_eigen` before the clamp, of ``matrix``, the caller's matrix
+    ``name`` times ``scale``, a power of two: the PSD test and its message
+    are those of the caller's matrix, bit for bit wherever the eigensolver
+    commutes with the scale.  Raises ``ValueError`` naming ``name`` on a NaN
+    or infinite entry."""
+    m = sym(matrix)
+    require_finite(m, name)
+    vals, vecs = _eigh(m)
     if vals.size:
         low = float(vals[0])  # LAPACK returns the spectrum ascending
-        if low < -EIG_TOL * (1.0 + max(-low, float(vals[-1]))):
-            raise NotPsdError(f"matrix is not positive semi-definite (min eigenvalue {low:.3e})")
+        if low < -EIG_TOL * (scale + max(-low, float(vals[-1]))):
+            raise NotPsdError(
+                f"matrix is not positive semi-definite (min eigenvalue {low / scale:.3e})"
+            )
     return vals, vecs
 
 
@@ -112,12 +131,13 @@ def psd_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Eigenvalues in ``[-EIG_TOL * scale, 0]`` are clamped to zero; anything
     below that raises :class:`NotPsdError` (``scale`` is one plus the largest
-    eigenvalue magnitude).  The pairs keep LAPACK's ascending order and raw
-    signs, so callers read the spectrum with ``min`` and ``max``, and order a
-    basis that leaves the call themselves.  Meant for raw input; a matrix
+    eigenvalue magnitude), and a NaN or infinite entry ``ValueError``.  The
+    pairs keep LAPACK's ascending order and raw signs, so callers read the
+    spectrum with ``min`` and ``max``, and order a basis that leaves the call
+    themselves.  Meant for raw input; a matrix
     derived from validated input goes through :func:`clamped_eigen`.
     """
-    vals, vecs = _validated_eigh(matrix)
+    vals, vecs = _validated_eigh(matrix, 1.0, "matrix")
     return np.maximum(vals, 0.0), vecs
 
 
@@ -130,7 +150,9 @@ def clamped_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues clamped to zero unchecked, in LAPACK's ascending order with
     raw signs: only to rebuild a matrix or read order-free quantities.  For
     matrices derived from validated PSD input (products, blocks), whose
-    negative eigenvalues are roundoff at the scale of that input."""
+    negative eigenvalues are roundoff at the scale of that input: nothing is
+    checked, finiteness included, since the descent calls it on every
+    candidate."""
     vals, vecs = np.linalg.eigh(matrix)
     return np.maximum(vals, 0.0), vecs
 
@@ -144,7 +166,8 @@ def spd_sqrt(matrix: np.ndarray) -> np.ndarray:
 def positive_part(matrix: np.ndarray) -> np.ndarray:
     """Positive part of a symmetric matrix (its lower triangle is read):
     eigenvalues clamped at zero, rebuilt in Gram form, so the result is
-    exactly symmetric."""
+    exactly symmetric.  Unchecked, as :func:`clamped_eigen` is: the descent
+    projects every candidate with it."""
     vals, vecs = clamped_eigen(matrix)
     root = vecs * np.sqrt(vals)
     return root @ root.T
@@ -163,9 +186,12 @@ def loewner_gap(a: np.ndarray, b: np.ndarray) -> float:
     (:func:`unit_scale_exponent`), and the eigenvalue is multiplied back by
     ``4^k``.  So ``4^j`` times a pair gives exactly ``4^j`` times its gap,
     where in caller units LAPACK would rescale a matrix beyond about 1e146
-    (or below 1e-146) by a factor that is not a power of two.
+    (or below 1e-146) by a factor that is not a power of two.  Raises
+    ``ValueError`` on a NaN or infinite entry.
     """
     a, b = sym(a), sym(b)
+    require_finite(a, "a")
+    require_finite(b, "b")
     k = unit_scale_exponent(max(float(a.trace()), float(b.trace())))
     c = math.ldexp(1.0, -2 * k)
     return math.ldexp(float(np.linalg.eigvalsh(c * b - c * a).min()), 2 * k)

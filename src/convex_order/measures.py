@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _validated_eigh, sym
+from .linalg import _validated_eigh, require_finite, sym
 
 WEIGHT_TOL = 1e-6
 MERGE_TOL = 1e-12
@@ -20,12 +20,6 @@ MAX_TRACE = MAX_COORD**2
 
 class EmptyMeasureError(ValueError):
     """A measure needs at least one atom."""
-
-
-def require_finite(values: np.ndarray, name: str) -> None:
-    """Raise ``ValueError`` unless every entry of ``values`` is finite."""
-    if not np.isfinite(values).all():
-        raise ValueError(f"{name} must be finite (got NaN or inf)")
 
 
 def require_square(matrix: np.ndarray, name: str) -> None:
@@ -52,10 +46,10 @@ class GaussianMeasure:
             )
         cov = sym(cov)
         require_finite(mean, "mean")
-        require_finite(cov, "covariance")
+        # raises ValueError on a NaN or inf entry, NotPsdError on bad input
+        _validated_eigh(cov, 1.0, "covariance")
         if cov.trace() > MAX_TRACE:
             raise ValueError(f"covariance trace must not exceed {MAX_TRACE:.3e}")
-        _validated_eigh(cov)  # raises NotPsdError on bad input
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 

@@ -5,10 +5,11 @@ dominating-side projection, with the Frobenius projection onto that cone.
 Iterations, initialization and the cone projection follow the positive-part
 construction; Barzilai-Borwein steps are accepted by the Armijo test along
 the projection arc (Bertsekas 1976; Birgin, Martinez and Raydan 2000).  The
-descent is fully deterministic.  Its iterates and gradients are exactly
-symmetric, so it projects them with the private :func:`_project_above`;
-:func:`frobenius_project_above` is the public wrapper that symmetrises raw
-input first.
+descent is fully deterministic.  It runs on the Gaussian solver's pair
+record, validated and decomposed once: it reads the record's spectra and
+neither checks, symmetrises nor decomposes its input again.  Its iterates
+and gradients are exactly symmetric, so :func:`_project_above` projects them
+as they are.
 """
 
 from __future__ import annotations
@@ -20,15 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bures import bw2_gradient_from_inner
-from .linalg import (
-    _rebuild,
-    clamped_eigen,
-    default_rank_tol,
-    positive_part,
-    psd_eigen,
-    sym,
-)
-from .measures import require_finite
+from .linalg import _rebuild, clamped_eigen, positive_part
 
 
 # The descent stops at gradient mapping RESIDUAL_TOL * (1 + ||cov_nu||_F),
@@ -67,34 +60,21 @@ class PgdOutcome(NamedTuple):
     gradient: np.ndarray
 
 
-def frobenius_project_above(matrix: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """Frobenius projection of ``matrix`` onto ``{S : S >= lower}``.
-
-    ``matrix + (lower - matrix)^+``; always PSD when ``lower`` is.  Both
-    inputs are symmetrised, then projected by :func:`_project_above`, so the
-    result is exactly symmetric.
-    """
-    return _project_above(sym(matrix), sym(lower))
-
-
 def _project_above(matrix: np.ndarray, lower: np.ndarray) -> np.ndarray:
-    """:func:`frobenius_project_above` of exactly symmetric inputs, which the
-    descent's iterates, steps and lower bound are (sums of Gram forms and
-    symmetrised input): ``sym`` would return them bit for bit."""
+    """Frobenius projection of ``matrix`` onto ``{S : S >= lower}``,
+    ``matrix + (lower - matrix)^+``, for exactly symmetric inputs, which the
+    descent's iterates, steps and lower bound are (sums of Gram forms and the
+    record's covariances); the result is exactly symmetric, and PSD when
+    ``lower`` is."""
     return matrix + positive_part(lower - matrix)
 
 
 class _Objective:
-    """bw2(cov_nu, .) for a symmetric cov_nu, its decomposition precomputed."""
+    """bw2(cov_nu, .) for the record's positive definite cov_nu, from its
+    clamped eigenpairs ``nu_eig``."""
 
-    def __init__(self, cov_nu: np.ndarray):
-        vals, vecs = psd_eigen(cov_nu)
-        if vals.min() <= default_rank_tol(vals):
-            raise ValueError(
-                "pgd_project_above needs a positive definite target; "
-                "route singular targets through the rank reduction first"
-            )
-        self.vals = vals
+    def __init__(self, cov_nu: np.ndarray, nu_eig: tuple[np.ndarray, np.ndarray]):
+        vals, vecs = nu_eig
         self.trace_nu = float(cov_nu.trace())
         self.half = _rebuild(np.sqrt(vals), vecs)
 
@@ -105,9 +85,9 @@ class _Objective:
         return value, bw2_gradient_from_inner(self.half, inner_vals, inner_vecs)
 
 
-def _default_step(nu_vals: np.ndarray, cov_mu: np.ndarray, reg: float) -> float:
-    """Crude curvature bound from the target's eigenvalues (in any order) and
-    the spectrum of the lower bound: the gradient's inverse square root is
+def _default_step(nu_vals: np.ndarray, mu_vals: np.ndarray, reg: float) -> float:
+    """Crude curvature bound from the spectra of the target and of the lower
+    bound (each in any order): the gradient's inverse square root is
     controlled by the spectra entering it.
 
     The lower-bound spectrum is floored by the target's smallest eigenvalue:
@@ -116,7 +96,6 @@ def _default_step(nu_vals: np.ndarray, cov_mu: np.ndarray, reg: float) -> float:
     the regularization scale and stall the descent.  Backtracking still
     halves the step whenever the objective would increase.
     """
-    mu_vals, _ = psd_eigen(cov_mu)
     lo_nu = float(nu_vals.min())
     hi_nu = float(nu_vals.max())
     lo = max(float(mu_vals.min()), lo_nu) + reg
@@ -124,13 +103,18 @@ def _default_step(nu_vals: np.ndarray, cov_mu: np.ndarray, reg: float) -> float:
 
 
 def pgd_project_above(
-    cov_nu: np.ndarray, cov_mu: np.ndarray
+    cov_nu: np.ndarray, nu_eig: tuple[np.ndarray, np.ndarray], cov_mu: np.ndarray,
+    mu_vals: np.ndarray,
 ) -> tuple[PgdOutcome, PgdTrace]:
     """Minimize ``bw2(cov_nu, S)`` over ``{S >= cov_mu}`` by projected descent.
 
-    ``cov_nu`` must be positive definite; ``cov_mu`` may be singular (the
-    initializer dominates ``cov_nu``, and the gradient floors the inner
-    eigenvalues of near-singular iterates).  Each iteration starts from a
+    Reads a pair record: ``cov_nu`` and ``cov_mu`` exactly symmetric and
+    finite, ``nu_eig`` the clamped eigenpairs of ``cov_nu`` and ``mu_vals``
+    the clamped eigenvalues of ``cov_mu``, in any order; none is checked or
+    decomposed again.  ``cov_nu`` must be positive definite, as the record's
+    rank says; ``cov_mu`` may be singular (the initializer dominates
+    ``cov_nu``, and the gradient floors the inner eigenvalues of
+    near-singular iterates).  Each iteration starts from a
     Barzilai-Borwein step ``<dS, dS> / <dS, dG>`` (doubled instead when the
     curvature estimate is not positive) clipped to ``[eta0 / BB_BAND,
     eta0 * BB_BAND]`` around the initial step ``eta0 = _default_step(...)``,
@@ -145,17 +129,13 @@ def pgd_project_above(
     mapping does not grow as ``eta`` grows, so it depends on the step: it is
     tested at the step taken, not at a fixed one.
     """
-    nu = sym(cov_nu)
-    mu = sym(cov_mu)
-    require_finite(nu, "cov_nu")
-    require_finite(mu, "cov_mu")
-    objective = _Objective(nu)
-    eta0 = float(_default_step(objective.vals, mu, REG_FACTOR * float(nu.trace())))
+    objective = _Objective(cov_nu, nu_eig)
+    eta0 = _default_step(nu_eig[0], mu_vals, REG_FACTOR * objective.trace_nu)
     eta_lo, eta_hi = eta0 / BB_BAND, eta0 * BB_BAND
 
-    s = _project_above(nu, mu)
+    s = _project_above(cov_nu, cov_mu)
     f, grad = objective.value_and_gradient(s)
-    tol = RESIDUAL_TOL * (1.0 + math.sqrt(np.vdot(nu, nu)))
+    tol = RESIDUAL_TOL * (1.0 + math.sqrt(np.vdot(cov_nu, cov_nu)))
     trace = PgdTrace([], [])
     residual = np.inf
     converged = False
@@ -179,7 +159,7 @@ def pgd_project_above(
         slack = 1e-12 * (1.0 + abs(f))
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            candidate = _project_above(s - eta * grad, mu)
+            candidate = _project_above(s - eta * grad, cov_mu)
             step = candidate - s
             f_cand, grad_cand = objective.value_and_gradient(candidate)
             if f_cand <= f + ARMIJO * float(np.vdot(grad, step)) + slack:

@@ -2,9 +2,10 @@
 
 import numpy as np
 
-from convex_order.linalg import spd_sqrt
+from convex_order import pgd
+from convex_order.bures import bw2_gradient_from_inner
+from convex_order.linalg import clamped_eigen, psd_eigen, spd_sqrt, sym
 from convex_order.measures import DiscreteMeasure
-from convex_order.pgd import pgd_project_above
 
 
 def random_orthogonal(rng, d):
@@ -61,14 +62,34 @@ def reduced_descent(mu_cov, nu_cov):
     target (descending), the descent on its top block, and the entries of
     ``mu_cov`` in that frame everywhere else.  Returns ``(rank, basis,
     reduced_solution, assembled)``."""
-    from convex_order.pgd import pgd_project_above
-
     vals, vecs = np.linalg.eigh(nu_cov)
     order = np.argsort(-vals, kind="stable")
     vals, basis = vals[order], vecs[:, order]
     rank = int(np.sum(vals > 1e-9 * vals[0]))
     conj_mu = basis.T @ mu_cov @ basis
-    outcome, _ = pgd_project_above(np.diag(vals[:rank]), conj_mu[:rank, :rank])
+    outcome, _ = raw_descent(np.diag(vals[:rank]), conj_mu[:rank, :rank])
     assembled = conj_mu.copy()
     assembled[:rank, :rank] = outcome.covariance
     return rank, basis, outcome.covariance, basis @ assembled @ basis.T
+
+
+def raw_descent(cov_nu, cov_mu):
+    """The descent on a raw pair, as the Gaussian solver's record would hand
+    it over in the pair's own units: both covariances symmetrised, checked
+    and decomposed afresh."""
+    nu, mu = sym(cov_nu), sym(cov_mu)
+    return pgd.pgd_project_above(nu, psd_eigen(nu), mu, psd_eigen(mu)[0])
+
+
+def frobenius_project_above(matrix, lower):
+    """Frobenius projection of ``sym(matrix)`` onto ``{S : S >= sym(lower)}``,
+    by the descent's own cone projection."""
+    return pgd._project_above(sym(matrix), sym(lower))
+
+
+def bw2_gradient(cov_fixed, cov):
+    """Gradient ``I - F^{1/2} (F^{1/2} S F^{1/2})^{-1/2} F^{1/2}`` of
+    ``S -> bw2(F, S)`` at ``S = cov``, for positive definite ``F = cov_fixed``
+    and ``cov``, by the solver's own formula."""
+    half = spd_sqrt(cov_fixed)
+    return bw2_gradient_from_inner(half, *clamped_eigen(half @ sym(cov) @ half))

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from convex_order.bures import bw2, bw2_gradient
+from convex_order.bures import bw2
 from convex_order.discrete import (
     barycentric_pushforward,
     solve_wot,
@@ -18,15 +18,14 @@ from convex_order import gaussian
 from convex_order.gaussian import project_pair
 from convex_order.linalg import loewner_leq, spd_sqrt
 from convex_order.one_dim import project_1d_detail, w2_1d
-from convex_order.pgd import (
-    frobenius_project_above,
-    pgd_project_above,
-)
 from _utils import (
+    bw2_gradient,
+    frobenius_project_above,
     random_commuting_pair,
     random_discrete_1d,
     random_spd,
     random_symmetric,
+    raw_descent,
     reduced_descent,
 )
 
@@ -117,7 +116,7 @@ def test_criterion_04_descent_matches_closed_form():
                 continue
         checked += 1
         closed = above.distance_sq
-        outcome, trace = pgd_project_above(nu_cov, mu_cov)
+        outcome, trace = raw_descent(nu_cov, mu_cov)
         assert outcome.iterations <= 10_000
         worst_rel = max(worst_rel, abs(outcome.objective - closed) / (1.0 + closed))
         objective = np.asarray(trace.objective)

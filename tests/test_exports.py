@@ -17,8 +17,6 @@ import convex_order
 
 ROOT = Path(__file__).resolve().parents[1]
 TEST_REFERENCES = {
-    "bw2_gradient": "the finite-difference and symmetry reference for the Bures gradient",
-    "frobenius_project_above": "the symmetrising reference for the descent's cone projection",
     "is_convex_ordered_1d": "the convex-order test the 1-d projections are checked with",
 }
 

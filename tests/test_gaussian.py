@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convex_order import bures, gaussian, linalg, pgd
-from convex_order.bures import bw2, bw2_gradient
+from convex_order.bures import bw2
 from convex_order.cli import main
 from convex_order.gaussian import CertificationError, project_pair
 from convex_order.linalg import (
@@ -25,10 +25,12 @@ from convex_order.linalg import (
 )
 from convex_order.measures import GaussianMeasure
 from _utils import (
+    bw2_gradient,
     random_commuting_pair,
     random_orthogonal,
     random_psd_singular,
     random_spd,
+    raw_descent,
     reduced_descent,
 )
 
@@ -78,6 +80,15 @@ class TestNonFiniteInput:
     def test_singular_reduction_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             project_pair(np.eye(2), NAN_COV)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("side", ["cov_mu", "cov_nu"])
+    def test_project_pair_names_the_non_finite_covariance(self, side, bad):
+        pair = {"cov_mu": np.eye(3), "cov_nu": np.diag([2.0, 1.0, 0.0])}
+        pair[side] = pair[side].copy()
+        pair[side][1, 2] = bad
+        with pytest.raises(ValueError, match=f"^{side} must be finite"):
+            project_pair(pair["cov_mu"], pair["cov_nu"])
 
 
 class TestShape:
@@ -145,6 +156,18 @@ def assert_diagnostics_in_caller_units(scaled, unit, c):
             assert scaled[key] == value, key
 
 
+def dilation_pairs():
+    """60 seeded pairs, d = 2..7: commuting, generic, and singular targets."""
+    rng = np.random.default_rng(38)
+    pairs = []
+    for k in range(20):
+        d = 2 + k % 6
+        pairs.append(random_commuting_pair(rng, d)[:2])
+        pairs.append((spd(rng, d), spd(rng, d)))
+        pairs.append((spd(rng, d), spd(rng, d, rank=1 + k % (d - 1))))
+    return pairs
+
+
 class TestUnitScale:
     """Each call solves its pair divided by the power of four that brings
     the larger top eigenvalue into [1, 4), and multiplies the outputs back."""
@@ -180,6 +203,23 @@ class TestUnitScale:
         # the rank-3 target at d = 4 descends on its reduced problem
         assert {"pgd_objective", "pgd_residual", "trace", "iterations", "stop_reason",
                 "rank_nu", "reduced_pgd_objective", "reduced_trace"} <= keys
+
+    @pytest.mark.parametrize("e", [-900, -520, 500, 900])
+    def test_dilations_beyond_the_eigensolver_range_are_exact(self, e):
+        # beyond about 1e146, and below about 1e-145, LAPACK rescales a
+        # matrix by a factor that is not a power of two; the record's
+        # eigensolves run at unit scale, so 2^e times a pair still gives
+        # exactly 2^e times its answer
+        c = math.ldexp(1.0, e)
+        for mu_cov, nu_cov in dilation_pairs():
+            base = project_pair(mu_cov, nu_cov)
+            results = project_pair(c * mu_cov, c * nu_cov)
+            assert results[0].method == base[0].method
+            assert results[0].transform.order_residual == c * base[0].transform.order_residual
+            for result, unit in zip(results, base):
+                np.testing.assert_array_equal(result.covariance, c * unit.covariance)
+                assert result.distance_sq == c * unit.distance_sq
+            assert results[1].uniqueness.unique == base[1].uniqueness.unique
 
     def test_refused_certificate_reports_its_residual_in_caller_units(self, monkeypatch):
         # one descent iteration leaves this pair's transform uncertified
@@ -1119,7 +1159,7 @@ class TestEigenConvention:
             return vals[::-1].copy(), vecs[:, ::-1] * flips
 
         patch_everywhere(monkeypatch, "clamped_eigen", scrambled)
-        assert all(m.clamped_eigen is scrambled for m in (linalg, pgd, bures, gaussian))
+        assert all(m.clamped_eigen is scrambled for m in (linalg, pgd, gaussian))
         methods = set()
         for want, got in zip(reference, answers(), strict=True):
             assert got[:2] == want[:2]
@@ -1156,10 +1196,11 @@ class TestEigenConvention:
                 out.append(("unique", above.uniqueness.unique, above.uniqueness.reason))
             for m in matrices:
                 other = 2.0 * m + np.eye(m.shape[0])
-                outcome, _ = pgd.pgd_project_above(other, m)
+                outcome, _ = raw_descent(other, m)
                 out.append(("pgd", outcome.iterations, outcome.covariance, outcome.gradient))
                 out.append(("step", None, np.array([pgd._default_step(
-                    psd_eigen(other)[0], m, pgd.REG_FACTOR * float(np.trace(other)))])))
+                    psd_eigen(other)[0], psd_eigen(m)[0],
+                    pgd.REG_FACTOR * float(np.trace(other)))])))
                 out.append(("spd_sqrt", None, spd_sqrt(m)))
                 out.append(("bw2", None, np.array([bw2(m, other)]), bw2_gradient(m, other)))
                 out.append(("measure", None, GaussianMeasure(np.zeros(m.shape[0]), m).cov))
@@ -1168,8 +1209,8 @@ class TestEigenConvention:
         reference = answers()
         validated = linalg._validated_eigh
 
-        def reversed_and_flipped(matrix):
-            vals, vecs = validated(matrix)
+        def reversed_and_flipped(*args):
+            vals, vecs = validated(*args)
             flips = np.where(np.arange(vals.size) % 2 == 1, -1.0, 1.0)
             return vals[::-1].copy(), vecs[:, ::-1] * flips
 
@@ -1232,10 +1273,10 @@ class TestValidatedSpectrum:
         rng = np.random.default_rng(32)
         for d in (2, 5, 8):
             mu, nu = random_spd(rng, d), random_spd(rng, d)
-            vals = psd_eigen(nu)[0]
+            vals, mu_vals = psd_eigen(nu)[0], psd_eigen(mu)[0]
             reg = pgd.REG_FACTOR * float(np.trace(nu))
-            ascending = pgd._default_step(vals, mu, reg)
-            assert pgd._default_step(vals[::-1].copy(), mu, reg) == ascending
+            ascending = pgd._default_step(vals, mu_vals, reg)
+            assert pgd._default_step(vals[::-1].copy(), mu_vals[::-1].copy(), reg) == ascending
 
 
 class TestTransportMapBasis:
@@ -1293,7 +1334,7 @@ class TestTransportMapBasis:
         rng = np.random.default_rng(34)
         for d in (2, 4, 7, 10):
             mu_cov, nu_cov = random_spd(rng, d), random_spd(rng, d)
-            outcome, _ = pgd.pgd_project_above(nu_cov, mu_cov)
+            outcome, _ = raw_descent(nu_cov, mu_cov)
             expected = bw2_gradient(nu_cov, outcome.covariance)
             np.testing.assert_allclose(outcome.gradient, expected, rtol=0, atol=1e-12)
 
@@ -1311,6 +1352,44 @@ class TestTransportMapBasis:
             assert above.method == "singular_reduction"
             r = above.diagnostics["rank_nu"]
             assert np.array_equal(above.transform.basis[:, r:], sym_eigen(nu_cov)[1][:, r:])
+
+
+class TestRecordDrivenDescent:
+    """The descent reads the pair record's spectra, which on a pair whose
+    top eigenvalue lies in [1, 4) are a fresh decomposition's."""
+
+    def test_matches_the_raw_descent_bit_for_bit(self, monkeypatch):
+        records = []
+        descend = gaussian.pgd_project_above
+
+        def recording(*record):
+            records.append((record, descend(*record)))
+            return records[-1][1]
+
+        monkeypatch.setattr(gaussian, "pgd_project_above", recording)
+        rng = np.random.default_rng(39)
+        compared = {"full": 0, "reduced": 0}
+        for k in range(48):
+            d = 2 + k % 7
+            mu_cov, nu_cov = spd(rng, d), spd(rng, d, rank=None if k % 2 else d - 1)
+            records.clear()
+            below, _ = project_pair(mu_cov, nu_cov)
+            if below.diagnostics["scale_exponent"] != 0 or not records:
+                continue
+            (record, (outcome, trace)), = records
+            if below.method == "pgd":
+                # the record holds the caller's pair itself
+                fresh, fresh_trace = raw_descent(nu_cov, mu_cov)
+                compared["full"] += 1
+            else:
+                # the reduced record: the target's top spectrum, a block of cov_mu
+                fresh, fresh_trace = raw_descent(record[0], record[2])
+                compared["reduced"] += 1
+            for field in ("covariance", "gradient"):
+                assert np.array_equal(getattr(outcome, field), getattr(fresh, field)), (k, field)
+            assert outcome[1:6] == fresh[1:6], k  # objective, iterations, residual, stop
+            assert trace == fresh_trace, k
+        assert min(compared.values()) >= 10, compared
 
 
 class TestSpectralWork:
@@ -1359,9 +1438,9 @@ class TestSpectralWork:
             # certificate, the basis from the descent's last gradient and
             # the certificate
             assert eigensolves["n"] - inside["eig"] <= 7
-            # set-up decomposes both inputs once; each cone projection is
-            # followed by one objective-and-gradient eigensolve
-            assert inside["eig"] == 2 + 2 * inside["cone"]
+            # the descent reads the record's spectra; each cone projection
+            # is followed by one objective-and-gradient eigensolve
+            assert inside["eig"] == 2 * inside["cone"]
             # no basis leaves the descent, so none pays for the eigen-convention
             assert inside["sym_eigen"] == 0
 
@@ -1427,12 +1506,6 @@ class TestSpectralWork:
         assert below.diagnostics["reduced_method"] == "commuting"
         assert above.uniqueness.unique is False
         assert eigensolves["n"] <= 10
-
-    def test_bw2_gradient(self, eigensolves):
-        # both inputs validated once; the square root reuses the first
-        # argument's eigenpairs; one more for the inner product
-        bw2_gradient(np.diag([1.0, 2.0]), np.diag([3.0, 1.0]))
-        assert eigensolves["n"] == 3
 
     @pytest.mark.parametrize("try_fast", [True, False])
     def test_every_descent_passes_through_the_traced_name(self, monkeypatch, try_fast):

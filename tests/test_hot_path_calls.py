@@ -9,6 +9,10 @@ do the same floating-point operations.  On the small matrices of a Gaussian
 solve that forwarding cost about a tenth of a full-rank solve, so the modules
 the solve runs through call the method or ufunc directly.  A call that comes
 back fails here.
+
+The descent reads the Gaussian solver's pair record, validated and
+decomposed once, so ``pgd.py`` calls none of the functions that symmetrise,
+check or decompose raw input; a call that comes back fails here too.
 """
 
 import ast
@@ -20,6 +24,9 @@ WRAPPERS = frozenset({
     "np.sum", "np.trace", "np.any", "np.all", "np.clip", "np.outer", "np.max", "np.min",
     "np.linalg.norm",
 })
+# what validates or decomposes raw input, which the descent's record already is
+RAW_INPUT = frozenset({"psd_eigen", "_validated_eigh", "sym_eigen", "spd_sqrt", "sym",
+                       "require_finite"})
 
 
 def _dotted(node: ast.expr) -> str | None:
@@ -41,6 +48,17 @@ def wrapper_calls(source: str) -> list[tuple[int, str]]:
     )
 
 
+def raw_input_calls(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of each call in ``source`` to a function of
+    ``RAW_INPUT``, by its bare name or through a module."""
+    return sorted(
+        (node.lineno, name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and (name := _dotted(node.func))
+        and name.rsplit(".", 1)[-1] in RAW_INPUT
+    )
+
+
 def test_finds_wrappers_and_not_methods():
     source = '''
 total = np.sum(x) + x.sum() + np.trace(m) + m.trace()
@@ -59,3 +77,17 @@ def test_gaussian_route_calls_no_wrapper():
         for line, call in wrapper_calls((SOURCE / name).read_text())
     ]
     assert found == [], f"numpy wrappers on the Gaussian route: {found}"
+
+
+def test_finds_raw_input_calls_by_name_and_through_a_module():
+    source = '''
+vals, vecs = psd_eigen(m)
+half = linalg.spd_sqrt(m) + symmetric(m) + sym(m)
+outcome = pgd_project_above(nu, nu_eig, mu, mu_vals)
+'''
+    assert raw_input_calls(source) == [(2, "psd_eigen"), (3, "linalg.spd_sqrt"), (3, "sym")]
+
+
+def test_descent_neither_checks_nor_decomposes_again():
+    found = raw_input_calls((SOURCE / "pgd.py").read_text())
+    assert found == [], f"the descent validates or decomposes its record again: {found}"

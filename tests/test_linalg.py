@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convex_order.bures import bw2_gradient
+from convex_order import linalg
+from convex_order.bures import bw2
 from convex_order.linalg import (
     NotPsdError,
+    loewner_gap,
     loewner_leq,
     positive_diag_mask,
     positive_part,
@@ -15,7 +17,7 @@ from convex_order.linalg import (
     sym_eigen,
     transport_map_basis,
 )
-from _utils import random_orthogonal, random_spd, random_symmetric
+from _utils import bw2_gradient, random_orthogonal, random_spd, random_symmetric
 
 
 class TestSymEigen:
@@ -149,6 +151,35 @@ class TestLoewner:
         assert loewner_leq(np.eye(2), 2.0 * np.eye(2), 1e-10)
         assert not loewner_leq(np.diag([2.0, 0.0]), np.diag([1.0, 1.0]), 1e-10)
         assert loewner_leq(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]), 1e-10)
+
+
+# each exported function that reads a raw matrix, with the name its message
+# gives that matrix; clamped_eigen and positive_part read derived matrices
+# and check nothing
+RAW_MATRIX_READERS = {
+    "loewner_leq_a": (lambda m: loewner_leq(m, np.eye(2), 1e-9), "a"),
+    "loewner_leq_b": (lambda m: loewner_leq(np.eye(2), m, 1e-9), "b"),
+    "loewner_gap_a": (lambda m: loewner_gap(m, np.eye(2)), "a"),
+    "loewner_gap_b": (lambda m: loewner_gap(np.eye(2), m), "b"),
+    "bw2_a": (lambda m: bw2(m, np.eye(2)), "cov_a"),
+    "bw2_b": (lambda m: bw2(np.eye(2), m), "cov_b"),
+    "sym_eigen": (sym_eigen, "matrix"),
+    "psd_eigen": (psd_eigen, "matrix"),
+    "spd_sqrt": (spd_sqrt, "matrix"),
+    "validated_eigh": (lambda m: linalg._validated_eigh(m, 0.25, "cov_nu"), "cov_nu"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(RAW_MATRIX_READERS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_non_finite_entries_are_refused(reader, bad, entry):
+    # a NaN passed the Loewner test and came out of the eigensolvers as NaN
+    call, name = RAW_MATRIX_READERS[reader]
+    m = np.eye(2)
+    m[entry] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(m)
 
 
 def _assert_shared(s1, s2, basis, corr, tol=1e-10):

@@ -5,12 +5,8 @@ from convex_order import pgd
 from convex_order.bures import bw2
 from convex_order.gaussian import project_pair
 from convex_order.linalg import loewner_leq, positive_part, psd_eigen, sym
-from convex_order.pgd import (
-    _default_step,
-    frobenius_project_above,
-    pgd_project_above,
-)
-from _utils import random_spd, random_symmetric
+from convex_order.pgd import _default_step
+from _utils import frobenius_project_above, random_spd, random_symmetric, raw_descent
 
 # Random d = 4 pair (eigenvalues uniform on [0.2, 3], Haar eigenbasis) on
 # which a stop tested before backtracking ran to max_iter at 64x the
@@ -113,7 +109,7 @@ class TestFrobeniusAbove:
         np.testing.assert_allclose(out, np.diag([3.0, 1.0]), atol=1e-12)
 
     def test_symmetrises_raw_input(self):
-        # the public wrapper projects sym(matrix) above sym(lower), exactly
+        # the reference projects sym(matrix) above sym(lower), exactly
         # symmetric however asymmetric its input
         rng = np.random.default_rng(2)
         for d in (2, 3, 5, 8):
@@ -140,13 +136,13 @@ class TestFrobeniusAbove:
 
 class TestPgd:
     def test_dominated_lower_is_immediate(self):
-        outcome, trace = pgd_project_above(2.0 * np.eye(2), np.eye(2))
+        outcome, trace = raw_descent(2.0 * np.eye(2), np.eye(2))
         np.testing.assert_allclose(outcome.covariance, 2.0 * np.eye(2), atol=1e-12)
         assert outcome.converged
         assert outcome.iterations <= 3
 
     def test_commuting_maximum(self):
-        outcome, _ = pgd_project_above(np.diag([1.0, 4.0]), np.diag([4.0, 1.0]))
+        outcome, _ = raw_descent(np.diag([1.0, 4.0]), np.diag([4.0, 1.0]))
         np.testing.assert_allclose(outcome.covariance, np.diag([4.0, 4.0]), atol=1e-6)
 
     def test_matches_closed_form_when_available(self):
@@ -158,7 +154,7 @@ class TestPgd:
             if above.method not in ("commuting", "fast_path"):
                 continue
             matched += 1
-            outcome, _ = pgd_project_above(b, a)
+            outcome, _ = raw_descent(b, a)
             closed = above.distance_sq
             assert abs(outcome.objective - closed) <= 1e-5 * (1.0 + closed)
             np.testing.assert_allclose(
@@ -170,7 +166,7 @@ class TestPgd:
         for _ in range(10):
             d = int(rng.integers(2, 5))
             a, b = random_spd(rng, d), random_spd(rng, d)
-            _, trace = pgd_project_above(b, a)
+            _, trace = raw_descent(b, a)
             obj = np.asarray(trace.objective)
             if obj.size > 1:
                 assert np.max(np.diff(obj)) <= 1e-9
@@ -188,7 +184,7 @@ class TestPgd:
         monkeypatch.setattr(pgd, "_project_above", recording)
         rng = np.random.default_rng(7)
         a, b = random_spd(rng, 4), random_spd(rng, 4)
-        outcome, _ = pgd_project_above(b, a)
+        outcome, _ = raw_descent(b, a)
         assert len(candidates) > outcome.iterations
         assert all(loewner_leq(a, c, 1e-10) for c in candidates)
         assert loewner_leq(a, outcome.covariance, 1e-8)
@@ -198,19 +194,15 @@ class TestPgd:
         rng = np.random.default_rng(8)
         b = random_spd(rng, 3)
         a = np.zeros((3, 3))
-        outcome, _ = pgd_project_above(b, a)
+        outcome, _ = raw_descent(b, a)
         np.testing.assert_allclose(outcome.covariance, b, atol=1e-8)
-
-    def test_rejects_singular_target(self):
-        with pytest.raises(ValueError):
-            pgd_project_above(np.diag([1.0, 0.0]), np.eye(2))
 
     def test_respects_max_iter(self, monkeypatch):
         # this pair needs 10 iterations to converge
         rng = np.random.default_rng(9)
         a, b = random_spd(rng, 4), random_spd(rng, 4)
         monkeypatch.setattr(pgd, "MAX_ITER", 4)
-        outcome, trace = pgd_project_above(b, a)
+        outcome, trace = raw_descent(b, a)
         assert outcome.iterations <= 4
         assert len(trace.objective) <= 4
         assert outcome.stop_reason == "max_iter"
@@ -219,9 +211,9 @@ class TestPgd:
         # without backtracks no candidate is tried, so none is accepted
         rng = np.random.default_rng(9)
         a, b = random_spd(rng, 4), random_spd(rng, 4)
-        start, _ = pgd_project_above(b, a)
+        start, _ = raw_descent(b, a)
         monkeypatch.setattr(pgd, "MAX_BACKTRACKS", 0)
-        outcome, trace = pgd_project_above(b, a)
+        outcome, trace = raw_descent(b, a)
         assert outcome.stop_reason == "stalled"
         assert not outcome.converged
         assert outcome.iterations == 1 and outcome.residual == np.inf
@@ -231,7 +223,7 @@ class TestPgd:
 
     def test_rejects_nan_target(self):
         with pytest.raises(ValueError, match="finite"):
-            pgd_project_above(np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            raw_descent(np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
     def test_default_step_reuses_the_target_spectrum_bit_for_bit(self, monkeypatch):
         # the descent started from the step computed apart from it, from a
@@ -240,19 +232,18 @@ class TestPgd:
         for d in (2, 4, 7):
             mu, nu = random_spd(rng, d), random_spd(rng, d)
             reg = 1e-10 * float(np.trace(nu))
-            nu_vals, _ = psd_eigen(sym(nu))
-            step = _default_step(nu_vals, mu, reg)
-            implicit, _ = pgd_project_above(nu, mu)
+            step = _default_step(psd_eigen(sym(nu))[0], psd_eigen(mu)[0], reg)
+            implicit, _ = raw_descent(nu, mu)
             with monkeypatch.context() as patch:
                 patch.setattr(pgd, "_default_step", lambda *args: step)
-                explicit, _ = pgd_project_above(nu, mu)
+                explicit, _ = raw_descent(nu, mu)
             assert np.array_equal(implicit.covariance, explicit.covariance)
             assert implicit.iterations == explicit.iterations
 
     def test_objective_value_matches_distance(self):
         rng = np.random.default_rng(10)
         a, b = random_spd(rng, 3), random_spd(rng, 3)
-        outcome, _ = pgd_project_above(b, a)
+        outcome, _ = raw_descent(b, a)
         assert outcome.objective == pytest.approx(bw2(b, outcome.covariance), abs=1e-9)
 
 
@@ -263,7 +254,7 @@ class TestStoppingRule:
             monkeypatch.setattr(
                 pgd, "_default_step", lambda *args, f=factor: f * _default_step(*args)
             )
-            outcome, _ = pgd_project_above(D4_NU, D4_MU)
+            outcome, _ = raw_descent(D4_NU, D4_MU)
             assert outcome.stop_reason == "residual"
             assert outcome.iterations <= 50
             objectives.append(outcome.objective)
@@ -287,22 +278,23 @@ class TestAccuracy:
         for k in range(30):
             d = 3 + k % 8
             mu, nu = random_spd(rng, d), sym(random_spd(rng, d))
-            outcome, _ = pgd_project_above(nu, mu)
+            outcome, _ = raw_descent(nu, mu)
             with monkeypatch.context() as patch:
                 patch.setattr(pgd, "RESIDUAL_TOL", 1e-13)
-                reference, _ = pgd_project_above(nu, mu)
+                reference, _ = raw_descent(nu, mu)
             s, ref = outcome.covariance, reference.covariance
             assert np.linalg.norm(s - ref) <= 1e-7 * np.linalg.norm(ref), k
             assert abs(outcome.objective - reference.objective) <= 1e-12 * abs(reference.objective), k
-            eta0 = _default_step(psd_eigen(nu)[0], mu, pgd.REG_FACTOR * float(np.trace(nu)))
-            _, grad = pgd._Objective(nu).value_and_gradient(s)
+            eta0 = _default_step(psd_eigen(nu)[0], psd_eigen(mu)[0],
+                                 pgd.REG_FACTOR * float(np.trace(nu)))
+            _, grad = pgd._Objective(nu, psd_eigen(nu)).value_and_gradient(s)
             mapping = np.linalg.norm(s - frobenius_project_above(s - eta0 * grad, mu)) / eta0
             assert mapping <= pgd.RESIDUAL_TOL * (1.0 + np.linalg.norm(nu)), k
 
 
 def public_projection(matrix, lower):
-    """The descent's cone projection as the public wrapper made it, with
-    both inputs symmetrised."""
+    """The descent's cone projection with both inputs symmetrised, as a
+    projection of raw input makes it."""
     m = sym(matrix)
     return m + positive_part(sym(lower) - m)
 
@@ -315,10 +307,10 @@ class TestWork:
         for d in range(3, 11):
             for _ in range(2):
                 mu, nu = random_spd(rng, d), random_spd(rng, d)
-                outcome, trace = pgd_project_above(nu, mu)
+                outcome, trace = raw_descent(nu, mu)
                 with monkeypatch.context() as patch:
                     patch.setattr(pgd, "_project_above", public_projection)
-                    reference, reference_trace = pgd_project_above(nu, mu)
+                    reference, reference_trace = raw_descent(nu, mu)
                 assert np.array_equal(outcome.covariance, reference.covariance)
                 assert np.array_equal(outcome.gradient, reference.gradient)
                 assert outcome.iterations == reference.iterations
@@ -342,5 +334,5 @@ class TestWork:
         for d in range(3, 11):
             for _ in range(3):
                 mu, nu = random_spd(rng, d), random_spd(rng, d)
-                assert pgd_project_above(nu, mu)[0].stop_reason == "residual"
+                assert raw_descent(nu, mu)[0].stop_reason == "residual"
         assert 0 < cones["n"] <= 290
