@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import sys
 from dataclasses import asdict
 from typing import Any
@@ -94,33 +95,61 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _packed(values: list) -> np.ndarray:
+    """A flat list of real numbers as a float array, packed in one pass.
+    ``struct`` takes ints, floats and bools (as 1 and 0) and raises
+    ``struct.error`` on anything else, strings and nulls included."""
+    return np.frombuffer(struct.pack(f"{len(values)}d", *values))
+
+
+def _floats(value: Any, what: str) -> np.ndarray:
+    """``value`` as a float array, as ``np.asarray(value, dtype=float)``
+    reads it, except that a string or null entry raises ``ValueError``
+    naming ``what``: numpy would read ``"5"`` as 5.0 and null as NaN.  A
+    flat list is packed in one pass (``_packed``), which refuses both; any
+    other value, or a list the pass refuses, is read by ``np.asarray``,
+    which words the shape and type errors, and then read again without a
+    dtype, where a string makes a string array and a null an object one."""
+    if type(value) is list:
+        try:
+            return _packed(value)
+        except struct.error:
+            pass
+    floats = np.asarray(value, dtype=float)
+    leaves = np.asarray(value)
+    kind = leaves.dtype.kind
+    if kind == "U" or kind == "O" and any(v is None or isinstance(v, str) for v in leaves.flat):
+        raise ValueError(f"{what} must be numbers, not strings or null")
+    return floats
+
+
 def _parse_gaussian(obj: Any, name: str) -> GaussianMeasure:
     try:
-        return GaussianMeasure(np.asarray(obj["mean"], dtype=float),
-                               np.asarray(obj["cov"], dtype=float))
+        return GaussianMeasure(_floats(obj["mean"], "mean entries"),
+                               _floats(obj["cov"], "covariance entries"))
     except (KeyError, TypeError, ValueError, OverflowError, LinalgError) as exc:
         _fail(PARSE_ERROR, f"measure {name!r}: {exc}")
 
 
 def _column(points: Any) -> Any:
     """A list of one-element lists as an ``(n, 1)`` array, read in one flat
-    pass: ``np.asarray`` walks nested lists about 3 times slower.  Any
-    other value, or one the flat pass refuses, is returned unchanged, so
-    ``np.asarray`` reads it or words its error.  The rows' type is checked
-    first: unpacking would also take a one-character string or a one-key
-    dict for an atom."""
+    pass (``_packed``): ``np.asarray`` walks nested lists about 6 times
+    slower.  Any other value, or one the flat pass refuses (a string or
+    null atom among them), is returned unchanged, so ``_floats`` reads it
+    or words its error.  The rows' type is checked first: unpacking would
+    also take a one-character string or a one-key dict for an atom."""
     if type(points) is list and list(map(type, points)).count(list) == len(points):
         try:
-            return np.fromiter([p for (p,) in points], float, len(points))[:, None]
-        except (TypeError, ValueError, OverflowError):
+            return _packed([p for (p,) in points])[:, None]
+        except (ValueError, struct.error):
             pass
     return points
 
 
 def _parse_discrete(obj: Any, name: str) -> DiscreteMeasure:
     try:
-        return DiscreteMeasure(np.asarray(_column(obj["points"]), dtype=float),
-                               np.asarray(obj["weights"], dtype=float))
+        return DiscreteMeasure(_floats(_column(obj["points"]), "support points"),
+                               _floats(obj["weights"], "weights"))
     except (KeyError, TypeError, ValueError, OverflowError, EmptyMeasureError) as exc:
         _fail(PARSE_ERROR, f"measure {name!r}: {exc}")
 
@@ -374,10 +403,13 @@ def _load_assertions(path: str, mode: str, dim: int) -> tuple[float, dict[str, n
         _fail(PARSE_ERROR, "--assert-file is only supported in gaussian mode")
     data = _load_json(path)
     try:
-        tol = float(data.get("tol", 1e-8))
+        tol = data.get("tol", 1e-8)
+        if isinstance(tol, str):  # float() would read "0.5" as a number
+            raise ValueError(f"tol must be a number, not the string {tol!r}")
+        tol = float(tol)
         if not 0.0 <= tol < math.inf:
             raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-        expected = {key: np.asarray(data[key], dtype=float)
+        expected = {key: _floats(data[key], "expected covariance entries")
                     for key in ("below_cov", "above_cov") if key in data}
         if any(cov.shape != (dim, dim) for cov in expected.values()):
             raise ValueError(f"expected covariances of shape {(dim, dim)}")

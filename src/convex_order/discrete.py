@@ -4,23 +4,27 @@ Minimizes the barycentric cost ``sum_i w_i |x_i - m(pi_{x_i})|^2`` over the
 transportation polytope with fully-corrective Frank-Wolfe, that is Wolfe's
 minimum-norm-point method.  The cost sees a coupling only through its row
 image ``p = pi @ y``, so the iterate is kept as the image ``p`` of a convex
-combination of stored vertices, and only the linear subproblem works on
-``n x m`` couplings.  Its cost ``-2 r y'`` has rank d.  In one dimension
-the comonotone coupling of the residuals ``r`` with ``y`` solves it in
-closed form; otherwise a network simplex on the transportation basis tree
-(Dantzig pricing with a Bland fallback against cycling) solves it exactly.
-The same comonotone staircase, rows in their given order, is the
-northwest corner: the first vertex, and the simplex's cold-start basis.
-Each new vertex joins the stored ones, over whose hull an exact QP
-re-optimizes the quadratic; its active-set steps solve the support's KKT
-system by LU.  The marginals stay fixed across one solve, so every LP
-warm-starts from the optimal basis of the previous one; likewise every QP
-starts from the iterate's weights.  The pushforward of the first marginal
-under the conditional-barycenter map of an optimal coupling realizes the
-dominated-side Wasserstein projection.  ``exact_w2_sq`` solves the
-transportation LP by the same simplex for exact W2 between small measures,
-in every dimension; the 1-d quantile formulas and convex-order test live in
-:mod:`.one_dim`.
+combination of stored vertices, and only the linear subproblem (and the
+returned coupling, formed once) works on ``n x m`` couplings.  Its cost
+``-2 r y'`` has rank d, and is formed as ``r @ (-2 y')`` with ``-2 y'``
+scaled once per solve.  In one dimension the comonotone coupling of the
+residuals ``r`` with ``y`` solves it in closed form; otherwise a network
+simplex on the transportation basis tree (Dantzig pricing over every cell,
+with a Bland fallback against cycling) solves it exactly.  The same
+comonotone staircase, rows in their given order, is the northwest corner:
+the first vertex, and the simplex's cold-start basis.  Each new vertex
+joins the stored ones, over whose hull an exact QP re-optimizes the
+quadratic; its active-set steps solve the support's KKT system by LU.  The
+marginals stay fixed across one solve, so every LP warm-starts from the
+optimal basis of the previous one; likewise every QP starts from the
+iterate's weights.  The instances are small and each round makes many
+numpy calls, so the engine calls ndarray methods and ufuncs rather than
+numpy's Python-level wrappers, and prices into preallocated arrays.  The
+pushforward of the first marginal under the conditional-barycenter map of
+an optimal coupling realizes the dominated-side Wasserstein projection.
+``exact_w2_sq`` solves the transportation LP by the same simplex for exact
+W2 between small measures, in every dimension; the 1-d quantile formulas
+and convex-order test live in :mod:`.one_dim`.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ class Coupling:
         pi = np.asarray(self.pi, dtype=float)
         if pi.shape != (self.mu.size, self.nu.size):
             raise ValueError("coupling shape must match the two supports")
-        if np.any(pi < -1e-15):
+        if (pi < -1e-15).any():
             raise ValueError("coupling must be entrywise nonnegative")
         row_err = float(np.abs(pi.sum(axis=1) - self.mu.weights).max())
         col_err = float(np.abs(pi.sum(axis=0) - self.nu.weights).max())
@@ -83,7 +87,7 @@ class Coupling:
                 f"marginal residuals ({row_err:.3e}, {col_err:.3e}) exceed "
                 f"{MARGINAL_TOL}"
             )
-        pi = np.clip(pi, 0.0, None)
+        pi = np.maximum(pi, 0.0)
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
 
@@ -129,12 +133,15 @@ class _TransportBasis:
     rooted at row 0.  Every other node ``k`` hangs from ``parent[k]`` at
     ``depth[k]`` through the basis cell ``cell[k]`` (flat index
     ``i * m + j``), which carries the mass ``flow[k]``; ``children[k]``
-    lists the nodes hung below ``k``; ``in_basis`` flags the basis cells
-    by flat index.  ``pot`` holds the potentials ``u`` (rows) then ``v``
-    (columns), with ``u_i + v_j = c_ij`` on every basis cell and the root
-    at 0.  A basic feasible solution stays feasible when
-    only the cost changes, so one basis can warm-start a sequence of solves
-    that share the marginals.
+    lists the nodes hung below ``k``.  ``pot`` holds the potentials ``u``
+    (rows) then ``v`` (columns), the root at 0 and every other node at the
+    cost of its cell less its parent's potential, so ``u_i + v_j = c_ij``
+    on every basis cell up to the rounding of that one subtraction.  These
+    are plain lists: the pivots and :meth:`settle` touch a few nodes each,
+    one at a time.  A basic feasible solution stays feasible when only the
+    cost changes, so one basis can warm-start a sequence of solves that
+    share the marginals; pricing after a new cost needs only
+    ``settle(0, cost)``.  ``pivots`` counts the pivots over all solves.
     """
 
     def __init__(self, pi: np.ndarray, rows: np.ndarray, cols: np.ndarray):
@@ -164,8 +171,6 @@ class _TransportBasis:
             self.children[up].append(child)
         if not all(placed):
             raise LpInfeasibleError("basis cells do not grow a spanning tree")
-        self.in_basis = np.zeros(n * m, dtype=bool)
-        self.in_basis[self.cell[1:]] = True
 
     def coupling(self) -> np.ndarray:
         """The basic solution as a dense ``n x m`` matrix."""
@@ -174,18 +179,19 @@ class _TransportBasis:
         return pi.reshape(self.n, self.m)
 
     def settle(self, top: int, cost: list[float]) -> None:
-        """Recompute depth and potential of ``top`` and of every node below it."""
+        """Recompute depth and potential of ``top`` and of every node below
+        it; ``top = 0``, the root, recomputes the whole tree."""
         parent, depth, cell, pot, children = (
             self.parent, self.depth, self.cell, self.pot, self.children
         )
-        stack = [top]
-        while stack:
-            node = stack.pop()
+        # the root keeps depth and potential 0; a node is reached after
+        # its parent, as the loop runs on over the nodes it appends
+        below = [top] if top else children[0][:]
+        for node in below:
             up = parent[node]
-            if up >= 0:
-                depth[node] = depth[up] + 1
-                pot[node] = cost[cell[node]] - pot[up]
-            stack.extend(children[node])
+            depth[node] = depth[up] + 1
+            pot[node] = cost[cell[node]] - pot[up]
+            below += children[node]
 
     def pivot(
         self, i: int, j: int, up_col: list[int], up_row: list[int], cost: list[float]
@@ -217,8 +223,6 @@ class _TransportBasis:
         # the path from the entering cell's end down to ``leave`` flips over
         walk, at, anchor = found
         path = walk[: at + 1]
-        self.in_basis[cell[leave]] = False
-        self.in_basis[i * m + j] = True
         hang = (anchor, i * m + j, theta)
         for node in path:
             children[parent[node]].remove(node)
@@ -278,13 +282,25 @@ def solve_transport_lp(
     cost the starting vertex is returned unchanged.  ``solve_wot`` calls it
     for measures in two or more dimensions, and ``exact_w2_sq`` in every
     dimension.
+
+    Pricing computes ``(c_ij - u_i) - v_j`` on every cell, basis cells
+    included, unmasked.  A basis cell whose child node is column ``j`` has
+    ``v_j = c_ij - u_i`` rounded once, so its reduced cost is exactly 0.
+    One whose child is row ``i`` has ``u_i = c_ij - v_j``, so its reduced
+    cost is a few ulps of the potentials, which the tree bounds by
+    ``depth * max|c|``.  That lies far inside ``threshold = 1e-12 * (1 +
+    max|c|)`` (by more than 100x on seeded instances up to 90x90, in the
+    tests).  So a basis cell can be the argmin only when no cell prices
+    below ``-threshold``, which ends the solve, and Bland's rule never
+    picks one.
     """
     cost = np.asarray(cost, dtype=float)
     row_w = np.asarray(row_weights, dtype=float)
     col_w = np.asarray(col_weights, dtype=float)
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise ValueError("cost entries must be finite")
-    if abs(row_w.sum() - col_w.sum()) > 1e-9 * (1.0 + row_w.sum()):
+    total = float(row_w.sum())
+    if abs(total - float(col_w.sum())) > 1e-9 * (1.0 + total):
         raise LpInfeasibleError("row and column weights have different totals")
     n, m = row_w.size, col_w.size
     if basis is None:
@@ -297,18 +313,20 @@ def solve_transport_lp(
     max_pivots = 40 * (n + m) * max(n, m)
     max_degenerate = _DEGENERATE_RUNS * (n + m)
     degenerate = 0
+    pot = np.empty(n + m)
+    row_pot, col_pot = pot[:n, None], pot[n:]
+    reduced = np.empty((n, m))
+    flat = reduced.reshape(-1)
 
     for _ in range(max_pivots):
-        pot = np.array(basis.pot)
-        reduced = cost - pot[:n, None]
-        reduced -= pot[None, n:]
-        flat = reduced.ravel()
-        flat[basis.in_basis] = 0.0
+        pot[:] = basis.pot
+        np.subtract(cost, row_pot, out=reduced)
+        reduced -= col_pot
         enter = int(flat.argmin())
         if flat[enter] >= -threshold:
             return basis.coupling()
         if degenerate >= max_degenerate:  # Bland: first in row-major order
-            enter = int(np.flatnonzero(flat < -threshold)[0])
+            enter = int((flat < -threshold).argmax())
         i, j = divmod(enter, m)
         up_col, up_row = _basis_cycle(basis, i, j)
         theta = basis.pivot(i, j, up_col, up_row, flat_cost)
@@ -343,24 +361,26 @@ def _simplex_qp(
     # flagged.  A border at the scale of quad keeps the least-squares rank
     # decision independent of the units of the points.
     bordered = np.full((k + 1, k + 1), scale)
-    bordered[:k, :k] = 2.0 * quad
+    top = bordered[:k, :k]
+    np.multiply(2.0, quad, out=top)
     bordered[k, k] = 0.0
-    flagged = np.ones(k + 1, dtype=bool)
+    flagged = np.empty(k + 1, dtype=bool)
+    flagged[k] = True
     support = flagged[:k]
-    support[:] = alpha > 0.0
+    np.greater(alpha, 0.0, out=support)
     support[enter] = True
     s = int(np.count_nonzero(support))
-    every = np.arange(k)
     for steps in range(1, 60 * k + 41):
         if s == k:
             # the whole support, as in the first step from a positive start:
-            # the KKT matrix is ``bordered`` itself
-            idx, kkt = every, bordered
+            # the KKT matrix is ``bordered`` itself, and a slice picks its
+            # entries as views
+            idx, kkt = slice(k), bordered
         else:
             rows = flagged.nonzero()[0]
             idx, kkt = rows[:s], bordered[rows[:, None], rows]
         rhs = np.zeros(s + 1)
-        rhs[:s] = -(bordered[:k, :k] @ alpha + lin)[idx]
+        rhs[:s] = -(top @ alpha + lin)[idx]
         ray = None
         try:
             sol = np.linalg.solve(kkt, rhs)
@@ -385,9 +405,9 @@ def _simplex_qp(
             if s == k:
                 return alpha, steps  # no index is left to enter
             # the KKT rows read 2 Q (a + step) + scale sol[s] = -lin on the support
-            reduced = bordered[:k, :k] @ alpha + lin + scale * sol[s]
+            reduced = top @ alpha + lin + scale * sol[s]
             reduced[support] = np.inf
-            worst = int(np.argmin(reduced))
+            worst = int(reduced.argmin())
             if reduced[worst] >= -1e-12 * scale:
                 return alpha, steps
             support[worst] = True
@@ -395,9 +415,10 @@ def _simplex_qp(
         else:
             # move along the step until the first support weight hits 0; the
             # step sums to 0, so some other weight stays positive
-            ratios = current[blocking] / -step[blocking]
-            first = int(np.argmin(ratios))
-            drop = idx[blocking][first]
+            at = blocking.nonzero()[0]
+            ratios = current[at] / -step[at]
+            first = int(ratios.argmin())
+            drop = at[first] if s == k else idx[at[first]]
             alpha[idx] = np.maximum(current + ratios[first] * step, 0.0)
             alpha[drop] = 0.0
             alpha /= alpha.sum()
@@ -488,13 +509,15 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) ->
         # the objective touches a coupling only through its row image
         # p = pi @ y: it is sum_i w_i |r_i|^2 with the residual r = x - p / w
         residual = x - p / w_col
-        return residual, float(w @ np.sum(residual**2, axis=1))
+        return residual, float(w @ (residual**2).sum(axis=1))
 
     # the northwest corner is the first vertex; in 1-d the oracle needs no
     # basis, otherwise each LP warm-starts from the previous optimal basis
     # (the marginals never change)
     pi, rows, cols = _comonotone_vertex(np.arange(w.size), w, nu.weights)
     basis = None if mu.dim == 1 else _TransportBasis(pi, rows, cols)
+    # the LP cost -2 r y' as r @ (-2 y'): scaling by -2 is exact either way
+    lp_y = -2.0 * y.T
     # the corral: the stored vertices by their bytes, in the order they
     # joined; in the rows of preallocated arrays, their images q_k = V_k y,
     # divided by sqrt(w) and flattened (``images``, whose Gram matrix is the
@@ -523,7 +546,7 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) ->
             # (DiscreteMeasure sorts them)
             vertex = _comonotone_vertex(residual[:, 0], w, nu.weights)[0]
         else:
-            vertex = solve_transport_lp(-2.0 * residual @ y.T, w, nu.weights, basis=basis)
+            vertex = solve_transport_lp(residual @ lp_y, w, nu.weights, basis=basis)
         q = vertex @ y
         gap = 2.0 * float(np.vdot(residual, q - p))
         if gap <= fw_tol * (1.0 + abs(value)):
@@ -613,7 +636,7 @@ def exact_w2_sq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         raise ValueError("dimension mismatch")
     _require_budget(mu, nu)
     diff = mu.points[:, None, :] - nu.points[None, :, :]
-    cost = np.sum(diff**2, axis=2)
+    cost = (diff**2).sum(axis=2)
     pi = solve_transport_lp(cost, mu.weights, nu.weights)
-    return float(np.sum(pi * cost))
+    return float((pi * cost).sum())
 

@@ -47,6 +47,16 @@ def random_discrete(rng, d, max_atoms=6):
     return DiscreteMeasure(rng.normal(size=(n, d)), rng.dirichlet(np.ones(n)))
 
 
+def product_measure(first, second, rotation, shift):
+    """The product of the 1-d measures ``first`` and ``second`` (atoms the
+    pairs of their atoms, weights the products of their weights), moved by
+    the rigid motion ``x -> rotation @ x + shift`` of the plane."""
+    a, b = np.meshgrid(first.values_1d, second.values_1d, indexing="ij")
+    points = np.column_stack((a.ravel(), b.ravel()))
+    weights = np.outer(first.weights, second.weights).ravel()
+    return DiscreteMeasure(points @ np.asarray(rotation).T + shift, weights)
+
+
 def moment_matched_discretization(cov):
     """Discrete measure with mean zero and exactly the given covariance."""
     d = cov.shape[0]

@@ -784,8 +784,12 @@ class TestCheck:
         {"below_cov": [[1.0, 0.0], [0.0, 0.0]], "tol": HUGE},
         {"below_cov": [[HUGE, 0.0], [0.0, 0.0]]},
         {"above_cov": [[2.0, 0.0], [0.0, HUGE]]},
+        {"below_cov": [["1.0", 0.0], [0.0, 0.0]]},
+        {"above_cov": [[2.0, None], [0.0, 0.0]]},
+        {"below_cov": [[1.0, 0.0], [0.0, 0.0]], "tol": "0.5"},
     ], ids=["ragged", "wrong_shape", "bad_tol", "nan_tol", "inf_tol", "negative_tol",
-            "nan_entry", "huge_tol", "huge_below_entry", "huge_above_entry"])
+            "nan_entry", "huge_tol", "huge_below_entry", "huge_above_entry",
+            "string_entry", "null_entry", "number_string_tol"])
     def test_malformed_assert_file_fails_before_solving(
         self, runner, tmp_path, monkeypatch, expected
     ):
@@ -818,12 +822,12 @@ class TestMalformedPoints:
 class TestColumnPoints:
     """1-d points written as one-element rows are read in one flat pass;
     every other shape, and every row list the pass refuses, is read by
-    ``np.asarray`` as before."""
+    ``np.asarray`` as before, apart from string and null atoms."""
 
     @pytest.mark.parametrize("command", ["distance", "project-1d"])
     @pytest.mark.parametrize("points", [
-        [[], []], [[[0.0]], [[1.0]]], [{"5": 1.0}], [[None]], [], [["a"]], [[0.0], [1.0, 2.0]],
-    ], ids=["empty-rows", "nested-rows", "dict-row", "null", "empty", "string", "ragged"])
+        [[], []], [[[0.0]], [[1.0]]], [{"5": 1.0}], [], [["a"]], [[0.0], [1.0, 2.0]],
+    ], ids=["empty-rows", "nested-rows", "dict-row", "empty", "string", "ragged"])
     def test_malformed_rows_keep_the_numpy_error(self, runner, tmp_path, command, points):
         weights = [1.0 / len(points)] * len(points) if points else []
         with pytest.raises((TypeError, ValueError)) as numpy_route:
@@ -835,6 +839,20 @@ class TestColumnPoints:
         result = runner.invoke(main, [command, problem])
         assert result.exit_code == cli.PARSE_ERROR
         assert result.stderr == f"error: measure 'mu': {numpy_route.value}\n"
+
+    @pytest.mark.parametrize("command", ["distance", "project-1d"])
+    @pytest.mark.parametrize("atom", [None, "5", " 5e-1 "], ids=["null", "number-string",
+                                                                "padded-string"])
+    def test_text_rows_are_refused(self, runner, tmp_path, command, atom):
+        # numpy alone reads "5" as 5.0 and null as NaN, reported as non-finite
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"points": [[0.5], [atom]], "weights": [0.5, 0.5]},
+            "nu": {"points": [[0.0]], "weights": [1.0]},
+        })
+        result = runner.invoke(main, [command, problem])
+        assert result.exit_code == cli.PARSE_ERROR
+        assert result.stderr == (
+            "error: measure 'mu': support points must be numbers, not strings or null\n")
 
     def test_rows_read_bit_for_bit_as_numpy_reads_them(self, tmp_path):
         # JSON integers beyond 64 bits are read by the stdlib fallback
@@ -883,6 +901,62 @@ class TestColumnPoints:
         flat = reports()
         monkeypatch.setattr(cli, "_column", lambda points: points)
         assert reports() == flat
+
+
+class TestNonNumericEntries:
+    """A string or null entry of ``points``, ``weights``, ``mean`` or
+    ``cov`` is a parse error that names its measure: numpy alone reads the
+    string ``"5"`` as 5.0 and null as NaN, reported as non-finite.  Numbers,
+    booleans among them, read as before."""
+
+    SIDES = {
+        "points-flat": ({"points": [0.5, "?"], "weights": [0.5, 0.5]}, "support points"),
+        "points-planar": ({"points": [[0.5, 0.0], ["?", 1.0]], "weights": [0.5, 0.5]},
+                          "support points"),
+        "weights": ({"points": [[0.5], [1.5]], "weights": [0.5, "?"]}, "weights"),
+        "mean": ({"mean": [0.0, "?"], "cov": [[2.0, 0.5], [0.5, 1.0]]}, "mean entries"),
+        "cov": ({"mean": [0.0, 1.0], "cov": [[2.0, "?"], ["?", 1.0]]}, "covariance entries"),
+    }
+
+    @staticmethod
+    def sound(bad):
+        """A measure of the same kind and dimension as ``bad``, all numbers."""
+        if "cov" in bad:
+            return {"mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        dim = 2 if isinstance(bad["points"][0], list) and len(bad["points"][0]) == 2 else 1
+        return {"points": [[0.0] * dim], "weights": [1.0]}
+
+    @pytest.mark.parametrize("entry", ["5", None], ids=["number-string", "null"])
+    @pytest.mark.parametrize("side", ["mu", "nu"])
+    @pytest.mark.parametrize("field", list(SIDES))
+    @pytest.mark.parametrize("command", ["distance", "check"])
+    def test_exit_code_is_parse_error_naming_the_measure(
+        self, runner, tmp_path, command, field, side, entry
+    ):
+        template, what = self.SIDES[field]
+        bad = json.loads(json.dumps(template).replace('"?"', json.dumps(entry)))
+        other = "nu" if side == "mu" else "mu"
+        problem = write_problem(tmp_path / "p.json", {side: bad, other: self.sound(bad)})
+        result = runner.invoke(main, [command, problem])
+        assert result.exit_code == cli.PARSE_ERROR
+        assert result.stderr == (
+            f"error: measure {side!r}: {what} must be numbers, not strings or null\n")
+
+    def test_flat_lists_read_bit_for_bit_as_numpy_reads_them(self, tmp_path):
+        # JSON integers beyond 64 bits are read by the stdlib fallback
+        edge = [-0.0, 0.0, 5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, 1, -7, 2**53 + 1, 2**64 - 1, 10**30, True, False]
+        rng = np.random.default_rng(3133)
+        for k in range(20):
+            pool = (rng.normal(size=int(rng.integers(1, 400)))
+                    * 10.0 ** rng.integers(-300, 300)).tolist() + edge
+            values = [pool[i] for i in rng.permutation(len(pool))]
+            path = tmp_path / f"w{k}.json"
+            path.write_text(json.dumps({"weights": values}))
+            values = cli._load_json(str(path))["weights"]
+            read, expected = cli._floats(values, "weights"), np.asarray(values, dtype=float)
+            assert read.shape == expected.shape == (len(values),)
+            assert read.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 class TestJsonBoundary:

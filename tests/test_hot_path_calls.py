@@ -1,4 +1,4 @@
-"""No numpy Python-level wrapper on the Gaussian route.
+"""No numpy Python-level wrapper on the Gaussian route or in the WOT engine.
 
 ``np.sum``, ``np.trace``, ``np.any``, ``np.all``, ``np.clip``, ``np.outer``,
 ``np.max``, ``np.min`` and ``np.linalg.norm`` are Python functions that
@@ -6,9 +6,10 @@ dispatch, check their arguments and forward to an ndarray method or a ufunc
 (``x.sum()``, ``x.trace()``, ``x.any()``, ``x.all()``, ``np.maximum``,
 broadcasting, ``x.max()``, ``x.min()``, ``math.sqrt(np.vdot(x, x))``), which
 do the same floating-point operations.  On the small matrices of a Gaussian
-solve that forwarding cost about a tenth of a full-rank solve, so the modules
-the solve runs through call the method or ufunc directly.  A call that comes
-back fails here.
+solve that forwarding cost about a tenth of a full-rank solve, and the WOT
+engine (``discrete.py``) pays it on every Frank-Wolfe round, simplex pivot
+and corrective QP step of its small instances, so these modules call the
+method or ufunc directly.  A call that comes back fails here.
 
 The descent reads the Gaussian solver's pair record, validated and
 decomposed once, so ``pgd.py`` calls none of the functions that symmetrise,
@@ -19,7 +20,7 @@ import ast
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "convex_order"
-HOT_PATH = ("pgd.py", "gaussian.py", "linalg.py", "bures.py")
+HOT_PATH = ("pgd.py", "gaussian.py", "linalg.py", "bures.py", "discrete.py")
 WRAPPERS = frozenset({
     "np.sum", "np.trace", "np.any", "np.all", "np.clip", "np.outer", "np.max", "np.min",
     "np.linalg.norm",
@@ -70,13 +71,13 @@ flat = np.maximum(x, 0.0) + np.clip(x, 0.0, None)
     ]
 
 
-def test_gaussian_route_calls_no_wrapper():
+def test_hot_path_calls_no_wrapper():
     found = [
         f"{name}:{line} {call}"
         for name in HOT_PATH
         for line, call in wrapper_calls((SOURCE / name).read_text())
     ]
-    assert found == [], f"numpy wrappers on the Gaussian route: {found}"
+    assert found == [], f"numpy wrappers on the hot path: {found}"
 
 
 def test_finds_raw_input_calls_by_name_and_through_a_module():
