@@ -109,8 +109,9 @@ def _floats(value: Any, what: str) -> np.ndarray:
     flat list is packed in one pass (``_packed``), which refuses both; any
     other value, or a list the pass refuses, is read by ``np.asarray``,
     which words the shape and type errors, and then read again without a
-    dtype, where a string makes a string array and a null an object one."""
-    if type(value) is list:
+    dtype, where a string makes a string array and a null an object one.
+    A list of lists skips the pass, which would only raise."""
+    if type(value) is list and not (value and type(value[0]) is list):
         try:
             return _packed(value)
         except struct.error:
