@@ -22,11 +22,12 @@ into ``[1, 4)``; each output in covariance units is multiplied back by
 ``4^k`` where it is built.  Both projections commute with dilations and
 powers of two are exact, so every tolerance acts at unit scale.  The solve
 tries candidate bases, decided by the certificate: the identity for a
-rank-0 ``Snu``; the eigenbasis of the transport map from ``Smu`` onto
-``Snu`` when both have full rank; then the projected-gradient solver's (the
-transport map of its dominating-side answer) for a full-rank ``Snu``, or
-else the rank reduction's, which solves the full-rank problem on the range
-of ``Snu``.  Only the first certified candidate is assembled, and with it
+rank-0 ``Snu``; the eigenbasis of ``Snu`` when both have full rank and
+``Smu`` is diagonal in it (the commuting case, where one basis
+diagonalises both); then the projected-gradient solver's (the transport
+map of its dominating-side answer) for a full-rank ``Snu``, or else the
+rank reduction's, which solves the full-rank problem on the range of
+``Snu``.  Only the first certified candidate is assembled, and with it
 the verdict ``ProjectionResult.uniqueness``: is the dominating side unique
 among all measures?  It reads the record and, on a singular ``Snu``, the
 rank of the dominating projection.
@@ -41,7 +42,6 @@ from typing import Any
 
 import numpy as np
 
-from .bures import bw2_gradient_from_inner
 from .linalg import (
     LinalgError,
     _ordered,
@@ -62,10 +62,9 @@ from .pgd import pgd_project_above
 # Order tolerance: certification wants the order residual above
 # -ORDER_REL * (1 + lambda_max(Snu)), at unit scale.
 ORDER_REL = 1e-7
-# The transport-map candidate certifies at roundoff level instead, above
-# -CLOSED_FORM_REL * (1 + lambda_max(Snu)): at ORDER_REL it passes d = 2 pairs
-# whose closed form lies up to 6e-4 from the projection.  A solve it answers
-# is tagged "commuting" when its conjugated Smu's correlation is I to this bound.
+# The commuting case: Smu, conjugated into the eigenbasis of Snu, has a
+# correlation within this bound of I (off-diagonal Frobenius norm), and that
+# basis certifies at roundoff level, above -CLOSED_FORM_REL * (1 + lambda_max(Snu)).
 CLOSED_FORM_REL = 1e-10
 # Eigenvalues within this factor of the rank cutoff make the uniqueness
 # test refuse to classify.
@@ -96,7 +95,7 @@ class OrderTransform:
     mu-diagonal vanishes.  ``order_residual`` is the smallest eigenvalue of
     ``O'SnuO - D O'SmuO D`` (certification wants it above
     ``-ORDER_REL * (1 + lambda_max(Snu))`` at unit scale, or above
-    ``-CLOSED_FORM_REL * (1 + lambda_max(Snu))`` for the transport-map basis).
+    ``-CLOSED_FORM_REL * (1 + lambda_max(Snu))`` for the commuting basis).
     """
 
     basis: np.ndarray
@@ -263,44 +262,32 @@ def _assemble(
     )
 
 
-def _transport_candidate(pair: _Pair) -> np.ndarray | None:
-    """The ordered eigenbasis of the transport map from ``cov_mu`` onto
-    ``cov_nu``, read from the Bures gradient at ``cov_nu`` about ``cov_mu``;
-    ``None`` unless both covariances have full rank."""
-    d = pair.cov_nu.shape[0]
-    if pair.rank_mu < d or pair.rank_nu < d:
-        return None
-    mu_vals, mu_vecs = pair.mu_eig
-    half = _rebuild(np.sqrt(mu_vals), mu_vecs)
-    gradient = bw2_gradient_from_inner(half, *clamped_eigen(half @ pair.cov_nu @ half))
-    return transport_map_basis(gradient)
-
-
 def _route(pair: _Pair) -> tuple[OrderTransform, tuple[np.ndarray, ...], str, dict[str, Any]]:
     """Solve a validated pair: candidate bases, decided by the certificate.
 
     Returns the first candidate the certificate accepts, as its transform,
     conjugates, method and diagnostics (in the caller's units): the identity
-    on a zero target; the transport-map basis when both covariances have
-    full rank, at ``CLOSED_FORM_REL``; then the basis of the descent, or of
-    the rank reduction on a singular target, at ``ORDER_REL``, returned
-    even if refused, for :func:`_assemble` to raise on."""
+    on a zero target; the ordered eigenbasis of ``cov_nu`` when both
+    covariances have full rank and ``cov_mu`` is diagonal in it (the
+    commuting case), at ``CLOSED_FORM_REL``; then the basis of the descent,
+    or of the rank reduction on a singular target, at ``ORDER_REL``,
+    returned even if refused, for :func:`_assemble` to raise on."""
     d = pair.cov_nu.shape[0]
     if pair.rank_nu == 0:
         return (*_certify(pair, np.eye(d), pair.order_tol), "closed_form", {"rank_nu": 0})
 
-    # tests force the descent by replacing this module global: call it by name
-    basis = _transport_candidate(pair)
-    if basis is not None:
-        tol = CLOSED_FORM_REL * (1.0 + float(pair.nu_eig[0].max()))
-        transform, conjugates = _certify(pair, basis, tol)
-        if transform.certified:
-            m_mu, _, _, mu_diag, _, _ = conjugates
-            scale = np.sqrt(mu_diag)
-            off = m_mu / (scale[:, None] * scale[None, :])
-            np.fill_diagonal(off, 0.0)  # the off-diagonal of its correlation
-            method = "commuting" if math.sqrt(np.vdot(off, off)) <= CLOSED_FORM_REL else "fast_path"
-            return transform, conjugates, method, {"order_residual": transform.order_residual}
+    if pair.rank_nu == d and pair.rank_mu == d:
+        vecs = pair.nu_eig[1]
+        m_mu = vecs.T @ pair.cov_mu @ vecs
+        scale = np.sqrt(m_mu.diagonal())
+        off = m_mu / (scale[:, None] * scale[None, :])
+        np.fill_diagonal(off, 0.0)  # the off-diagonal of its correlation
+        if math.sqrt(np.vdot(off, off)) <= CLOSED_FORM_REL:
+            tol = CLOSED_FORM_REL * (1.0 + float(pair.nu_eig[0].max()))
+            transform, conjugates = _certify(pair, _ordered(pair.nu_unclamped, vecs)[1], tol)
+            if transform.certified:
+                return (transform, conjugates, "commuting",
+                        {"order_residual": transform.order_residual})
 
     if pair.rank_nu == d:
         outcome, trace = pgd_project_above(pair.cov_nu, pair.nu_eig, pair.cov_mu,

@@ -100,30 +100,43 @@ def test_criterion_03_trace_identity_and_distance_equality():
 
 
 def test_criterion_04_descent_matches_closed_form():
+    # closed forms that need no route, 34 pairs of each kind: a commuting
+    # pair's eigenwise maximum; Smu <= Snu, where the dominating projection
+    # is Snu at distance 0 (and the dominated one Smu); and Snu = T Smu T for
+    # a map T <= I, the optimal map from mu onto nu, where it is Smu at
+    # W2^2 = tr((I - T) Smu (I - T)), the bound in the eigenbasis of T
     rng = np.random.default_rng(1004)
-    checked = 0
-    worst_rel = 0.0
-    while checked < 100:
-        if checked % 2 == 0:
-            mu_cov, nu_cov, *_ = random_commuting_pair(rng, int(rng.integers(2, 6)))
-            below, above = project_pair(mu_cov, nu_cov)
-            assert below.method in ("commuting", "fast_path")
+    worst_rel = worst_cov = 0.0
+    for k in range(102):
+        d = int(rng.integers(2, 6))
+        if k % 3 == 0:
+            mu_cov, nu_cov, q, mu_vals, nu_vals = random_commuting_pair(rng, d)
+            closed_above = q @ np.diag(np.maximum(mu_vals, nu_vals)) @ q.T
+            closed = float(np.sum(np.clip(np.sqrt(mu_vals) - np.sqrt(nu_vals), 0.0, None) ** 2))
+            assert project_pair(mu_cov, nu_cov)[0].method == "commuting"
+        elif k % 3 == 1:
+            mu_cov = random_spd(rng, d)
+            nu_cov = mu_cov + random_spd(rng, d, 0.0, 1.0)
+            closed_above, closed = nu_cov, 0.0
+            below, _ = project_pair(mu_cov, nu_cov)
+            np.testing.assert_allclose(below.covariance, mu_cov, atol=1e-9)
+            assert below.distance_sq == pytest.approx(0.0, abs=1e-12)
         else:
-            mu_cov, nu_cov = (random_spd(rng, int(rng.integers(2, 6))) for _ in range(2))
-            nu_cov = random_spd(rng, mu_cov.shape[0])
-            below, above = project_pair(mu_cov, nu_cov)
-            if below.method not in ("commuting", "fast_path"):
-                continue
-        checked += 1
-        closed = above.distance_sq
+            mu_cov, t = random_spd(rng, d), random_spd(rng, d, 0.1, 1.0)
+            nu_cov = t @ mu_cov @ t
+            gap = np.eye(d) - t
+            closed_above, closed = mu_cov, float(np.trace(gap @ mu_cov @ gap))
         outcome, trace = raw_descent(nu_cov, mu_cov)
         assert outcome.iterations <= 10_000
         worst_rel = max(worst_rel, abs(outcome.objective - closed) / (1.0 + closed))
+        worst_cov = max(worst_cov, float(np.abs(outcome.covariance - closed_above).max()))
         objective = np.asarray(trace.objective)
         if objective.size > 1:
             assert float(np.max(np.diff(objective))) <= 1e-9
     assert worst_rel <= 1e-5
-    report(f"criterion 4 PASS: 100 descent runs, worst relative objective gap {worst_rel:.2e}")
+    assert worst_cov <= 1e-4
+    report(f"criterion 4 PASS: 102 descent runs, worst relative objective gap {worst_rel:.2e}, "
+           f"worst covariance entry {worst_cov:.2e}")
 
 
 def test_criterion_05_gradient_finite_differences():

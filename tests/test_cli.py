@@ -228,8 +228,8 @@ class TestProjectGaussian:
         assert json.loads(converged.stdout)["status"] == "ok"
         assert "warning" not in converged.stderr
 
-    def test_pair_outside_the_fast_path_takes_the_descent(self, runner, tmp_path):
-        # the certificate refuses this pair's transport-map basis
+    def test_non_commuting_pair_takes_the_descent(self, runner, tmp_path):
+        # cov_mu is not diagonal in the eigenbasis of cov_nu
         problem = write_problem(tmp_path / "p.json", {
             "mu": {"mean": [0.0, 0.0], "cov": [[2.5, 0.0], [0.0, 0.4]]},
             "nu": {"mean": [0.0, 0.0], "cov": [[1.0, 0.9], [0.9, 1.0]]},
@@ -250,16 +250,20 @@ class TestProjectGaussian:
 
         monkeypatch.setattr(gaussian, "_decompose", counting)
         problem = write_problem(tmp_path / "p.json", GAUSSIAN_SINGULAR)
-        for try_fast in (True, False):
+        # the reduced problem of the first commutes; that of the second does not
+        tilted = write_problem(tmp_path / "q.json", {
+            "mu": {"mean": [0.0, 0.0, 0.0],
+                   "cov": [[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]]},
+            "nu": {"mean": [0.0, 0.0, 0.0],
+                   "cov": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]]},
+        })
+        for path, reduced_method in ((problem, "commuting"), (tilted, "pgd")):
             calls.clear()
-            with monkeypatch.context() as patch:
-                if not try_fast:
-                    patch.setattr(gaussian, "_transport_candidate", lambda pair: None)
-                result = runner.invoke(main, ["project-gaussian", problem])
+            result = runner.invoke(main, ["project-gaussian", path])
             assert result.exit_code == 0
             report = json.loads(result.output)
             assert report["uniqueness"]["unique"] is False
-            assert report["diagnostics"]["reduced_method"] == ("commuting" if try_fast else "pgd")
+            assert report["diagnostics"]["reduced_method"] == reduced_method
             assert len(calls) == 1
         calls.clear()
         result = runner.invoke(main, ["check", problem])

@@ -6,7 +6,13 @@ from convex_order.bures import bw2
 from convex_order.gaussian import project_pair
 from convex_order.linalg import loewner_leq, positive_part, psd_eigen, sym
 from convex_order.pgd import _default_step
-from _utils import frobenius_project_above, random_spd, random_symmetric, raw_descent
+from _utils import (
+    frobenius_project_above,
+    random_commuting_pair,
+    random_spd,
+    random_symmetric,
+    raw_descent,
+)
 
 # Random d = 4 pair (eigenvalues uniform on [0.2, 3], Haar eigenbasis) on
 # which a stop tested before backtracking ran to max_iter at 64x the
@@ -146,20 +152,24 @@ class TestPgd:
         np.testing.assert_allclose(outcome.covariance, np.diag([4.0, 4.0]), atol=1e-6)
 
     def test_matches_closed_form_when_available(self):
+        # pairs whose dominating projection is known without a solve: a
+        # commuting pair (the eigenwise maximum, which project_pair answers
+        # without the descent) and b = t a t for a map t <= I (a itself, at
+        # the squared distance tr((I - t) a (I - t)))
         rng = np.random.default_rng(5)
-        matched = 0
-        while matched < 10:
-            a, b = random_spd(rng, 3), random_spd(rng, 3)
-            _, above = project_pair(a, b)
-            if above.method not in ("commuting", "fast_path"):
-                continue
-            matched += 1
+        for k in range(10):
+            if k % 2 == 0:
+                a, b, *_ = random_commuting_pair(rng, 3)
+                _, above = project_pair(a, b)
+                assert above.method == "commuting"
+                closed, closed_cov = above.distance_sq, above.covariance
+            else:
+                a, t = random_spd(rng, 3), random_spd(rng, 3, 0.1, 1.0)
+                b = t @ a @ t
+                closed, closed_cov = float(np.trace((np.eye(3) - t) @ a @ (np.eye(3) - t))), a
             outcome, _ = raw_descent(b, a)
-            closed = above.distance_sq
             assert abs(outcome.objective - closed) <= 1e-5 * (1.0 + closed)
-            np.testing.assert_allclose(
-                outcome.covariance, above.covariance, atol=1e-4
-            )
+            np.testing.assert_allclose(outcome.covariance, closed_cov, atol=1e-4)
 
     def test_objective_trace_is_non_increasing(self):
         rng = np.random.default_rng(6)

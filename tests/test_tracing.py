@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 import convex_order
-from convex_order import cli, gaussian
+from convex_order import cli
 from _utils import random_spd
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
@@ -24,8 +24,7 @@ def _load_tracing():
     return module
 
 
-def test_tracer_reads_every_layer_through_its_names(tmp_path, monkeypatch):
-    monkeypatch.setattr(gaussian, "_transport_candidate", lambda pair: None)
+def test_tracer_reads_every_layer_through_its_names(tmp_path):
     rng = np.random.default_rng(3)
     cov_mu, cov_nu = random_spd(rng, 4), random_spd(rng, 4)
     mu = convex_order.DiscreteMeasure(rng.normal(size=(6, 2)), rng.dirichlet(np.ones(6)))
