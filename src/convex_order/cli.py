@@ -283,7 +283,8 @@ def cmd_project_1d(problem, output):
 @main.command("project-discrete")
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 @click.option("--tol", type=float, default=1e-8, show_default=True,
-              help="Relative duality-gap target.")
+              help="Target for the certified gap (value less its weak-duality "
+                   "lower bound), relative to 1 + value.")
 @click.option("--coupling-csv", type=click.Path(dir_okay=False), default=None,
               help="Dump the optimal coupling as dense CSV.")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
@@ -293,10 +294,10 @@ def cmd_project_discrete(problem, tol, coupling_csv, output):
         _fail(PARSE_ERROR, f"--tol must be finite and nonnegative, got {tol}")
     data = _load_json(problem)
     _, mu, nu = _measure_pair(data, "discrete")
-    result = solve_wot(mu, nu, fw_tol=tol)
+    result = solve_wot(mu, nu, tol=tol)
     if not result.converged:
-        _fail(SOLVER_ERROR,
-              f"duality gap {result.gap:.3e} not reached in {result.iterations} iterations")
+        _fail(SOLVER_ERROR, f"duality gap {result.gap:.3e} not reached in "
+                            f"{result.iterations} Newton steps")
     if coupling_csv:
         np.savetxt(coupling_csv, result.coupling.pi, delimiter=",")
     projection = barycentric_pushforward(result.coupling)
@@ -383,7 +384,7 @@ def _one_d_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
 
 
 def _discrete_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
-    result = solve_wot(mu, nu, fw_tol=1e-12)
+    result = solve_wot(mu, nu, tol=1e-12)
     projection = barycentric_pushforward(result.coupling)
     value_residual = abs(result.value - exact_w2_sq(mu, projection))
     bary_residual = float(np.linalg.norm(projection.barycenter - nu.barycenter))

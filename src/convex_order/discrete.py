@@ -1,30 +1,16 @@
 """Weak-optimal-transport solver for finitely supported measures.
 
 Minimizes the barycentric cost ``sum_i w_i |x_i - m(pi_{x_i})|^2`` over the
-transportation polytope with fully-corrective Frank-Wolfe, that is Wolfe's
-minimum-norm-point method.  The cost sees a coupling only through its row
-image ``p = pi @ y``, so the iterate is kept as the image ``p`` of a convex
-combination of stored vertices, and only the linear subproblem (and the
-returned coupling, formed once) works on ``n x m`` couplings.  Its cost
-``-2 r y'`` has rank d, and is formed as ``r @ (-2 y')`` with ``-2 y'``
-scaled once per solve.  In one dimension the comonotone coupling of the
-residuals ``r`` with ``y`` solves it in closed form; otherwise a network
-simplex on the transportation basis tree (Dantzig pricing over every cell,
-with a Bland fallback against cycling) solves it exactly.  The same
-comonotone staircase, rows in their given order, is the northwest corner:
-the first vertex, and the simplex's cold-start basis.  Each new vertex
-joins the stored ones, over whose hull an exact QP re-optimizes the
-quadratic; its active-set steps solve the support's KKT system by LU.  The
-marginals stay fixed across one solve, so every LP warm-starts from the
-optimal basis of the previous one; likewise every QP starts from the
-iterate's weights.  The instances are small and each round makes many
-numpy calls, so the engine calls ndarray methods and ufuncs rather than
-numpy's Python-level wrappers, and prices into preallocated arrays.  The
-pushforward of the first marginal under the conditional-barycenter map of
-an optimal coupling realizes the dominated-side Wasserstein projection.
-``exact_w2_sq`` solves the transportation LP by the same simplex for exact
-W2 between small measures, in every dimension; the 1-d quantile formulas
-and convex-order test live in :mod:`.one_dim`.
+transportation polytope by a primal-dual interior-point method on the
+convex QP in the coupling and its row images, restores the marginals of
+its last iterate exactly and certifies the result by a weak-duality lower
+bound.  The pushforward of the first marginal under the conditional-
+barycenter map of an optimal coupling realizes the dominated-side
+Wasserstein projection.  ``exact_w2_sq`` solves the transportation LP by a
+network simplex, for exact W2 between small measures in every dimension;
+the 1-d formulas live in :mod:`.one_dim`.  The instances are small, so the
+engine calls ndarray methods and ufuncs rather than numpy's Python-level
+wrappers.
 """
 
 from __future__ import annotations
@@ -38,16 +24,20 @@ import numpy as np
 from .measures import DiscreteMeasure
 
 MARGINAL_TOL = 1e-9
-# weights after a corrective QP step above -_QP_TOL count as nonnegative
-_QP_TOL = 1e-13
 # Dantzig pricing gives way to Bland's rule after _DEGENERATE_RUNS * (n + m)
 # degenerate pivots in a row (0: Bland's rule throughout)
 _DEGENERATE_RUNS = 1
-# Frank-Wolfe iterations per solve, and the largest n * m it accepts
-MAX_ITER = 50_000
+# Newton steps per solve, and the largest n * m it accepts
+MAX_ITER = 100
 BUDGET = 1_000_000
-# stored vertices that solve_wot first allocates room for; it doubles when full
-_CORRAL_ROWS = 16
+# a predictor blocked before this fraction of its step is followed by a
+# centring step to this fraction of the complementarity, without Mehrotra's
+# second-order term
+_BLOCKED = 0.1
+_CENTER = 0.5
+# a complementarity below this fraction of 1 + value is roundoff: the steps
+# after it lose accuracy, so the solve certifies and stops there
+_ROUNDOFF = 1e-15
 
 
 class BudgetExceededError(ValueError):
@@ -97,28 +87,25 @@ class Coupling:
 
 
 def _comonotone_vertex(
-    key: np.ndarray, row_w: np.ndarray, col_w: np.ndarray
+    row_w: np.ndarray, col_w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Comonotone vertex of the transportation polytope and its n + m - 1
+    """Northwest corner of the transportation polytope, the comonotone
+    vertex of the rows and columns in their given order, and its n + m - 1
     basis cells ``(rows[k], cols[k])``, degenerate ones with zero mass.
 
-    Rows are ordered by ``key`` (stable, so ties keep their order), columns
-    as given, and mass is laid down on the merged cumulative weights.  Each
-    piece between consecutive merged cuts is one cell, in the row and column
-    that the cuts before it have passed; a row cut sorts before an equal
-    column cut, so a tie moves down first.  Each cell is one row or column
-    on from the last, so the cells grow a spanning tree.  With residuals
-    ``r`` as the key and ``y`` ascending, this is the optimum of the cost
-    ``-r_i y_j``; with ``arange(n)``, the northwest corner, whose tree grows
-    from row 0 as :class:`_TransportBasis` needs.
+    Mass is laid down on the merged cumulative weights: each piece between
+    consecutive cuts is one cell, in the row and column that the cuts before
+    it have passed; a row cut sorts before an equal column cut, so a tie
+    moves down first.  Each cell is one row or column on from the last, so
+    the cells grow a spanning tree from row 0, as :class:`_TransportBasis`
+    needs.
     """
     n = row_w.size
-    order = np.argsort(key, kind="stable")
     col_cum = np.cumsum(col_w)
-    cuts = np.concatenate((np.cumsum(row_w[order][:-1]), col_cum[:-1]))
+    cuts = np.concatenate((np.cumsum(row_w[:-1]), col_cum[:-1]))
     by_cut = np.argsort(cuts, kind="stable")
     passed_col = by_cut >= n - 1
-    rows = order[np.concatenate(([0], np.cumsum(~passed_col)))]
+    rows = np.concatenate(([0], np.cumsum(~passed_col)))
     cols = np.concatenate(([0], np.cumsum(passed_col)))
     pi = np.zeros((n, col_w.size))
     pi[rows, cols] = np.diff(np.concatenate(([0.0], cuts[by_cut], col_cum[-1:])))
@@ -138,10 +125,7 @@ class _TransportBasis:
     cost of its cell less its parent's potential, so ``u_i + v_j = c_ij``
     on every basis cell up to the rounding of that one subtraction.  These
     are plain lists: the pivots and :meth:`settle` touch a few nodes each,
-    one at a time.  A basic feasible solution stays feasible when only the
-    cost changes, so one basis can warm-start a sequence of solves that
-    share the marginals; pricing after a new cost needs only
-    ``settle(0, cost)``.  ``pivots`` counts the pivots over all solves.
+    one at a time.  Pricing a cost needs ``settle(0, cost)`` first.
     """
 
     def __init__(self, pi: np.ndarray, rows: np.ndarray, cols: np.ndarray):
@@ -157,7 +141,6 @@ class _TransportBasis:
         self.flow = [0.0] * size
         self.children: list[list[int]] = [[] for _ in range(size)]
         self.pot = [0.0] * size
-        self.pivots = 0
         placed = [True] + [False] * (size - 1)
         for i, j in zip(rows.tolist(), cols.tolist()):
             if placed[i] == placed[n + j]:
@@ -231,7 +214,6 @@ class _TransportBasis:
             children[hang[0]].append(node)
             hang = (node, old[1], old[2])
         self.settle(path[0], cost)
-        self.pivots += 1
         return theta
 
 
@@ -262,26 +244,18 @@ def _basis_cycle(basis: _TransportBasis, i: int, j: int) -> tuple[list[int], lis
 
 
 def solve_transport_lp(
-    cost: np.ndarray,
-    row_weights: np.ndarray,
-    col_weights: np.ndarray,
-    *,
-    basis: _TransportBasis | None = None,
+    cost: np.ndarray, row_weights: np.ndarray, col_weights: np.ndarray
 ) -> np.ndarray:
     """Exact optimal vertex of the transportation polytope.
 
-    Network simplex on the basis tree.  Without ``basis`` it starts cold
-    from the northwest corner (:func:`_comonotone_vertex`); with one (built
-    for the same marginals) it starts from that basis and leaves the
-    optimal basis in it, ready to warm-start the next cost.  The entering
-    cell has the most negative reduced cost (Dantzig pricing); after
-    ``n + m`` degenerate pivots in a row, Bland's rule (first cell in
-    row-major order with sufficiently negative reduced cost) takes over
-    until a pivot moves mass, which rules out cycling.  Potentials are
-    recomputed only on the subtree that each pivot re-hangs.  With zero
-    cost the starting vertex is returned unchanged.  ``solve_wot`` calls it
-    for measures in two or more dimensions, and ``exact_w2_sq`` in every
-    dimension.
+    Network simplex on the basis tree, from the northwest corner
+    (:func:`_comonotone_vertex`).  The entering cell has the most negative
+    reduced cost (Dantzig pricing); after ``n + m`` degenerate pivots in a
+    row, Bland's rule (first cell in row-major order with sufficiently
+    negative reduced cost) takes over until a pivot moves mass, which rules
+    out cycling.  Potentials are recomputed only on the subtree that each
+    pivot re-hangs.  With zero cost the northwest corner is returned
+    unchanged.  ``exact_w2_sq`` calls it, in every dimension.
 
     Pricing computes ``(c_ij - u_i) - v_j`` on every cell, basis cells
     included, unmasked.  A basis cell whose child node is column ``j`` has
@@ -303,10 +277,7 @@ def solve_transport_lp(
     if abs(total - float(col_w.sum())) > 1e-9 * (1.0 + total):
         raise LpInfeasibleError("row and column weights have different totals")
     n, m = row_w.size, col_w.size
-    if basis is None:
-        basis = _TransportBasis(*_comonotone_vertex(np.arange(n), row_w, col_w))
-    elif (basis.n, basis.m) != (n, m):
-        raise ValueError("warm-start basis does not match the weights")
+    basis = _TransportBasis(*_comonotone_vertex(row_w, col_w))
     flat_cost = cost.ravel().tolist()
     basis.settle(0, flat_cost)
     threshold = 1e-12 * (1.0 + float(np.abs(cost).max()))
@@ -334,122 +305,26 @@ def solve_transport_lp(
     raise LpInfeasibleError("transportation simplex exceeded its pivot budget")
 
 
-def _simplex_qp(
-    quad: np.ndarray, lin: np.ndarray, start: np.ndarray, enter: int
-) -> tuple[np.ndarray, int]:
-    """Exact minimizer of ``a' quad a + lin' a`` over the probability simplex.
-
-    Primal active-set method on the nonnegativity bounds (Wolfe's minor
-    cycle), from the feasible point ``start`` with index ``enter`` added to
-    its support.  Each step solves the support's bordered KKT system by LU
-    for the step from the current point to the minimizer over the support's
-    affine hull.  When that system is singular (LU fails, or leaves a
-    residual above roundoff), a least-squares solve takes its place: on a
-    singular ``quad`` (PSD; repeated or affinely dependent vertex images)
-    its step leaves the weights alone where the quadratic is flat, unless
-    the linear term descends there: that ray is followed to the boundary.
-    A support of every index, as from a positive ``start``, solves the
-    whole bordered matrix without copying it, and an unblocked step there
-    returns at once: no index is left to enter.  ``start`` is not written.
-    Returns the minimizer and the number of active-set steps it took.
-    """
-    k = quad.shape[0]
-    alpha = np.array(start, dtype=float)
-    scale = 1.0 + float(np.abs(quad).max()) + float(np.abs(lin).max())
-    # [[2 quad, scale], [scale, 0]]: the KKT matrix of a support is its
-    # principal submatrix on the support's rows and the last one, always
-    # flagged.  A border at the scale of quad keeps the least-squares rank
-    # decision independent of the units of the points.
-    bordered = np.full((k + 1, k + 1), scale)
-    top = bordered[:k, :k]
-    np.multiply(2.0, quad, out=top)
-    bordered[k, k] = 0.0
-    flagged = np.empty(k + 1, dtype=bool)
-    flagged[k] = True
-    support = flagged[:k]
-    np.greater(alpha, 0.0, out=support)
-    support[enter] = True
-    s = int(np.count_nonzero(support))
-    for steps in range(1, 60 * k + 41):
-        if s == k:
-            # the whole support, as in the first step from a positive start:
-            # the KKT matrix is ``bordered`` itself, and a slice picks its
-            # entries as views
-            idx, kkt = slice(k), bordered
-        else:
-            rows = flagged.nonzero()[0]
-            idx, kkt = rows[:s], bordered[rows[:, None], rows]
-        rhs = np.zeros(s + 1)
-        rhs[:s] = -(top @ alpha + lin)[idx]
-        ray = None
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-            regular = np.abs(kkt @ sol - rhs).max() <= 1e-12 * scale
-        except np.linalg.LinAlgError:
-            regular = False
-        if not regular:
-            sol, _, rank, _ = np.linalg.lstsq(kkt, rhs, rcond=None)
-            # a singular KKT system without a solution leaves a residual
-            # along which the quadratic is flat and the linear term descends
-            residual = rhs[:s] - kkt[:s] @ sol
-            if rank <= s and np.abs(residual).max() > 1e-12 * scale:
-                ray = residual
-        current, step = alpha[idx], sol[:s]
-        if ray is not None:
-            step, blocking = ray, ray < 0.0
-        else:
-            blocking = current + step < -_QP_TOL
-        if not blocking.any():
-            alpha[idx] = np.maximum(current + step, 0.0)  # 0 off the support
-            alpha /= alpha.sum()
-            if s == k:
-                return alpha, steps  # no index is left to enter
-            # the KKT rows read 2 Q (a + step) + scale sol[s] = -lin on the support
-            reduced = top @ alpha + lin + scale * sol[s]
-            reduced[support] = np.inf
-            worst = int(reduced.argmin())
-            if reduced[worst] >= -1e-12 * scale:
-                return alpha, steps
-            support[worst] = True
-            s += 1
-        else:
-            # move along the step until the first support weight hits 0; the
-            # step sums to 0, so some other weight stays positive
-            at = blocking.nonzero()[0]
-            ratios = current[at] / -step[at]
-            first = int(ratios.argmin())
-            drop = at[first] if s == k else idx[at[first]]
-            alpha[idx] = np.maximum(current + ratios[first] * step, 0.0)
-            alpha[drop] = 0.0
-            alpha /= alpha.sum()
-            support[drop] = False
-            s -= 1
-    return alpha, steps  # active-set budget hit: return the best feasible point seen
-
-
 @dataclass(frozen=True)
 class WotResult:
     """Outcome of :func:`solve_wot`.
 
-    ``coupling`` is the returned coupling ``sum_k alpha_k V_k``.  ``value``
-    is its barycentric cost ``sum_i w_i |x_i - m(pi_{x_i})|^2`` and ``gap``
-    its Frank-Wolfe duality gap against the last oracle vertex, both in the
-    caller's units (squared units of the points), though the solve runs at
-    unit scale.  ``iterations`` counts the Frank-Wolfe iterations, one
-    oracle call each, and ``converged`` tells whether the gap met its
-    target ``fw_tol * (1 + value)``.  ``diagnostics`` holds:
+    ``coupling`` is the last certified interior iterate with its marginals
+    restored; ``value`` is its barycentric cost and ``gap`` is ``value`` less
+    the weak-duality bound of :func:`_lower_bound`, so the optimum lies in
+    ``[value - gap, value]``.  Both are in the caller's units, though the
+    solve runs at unit scale.  ``iterations`` counts the Newton steps, and
+    ``converged`` tells whether the gap met ``tol * (1 + value)`` at unit
+    scale.  ``diagnostics`` holds:
 
-    - ``active_vertices``: the stored vertices that carry the coupling;
-    - ``lp_calls``: transportation-LP solves, one per iteration (0 in 1-d,
-      where the oracle is the comonotone coupling);
-    - ``pivots``: simplex pivots over all LP solves (0 in 1-d);
-    - ``qp_steps``: active-set steps of the corrective QP over all
-      iterations;
-    - ``scale_exponent``: the ``k`` of the unit scale ``2^k`` that divided
-      the points;
-    - ``stop_reason``: ``"gap"``; ``"no_descent"``, when before the gap
-      target was met the oracle returned a stored vertex or the QP did not
-      descend; or ``"max_iter"``, after ``MAX_ITER`` iterations.
+    - ``complementarity``: ``sum_ij pi_ij s_ij`` of the last iterate;
+    - ``certificates``: the couplings restored and bounded;
+    - ``scale_exponent``: the ``k`` of the unit scale ``2^k``;
+    - ``stop_reason``: ``"gap"``; ``"forced"`` (one measure is a single
+      atom, so the product coupling is the only one); ``"roundoff"`` (the
+      complementarity fell to roundoff before the gap met a smaller
+      target); ``"singular"`` (a Newton system gave no finite step); or
+      ``"max_iter"``.
     """
 
     coupling: Coupling
@@ -460,148 +335,270 @@ class WotResult:
     diagnostics: dict[str, Any]
 
 
-def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, fw_tol: float = 1e-8) -> WotResult:
+def _lower_bound(
+    x: np.ndarray, w: np.ndarray, y: np.ndarray, col_w: np.ndarray,
+    r: np.ndarray, b: np.ndarray,
+) -> float:
+    """Weak-duality bound on the barycentric cost of every coupling:
+    ``LB(r, b) = sum_i w_i (2 r_i.x_i - |r_i|^2) - 2 sum_i w_i max_j (r_i.y_j -
+    b_j) - 2 sum_j col_w_j b_j`` for any residuals ``r`` and potentials ``b``.
+    A coupling with images ``p_i`` and barycenters ``T_i = p_i / w_i`` costs
+    ``sum_i w_i |x_i - T_i|^2 >= sum_i w_i (2 r_i.(x_i - T_i) - |r_i|^2)``, and
+    ``sum_i r_i.p_i = sum_ij pi_ij (r_i.y_j - b_j) + sum_j col_w_j b_j`` is at
+    most the sums the bound subtracts.  Optimal duals attain it.
+    """
+    reach = (r @ y.T - b).max(axis=1)
+    own = (r * (2.0 * x - r)).sum(axis=1)
+    return float(w @ (own - 2.0 * reach)) - 2.0 * float(col_w @ b)
+
+
+def _restore_marginals(pi: np.ndarray, row_w: np.ndarray, col_w: np.ndarray) -> np.ndarray:
+    """``pi`` scaled onto the marginals ``(row_w, col_w)`` by one
+    multiplicative Newton step ``pi_ij (1 + a_i + b_j)``.  The sums are
+    linear in ``(a, b)``, so one (n + m - 1) solve (``b`` of the last column
+    fixed at 0) meets both marginals to roundoff; the system's quadratic form
+    ``sum_ij pi_ij (a_i + b_j)^2`` is definite for a positive ``pi``.  On
+    16,000 product measures solved at ``tol = 1e-12``, with residuals up to
+    1e-7, the factors stayed within [0.28, 1.72].
+    """
+    n = row_w.size
+    rows, cols = pi.sum(axis=1), pi.sum(axis=0)
+    size = n + col_w.size - 1
+    system = np.zeros((size, size))
+    system[:n, n:] = pi[:, :-1]
+    system[n:, :n] = pi[:, :-1].T
+    system.flat[:: size + 1] = np.concatenate((rows, cols[:-1]))
+    shift = np.linalg.solve(system, np.concatenate((row_w - rows, (col_w - cols)[:-1])))
+    col_shift = np.zeros(col_w.size)
+    col_shift[:-1] = shift[n:]
+    return pi * ((1.0 + shift[:n, None]) + col_shift)
+
+
+class _NewtonSystem:
+    """The Newton equations of :func:`solve_wot` at one iterate, reduced to
+    one block per row and the Schur complement on the column duals, with the
+    work arrays that every step reuses.
+
+    Row ``i``'s block ``sum_j d_ij a_ij a_ij' + diag(0, w_i / 2 I)``, with
+    ``d_ij = pi_ij / s_ij`` and ``a_ij = (1, c_ij)``, is centred on the
+    row's d-weighted mean ``ybar_i`` of the atoms: ``c_ij = ybar_i - y_j``,
+    so ``sum_j d_ij c_ij = 0`` and it splits into ``total_i = sum_j d_ij``
+    and an image part solved by LU, with no large entries cancelling.  Near
+    the optimum a row's largest ``d_ij`` holds nearly all of ``total_i``:
+    there ``total_i - d_ij`` and ``c_ij`` are summed over the other cells.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, w: np.ndarray, col_w: np.ndarray):
+        n, m, dim = w.size, col_w.size, x.shape[1]
+        self.shape = n, m, dim
+        self.y, self.y_t, self.w, self.col_w = y, y.T, w, col_w
+        self.half_w = 0.5 * w[:, None]
+        self.w_x = w[:, None] * x  # the images are p = w x + (w / 2) z
+        self.every_row = np.arange(n)
+        self.cols = np.ones((n, dim + 1, m))
+        self.spread = np.empty((n, dim + 1, m))  # the columns d_ij a_ij
+        self.solved = np.empty((n, dim + 1, m + 1))
+        self.image_rhs = np.empty((n, dim, m + 1))
+        self.half_w_block = np.zeros((n, dim, dim))
+        self.half_w_block[:, np.arange(dim), np.arange(dim)] = self.half_w
+        self.dv_full = np.zeros(m)
+
+    def factor(self, pi: np.ndarray, s: np.ndarray, z: np.ndarray) -> None:
+        """Solve the blocks and form the Schur complement at ``(pi, s, z)``."""
+        m = self.shape[1]
+        y, w, every_row, cols, spread, solved = (
+            self.y, self.w, self.every_row, self.cols, self.spread, self.solved
+        )
+        self.ratio = ratio = pi / s
+        total = ratio.sum(axis=1)
+        self.largest = largest = ratio.argmax(axis=1)
+        rest = ratio.copy()
+        rest[every_row, largest] = 0.0
+        rest_total = rest.sum(axis=1)
+        self.rest_share = rest / total[:, None]
+        self.rest_part = rest_total / total
+        y_bar = (ratio @ y) / total[:, None]
+        np.subtract(y_bar[:, :, None], self.y_t, out=cols[:, 1:])
+        self.c_top = self.rest_share @ y - self.rest_part[:, None] * y[largest]
+        cols[every_row, 1:, largest] = self.c_top
+        np.multiply(ratio[:, None, :], cols, out=spread)
+        image_block = spread[:, 1:] @ cols[:, 1:].transpose(0, 2, 1)
+        image_block += self.half_w_block
+        r_row = w - pi.sum(axis=1)
+        self.r_col = (self.col_w - pi.sum(axis=0))[:-1]
+        image_rhs = self.image_rhs
+        image_rhs[:, :, :m] = spread[:, 1:]
+        np.add(pi @ y - self.w_x - self.half_w * z, y_bar * r_row[:, None],
+               out=image_rhs[:, :, m])
+        solved[:, 1:] = np.linalg.solve(image_block, image_rhs)
+        share = solved[:, 0, :m]
+        np.divide(ratio, total[:, None], out=share)
+        solved[:, 0, m] = r_row / total
+        self.flat_spread = spread.reshape(-1, m)
+        self.flat_solved = solved.reshape(-1, m + 1)
+        # D_col - sum_i B_i' K_i^-1 B_i, whose row part D_col - sum_i d_i d_i'
+        # / total_i has the diagonal sum_i d_ij (total_i - d_ij) / total_i
+        schur = self.flat_spread[:, :-1].T @ self.flat_solved[:, :-2]
+        np.negative(schur, out=schur)
+        others = total[:, None] - ratio
+        others[every_row, largest] = rest_total
+        image_diag = (spread[:, 1:, :-1] * solved[:, 1:, :-2]).sum(axis=(0, 1))
+        schur.flat[::m] = (share * others).sum(axis=0)[:-1] - image_diag
+        self.schur = schur
+
+    def direction(self, t: np.ndarray, primal_slack: np.ndarray):
+        """The step whose complementarity rows read ``s dpi + pi ds = pi t``:
+        ``dpi = d (moved + t)`` and ``ds = -moved``, where ``moved_ij =
+        a_ij.q_i + dv_j`` and ``K_i q_i = residual_i - sum_j d_ij (t_ij +
+        dv_j) a_ij``.  In each row's largest cell ``du_i + dv_j`` is summed
+        as ``eta_i + sum_k share_ik (dv_j - dv_k)`` over the other cells.
+        Returns the stacked ``(dpi, ds)``, ``dz``, ``dv`` and the largest
+        step that keeps ``(pi, s)`` nonnegative."""
+        n, m, dim = self.shape
+        solved, ratio, largest, dv_full = self.solved, self.ratio, self.largest, self.dv_full
+        eta = solved[:, :, m] - (solved[:, :, :m] @ t[:, :, None])[:, :, 0]
+        rhs = self.r_col - ((ratio * t).sum(axis=0) + eta.reshape(-1) @ self.flat_spread)[:-1]
+        try:
+            dv = np.linalg.solve(self.schur, rhs)
+        except np.linalg.LinAlgError:
+            # on degenerate instances (rows split over more cells than a
+            # vertex has) the complement's small eigenvalues can round to an
+            # exact zero pivot: the least-norm solution leaves the
+            # undetermined column duals alone
+            dv = np.linalg.lstsq(self.schur, rhs, rcond=None)[0]
+        dv_full[:-1] = dv
+        q = eta - (self.flat_solved[:, :-2] @ dv).reshape(n, dim + 1)
+        moved = (q[:, None, :] @ self.cols)[:, 0, :]
+        moved[:, :-1] += dv
+        moved[self.every_row, largest] = (
+            eta[:, 0] + (self.c_top * q[:, 1:]).sum(axis=1)
+            + dv_full[largest] * self.rest_part - self.rest_share @ dv_full
+        )
+        out = np.empty((2, n, m))
+        np.multiply(ratio, moved + t, out=out[0])
+        np.negative(moved, out=out[1])
+        lowest = float((out / primal_slack).min())
+        if not math.isfinite(lowest):
+            raise np.linalg.LinAlgError("the Newton step is not finite")
+        return out, q[:, 1:], dv, -1.0 / lowest if lowest < 0.0 else math.inf
+
+
+def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-10) -> WotResult:
     """Minimize the barycentric cost over the couplings of ``(mu, nu)``.
 
-    Fully-corrective Frank-Wolfe (Wolfe's minimum-norm-point method) with
-    an exact linear oracle over the couplings and duality-gap stopping at
-    ``fw_tol * (1 + value)``, at unit scale: the points are divided by the
-    power of two ``2^scale_exponent`` that brings the largest |coordinate|
-    into ``[2, 4)``, and ``value`` and ``gap`` multiplied back by its
-    square.  The iterate is the row image ``p = sum_k alpha_k V_k y`` of a
-    convex combination of stored vertices ``V_k``; with the residual
-    ``r = x - p / w`` the gradient in the coupling is ``-2 r y'``, and the
-    gap against an oracle vertex with image ``q`` is ``2 sum r . (q - p)``.
-    For measures on the real line the oracle vertex is the comonotone
-    coupling of ``r`` with ``y``; in two or more dimensions it is the
-    optimum of the transportation LP, which ``solve_transport_lp`` finds
-    warm-started from the previous call's basis.  Points on a line in R^d,
-    d >= 2, take the LP.  Each oracle vertex joins the stored ones (the
-    corral), and an exact QP over their hull, started from the iterate's
-    weights with the new vertex at 0, gives the next iterate.  The corral
-    keeps its vertices' images, linear terms and the QP's start in
-    preallocated arrays that double when full; a vertex joins in place,
-    and the arrays are compacted in place only when the QP leaves a vertex
-    without weight, which drops it.  The coupling is formed once, at
-    return.  On the last allowed iteration the loop stops after the gap
-    test, so the reported gap is always that of the returned coupling.  A
-    result with ``converged=False`` carries the best iterate and its
-    remaining gap; :class:`WotResult` lists the diagnostics.  A NaN or
-    infinite ``fw_tol`` raises ``ValueError``; a negative one is never met.
-    Instances with more than ``BUDGET`` cells ``n * m`` raise
-    :class:`BudgetExceededError`.
+    Mehrotra's predictor-corrector on the QP over couplings ``pi >= 0`` and
+    images ``p``: minimize ``sum_i |w_i x_i - p_i|^2 / w_i`` subject to
+    ``pi 1 = w``, ``pi' 1 = nu`` (the last column's equation dropped) and
+    ``p_i = sum_j pi_ij y_j``, with duals ``u``, ``v`` (``v_m = 0``), ``z``
+    and slacks ``s_ij = z_i.y_j - u_i - v_j >= 0``.  Stationarity in ``p``,
+    ``p_i = w_i (x_i + z_i / 2)`` (``z = -2 r``), holds along every step, so
+    ``z`` carries ``p``.  The points are divided by the power of two
+    ``2^scale_exponent`` that brings the largest |coordinate| into ``[2,
+    4)``; ``value``, ``gap`` and the complementarity are scaled back.
+
+    The start is the product coupling with ``z = -2 r``, ``v = 0`` and
+    ``u_i = min_j y_j.z_i - 1 / w_i``: every ``pi_ij s_ij >= nu_j`` (from
+    slacks of 1, products as small as ``w_i nu_j`` made Mehrotra's steps
+    cycle on 3 of 6,000 small grid instances).  Each step solves
+    :class:`_NewtonSystem` once for the predictor and the corrector, and
+    goes 0.995 of the way to the boundary.  A predictor blocked before
+    ``_BLOCKED`` of its step is followed by a centring step to ``_CENTER``
+    of the mean complementarity, as Mehrotra's corrector alone can cycle.
+
+    Once the complementarity falls to ``tol * (1 + value)``, the iterate is
+    certified: :func:`_restore_marginals` gives the coupling, and ``gap`` is
+    its value less :func:`_lower_bound` at ``r = -z / 2``, ``b = -v / 2``.
+    The solve stops when the gap meets ``tol * (1 + value)``, and resumes
+    otherwise; a complementarity below ``_ROUNDOFF * (1 + value)``, a
+    singular Newton system or ``MAX_ITER`` steps end it with the current
+    iterate certified.  A NaN or infinite ``tol`` raises ``ValueError``; a
+    negative one is never met.  More than ``BUDGET`` cells ``n * m`` raise
+    :class:`BudgetExceededError`; at that size, 1000 x 1000 points in the
+    plane, a solve took 9.0 s, 54 Newton steps and 317 MB.
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
-    if not math.isfinite(fw_tol):  # an infinite target passes the first vertex
-        raise ValueError(f"fw_tol must be finite, got {fw_tol}")
+    if not math.isfinite(tol):  # an infinite target passes the first certificate
+        raise ValueError(f"tol must be finite, got {tol}")
     _require_budget(mu, nu)
     # unit scale through an exact power of two; [2, 4) rather than [1, 2),
     # where N(0, 1) data would see the absolute part of the gap target grow
     top = max(float(np.abs(mu.points).max()), float(np.abs(nu.points).max()))
     k = math.frexp(top)[1] - 2 if top >= 2.0**-1000 else 0  # 2^-k and 4^k stay finite
     unit = math.ldexp(1.0, -k)
-    x, y, w = unit * mu.points, unit * nu.points, mu.weights
+    x, y, w, col_w = unit * mu.points, unit * nu.points, mu.weights, nu.weights
+    n, m = w.size, col_w.size
     w_col = w[:, None]
-    root_w = np.sqrt(w_col)
+    # pi and s stacked, so that one ratio test and one update serve both
+    primal_slack = np.empty((2, n, m))
+    pi, s = primal_slack
+    np.multiply(w_col, col_w, out=pi)
+    z = 2.0 * (col_w @ y - x)
+    if n == 1 or m == 1:
+        # the product coupling is the only one; b_j = r_1.y_j closes the bound
+        v = z[0] @ y.T
+        max_steps = 0
+    else:
+        zy = z @ y.T
+        # u_i = min_j z_i.y_j - 1 / w_i: every product pi_ij s_ij >= nu_j
+        np.subtract(zy, zy.min(axis=1)[:, None] - 1.0 / w_col, out=s)
+        v = np.zeros(m)
+        max_steps = MAX_ITER
+        system = _NewtonSystem(x, y, w, col_w)
+    certified_at: list[int] = []  # the steps after which the iterate was certified
 
-    def residual_and_value(p: np.ndarray) -> tuple[np.ndarray, float]:
-        # the objective touches a coupling only through its row image
-        # p = pi @ y: it is sum_i w_i |r_i|^2 with the residual r = x - p / w
-        residual = x - p / w_col
-        return residual, float(w @ (residual**2).sum(axis=1))
+    def certify() -> tuple[np.ndarray, float, float]:
+        certified_at.append(steps)
+        coupling = pi.copy() if max_steps == 0 else _restore_marginals(pi, w, col_w)
+        residual = x - (coupling @ y) / w_col
+        value = float(w @ (residual * residual).sum(axis=1))
+        return coupling, value, value - _lower_bound(x, w, y, col_w, -0.5 * z, -0.5 * v)
 
-    # the northwest corner is the first vertex; in 1-d the oracle needs no
-    # basis, otherwise each LP warm-starts from the previous optimal basis
-    # (the marginals never change)
-    pi, rows, cols = _comonotone_vertex(np.arange(w.size), w, nu.weights)
-    basis = None if mu.dim == 1 else _TransportBasis(pi, rows, cols)
-    # the LP cost -2 r y' as r @ (-2 y'): scaling by -2 is exact either way
-    lp_y = -2.0 * y.T
-    # the corral: the stored vertices by their bytes, in the order they
-    # joined; in the rows of preallocated arrays, their images q_k = V_k y,
-    # divided by sqrt(w) and flattened (``images``, whose Gram matrix is the
-    # quadratic's), their linear terms ``lin`` (value = sum_i w_i |x_i|^2 +
-    # alpha' Gram alpha + lin' alpha) and ``start``: the weights alpha of
-    # the ``size`` vertices that carry the iterate, then 0 for an entering
-    # vertex, from which the next QP starts.  The arrays double when full
-    # and are compacted in place only when a QP drops a vertex.
-    corral = {pi.tobytes(): pi}
-    images = np.empty((_CORRAL_ROWS, x.size))
-    lin = np.empty(_CORRAL_ROWS)
-    start = np.empty(_CORRAL_ROWS)
-    p = pi @ y
-    images[0] = (p / root_w).ravel()
-    lin[0] = -2.0 * float(np.vdot(x, p))
-    start[0] = 1.0
-    size = 1
-    residual, value = residual_and_value(p)
-    gap = np.inf
-    iterations = qp_steps = 0
-    stop_reason = "max_iter"
-
-    for iterations in range(1, MAX_ITER + 1):
-        if basis is None:
-            # the cost -2 r y' has rank one and nu's atoms are ascending
-            # (DiscreteMeasure sorts them)
-            vertex = _comonotone_vertex(residual[:, 0], w, nu.weights)[0]
-        else:
-            vertex = solve_transport_lp(residual @ lp_y, w, nu.weights, basis=basis)
-        q = vertex @ y
-        gap = 2.0 * float(np.vdot(residual, q - p))
-        if gap <= fw_tol * (1.0 + abs(value)):
-            stop_reason = "gap"
+    steps = 0
+    singular = False
+    while True:
+        # the interior iterate's own value is sum_i w_i |z_i / 2|^2
+        scale = 1.0 + 0.25 * float(w @ (z * z).sum(axis=1))
+        complementarity = float(np.vdot(pi, s)) if max_steps else 0.0
+        spent = complementarity <= _ROUNDOFF * scale or steps == max_steps
+        if complementarity <= tol * scale or spent:
+            coupling, value, gap = certify()
+            if gap <= tol * (1.0 + value) or spent:
+                break
+        try:
+            system.factor(pi, s, z)
+            predictor, _, _, reach = system.direction(-s, primal_slack)
+            mean = complementarity / (n * m)
+            if reach < _BLOCKED:
+                correction = _CENTER * mean
+            else:
+                trial = primal_slack + min(1.0, reach) * predictor
+                sigma = (float(np.vdot(trial[0], trial[1])) / complementarity) ** 3
+                correction = sigma * mean - predictor[0] * predictor[1]
+            move, dz, dv, reach = system.direction(correction / pi - s, primal_slack)
+        except np.linalg.LinAlgError:
+            singular = True
+            if certified_at[-1:] != [steps]:
+                coupling, value, gap = certify()
             break
-        key = vertex.tobytes()
-        if key in corral:
-            # the iterate already minimizes over this vertex, up to roundoff
-            stop_reason = "no_descent"
-            break
-        if iterations == MAX_ITER:
-            break  # return the iterate whose gap was just measured
-        # re-optimize exactly over the hull of the stored vertices and this one
-        if size == lin.size:
-            images, lin, start = (np.concatenate((full, np.empty_like(full)))
-                                  for full in (images, lin, start))
-        corral[key] = vertex
-        images[size] = (q / root_w).ravel()
-        lin[size] = -2.0 * float(np.vdot(x, q))
-        start[size] = 0.0
-        stored = images[: size + 1]
-        weights, steps = _simplex_qp(stored @ stored.T, lin[: size + 1], start[: size + 1], size)
-        qp_steps += steps
-        keep = weights > 1e-15
-        dropped = not keep.all()
-        if dropped:
-            weights, stored = weights[keep], stored[keep]
-        candidate = (weights @ stored).reshape(x.shape) * root_w
-        cand_residual, cand_value = residual_and_value(candidate)
-        if cand_value > value + 1e-15 * (1.0 + abs(value)):
-            stop_reason = "no_descent"
-            break
-        p, residual, value = candidate, cand_residual, cand_value
-        if dropped:
-            lin[: weights.size] = lin[: size + 1][keep]
-            images[: weights.size] = stored
-            for joined, kept in zip(list(corral), keep):
-                if not kept:
-                    del corral[joined]
-        size = weights.size
-        start[:size] = weights
+        alpha = min(1.0, 0.995 * reach)
+        primal_slack += alpha * move
+        v[:-1] += alpha * dv
+        z += alpha * dz
+        steps += 1
 
-    # after a rejected QP the last stored vertex carries no weight
-    pi = np.tensordot(start[:size], list(corral.values())[:size], axes=1)
+    converged = gap <= tol * (1.0 + value)
+    stop_reason = ("forced" if max_steps == 0 else "gap" if converged else "singular"
+                   if singular else "max_iter" if steps == max_steps else "roundoff")
     return WotResult(
-        coupling=Coupling(pi, mu, nu),
+        coupling=Coupling(coupling, mu, nu),
         value=math.ldexp(value, 2 * k),
         gap=math.ldexp(gap, 2 * k),
-        iterations=iterations,
-        converged=stop_reason == "gap",
+        iterations=steps,
+        converged=converged,
         diagnostics={
-            "active_vertices": size,
-            "lp_calls": 0 if basis is None else iterations,
-            "pivots": 0 if basis is None else basis.pivots,
-            "qp_steps": qp_steps,
+            "complementarity": math.ldexp(complementarity, 2 * k),
+            "certificates": len(certified_at),
             "scale_exponent": k,
             "stop_reason": stop_reason,
         },

@@ -191,7 +191,7 @@ def test_criterion_08_quantile_formula_versus_transport():
         mu = random_discrete_1d(rng, max_atoms=8)
         nu = random_discrete_1d(rng, max_atoms=8)
         detail = project_1d_detail(mu, nu)
-        result = solve_wot(mu, nu, fw_tol=1e-13)
+        result = solve_wot(mu, nu, tol=1e-12)
         pushed = barycentric_pushforward(result.coupling)
         worst_w2 = max(worst_w2, w2_1d(detail.below, pushed))
         worst_moment = max(worst_moment, abs(

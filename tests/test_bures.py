@@ -173,5 +173,5 @@ class TestCouplingLowerBound:
             a, b = random_spd(rng, d), random_spd(rng, d)
             ma = moment_matched_discretization(a)
             mb = moment_matched_discretization(b)
-            value = solve_wot(ma, mb, fw_tol=1e-12).value
+            value = solve_wot(ma, mb, tol=1e-12).value
             assert value >= project_pair(a, b)[0].distance_sq - 1e-9

@@ -352,11 +352,12 @@ class TestProjectDiscrete:
         assert result.exit_code == 0
         report = json.loads(result.output)
         diag = report["diagnostics"]
+        assert set(diag) == {"complementarity", "certificates", "scale_exponent", "stop_reason"}
         assert diag["stop_reason"] == "gap"
-        assert diag["lp_calls"] == report["iterations"]
-        assert diag["pivots"] >= 0
-        assert diag["qp_steps"] >= 1
-        assert diag["active_vertices"] >= 1
+        assert report["iterations"] >= 1 and diag["certificates"] >= 1
+        # the --tol target of 1e-8, at the unit scale 4^-1 of these points
+        assert 0.0 <= report["gap"] <= 1e-8 * (0.25 + report["value"])
+        assert 0.0 < diag["complementarity"] <= 1e-8 * (0.25 + report["value"])
 
     def test_agrees_with_1d_command(self, runner, tmp_path):
         problem = write_problem(tmp_path / "p.json", ONE_D)
@@ -396,14 +397,21 @@ class TestProjectDiscrete:
         assert lp_calls == []
 
     def test_unmet_gap_exit_code(self, runner, tmp_path, monkeypatch):
-        # one Frank-Wolfe iteration leaves this instance at gap 1.77
+        # one Newton step leaves this instance at gap 0.69
         problem = write_discrete_problem(tmp_path / "p.json", np.random.default_rng(45), 6, 7)
         with monkeypatch.context() as patch:
             patch.setattr(discrete, "MAX_ITER", 1)
             result = runner.invoke(main, ["project-discrete", problem])
         assert result.exit_code == 3
-        assert "duality gap 1.766e+00 not reached in 1 iterations" in result.stderr
+        assert "duality gap 6.903e-01 not reached in 1 Newton steps" in result.stderr
         assert runner.invoke(main, ["project-discrete", problem]).exit_code == 0
+
+    def test_zero_tol_is_never_met(self, runner, tmp_path):
+        # the certified gap is not below 0 once roundoff stops the steps
+        problem = write_discrete_problem(tmp_path / "p.json", np.random.default_rng(45), 6, 7)
+        result = runner.invoke(main, ["project-discrete", problem, "--tol", "0"])
+        assert result.exit_code == 3
+        assert "not reached in" in result.stderr
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
     def test_bad_tol_fails_before_solving(self, runner, tmp_path, monkeypatch, tol):

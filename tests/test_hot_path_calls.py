@@ -7,9 +7,9 @@ dispatch, check their arguments and forward to an ndarray method or a ufunc
 broadcasting, ``x.max()``, ``x.min()``, ``math.sqrt(np.vdot(x, x))``), which
 do the same floating-point operations.  On the small matrices of a Gaussian
 solve that forwarding cost about a tenth of a full-rank solve, and the WOT
-engine (``discrete.py``) pays it on every Frank-Wolfe round, simplex pivot
-and corrective QP step of its small instances, so these modules call the
-method or ufunc directly.  A call that comes back fails here.
+engine (``discrete.py``) would pay it many times in every Newton step and
+simplex pivot of its small instances, so these modules call the method or
+ufunc directly.  A call that comes back fails here.
 
 The descent reads the Gaussian solver's pair record, validated and
 decomposed once, so ``pgd.py`` calls none of the functions that symmetrise,

@@ -357,7 +357,7 @@ class TestProject1d:
         for _ in range(25):
             mu, nu = random_discrete_1d(rng), random_discrete_1d(rng)
             below = project_1d_detail(mu, nu).below
-            result = solve_wot(mu, nu, fw_tol=1e-13)
+            result = solve_wot(mu, nu, tol=1e-12)
             pushed = barycentric_pushforward(result.coupling)
             assert w2_1d(below, pushed) <= 1e-6
 
@@ -441,7 +441,7 @@ class TestTinyWeights:
 
     def test_matches_the_transport_solver(self):
         below = project_1d_detail(self.mu, self.nu).below
-        result = solve_wot(self.mu, self.nu, fw_tol=1e-13)
+        result = solve_wot(self.mu, self.nu, tol=1e-12)
         assert result.value == pytest.approx(0.0, abs=1e-12)
         assert w2_1d(below, barycentric_pushforward(result.coupling)) <= 1e-6
         assert w2_1d(self.mu, self.nu) ** 2 == pytest.approx(

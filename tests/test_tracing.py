@@ -40,6 +40,7 @@ def test_tracer_reads_every_layer_through_its_names(tmp_path):
         tracer.enabled = True
         convex_order.project_pair(cov_mu, cov_nu)
         convex_order.project_discrete(mu, nu)
+        convex_order.exact_w2_sq(mu, nu)  # the transportation simplex, with its pivots
         with tracer.span("cli.command"):
             cli.main.main(args=["project-1d", str(problem), "--output", str(tmp_path / "r.json")],
                           prog_name="convex-order", standalone_mode=False)
