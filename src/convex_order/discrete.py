@@ -2,15 +2,12 @@
 
 Minimizes the barycentric cost ``sum_i w_i |x_i - m(pi_{x_i})|^2`` over the
 transportation polytope by a primal-dual interior-point method on the
-convex QP in the coupling and its row images, restores the marginals of
-its last iterate exactly and certifies the result by a weak-duality lower
-bound.  The pushforward of the first marginal under the conditional-
-barycenter map of an optimal coupling realizes the dominated-side
-Wasserstein projection.  ``exact_w2_sq`` solves the transportation LP by a
-network simplex, for exact W2 between small measures in every dimension;
-the 1-d formulas live in :mod:`.one_dim`.  The instances are small, so the
-engine calls ndarray methods and ufuncs rather than numpy's Python-level
-wrappers.
+convex QP in the coupling and its row images, solves the optimality
+equations on the support it finds (or restores the marginals of its last
+iterate) and certifies the result by a weak-duality lower bound.  The
+pushforward of the first marginal under the conditional-barycenter map of
+an optimal coupling is the dominated-side Wasserstein projection.
+``exact_w2_sq`` solves the transportation LP by a network simplex.
 """
 
 from __future__ import annotations
@@ -27,17 +24,24 @@ MARGINAL_TOL = 1e-9
 # Dantzig pricing gives way to Bland's rule after _DEGENERATE_RUNS * (n + m)
 # degenerate pivots in a row (0: Bland's rule throughout)
 _DEGENERATE_RUNS = 1
-# Newton steps per solve, and the largest n * m it accepts
+# Newton steps per solve; the largest n * m of either engine; the largest
+# n (d + 1) (m + d) + m^2 (row blocks and Schur complement) of solve_wot
 MAX_ITER = 100
 BUDGET = 1_000_000
+WOT_BUDGET = 4_000_000
 # a predictor blocked before this fraction of its step is followed by a
-# centring step to this fraction of the complementarity, without Mehrotra's
-# second-order term
+# centring step to this fraction of the complementarity
 _BLOCKED = 0.1
 _CENTER = 0.5
 # a complementarity below this fraction of 1 + value is roundoff: the steps
 # after it lose accuracy, so the solve certifies and stops there
 _ROUNDOFF = 1e-15
+# the polish: the ratio of each cell of its support, its Newton steps per
+# support, the supports it tries, and the marginal residual it may leave
+_POLISH_WEIGHT = 1e7
+_POLISH_STEPS = 2
+_POLISH_ROUNDS = 3
+_POLISH_RESIDUAL = 1e-15
 
 
 class BudgetExceededError(ValueError):
@@ -46,14 +50,11 @@ class BudgetExceededError(ValueError):
 
 def _require_budget(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
     if mu.size * nu.size > BUDGET:
-        raise BudgetExceededError(
-            f"instance size {mu.size}x{nu.size} exceeds the budget {BUDGET}"
-        )
+        raise BudgetExceededError(f"instance size {mu.size}x{nu.size} exceeds the budget {BUDGET}")
 
 
 class LpInfeasibleError(RuntimeError):
-    """Marginals are inconsistent (guards bugs; cannot happen for
-    probability vectors)."""
+    """Marginals are inconsistent (guards bugs; not for probability vectors)."""
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,8 @@ class Coupling:
         row_err = float(np.abs(pi.sum(axis=1) - self.mu.weights).max())
         col_err = float(np.abs(pi.sum(axis=0) - self.nu.weights).max())
         if max(row_err, col_err) > MARGINAL_TOL:
-            raise ValueError(
-                f"marginal residuals ({row_err:.3e}, {col_err:.3e}) exceed "
-                f"{MARGINAL_TOL}"
-            )
+            raise ValueError(f"marginal residuals ({row_err:.3e}, {col_err:.3e}) exceed "
+                             f"{MARGINAL_TOL}")
         pi = np.maximum(pi, 0.0)
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
@@ -86,18 +85,15 @@ class Coupling:
         return (self.pi @ self.nu.points) / self.mu.weights[:, None]
 
 
-def _comonotone_vertex(
-    row_w: np.ndarray, col_w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Northwest corner of the transportation polytope, the comonotone
-    vertex of the rows and columns in their given order, and its n + m - 1
-    basis cells ``(rows[k], cols[k])``, degenerate ones with zero mass.
+def _northwest_corner(row_w: np.ndarray, col_w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Northwest corner of the transportation polytope, the rows and columns
+    taken in their given order, and its n + m - 1 basis cells ``(rows[k],
+    cols[k])``, degenerate ones with zero mass: the simplex's start.
 
-    Mass is laid down on the merged cumulative weights: each piece between
-    consecutive cuts is one cell, in the row and column that the cuts before
-    it have passed; a row cut sorts before an equal column cut, so a tie
-    moves down first.  Each cell is one row or column on from the last, so
-    the cells grow a spanning tree from row 0, as :class:`_TransportBasis`
+    Each piece between consecutive cuts of the merged cumulative weights is
+    one cell, in the row and column that the cuts before it have passed; a
+    row cut sorts before an equal column cut, so a tie moves down first.
+    The cells grow a spanning tree from row 0, as :class:`_TransportBasis`
     needs.
     """
     n = row_w.size
@@ -118,20 +114,17 @@ class _TransportBasis:
 
     Nodes ``0..n-1`` are the rows and ``n..n+m-1`` the columns; the tree is
     rooted at row 0.  Every other node ``k`` hangs from ``parent[k]`` at
-    ``depth[k]`` through the basis cell ``cell[k]`` (flat index
-    ``i * m + j``), which carries the mass ``flow[k]``; ``children[k]``
-    lists the nodes hung below ``k``.  ``pot`` holds the potentials ``u``
-    (rows) then ``v`` (columns), the root at 0 and every other node at the
-    cost of its cell less its parent's potential, so ``u_i + v_j = c_ij``
-    on every basis cell up to the rounding of that one subtraction.  These
-    are plain lists: the pivots and :meth:`settle` touch a few nodes each,
-    one at a time.  Pricing a cost needs ``settle(0, cost)`` first.
+    ``depth[k]`` through the basis cell ``cell[k]`` (flat index ``i * m +
+    j``) of mass ``flow[k]``; ``children[k]`` lists the nodes hung below.
+    ``pot`` holds the potentials ``u`` (rows) then ``v`` (columns): 0 at the
+    root, elsewhere the cell's cost less the parent's potential.  These are
+    plain lists, as each pivot touches a few nodes.  Pricing a cost needs
+    ``settle(0, cost)`` first.
     """
 
     def __init__(self, pi: np.ndarray, rows: np.ndarray, cols: np.ndarray):
         """Tree of the basic solution ``pi`` on the cells ``(rows[k], cols[k])``,
-        each joining one new node to the tree grown from row 0 (as in the
-        northwest corner of :func:`_comonotone_vertex`)."""
+        each joining one new node to the tree grown from row 0."""
         n, m = pi.shape
         size = n + m
         self.n, self.m = n, m
@@ -164,9 +157,8 @@ class _TransportBasis:
     def settle(self, top: int, cost: list[float]) -> None:
         """Recompute depth and potential of ``top`` and of every node below
         it; ``top = 0``, the root, recomputes the whole tree."""
-        parent, depth, cell, pot, children = (
-            self.parent, self.depth, self.cell, self.pot, self.children
-        )
+        parent, depth, cell, pot, children = (self.parent, self.depth, self.cell, self.pot,
+                                              self.children)
         # the root keeps depth and potential 0; a node is reached after
         # its parent, as the loop runs on over the nodes it appends
         below = [top] if top else children[0][:]
@@ -176,16 +168,12 @@ class _TransportBasis:
             pot[node] = cost[cell[node]] - pot[up]
             below += children[node]
 
-    def pivot(
-        self, i: int, j: int, up_col: list[int], up_row: list[int], cost: list[float]
-    ) -> float:
-        """Enter cell ``(i, j)``, whose cycle is ``_basis_cycle``'s output.
-
-        Moves the largest feasible mass ``theta`` around the cycle, drops
-        the first emptied losing cell in row-major order (Bland's leaving
-        rule) and re-hangs the subtree it cut off from the entering cell.
-        Returns ``theta``.
-        """
+    def pivot(self, i: int, j: int, up_col: list[int], up_row: list[int],
+              cost: list[float]) -> float:
+        """Enter cell ``(i, j)``, whose cycle is ``_basis_cycle``'s output:
+        move the largest feasible mass ``theta`` around the cycle, drop the
+        first emptied losing cell in row-major order (Bland's leaving rule),
+        re-hang the subtree it cut off from the entering cell; ``theta``."""
         n, m = self.n, self.m
         parent, cell, flow, children = self.parent, self.cell, self.flow, self.children
         # one pass over the losing cells keeps the least (flow, cell), the
@@ -221,9 +209,9 @@ def _basis_cycle(basis: _TransportBasis, i: int, j: int) -> tuple[list[int], lis
     """Cycle closed by adding cell ``(i, j)`` to the basis tree.
 
     Returns the nodes passed walking up from column ``j`` and from row
-    ``i`` to their lowest common ancestor, that ancestor excluded; each
-    node stands for the cell joining it to its parent.  Along either walk
-    the cells alternately lose and gain mass, starting with a loss.
+    ``i`` to their lowest common ancestor (excluded), each standing for the
+    cell to its parent; along either walk the cells lose and gain mass in
+    turn, starting with a loss.
     """
     parent, depth = basis.parent, basis.depth
     a, b = basis.n + j, i
@@ -243,30 +231,23 @@ def _basis_cycle(basis: _TransportBasis, i: int, j: int) -> tuple[list[int], lis
     return up_col, up_row
 
 
-def solve_transport_lp(
-    cost: np.ndarray, row_weights: np.ndarray, col_weights: np.ndarray
-) -> np.ndarray:
+def solve_transport_lp(cost: np.ndarray, row_weights: np.ndarray,
+                       col_weights: np.ndarray) -> np.ndarray:
     """Exact optimal vertex of the transportation polytope.
 
-    Network simplex on the basis tree, from the northwest corner
-    (:func:`_comonotone_vertex`).  The entering cell has the most negative
-    reduced cost (Dantzig pricing); after ``n + m`` degenerate pivots in a
-    row, Bland's rule (first cell in row-major order with sufficiently
-    negative reduced cost) takes over until a pivot moves mass, which rules
-    out cycling.  Potentials are recomputed only on the subtree that each
-    pivot re-hangs.  With zero cost the northwest corner is returned
-    unchanged.  ``exact_w2_sq`` calls it, in every dimension.
+    Network simplex on the basis tree, from :func:`_northwest_corner`.  The
+    entering cell has the most negative reduced cost; after ``n + m``
+    degenerate pivots in a row, Bland's rule (the first cell in row-major
+    order that prices below the threshold) takes over until a pivot moves
+    mass, which rules out cycling.  Each pivot recomputes the potentials of
+    the subtree it re-hangs.  Zero cost returns the northwest corner.
 
     Pricing computes ``(c_ij - u_i) - v_j`` on every cell, basis cells
-    included, unmasked.  A basis cell whose child node is column ``j`` has
-    ``v_j = c_ij - u_i`` rounded once, so its reduced cost is exactly 0.
-    One whose child is row ``i`` has ``u_i = c_ij - v_j``, so its reduced
-    cost is a few ulps of the potentials, which the tree bounds by
-    ``depth * max|c|``.  That lies far inside ``threshold = 1e-12 * (1 +
-    max|c|)`` (by more than 100x on seeded instances up to 90x90, in the
-    tests).  So a basis cell can be the argmin only when no cell prices
-    below ``-threshold``, which ends the solve, and Bland's rule never
-    picks one.
+    included, unmasked: a basis cell prices at exactly 0 (child column) or
+    a few ulps of the potentials (child row), far inside ``threshold = 1e-12
+    * (1 + max|c|)`` (by more than 100x up to 90x90, in the tests).  So it
+    is the argmin only when no cell prices below ``-threshold``, which ends
+    the solve, and Bland's rule never picks one.
     """
     cost = np.asarray(cost, dtype=float)
     row_w = np.asarray(row_weights, dtype=float)
@@ -277,7 +258,7 @@ def solve_transport_lp(
     if abs(total - float(col_w.sum())) > 1e-9 * (1.0 + total):
         raise LpInfeasibleError("row and column weights have different totals")
     n, m = row_w.size, col_w.size
-    basis = _TransportBasis(*_comonotone_vertex(row_w, col_w))
+    basis = _TransportBasis(*_northwest_corner(row_w, col_w))
     flat_cost = cost.ravel().tolist()
     basis.settle(0, flat_cost)
     threshold = 1e-12 * (1.0 + float(np.abs(cost).max()))
@@ -309,22 +290,22 @@ def solve_transport_lp(
 class WotResult:
     """Outcome of :func:`solve_wot`.
 
-    ``coupling`` is the last certified interior iterate with its marginals
-    restored; ``value`` is its barycentric cost and ``gap`` is ``value`` less
-    the weak-duality bound of :func:`_lower_bound`, so the optimum lies in
-    ``[value - gap, value]``.  Both are in the caller's units, though the
-    solve runs at unit scale.  ``iterations`` counts the Newton steps, and
-    ``converged`` tells whether the gap met ``tol * (1 + value)`` at unit
-    scale.  ``diagnostics`` holds:
+    ``coupling`` is the last certified coupling (see :func:`solve_wot`),
+    ``value`` its barycentric cost and ``gap`` that less the weak-duality
+    bound of :func:`_lower_bound`: the optimum lies in ``[value - gap,
+    value]`` up to roundoff (a polished gap can be a few ulps below 0).
+    ``iterations`` counts the Newton steps; ``converged`` tells whether the
+    gap met ``tol * (1 + value)`` at unit scale.  ``diagnostics`` holds:
 
     - ``complementarity``: ``sum_ij pi_ij s_ij`` of the last iterate;
-    - ``certificates``: the couplings restored and bounded;
+    - ``certificates``: the iterates certified;
+    - ``polished``: whether the coupling is the polish's, not the restored
+      iterate;
     - ``scale_exponent``: the ``k`` of the unit scale ``2^k``;
-    - ``stop_reason``: ``"gap"``; ``"forced"`` (one measure is a single
-      atom, so the product coupling is the only one); ``"roundoff"`` (the
-      complementarity fell to roundoff before the gap met a smaller
-      target); ``"singular"`` (a Newton system gave no finite step); or
-      ``"max_iter"``.
+    - ``stop_reason``: ``"gap"``; ``"forced"`` (a single atom on one side
+      forces the product coupling); ``"roundoff"`` (the complementarity fell
+      to roundoff first); ``"singular"`` (a Newton system gave no finite
+      step); or ``"max_iter"``.
     """
 
     coupling: Coupling
@@ -335,18 +316,15 @@ class WotResult:
     diagnostics: dict[str, Any]
 
 
-def _lower_bound(
-    x: np.ndarray, w: np.ndarray, y: np.ndarray, col_w: np.ndarray,
-    r: np.ndarray, b: np.ndarray,
-) -> float:
+def _lower_bound(x: np.ndarray, w: np.ndarray, y: np.ndarray, col_w: np.ndarray,
+                 r: np.ndarray, b: np.ndarray) -> float:
     """Weak-duality bound on the barycentric cost of every coupling:
     ``LB(r, b) = sum_i w_i (2 r_i.x_i - |r_i|^2) - 2 sum_i w_i max_j (r_i.y_j -
     b_j) - 2 sum_j col_w_j b_j`` for any residuals ``r`` and potentials ``b``.
     A coupling with images ``p_i`` and barycenters ``T_i = p_i / w_i`` costs
     ``sum_i w_i |x_i - T_i|^2 >= sum_i w_i (2 r_i.(x_i - T_i) - |r_i|^2)``, and
     ``sum_i r_i.p_i = sum_ij pi_ij (r_i.y_j - b_j) + sum_j col_w_j b_j`` is at
-    most the sums the bound subtracts.  Optimal duals attain it.
-    """
+    most the sums the bound subtracts.  Optimal duals attain it."""
     reach = (r @ y.T - b).max(axis=1)
     own = (r * (2.0 * x - r)).sum(axis=1)
     return float(w @ (own - 2.0 * reach)) - 2.0 * float(col_w @ b)
@@ -355,23 +333,18 @@ def _lower_bound(
 def _restore_marginals(pi: np.ndarray, row_w: np.ndarray, col_w: np.ndarray) -> np.ndarray:
     """``pi`` scaled onto the marginals ``(row_w, col_w)`` by one
     multiplicative Newton step ``pi_ij (1 + a_i + b_j)``.  The sums are
-    linear in ``(a, b)``, so one (n + m - 1) solve (``b`` of the last column
-    fixed at 0) meets both marginals to roundoff; the system's quadratic form
-    ``sum_ij pi_ij (a_i + b_j)^2`` is definite for a positive ``pi``.  On
-    16,000 product measures solved at ``tol = 1e-12``, with residuals up to
-    1e-7, the factors stayed within [0.28, 1.72].
-    """
-    n = row_w.size
+    linear in ``(a, b)``; row ``i``'s gives ``a_i = (row_w_i - R_i - sum_j
+    pi_ij b_j) / R_i`` (``R``, ``C`` the sums of ``pi``), which leaves the
+    (m - 1) system ``(diag(C) - pi' diag(1 / R) pi) b = col_w - C - pi' ((row_w
+    - R) / R)``, ``b`` of the last column at 0, definite for a positive
+    ``pi``: one solve meets both marginals to roundoff."""
     rows, cols = pi.sum(axis=1), pi.sum(axis=0)
-    size = n + col_w.size - 1
-    system = np.zeros((size, size))
-    system[:n, n:] = pi[:, :-1]
-    system[n:, :n] = pi[:, :-1].T
-    system.flat[:: size + 1] = np.concatenate((rows, cols[:-1]))
-    shift = np.linalg.solve(system, np.concatenate((row_w - rows, (col_w - cols)[:-1])))
-    col_shift = np.zeros(col_w.size)
-    col_shift[:-1] = shift[n:]
-    return pi * ((1.0 + shift[:n, None]) + col_shift)
+    row_gap = row_w - rows
+    per_row = pi / rows[:, None]
+    system = np.diag(cols[:-1]) - pi.T[:-1] @ per_row[:, :-1]
+    col_shift = np.append(np.linalg.solve(system, (col_w - cols - row_gap @ per_row)[:-1]), 0.0)
+    row_shift = (row_gap - pi @ col_shift) / rows
+    return pi * ((1.0 + row_shift[:, None]) + col_shift)
 
 
 class _NewtonSystem:
@@ -380,13 +353,11 @@ class _NewtonSystem:
     work arrays that every step reuses.
 
     Row ``i``'s block ``sum_j d_ij a_ij a_ij' + diag(0, w_i / 2 I)``, with
-    ``d_ij = pi_ij / s_ij`` and ``a_ij = (1, c_ij)``, is centred on the
-    row's d-weighted mean ``ybar_i`` of the atoms: ``c_ij = ybar_i - y_j``,
-    so ``sum_j d_ij c_ij = 0`` and it splits into ``total_i = sum_j d_ij``
-    and an image part solved by LU, with no large entries cancelling.  Near
-    the optimum a row's largest ``d_ij`` holds nearly all of ``total_i``:
-    there ``total_i - d_ij`` and ``c_ij`` are summed over the other cells.
-    """
+    ratios ``d_ij`` (``pi_ij / s_ij`` in the interior) and ``a_ij = (1,
+    c_ij)``, is centred on the row's d-weighted mean ``ybar_i`` of the atoms:
+    ``c_ij = ybar_i - y_j``, so it splits into ``total_i = sum_j d_ij`` and
+    an image part solved by LU.  In a row's largest cell, which holds nearly
+    all of ``total_i`` near the optimum, ``c_ij`` is summed over the others."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, w: np.ndarray, col_w: np.ndarray):
         n, m, dim = w.size, col_w.size, x.shape[1]
@@ -401,29 +372,24 @@ class _NewtonSystem:
         self.image_rhs = np.empty((n, dim, m + 1))
         self.half_w_block = np.zeros((n, dim, dim))
         self.half_w_block[:, np.arange(dim), np.arange(dim)] = self.half_w
-        self.dv_full = np.zeros(m)
 
-    def factor(self, pi: np.ndarray, s: np.ndarray, z: np.ndarray) -> None:
-        """Solve the blocks and form the Schur complement at ``(pi, s, z)``."""
+    def factor(self, ratio: np.ndarray, pi: np.ndarray, z: np.ndarray) -> None:
+        """Solve the blocks at the ratios ``d = ratio`` and the residuals of
+        ``(pi, z)``, and form the Schur complement."""
         m = self.shape[1]
-        y, w, every_row, cols, spread, solved = (
-            self.y, self.w, self.every_row, self.cols, self.spread, self.solved
-        )
-        self.ratio = ratio = pi / s
+        y, w, every_row, cols, spread, solved = (self.y, self.w, self.every_row, self.cols,
+                                                 self.spread, self.solved)
+        self.ratio = ratio
         total = ratio.sum(axis=1)
-        self.largest = largest = ratio.argmax(axis=1)
+        largest = ratio.argmax(axis=1)
         rest = ratio.copy()
         rest[every_row, largest] = 0.0
-        rest_total = rest.sum(axis=1)
-        self.rest_share = rest / total[:, None]
-        self.rest_part = rest_total / total
         y_bar = (ratio @ y) / total[:, None]
         np.subtract(y_bar[:, :, None], self.y_t, out=cols[:, 1:])
-        self.c_top = self.rest_share @ y - self.rest_part[:, None] * y[largest]
-        cols[every_row, 1:, largest] = self.c_top
+        cols[every_row, 1:, largest] = (rest @ y - rest.sum(axis=1)[:, None] * y[largest]) \
+            / total[:, None]
         np.multiply(ratio[:, None, :], cols, out=spread)
-        image_block = spread[:, 1:] @ cols[:, 1:].transpose(0, 2, 1)
-        image_block += self.half_w_block
+        image_block = spread[:, 1:] @ cols[:, 1:].transpose(0, 2, 1) + self.half_w_block
         r_row = w - pi.sum(axis=1)
         self.r_col = (self.col_w - pi.sum(axis=0))[:-1]
         image_rhs = self.image_rhs
@@ -438,42 +404,31 @@ class _NewtonSystem:
         self.flat_solved = solved.reshape(-1, m + 1)
         # D_col - sum_i B_i' K_i^-1 B_i, whose row part D_col - sum_i d_i d_i'
         # / total_i has the diagonal sum_i d_ij (total_i - d_ij) / total_i
-        schur = self.flat_spread[:, :-1].T @ self.flat_solved[:, :-2]
-        np.negative(schur, out=schur)
-        others = total[:, None] - ratio
-        others[every_row, largest] = rest_total
+        schur = -(self.flat_spread[:, :-1].T @ self.flat_solved[:, :-2])
         image_diag = (spread[:, 1:, :-1] * solved[:, 1:, :-2]).sum(axis=(0, 1))
-        schur.flat[::m] = (share * others).sum(axis=0)[:-1] - image_diag
+        schur.flat[::m] = (share * (total[:, None] - ratio)).sum(axis=0)[:-1] - image_diag
         self.schur = schur
 
-    def direction(self, t: np.ndarray, primal_slack: np.ndarray):
+    def direction(self, t: np.ndarray, primal_slack: np.ndarray | float):
         """The step whose complementarity rows read ``s dpi + pi ds = pi t``:
         ``dpi = d (moved + t)`` and ``ds = -moved``, where ``moved_ij =
         a_ij.q_i + dv_j`` and ``K_i q_i = residual_i - sum_j d_ij (t_ij +
-        dv_j) a_ij``.  In each row's largest cell ``du_i + dv_j`` is summed
-        as ``eta_i + sum_k share_ik (dv_j - dv_k)`` over the other cells.
-        Returns the stacked ``(dpi, ds)``, ``dz``, ``dv`` and the largest
-        step that keeps ``(pi, s)`` nonnegative."""
+        dv_j) a_ij``.  Returns the stacked ``(dpi, ds)``, ``dz``, ``dv`` and
+        the largest step that keeps ``primal_slack`` nonnegative; a step
+        that is not finite raises ``LinAlgError``."""
         n, m, dim = self.shape
-        solved, ratio, largest, dv_full = self.solved, self.ratio, self.largest, self.dv_full
+        solved, ratio = self.solved, self.ratio
         eta = solved[:, :, m] - (solved[:, :, :m] @ t[:, :, None])[:, :, 0]
         rhs = self.r_col - ((ratio * t).sum(axis=0) + eta.reshape(-1) @ self.flat_spread)[:-1]
         try:
             dv = np.linalg.solve(self.schur, rhs)
         except np.linalg.LinAlgError:
-            # on degenerate instances (rows split over more cells than a
-            # vertex has) the complement's small eigenvalues can round to an
-            # exact zero pivot: the least-norm solution leaves the
-            # undetermined column duals alone
+            # on degenerate instances the complement can round to an exact
+            # zero pivot: the least-norm solution leaves the free duals alone
             dv = np.linalg.lstsq(self.schur, rhs, rcond=None)[0]
-        dv_full[:-1] = dv
         q = eta - (self.flat_solved[:, :-2] @ dv).reshape(n, dim + 1)
         moved = (q[:, None, :] @ self.cols)[:, 0, :]
         moved[:, :-1] += dv
-        moved[self.every_row, largest] = (
-            eta[:, 0] + (self.c_top * q[:, 1:]).sum(axis=1)
-            + dv_full[largest] * self.rest_part - self.rest_share @ dv_full
-        )
         out = np.empty((2, n, m))
         np.multiply(ratio, moved + t, out=out[0])
         np.negative(moved, out=out[1])
@@ -481,6 +436,40 @@ class _NewtonSystem:
         if not math.isfinite(lowest):
             raise np.linalg.LinAlgError("the Newton step is not finite")
         return out, q[:, 1:], dv, -1.0 / lowest if lowest < 0.0 else math.inf
+
+    def polish(self, support: np.ndarray, *start: np.ndarray):
+        """The solution ``(pi, z, v)`` from ``start = (pi, s, z, v)`` of the
+        optimality equations on ``support``: ``s = 0`` there, ``pi = 0`` off
+        it, and the marginal and image equations.  ``_POLISH_STEPS`` proximal
+        Newton steps (ratio ``_POLISH_WEIGHT`` on the support: each solves
+        ``s_ij + dpi_ij / _POLISH_WEIGHT = 0``) take them to roundoff.  Cells
+        whose ``pi`` comes out negative leave the support, for at most
+        ``_POLISH_ROUNDS`` supports.  ``LinAlgError`` if a row or column
+        misses the support, or the last leaves ``pi < 0`` or a marginal off
+        by more than ``_POLISH_RESIDUAL``, without which the bound's gap
+        would not certify a coupling."""
+        for _ in range(_POLISH_ROUNDS):
+            if not (support.any(axis=1).all() and support.any(axis=0).all()):
+                raise np.linalg.LinAlgError("a row or column misses the support")
+            ratio = np.where(support, _POLISH_WEIGHT, 0.0)
+            pi = np.where(support, start[0], 0.0)
+            s, z, v = (a.copy() for a in start[1:])
+            for _ in range(_POLISH_STEPS):
+                self.factor(ratio, pi, z)
+                (dpi, ds), dz, dv, _ = self.direction(-s, 1.0)
+                pi += dpi
+                s += ds
+                z += dz
+                v[:-1] += dv
+            negative = pi < 0.0
+            if not negative.any():
+                break
+            support = support & ~negative
+        off = max(np.abs(pi.sum(axis=1) - self.w).max(),
+                  np.abs(pi.sum(axis=0) - self.col_w).max())
+        if negative.any() or not off <= _POLISH_RESIDUAL:
+            raise np.linalg.LinAlgError("no nonnegative solution on the support")
+        return pi, z, v
 
 
 def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-10) -> WotResult:
@@ -491,43 +480,44 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-10) -> W
     ``pi 1 = w``, ``pi' 1 = nu`` (the last column's equation dropped) and
     ``p_i = sum_j pi_ij y_j``, with duals ``u``, ``v`` (``v_m = 0``), ``z``
     and slacks ``s_ij = z_i.y_j - u_i - v_j >= 0``.  Stationarity in ``p``,
-    ``p_i = w_i (x_i + z_i / 2)`` (``z = -2 r``), holds along every step, so
-    ``z`` carries ``p``.  The points are divided by the power of two
-    ``2^scale_exponent`` that brings the largest |coordinate| into ``[2,
-    4)``; ``value``, ``gap`` and the complementarity are scaled back.
+    ``p_i = w_i (x_i + z_i / 2)`` (``z = -2 r``), holds along every step.
+    The points are divided by the power of two ``2^scale_exponent`` that
+    brings the largest |coordinate| into ``[2, 4)``.
 
     The start is the product coupling with ``z = -2 r``, ``v = 0`` and
-    ``u_i = min_j y_j.z_i - 1 / w_i``: every ``pi_ij s_ij >= nu_j`` (from
-    slacks of 1, products as small as ``w_i nu_j`` made Mehrotra's steps
-    cycle on 3 of 6,000 small grid instances).  Each step solves
-    :class:`_NewtonSystem` once for the predictor and the corrector, and
-    goes 0.995 of the way to the boundary.  A predictor blocked before
-    ``_BLOCKED`` of its step is followed by a centring step to ``_CENTER``
-    of the mean complementarity, as Mehrotra's corrector alone can cycle.
+    ``u_i = min_j y_j.z_i - 1 / w_i``, so every ``pi_ij s_ij >= nu_j``
+    (slacks of 1 made Mehrotra's steps cycle on 3 of 6,000 small grid
+    instances).  Each step solves :class:`_NewtonSystem` for the predictor
+    and the corrector and goes 0.995 of the way to the boundary, or centres
+    (see ``_BLOCKED``).
 
     Once the complementarity falls to ``tol * (1 + value)``, the iterate is
-    certified: :func:`_restore_marginals` gives the coupling, and ``gap`` is
-    its value less :func:`_lower_bound` at ``r = -z / 2``, ``b = -v / 2``.
-    The solve stops when the gap meets ``tol * (1 + value)``, and resumes
-    otherwise; a complementarity below ``_ROUNDOFF * (1 + value)``, a
-    singular Newton system or ``MAX_ITER`` steps end it with the current
-    iterate certified.  A NaN or infinite ``tol`` raises ``ValueError``; a
-    negative one is never met.  More than ``BUDGET`` cells ``n * m`` raise
-    :class:`BudgetExceededError`; at that size, 1000 x 1000 points in the
-    plane, a solve took 9.0 s, 54 Newton steps and 317 MB.
+    certified: the coupling is :meth:`_NewtonSystem.polish`'s solution on
+    the support ``pi > s`` if it meets the target, else the iterate with
+    :func:`_restore_marginals`, and ``gap`` is its value less
+    :func:`_lower_bound` at that solution's ``r = -z / 2``, ``b = -v / 2``.
+    The solve stops when the gap meets the target and resumes otherwise; a
+    complementarity below ``_ROUNDOFF * (1 + value)``, a singular Newton
+    system or ``MAX_ITER`` steps end it.  A NaN or infinite ``tol`` raises
+    ``ValueError``; a negative one is never met.  More than ``BUDGET`` cells
+    ``n * m``, or ``n (d + 1) (m + d) + m^2 > WOT_BUDGET``, raise
+    :class:`BudgetExceededError` (the README has times at the budget).
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
     if not math.isfinite(tol):  # an infinite target passes the first certificate
         raise ValueError(f"tol must be finite, got {tol}")
     _require_budget(mu, nu)
+    n, m, dim = mu.size, nu.size, mu.dim
+    if n * (dim + 1) * (m + dim) + m * m > WOT_BUDGET:
+        raise BudgetExceededError(f"instance size {n}x{m} in dimension {dim} exceeds the "
+                                  f"interior-point budget {WOT_BUDGET}")
     # unit scale through an exact power of two; [2, 4) rather than [1, 2),
     # where N(0, 1) data would see the absolute part of the gap target grow
     top = max(float(np.abs(mu.points).max()), float(np.abs(nu.points).max()))
     k = math.frexp(top)[1] - 2 if top >= 2.0**-1000 else 0  # 2^-k and 4^k stay finite
     unit = math.ldexp(1.0, -k)
     x, y, w, col_w = unit * mu.points, unit * nu.points, mu.weights, nu.weights
-    n, m = w.size, col_w.size
     w_col = w[:, None]
     # pi and s stacked, so that one ratio test and one update serve both
     primal_slack = np.empty((2, n, m))
@@ -546,13 +536,28 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-10) -> W
         max_steps = MAX_ITER
         system = _NewtonSystem(x, y, w, col_w)
     certified_at: list[int] = []  # the steps after which the iterate was certified
+    polished: list[int] = []  # and those after which its polish was
+
+    def bracket(coupling: np.ndarray, z: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+        residual = x - (coupling @ y) / w_col
+        value = float(w @ (residual * residual).sum(axis=1))
+        return value, value - _lower_bound(x, w, y, col_w, -0.5 * z, -0.5 * v)
 
     def certify() -> tuple[np.ndarray, float, float]:
         certified_at.append(steps)
-        coupling = pi.copy() if max_steps == 0 else _restore_marginals(pi, w, col_w)
-        residual = x - (coupling @ y) / w_col
-        value = float(w @ (residual * residual).sum(axis=1))
-        return coupling, value, value - _lower_bound(x, w, y, col_w, -0.5 * z, -0.5 * v)
+        if max_steps == 0:
+            return pi.copy(), *bracket(pi, z, v)
+        try:
+            exact, exact_z, exact_v = system.polish(pi > s, pi, s, z, v)
+        except np.linalg.LinAlgError:
+            pass  # the restored iterate is certified instead
+        else:
+            value, gap = bracket(exact, exact_z, exact_v)
+            if gap <= tol * (1.0 + value):
+                polished.append(steps)
+                return exact, value, gap
+        coupling = _restore_marginals(pi, w, col_w)
+        return coupling, *bracket(coupling, z, v)
 
     steps = 0
     singular = False
@@ -566,7 +571,7 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-10) -> W
             if gap <= tol * (1.0 + value) or spent:
                 break
         try:
-            system.factor(pi, s, z)
+            system.factor(pi / s, pi, z)
             predictor, _, _, reach = system.direction(-s, primal_slack)
             mean = complementarity / (n * m)
             if reach < _BLOCKED:
@@ -596,12 +601,10 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-10) -> W
         gap=math.ldexp(gap, 2 * k),
         iterations=steps,
         converged=converged,
-        diagnostics={
-            "complementarity": math.ldexp(complementarity, 2 * k),
-            "certificates": len(certified_at),
-            "scale_exponent": k,
-            "stop_reason": stop_reason,
-        },
+        diagnostics={"complementarity": math.ldexp(complementarity, 2 * k),
+                     "certificates": len(certified_at),
+                     "polished": polished[-1:] == certified_at[-1:],
+                     "scale_exponent": k, "stop_reason": stop_reason},
     )
 
 
@@ -615,9 +618,8 @@ def barycentric_pushforward(coupling: Coupling) -> DiscreteMeasure:
     return DiscreteMeasure(coupling.conditional_barycenters(), coupling.mu.weights)
 
 
-def project_discrete(
-    mu: DiscreteMeasure, nu: DiscreteMeasure
-) -> tuple[DiscreteMeasure, WotResult]:
+def project_discrete(mu: DiscreteMeasure,
+                     nu: DiscreteMeasure) -> tuple[DiscreteMeasure, WotResult]:
     """Dominated-side projection of ``mu`` with the result of
     :func:`solve_wot` at its default gap target."""
     result = solve_wot(mu, nu)
@@ -625,10 +627,8 @@ def project_discrete(
 
 
 def exact_w2_sq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-    """Exact squared Wasserstein-2 distance between small discrete measures.
-
-    Instances with more than ``BUDGET`` cells ``n * m`` raise
-    :class:`BudgetExceededError`."""
+    """Exact squared Wasserstein-2 distance between small discrete measures;
+    more than ``BUDGET`` cells ``n * m`` raise :class:`BudgetExceededError`."""
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
     _require_budget(mu, nu)

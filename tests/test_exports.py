@@ -109,7 +109,7 @@ def test_every_exported_name_has_a_caller():
 
 def test_private_definitions_are_functions_and_classes():
     found = private_definitions()
-    assert {"_route", "_TransportBasis", "_comonotone_vertex", "_ExitCodes"} <= found
+    assert {"_route", "_TransportBasis", "_northwest_corner", "_ExitCodes"} <= found
     assert not found & {"_CORRAL_ROWS", "_QP_TOL", "project_pair", "WotResult"}
 
 
