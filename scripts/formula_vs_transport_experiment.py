@@ -12,13 +12,7 @@ import argparse
 
 import numpy as np
 
-from convex_order import (
-    DiscreteMeasure,
-    barycentric_pushforward,
-    project_1d_detail,
-    solve_wot,
-    w2_1d,
-)
+from convex_order import DiscreteMeasure, project_1d_detail, project_discrete, w2_1d
 
 
 # unit direction of the line in R^2; both coordinates grow along it, so the
@@ -50,13 +44,10 @@ def main():
         mu = random_measure(rng, args.max_atoms)
         nu = random_measure(rng, args.max_atoms)
         detail = project_1d_detail(mu, nu)
-        result = solve_wot(mu, nu, tol=1e-12)
-        line = barycentric_pushforward(
-            solve_wot(on_line(mu), on_line(nu), tol=1e-12).coupling
-        )
+        projection, result = project_discrete(mu, nu)
+        line = project_discrete(on_line(mu), on_line(nu))[0]
         pulled_back = DiscreteMeasure.from_1d(line.points @ LINE, line.weights)
-        gaps = np.array([w2_1d(detail.below, barycentric_pushforward(result.coupling)),
-                         w2_1d(detail.below, pulled_back)])
+        gaps = np.array([w2_1d(detail.below, projection), w2_1d(detail.below, pulled_back)])
         worst = np.maximum(worst, gaps)
         print(f"{k:>4} {mu.size:>3}x{nu.size:<3} {result.value:>12.6f} "
               f"{result.iterations:>8} {gaps[0]:>10.2e} {gaps[1]:>10.2e}")

@@ -29,13 +29,7 @@ import numpy as np
 import orjson
 
 from .bures import bw2
-from .discrete import (
-    BudgetExceededError,
-    LpInfeasibleError,
-    barycentric_pushforward,
-    exact_w2_sq,
-    solve_wot,
-)
+from .discrete import BudgetExceededError, LpInfeasibleError, exact_w2_sq, project_discrete
 from .gaussian import ProjectionResult, project_pair
 from .linalg import LinalgError, loewner_gap
 from .measures import DiscreteMeasure, EmptyMeasureError, GaussianMeasure
@@ -282,25 +276,19 @@ def cmd_project_1d(problem, output):
 
 @main.command("project-discrete")
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol", type=float, default=1e-8, show_default=True,
-              help="Target for the certified gap (value less its weak-duality "
-                   "lower bound), relative to 1 + value.")
 @click.option("--coupling-csv", type=click.Path(dir_okay=False), default=None,
               help="Dump the optimal coupling as dense CSV.")
 @click.option("--output", type=click.Path(dir_okay=False), default=None)
-def cmd_project_discrete(problem, tol, coupling_csv, output):
+def cmd_project_discrete(problem, coupling_csv, output):
     """Weak-optimal-transport projection for discrete measures in R^d."""
-    if not 0.0 <= tol < math.inf:
-        _fail(PARSE_ERROR, f"--tol must be finite and nonnegative, got {tol}")
     data = _load_json(problem)
     _, mu, nu = _measure_pair(data, "discrete")
-    result = solve_wot(mu, nu, tol=tol)
+    projection, result = project_discrete(mu, nu)
     if not result.converged:
         _fail(SOLVER_ERROR, f"duality gap {result.gap:.3e} not reached in "
                             f"{result.iterations} Newton steps")
     if coupling_csv:
         np.savetxt(coupling_csv, result.coupling.pi, delimiter=",")
-    projection = barycentric_pushforward(result.coupling)
     report = {
         "mode": "discrete",
         "value": result.value,
@@ -384,17 +372,21 @@ def _one_d_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
 
 
 def _discrete_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
-    result = solve_wot(mu, nu, tol=1e-12)
-    projection = barycentric_pushforward(result.coupling)
+    # the solve project-discrete reports: its value, the cost of one plan
+    # from mu to the projection, is at least W2^2(mu, projection), and that
+    # is at least the optimum, value - gap, as nu dominates the projection
+    projection, result = project_discrete(mu, nu)
     value_residual = abs(result.value - exact_w2_sq(mu, projection))
     bary_residual = float(np.linalg.norm(projection.barycenter - nu.barycenter))
-    # the barycenters' roundoff grows with the coordinates: 2^k scales the
-    # tolerance once the largest |coordinate| reaches 4; below that, the
-    # absolute MERGE_TOL of the pushforward's atoms keeps it from shrinking
-    bary_tol = math.ldexp(1e-10, max(0, result.diagnostics["scale_exponent"]))
+    # roundoff grows with the coordinates: 2^k scales the barycenter's
+    # tolerance and 4^k the value's once the largest |coordinate| reaches 4;
+    # below that, the absolute MERGE_TOL of the pushforward's atoms keeps
+    # them from shrinking
+    k = max(0, result.diagnostics["scale_exponent"])
     return [
-        _check("value_equals_projection_distance", value_residual, 1e-8 * (1.0 + result.value)),
-        _check("pushforward_barycenter", bary_residual, bary_tol),
+        _check("value_equals_projection_distance", value_residual,
+               1e-8 * (math.ldexp(1.0, 2 * k) + result.value)),
+        _check("pushforward_barycenter", bary_residual, math.ldexp(1e-10, k)),
     ]
 
 

@@ -21,6 +21,8 @@ import numpy as np
 from .measures import DiscreteMeasure
 
 MARGINAL_TOL = 1e-9
+# the certified gap every solve_wot meets, relative to 1 + value at unit scale
+GAP_TOL = 1e-10
 # Dantzig pricing gives way to Bland's rule after _DEGENERATE_RUNS * (n + m)
 # degenerate pivots in a row (0: Bland's rule throughout)
 _DEGENERATE_RUNS = 1
@@ -247,17 +249,24 @@ def solve_transport_lp(cost: np.ndarray, row_weights: np.ndarray,
     a few ulps of the potentials (child row), far inside ``threshold = 1e-12
     * (1 + max|c|)`` (by more than 100x up to 90x90, in the tests).  So it
     is the argmin only when no cell prices below ``-threshold``, which ends
-    the solve, and Bland's rule never picks one.
+    the solve, and Bland's rule never picks one.  A cost that is not finite
+    or not of shape ``(n, m)``, or a negative or non-finite weight, raises
+    ``ValueError``.
     """
     cost = np.asarray(cost, dtype=float)
     row_w = np.asarray(row_weights, dtype=float)
     col_w = np.asarray(col_weights, dtype=float)
+    n, m = row_w.size, col_w.size
+    if cost.shape != (n, m):
+        raise ValueError(f"cost must have the shape {(n, m)} of the weights, not {cost.shape}")
     if not np.isfinite(cost).all():
         raise ValueError("cost entries must be finite")
+    for name, weights in (("row_weights", row_w), ("col_weights", col_w)):
+        if not (np.isfinite(weights) & (weights >= 0.0)).all():
+            raise ValueError(f"{name} must be finite and nonnegative")
     total = float(row_w.sum())
     if abs(total - float(col_w.sum())) > 1e-9 * (1.0 + total):
         raise LpInfeasibleError("row and column weights have different totals")
-    n, m = row_w.size, col_w.size
     basis = _TransportBasis(*_northwest_corner(row_w, col_w))
     flat_cost = cost.ravel().tolist()
     basis.settle(0, flat_cost)
@@ -295,7 +304,7 @@ class WotResult:
     bound of :func:`_lower_bound`: the optimum lies in ``[value - gap,
     value]`` up to roundoff (a polished gap can be a few ulps below 0).
     ``iterations`` counts the Newton steps; ``converged`` tells whether the
-    gap met ``tol * (1 + value)`` at unit scale.  ``diagnostics`` holds:
+    gap met ``GAP_TOL * (1 + value)`` at unit scale.  ``diagnostics`` holds:
 
     - ``complementarity``: ``sum_ij pi_ij s_ij`` of the last iterate;
     - ``certificates``: the iterates certified;
@@ -472,7 +481,7 @@ class _NewtonSystem:
         return pi, z, v
 
 
-def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-10) -> WotResult:
+def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
     """Minimize the barycentric cost over the couplings of ``(mu, nu)``.
 
     Mehrotra's predictor-corrector on the QP over couplings ``pi >= 0`` and
@@ -491,22 +500,19 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-10) -> W
     and the corrector and goes 0.995 of the way to the boundary, or centres
     (see ``_BLOCKED``).
 
-    Once the complementarity falls to ``tol * (1 + value)``, the iterate is
+    Once the complementarity falls to ``GAP_TOL * (1 + value)``, the iterate is
     certified: the coupling is :meth:`_NewtonSystem.polish`'s solution on
     the support ``pi > s`` if it meets the target, else the iterate with
     :func:`_restore_marginals`, and ``gap`` is its value less
     :func:`_lower_bound` at that solution's ``r = -z / 2``, ``b = -v / 2``.
     The solve stops when the gap meets the target and resumes otherwise; a
     complementarity below ``_ROUNDOFF * (1 + value)``, a singular Newton
-    system or ``MAX_ITER`` steps end it.  A NaN or infinite ``tol`` raises
-    ``ValueError``; a negative one is never met.  More than ``BUDGET`` cells
+    system or ``MAX_ITER`` steps end it.  More than ``BUDGET`` cells
     ``n * m``, or ``n (d + 1) (m + d) + m^2 > WOT_BUDGET``, raise
     :class:`BudgetExceededError` (the README has times at the budget).
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
-    if not math.isfinite(tol):  # an infinite target passes the first certificate
-        raise ValueError(f"tol must be finite, got {tol}")
     _require_budget(mu, nu)
     n, m, dim = mu.size, nu.size, mu.dim
     if n * (dim + 1) * (m + dim) + m * m > WOT_BUDGET:
@@ -553,7 +559,7 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-10) -> W
             pass  # the restored iterate is certified instead
         else:
             value, gap = bracket(exact, exact_z, exact_v)
-            if gap <= tol * (1.0 + value):
+            if gap <= GAP_TOL * (1.0 + value):
                 polished.append(steps)
                 return exact, value, gap
         coupling = _restore_marginals(pi, w, col_w)
@@ -566,9 +572,9 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-10) -> W
         scale = 1.0 + 0.25 * float(w @ (z * z).sum(axis=1))
         complementarity = float(np.vdot(pi, s)) if max_steps else 0.0
         spent = complementarity <= _ROUNDOFF * scale or steps == max_steps
-        if complementarity <= tol * scale or spent:
+        if complementarity <= GAP_TOL * scale or spent:
             coupling, value, gap = certify()
-            if gap <= tol * (1.0 + value) or spent:
+            if gap <= GAP_TOL * (1.0 + value) or spent:
                 break
         try:
             system.factor(pi / s, pi, z)
@@ -592,7 +598,7 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = 1e-10) -> W
         z += alpha * dz
         steps += 1
 
-    converged = gap <= tol * (1.0 + value)
+    converged = gap <= GAP_TOL * (1.0 + value)
     stop_reason = ("forced" if max_steps == 0 else "gap" if converged else "singular"
                    if singular else "max_iter" if steps == max_steps else "roundoff")
     return WotResult(
@@ -621,7 +627,7 @@ def barycentric_pushforward(coupling: Coupling) -> DiscreteMeasure:
 def project_discrete(mu: DiscreteMeasure,
                      nu: DiscreteMeasure) -> tuple[DiscreteMeasure, WotResult]:
     """Dominated-side projection of ``mu`` with the result of
-    :func:`solve_wot` at its default gap target."""
+    :func:`solve_wot`."""
     result = solve_wot(mu, nu)
     return barycentric_pushforward(result.coupling), result
 

@@ -184,6 +184,7 @@ def test_criterion_07_frobenius_cone_projections():
     report("criterion 7 PASS: cone projection above optimal")
 
 
+@pytest.mark.usefixtures("tight_gap")
 def test_criterion_08_quantile_formula_versus_transport():
     rng = np.random.default_rng(1008)
     worst_w2 = worst_moment = worst_symmetry = 0.0
@@ -191,7 +192,7 @@ def test_criterion_08_quantile_formula_versus_transport():
         mu = random_discrete_1d(rng, max_atoms=8)
         nu = random_discrete_1d(rng, max_atoms=8)
         detail = project_1d_detail(mu, nu)
-        result = solve_wot(mu, nu, tol=1e-12)
+        result = solve_wot(mu, nu)
         pushed = barycentric_pushforward(result.coupling)
         worst_w2 = max(worst_w2, w2_1d(detail.below, pushed))
         worst_moment = max(worst_moment, abs(

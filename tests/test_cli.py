@@ -356,12 +356,12 @@ class TestProjectDiscrete:
                              "stop_reason"}
         assert diag["stop_reason"] == "gap" and diag["polished"] is True
         assert report["iterations"] >= 1 and diag["certificates"] >= 1
-        # the --tol target of 1e-8, at the unit scale 4^-1 of these points;
+        # the gap target of 1e-10, at the unit scale 4^-1 of these points;
         # the polished coupling is optimal, so its bound may pass its value
         # by roundoff
         scale = 0.25 + report["value"]
-        assert -64.0 * np.finfo(float).eps * scale <= report["gap"] <= 1e-8 * scale
-        assert 0.0 < diag["complementarity"] <= 1e-8 * (0.25 + report["value"])
+        assert -64.0 * np.finfo(float).eps * scale <= report["gap"] <= 1e-10 * scale
+        assert 0.0 < diag["complementarity"] <= 1e-10 * (0.25 + report["value"])
 
     def test_agrees_with_1d_command(self, runner, tmp_path):
         problem = write_problem(tmp_path / "p.json", ONE_D)
@@ -421,24 +421,32 @@ class TestProjectDiscrete:
         assert "duality gap 6.903e-01 not reached in 1 Newton steps" in result.stderr
         assert runner.invoke(main, ["project-discrete", problem]).exit_code == 0
 
-    def test_zero_tol_is_never_met(self, runner, tmp_path):
+    def test_zero_tol_is_never_met(self, runner, tmp_path, gap_tol):
         # the certified gap is not below 0 once roundoff stops the steps
         problem = write_discrete_problem(tmp_path / "p.json", np.random.default_rng(45), 6, 7)
-        result = runner.invoke(main, ["project-discrete", problem, "--tol", "0"])
+        gap_tol(0.0)
+        result = runner.invoke(main, ["project-discrete", problem])
         assert result.exit_code == 3
         assert "not reached in" in result.stderr
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
-    def test_bad_tol_fails_before_solving(self, runner, tmp_path, monkeypatch, tol):
-        # --tol inf passed the first vertex as converged; nan and negative
-        # targets were never met, and the solve ended in a solver error
-        calls = []
-        monkeypatch.setattr(cli, "solve_wot", lambda *args, **kwargs: calls.append(args))
-        problem = write_discrete_problem(tmp_path / "p.json", np.random.default_rng(45), 3, 4)
-        result = runner.invoke(main, ["project-discrete", problem, "--tol", tol])
-        assert result.exit_code == 2
-        assert result.output.startswith("error: --tol must be finite and nonnegative")
-        assert calls == []
+    @pytest.mark.parametrize("seed", range(20))
+    def test_reports_the_library_solve(self, runner, tmp_path, seed):
+        # 5 x 6 problems in the plane, the shape of the benchmark's
+        # project-discrete commands: the report is project_discrete's
+        # answer to the last bit
+        problem = write_discrete_problem(tmp_path / "p.json", np.random.default_rng([401, seed]),
+                                         5, 6)
+        result = runner.invoke(main, ["project-discrete", problem])
+        assert result.exit_code == 0
+        report = json.loads(result.output)
+        data = json.loads((tmp_path / "p.json").read_text())
+        mu, nu = (DiscreteMeasure(np.asarray(data[side]["points"]),
+                                  np.asarray(data[side]["weights"])) for side in ("mu", "nu"))
+        projection, expected = discrete.project_discrete(mu, nu)
+        assert (report["value"], report["gap"], report["iterations"]) == (
+            expected.value, expected.gap, expected.iterations)
+        np.testing.assert_array_equal(report["projection"]["points"], projection.points)
+        np.testing.assert_array_equal(report["projection"]["weights"], projection.weights)
 
     @pytest.mark.parametrize("command", ["project-discrete", "check"])
     def test_undecodable_problem_file_is_a_parse_error(self, runner, tmp_path, command):
@@ -491,7 +499,7 @@ class TestDistance:
             raise discrete.LpInfeasibleError("injected")
 
         monkeypatch.setattr(cli, "exact_w2_sq", infeasible)
-        monkeypatch.setattr(cli, "solve_wot", infeasible)
+        monkeypatch.setattr(cli, "project_discrete", infeasible)
         problem = write_problem(tmp_path / "p.json", DISCRETE)
         result = runner.invoke(main, [command, problem])
         assert result.exit_code == 3
@@ -504,7 +512,7 @@ class TestDistance:
             raise ValueError("injected")
 
         monkeypatch.setattr(cli, "exact_w2_sq", failing)
-        monkeypatch.setattr(cli, "solve_wot", failing)
+        monkeypatch.setattr(cli, "project_discrete", failing)
         problem = write_problem(tmp_path / "p.json", DISCRETE)
         result = runner.invoke(main, [command, problem])
         assert result.exit_code == cli.UNEXPECTED_ERROR
@@ -722,6 +730,63 @@ class TestCheck:
         result = runner.invoke(main, ["check", problem])
         assert result.exit_code == 0
 
+    def test_discrete_check_verifies_the_reported_solve(self, runner, tmp_path, monkeypatch):
+        # one solve, project-discrete's own, not a second one at another target
+        calls = []
+
+        def counting(name, original):
+            def counted(*args):
+                calls.append(name)
+                return original(*args)
+            return counted
+
+        monkeypatch.setattr(discrete, "solve_wot", counting("solve_wot", discrete.solve_wot))
+        monkeypatch.setattr(cli, "project_discrete",
+                            counting("project_discrete", discrete.project_discrete))
+        problem = write_discrete_problem(tmp_path / "p.json", np.random.default_rng([401, 0]),
+                                         5, 6)
+        result = runner.invoke(main, ["check", problem])
+        assert result.exit_code == 0
+        assert calls == ["project_discrete", "solve_wot"]
+
+    def test_discrete_value_tolerance_scales_with_the_points(self, runner, tmp_path):
+        # atoms near 1e5 and nu = 1.001 mu: the polished value lies 2.0e-6,
+        # roundoff at this scale, from W2^2(mu, projection), above 1e-8 (1 +
+        # value) = 1.3e-6; the tolerance is 1e-8 (4^k + value), with 2^k the
+        # solve's unit scale
+        points = [[-92397.99187493423, 23619.77105682826],
+                  [-75492.80249554619, 75423.98007650841],
+                  [6689.118001747071, -21386.164761608718],
+                  [41417.16102870061, 6006.186446941997],
+                  [119756.02840663247, 25853.277148557037]]
+        weights = [0.16782981487325302, 0.00450044460268453, 0.41640570936471727,
+                   0.3154097289356297, 0.09585430222371563]
+        mu = DiscreteMeasure(np.asarray(points), np.asarray(weights))
+        nu = DiscreteMeasure(1.001 * mu.points, mu.weights)
+        problem = write_problem(tmp_path / "p.json", {
+            side: {"points": m.points.tolist(), "weights": m.weights.tolist()}
+            for side, m in (("mu", mu), ("nu", nu))})
+        result = runner.invoke(main, ["check", problem])
+        assert result.exit_code == 0
+        check = json.loads(result.output)["checks"][0]
+        assert check["name"] == "value_equals_projection_distance"
+        solve = discrete.project_discrete(mu, nu)[1]
+        assert solve.diagnostics["scale_exponent"] == 15
+        assert check["tolerance"] == 1e-8 * (4.0**15 + solve.value)
+        assert check["value"] > 1e-8 * (1.0 + solve.value)  # the former tolerance
+
+    @pytest.mark.parametrize("j", [-16, 0, 8, 16])
+    def test_discrete_value_check_passes_on_dilations(self, runner, tmp_path, j):
+        c = math.ldexp(1.0, j)
+        for seed in range(10):
+            rng = np.random.default_rng([39, seed])
+            problem = write_problem(tmp_path / "p.json", {
+                side: {"points": (c * spread * rng.normal(size=(k, 2))).tolist(),
+                       "weights": rng.dirichlet(np.ones(k)).tolist()}
+                for side, k, spread in (("mu", 5, 1.0), ("nu", 6, 0.8))})
+            result = runner.invoke(main, ["check", problem])
+            assert result.exit_code == 0, (j, seed)
+
     def test_discrete_identities_pass_at_large_scale(self, runner, tmp_path):
         # the barycenters' roundoff grows as 2^j with the points, and so does
         # the tolerance.  The largest |coordinate| lies in [1, 2), so the
@@ -790,7 +855,7 @@ class TestCheck:
         self, runner, tmp_path, monkeypatch
     ):
         calls = []
-        monkeypatch.setattr(cli, "solve_wot", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(cli, "project_discrete", lambda *args, **kwargs: calls.append(args))
         problem = write_problem(tmp_path / "p.json", DISCRETE)
         assert_file = write_problem(tmp_path / "expect.json", {"tol": 1e-6})
         result = runner.invoke(main, ["check", problem, "--assert-file", assert_file])

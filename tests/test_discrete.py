@@ -16,7 +16,7 @@ from convex_order.discrete import (
     solve_transport_lp,
     solve_wot,
 )
-from convex_order.measures import DiscreteMeasure, EmptyMeasureError
+from convex_order.measures import DiscreteMeasure, EmptyMeasureError, GaussianMeasure
 from convex_order.one_dim import is_convex_ordered_1d, project_1d_detail, w2_1d
 from _utils import product_measure, random_discrete, random_discrete_1d, random_orthogonal
 
@@ -152,6 +152,48 @@ class TestMeasureConstruction:
         assert float(np.sum(m.weights)) == pytest.approx(1.0, abs=1e-15)
 
 
+class TestInputGuards:
+    """The typed error and the message of each guard at the boundary of the
+    measures and of the discrete engine."""
+
+    def test_measures(self):
+        cases = [
+            (lambda: GaussianMeasure(np.zeros(2), np.eye(3)),
+             r"covariance shape \(3, 3\) does not match mean of size 2"),
+            (lambda: DiscreteMeasure([[0.0], [1.0]], [1.0]),
+             "one weight per support point required"),
+            (lambda: DiscreteMeasure([[0.0, 1.0]], [1.0]).values_1d,
+             "measure lives in dimension 2, not 1"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValueError, match=message) as refused:
+                build()
+            assert refused.type is ValueError
+
+    def test_discrete(self):
+        line = measure_1d([0.0, 1.0], [0.5, 0.5])
+        plane = DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+        half = np.array([0.5, 0.5])
+        cases = [
+            (lambda: solve_wot(line, plane), ValueError, "dimension mismatch"),
+            (lambda: exact_w2_sq(line, plane), ValueError, "dimension mismatch"),
+            (lambda: Coupling(np.full((2, 3), 1.0 / 6.0), line, line), ValueError,
+             "coupling shape must match the two supports"),
+            (lambda: Coupling(np.array([[0.6, -0.1], [-0.1, 0.6]]), line, line), ValueError,
+             "coupling must be entrywise nonnegative"),
+            (lambda: Coupling(np.array([[0.3, 0.3], [0.2, 0.2]]), line, line), ValueError,
+             r"marginal residuals \(1.000e-01, 0.000e\+00\) exceed 1e-09"),
+            (lambda: solve_transport_lp(np.array([[0.0, np.inf], [1.0, 0.0]]), half, half),
+             ValueError, "cost entries must be finite"),
+            (lambda: solve_transport_lp(np.zeros((2, 2)), half, 2.0 * half),
+             discrete.LpInfeasibleError, "row and column weights have different totals"),
+        ]
+        for call, error, message in cases:
+            with pytest.raises(error, match=message) as refused:
+                call()
+            assert refused.type is error
+
+
 class TestObjective:
     def test_single_target_atom(self):
         mu = measure_1d([-1.0, 1.0], [0.5, 0.5])
@@ -242,6 +284,21 @@ class TestTransportLp:
                 solve_transport_lp(cost, row, col)
                 price_basis(seen[-1], cost)  # the optimal basis
         assert len(margins) > 4 * 4 and max(margins) <= 1e-2
+
+    @pytest.mark.parametrize("row, col, message", [
+        # unguarded, the simplex returns [[0.5, 1.0], [0.0, -0.5]]
+        ([1.5, -0.5], [0.5, 0.5], "row_weights must be finite and nonnegative"),
+        # and a NaN coupling
+        ([math.nan, 0.5], [0.5, 0.5], "row_weights must be finite and nonnegative"),
+        ([0.5, 0.5], [0.5, math.inf], "col_weights must be finite and nonnegative"),
+        # and a bare IndexError
+        ([0.5, 0.5], [0.25, 0.25, 0.5], r"cost must have the shape \(2, 3\) of the weights, "
+                                        r"not \(2, 2\)"),
+    ])
+    def test_refuses_bad_weights_and_cost_shapes(self, row, col, message):
+        with pytest.raises(ValueError, match=message) as refused:
+            solve_transport_lp(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array(row), np.array(col))
+        assert refused.type is ValueError
 
     def test_oracle_returns_valid_coupling(self):
         rng = np.random.default_rng(4)
@@ -450,34 +507,37 @@ class TestSolveWot:
                 barycentric_cost(pi_a.pi, mu, nu) + barycentric_cost(pi_b.pi, mu, nu)
             ) + 1e-12
 
+    @pytest.mark.usefixtures("tight_gap")
     def test_value_equals_projection_distance(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             d = int(rng.integers(1, 3))
             mu = random_discrete(rng, d, 6)
             nu = random_discrete(rng, d, 6)
-            result = solve_wot(mu, nu, tol=1e-12)
+            result = solve_wot(mu, nu)
             projection = barycentric_pushforward(result.coupling)
             assert result.value == pytest.approx(
                 exact_w2_sq(mu, projection), abs=1e-8 * (1.0 + result.value)
             )
 
+    @pytest.mark.usefixtures("tight_gap")
     def test_one_dimensional_agreement(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
             mu, nu = random_discrete_1d(rng), random_discrete_1d(rng)
             below = project_1d_detail(mu, nu).below
-            result = solve_wot(mu, nu, tol=1e-12)
+            result = solve_wot(mu, nu)
             projection = barycentric_pushforward(result.coupling)
             assert w2_1d(below, projection) <= 1e-6
 
+    @pytest.mark.usefixtures("tight_gap")
     def test_one_dimensional_agreement_at_30_atoms(self):
         rng = np.random.default_rng(44)
         for _ in range(2):
             mu = measure_1d(rng.normal(size=30), rng.dirichlet(np.ones(30)))
             nu = measure_1d(0.8 * rng.normal(size=30), rng.dirichlet(np.ones(30)))
             below = project_1d_detail(mu, nu).below
-            result = solve_wot(mu, nu, tol=1e-12)
+            result = solve_wot(mu, nu)
             projection = barycentric_pushforward(result.coupling)
             assert result.converged
             assert w2_1d(below, projection) <= 1e-6
@@ -508,7 +568,9 @@ class TestSolveWot:
 
         # a negative target is never met: the steps stop once the
         # complementarity is roundoff, and that iterate is certified
-        spent = solve_wot(mu, nu, tol=-1.0)
+        with monkeypatch.context() as patch:
+            patch.setattr(discrete, "GAP_TOL", -1.0)
+            spent = solve_wot(mu, nu)
         assert spent.diagnostics["stop_reason"] == "roundoff"
         assert spent.diagnostics["certificates"] == 1 and not spent.diagnostics["polished"]
         assert not spent.converged
@@ -560,12 +622,13 @@ class TestSolveWot:
         assert first.value == second.value
         assert first.diagnostics == second.diagnostics
 
+    @pytest.mark.usefixtures("tight_gap")
     @pytest.mark.parametrize("max_iter", [1, 2, 3])
     def test_gap_at_max_iter_is_that_of_the_returned_coupling(self, max_iter, monkeypatch):
         rng = np.random.default_rng(45)
         mu = DiscreteMeasure(rng.normal(size=(6, 2)), rng.dirichlet(np.ones(6)))
         nu = DiscreteMeasure(rng.normal(size=(7, 2)), rng.dirichlet(np.ones(7)))
-        optimum = solve_wot(mu, nu, tol=1e-12)
+        optimum = solve_wot(mu, nu)
         monkeypatch.setattr(discrete, "MAX_ITER", max_iter)
         result = solve_wot(mu, nu)
         assert result.diagnostics["stop_reason"] == "max_iter"
@@ -578,16 +641,6 @@ class TestSolveWot:
         # far from the optimum, which its certificate still brackets
         assert result.gap > 1e-3
         assert result.value - result.gap <= optimum.value <= result.value
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
-    def test_non_finite_gap_target_is_refused(self, tol):
-        # an infinite target would pass the first certificate as converged
-        mu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.5], [-1.0, 2.0]]),
-                             np.array([0.2, 0.3, 0.5]))
-        nu = DiscreteMeasure(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 3.0], [2.0, 2.0]]),
-                             np.array([0.1, 0.2, 0.3, 0.4]))
-        with pytest.raises(ValueError, match="tol must be finite"):
-            solve_wot(mu, nu, tol)
 
     def test_large_scale_instances_scale_with_their_points(self):
         # the value of c mu against c nu is c^2 times the unit-scale value,
@@ -724,8 +777,9 @@ class TestCertificate:
     """
 
     @staticmethod
-    def check(mu, nu, tol=1e-10):
-        result = solve_wot(mu, nu, tol=tol)
+    def check(mu, nu):
+        tol = discrete.GAP_TOL
+        result = solve_wot(mu, nu)
         value, gap = result.value, result.gap
         unit = 4.0 ** result.diagnostics["scale_exponent"]
         assert result.converged
@@ -767,7 +821,7 @@ class TestCertificate:
         assert bound == pytest.approx(cost, rel=1e-14)
 
     @pytest.mark.parametrize("polish", [True, False])
-    def test_seeded_instances_in_one_and_two_dimensions(self, polish, monkeypatch):
+    def test_seeded_instances_in_one_and_two_dimensions(self, polish, monkeypatch, gap_tol):
         # without the polish, the restored interior iterate is certified
         if not polish:
             def fail(*args):
@@ -780,7 +834,8 @@ class TestCertificate:
             mu = DiscreteMeasure(rng.normal(size=(n, d)), rng.dirichlet(np.ones(n)))
             nu = DiscreteMeasure(0.8 * rng.normal(size=(m, d)), rng.dirichlet(np.ones(m)))
             for tol in (1e-8, 1e-10, 1e-12):
-                self.check(mu, nu, tol)
+                gap_tol(tol)
+                self.check(mu, nu)
 
     @settings(max_examples=60, deadline=None)
     @given(weighted_atoms_1d(), weighted_atoms_1d())
@@ -802,16 +857,17 @@ class TestCertificate:
                   for atoms in (atoms_mu, atoms_nu))
         self.check(mu, nu)
 
-    def test_both_atoms_at_the_ends_of_the_target(self):
+    def test_both_atoms_at_the_ends_of_the_target(self, gap_tol):
         # mu = {-1, 1} against nu = {0, 1}: each row ends on one cell, so
         # the Schur complement on the column dual, the sum of the other
         # cells' d_ij, tends to 0
         for tol in (1e-8, 1e-10, 1e-12):
+            gap_tol(tol)
             result = self.check(measure_1d([-1.0, 1.0], [0.5, 0.5]),
-                                measure_1d([0.0, 1.0], [0.5, 0.5]), tol)
+                                measure_1d([0.0, 1.0], [0.5, 0.5]))
             assert result.value == pytest.approx(0.5, abs=tol)
 
-    def test_a_cycle_that_the_centring_step_breaks(self):
+    def test_a_cycle_that_the_centring_step_breaks(self, gap_tol):
         # an 8 x 6 instance on the grid of step 1/4 on which Mehrotra's steps
         # alone cycle (complementarity near 3e-4 after 100 steps): each
         # predictor blocked before a tenth of its step is followed by a
@@ -828,13 +884,15 @@ class TestCertificate:
             0.32917089070992794, 0.1828683213584959, 0.045687474641119316,
             0.038890425003179976, 0.11501405239738338, 0.28836883588989354]))
         for tol in (1e-10, 1e-12):
-            assert self.check(mu, nu, tol).iterations < 30
+            gap_tol(tol)
+            assert self.check(mu, nu).iterations < 30
 
+    @pytest.mark.usefixtures("tight_gap")
     def test_equal_measures_cost_nothing(self):
         rng = np.random.default_rng(74)
         for d in (1, 2, 3):
             mu = random_discrete(rng, d, 9)
-            result = self.check(mu, mu, tol=1e-12)
+            result = self.check(mu, mu)
             assert 0.0 <= result.value <= 1e-12 * (1.0 + result.gap)
             np.testing.assert_allclose(barycentric_pushforward(result.coupling).points,
                                        mu.points, atol=1e-5)
@@ -896,6 +954,7 @@ def grid_factor(draw, max_atoms=6):
     return measure_1d(np.asarray(ticks) / 64.0, np.asarray(raw) / math.fsum(raw))
 
 
+@pytest.mark.usefixtures("tight_gap")
 class TestProductMeasures:
     """Tensorisation as an exact oracle in 2-d.  For mu = mu1 x mu2 and
     nu = nu1 x nu2 the barycentric WOT value is V(mu1, nu1) + V(mu2, nu2):
@@ -917,7 +976,7 @@ class TestProductMeasures:
         mu1, mu2, nu1, nu2 = factors
         mu = product_measure(mu1, mu2, rotation, shift)
         nu = product_measure(nu1, nu2, rotation, shift)
-        result = solve_wot(mu, nu, tol=1e-12)
+        result = solve_wot(mu, nu)
         blocks = project_1d_detail(mu1, nu1).distance_sq + project_1d_detail(mu2, nu2).distance_sq
         unit = 4.0 ** result.diagnostics["scale_exponent"]
         slack = 64.0 * np.finfo(float).eps * (unit + blocks)
@@ -1074,6 +1133,7 @@ class TestConvexOrder1d:
         assert not is_convex_ordered_1d(m, shifted)
 
 
+@pytest.mark.usefixtures("tight_gap")
 class TestRegularity:
     """The paper's regularity theorems for the dominated-side projection in
     2-d, with W2 from the transportation LP.
@@ -1087,7 +1147,7 @@ class TestRegularity:
 
     @staticmethod
     def projection(mu, nu):
-        result = solve_wot(mu, nu, tol=1e-12)
+        result = solve_wot(mu, nu)
         projection = barycentric_pushforward(result.coupling)
         return projection, np.sqrt(max(result.gap, 0.0))
 
@@ -1134,7 +1194,7 @@ class TestRegularity:
                 points = spread * rng.normal(size=(size, dim))
                 atoms.append((points[np.lexsort(points.T[::-1])], rng.dirichlet(np.ones(size))))
             mu, nu = (DiscreteMeasure(x, w) for x, w in atoms)
-            result = solve_wot(mu, nu, tol=1e-12)
+            result = solve_wot(mu, nu)
             assert result.converged, s
             t = result.coupling.conditional_barycenters()
             gap = max(result.gap, 0.0) + 64.0 * np.finfo(float).eps * (1.0 + result.value)

@@ -14,6 +14,7 @@ import ast
 from pathlib import Path
 
 import convex_order
+from convex_order import discrete
 
 ROOT = Path(__file__).resolve().parents[1]
 TEST_REFERENCES = {
@@ -96,10 +97,12 @@ used(module.attribute)
 
 
 def test_public_definitions_leave_out_commands_and_private_names():
+    # the private constant named below must exist for the test to check anything
+    assert isinstance(discrete._POLISH_WEIGHT, float)
     found = public_definitions()
     assert {"project_pair", "transport_map_basis", "ORDER_REL", "EIG_TOL", "main",
             "CertificationError", "UniquenessVerdict"} <= found
-    assert not found & {"cmd_distance", "_route", "_Pair", "_CORRAL_ROWS", "__all__"}
+    assert not found & {"cmd_distance", "_route", "_Pair", "_POLISH_WEIGHT", "__all__"}
 
 
 def test_every_exported_name_has_a_caller():
@@ -108,9 +111,10 @@ def test_every_exported_name_has_a_caller():
 
 
 def test_private_definitions_are_functions_and_classes():
+    assert isinstance(discrete._POLISH_WEIGHT, float) and isinstance(discrete._ROUNDOFF, float)
     found = private_definitions()
     assert {"_route", "_TransportBasis", "_northwest_corner", "_ExitCodes"} <= found
-    assert not found & {"_CORRAL_ROWS", "_QP_TOL", "project_pair", "WotResult"}
+    assert not found & {"_POLISH_WEIGHT", "_ROUNDOFF", "project_pair", "WotResult"}
 
 
 def test_every_private_function_and_class_is_read_in_the_package():

@@ -98,6 +98,11 @@ class TestShape:
         with pytest.raises(ValueError, match=r"shape \(0, 0\)"):
             GaussianMeasure(np.zeros(0), np.zeros((0, 0)))
 
+    def test_project_pair_rejects_mismatched_dimensions(self):
+        with pytest.raises(ValueError, match="^dimension mismatch$") as refused:
+            project_pair(np.eye(2), np.eye(3))
+        assert refused.type is ValueError
+
     def test_project_pair_rejects_non_square_covariance(self):
         with pytest.raises(ValueError, match=r"cov_nu .*shape \(2, 3\)"):
             project_pair(np.eye(2), np.ones((2, 3)))

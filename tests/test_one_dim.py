@@ -352,12 +352,13 @@ class TestProject1d:
                 detail.distance_sq, abs=1e-12 * scale
             )
 
+    @pytest.mark.usefixtures("tight_gap")
     def test_agreement_with_transport_solver(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
             mu, nu = random_discrete_1d(rng), random_discrete_1d(rng)
             below = project_1d_detail(mu, nu).below
-            result = solve_wot(mu, nu, tol=1e-12)
+            result = solve_wot(mu, nu)
             pushed = barycentric_pushforward(result.coupling)
             assert w2_1d(below, pushed) <= 1e-6
 
@@ -439,9 +440,10 @@ class TestTinyWeights:
         assert is_convex_ordered_1d(self.mu_plain, self.nu)
         assert not is_convex_ordered_1d(self.nu, self.mu)
 
+    @pytest.mark.usefixtures("tight_gap")
     def test_matches_the_transport_solver(self):
         below = project_1d_detail(self.mu, self.nu).below
-        result = solve_wot(self.mu, self.nu, tol=1e-12)
+        result = solve_wot(self.mu, self.nu)
         assert result.value == pytest.approx(0.0, abs=1e-12)
         assert w2_1d(below, barycentric_pushforward(result.coupling)) <= 1e-6
         assert w2_1d(self.mu, self.nu) ** 2 == pytest.approx(
