@@ -13,8 +13,8 @@ from .linalg import (
     RANK_REL,
     LinalgError,
     NotPsdError,
-    require_finite,
     spd_sqrt,
+    square_symmetric,
     sym,
     unit_scale_exponent,
 )
@@ -36,12 +36,11 @@ def bw2(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     is multiplied back by ``4^k``.  Powers of two are exact, so ``4^j``
     times a pair gives exactly ``4^j`` times its distance, and the product
     ``A^{1/2} B A^{1/2}`` does not overflow at large scale.  Raises
-    ``ValueError`` naming the argument on a NaN or infinite entry.
+    ``ValueError`` on unequal shapes or through :func:`square_symmetric`.
     """
-    a = sym(cov_a)
-    b = sym(cov_b)
-    require_finite(a, "cov_a")
-    require_finite(b, "cov_b")
+    a, b = square_symmetric(cov_a, "cov_a"), square_symmetric(cov_b, "cov_b")
+    if a.shape != b.shape:
+        raise ValueError("dimension mismatch")
     k = unit_scale_exponent(max(float(a.trace()), float(b.trace())))
     c = math.ldexp(1.0, -2 * k)
     a, b = c * a, c * b
@@ -49,8 +48,9 @@ def bw2(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     half = spd_sqrt(a)
     cross_vals = np.linalg.eigvalsh(sym(half @ b @ half))
     # the product is checked at the scale it inherits from a and b (near
-    # zero when their ranges are disjoint, whatever its roundoff), then clamped
-    if cross_vals[0] < -EIG_TOL * (1.0 + abs(trace_a) * abs(trace_b)):
+    # zero when their ranges are disjoint, whatever its roundoff), then
+    # clamped; a NaN, from a b far from PSD that the scale overflowed, fails
+    if not cross_vals[0] >= -EIG_TOL * (1.0 + abs(trace_a) * abs(trace_b)):
         raise NotPsdError(f"bw2: A^1/2 B A^1/2 has eigenvalue {cross_vals[0]:.3e}")
     cross_vals = np.maximum(cross_vals, 0.0)
     value = float(trace_a + trace_b - 2.0 * np.sqrt(cross_vals).sum())

@@ -374,9 +374,10 @@ def _one_d_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
 def _discrete_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
     # the solve project-discrete reports: its value, the cost of one plan
     # from mu to the projection, is at least W2^2(mu, projection), and that
-    # is at least the optimum, value - gap, as nu dominates the projection
+    # is at least the optimum, value - gap, as nu dominates the projection;
+    # the residual is the distance of value - W2^2 from [0, gap]
     projection, result = project_discrete(mu, nu)
-    value_residual = abs(result.value - exact_w2_sq(mu, projection))
+    excess = result.value - exact_w2_sq(mu, projection)
     bary_residual = float(np.linalg.norm(projection.barycenter - nu.barycenter))
     # roundoff grows with the coordinates: 2^k scales the barycenter's
     # tolerance and 4^k the value's once the largest |coordinate| reaches 4;
@@ -384,8 +385,8 @@ def _discrete_checks(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[dict]:
     # them from shrinking
     k = max(0, result.diagnostics["scale_exponent"])
     return [
-        _check("value_equals_projection_distance", value_residual,
-               1e-8 * (math.ldexp(1.0, 2 * k) + result.value)),
+        _check("value_equals_projection_distance", max(0.0, -excess, excess - result.gap),
+               1e-12 * (math.ldexp(1.0, 2 * k) + result.value)),
         _check("pushforward_barycenter", bary_residual, math.ldexp(1e-10, k)),
     ]
 

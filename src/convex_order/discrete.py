@@ -51,6 +51,9 @@ class BudgetExceededError(ValueError):
 
 
 def _require_budget(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+    """Each discrete engine's pair guard: equal dimensions, ``BUDGET`` cells."""
+    if mu.dim != nu.dim:
+        raise ValueError("dimension mismatch")
     if mu.size * nu.size > BUDGET:
         raise BudgetExceededError(f"instance size {mu.size}x{nu.size} exceeds the budget {BUDGET}")
 
@@ -511,8 +514,6 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
     ``n * m``, or ``n (d + 1) (m + d) + m^2 > WOT_BUDGET``, raise
     :class:`BudgetExceededError` (the README has times at the budget).
     """
-    if mu.dim != nu.dim:
-        raise ValueError("dimension mismatch")
     _require_budget(mu, nu)
     n, m, dim = mu.size, nu.size, mu.dim
     if n * (dim + 1) * (m + dim) + m * m > WOT_BUDGET:
@@ -635,8 +636,6 @@ def project_discrete(mu: DiscreteMeasure,
 def exact_w2_sq(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
     """Exact squared Wasserstein-2 distance between small discrete measures;
     more than ``BUDGET`` cells ``n * m`` raise :class:`BudgetExceededError`."""
-    if mu.dim != nu.dim:
-        raise ValueError("dimension mismatch")
     _require_budget(mu, nu)
     diff = mu.points[:, None, :] - nu.points[None, :, :]
     cost = (diff**2).sum(axis=2)

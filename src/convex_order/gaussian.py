@@ -51,12 +51,12 @@ from .linalg import (
     default_rank_tol,
     loewner_leq,
     positive_diag_mask,
+    square_symmetric,
     sym,
     sym_eigen,
     transport_map_basis,
     unit_scale_exponent,
 )
-from .measures import require_square
 from .pgd import pgd_project_above
 
 # Order tolerance: certification wants the order residual above
@@ -171,8 +171,8 @@ def _pair(
 
 
 def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
-    """Validate a raw covariance pair (nonempty, square, equal shapes,
-    finiteness, PSD), decompose it and divide it by ``4^k``, the larger top
+    """Validate a raw covariance pair (:func:`square_symmetric`, equal
+    shapes, PSD), decompose it and divide it by ``4^k``, the larger top
     eigenvalue in ``[4^k, 4^(k+1))`` (``k = 0`` below ``2^-1000``): the only
     check a public call makes on its inputs.  Each covariance is
     eigensolved once, divided by the power of four that brings the largest
@@ -180,17 +180,13 @@ def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
     into ``[1, 4)``, so LAPACK never rescales it.  Powers of two are exact,
     so the spectra are those of the record's pair, and the PSD test and its
     message are those of the caller's matrix."""
-    cov_mu = np.atleast_2d(np.asarray(cov_mu, dtype=float))
-    cov_nu = np.atleast_2d(np.asarray(cov_nu, dtype=float))
-    require_square(cov_mu, "cov_mu")
-    require_square(cov_nu, "cov_nu")
-    cov_mu, cov_nu = sym(cov_mu), sym(cov_nu)
+    cov_mu, cov_nu = square_symmetric(cov_mu, "cov_mu"), square_symmetric(cov_nu, "cov_nu")
     if cov_mu.shape != cov_nu.shape:
         raise ValueError("dimension mismatch")
     j = unit_scale_exponent(max(cov_mu.diagonal().max(), cov_nu.diagonal().max()))
     c = math.ldexp(1.0, -2 * j)
-    nu_raw, nu_vecs = _validated_eigh(c * cov_nu, c, "cov_nu")
-    mu_vals, mu_vecs = _validated_eigh(c * cov_mu, c, "cov_mu")
+    nu_raw, nu_vecs = _validated_eigh(c * cov_nu, c)
+    mu_vals, mu_vecs = _validated_eigh(c * cov_mu, c)
     nu_vals, mu_vals = np.maximum(nu_raw, 0.0), np.maximum(mu_vals, 0.0)
     top = max(mu_vals.max(initial=0.0), nu_vals.max(initial=0.0))
     k = unit_scale_exponent(math.ldexp(top, 2 * j))

@@ -4,8 +4,10 @@ Spectral decompositions, matrix square roots, positive parts, Loewner-order
 tests and the transport-map eigenbasis: the pieces of the Gaussian solvers'
 candidate bases and of the certificate that decides between them.
 
-All functions are pure and operate on plain ``numpy`` arrays.  Only bases
-that leave a call pay for the eigen-convention (eigenvalues descending, signs
+All functions are pure and operate on plain ``numpy`` arrays.  A caller's
+matrix passes one gate, :func:`square_symmetric`, once per public call;
+what is derived from its output is not checked again.  Only bases that
+leave a call pay for the eigen-convention (eigenvalues descending, signs
 fixed, :func:`_ordered`): those of :func:`sym_eigen` and
 :func:`transport_map_basis`, and those a caller orders from
 :func:`psd_eigen`.  Validated spectra, rebuilt matrices and read spectra
@@ -59,6 +61,18 @@ def sym(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
+def square_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
+    """The caller's ``matrix`` as a nonempty, square, symmetrised float array
+    with finite entries (a scalar reads as 1x1), else ``ValueError`` naming
+    ``name``: the one check on a raw matrix."""
+    m = np.atleast_2d(np.asarray(matrix, dtype=float))
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"{name} must be a nonempty square matrix, got shape {np.shape(matrix)}")
+    m = sym(m)
+    require_finite(m, name)
+    return m
+
+
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     try:
         return np.linalg.eigh(a)
@@ -92,12 +106,10 @@ def sym_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(eigenvalues, basis)`` with eigenvalues sorted descending and
     orthonormal eigenvectors as columns of ``basis``.  Deterministic sign
     convention: the first entry of each eigenvector whose magnitude exceeds
-    1e-12 of the column maximum is made positive.  Raises ``ValueError`` on
-    a NaN or infinite entry.
+    1e-12 of the column maximum is made positive.  Raises ``ValueError``
+    through :func:`square_symmetric`.
     """
-    m = sym(matrix)
-    require_finite(m, "matrix")
-    return _ordered(*_eigh(m))
+    return _ordered(*_eigh(square_symmetric(matrix, "matrix")))
 
 
 def default_rank_tol(eigenvalues: np.ndarray) -> float:
@@ -106,23 +118,17 @@ def default_rank_tol(eigenvalues: np.ndarray) -> float:
     return eigenvalues.size * top * RANK_REL
 
 
-def _validated_eigh(
-    matrix: np.ndarray, scale: float, name: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`psd_eigen` before the clamp, of ``matrix``, the caller's matrix
-    ``name`` times ``scale``, a power of two: the PSD test and its message
-    are those of the caller's matrix, bit for bit wherever the eigensolver
-    commutes with the scale.  Raises ``ValueError`` naming ``name`` on a NaN
-    or infinite entry."""
-    m = sym(matrix)
-    require_finite(m, name)
-    vals, vecs = _eigh(m)
-    if vals.size:
-        low = float(vals[0])  # LAPACK returns the spectrum ascending
-        if low < -EIG_TOL * (scale + max(-low, float(vals[-1]))):
-            raise NotPsdError(
-                f"matrix is not positive semi-definite (min eigenvalue {low / scale:.3e})"
-            )
+def _validated_eigh(matrix: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`psd_eigen` before the clamp, of a gated matrix times ``scale``,
+    a power of two: the PSD test and its message are those of the gated
+    matrix, bit for bit wherever the eigensolver commutes with the scale.
+    A NaN spectrum (the scale overflowed a matrix far from PSD) fails."""
+    vals, vecs = _eigh(matrix)
+    low = float(vals[0])  # LAPACK returns the spectrum ascending
+    if not low >= -EIG_TOL * (scale + max(-low, float(vals[-1]))):
+        raise NotPsdError(
+            f"matrix is not positive semi-definite (min eigenvalue {low / scale:.3e})"
+        )
     return vals, vecs
 
 
@@ -131,13 +137,13 @@ def psd_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Eigenvalues in ``[-EIG_TOL * scale, 0]`` are clamped to zero; anything
     below that raises :class:`NotPsdError` (``scale`` is one plus the largest
-    eigenvalue magnitude), and a NaN or infinite entry ``ValueError``.  The
-    pairs keep LAPACK's ascending order and raw signs, so callers read the
-    spectrum with ``min`` and ``max``, and order a basis that leaves the call
-    themselves.  Meant for raw input; a matrix
-    derived from validated input goes through :func:`clamped_eigen`.
+    eigenvalue magnitude), and :func:`square_symmetric` ``ValueError`` on
+    bad input.  The pairs keep LAPACK's ascending order and raw signs, so
+    callers read the spectrum with ``min`` and ``max``, and order a basis
+    that leaves the call themselves.  Meant for raw input; a derived matrix
+    goes through :func:`clamped_eigen`.
     """
-    vals, vecs = _validated_eigh(matrix, 1.0, "matrix")
+    vals, vecs = _validated_eigh(square_symmetric(matrix, "matrix"), 1.0)
     return np.maximum(vals, 0.0), vecs
 
 
@@ -187,11 +193,11 @@ def loewner_gap(a: np.ndarray, b: np.ndarray) -> float:
     ``4^k``.  So ``4^j`` times a pair gives exactly ``4^j`` times its gap,
     where in caller units LAPACK would rescale a matrix beyond about 1e146
     (or below 1e-146) by a factor that is not a power of two.  Raises
-    ``ValueError`` on a NaN or infinite entry.
+    ``ValueError`` on unequal shapes or through :func:`square_symmetric`.
     """
-    a, b = sym(a), sym(b)
-    require_finite(a, "a")
-    require_finite(b, "b")
+    a, b = square_symmetric(a, "a"), square_symmetric(b, "b")
+    if a.shape != b.shape:
+        raise ValueError("dimension mismatch")
     k = unit_scale_exponent(max(float(a.trace()), float(b.trace())))
     c = math.ldexp(1.0, -2 * k)
     return math.ldexp(float(np.linalg.eigvalsh(c * b - c * a).min()), 2 * k)

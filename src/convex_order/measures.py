@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _validated_eigh, require_finite, sym
+from .linalg import _validated_eigh, require_finite, square_symmetric
 
 WEIGHT_TOL = 1e-6
 MERGE_TOL = 1e-12
@@ -22,13 +22,6 @@ class EmptyMeasureError(ValueError):
     """A measure needs at least one atom."""
 
 
-def require_square(matrix: np.ndarray, name: str) -> None:
-    """Raise ``ValueError``, naming the shape, unless ``matrix`` is a
-    nonempty square matrix."""
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.size == 0:
-        raise ValueError(f"{name} must be a nonempty square matrix, got shape {matrix.shape}")
-
-
 @dataclass(frozen=True)
 class GaussianMeasure:
     """Gaussian distribution with the given mean vector and covariance."""
@@ -38,16 +31,13 @@ class GaussianMeasure:
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        require_square(cov, "covariance")
+        cov = square_symmetric(self.cov, "covariance")
         if cov.shape != (mean.size, mean.size):
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean of size {mean.size}"
             )
-        cov = sym(cov)
         require_finite(mean, "mean")
-        # raises ValueError on a NaN or inf entry, NotPsdError on bad input
-        _validated_eigh(cov, 1.0, "covariance")
+        _validated_eigh(cov, 1.0)  # raises NotPsdError on bad input
         if cov.trace() > MAX_TRACE:
             raise ValueError(f"covariance trace must not exceed {MAX_TRACE:.3e}")
         object.__setattr__(self, "mean", mean)

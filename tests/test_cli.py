@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -750,10 +751,10 @@ class TestCheck:
         assert calls == ["project_discrete", "solve_wot"]
 
     def test_discrete_value_tolerance_scales_with_the_points(self, runner, tmp_path):
-        # atoms near 1e5 and nu = 1.001 mu: the polished value lies 2.0e-6,
-        # roundoff at this scale, from W2^2(mu, projection), above 1e-8 (1 +
-        # value) = 1.3e-6; the tolerance is 1e-8 (4^k + value), with 2^k the
-        # solve's unit scale
+        # atoms near 1e5 and nu = 1.001 mu: the polished value lies 2.0e-6
+        # below W2^2(mu, projection), roundoff at this scale, and more than
+        # 1e-8 (1 + value) = 1.3e-6; the tolerance is 1e-12 (4^k + value),
+        # with 2^k the solve's unit scale
         points = [[-92397.99187493423, 23619.77105682826],
                   [-75492.80249554619, 75423.98007650841],
                   [6689.118001747071, -21386.164761608718],
@@ -772,10 +773,27 @@ class TestCheck:
         assert check["name"] == "value_equals_projection_distance"
         solve = discrete.project_discrete(mu, nu)[1]
         assert solve.diagnostics["scale_exponent"] == 15
-        assert check["tolerance"] == 1e-8 * (4.0**15 + solve.value)
-        assert check["value"] > 1e-8 * (1.0 + solve.value)  # the former tolerance
+        assert check["tolerance"] == 1e-12 * (4.0**15 + solve.value)
+        assert check["value"] > 1e-8 * (1.0 + solve.value)  # an unscaled tolerance
 
-    @pytest.mark.parametrize("j", [-16, 0, 8, 16])
+    def test_discrete_value_check_reads_the_certificate(self, runner, tmp_path, monkeypatch):
+        # by weak duality 0 <= value - W2^2(mu, projection) <= gap; a value
+        # raised by 1e-9 (1 + value) passed the former tolerance 1e-8 (1 + value)
+        def inflated(mu, nu):
+            projection, result = discrete.project_discrete(mu, nu)
+            value = result.value + 1e-9 * (1.0 + result.value)
+            return projection, dataclasses.replace(result, value=value)
+
+        problem = write_discrete_problem(tmp_path / "p.json", np.random.default_rng([401, 0]),
+                                         5, 6)
+        assert runner.invoke(main, ["check", problem]).exit_code == 0
+        monkeypatch.setattr(cli, "project_discrete", inflated)
+        result = runner.invoke(main, ["check", problem])
+        assert result.exit_code == cli.CHECK_FAILED
+        assert [c["name"] for c in json.loads(result.output)["checks"] if not c["passed"]] == [
+            "value_equals_projection_distance"]
+
+    @pytest.mark.parametrize("j", [-16, 0, 8, 16, 40])
     def test_discrete_value_check_passes_on_dilations(self, runner, tmp_path, j):
         c = math.ldexp(1.0, j)
         for seed in range(10):

@@ -26,8 +26,8 @@ WRAPPERS = frozenset({
     "np.linalg.norm",
 })
 # what validates or decomposes raw input, which the descent's record already is
-RAW_INPUT = frozenset({"psd_eigen", "_validated_eigh", "sym_eigen", "spd_sqrt", "sym",
-                       "require_finite"})
+RAW_INPUT = frozenset({"square_symmetric", "psd_eigen", "_validated_eigh", "sym_eigen",
+                       "spd_sqrt", "sym", "require_finite"})
 
 
 def _dotted(node: ast.expr) -> str | None:

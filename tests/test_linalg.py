@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convex_order import linalg
+from convex_order import GaussianMeasure, linalg, project_pair
 from convex_order.bures import bw2
 from convex_order.linalg import (
     NotPsdError,
@@ -153,9 +155,9 @@ class TestLoewner:
         assert loewner_leq(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]), 1e-10)
 
 
-# each exported function that reads a raw matrix, with the name its message
-# gives that matrix; clamped_eigen and positive_part read derived matrices
-# and check nothing
+# each exported function that reads a raw matrix, and the gate they all call,
+# with the name its message gives that matrix; clamped_eigen and
+# positive_part read derived matrices and check nothing
 RAW_MATRIX_READERS = {
     "loewner_leq_a": (lambda m: loewner_leq(m, np.eye(2), 1e-9), "a"),
     "loewner_leq_b": (lambda m: loewner_leq(np.eye(2), m, 1e-9), "b"),
@@ -166,8 +168,14 @@ RAW_MATRIX_READERS = {
     "sym_eigen": (sym_eigen, "matrix"),
     "psd_eigen": (psd_eigen, "matrix"),
     "spd_sqrt": (spd_sqrt, "matrix"),
-    "validated_eigh": (lambda m: linalg._validated_eigh(m, 0.25, "cov_nu"), "cov_nu"),
+    "project_pair_mu": (lambda m: project_pair(m, np.eye(2)), "cov_mu"),
+    "project_pair_nu": (lambda m: project_pair(np.eye(2), m), "cov_nu"),
+    "GaussianMeasure": (lambda m: GaussianMeasure(np.zeros(2), m), "covariance"),
+    "square_symmetric": (lambda m: linalg.square_symmetric(m, "cov_nu"), "cov_nu"),
 }
+# the entries that pair their matrix with np.eye(2)
+PAIR_READERS = sorted(key for key in RAW_MATRIX_READERS
+                      if key.rsplit("_", 1)[-1] in ("a", "b", "mu", "nu"))
 
 
 @pytest.mark.parametrize("reader", sorted(RAW_MATRIX_READERS))
@@ -180,6 +188,36 @@ def test_non_finite_entries_are_refused(reader, bad, entry):
     m[entry] = bad
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         call(m)
+
+
+@pytest.mark.parametrize("reader", sorted(RAW_MATRIX_READERS))
+@pytest.mark.parametrize("bad", [np.ones((2, 3)), np.zeros((0, 0)), np.ones(3)],
+                         ids=["2x3", "0x0", "1-d"])
+def test_bad_shapes_are_refused(reader, bad):
+    # bw2 raised IndexError on 0x0, spd_sqrt EigenSolveError on a vector
+    call, name = RAW_MATRIX_READERS[reader]
+    shape = re.escape(str(bad.shape))
+    with pytest.raises(ValueError, match=f"^{name} must be a nonempty square matrix, got shape "
+                                         f"{shape}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("reader", PAIR_READERS)
+def test_unequal_shapes_are_refused(reader):
+    # loewner_gap and bw2 raised numpy's broadcast and matmul errors
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        RAW_MATRIX_READERS[reader][0](np.eye(3))
+
+
+def test_a_scale_that_overflows_a_matrix_refuses_it():
+    # a tiny diagonal sets the unit scale, which overflows off-diagonal
+    # entries that no PSD matrix has; bw2 returned NaN, and project_pair
+    # called the finite matrix not finite
+    tiny, wild = 1e-300 * np.eye(2), np.array([[1e-300, 1e300], [1e300, 1e-300]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in (bw2, project_pair, lambda a, b: project_pair(b, a)):
+            with pytest.raises(NotPsdError):
+                call(tiny, wild)
 
 
 def _assert_shared(s1, s2, basis, corr, tol=1e-10):
