@@ -21,15 +21,8 @@ from .gaussian import (
     UniquenessVerdict,
     project_pair,
 )
-from .linalg import (
-    loewner_leq,
-    positive_part,
-    spd_sqrt,
-    sym_eigen,
-)
 from .measures import DiscreteMeasure, GaussianMeasure
 from .one_dim import (
-    g_function,
     is_convex_ordered_1d,
     lower_convex_hull,
     project_1d_detail,
@@ -47,17 +40,12 @@ __all__ = [
     "barycentric_pushforward",
     "bw2",
     "exact_w2_sq",
-    "g_function",
     "is_convex_ordered_1d",
-    "loewner_leq",
     "lower_convex_hull",
-    "positive_part",
     "project_1d_detail",
     "project_discrete",
     "project_pair",
     "solve_transport_lp",
     "solve_wot",
-    "spd_sqrt",
-    "sym_eigen",
     "w2_1d",
 ]

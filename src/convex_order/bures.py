@@ -13,7 +13,8 @@ from .linalg import (
     RANK_REL,
     LinalgError,
     NotPsdError,
-    spd_sqrt,
+    _rebuild,
+    _validated_eigh,
     square_symmetric,
     sym,
     unit_scale_exponent,
@@ -45,7 +46,8 @@ def bw2(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     c = math.ldexp(1.0, -2 * k)
     a, b = c * a, c * b
     trace_a, trace_b = a.trace(), b.trace()
-    half = spd_sqrt(a)
+    vals, vecs = _validated_eigh(a, 1.0)
+    half = _rebuild(np.sqrt(np.maximum(vals, 0.0)), vecs)
     cross_vals = np.linalg.eigvalsh(sym(half @ b @ half))
     # the product is checked at the scale it inherits from a and b (near
     # zero when their ranges are disjoint, whatever its roundoff), then

@@ -44,16 +44,15 @@ import numpy as np
 
 from .linalg import (
     LinalgError,
+    _eigh,
     _ordered,
     _rebuild,
     _validated_eigh,
     clamped_eigen,
     default_rank_tol,
-    loewner_leq,
     positive_diag_mask,
     square_symmetric,
     sym,
-    sym_eigen,
     transport_map_basis,
     unit_scale_exponent,
 )
@@ -136,10 +135,10 @@ class _Pair:
     """A validated covariance pair decomposed once per solve: both
     covariances and their clamped spectral decompositions (in no fixed
     order), divided by ``4^scale_exponent``, the eigenvalues of ``cov_nu``
-    before the clamp (they order its basis on the reduction route, as
-    :func:`sym_eigen` would), the ranks, the rank cutoff of ``cov_nu``, the
-    order tolerance, and ``unit = 4^scale_exponent``, the factor that takes
-    an output into the caller's units."""
+    before the clamp (:func:`_ordered` orders its basis by them on the
+    reduction route), the ranks, the rank cutoff of ``cov_nu``, the order
+    tolerance, and ``unit = 4^scale_exponent``, the factor that takes an
+    output into the caller's units."""
 
     cov_mu: np.ndarray
     cov_nu: np.ndarray
@@ -329,7 +328,7 @@ def _reduce(pair: _Pair) -> tuple[np.ndarray, str, dict[str, Any]]:
     nu_vals, nu_vecs = _ordered(pair.nu_unclamped, pair.nu_eig[1])
     rank = pair.rank_nu
     reduced_mu = sym(nu_vecs.T @ pair.cov_mu @ nu_vecs)[:rank, :rank].copy()
-    mu_vals, mu_vecs = sym_eigen(reduced_mu)
+    mu_vals, mu_vecs = _ordered(*_eigh(reduced_mu))
     if mu_vals[-1] < 0.0:  # a block of PSD cov_mu: roundoff at the scale of cov_mu
         mu_vals = np.maximum(mu_vals, 0.0)
         reduced_mu = _rebuild(mu_vals, mu_vecs)
@@ -363,7 +362,8 @@ def _saturated(pair: _Pair) -> bool:
     half = _rebuild(np.sqrt(vals), vecs)
     probe_vals, probe_vecs = clamped_eigen(sym(half @ pair.cov_mu @ half))
     probe = _rebuild(np.sqrt(probe_vals), probe_vecs)
-    return loewner_leq(pair.cov_nu, probe, tol)
+    # the Loewner gap of cov_nu below probe, on the record at unit scale
+    return float(np.linalg.eigvalsh(probe - pair.cov_nu).min()) >= -tol
 
 
 def _refusal(vals: np.ndarray, cutoff: float, name: str, unit: float) -> str | None:

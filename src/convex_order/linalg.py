@@ -1,18 +1,17 @@
 """Deterministic symmetric linear algebra.
 
-Spectral decompositions, matrix square roots, positive parts, Loewner-order
-tests and the transport-map eigenbasis: the pieces of the Gaussian solvers'
-candidate bases and of the certificate that decides between them.
+Spectral decompositions, positive parts, the Loewner gap and the
+transport-map eigenbasis: the pieces of the Gaussian solvers' candidate
+bases and of the certificate that decides between them.
 
 All functions are pure and operate on plain ``numpy`` arrays.  A caller's
 matrix passes one gate, :func:`square_symmetric`, once per public call;
 what is derived from its output is not checked again.  Only bases that
 leave a call pay for the eigen-convention (eigenvalues descending, signs
-fixed, :func:`_ordered`): those of :func:`sym_eigen` and
-:func:`transport_map_basis`, and those a caller orders from
-:func:`psd_eigen`.  Validated spectra, rebuilt matrices and read spectra
-keep LAPACK's ascending order and raw signs, and are read with ``min`` and
-``max``.
+fixed, :func:`_ordered`): those of :func:`transport_map_basis`, and those
+a caller orders itself.  Validated spectra, rebuilt matrices and read
+spectra keep LAPACK's ascending order and raw signs, and are read with
+``min`` and ``max``.
 """
 
 from __future__ import annotations
@@ -100,18 +99,6 @@ def _ordered(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return vals, vecs
 
 
-def sym_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a symmetric matrix.
-
-    Returns ``(eigenvalues, basis)`` with eigenvalues sorted descending and
-    orthonormal eigenvectors as columns of ``basis``.  Deterministic sign
-    convention: the first entry of each eigenvector whose magnitude exceeds
-    1e-12 of the column maximum is made positive.  Raises ``ValueError``
-    through :func:`square_symmetric`.
-    """
-    return _ordered(*_eigh(square_symmetric(matrix, "matrix")))
-
-
 def default_rank_tol(eigenvalues: np.ndarray) -> float:
     """Rank cutoff d * lambda_max * 2**-50 for a PSD spectrum."""
     top = float(np.abs(eigenvalues).max()) if eigenvalues.size else 0.0
@@ -119,10 +106,13 @@ def default_rank_tol(eigenvalues: np.ndarray) -> float:
 
 
 def _validated_eigh(matrix: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`psd_eigen` before the clamp, of a gated matrix times ``scale``,
-    a power of two: the PSD test and its message are those of the gated
-    matrix, bit for bit wherever the eigensolver commutes with the scale.
-    A NaN spectrum (the scale overflowed a matrix far from PSD) fails."""
+    """The eigenpairs of a gated matrix times ``scale``, a power of two,
+    unclamped, in LAPACK's ascending order with raw signs, after the PSD
+    test: an eigenvalue below ``-EIG_TOL * (scale + m)``, with ``m`` the
+    largest eigenvalue magnitude, raises :class:`NotPsdError`.  The test
+    and its message are those of the gated matrix, bit for bit wherever
+    the eigensolver commutes with the scale.  A NaN spectrum (the scale
+    overflowed a matrix far from PSD) fails."""
     vals, vecs = _eigh(matrix)
     low = float(vals[0])  # LAPACK returns the spectrum ascending
     if not low >= -EIG_TOL * (scale + max(-low, float(vals[-1]))):
@@ -130,21 +120,6 @@ def _validated_eigh(matrix: np.ndarray, scale: float) -> tuple[np.ndarray, np.nd
             f"matrix is not positive semi-definite (min eigenvalue {low / scale:.3e})"
         )
     return vals, vecs
-
-
-def psd_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral decomposition of a PSD matrix with eigenvalue clamping.
-
-    Eigenvalues in ``[-EIG_TOL * scale, 0]`` are clamped to zero; anything
-    below that raises :class:`NotPsdError` (``scale`` is one plus the largest
-    eigenvalue magnitude), and :func:`square_symmetric` ``ValueError`` on
-    bad input.  The pairs keep LAPACK's ascending order and raw signs, so
-    callers read the spectrum with ``min`` and ``max``, and order a basis
-    that leaves the call themselves.  Meant for raw input; a derived matrix
-    goes through :func:`clamped_eigen`.
-    """
-    vals, vecs = _validated_eigh(square_symmetric(matrix, "matrix"), 1.0)
-    return np.maximum(vals, 0.0), vecs
 
 
 def _rebuild(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -163,12 +138,6 @@ def clamped_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(vals, 0.0), vecs
 
 
-def spd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Principal square root of a PSD matrix."""
-    vals, vecs = psd_eigen(matrix)
-    return _rebuild(np.sqrt(vals), vecs)
-
-
 def positive_part(matrix: np.ndarray) -> np.ndarray:
     """Positive part of a symmetric matrix (its lower triangle is read):
     eigenvalues clamped at zero, rebuilt in Gram form, so the result is
@@ -177,11 +146,6 @@ def positive_part(matrix: np.ndarray) -> np.ndarray:
     vals, vecs = clamped_eigen(matrix)
     root = vecs * np.sqrt(vals)
     return root @ root.T
-
-
-def loewner_leq(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
-    """True iff ``a <= b`` in the Loewner order up to ``tol``."""
-    return loewner_gap(a, b) >= -tol
 
 
 def loewner_gap(a: np.ndarray, b: np.ndarray) -> float:

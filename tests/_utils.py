@@ -1,11 +1,36 @@
-"""Shared random generators for the test suite (all explicitly seeded)."""
+"""Shared random generators and helpers for the test suite (all explicitly
+seeded)."""
+
+import sys
 
 import numpy as np
 
-from convex_order import pgd
+from convex_order import linalg, pgd
 from convex_order.bures import bw2_gradient_from_inner
-from convex_order.linalg import clamped_eigen, psd_eigen, spd_sqrt, sym
+from convex_order.linalg import clamped_eigen, sym
 from convex_order.measures import DiscreteMeasure
+
+
+def psd_sqrt(cov):
+    """Principal square root of a PSD test matrix, from its clamped spectrum."""
+    vals, vecs = clamped_eigen(sym(cov))
+    return sym((vecs * np.sqrt(vals)) @ vecs.T)
+
+
+def eigen_convention(matrix):
+    """Eigenpairs of a symmetric ``matrix`` in the library's eigen-convention,
+    built column by column: eigenvalues descending (ties keep numpy's order),
+    and the first entry of each eigenvector whose magnitude exceeds 1e-12 of
+    the column maximum made positive."""
+    vals, vecs = np.linalg.eigh(sym(matrix))
+    order = np.argsort(-vals, kind="stable")
+    vals, vecs = vals[order].copy(), vecs[:, order].copy()
+    for k in range(vecs.shape[1]):
+        col = vecs[:, k]
+        significant = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
+        if significant.size and col[significant[0]] < 0.0:
+            vecs[:, k] = -col
+    return vals, vecs
 
 
 def random_orthogonal(rng, d):
@@ -60,7 +85,7 @@ def product_measure(first, second, rotation, shift):
 def moment_matched_discretization(cov):
     """Discrete measure with mean zero and exactly the given covariance."""
     d = cov.shape[0]
-    root = spd_sqrt(cov)
+    root = psd_sqrt(cov)
     points = np.vstack([np.sqrt(d) * root[:, i] for i in range(d)]
                        + [-np.sqrt(d) * root[:, i] for i in range(d)])
     return DiscreteMeasure(points, np.full(2 * d, 1.0 / (2 * d)))
@@ -85,10 +110,14 @@ def reduced_descent(mu_cov, nu_cov):
 
 def raw_descent(cov_nu, cov_mu):
     """The descent on a raw pair, as the Gaussian solver's record would hand
-    it over in the pair's own units: both covariances symmetrised, checked
-    and decomposed afresh."""
-    nu, mu = sym(cov_nu), sym(cov_mu)
-    return pgd.pgd_project_above(nu, psd_eigen(nu), mu, psd_eigen(mu)[0])
+    it over in the pair's own units: both covariances gated, checked PSD and
+    decomposed afresh, their spectra clamped."""
+    nu = linalg.square_symmetric(cov_nu, "cov_nu")
+    mu = linalg.square_symmetric(cov_mu, "cov_mu")
+    nu_vals, nu_vecs = linalg._validated_eigh(nu, 1.0)
+    mu_vals = linalg._validated_eigh(mu, 1.0)[0]
+    return pgd.pgd_project_above(nu, (np.maximum(nu_vals, 0.0), nu_vecs), mu,
+                                 np.maximum(mu_vals, 0.0))
 
 
 def frobenius_project_above(matrix, lower):
@@ -101,5 +130,14 @@ def bw2_gradient(cov_fixed, cov):
     """Gradient ``I - F^{1/2} (F^{1/2} S F^{1/2})^{-1/2} F^{1/2}`` of
     ``S -> bw2(F, S)`` at ``S = cov``, for positive definite ``F = cov_fixed``
     and ``cov``, by the solver's own formula."""
-    half = spd_sqrt(cov_fixed)
+    half = psd_sqrt(cov_fixed)
     return bw2_gradient_from_inner(half, *clamped_eigen(half @ sym(cov) @ half))
+
+
+def patch_everywhere(monkeypatch, name, replacement):
+    """Replace the ``linalg`` function ``name`` under every library module
+    name bound to it, so calls through any import see the replacement."""
+    original = getattr(linalg, name)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("convex_order") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)

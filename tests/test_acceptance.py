@@ -16,11 +16,12 @@ from convex_order.discrete import (
 )
 from convex_order import gaussian
 from convex_order.gaussian import project_pair
-from convex_order.linalg import loewner_leq, spd_sqrt
+from convex_order.linalg import loewner_gap
 from convex_order.one_dim import project_1d_detail, w2_1d
 from _utils import (
     bw2_gradient,
     frobenius_project_above,
+    psd_sqrt,
     random_commuting_pair,
     random_discrete_1d,
     random_spd,
@@ -162,7 +163,7 @@ def test_criterion_06_monotone_sqrt_and_convexity():
         d = int(rng.integers(1, 7))
         m = random_spd(rng, d, 0.0, 3.0)
         n = m + random_spd(rng, d, 0.0, 2.0)
-        assert loewner_leq(spd_sqrt(m), spd_sqrt(n), 1e-8)
+        assert loewner_gap(psd_sqrt(m), psd_sqrt(n)) >= -1e-8
     for _ in range(500):
         d = int(rng.integers(1, 7))
         ref = random_spd(rng, d)
@@ -176,7 +177,7 @@ def test_criterion_07_frobenius_cone_projections():
     lower = random_spd(rng, 4)
     target = random_symmetric(rng, 4, 2.0)
     projected = frobenius_project_above(target, lower)
-    assert loewner_leq(lower, projected, 1e-10)
+    assert loewner_gap(lower, projected) >= -1e-10
     best = np.linalg.norm(target - projected)
     for _ in range(1000):
         feasible = lower + random_spd(rng, 4, 0.0, 2.0)

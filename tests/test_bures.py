@@ -7,11 +7,12 @@ from click.testing import CliRunner
 from convex_order.bures import bw2, bw2_gradient_from_inner
 from convex_order.cli import main
 from convex_order.discrete import exact_w2_sq, solve_wot
-from convex_order.linalg import clamped_eigen, spd_sqrt
+from convex_order.linalg import clamped_eigen
 from convex_order.measures import GaussianMeasure
 from _utils import (
     bw2_gradient,
     moment_matched_discretization,
+    psd_sqrt,
     random_orthogonal,
     random_spd,
     random_symmetric,
@@ -133,7 +134,7 @@ class TestGradient:
         # I - w @ w.T goes through BLAS syrk, so no symmetrisation is needed
         rng = np.random.default_rng(7)
         for d in range(1, 13):
-            half = spd_sqrt(random_spd(rng, d))
+            half = psd_sqrt(random_spd(rng, d))
             grad = bw2_gradient_from_inner(half, *clamped_eigen(half @ random_spd(rng, d) @ half))
             assert np.array_equal(grad, grad.T), d
 

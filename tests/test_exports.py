@@ -105,6 +105,17 @@ def test_public_definitions_leave_out_commands_and_private_names():
     assert not found & {"cmd_distance", "_route", "_Pair", "_POLISH_WEIGHT", "__all__"}
 
 
+def test_the_package_imports_what_it_exports():
+    # a name that leaves __all__ cannot leave its import behind, nor the
+    # reverse; both are read by ast from __init__.py
+    body = ast.parse((ROOT / "src" / "convex_order" / "__init__.py").read_text()).body
+    imported = {alias.asname or alias.name for node in body
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    exported = [ast.literal_eval(node.value) for node in body if isinstance(node, ast.Assign)
+                and [target.id for target in node.targets] == ["__all__"]]
+    assert len(exported) == 1 and imported == set(exported[0])
+
+
 def test_every_exported_name_has_a_caller():
     uncalled = set(convex_order.__all__) - referenced_names() - set(TEST_REFERENCES)
     assert not uncalled, f"exported names with no caller outside the tests: {sorted(uncalled)}"

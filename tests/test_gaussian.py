@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -8,22 +7,16 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convex_order import gaussian, linalg, pgd
+from convex_order import bures, gaussian, linalg, measures, pgd
 from convex_order.bures import bw2
 from convex_order.cli import main
 from convex_order.gaussian import CertificationError, project_pair
-from convex_order.linalg import (
-    NotPsdError,
-    loewner_gap,
-    loewner_leq,
-    positive_part,
-    psd_eigen,
-    spd_sqrt,
-    sym_eigen,
-)
+from convex_order.linalg import NotPsdError, loewner_gap, positive_part, sym
 from convex_order.measures import GaussianMeasure
 from _utils import (
     bw2_gradient,
+    eigen_convention,
+    patch_everywhere,
     random_commuting_pair,
     random_orthogonal,
     random_psd_singular,
@@ -50,7 +43,7 @@ def assert_transform_valid(t, cov_mu, cov_nu, tol=1e-7):
             assert ratios[i] == pytest.approx(expected, abs=1e-12)
         else:
             assert ratios[i] == 1.0
-    assert loewner_leq(ratios[:, None] * m_mu * ratios[None, :], m_nu, tol)
+    assert loewner_gap(ratios[:, None] * m_mu * ratios[None, :], m_nu) >= -tol
     assert t.certified
 
 NAN_COV = np.array([[np.nan, 0.0], [0.0, 1.0]])
@@ -547,7 +540,7 @@ class TestSingularReduction:
             # the certified basis keeps the kernel of the bound last
             kernel = above.transform.basis[:, r:]
             np.testing.assert_allclose(nu_cov @ kernel, 0.0, atol=1e-10)
-            assert loewner_leq(mu_cov, above.covariance, 1e-7)
+            assert loewner_gap(mu_cov, above.covariance) >= -1e-7
 
 
 def verdict(mu_cov, nu_cov):
@@ -642,7 +635,7 @@ class TestDominance:
         rng = np.random.default_rng(7)
         mu_cov = random_spd(rng, 3)
         nu_cov = mu_cov - 0.5 * random_spd(rng, 3, 0.1, 0.4)
-        assert loewner_leq(nu_cov, mu_cov, 1e-10)
+        assert loewner_gap(nu_cov, mu_cov) >= -1e-10
         assert saturated(mu_cov, nu_cov)
 
     def test_zero_lower_nonzero_target(self):
@@ -781,8 +774,8 @@ class TestSingularConfigurations:
                 mu_cov = random_spd(rng, d)
             below, above = project_pair(mu_cov, nu_cov)
             tol = 1e-7 * (1.0 + np.linalg.norm(nu_cov, 2))
-            assert loewner_leq(below.covariance, nu_cov, tol)
-            assert loewner_leq(mu_cov, above.covariance, tol)
+            assert loewner_gap(below.covariance, nu_cov) >= -tol
+            assert loewner_gap(mu_cov, above.covariance) >= -tol
             assert abs(
                 np.trace(below.covariance) + np.trace(above.covariance)
                 - np.trace(mu_cov) - np.trace(nu_cov)
@@ -799,8 +792,8 @@ class TestSingularConfigurations:
             mu_cov = random_psd_singular(rng, d, int(rng.integers(0, d)))
             below, above = project_pair(mu_cov, nu_cov)
             tol = 1e-7 * (1.0 + np.linalg.norm(nu_cov, 2))
-            assert loewner_leq(below.covariance, nu_cov, tol)
-            assert loewner_leq(mu_cov, above.covariance, tol)
+            assert loewner_gap(below.covariance, nu_cov) >= -tol
+            assert loewner_gap(mu_cov, above.covariance) >= -tol
 
     def test_projections_are_continuous_at_a_singular_target(self):
         # the paper's first result: where the dominating-side projection onto
@@ -831,8 +824,8 @@ class TestSingularConfigurations:
             mu_cov = random_psd_singular(rng, d, int(rng.integers(0, d + 1)))
             below, above = project_pair(mu_cov, nu_cov)
             tol = 1e-7 * (1.0 + np.linalg.norm(nu_cov, 2))
-            assert loewner_leq(below.covariance, nu_cov, tol)
-            assert loewner_leq(mu_cov, above.covariance, tol)
+            assert loewner_gap(below.covariance, nu_cov) >= -tol
+            assert loewner_gap(mu_cov, above.covariance) >= -tol
 
 
 def _rotated_disjoint_pair(scale):
@@ -954,8 +947,8 @@ class TestPairInvariants:
             a, b = random_spd(rng, d), random_spd(rng, d)
             below, above = project_pair(a, b)
             tol = 1e-7 * (1.0 + np.linalg.norm(b, 2))
-            assert loewner_leq(below.covariance, b, tol)
-            assert loewner_leq(a, above.covariance, tol)
+            assert loewner_gap(below.covariance, b) >= -tol
+            assert loewner_gap(a, above.covariance) >= -tol
 
     def test_rotation_equivariance(self):
         rng = np.random.default_rng(12)
@@ -1071,15 +1064,6 @@ def eigensolves(monkeypatch):
     return count
 
 
-def patch_everywhere(monkeypatch, name, replacement):
-    """Replace the ``linalg`` function ``name`` under every library module
-    name bound to it, so calls through any import see the replacement."""
-    original = getattr(linalg, name)
-    for module in list(sys.modules.values()):
-        if module.__name__.startswith("convex_order") and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, replacement)
-
-
 class TestEigenConvention:
     """Only bases that leave a call carry the eigen-convention (descending
     order, fixed signs); every other caller reads order-free quantities."""
@@ -1102,7 +1086,6 @@ class TestEigenConvention:
                 out.append((below.method, work, below.covariance, above.covariance,
                             np.array([below.distance_sq])))
             out += [("positive_part", None, positive_part(m)) for m in indefinite]
-            out += [("spd_sqrt", None, spd_sqrt(m)) for m in matrices]
             out += [("bw2", None, np.array([bw2(m, 2.0 * m + np.eye(m.shape[0]))]),
                      bw2_gradient(m, 2.0 * m + np.eye(m.shape[0]))) for m in matrices]
             return out
@@ -1126,9 +1109,9 @@ class TestEigenConvention:
         assert {"commuting", "pgd", "singular_reduction"} <= methods
 
     def test_no_caller_depends_on_the_order_of_a_validated_spectrum(self, monkeypatch):
-        # psd_eigen and the pair record hand their spectra over in LAPACK's
-        # ascending order; every caller must read them with min and max, and
-        # order a basis itself before it leaves the call
+        # the validated spectra (the pair record's, bw2's and the measure's)
+        # come in LAPACK's ascending order; every caller must read them with
+        # min and max, and order a basis itself before it leaves the call
         rng = np.random.default_rng(31)
         pairs = [random_commuting_pair(rng, 3)[:2], (np.eye(2), np.diag([2.0, 0.0])),
                  (np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 0.0, 0.0]))]
@@ -1154,9 +1137,9 @@ class TestEigenConvention:
                 outcome, _ = raw_descent(other, m)
                 out.append(("pgd", outcome.iterations, outcome.covariance, outcome.gradient))
                 out.append(("step", None, np.array([pgd._default_step(
-                    psd_eigen(other)[0], psd_eigen(m)[0],
+                    linalg._validated_eigh(sym(other), 1.0)[0],
+                    linalg._validated_eigh(sym(m), 1.0)[0],
                     pgd.REG_FACTOR * float(np.trace(other)))])))
-                out.append(("spd_sqrt", None, spd_sqrt(m)))
                 out.append(("bw2", None, np.array([bw2(m, other)]), bw2_gradient(m, other)))
                 out.append(("measure", None, GaussianMeasure(np.zeros(m.shape[0]), m).cov))
             return out
@@ -1170,9 +1153,11 @@ class TestEigenConvention:
             return vals[::-1].copy(), vecs[:, ::-1] * flips
 
         patch_everywhere(monkeypatch, "_validated_eigh", reversed_and_flipped)
-        assert linalg._validated_eigh is gaussian._validated_eigh is reversed_and_flipped
+        assert all(m._validated_eigh is reversed_and_flipped
+                   for m in (linalg, gaussian, bures, measures))
         for m in matrices:
-            assert psd_eigen(m)[0][0] >= psd_eigen(m)[0][-1]  # handed over descending
+            vals = linalg._validated_eigh(sym(m), 1.0)[0]
+            assert vals[0] >= vals[-1]  # handed over descending
         methods = set()
         for want, got in zip(reference, answers(), strict=True):
             head = 2 if isinstance(want[1], (int, bool, type(None))) else 1
@@ -1187,12 +1172,12 @@ class TestEigenConvention:
 
 
 class TestValidatedSpectrum:
-    """``psd_eigen`` validates in LAPACK's order what its descending
-    predecessor validated."""
+    """``GaussianMeasure`` validates in LAPACK's order what the descending
+    check on its spectrum rejected."""
 
     @staticmethod
     def descending_rejects(matrix):
-        # the check as it stood on the descending spectrum of sym_eigen
+        # the check as it stood on the descending spectrum of the matrix
         vals = np.sort(np.linalg.eigh(0.5 * (matrix + matrix.T))[0])[::-1]
         scale = 1.0 + float(np.abs(vals).max())
         return bool(vals[-1] < -linalg.EIG_TOL * scale)
@@ -1212,23 +1197,19 @@ class TestValidatedSpectrum:
             vals[0] = -factor * linalg.EIG_TOL * (1.0 + abs(vals[0]))
         q = random_orthogonal(rng, d)
         matrix = (q * vals) @ q.T
-        expected = self.descending_rejects(matrix)
-        if expected:
+        if self.descending_rejects(matrix):
             with pytest.raises(NotPsdError):
-                psd_eigen(matrix)
+                GaussianMeasure(np.zeros(d), matrix)
         else:
-            got, vecs = psd_eigen(matrix)
-            assert np.all(np.diff(got) >= 0.0)  # ascending, clamped
-            assert got.min() >= 0.0
-            raw = np.linalg.eigh(0.5 * (matrix + matrix.T))[0]
-            np.testing.assert_array_equal(got, np.clip(raw, 0.0, None))
+            measure = GaussianMeasure(np.zeros(d), matrix)
+            np.testing.assert_array_equal(measure.cov, 0.5 * (matrix + matrix.T))
 
     def test_reads_are_order_free(self):
         # the default step reads extremes of both spectra, in any order
         rng = np.random.default_rng(32)
         for d in (2, 5, 8):
             mu, nu = random_spd(rng, d), random_spd(rng, d)
-            vals, mu_vals = psd_eigen(nu)[0], psd_eigen(mu)[0]
+            vals, mu_vals = linalg.clamped_eigen(sym(nu))[0], linalg.clamped_eigen(sym(mu))[0]
             reg = pgd.REG_FACTOR * float(np.trace(nu))
             ascending = pgd._default_step(vals, mu_vals, reg)
             assert pgd._default_step(vals[::-1].copy(), mu_vals[::-1].copy(), reg) == ascending
@@ -1248,7 +1229,7 @@ class TestTransportMapBasis:
         inv_half = (vecs / np.sqrt(vals)) @ vecs.T
         mid_vals, mid_vecs = np.linalg.eigh(half @ cov @ half)
         middle = (mid_vecs * np.sqrt(np.clip(mid_vals, 0.0, None))) @ mid_vecs.T
-        return sym_eigen(inv_half @ middle @ inv_half)
+        return eigen_convention(inv_half @ middle @ inv_half)
 
     def test_descent_basis_matches_the_old_map(self):
         rng = np.random.default_rng(33)
@@ -1281,7 +1262,7 @@ class TestTransportMapBasis:
             mu_cov, nu_cov, *_ = random_commuting_pair(rng, d)
             below, _ = project_pair(scale * mu_cov, scale * nu_cov)
             assert below.method == "commuting"
-            assert np.array_equal(below.transform.basis, sym_eigen(scale * nu_cov)[1])
+            assert np.array_equal(below.transform.basis, eigen_convention(scale * nu_cov)[1])
 
     def test_outcome_carries_the_last_gradient(self):
         rng = np.random.default_rng(34)
@@ -1292,7 +1273,8 @@ class TestTransportMapBasis:
             np.testing.assert_allclose(outcome.gradient, expected, rtol=0, atol=1e-12)
 
     def test_reduction_basis_is_the_ordered_target_basis(self):
-        # ordered before the clamp, the kernel keeps sym_eigen's column order
+        # ordered before the clamp, the kernel keeps the eigen-convention's
+        # column order
         rng = np.random.default_rng(35)
         cases = [(np.eye(3), np.diag([2.0, 0.0, 0.0])), (np.eye(4), np.diag([0.0, 3.0, 0.0, 1.0]))]
         for k in range(120):
@@ -1304,7 +1286,7 @@ class TestTransportMapBasis:
             _, above = project_pair(mu_cov, nu_cov)
             assert above.method == "singular_reduction"
             r = above.diagnostics["rank_nu"]
-            assert np.array_equal(above.transform.basis[:, r:], sym_eigen(nu_cov)[1][:, r:])
+            assert np.array_equal(above.transform.basis[:, r:], eigen_convention(nu_cov)[1][:, r:])
 
 
 class TestRecordDrivenDescent:
@@ -1384,22 +1366,22 @@ class TestSpectralWork:
         assert methods == {"commuting", "pgd"}
 
     def test_descent_route(self, eigensolves, monkeypatch):
-        inside = {"eig": 0, "cone": 0, "sym_eigen": 0}
+        inside = {"eig": 0, "cone": 0, "ordered": 0}
         descend = gaussian.pgd_project_above
         cone = pgd._project_above
-        sym_eigen = linalg.sym_eigen
+        ordered = linalg._ordered
         conventions = {"n": 0}
 
         def counted_descent(*args, **kwargs):
-            before, before_sym = eigensolves["n"], conventions["n"]
+            before, before_ordered = eigensolves["n"], conventions["n"]
             result = descend(*args, **kwargs)
             inside["eig"] += eigensolves["n"] - before
-            inside["sym_eigen"] += conventions["n"] - before_sym
+            inside["ordered"] += conventions["n"] - before_ordered
             return result
 
-        def counted_sym_eigen(*args, **kwargs):
+        def counted_ordered(*args, **kwargs):
             conventions["n"] += 1
-            return sym_eigen(*args, **kwargs)
+            return ordered(*args, **kwargs)
 
         def counted_cone(*args, **kwargs):
             inside["cone"] += 1
@@ -1407,10 +1389,10 @@ class TestSpectralWork:
 
         monkeypatch.setattr(gaussian, "pgd_project_above", counted_descent)
         monkeypatch.setattr(pgd, "_project_above", counted_cone)
-        patch_everywhere(monkeypatch, "sym_eigen", counted_sym_eigen)
+        patch_everywhere(monkeypatch, "_ordered", counted_ordered)
         rng = np.random.default_rng(25)
         for d in (3, 6, 9):
-            eigensolves["n"] = inside["eig"] = inside["cone"] = inside["sym_eigen"] = 0
+            eigensolves["n"] = inside["eig"] = inside["cone"] = inside["ordered"] = 0
             below, _ = project_pair(random_spd(rng, d), random_spd(rng, d))
             assert below.method == "pgd"
             # the pair (2), the basis from the descent's last gradient and
@@ -1420,7 +1402,7 @@ class TestSpectralWork:
             # is followed by one objective-and-gradient eigensolve
             assert inside["eig"] == 2 * inside["cone"]
             # no basis leaves the descent, so none pays for the eigen-convention
-            assert inside["sym_eigen"] == 0
+            assert inside["ordered"] == 0
 
     def test_singular_lower_with_definite_target(self, eigensolves, monkeypatch):
         # no commuting test: it needs both covariances nonsingular; outside

@@ -26,8 +26,7 @@ WRAPPERS = frozenset({
     "np.linalg.norm",
 })
 # what validates or decomposes raw input, which the descent's record already is
-RAW_INPUT = frozenset({"square_symmetric", "psd_eigen", "_validated_eigh", "sym_eigen",
-                       "spd_sqrt", "sym", "require_finite"})
+RAW_INPUT = frozenset({"square_symmetric", "_validated_eigh", "sym", "require_finite"})
 
 
 def _dotted(node: ast.expr) -> str | None:
@@ -82,11 +81,12 @@ def test_hot_path_calls_no_wrapper():
 
 def test_finds_raw_input_calls_by_name_and_through_a_module():
     source = '''
-vals, vecs = psd_eigen(m)
-half = linalg.spd_sqrt(m) + symmetric(m) + sym(m)
+vals, vecs = _validated_eigh(m, 1.0)
+half = linalg.square_symmetric(m, "m") + symmetric(m) + sym(m)
 outcome = pgd_project_above(nu, nu_eig, mu, mu_vals)
 '''
-    assert raw_input_calls(source) == [(2, "psd_eigen"), (3, "linalg.spd_sqrt"), (3, "sym")]
+    assert raw_input_calls(source) == [(2, "_validated_eigh"), (3, "linalg.square_symmetric"),
+                                       (3, "sym")]
 
 
 def test_descent_neither_checks_nor_decomposes_again():

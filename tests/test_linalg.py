@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -10,32 +11,42 @@ from convex_order.bures import bw2
 from convex_order.linalg import (
     NotPsdError,
     loewner_gap,
-    loewner_leq,
     positive_diag_mask,
     positive_part,
-    psd_eigen,
-    spd_sqrt,
     sym,
-    sym_eigen,
     transport_map_basis,
 )
-from _utils import bw2_gradient, random_orthogonal, random_spd, random_symmetric
+from _utils import (
+    bw2_gradient,
+    eigen_convention,
+    patch_everywhere,
+    random_orthogonal,
+    random_spd,
+    random_symmetric,
+)
 
 
-class TestSymEigen:
+def rayleigh(m, basis):
+    """The Rayleigh quotients of ``m`` on the columns of ``basis``."""
+    return np.diag(basis.T @ m @ basis)
+
+
+class TestEigenConvention:
+    """The eigen-convention of :func:`transport_map_basis`, which orders the
+    eigenbasis of any symmetric matrix: eigenvalues descending, signs fixed."""
+
     def test_identity(self):
-        vals, vecs = sym_eigen(np.eye(2))
-        np.testing.assert_allclose(vals, [1.0, 1.0])
-        np.testing.assert_allclose(vecs, np.eye(2))
+        np.testing.assert_allclose(transport_map_basis(np.eye(2)), np.eye(2))
 
     def test_already_diagonal(self):
-        vals, vecs = sym_eigen(np.diag([3.0, 1.0]))
-        np.testing.assert_allclose(vals, [3.0, 1.0])
+        vecs = transport_map_basis(np.diag([3.0, 1.0]))
+        np.testing.assert_allclose(rayleigh(np.diag([3.0, 1.0]), vecs), [3.0, 1.0])
         np.testing.assert_allclose(np.abs(vecs), np.eye(2))
 
     def test_two_by_two_eigenpairs(self):
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        vals, vecs = sym_eigen(m)
+        vecs = transport_map_basis(m)
+        vals = rayleigh(m, vecs)
         np.testing.assert_allclose(vals, [3.0, 1.0], atol=1e-12)
         for k in range(2):
             np.testing.assert_allclose(m @ vecs[:, k], vals[k] * vecs[:, k], atol=1e-12)
@@ -44,8 +55,8 @@ class TestSymEigen:
         rng = np.random.default_rng(0)
         for _ in range(25):
             m = random_symmetric(rng, int(rng.integers(2, 8)))
-            vals, vecs = sym_eigen(m)
-            assert np.all(np.diff(vals) <= 1e-12)
+            vecs = transport_map_basis(m)
+            assert np.all(np.diff(rayleigh(m, vecs)) <= 1e-12)
             np.testing.assert_allclose(vecs.T @ vecs, np.eye(vecs.shape[1]), atol=1e-10)
             for k in range(vecs.shape[1]):
                 col = vecs[:, k]
@@ -54,17 +65,6 @@ class TestSymEigen:
 
     def test_sign_fix_matches_per_column_reference(self):
         # reference: the per-column loop the vectorised sign fix replaced
-        def reference(m):
-            vals, vecs = np.linalg.eigh(m)
-            order = np.argsort(-vals, kind="stable")
-            vals, vecs = vals[order].copy(), vecs[:, order].copy()
-            for k in range(vecs.shape[1]):
-                col = vecs[:, k]
-                significant = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
-                if significant.size and col[significant[0]] < 0.0:
-                    vecs[:, k] = -col
-            return vals, vecs
-
         rng = np.random.default_rng(11)
         block = np.zeros((5, 5))
         block[1:3, 1:3] = [[1.0, -2.0], [-2.0, 1.0]]
@@ -72,47 +72,37 @@ class TestSymEigen:
         cases = [block, -np.eye(3), np.array([[0.0, -1.0], [-1.0, 0.0]])]
         cases += [random_symmetric(rng, int(rng.integers(1, 9))) for _ in range(40)]
         for m in cases:
-            vals, vecs = sym_eigen(m)
-            ref_vals, ref_vecs = reference(m)
-            np.testing.assert_array_equal(vals, ref_vals)
-            np.testing.assert_array_equal(vecs, ref_vecs)
+            np.testing.assert_array_equal(transport_map_basis(m), eigen_convention(m)[1])
 
-    def test_reconstruction(self):
+    def test_diagonalises(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             m = random_symmetric(rng, 5)
-            vals, vecs = sym_eigen(m)
-            err = np.linalg.norm(vecs @ np.diag(vals) @ vecs.T - m)
+            vecs = transport_map_basis(m)
+            err = np.linalg.norm(vecs @ np.diag(rayleigh(m, vecs)) @ vecs.T - m)
             assert err <= 1e-12 * (1.0 + np.linalg.norm(m))
 
 
-class TestSqrt:
+class TestBw2SquareRoot:
+    """:func:`bw2` builds ``A^{1/2}`` from the validated spectrum of ``A``."""
+
     def test_identity(self):
-        np.testing.assert_allclose(spd_sqrt(np.eye(3)), np.eye(3))
+        assert bw2(np.eye(3), np.eye(3)) == pytest.approx(0.0, abs=1e-15)
 
     def test_diagonal(self):
-        np.testing.assert_allclose(spd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        # (2 - 1)^2 + (3 - 1)^2
+        assert bw2(np.diag([4.0, 9.0]), np.eye(2)) == pytest.approx(5.0, rel=1e-15)
 
     def test_square_recovers_input(self):
+        # A^{1/2} A A^{1/2} = A^2, whose root is A again
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        s = spd_sqrt(m)
-        np.testing.assert_allclose(s @ s, m, atol=1e-12)
-        vals, _ = sym_eigen(s)
-        np.testing.assert_allclose(vals, [np.sqrt(3.0), 1.0], atol=1e-12)
+        assert bw2(m, m) == pytest.approx(0.0, abs=1e-14)
+        # (sqrt(3) - 1)^2 + (1 - 1)^2 against the identity
+        assert bw2(m, np.eye(2)) == pytest.approx((math.sqrt(3.0) - 1.0) ** 2, rel=1e-12)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPsdError):
-            spd_sqrt(np.diag([1.0, -1.0]))
-
-    def test_monotone_under_loewner_order(self):
-        # sqrt preserves the matrix order
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            d = int(rng.integers(1, 6))
-            m = random_spd(rng, d)
-            bump = random_spd(rng, d, 0.0, 1.0)
-            n = m + bump
-            assert loewner_leq(spd_sqrt(m), spd_sqrt(n), 1e-8)
+        with pytest.raises(NotPsdError, match="^matrix is not positive semi-definite"):
+            bw2(np.diag([1.0, -1.0]), np.eye(2))
 
 
 class TestPositivePart:
@@ -142,32 +132,27 @@ class TestPositivePart:
         m = np.asarray(entries).reshape(3, 3)
         m = 0.5 * (m + m.T)
         plus = positive_part(m)
-        assert loewner_leq(np.zeros((3, 3)), plus, 1e-10)
-        assert loewner_leq(m, plus, 1e-10)
+        assert loewner_gap(np.zeros((3, 3)), plus) >= -1e-10
+        assert loewner_gap(m, plus) >= -1e-10
         # complementarity: the positive part annihilates the residual
         assert np.linalg.norm(plus @ (plus - m)) <= 1e-10 * (1.0 + np.linalg.norm(m) ** 2)
 
 
 class TestLoewner:
     def test_examples(self):
-        assert loewner_leq(np.eye(2), 2.0 * np.eye(2), 1e-10)
-        assert not loewner_leq(np.diag([2.0, 0.0]), np.diag([1.0, 1.0]), 1e-10)
-        assert loewner_leq(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]), 1e-10)
+        assert loewner_gap(np.eye(2), 2.0 * np.eye(2)) == 1.0
+        assert loewner_gap(np.diag([2.0, 0.0]), np.diag([1.0, 1.0])) == -1.0
+        assert loewner_gap(np.diag([1.0, 0.0]), np.diag([2.0, 0.0])) == 0.0
 
 
-# each exported function that reads a raw matrix, and the gate they all call,
+# each public function that reads a raw matrix, and the gate they all call,
 # with the name its message gives that matrix; clamped_eigen and
 # positive_part read derived matrices and check nothing
 RAW_MATRIX_READERS = {
-    "loewner_leq_a": (lambda m: loewner_leq(m, np.eye(2), 1e-9), "a"),
-    "loewner_leq_b": (lambda m: loewner_leq(np.eye(2), m, 1e-9), "b"),
     "loewner_gap_a": (lambda m: loewner_gap(m, np.eye(2)), "a"),
     "loewner_gap_b": (lambda m: loewner_gap(np.eye(2), m), "b"),
     "bw2_a": (lambda m: bw2(m, np.eye(2)), "cov_a"),
     "bw2_b": (lambda m: bw2(np.eye(2), m), "cov_b"),
-    "sym_eigen": (sym_eigen, "matrix"),
-    "psd_eigen": (psd_eigen, "matrix"),
-    "spd_sqrt": (spd_sqrt, "matrix"),
     "project_pair_mu": (lambda m: project_pair(m, np.eye(2)), "cov_mu"),
     "project_pair_nu": (lambda m: project_pair(np.eye(2), m), "cov_nu"),
     "GaussianMeasure": (lambda m: GaussianMeasure(np.zeros(2), m), "covariance"),
@@ -194,7 +179,7 @@ def test_non_finite_entries_are_refused(reader, bad, entry):
 @pytest.mark.parametrize("bad", [np.ones((2, 3)), np.zeros((0, 0)), np.ones(3)],
                          ids=["2x3", "0x0", "1-d"])
 def test_bad_shapes_are_refused(reader, bad):
-    # bw2 raised IndexError on 0x0, spd_sqrt EigenSolveError on a vector
+    # bw2 raised IndexError on 0x0
     call, name = RAW_MATRIX_READERS[reader]
     shape = re.escape(str(bad.shape))
     with pytest.raises(ValueError, match=f"^{name} must be a nonempty square matrix, got shape "
@@ -211,13 +196,63 @@ def test_unequal_shapes_are_refused(reader):
 
 def test_a_scale_that_overflows_a_matrix_refuses_it():
     # a tiny diagonal sets the unit scale, which overflows off-diagonal
-    # entries that no PSD matrix has; bw2 returned NaN, and project_pair
-    # called the finite matrix not finite
+    # entries that no PSD matrix has; bw2 returned NaN, and bw2 and
+    # project_pair called the finite matrix not finite
     tiny, wild = 1e-300 * np.eye(2), np.array([[1e-300, 1e300], [1e300, 1e-300]])
     with np.errstate(over="ignore", invalid="ignore"):
-        for call in (bw2, project_pair, lambda a, b: project_pair(b, a)):
+        for call in (bw2, lambda a, b: bw2(b, a), project_pair, lambda a, b: project_pair(b, a)):
             with pytest.raises(NotPsdError):
                 call(tiny, wild)
+
+
+def _solve(cov_mu, cov_nu, method, reason):
+    """``project_pair`` on a pair, with the route and the start of the
+    verdict that show which branch ran, and the names it gates."""
+    def run():
+        below, _ = project_pair(cov_mu, cov_nu)
+        assert below.method == method and below.uniqueness.reason.startswith(reason)
+
+    return run, ["cov_mu", "cov_nu"]
+
+
+# each public call on raw matrices, with the names it gates
+PD = np.array([[2.0, 1.0], [1.0, 2.0]])
+GATED_CALLS = {
+    "bw2": (lambda: bw2(PD, np.diag([3.0, 1.0])), ["cov_a", "cov_b"]),
+    "bw2_singular": (lambda: bw2(np.diag([1.0, 0.0]), PD), ["cov_a", "cov_b"]),
+    "loewner_gap": (lambda: loewner_gap(np.eye(2), PD), ["a", "b"]),
+    "GaussianMeasure": (lambda: GaussianMeasure(np.zeros(2), PD), ["covariance"]),
+    "closed_form": _solve(np.eye(2), np.zeros((2, 2)), "closed_form", "zero target"),
+    "commuting": _solve(np.diag([1.0, 2.0]), np.diag([3.0, 1.0]), "commuting", "nonsingular"),
+    "pgd": _solve(PD, np.diag([3.0, 1.0]), "pgd", "nonsingular"),
+    "pgd_singular_mu": _solve(np.diag([1.0, 0.0]), PD, "pgd", "nonsingular"),
+    "singular_keeps_rank": _solve(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]),
+                                  "singular_reduction", "assembled covariance keeps"),
+    "singular_saturated": _solve(np.eye(2), np.diag([0.5, 0.0]),
+                                 "singular_reduction", "saturation inequality holds"),
+    "singular_unsaturated": _solve(np.eye(2), np.diag([2.0, 0.0]),
+                                   "singular_reduction", "rank grows"),
+    "singular_reduced_pgd": _solve(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]),
+                                   np.diag([1.0, 3.0, 0.0]), "singular_reduction", "rank grows"),
+    "singular_rank_band": _solve(np.eye(2), np.diag([2.0, 2.0**-48]),
+                                 "singular_reduction", "an eigenvalue of"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(GATED_CALLS))
+def test_one_gate_per_matrix_per_public_call(call, monkeypatch):
+    # what is derived from a gated matrix needs no second gate
+    gated = []
+    gate = linalg.square_symmetric
+
+    def counted(matrix, name):
+        gated.append(name)
+        return gate(matrix, name)
+
+    patch_everywhere(monkeypatch, "square_symmetric", counted)
+    run, expected = GATED_CALLS[call]
+    run()
+    assert sorted(gated) == expected
 
 
 def _assert_shared(s1, s2, basis, corr, tol=1e-10):
@@ -273,8 +308,7 @@ class TestSharedCorrelation:
             _assert_shared(s1, s2, basis, corr)
             # nonsingular first argument keeps every conjugated diagonal positive
             assert np.all(np.diag(basis.T @ s1 @ basis) > 0)
-            vals, _ = psd_eigen(corr)
-            assert vals.min() >= -1e-10
+            assert np.linalg.eigvalsh(corr).min() >= -1e-10
             np.testing.assert_allclose(np.diag(corr), np.ones(d), atol=1e-12)
 
     def test_rotation_of_commuting_pair(self):

@@ -4,7 +4,7 @@ import pytest
 from convex_order import pgd
 from convex_order.bures import bw2
 from convex_order.gaussian import project_pair
-from convex_order.linalg import loewner_leq, positive_part, psd_eigen, sym
+from convex_order.linalg import clamped_eigen, loewner_gap, positive_part, sym
 from convex_order.pgd import _default_step
 from _utils import (
     frobenius_project_above,
@@ -125,7 +125,7 @@ class TestFrobeniusAbove:
             assert not np.array_equal(matrix, matrix.T)
             assert np.array_equal(projected, projected.T)
             assert np.array_equal(projected, frobenius_project_above(sym(matrix), sym(lower)))
-            assert loewner_leq(sym(lower), projected, 1e-10)
+            assert loewner_gap(sym(lower), projected) >= -1e-10
 
     def test_beats_random_feasible_points(self):
         rng = np.random.default_rng(1)
@@ -133,7 +133,7 @@ class TestFrobeniusAbove:
         lower = random_spd(rng, d)
         s = random_symmetric(rng, d, 2.0)
         projected = frobenius_project_above(s, lower)
-        assert loewner_leq(lower, projected, 1e-10)
+        assert loewner_gap(lower, projected) >= -1e-10
         best = np.linalg.norm(s - projected)
         for _ in range(300):
             feasible = lower + random_spd(rng, d, 0.0, 2.0)
@@ -196,8 +196,8 @@ class TestPgd:
         a, b = random_spd(rng, 4), random_spd(rng, 4)
         outcome, _ = raw_descent(b, a)
         assert len(candidates) > outcome.iterations
-        assert all(loewner_leq(a, c, 1e-10) for c in candidates)
-        assert loewner_leq(a, outcome.covariance, 1e-8)
+        assert all(loewner_gap(a, c) >= -1e-10 for c in candidates)
+        assert loewner_gap(a, outcome.covariance) >= -1e-8
 
     def test_singular_lower_bound_is_allowed(self):
         # only the descent target must be definite; the cone bound may be flat
@@ -228,7 +228,7 @@ class TestPgd:
         assert not outcome.converged
         assert outcome.iterations == 1 and outcome.residual == np.inf
         assert trace.objective == trace.grad_norm == []
-        assert loewner_leq(a, outcome.covariance, 1e-12)
+        assert loewner_gap(a, outcome.covariance) >= -1e-12
         assert outcome.objective >= start.objective
 
     def test_rejects_nan_target(self):
@@ -242,7 +242,7 @@ class TestPgd:
         for d in (2, 4, 7):
             mu, nu = random_spd(rng, d), random_spd(rng, d)
             reg = 1e-10 * float(np.trace(nu))
-            step = _default_step(psd_eigen(sym(nu))[0], psd_eigen(mu)[0], reg)
+            step = _default_step(clamped_eigen(sym(nu))[0], clamped_eigen(sym(mu))[0], reg)
             implicit, _ = raw_descent(nu, mu)
             with monkeypatch.context() as patch:
                 patch.setattr(pgd, "_default_step", lambda *args: step)
@@ -275,8 +275,8 @@ class TestStoppingRule:
         assert below.method == "pgd"
         assert below.transform.certified
         assert below.diagnostics["pgd_converged"]
-        assert loewner_leq(below.covariance, D10_NU, 1e-7)
-        assert loewner_leq(D10_MU, above.covariance, 1e-7)
+        assert loewner_gap(below.covariance, D10_NU) >= -1e-7
+        assert loewner_gap(D10_MU, above.covariance) >= -1e-7
 
 
 class TestAccuracy:
@@ -295,9 +295,9 @@ class TestAccuracy:
             s, ref = outcome.covariance, reference.covariance
             assert np.linalg.norm(s - ref) <= 1e-7 * np.linalg.norm(ref), k
             assert abs(outcome.objective - reference.objective) <= 1e-12 * abs(reference.objective), k
-            eta0 = _default_step(psd_eigen(nu)[0], psd_eigen(mu)[0],
+            eta0 = _default_step(clamped_eigen(sym(nu))[0], clamped_eigen(sym(mu))[0],
                                  pgd.REG_FACTOR * float(np.trace(nu)))
-            _, grad = pgd._Objective(nu, psd_eigen(nu)).value_and_gradient(s)
+            _, grad = pgd._Objective(nu, clamped_eigen(sym(nu))).value_and_gradient(s)
             mapping = np.linalg.norm(s - frobenius_project_above(s - eta0 * grad, mu)) / eta0
             assert mapping <= pgd.RESIDUAL_TOL * (1.0 + np.linalg.norm(nu)), k
 
