@@ -194,6 +194,45 @@ def test_unequal_shapes_are_refused(reader):
         RAW_MATRIX_READERS[reader][0](np.eye(3))
 
 
+# the entries whose reader runs the PSD test; loewner_gap and the gate
+# itself read indefinite matrices too
+PSD_READERS = ["GaussianMeasure", "bw2_a", "bw2_b", "project_pair_mu", "project_pair_nu"]
+# scales at which every PSD reader draws the same line; far below unit scale
+# they disagree on an eigenvalue near -EIG_TOL (a ROADMAP FOUND line)
+PSD_SCALES = {"4^-10": 4.0**-10, "1": 1.0, "4^10": 4.0**10}
+_ROTATION = random_orthogonal(np.random.default_rng(41), 2)
+
+
+@pytest.mark.parametrize("reader", PSD_READERS)
+@pytest.mark.parametrize("scale", sorted(PSD_SCALES))
+@pytest.mark.parametrize("indefinite", [np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]]),
+                                        -np.eye(2)], ids=["diagonal", "off-diagonal", "negative"])
+def test_indefinite_matrices_are_refused(reader, scale, indefinite):
+    # the PSD test runs on the caller's scale (GaussianMeasure), the pair's
+    # diagonal scale (project_pair) or the pair's trace scale (bw2)
+    with pytest.raises(NotPsdError):
+        RAW_MATRIX_READERS[reader][0](PSD_SCALES[scale] * indefinite)
+
+
+@pytest.mark.parametrize("reader", PSD_READERS)
+@pytest.mark.parametrize("scale", sorted(PSD_SCALES))
+@pytest.mark.parametrize("edge", [
+    np.outer([1.0, 1.0 / 3.0], [1.0, 1.0 / 3.0]),
+    (_ROTATION * [1.0, -0.5 * linalg.EIG_TOL]) @ _ROTATION.T,
+], ids=["singular", "roundoff-negative"])
+def test_psd_matrices_within_the_slack_are_read(reader, scale, edge):
+    # a singular covariance, and one whose eigenvalue lies half the slack
+    # below zero, pass every PSD test and give a finite answer
+    call = RAW_MATRIX_READERS[reader][0]
+    out = call(PSD_SCALES[scale] * edge)
+    if reader == "GaussianMeasure":
+        np.testing.assert_array_equal(out.cov, sym(PSD_SCALES[scale] * edge))
+    elif reader.startswith("bw2"):
+        assert math.isfinite(out) and out >= 0.0
+    else:
+        assert all(math.isfinite(result.distance_sq) for result in out)
+
+
 def test_a_scale_that_overflows_a_matrix_refuses_it():
     # a tiny diagonal sets the unit scale, which overflows off-diagonal
     # entries that no PSD matrix has; bw2 returned NaN, and bw2 and
