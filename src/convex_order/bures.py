@@ -32,22 +32,22 @@ def bw2(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     Equals the squared quadratic Wasserstein distance between the centered
     Gaussians with these covariances.
 
-    Computed at unit scale: both matrices are divided by ``4^k``, the larger
-    trace in ``[4^k, 4^(k+1))`` (``k = 0`` below ``2^-1000``), and the value
-    is multiplied back by ``4^k``.  Powers of two are exact, so ``4^j``
-    times a pair gives exactly ``4^j`` times its distance, and the product
-    ``A^{1/2} B A^{1/2}`` does not overflow at large scale.  Raises
-    ``ValueError`` on unequal shapes or through :func:`square_symmetric`.
+    ``A`` is read by :func:`_validated_eigh`, ``B`` only gated.  Computed
+    at the working scale: both are divided by ``4^k``, the larger trace in
+    ``[4^k, 4^(k+1))`` (``k = 0`` below ``2^-1000``), and the value is
+    multiplied back by ``4^k``.  Powers of two are exact, so ``4^j`` times a
+    pair gives exactly ``4^j`` times its distance, and the product
+    ``A^{1/2} B A^{1/2}`` does not overflow at large scale.
     """
-    a, b = square_symmetric(cov_a, "cov_a"), square_symmetric(cov_b, "cov_b")
+    a, vals, vecs, k_a = _validated_eigh(cov_a, "cov_a")
+    b = square_symmetric(cov_b, "cov_b")
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
     k = unit_scale_exponent(max(float(a.trace()), float(b.trace())))
     c = math.ldexp(1.0, -2 * k)
     a, b = c * a, c * b
     trace_a, trace_b = a.trace(), b.trace()
-    vals, vecs = _validated_eigh(a, 1.0)
-    half = _rebuild(np.sqrt(np.maximum(vals, 0.0)), vecs)
+    half = _rebuild(np.sqrt(np.maximum(np.ldexp(vals, 2 * (k_a - k)), 0.0)), vecs)
     cross_vals = np.linalg.eigvalsh(sym(half @ b @ half))
     # the product is checked at the scale it inherits from a and b (near
     # zero when their ranges are disjoint, whatever its roundoff), then

@@ -51,7 +51,6 @@ from .linalg import (
     clamped_eigen,
     default_rank_tol,
     positive_diag_mask,
-    square_symmetric,
     sym,
     transport_map_basis,
     unit_scale_exponent,
@@ -170,29 +169,23 @@ def _pair(
 
 
 def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
-    """Validate a raw covariance pair (:func:`square_symmetric`, equal
-    shapes, PSD), decompose it and divide it by ``4^k``, the larger top
-    eigenvalue in ``[4^k, 4^(k+1))`` (``k = 0`` below ``2^-1000``): the only
-    check a public call makes on its inputs.  Each covariance is
-    eigensolved once, divided by the power of four that brings the largest
-    diagonal entry of the pair (which, unlike the trace, cannot overflow)
-    into ``[1, 4)``, so LAPACK never rescales it.  Powers of two are exact,
-    so the spectra are those of the record's pair, and the PSD test and its
-    message are those of the caller's matrix."""
-    cov_mu, cov_nu = square_symmetric(cov_mu, "cov_mu"), square_symmetric(cov_nu, "cov_nu")
+    """Read a raw covariance pair, each covariance once through
+    :func:`_validated_eigh` (gated, then PSD-tested and eigensolved at its
+    own unit scale), then check equal shapes: the only check a public call
+    makes on its inputs.  The record is divided by ``4^k``, the larger top
+    eigenvalue in ``[4^k, 4^(k+1))`` (``k = 0`` below ``2^-1000``), and each
+    clamped spectrum is moved there from its own scale by an exact power of
+    two, so it is that of the record's matrix."""
+    cov_mu, mu_raw, mu_vecs, k_mu = _validated_eigh(cov_mu, "cov_mu")
+    cov_nu, nu_raw, nu_vecs, k_nu = _validated_eigh(cov_nu, "cov_nu")
     if cov_mu.shape != cov_nu.shape:
         raise ValueError("dimension mismatch")
-    j = unit_scale_exponent(max(cov_mu.diagonal().max(), cov_nu.diagonal().max()))
-    c = math.ldexp(1.0, -2 * j)
-    nu_raw, nu_vecs = _validated_eigh(c * cov_nu, c)
-    mu_vals, mu_vecs = _validated_eigh(c * cov_mu, c)
-    nu_vals, mu_vals = np.maximum(nu_raw, 0.0), np.maximum(mu_vals, 0.0)
-    top = max(mu_vals.max(initial=0.0), nu_vals.max(initial=0.0))
-    k = unit_scale_exponent(math.ldexp(top, 2 * j))
-    r = math.ldexp(1.0, 2 * (j - k))  # from the solved scale to the record's
-    c = math.ldexp(1.0, -2 * k)
-    return _pair(c * cov_mu, c * cov_nu, (r * mu_vals, mu_vecs), (r * nu_vals, nu_vecs),
-                 r * nu_raw, k)
+    mu_vals, nu_vals = np.maximum(mu_raw, 0.0), np.maximum(nu_raw, 0.0)
+    k = unit_scale_exponent(max(math.ldexp(float(mu_vals.max()), 2 * k_mu),
+                                math.ldexp(float(nu_vals.max()), 2 * k_nu)))
+    c, e_mu, e_nu = math.ldexp(1.0, -2 * k), 2 * (k_mu - k), 2 * (k_nu - k)
+    return _pair(c * cov_mu, c * cov_nu, (np.ldexp(mu_vals, e_mu), mu_vecs),
+                 (np.ldexp(nu_vals, e_nu), nu_vecs), np.ldexp(nu_raw, e_nu), k)
 
 
 def _certify(

@@ -6,7 +6,9 @@ bases and of the certificate that decides between them.
 
 All functions are pure and operate on plain ``numpy`` arrays.  A caller's
 matrix passes one gate, :func:`square_symmetric`, once per public call;
-what is derived from its output is not checked again.  Only bases that
+what is derived from its output is not checked again.  A caller's PSD
+matrix is read by :func:`_validated_eigh` alone, at the unit scale of its
+largest |entry|, the scale :func:`loewner_gap` takes too.  Only bases that
 leave a call pay for the eigen-convention (eigenvalues descending, signs
 fixed, :func:`_ordered`): those of :func:`transport_map_basis`, and those
 a caller orders itself.  Validated spectra, rebuilt matrices and read
@@ -23,9 +25,11 @@ import numpy as np
 # Relative rank cutoff: an eigenvalue counts as nonzero when it exceeds
 # d * lambda_max * RANK_REL.  Roughly 50 bits of headroom above roundoff.
 RANK_REL = 2.0**-50
-# Absolute PSD slack on unit-scaled input; inputs with eigenvalues below
-# -EIG_TOL * scale are rejected, small negatives are clamped to zero.
+# PSD slack at a matrix's own unit scale (_validated_eigh); small negative
+# eigenvalues within it are clamped to zero.
 EIG_TOL = 1e-12
+# the largest |entry| of a caller's matrix, so that its symmetrisation stays finite
+MAX_ENTRY = np.finfo(float).max / 2
 
 
 class LinalgError(Exception):
@@ -42,9 +46,9 @@ class NotPsdError(LinalgError):
 
 def unit_scale_exponent(top: float) -> int:
     """``k`` with ``top`` in ``[4^k, 4^(k+1))``, and ``k = 0`` below
-    ``2^-1000`` (so ``4^-k`` stays finite): dividing a PSD pair whose larger
-    top eigenvalue or trace is ``top`` by ``4^k`` brings it to unit scale
-    exactly."""
+    ``2^-1000`` (so ``4^-k`` stays finite): dividing matrices whose largest
+    |entry|, top eigenvalue or trace is ``top`` by ``4^k`` brings them to
+    unit scale exactly."""
     return (math.frexp(top)[1] - 1) // 2 if top >= 2.0**-1000 else 0
 
 
@@ -62,14 +66,15 @@ def sym(matrix: np.ndarray) -> np.ndarray:
 
 def square_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
     """The caller's ``matrix`` as a nonempty, square, symmetrised float array
-    with finite entries (a scalar reads as 1x1), else ``ValueError`` naming
-    ``name``: the one check on a raw matrix."""
+    with finite entries within ``MAX_ENTRY`` (a scalar reads as 1x1), else
+    ``ValueError`` naming ``name``: the one check on a raw matrix."""
     m = np.atleast_2d(np.asarray(matrix, dtype=float))
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise ValueError(f"{name} must be a nonempty square matrix, got shape {np.shape(matrix)}")
-    m = sym(m)
-    require_finite(m, name)
-    return m
+    if not np.abs(m).max() <= MAX_ENTRY:  # NaN fails the comparison too
+        require_finite(m, name)
+        raise ValueError(f"{name} entries must lie within {MAX_ENTRY:.3e} in absolute value")
+    return sym(m)
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -105,21 +110,24 @@ def default_rank_tol(eigenvalues: np.ndarray) -> float:
     return eigenvalues.size * top * RANK_REL
 
 
-def _validated_eigh(matrix: np.ndarray, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenpairs of a gated matrix times ``scale``, a power of two,
-    unclamped, in LAPACK's ascending order with raw signs, after the PSD
-    test: an eigenvalue below ``-EIG_TOL * (scale + m)``, with ``m`` the
-    largest eigenvalue magnitude, raises :class:`NotPsdError`.  The test
-    and its message are those of the gated matrix, bit for bit wherever
-    the eigensolver commutes with the scale.  A NaN spectrum (the scale
-    overflowed a matrix far from PSD) fails."""
-    vals, vecs = _eigh(matrix)
+def _validated_eigh(
+    matrix: np.ndarray, name: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The one reader of a caller's PSD ``matrix``: the gated matrix, the
+    eigenpairs of ``4^-k`` times it (unclamped, LAPACK's ascending order and
+    raw signs), and ``k``, from its largest |entry|, which for a PSD matrix
+    is its largest diagonal entry and cannot overflow.  At that scale an
+    eigenvalue below ``-EIG_TOL * (1 + m)``, with ``m`` the largest
+    eigenvalue magnitude, raises :class:`NotPsdError` naming ``name``, with
+    the eigenvalue in the caller's units: ``4^j M`` gets ``M``'s verdict."""
+    m = square_symmetric(matrix, name)
+    k = unit_scale_exponent(float(np.abs(m).max()))
+    vals, vecs = _eigh(math.ldexp(1.0, -2 * k) * m)
     low = float(vals[0])  # LAPACK returns the spectrum ascending
-    if not low >= -EIG_TOL * (scale + max(-low, float(vals[-1]))):
-        raise NotPsdError(
-            f"matrix is not positive semi-definite (min eigenvalue {low / scale:.3e})"
-        )
-    return vals, vecs
+    if not low >= -EIG_TOL * (1.0 + max(-low, float(vals[-1]))):
+        low *= math.ldexp(1.0, 2 * k)  # in the caller's units
+        raise NotPsdError(f"{name} is not positive semi-definite (min eigenvalue {low:.3e})")
+    return m, vals, vecs, k
 
 
 def _rebuild(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -151,20 +159,20 @@ def positive_part(matrix: np.ndarray) -> np.ndarray:
 def loewner_gap(a: np.ndarray, b: np.ndarray) -> float:
     """Smallest eigenvalue of ``b - a`` (negative means the order fails).
 
-    Computed at unit scale, as :func:`~convex_order.bures.bw2` is: both
-    matrices are divided by ``4^k``, the larger trace in ``[4^k, 4^(k+1))``
-    (:func:`unit_scale_exponent`), and the eigenvalue is multiplied back by
-    ``4^k``.  So ``4^j`` times a pair gives exactly ``4^j`` times its gap,
-    where in caller units LAPACK would rescale a matrix beyond about 1e146
-    (or below 1e-146) by a factor that is not a power of two.  Raises
-    ``ValueError`` on unequal shapes or through :func:`square_symmetric`.
+    Computed at unit scale: both matrices are divided by ``4^k``, the
+    pair's largest |entry| in ``[4^k, 4^(k+1))``, as :func:`_validated_eigh`,
+    and the eigenvalue is multiplied back by ``4^k``.  So ``4^j`` times a
+    pair gives exactly ``4^j`` times its gap, where in caller units LAPACK
+    would rescale a matrix beyond about 1e146 (or below 1e-146) by a factor
+    that is not a power of two.  Raises ``ValueError`` on unequal shapes or
+    through :func:`square_symmetric`.
     """
     a, b = square_symmetric(a, "a"), square_symmetric(b, "b")
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
-    k = unit_scale_exponent(max(float(a.trace()), float(b.trace())))
+    k = unit_scale_exponent(max(float(np.abs(a).max()), float(np.abs(b).max())))
     c = math.ldexp(1.0, -2 * k)
-    return math.ldexp(float(np.linalg.eigvalsh(c * b - c * a).min()), 2 * k)
+    return float(np.linalg.eigvalsh(c * b - c * a).min()) * math.ldexp(1.0, 2 * k)
 
 
 def positive_diag_mask(matrix: np.ndarray) -> np.ndarray:

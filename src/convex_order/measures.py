@@ -6,12 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _validated_eigh, require_finite, square_symmetric
+from .linalg import _validated_eigh, require_finite
 
 WEIGHT_TOL = 1e-6
 MERGE_TOL = 1e-12
-# the largest |coordinate| of a support: squared distances, second moments
-# and their sums over the atoms stay finite below it
+# the largest |coordinate| of a support or a Gaussian mean: squared distances,
+# second moments and their sums over the atoms stay finite below it
 MAX_COORD = 2.0**500
 # the largest trace of a Gaussian covariance, MAX_COORD squared: the CLI's
 # checks add traces and scale their tolerances by them
@@ -31,13 +31,14 @@ class GaussianMeasure:
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = square_symmetric(self.cov, "covariance")
+        cov = _validated_eigh(self.cov, "covariance")[0]  # NotPsdError on bad input
         if cov.shape != (mean.size, mean.size):
             raise ValueError(
                 f"covariance shape {cov.shape} does not match mean of size {mean.size}"
             )
-        require_finite(mean, "mean")
-        _validated_eigh(cov, 1.0)  # raises NotPsdError on bad input
+        if not np.abs(mean).max() <= MAX_COORD:  # NaN fails the comparison too
+            require_finite(mean, "mean")
+            raise ValueError(f"mean must lie within {MAX_COORD:.3e} in absolute value")
         if cov.trace() > MAX_TRACE:
             raise ValueError(f"covariance trace must not exceed {MAX_TRACE:.3e}")
         object.__setattr__(self, "mean", mean)

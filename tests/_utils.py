@@ -110,14 +110,13 @@ def reduced_descent(mu_cov, nu_cov):
 
 def raw_descent(cov_nu, cov_mu):
     """The descent on a raw pair, as the Gaussian solver's record would hand
-    it over in the pair's own units: both covariances gated, checked PSD and
-    decomposed afresh, their spectra clamped."""
-    nu = linalg.square_symmetric(cov_nu, "cov_nu")
-    mu = linalg.square_symmetric(cov_mu, "cov_mu")
-    nu_vals, nu_vecs = linalg._validated_eigh(nu, 1.0)
-    mu_vals = linalg._validated_eigh(mu, 1.0)[0]
-    return pgd.pgd_project_above(nu, (np.maximum(nu_vals, 0.0), nu_vecs), mu,
-                                 np.maximum(mu_vals, 0.0))
+    it over in the pair's own units: both covariances read afresh (gated,
+    checked PSD and decomposed at their own unit scale), their spectra moved
+    back to the caller's units and clamped."""
+    nu, nu_vals, nu_vecs, k_nu = linalg._validated_eigh(cov_nu, "cov_nu")
+    mu, mu_vals, _, k_mu = linalg._validated_eigh(cov_mu, "cov_mu")
+    return pgd.pgd_project_above(nu, (np.maximum(np.ldexp(nu_vals, 2 * k_nu), 0.0), nu_vecs),
+                                 mu, np.maximum(np.ldexp(mu_vals, 2 * k_mu), 0.0))
 
 
 def frobenius_project_above(matrix, lower):

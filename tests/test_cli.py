@@ -544,6 +544,18 @@ class TestDistance:
         assert result.stderr == ("error: measure 'mu': support points must lie within "
                                  "3.273e+150 in absolute value\n")
 
+    @pytest.mark.parametrize("command", ["project-gaussian", "distance", "check"])
+    def test_gaussian_means_beyond_the_range_are_a_parse_error(self, runner, tmp_path, command):
+        # the squared shift of the means overflowed: exit 0 with null distances
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"mean": [-1e200, 1e200], "cov": [[1.0, 0.0], [0.0, 1.0]]},
+            "nu": {"mean": [1e200, -1e200], "cov": [[2.0, 0.0], [0.0, 1.0]]},
+        })
+        result = runner.invoke(main, [command, problem])
+        assert result.exit_code == cli.PARSE_ERROR
+        assert result.stderr == ("error: measure 'mu': mean must lie within 3.273e+150 in "
+                                 "absolute value\n")
+
     @pytest.mark.parametrize("side, key, value", [
         ("mu", "points", [[HUGE], [1.0]]),
         ("mu", "points", [HUGE, 1.0]),

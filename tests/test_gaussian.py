@@ -1121,6 +1121,11 @@ class TestEigenConvention:
         pairs += [(spd(rng, d, rank=1), spd(rng, d, rank=2)) for d in (3, 4)]
         matrices = [random_spd(rng, d) for d in (1, 2, 4, 6)]
 
+        def spectrum(m):
+            # the validated spectrum, in the caller's units
+            _, vals, _, k = linalg._validated_eigh(m, "m")
+            return np.ldexp(vals, 2 * k)
+
         def answers():
             out = []
             for mu_cov, nu_cov in pairs:
@@ -1137,9 +1142,7 @@ class TestEigenConvention:
                 outcome, _ = raw_descent(other, m)
                 out.append(("pgd", outcome.iterations, outcome.covariance, outcome.gradient))
                 out.append(("step", None, np.array([pgd._default_step(
-                    linalg._validated_eigh(sym(other), 1.0)[0],
-                    linalg._validated_eigh(sym(m), 1.0)[0],
-                    pgd.REG_FACTOR * float(np.trace(other)))])))
+                    spectrum(other), spectrum(m), pgd.REG_FACTOR * float(np.trace(other)))])))
                 out.append(("bw2", None, np.array([bw2(m, other)]), bw2_gradient(m, other)))
                 out.append(("measure", None, GaussianMeasure(np.zeros(m.shape[0]), m).cov))
             return out
@@ -1148,15 +1151,15 @@ class TestEigenConvention:
         validated = linalg._validated_eigh
 
         def reversed_and_flipped(*args):
-            vals, vecs = validated(*args)
+            gated, vals, vecs, k = validated(*args)
             flips = np.where(np.arange(vals.size) % 2 == 1, -1.0, 1.0)
-            return vals[::-1].copy(), vecs[:, ::-1] * flips
+            return gated, vals[::-1].copy(), vecs[:, ::-1] * flips, k
 
         patch_everywhere(monkeypatch, "_validated_eigh", reversed_and_flipped)
         assert all(m._validated_eigh is reversed_and_flipped
                    for m in (linalg, gaussian, bures, measures))
         for m in matrices:
-            vals = linalg._validated_eigh(sym(m), 1.0)[0]
+            vals = linalg._validated_eigh(m, "m")[1]
             assert vals[0] >= vals[-1]  # handed over descending
         methods = set()
         for want, got in zip(reference, answers(), strict=True):
@@ -1173,12 +1176,19 @@ class TestEigenConvention:
 
 class TestValidatedSpectrum:
     """``GaussianMeasure`` validates in LAPACK's order what the descending
-    check on its spectrum rejected."""
+    check on its spectrum, at the matrix's own unit scale, rejected."""
 
     @staticmethod
-    def descending_rejects(matrix):
-        # the check as it stood on the descending spectrum of the matrix
-        vals = np.sort(np.linalg.eigh(0.5 * (matrix + matrix.T))[0])[::-1]
+    def unit_scale(matrix):
+        # 4^k with the largest |entry| of the matrix in [4^k, 4^(k+1))
+        return 4.0 ** ((math.frexp(float(np.abs(matrix).max()))[1] - 1) // 2)
+
+    @classmethod
+    def descending_rejects(cls, matrix):
+        # the check as it stood on the descending spectrum of the matrix,
+        # moved to its own unit scale
+        m = 0.5 * (matrix + matrix.T)
+        vals = np.sort(np.linalg.eigh(m / cls.unit_scale(m))[0])[::-1]
         scale = 1.0 + float(np.abs(vals).max())
         return bool(vals[-1] < -linalg.EIG_TOL * scale)
 
@@ -1186,16 +1196,17 @@ class TestValidatedSpectrum:
     @given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.floats(0.5, 2.0),
            st.integers(-10, 10), st.booleans())
     def test_rejects_where_the_descending_check_did(self, d, seed, factor, power, negative_top):
-        # the smallest eigenvalue sits around -EIG_TOL * scale, at scales
-        # 4^-10 to 4^10, with the largest magnitude at either end
+        # the smallest eigenvalue sits around the slack at the unit scale of
+        # the rest of the matrix, whose eigenvalues lie in (0, 4^power) or,
+        # off the powers of four, in (0, 1e-3 * 4^power)
         rng = np.random.default_rng(seed)
         vals = rng.uniform(0.0, 1.0, size=d) * 4.0**power
-        top = float(np.abs(vals).max()) if d > 1 else 0.0
-        vals[0] = -factor * linalg.EIG_TOL * (1.0 + top)
-        if negative_top and d > 1:
-            vals[1:] *= 1e-3  # the negative eigenvalue has the largest magnitude
-            vals[0] = -factor * linalg.EIG_TOL * (1.0 + abs(vals[0]))
+        if negative_top:
+            vals[1:] *= 1e-3
+        vals[0] = 0.0
         q = random_orthogonal(rng, d)
+        unit = self.unit_scale((q * vals) @ q.T) if d > 1 else 4.0**power
+        vals[0] = -factor * linalg.EIG_TOL * (1.0 + float(vals.max()) / unit) * unit
         matrix = (q * vals) @ q.T
         if self.descending_rejects(matrix):
             with pytest.raises(NotPsdError):

@@ -81,7 +81,7 @@ def test_hot_path_calls_no_wrapper():
 
 def test_finds_raw_input_calls_by_name_and_through_a_module():
     source = '''
-vals, vecs = _validated_eigh(m, 1.0)
+m, vals, vecs, k = _validated_eigh(m, "m")
 half = linalg.square_symmetric(m, "m") + symmetric(m) + sym(m)
 outcome = pgd_project_above(nu, nu_eig, mu, mu_vals)
 '''

@@ -101,7 +101,7 @@ class TestBw2SquareRoot:
         assert bw2(m, np.eye(2)) == pytest.approx((math.sqrt(3.0) - 1.0) ** 2, rel=1e-12)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPsdError, match="^matrix is not positive semi-definite"):
+        with pytest.raises(NotPsdError, match="^cov_a is not positive semi-definite"):
             bw2(np.diag([1.0, -1.0]), np.eye(2))
 
 
@@ -194,27 +194,45 @@ def test_unequal_shapes_are_refused(reader):
         RAW_MATRIX_READERS[reader][0](np.eye(3))
 
 
-# the entries whose reader runs the PSD test; loewner_gap and the gate
-# itself read indefinite matrices too
-PSD_READERS = ["GaussianMeasure", "bw2_a", "bw2_b", "project_pair_mu", "project_pair_nu"]
-# scales at which every PSD reader draws the same line; far below unit scale
-# they disagree on an eigenvalue near -EIG_TOL (a ROADMAP FOUND line)
-PSD_SCALES = {"4^-10": 4.0**-10, "1": 1.0, "4^10": 4.0**10}
+@pytest.mark.parametrize("reader", sorted(RAW_MATRIX_READERS))
+def test_entries_beyond_the_range_are_refused(reader):
+    # symmetrising overflowed them, and the finite matrix was called not finite
+    call, name = RAW_MATRIX_READERS[reader]
+    with pytest.raises(ValueError, match=f"^{name} entries must lie within 8.988e[+]307 in "
+                                         "absolute value$"):
+        call(np.diag([1e308, 1e308]))
+
+
+def test_the_largest_entries_are_read():
+    top = np.diag([linalg.MAX_ENTRY, linalg.MAX_ENTRY])
+    np.testing.assert_array_equal(linalg.square_symmetric(top, "m"), top)
+    assert loewner_gap(top, top) == 0.0
+
+
+# the entries whose reader runs the PSD test of _validated_eigh, at the
+# matrix's own unit scale; loewner_gap and the gate itself read indefinite
+# matrices too
+PSD_READERS = ["GaussianMeasure", "bw2_a", "project_pair_mu", "project_pair_nu"]
+PSD_SCALES = {"4^-480": 4.0**-480, "4^-10": 4.0**-10, "1": 1.0, "4^10": 4.0**10,
+              "4^480": 4.0**480}
+# bw2 tests its cov_b only through A^1/2 B A^1/2, at the pair's working
+# scale, which far from unit scale passes some indefinite B (ROADMAP item 4)
+BW2_B_SCALES = ["4^-10", "1", "4^10"]
 _ROTATION = random_orthogonal(np.random.default_rng(41), 2)
 
 
-@pytest.mark.parametrize("reader", PSD_READERS)
-@pytest.mark.parametrize("scale", sorted(PSD_SCALES))
+@pytest.mark.parametrize("scale, reader", [
+    (scale, reader) for reader in [*PSD_READERS, "bw2_b"]
+    for scale in (BW2_B_SCALES if reader == "bw2_b" else sorted(PSD_SCALES))
+], ids=str)
 @pytest.mark.parametrize("indefinite", [np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]]),
                                         -np.eye(2)], ids=["diagonal", "off-diagonal", "negative"])
 def test_indefinite_matrices_are_refused(reader, scale, indefinite):
-    # the PSD test runs on the caller's scale (GaussianMeasure), the pair's
-    # diagonal scale (project_pair) or the pair's trace scale (bw2)
     with pytest.raises(NotPsdError):
         RAW_MATRIX_READERS[reader][0](PSD_SCALES[scale] * indefinite)
 
 
-@pytest.mark.parametrize("reader", PSD_READERS)
+@pytest.mark.parametrize("reader", [*PSD_READERS, "bw2_b"])
 @pytest.mark.parametrize("scale", sorted(PSD_SCALES))
 @pytest.mark.parametrize("edge", [
     np.outer([1.0, 1.0 / 3.0], [1.0, 1.0 / 3.0]),
@@ -231,6 +249,63 @@ def test_psd_matrices_within_the_slack_are_read(reader, scale, edge):
         assert math.isfinite(out) and out >= 0.0
     else:
         assert all(math.isfinite(result.distance_sq) for result in out)
+
+
+# each PSD reader on a matrix M, with a partner dilated along with it that
+# takes a quick route: project_pair reduces onto a singular M, or closes on a
+# zero target
+DILATED_READERS = {
+    "GaussianMeasure": lambda m, s: GaussianMeasure(np.zeros(3), m),
+    "bw2_a": lambda m, s: bw2(m, s * np.eye(3)),
+    "project_pair_mu": lambda m, s: project_pair(m, np.zeros((3, 3))),
+    "project_pair_nu": lambda m, s: project_pair(s * np.eye(3), m),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(DILATED_READERS))
+def test_psd_verdicts_do_not_move_under_dilation(reader):
+    # eigenvalues 3, 1 and 0.5 or 2 times the slack EIG_TOL * (1 + 3) below
+    # zero: the largest entry lies in [1, 4), so the matrix is at its own unit
+    # scale, and 4^j times it must get its verdict at every j; the caller-scale
+    # test, whose slack is absolute below unit scale, passed the second there
+    call = DILATED_READERS[reader]
+    q = random_orthogonal(np.random.default_rng(42), 3)
+    slack = linalg.EIG_TOL * 4.0
+    for factor, refused in ((0.5, False), (2.0, True)):
+        m = (q * [3.0, 1.0, -factor * slack]) @ q.T
+        assert 1.0 <= np.abs(m).max() < 4.0
+        for j in range(-480, 481):
+            s = 4.0**j
+            if refused:
+                with pytest.raises(NotPsdError):
+                    call(s * m, s)
+            else:
+                call(s * m, s)
+
+
+def test_bw2_verdict_on_cov_a_does_not_depend_on_cov_b():
+    # a larger cov_b set the scale of the test on cov_a, which then passed
+    for scale in (1.0, 1e10):
+        with pytest.raises(NotPsdError, match="^cov_a is not positive semi-definite "
+                                              r"\(min eigenvalue -1.000e-03\)$"):
+            bw2(np.diag([1.0, -1e-3]), scale * np.eye(2))
+
+
+def test_a_tiny_indefinite_target_is_refused():
+    # the caller-scale slack is absolute: it passed the target, and the
+    # certificate then refused the solve
+    tiny = 4.0**-480
+    with pytest.raises(NotPsdError, match="^cov_nu is not positive semi-definite"):
+        project_pair(tiny * np.eye(2), tiny * np.diag([1.0, -1.0]))
+    with pytest.raises(NotPsdError, match="^cov_mu is not positive semi-definite"):
+        project_pair(1e-13 * np.diag([1.0, -1.0]), 1e-13 * np.eye(2))
+
+
+def test_loewner_gap_of_a_far_from_psd_pair_is_finite():
+    # its unit scale came from the tiny traces and overflowed the matrix: NaN
+    wild = np.array([[1e-300, 1e300], [1e300, 1e-300]])
+    assert loewner_gap(wild, 1e-300 * np.eye(2)) == -1e300
+    assert loewner_gap(1e-300 * np.eye(2), wild) == -1e300
 
 
 def test_a_scale_that_overflows_a_matrix_refuses_it():
