@@ -15,6 +15,7 @@ from .linalg import (
     NotPsdError,
     _rebuild,
     _validated_eigh,
+    require_in_range,
     square_symmetric,
     sym,
     unit_scale_exponent,
@@ -43,7 +44,10 @@ def bw2(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     b = square_symmetric(cov_b, "cov_b")
     if a.shape != b.shape:
         raise ValueError("dimension mismatch")
-    k = unit_scale_exponent(max(float(a.trace()), float(b.trace())))
+    k_b = unit_scale_exponent(float(np.abs(b).max()))  # b's trace is summed at 4^-k_b
+    trace_b = float((math.ldexp(1.0, -2 * k_b) * b.diagonal()).sum())
+    require_in_range(trace_b, k_b, "cov_b")
+    k = unit_scale_exponent(max(float(a.trace()), math.ldexp(trace_b, 2 * k_b)))
     c = math.ldexp(1.0, -2 * k)
     a, b = c * a, c * b
     trace_a, trace_b = a.trace(), b.trace()
@@ -65,11 +69,11 @@ def bw2(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
 
 
 def bw2_gradient_from_inner(
-    half: np.ndarray, inner_vals: np.ndarray, inner_vecs: np.ndarray
+    root: np.ndarray, inner_vals: np.ndarray, inner_vecs: np.ndarray
 ) -> np.ndarray:
-    """``I - F^{1/2} (F^{1/2} S F^{1/2})^{-1/2} F^{1/2}`` from ``half =
-    F^{1/2}`` and the spectral decomposition of ``F^{1/2} S F^{1/2}``, its
-    eigenvalues clamped at zero (as :func:`clamped_eigen` returns them).
+    """``I - F^{1/2} (F^{1/2} S F^{1/2})^{-1/2} F^{1/2}`` for ``F =
+    diag(root**2)`` (any ``F`` in its eigenbasis) and the spectral
+    decomposition of ``F^{1/2} S F^{1/2}``, its eigenvalues clamped at zero.
 
     Inner eigenvalues below the rank cutoff are floored there, so a flat
     ``S`` gives a large but finite gradient pointing back into the interior.
@@ -79,8 +83,8 @@ def bw2_gradient_from_inner(
     """
     # default_rank_tol without its abs, which a clamped spectrum does not need
     floor = max(inner_vals.size * float(inner_vals.max()) * RANK_REL, _TINY)
-    w = (half @ inner_vecs) * np.maximum(inner_vals, floor) ** -0.25
-    return _identity(half.shape[0]) - w @ w.T
+    w = root[:, None] * inner_vecs * np.maximum(inner_vals, floor) ** -0.25
+    return _identity(root.size) - w @ w.T
 
 
 @functools.lru_cache(maxsize=32)

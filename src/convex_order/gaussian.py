@@ -27,10 +27,11 @@ rank-0 ``Snu``; the eigenbasis of ``Snu`` when both have full rank and
 diagonalises both); then the projected-gradient solver's (the transport
 map of its dominating-side answer) for a full-rank ``Snu``, or else the
 rank reduction's, which solves the full-rank problem on the range of
-``Snu``.  Only the first certified candidate is assembled, and with it
-the verdict ``ProjectionResult.uniqueness``: is the dominating side unique
-among all measures?  It reads the record and, on a singular ``Snu``, the
-rank of the dominating projection.
+``Snu``.  The descent runs in the record's eigenbasis of ``Snu``, where
+the commuting test reads ``Smu``.  Only the first certified candidate is
+assembled, and with it the verdict ``ProjectionResult.uniqueness``: is the
+dominating side unique among all measures?  It reads the record and, on a
+singular ``Snu``, the rank of the dominating projection.
 Matrices derived from validated input are clamped, not checked again.
 """
 
@@ -132,8 +133,8 @@ class ProjectionResult:
 @dataclass(frozen=True)
 class _Pair:
     """A validated covariance pair decomposed once per solve: both
-    covariances and their clamped spectral decompositions (in no fixed
-    order), divided by ``4^scale_exponent``, the eigenvalues of ``cov_nu``
+    covariances and the clamped spectral decomposition of ``cov_nu`` (in no
+    fixed order), divided by ``4^scale_exponent``, its eigenvalues
     before the clamp (:func:`_ordered` orders its basis by them on the
     reduction route), the ranks, the rank cutoff of ``cov_nu``, the order
     tolerance, and ``unit = 4^scale_exponent``, the factor that takes an
@@ -141,7 +142,6 @@ class _Pair:
 
     cov_mu: np.ndarray
     cov_nu: np.ndarray
-    mu_eig: tuple[np.ndarray, np.ndarray]
     nu_eig: tuple[np.ndarray, np.ndarray]
     nu_unclamped: np.ndarray
     rank_mu: int
@@ -152,18 +152,15 @@ class _Pair:
     unit: float
 
 
-def _rank(vals: np.ndarray) -> int:
-    return int((vals > default_rank_tol(vals)).sum())
-
-
 def _pair(
-    cov_mu: np.ndarray, cov_nu: np.ndarray, mu_eig: tuple, nu_eig: tuple,
+    cov_mu: np.ndarray, cov_nu: np.ndarray, mu_vals: np.ndarray, nu_eig: tuple,
     nu_unclamped: np.ndarray, k: int,
 ) -> _Pair:
     nu_vals = nu_eig[0]
     nu_cutoff = default_rank_tol(nu_vals)
     order_tol = ORDER_REL * (1.0 + (float(nu_vals.max()) if nu_vals.size else 0.0))
-    return _Pair(cov_mu, cov_nu, mu_eig, nu_eig, nu_unclamped, _rank(mu_eig[0]),
+    rank_mu = int((mu_vals > default_rank_tol(mu_vals)).sum())
+    return _Pair(cov_mu, cov_nu, nu_eig, nu_unclamped, rank_mu,
                  int((nu_vals > nu_cutoff).sum()), nu_cutoff, order_tol, k,
                  math.ldexp(1.0, 2 * k))
 
@@ -176,7 +173,7 @@ def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
     eigenvalue in ``[4^k, 4^(k+1))`` (``k = 0`` below ``2^-1000``), and each
     clamped spectrum is moved there from its own scale by an exact power of
     two, so it is that of the record's matrix."""
-    cov_mu, mu_raw, mu_vecs, k_mu = _validated_eigh(cov_mu, "cov_mu")
+    cov_mu, mu_raw, _, k_mu = _validated_eigh(cov_mu, "cov_mu")
     cov_nu, nu_raw, nu_vecs, k_nu = _validated_eigh(cov_nu, "cov_nu")
     if cov_mu.shape != cov_nu.shape:
         raise ValueError("dimension mismatch")
@@ -184,7 +181,7 @@ def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
     k = unit_scale_exponent(max(math.ldexp(float(mu_vals.max()), 2 * k_mu),
                                 math.ldexp(float(nu_vals.max()), 2 * k_nu)))
     c, e_mu, e_nu = math.ldexp(1.0, -2 * k), 2 * (k_mu - k), 2 * (k_nu - k)
-    return _pair(c * cov_mu, c * cov_nu, (np.ldexp(mu_vals, e_mu), mu_vecs),
+    return _pair(c * cov_mu, c * cov_nu, np.ldexp(mu_vals, e_mu),
                  (np.ldexp(nu_vals, e_nu), nu_vecs), np.ldexp(nu_raw, e_nu), k)
 
 
@@ -264,25 +261,24 @@ def _route(pair: _Pair) -> tuple[OrderTransform, tuple[np.ndarray, ...], str, di
     if pair.rank_nu == 0:
         return (*_certify(pair, np.eye(d), pair.order_tol), "closed_form", {"rank_nu": 0})
 
-    if pair.rank_nu == d and pair.rank_mu == d:
-        vecs = pair.nu_eig[1]
-        m_mu = vecs.T @ pair.cov_mu @ vecs
-        scale = np.sqrt(m_mu.diagonal())
-        off = m_mu / (scale[:, None] * scale[None, :])
-        np.fill_diagonal(off, 0.0)  # the off-diagonal of its correlation
-        if math.sqrt(np.vdot(off, off)) <= CLOSED_FORM_REL:
-            tol = CLOSED_FORM_REL * (1.0 + float(pair.nu_eig[0].max()))
-            transform, conjugates = _certify(pair, _ordered(pair.nu_unclamped, vecs)[1], tol)
-            if transform.certified:
-                return (transform, conjugates, "commuting",
-                        {"order_residual": transform.order_residual})
-
     if pair.rank_nu == d:
-        outcome, trace = pgd_project_above(pair.cov_nu, pair.nu_eig, pair.cov_mu,
-                                           pair.mu_eig[0])
-        # the gradient at the dominating projection is I minus the inverse of
-        # the transport map from cov_nu onto it
-        transform, conjugates = _certify(pair, transport_map_basis(outcome.gradient),
+        vals, vecs = pair.nu_eig
+        m_mu = sym(vecs.T @ pair.cov_mu @ vecs)
+        if pair.rank_mu == d:
+            scale = np.sqrt(m_mu.diagonal())
+            off = m_mu / (scale[:, None] * scale[None, :])
+            np.fill_diagonal(off, 0.0)  # the off-diagonal of its correlation
+            if math.sqrt(np.vdot(off, off)) <= CLOSED_FORM_REL:
+                tol = CLOSED_FORM_REL * (1.0 + float(vals.max()))
+                transform, conjugates = _certify(pair, _ordered(pair.nu_unclamped, vecs)[1], tol)
+                if transform.certified:
+                    return (transform, conjugates, "commuting",
+                            {"order_residual": transform.order_residual})
+
+        # in the eigenbasis of cov_nu, the gradient at the dominating
+        # projection is I minus the inverse of the transport map onto it
+        outcome, trace = pgd_project_above(vals, m_mu)
+        transform, conjugates = _certify(pair, transport_map_basis(outcome.gradient, vecs),
                                          pair.order_tol)
         diagnostics = {
             "iterations": outcome.iterations,
@@ -321,12 +317,12 @@ def _reduce(pair: _Pair) -> tuple[np.ndarray, str, dict[str, Any]]:
     nu_vals, nu_vecs = _ordered(pair.nu_unclamped, pair.nu_eig[1])
     rank = pair.rank_nu
     reduced_mu = sym(nu_vecs.T @ pair.cov_mu @ nu_vecs)[:rank, :rank].copy()
-    mu_vals, mu_vecs = _ordered(*_eigh(reduced_mu))
-    if mu_vals[-1] < 0.0:  # a block of PSD cov_mu: roundoff at the scale of cov_mu
+    mu_vals, mu_vecs = _eigh(reduced_mu)
+    if mu_vals[0] < 0.0:  # a block of PSD cov_mu: roundoff at the scale of cov_mu
         mu_vals = np.maximum(mu_vals, 0.0)
         reduced_mu = _rebuild(mu_vals, mu_vecs)
     top = nu_vals[:rank]
-    reduced = _pair(reduced_mu, np.diag(top), (mu_vals, mu_vecs), (top, np.eye(rank)), top,
+    reduced = _pair(reduced_mu, np.diag(top), mu_vals, (top, np.eye(rank)), top,
                     pair.scale_exponent)
     transform, _, method, diagnostics = _route(reduced)
     if not transform.certified:

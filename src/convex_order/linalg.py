@@ -1,8 +1,8 @@
 """Deterministic symmetric linear algebra.
 
 Spectral decompositions, positive parts, the Loewner gap and the
-transport-map eigenbasis: the pieces of the Gaussian solvers' candidate
-bases and of the certificate that decides between them.
+transport-map eigenbasis, mapped out of the descent's frame: the pieces of
+the Gaussian solvers' candidate bases and of the certificate between them.
 
 All functions are pure and operate on plain ``numpy`` arrays.  A caller's
 matrix passes one gate, :func:`square_symmetric`, once per public call;
@@ -28,8 +28,10 @@ RANK_REL = 2.0**-50
 # PSD slack at a matrix's own unit scale (_validated_eigh); small negative
 # eigenvalues within it are clamped to zero.
 EIG_TOL = 1e-12
-# the largest |entry| of a caller's matrix, so that its symmetrisation stays finite
-MAX_ENTRY = np.finfo(float).max / 2
+# the largest trace or top eigenvalue of a caller's covariance, and the largest
+# |entry| of a caller's matrix, so that its symmetrisation stays finite
+FLOAT_MAX = np.finfo(float).max
+MAX_ENTRY = FLOAT_MAX / 2
 
 
 class LinalgError(Exception):
@@ -50,6 +52,13 @@ def unit_scale_exponent(top: float) -> int:
     |entry|, top eigenvalue or trace is ``top`` by ``4^k`` brings them to
     unit scale exactly."""
     return (math.frexp(top)[1] - 1) // 2 if top >= 2.0**-1000 else 0
+
+
+def require_in_range(value: float, k: int, name: str) -> None:
+    """``ValueError`` naming ``name`` unless ``4^k |value|``, a trace or top
+    eigenvalue of the caller's covariance at unit scale, is a double."""
+    if k > 0 and not abs(value) <= math.ldexp(FLOAT_MAX, -2 * k):
+        raise ValueError(f"{name} trace and top eigenvalue must lie within {FLOAT_MAX:.3e}")
 
 
 def require_finite(values: np.ndarray, name: str) -> None:
@@ -119,7 +128,8 @@ def _validated_eigh(
     is its largest diagonal entry and cannot overflow.  At that scale an
     eigenvalue below ``-EIG_TOL * (1 + m)``, with ``m`` the largest
     eigenvalue magnitude, raises :class:`NotPsdError` naming ``name``, with
-    the eigenvalue in the caller's units: ``4^j M`` gets ``M``'s verdict."""
+    the eigenvalue in the caller's units: ``4^j M`` gets ``M``'s verdict.  A
+    trace or top eigenvalue beyond ``FLOAT_MAX`` raises ``ValueError``."""
     m = square_symmetric(matrix, name)
     k = unit_scale_exponent(float(np.abs(m).max()))
     vals, vecs = _eigh(math.ldexp(1.0, -2 * k) * m)
@@ -127,6 +137,7 @@ def _validated_eigh(
     if not low >= -EIG_TOL * (1.0 + max(-low, float(vals[-1]))):
         low *= math.ldexp(1.0, 2 * k)  # in the caller's units
         raise NotPsdError(f"{name} is not positive semi-definite (min eigenvalue {low:.3e})")
+    require_in_range(float(np.abs(vals).sum()), k, name)
     return m, vals, vecs, k
 
 
@@ -182,12 +193,14 @@ def positive_diag_mask(matrix: np.ndarray) -> np.ndarray:
     return diag > diag.size * top * RANK_REL
 
 
-def transport_map_basis(gradient: np.ndarray) -> np.ndarray:
+def transport_map_basis(gradient: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """The ordered eigenbasis of a Bures gradient ``G = grad_S bw2(F, S) =
-    I - T^{-1}`` between nonsingular ``F`` and ``S`` (its lower triangle is
-    read), where ``T = F^{-1/2} (F^{1/2} S F^{1/2})^{1/2} F^{-1/2}`` is the
-    optimal-transport map from ``N(0, F)`` onto ``N(0, S)``.  Its columns are
-    eigenvectors of ``T``, and ``G``'s eigenvalues ``1 - 1/t`` increase with
-    ``T``'s eigenvalues ``t``, so :func:`_ordered` puts them in the order of
-    ``T``'s descending spectrum."""
-    return _ordered(*_eigh(gradient))[1]
+    I - T^{-1}`` between nonsingular ``F`` and ``S``, given in the
+    orthonormal ``frame`` (its lower triangle is read), mapped out of it.
+    ``T = F^{-1/2} (F^{1/2} S F^{1/2})^{1/2} F^{-1/2}`` is the
+    optimal-transport map from ``N(0, F)`` onto ``N(0, S)``.  Its columns
+    are eigenvectors of ``T``, and ``G``'s eigenvalues ``1 - 1/t`` increase
+    with ``T``'s eigenvalues ``t``, so :func:`_ordered` puts them in the
+    order of ``T``'s descending spectrum."""
+    vals, vecs = _eigh(gradient)
+    return _ordered(vals, frame @ vecs)[1]

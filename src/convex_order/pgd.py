@@ -1,15 +1,18 @@
 """Projected gradient descent on the cone of matrices dominating a bound.
 
-Computes ``argmin bw2(cov_nu, S)`` over ``{S : S >= cov_mu}``, the
-dominating-side projection, with the Frobenius projection onto that cone.
-Iterations, initialization and the cone projection follow the positive-part
-construction; Barzilai-Borwein steps are accepted by the Armijo test along
-the projection arc (Bertsekas 1976; Birgin, Martinez and Raydan 2000).  The
-descent is fully deterministic.  It runs on the Gaussian solver's pair
-record, validated and decomposed once: it reads the record's spectra and
-neither checks, symmetrises nor decomposes its input again.  Its iterates
-and gradients are exactly symmetric, so :func:`_project_above` projects them
-as they are.
+Computes ``argmin bw2(diag(lambda), S)`` over ``{S : S >= cov_mu}``, the
+dominating-side projection, with the Frobenius projection onto that cone,
+in the target's eigenbasis, which the Gaussian solver's pair record holds:
+there the inner matrix ``diag(sqrt(lambda)) S diag(sqrt(lambda))`` is an
+entrywise product, and no dense square root is formed.  Iterations,
+initialization and the cone projection follow the positive-part
+construction; Barzilai-Borwein steps, which lie in ``[2 lambda_min, 2
+lambda_max]`` on the Hessian at ``S = diag(lambda)`` (``H_ij -> H_ij /
+(lambda_i + lambda_j)``), are accepted by the Armijo test along the
+projection arc (Bertsekas 1976; Birgin, Martinez and Raydan 2000).  The
+descent is fully deterministic.  It reads the record as it is, and its
+iterates and gradients are exactly symmetric, so :func:`_project_above`
+projects them as they are.
 """
 
 from __future__ import annotations
@@ -21,17 +24,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .bures import bw2_gradient_from_inner
-from .linalg import _rebuild, clamped_eigen, positive_part
+from .linalg import clamped_eigen, positive_part
 
 
-# The descent stops at gradient mapping RESIDUAL_TOL * (1 + ||cov_nu||_F),
+# The descent stops at gradient mapping RESIDUAL_TOL * (1 + ||lambda||_2),
 # or after MAX_ITER iterations; Gaussian solves run it at unit scale.
 MAX_ITER = 10_000
 RESIDUAL_TOL = 1e-8
-# Barzilai-Borwein steps stay within [eta0 / BB_BAND, eta0 * BB_BAND].
+# Barzilai-Borwein steps stay within [2 lambda_min / BB_BAND, 2 lambda_max * BB_BAND].
 BB_BAND = 1e4
-# The default step floors the lower bound's spectrum at REG_FACTOR * tr(cov_nu).
-REG_FACTOR = 1e-10
 MAX_BACKTRACKS = 60
 # Armijo fraction of the first-order decrease <G, S+ - S> a candidate must achieve.
 ARMIJO = 1e-4
@@ -47,9 +48,10 @@ class PgdTrace:
 
 class PgdOutcome(NamedTuple):
     """The descent's last iterate ``covariance`` with its objective and
-    ``gradient``, ``grad_S bw2(cov_nu, S) = I - T``, where ``T`` is the
-    transport map from ``N(0, S)`` onto ``N(0, cov_nu)``; the Gaussian solver
-    takes the order transform's basis from its eigenvectors."""
+    ``gradient``, ``grad_S bw2(diag(lambda), S) = I - T``, where ``T`` is the
+    transport map from ``N(0, S)`` onto ``N(0, diag(lambda))``, both in the
+    target's eigenbasis; the Gaussian solver takes the order transform's
+    basis from its eigenvectors."""
 
     covariance: np.ndarray
     objective: float
@@ -62,86 +64,71 @@ class PgdOutcome(NamedTuple):
 
 def _project_above(matrix: np.ndarray, lower: np.ndarray) -> np.ndarray:
     """Frobenius projection of ``matrix`` onto ``{S : S >= lower}``,
-    ``matrix + (lower - matrix)^+``, for exactly symmetric inputs, which the
-    descent's iterates, steps and lower bound are (sums of Gram forms and the
-    record's covariances); the result is exactly symmetric, and PSD when
+    ``matrix + (lower - matrix)^+``, for the descent's exactly symmetric
+    iterates, steps and bound; the result is exactly symmetric, and PSD when
     ``lower`` is."""
     return matrix + positive_part(lower - matrix)
 
 
-class _Objective:
-    """bw2(cov_nu, .) for the record's positive definite cov_nu, from its
-    clamped eigenpairs ``nu_eig``."""
+def _first_step(nu_vals: np.ndarray) -> float:
+    """The midpoint of the Barzilai-Borwein band, from a spectrum in any order."""
+    return float(nu_vals.min()) + float(nu_vals.max())
 
-    def __init__(self, cov_nu: np.ndarray, nu_eig: tuple[np.ndarray, np.ndarray]):
-        vals, vecs = nu_eig
-        self.trace_nu = float(cov_nu.trace())
-        self.half = _rebuild(np.sqrt(vals), vecs)
+
+class _Objective:
+    """bw2(diag(nu_vals), .) for the record's positive spectrum ``nu_vals``."""
+
+    def __init__(self, nu_vals: np.ndarray):
+        self.trace_nu = float(nu_vals.sum())
+        self.root = np.sqrt(nu_vals)
+        self.weights = self.root[:, None] * self.root
 
     def value_and_gradient(self, s: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective and gradient at ``s`` from one eigensolve."""
-        inner_vals, inner_vecs = clamped_eigen(self.half @ s @ self.half)
+        inner_vals, inner_vecs = clamped_eigen(s * self.weights)
         value = float(self.trace_nu + s.trace() - 2.0 * np.sqrt(inner_vals).sum())
-        return value, bw2_gradient_from_inner(self.half, inner_vals, inner_vecs)
+        return value, bw2_gradient_from_inner(self.root, inner_vals, inner_vecs)
 
 
-def _default_step(nu_vals: np.ndarray, mu_vals: np.ndarray, reg: float) -> float:
-    """Crude curvature bound from the spectra of the target and of the lower
-    bound (each in any order): the gradient's inverse square root is
-    controlled by the spectra entering it.
+def pgd_project_above(nu_vals: np.ndarray, cov_mu: np.ndarray) -> tuple[PgdOutcome, PgdTrace]:
+    """Minimize ``bw2(diag(nu_vals), S)`` over ``{S >= cov_mu}`` by projected
+    descent, in the target's eigenbasis.
 
-    The lower-bound spectrum is floored by the target's smallest eigenvalue:
-    the initializer dominates the target, so iterates never start below it,
-    and without the floor a singular ``cov_mu`` would collapse the step to
-    the regularization scale and stall the descent.  Backtracking still
-    halves the step whenever the objective would increase.
-    """
-    lo_nu = float(nu_vals.min())
-    hi_nu = float(nu_vals.max())
-    lo = max(float(mu_vals.min()), lo_nu) + reg
-    return 0.5 * math.sqrt(lo_nu) / (1.0 + math.sqrt(hi_nu) / math.sqrt(lo))
-
-
-def pgd_project_above(
-    cov_nu: np.ndarray, nu_eig: tuple[np.ndarray, np.ndarray], cov_mu: np.ndarray,
-    mu_vals: np.ndarray,
-) -> tuple[PgdOutcome, PgdTrace]:
-    """Minimize ``bw2(cov_nu, S)`` over ``{S >= cov_mu}`` by projected descent.
-
-    Reads a pair record: ``cov_nu`` and ``cov_mu`` exactly symmetric and
-    finite, ``nu_eig`` the clamped eigenpairs of ``cov_nu`` and ``mu_vals``
-    the clamped eigenvalues of ``cov_mu``, in any order; none is checked or
-    decomposed again.  ``cov_nu`` must be positive definite, as the record's
-    rank says; ``cov_mu`` may be singular (the initializer dominates
-    ``cov_nu``, and the gradient floors the inner eigenvalues of
-    near-singular iterates).  Each iteration starts from a
-    Barzilai-Borwein step ``<dS, dS> / <dS, dG>`` (doubled instead when the
-    curvature estimate is not positive) clipped to ``[eta0 / BB_BAND,
-    eta0 * BB_BAND]`` around the initial step ``eta0 = _default_step(...)``,
-    then halves it, at most ``MAX_BACKTRACKS`` times, until the candidate
+    Reads a pair record: ``nu_vals`` the target's clamped eigenvalues, in
+    any order, and ``cov_mu`` the lower bound conjugated into the basis of
+    their eigenvectors, exactly symmetric and finite; neither is checked or
+    decomposed again.  ``nu_vals`` must be positive, as the record's rank
+    says; ``cov_mu`` may be singular (the initializer dominates the target,
+    and the gradient floors the inner eigenvalues of near-singular
+    iterates).  The first step is ``lambda_min + lambda_max``; later ones
+    start from a Barzilai-Borwein step ``<dS, dS> / <dS, dG>`` (doubled
+    instead when the curvature estimate is not positive) clipped to ``[2
+    lambda_min / BB_BAND, 2 lambda_max * BB_BAND]``.  Each iteration halves
+    its step, at most ``MAX_BACKTRACKS`` times, until the candidate
     ``S+ = P(S - eta G)`` passes the Armijo test
     ``f(S+) <= f(S) + ARMIJO * <G, S+ - S>`` (up to a roundoff slack of
     ``1e-12 * (1 + |f(S)|)``).  A projection step has ``<G, S+ - S> <=
     -||S+ - S||^2 / eta``, so the objective never increases.  Stops when the
     gradient mapping ``||S - S+|| / eta`` at the accepted step falls below
-    ``RESIDUAL_TOL * (1 + ||cov_nu||_F)`` or after ``MAX_ITER`` iterations,
+    ``RESIDUAL_TOL * (1 + ||nu_vals||_2)`` or after ``MAX_ITER`` iterations,
     whichever comes first; ``residual`` reports that gradient mapping.  The
     mapping does not grow as ``eta`` grows, so it depends on the step: it is
-    tested at the step taken, not at a fixed one.
+    tested at the step taken, not at a fixed one.  Covariance and gradient
+    are returned in the target's eigenbasis.
     """
-    objective = _Objective(cov_nu, nu_eig)
-    eta0 = _default_step(nu_eig[0], mu_vals, REG_FACTOR * objective.trace_nu)
-    eta_lo, eta_hi = eta0 / BB_BAND, eta0 * BB_BAND
+    objective = _Objective(nu_vals)
+    eta_lo = 2.0 * float(nu_vals.min()) / BB_BAND
+    eta_hi = 2.0 * float(nu_vals.max()) * BB_BAND
 
-    s = _project_above(cov_nu, cov_mu)
+    s = _project_above(np.diag(nu_vals), cov_mu)
     f, grad = objective.value_and_gradient(s)
-    tol = RESIDUAL_TOL * (1.0 + math.sqrt(np.vdot(cov_nu, cov_nu)))
+    tol = RESIDUAL_TOL * (1.0 + math.sqrt(np.vdot(nu_vals, nu_vals)))
     trace = PgdTrace([], [])
     residual = np.inf
     converged = False
     reason = "max_iter"
     iterations = 0
-    eta = eta0
+    eta = _first_step(nu_vals)
     # the last accepted step S - S_prev and the gradient at S_prev
     prev: tuple[np.ndarray, np.ndarray] | None = None
 

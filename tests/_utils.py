@@ -19,10 +19,15 @@ def psd_sqrt(cov):
 
 def eigen_convention(matrix):
     """Eigenpairs of a symmetric ``matrix`` in the library's eigen-convention,
-    built column by column: eigenvalues descending (ties keep numpy's order),
-    and the first entry of each eigenvector whose magnitude exceeds 1e-12 of
-    the column maximum made positive."""
-    vals, vecs = np.linalg.eigh(sym(matrix))
+    built column by column by :func:`conventional_order`."""
+    return conventional_order(*np.linalg.eigh(sym(matrix)))
+
+
+def conventional_order(vals, vecs):
+    """Eigenpairs in the library's eigen-convention, built column by column:
+    eigenvalues descending (ties keep their order), and the first entry of
+    each eigenvector whose magnitude exceeds 1e-12 of the column maximum
+    made positive."""
     order = np.argsort(-vals, kind="stable")
     vals, vecs = vals[order].copy(), vecs[:, order].copy()
     for k in range(vecs.shape[1]):
@@ -108,15 +113,25 @@ def reduced_descent(mu_cov, nu_cov):
     return rank, basis, outcome.covariance, basis @ assembled @ basis.T
 
 
+def descent_frame(cov_nu, cov_mu):
+    """A raw pair as the Gaussian solver's record hands it to the descent,
+    in the pair's own units: both covariances read afresh (gated, checked
+    PSD and decomposed at their own unit scale), the target's spectrum moved
+    back to the caller's units and clamped, its eigenbasis, and ``cov_mu``
+    conjugated into that basis.  Returns ``(nu_vals, frame, conjugated_mu)``."""
+    _, nu_vals, frame, k_nu = linalg._validated_eigh(cov_nu, "cov_nu")
+    mu = linalg._validated_eigh(cov_mu, "cov_mu")[0]
+    return np.maximum(np.ldexp(nu_vals, 2 * k_nu), 0.0), frame, sym(frame.T @ mu @ frame)
+
+
 def raw_descent(cov_nu, cov_mu):
-    """The descent on a raw pair, as the Gaussian solver's record would hand
-    it over in the pair's own units: both covariances read afresh (gated,
-    checked PSD and decomposed at their own unit scale), their spectra moved
-    back to the caller's units and clamped."""
-    nu, nu_vals, nu_vecs, k_nu = linalg._validated_eigh(cov_nu, "cov_nu")
-    mu, mu_vals, _, k_mu = linalg._validated_eigh(cov_mu, "cov_mu")
-    return pgd.pgd_project_above(nu, (np.maximum(np.ldexp(nu_vals, 2 * k_nu), 0.0), nu_vecs),
-                                 mu, np.maximum(np.ldexp(mu_vals, 2 * k_mu), 0.0))
+    """The descent on a raw pair, run in the frame of :func:`descent_frame`,
+    with its covariance and gradient mapped back to the caller's
+    coordinates."""
+    nu_vals, frame, mu = descent_frame(cov_nu, cov_mu)
+    outcome, trace = pgd.pgd_project_above(nu_vals, mu)
+    back = [sym(frame @ m @ frame.T) for m in (outcome.covariance, outcome.gradient)]
+    return outcome._replace(covariance=back[0], gradient=back[1]), trace
 
 
 def frobenius_project_above(matrix, lower):
@@ -128,9 +143,12 @@ def frobenius_project_above(matrix, lower):
 def bw2_gradient(cov_fixed, cov):
     """Gradient ``I - F^{1/2} (F^{1/2} S F^{1/2})^{-1/2} F^{1/2}`` of
     ``S -> bw2(F, S)`` at ``S = cov``, for positive definite ``F = cov_fixed``
-    and ``cov``, by the solver's own formula."""
-    half = psd_sqrt(cov_fixed)
-    return bw2_gradient_from_inner(half, *clamped_eigen(half @ sym(cov) @ half))
+    and ``cov``, by the solver's own formula in the eigenbasis of ``F``."""
+    vals, frame = clamped_eigen(sym(cov_fixed))
+    root = np.sqrt(vals)
+    inner = (frame.T @ sym(cov) @ frame) * np.outer(root, root)
+    grad = bw2_gradient_from_inner(root, *clamped_eigen(sym(inner)))
+    return sym(frame @ grad @ frame.T)
 
 
 def patch_everywhere(monkeypatch, name, replacement):

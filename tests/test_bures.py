@@ -12,7 +12,6 @@ from convex_order.measures import GaussianMeasure
 from _utils import (
     bw2_gradient,
     moment_matched_discretization,
-    psd_sqrt,
     random_orthogonal,
     random_spd,
     random_symmetric,
@@ -134,8 +133,9 @@ class TestGradient:
         # I - w @ w.T goes through BLAS syrk, so no symmetrisation is needed
         rng = np.random.default_rng(7)
         for d in range(1, 13):
-            half = psd_sqrt(random_spd(rng, d))
-            grad = bw2_gradient_from_inner(half, *clamped_eigen(half @ random_spd(rng, d) @ half))
+            root = np.sqrt(rng.uniform(0.2, 3.0, size=d))
+            inner = random_spd(rng, d) * (root[:, None] * root)
+            grad = bw2_gradient_from_inner(root, *clamped_eigen(inner))
             assert np.array_equal(grad, grad.T), d
 
     def test_matches_finite_differences(self):

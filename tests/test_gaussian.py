@@ -15,6 +15,8 @@ from convex_order.linalg import NotPsdError, loewner_gap, positive_part, sym
 from convex_order.measures import GaussianMeasure
 from _utils import (
     bw2_gradient,
+    conventional_order,
+    descent_frame,
     eigen_convention,
     patch_everywhere,
     random_commuting_pair,
@@ -784,7 +786,7 @@ class TestSingularConfigurations:
             np.testing.assert_allclose(assembled, above.covariance, atol=1e-6)
 
     def test_singular_lower_with_definite_target(self):
-        # a flat lower bound exercises the descent with the step floor
+        # a flat lower bound: the descent's cone bound is singular
         rng = np.random.default_rng(20)
         for _ in range(40):
             d = int(rng.integers(2, 6))
@@ -809,12 +811,33 @@ class TestSingularConfigurations:
             if not singular[1].uniqueness.unique:
                 continue
             kept += 1
-            for eps in (1e-4, 1e-5, 1e-6):
+            for eps in (1e-4, 1e-5, 1e-6, 1e-8, 1e-10):
                 moved = project_pair(mu_cov, nu_cov + eps * np.eye(d))
                 for at, near in zip(singular, moved):
                     distance = np.linalg.norm(near.covariance - at.covariance)
                     assert distance <= np.sqrt(eps) * np.linalg.norm(at.covariance), (s, eps)
         assert kept == 11
+
+    def test_near_singular_targets_converge(self):
+        # the same family at eps = 1e-8, every pair: the target's smallest
+        # eigenvalues sit 1e8 below its largest, and the descent's steps,
+        # set by that spectrum, still stop on the residual, in 539
+        # iterations all told (about 42,000 when the first step and the
+        # band came from a cruder bound, with 3 runs to MAX_ITER)
+        eps = 1e-8
+        reasons, iterations = [], 0
+        for s in range(60):
+            rng = np.random.default_rng([21, s])
+            d = 2 + s % 4
+            mu_cov, nu_cov = spd(rng, d), spd(rng, d, rank=1 + s % (d - 1))
+            below, _ = project_pair(mu_cov, nu_cov + eps * np.eye(d))
+            if below.method == "pgd":
+                reasons.append(below.diagnostics["stop_reason"])
+                iterations += below.diagnostics["iterations"]
+        assert len(reasons) == 60
+        assert "max_iter" not in reasons
+        assert reasons.count("residual") >= 59
+        assert iterations <= 600
 
     def test_both_singular(self):
         rng = np.random.default_rng(21)
@@ -1141,8 +1164,7 @@ class TestEigenConvention:
                 other = 2.0 * m + np.eye(m.shape[0])
                 outcome, _ = raw_descent(other, m)
                 out.append(("pgd", outcome.iterations, outcome.covariance, outcome.gradient))
-                out.append(("step", None, np.array([pgd._default_step(
-                    spectrum(other), spectrum(m), pgd.REG_FACTOR * float(np.trace(other)))])))
+                out.append(("step", None, np.array([pgd._first_step(spectrum(other))])))
                 out.append(("bw2", None, np.array([bw2(m, other)]), bw2_gradient(m, other)))
                 out.append(("measure", None, GaussianMeasure(np.zeros(m.shape[0]), m).cov))
             return out
@@ -1216,14 +1238,13 @@ class TestValidatedSpectrum:
             np.testing.assert_array_equal(measure.cov, 0.5 * (matrix + matrix.T))
 
     def test_reads_are_order_free(self):
-        # the default step reads extremes of both spectra, in any order
+        # the first step reads the extremes of the target's spectrum, in any order
         rng = np.random.default_rng(32)
         for d in (2, 5, 8):
-            mu, nu = random_spd(rng, d), random_spd(rng, d)
-            vals, mu_vals = linalg.clamped_eigen(sym(nu))[0], linalg.clamped_eigen(sym(mu))[0]
-            reg = pgd.REG_FACTOR * float(np.trace(nu))
-            ascending = pgd._default_step(vals, mu_vals, reg)
-            assert pgd._default_step(vals[::-1].copy(), mu_vals[::-1].copy(), reg) == ascending
+            vals = linalg.clamped_eigen(sym(random_spd(rng, d)))[0]
+            ascending = pgd._first_step(vals)
+            assert pgd._first_step(vals[::-1].copy()) == ascending
+            assert pgd._first_step(rng.permutation(vals)) == ascending
 
 
 class TestTransportMapBasis:
@@ -1301,8 +1322,9 @@ class TestTransportMapBasis:
 
 
 class TestRecordDrivenDescent:
-    """The descent reads the pair record's spectra, which on a pair whose
-    top eigenvalue lies in [1, 4) are a fresh decomposition's."""
+    """The descent reads the pair record's spectrum and its bound conjugated
+    into the target's eigenbasis, which on a pair whose top eigenvalue lies
+    in [1, 4) are a fresh decomposition's."""
 
     def test_matches_the_raw_descent_bit_for_bit(self, monkeypatch):
         records = []
@@ -1324,13 +1346,21 @@ class TestRecordDrivenDescent:
                 continue
             (record, (outcome, trace)), = records
             if below.method == "pgd":
-                # the record holds the caller's pair itself
-                fresh, fresh_trace = raw_descent(nu_cov, mu_cov)
+                # the record holds the caller's pair in the target's eigenbasis
+                nu_vals, _, lower = descent_frame(nu_cov, mu_cov)
                 compared["full"] += 1
             else:
-                # the reduced record: the target's top spectrum, a block of cov_mu
-                fresh, fresh_trace = raw_descent(record[0], record[2])
+                # the reduced record: the target's top spectrum, descending,
+                # and the block of cov_mu on its ordered eigenvectors
+                _, vals, vecs, k_nu = linalg._validated_eigh(nu_cov, "cov_nu")
+                vals, vecs = conventional_order(np.ldexp(vals, 2 * k_nu), vecs)
+                rank = below.diagnostics["rank_nu"]
+                nu_vals = vals[:rank]
+                lower = sym(vecs.T @ sym(mu_cov) @ vecs)[:rank, :rank]
                 compared["reduced"] += 1
+            assert np.array_equal(record[0], nu_vals), k
+            assert np.array_equal(record[1], lower), k
+            fresh, fresh_trace = pgd.pgd_project_above(nu_vals, lower)
             for field in ("covariance", "gradient"):
                 assert np.array_equal(getattr(outcome, field), getattr(fresh, field)), (k, field)
             assert outcome[1:6] == fresh[1:6], k  # objective, iterations, residual, stop

@@ -13,7 +13,11 @@ ufunc directly.  A call that comes back fails here.
 
 The descent reads the Gaussian solver's pair record, validated and
 decomposed once, so ``pgd.py`` calls none of the functions that symmetrise,
-check or decompose raw input; a call that comes back fails here too.
+check or decompose raw input; a call that comes back fails here too.  It
+runs in the target's eigenbasis, where the target's square root is the
+vector ``sqrt(lambda)`` and scales entrywise, so ``pgd.py`` neither rebuilds
+a dense matrix from a spectrum nor multiplies matrices: a dense root of the
+target would be of no use without a matrix product.
 """
 
 import ast
@@ -27,6 +31,9 @@ WRAPPERS = frozenset({
 })
 # what validates or decomposes raw input, which the descent's record already is
 RAW_INPUT = frozenset({"square_symmetric", "_validated_eigh", "sym", "require_finite"})
+# what forms a dense matrix from a spectrum, or multiplies by one
+DENSE_ROOT = frozenset({"_rebuild", "np.dot", "np.matmul", "np.einsum", "np.linalg.multi_dot",
+                        "bw2"})
 
 
 def _dotted(node: ast.expr) -> str | None:
@@ -83,7 +90,7 @@ def test_finds_raw_input_calls_by_name_and_through_a_module():
     source = '''
 m, vals, vecs, k = _validated_eigh(m, "m")
 half = linalg.square_symmetric(m, "m") + symmetric(m) + sym(m)
-outcome = pgd_project_above(nu, nu_eig, mu, mu_vals)
+outcome = pgd_project_above(nu_vals, mu)
 '''
     assert raw_input_calls(source) == [(2, "_validated_eigh"), (3, "linalg.square_symmetric"),
                                        (3, "sym")]
@@ -92,3 +99,40 @@ outcome = pgd_project_above(nu, nu_eig, mu, mu_vals)
 def test_descent_neither_checks_nor_decomposes_again():
     found = raw_input_calls((SOURCE / "pgd.py").read_text())
     assert found == [], f"the descent validates or decomposes its record again: {found}"
+
+
+def dense_root_uses(source: str) -> list[tuple[int, str]]:
+    """``(line, name)`` of each call in ``source`` to a function of
+    ``DENSE_ROOT`` (by its bare name or through a module) and of each ``@``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Call) and (name := _dotted(node.func)) and (
+                name in DENSE_ROOT or name.rsplit(".", 1)[-1] in DENSE_ROOT):
+            found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_finds_dense_roots_and_products():
+    source = '''
+half = _rebuild(np.sqrt(vals), vecs)
+inner = half @ s @ half
+inner = linalg._rebuild(root, vecs) + np.dot(a, b) + s * weights
+w @= v
+value = bw2(nu, s) + vals.sum()
+'''
+    assert dense_root_uses(source) == [
+        (2, "_rebuild"), (3, "@"), (3, "@"), (4, "linalg._rebuild"), (4, "np.dot"), (5, "@"),
+        (6, "bw2"),
+    ]
+
+
+def test_descent_forms_no_dense_root_of_its_target():
+    source = (SOURCE / "pgd.py").read_text()
+    assert dense_root_uses(source) == [], "the descent forms a dense root of its target"
+    # a planted dense root, as the descent once formed it, is caught
+    planted = source + "\nhalf = _rebuild(np.sqrt(nu_vals), vecs)\ninner = half @ s @ half\n"
+    lines = len(source.splitlines())
+    assert dense_root_uses(planted) == [(lines + 2, "_rebuild"), (lines + 3, "@"),
+                                        (lines + 3, "@")]

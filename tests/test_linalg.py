@@ -31,21 +31,26 @@ def rayleigh(m, basis):
     return np.diag(basis.T @ m @ basis)
 
 
+def ordered_basis(m):
+    """:func:`transport_map_basis` of ``m`` in the standard frame."""
+    return transport_map_basis(m, np.eye(np.shape(m)[0]))
+
+
 class TestEigenConvention:
     """The eigen-convention of :func:`transport_map_basis`, which orders the
     eigenbasis of any symmetric matrix: eigenvalues descending, signs fixed."""
 
     def test_identity(self):
-        np.testing.assert_allclose(transport_map_basis(np.eye(2)), np.eye(2))
+        np.testing.assert_allclose(ordered_basis(np.eye(2)), np.eye(2))
 
     def test_already_diagonal(self):
-        vecs = transport_map_basis(np.diag([3.0, 1.0]))
+        vecs = ordered_basis(np.diag([3.0, 1.0]))
         np.testing.assert_allclose(rayleigh(np.diag([3.0, 1.0]), vecs), [3.0, 1.0])
         np.testing.assert_allclose(np.abs(vecs), np.eye(2))
 
     def test_two_by_two_eigenpairs(self):
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
-        vecs = transport_map_basis(m)
+        vecs = ordered_basis(m)
         vals = rayleigh(m, vecs)
         np.testing.assert_allclose(vals, [3.0, 1.0], atol=1e-12)
         for k in range(2):
@@ -55,7 +60,7 @@ class TestEigenConvention:
         rng = np.random.default_rng(0)
         for _ in range(25):
             m = random_symmetric(rng, int(rng.integers(2, 8)))
-            vecs = transport_map_basis(m)
+            vecs = ordered_basis(m)
             assert np.all(np.diff(rayleigh(m, vecs)) <= 1e-12)
             np.testing.assert_allclose(vecs.T @ vecs, np.eye(vecs.shape[1]), atol=1e-10)
             for k in range(vecs.shape[1]):
@@ -72,15 +77,25 @@ class TestEigenConvention:
         cases = [block, -np.eye(3), np.array([[0.0, -1.0], [-1.0, 0.0]])]
         cases += [random_symmetric(rng, int(rng.integers(1, 9))) for _ in range(40)]
         for m in cases:
-            np.testing.assert_array_equal(transport_map_basis(m), eigen_convention(m)[1])
+            np.testing.assert_array_equal(ordered_basis(m), eigen_convention(m)[1])
 
     def test_diagonalises(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
             m = random_symmetric(rng, 5)
-            vecs = transport_map_basis(m)
+            vecs = ordered_basis(m)
             err = np.linalg.norm(vecs @ np.diag(rayleigh(m, vecs)) @ vecs.T - m)
             assert err <= 1e-12 * (1.0 + np.linalg.norm(m))
+
+    def test_maps_the_basis_out_of_its_frame(self):
+        # a matrix given in an orthonormal frame q, as the descent hands over
+        # its gradient, yields the ordered eigenbasis of the matrix itself
+        rng = np.random.default_rng(12)
+        for _ in range(25):
+            d = int(rng.integers(1, 8))
+            m, q = random_symmetric(rng, d), random_orthogonal(rng, d)
+            vecs = transport_map_basis(sym(q.T @ m @ q), q)
+            np.testing.assert_allclose(vecs, eigen_convention(m)[1], atol=1e-9)
 
 
 class TestBw2SquareRoot:
@@ -207,6 +222,37 @@ def test_the_largest_entries_are_read():
     top = np.diag([linalg.MAX_ENTRY, linalg.MAX_ENTRY])
     np.testing.assert_array_equal(linalg.square_symmetric(top, "m"), top)
     assert loewner_gap(top, top) == 0.0
+
+
+# each reader of a covariance paired with a 3x3 partner, with the name its
+# message gives that covariance: a 2x2 matrix within MAX_ENTRY cannot have a
+# trace or top eigenvalue beyond the double range
+COVARIANCE_READERS_3X3 = {
+    "bw2_a": (lambda m: bw2(m, np.eye(3)), "cov_a"),
+    "bw2_b": (lambda m: bw2(np.eye(3), m), "cov_b"),
+    "project_pair_mu": (lambda m: project_pair(m, np.eye(3)), "cov_mu"),
+    "project_pair_nu": (lambda m: project_pair(np.eye(3), m), "cov_nu"),
+    "GaussianMeasure": (lambda m: GaussianMeasure(np.zeros(3), m), "covariance"),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(COVARIANCE_READERS_3X3))
+def test_traces_beyond_the_range_are_refused(reader):
+    # finite entries within MAX_ENTRY whose trace and top eigenvalue, 2.4e308,
+    # are not doubles: project_pair raised OverflowError and bw2 numpy's
+    # LinAlgError
+    call, name = COVARIANCE_READERS_3X3[reader]
+    with pytest.raises(ValueError, match=f"^{name} trace and top eigenvalue must lie within "
+                                         "1.798e[+]308$"):
+        call(np.full((3, 3), 8e307))
+
+
+@pytest.mark.parametrize("reader", ["bw2_a", "bw2_b", "project_pair_mu", "project_pair_nu"])
+def test_traces_within_the_range_are_read(reader):
+    # a trace and top eigenvalue of 1.5e308 are doubles
+    out = COVARIANCE_READERS_3X3[reader][0](np.full((3, 3), 5e307))
+    distance = out if isinstance(out, float) else out[0].distance_sq
+    assert 0.0 < distance < np.inf
 
 
 # the entries whose reader runs the PSD test of _validated_eigh, at the
@@ -381,7 +427,7 @@ def shared_correlation(s1, s2):
     """The transport-map basis of a nonsingular pair and the correlation of
     the conjugated ``s1``, which the conjugated ``s2`` shares to 1e-10 of its
     Frobenius norm: the transport map is diagonal in that basis."""
-    basis = transport_map_basis(bw2_gradient(s1, s2))
+    basis = ordered_basis(bw2_gradient(s1, s2))
     m1, m2 = (sym(basis.T @ s @ basis) for s in (s1, s2))
     scale = np.sqrt(np.diag(m1))
     corr = m1 / np.outer(scale, scale)

@@ -5,8 +5,8 @@ from convex_order import pgd
 from convex_order.bures import bw2
 from convex_order.gaussian import project_pair
 from convex_order.linalg import clamped_eigen, loewner_gap, positive_part, sym
-from convex_order.pgd import _default_step
 from _utils import (
+    descent_frame,
     frobenius_project_above,
     random_commuting_pair,
     random_spd,
@@ -15,8 +15,8 @@ from _utils import (
 )
 
 # Random d = 4 pair (eigenvalues uniform on [0.2, 3], Haar eigenbasis) on
-# which a stop tested before backtracking ran to max_iter at 64x the
-# default step.
+# which a stop tested before backtracking ran to max_iter at 64x the first
+# step of an earlier, cruder step bound.
 D4_MU = np.array([
     [1.5378921525343272, 0.7132636896765547, -0.23220199096467684, -0.31254648644324035],
     [0.7132636896765547, 1.8839195363683416, 0.7397788902527065, -0.10910421171774322],
@@ -95,6 +95,53 @@ D10_NU = np.array([
     [-0.20241153923607885, -0.05479361596270872, 0.24155266225782313, 0.19495166972416572,
      0.13161741676825317, 0.23625975853594866, -0.03307541905965665, -0.07816972132339015,
      0.27267963368347803, 1.8898805030267185],
+])
+
+# 3x3 pair at draw 708,908 of random_spd(default_rng(5), 3) pairs, as drawn
+# (not exactly symmetric), which a descent started and clipped around a
+# cruder step bound left short of certification (order residual -3.966e-7
+# against a tolerance of 3.2e-7)
+D3_MU = np.array([
+    [0.6562981618621833, -0.36554261298367063, 0.4498297361635982],
+    [-0.36554261298367074, 1.0533050396022463, 0.006633798269487208],
+    [0.4498297361635982, 0.00663379826948723, 2.233296134210337],
+])
+D3_NU = np.array([
+    [1.3335462533045055, -0.2983534325492279, -0.29499214381624156],
+    [-0.29835343254922786, 0.7980284192409279, 0.5893551081054025],
+    [-0.2949921438162416, 0.5893551081054025, 1.7435410999368433],
+])
+
+# 6x6 pair of the benchmark's gaussian-pgd generator (seed 27, problem 139),
+# which raised CertificationError at order residual -5.866e-7 against a
+# tolerance of 3.9e-7 under the same cruder step bound
+D6_MU = np.array([
+    [2.01921304834622, -0.6061330127764901, -0.02282362008580972, 0.13837262991881108,
+     -0.2746366548254871, -0.11975906247253604],
+    [-0.6061330127764901, 2.0588833912360416, 0.2875388599071098, -0.06625530416049649,
+     -0.18241399052097157, -0.29597159364417197],
+    [-0.02282362008580972, 0.2875388599071098, 1.5720449405448649, -0.48397338735672624,
+     0.11787841219273473, -0.21839861333292895],
+    [0.13837262991881108, -0.06625530416049649, -0.48397338735672624, 1.9560928377571016,
+     0.3825455725252779, 0.06498937840554245],
+    [-0.2746366548254871, -0.18241399052097157, 0.11787841219273473, 0.3825455725252779,
+     2.385635123706787, -0.0007542463471820044],
+    [-0.11975906247253604, -0.29597159364417197, -0.21839861333292895, 0.06498937840554245,
+     -0.0007542463471820044, 1.7148301255503178],
+])
+D6_NU = np.array([
+    [2.190929590514689, 0.01563835795249915, 0.09127943069692701, -0.6094059369090266,
+     0.4510101224737606, -0.35288614164193244],
+    [0.01563835795249915, 1.9958420938425498, -0.016173688426897398, -0.1741255640119681,
+     -0.41604966574679236, -0.10297282191549019],
+    [0.09127943069692701, -0.016173688426897398, 1.6518767794167588, 0.4738966587604818,
+     -0.17514240660114816, 0.09009657258211426],
+    [-0.6094059369090266, -0.1741255640119681, 0.4738966587604818, 1.480725628187056,
+     -0.14022013135952105, 0.4076722217314179],
+    [0.4510101224737606, -0.41604966574679236, -0.17514240660114816, -0.14022013135952105,
+     1.7207058749977537, 0.2741996792803092],
+    [-0.35288614164193244, -0.10297282191549019, 0.09009657258211426, 0.4076722217314179,
+     0.2741996792803092, 1.2595526458714654],
 ])
 
 
@@ -195,8 +242,10 @@ class TestPgd:
         rng = np.random.default_rng(7)
         a, b = random_spd(rng, 4), random_spd(rng, 4)
         outcome, _ = raw_descent(b, a)
+        # the candidates live in the target's eigenbasis, as the bound does
+        lower = descent_frame(b, a)[2]
         assert len(candidates) > outcome.iterations
-        assert all(loewner_gap(a, c) >= -1e-10 for c in candidates)
+        assert all(loewner_gap(lower, c) >= -1e-10 for c in candidates)
         assert loewner_gap(a, outcome.covariance) >= -1e-8
 
     def test_singular_lower_bound_is_allowed(self):
@@ -235,17 +284,17 @@ class TestPgd:
         with pytest.raises(ValueError, match="finite"):
             raw_descent(np.eye(2), np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
-    def test_default_step_reuses_the_target_spectrum_bit_for_bit(self, monkeypatch):
+    def test_first_step_reuses_the_target_spectrum_bit_for_bit(self, monkeypatch):
         # the descent started from the step computed apart from it, from a
         # fresh eigensolve of the target, is the default descent
         rng = np.random.default_rng(12)
         for d in (2, 4, 7):
             mu, nu = random_spd(rng, d), random_spd(rng, d)
-            reg = 1e-10 * float(np.trace(nu))
-            step = _default_step(clamped_eigen(sym(nu))[0], clamped_eigen(sym(mu))[0], reg)
+            vals = clamped_eigen(sym(nu))[0]
+            step = float(vals.min()) + float(vals.max())
             implicit, _ = raw_descent(nu, mu)
             with monkeypatch.context() as patch:
-                patch.setattr(pgd, "_default_step", lambda *args: step)
+                patch.setattr(pgd, "_first_step", lambda *args: step)
                 explicit, _ = raw_descent(nu, mu)
             assert np.array_equal(implicit.covariance, explicit.covariance)
             assert implicit.iterations == explicit.iterations
@@ -260,9 +309,10 @@ class TestPgd:
 class TestStoppingRule:
     def test_converges_for_any_initial_step(self, monkeypatch):
         objectives = []
-        for factor in (1, 16, 64, 1024):
+        first_step = pgd._first_step
+        for factor in (1 / 1024, 1 / 64, 1, 16, 64, 1024):
             monkeypatch.setattr(
-                pgd, "_default_step", lambda *args, f=factor: f * _default_step(*args)
+                pgd, "_first_step", lambda *args, f=factor: f * first_step(*args)
             )
             outcome, _ = raw_descent(D4_NU, D4_MU)
             assert outcome.stop_reason == "residual"
@@ -278,12 +328,34 @@ class TestStoppingRule:
         assert loewner_gap(below.covariance, D10_NU) >= -1e-7
         assert loewner_gap(D10_MU, above.covariance) >= -1e-7
 
+    @pytest.mark.parametrize("mu, nu", [(D3_MU, D3_NU), (D6_MU, D6_NU)], ids=["d3", "d6"])
+    def test_certifies_a_pair_the_old_steps_left_short(self, mu, nu):
+        below, above = project_pair(mu, nu)
+        assert below.method == "pgd"
+        assert below.diagnostics["stop_reason"] == "residual"
+        assert below.transform.certified
+        # the certificate's tolerance, 1e-7 (1 + ||nu||_2), is met on either
+        # side (at -1.7e-7 against 3.2e-7, and -1.9e-7 against 3.9e-7)
+        tol = 1e-7 * (1.0 + np.linalg.norm(sym(nu), 2))
+        assert loewner_gap(below.covariance, sym(nu)) >= -tol
+        assert loewner_gap(sym(mu), above.covariance) >= -tol
+
+
+def first_step_mapping(nu, mu, covariance):
+    """The gradient mapping of the descent's answer ``covariance`` at the
+    fixed first step, ``||S - P(S - eta0 G)|| / eta0``, in the target's
+    eigenbasis, where the descent ran."""
+    vals, frame, lower = descent_frame(nu, mu)
+    eta0 = float(vals.min()) + float(vals.max())
+    s = sym(frame.T @ covariance @ frame)
+    _, grad = pgd._Objective(vals).value_and_gradient(s)
+    return np.linalg.norm(s - frobenius_project_above(s - eta0 * grad, lower)) / eta0
+
 
 class TestAccuracy:
     def test_matches_a_tightly_converged_reference(self, monkeypatch):
         # the stop leaves each answer within 1e-7 of a descent run to a
-        # tolerance 1e5 times tighter, and its gradient mapping at the fixed
-        # initial step within the stop tolerance
+        # tolerance 1e5 times tighter
         rng = np.random.default_rng(13)
         for k in range(30):
             d = 3 + k % 8
@@ -295,10 +367,20 @@ class TestAccuracy:
             s, ref = outcome.covariance, reference.covariance
             assert np.linalg.norm(s - ref) <= 1e-7 * np.linalg.norm(ref), k
             assert abs(outcome.objective - reference.objective) <= 1e-12 * abs(reference.objective), k
-            eta0 = _default_step(clamped_eigen(sym(nu))[0], clamped_eigen(sym(mu))[0],
-                                 pgd.REG_FACTOR * float(np.trace(nu)))
-            _, grad = pgd._Objective(nu, clamped_eigen(sym(nu))).value_and_gradient(s)
-            mapping = np.linalg.norm(s - frobenius_project_above(s - eta0 * grad, mu)) / eta0
+
+    @pytest.mark.parametrize("seed", [13, *range(30, 38)])
+    def test_gradient_mapping_at_the_first_step_meets_the_stop(self, seed):
+        # the stop reads the mapping at the accepted step, which does not
+        # bound it at a shorter one; at the first step lambda_min +
+        # lambda_max it stays within the stop tolerance on these 270 pairs
+        # (at most 0.83 of it), where the first step of a cruder bound
+        # exceeded it on one of them
+        rng = np.random.default_rng(seed)
+        for k in range(30):
+            d = 3 + k % 8
+            mu, nu = random_spd(rng, d), sym(random_spd(rng, d))
+            outcome, _ = raw_descent(nu, mu)
+            mapping = first_step_mapping(nu, mu, outcome.covariance)
             assert mapping <= pgd.RESIDUAL_TOL * (1.0 + np.linalg.norm(nu)), k
 
 
@@ -331,7 +413,8 @@ class TestWork:
 
     def test_cone_projections_on_a_seeded_set(self, monkeypatch):
         # each start and each evaluated candidate costs one cone projection
-        # and one objective eigensolve; this set makes 284 projections
+        # and one objective eigensolve; this set makes 261 projections (284
+        # when the first step and the band came from a cruder bound)
         cones = {"n": 0}
         project = pgd._project_above
 
@@ -345,4 +428,4 @@ class TestWork:
             for _ in range(3):
                 mu, nu = random_spd(rng, d), random_spd(rng, d)
                 assert raw_descent(nu, mu)[0].stop_reason == "residual"
-        assert 0 < cones["n"] <= 290
+        assert 0 < cones["n"] <= 270
