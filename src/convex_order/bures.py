@@ -13,6 +13,7 @@ from .linalg import (
     RANK_REL,
     LinalgError,
     NotPsdError,
+    _eigvalsh,
     _rebuild,
     _validated_eigh,
     require_in_range,
@@ -52,7 +53,7 @@ def bw2(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     a, b = c * a, c * b
     trace_a, trace_b = a.trace(), b.trace()
     half = _rebuild(np.sqrt(np.maximum(np.ldexp(vals, 2 * (k_a - k)), 0.0)), vecs)
-    cross_vals = np.linalg.eigvalsh(sym(half @ b @ half))
+    cross_vals = _eigvalsh(sym(half @ b @ half))
     # the product is checked at the scale it inherits from a and b (near
     # zero when their ranges are disjoint, whatever its roundoff), then
     # clamped; a NaN, from a b far from PSD that the scale overflowed, fails
@@ -65,6 +66,7 @@ def bw2(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     floor = -64.0 * _ROOT_EPS * (abs(trace_a) + abs(trace_b) + 1.0)
     if value < floor:
         raise LinalgError(f"bw2 came out {value:.3e}, below the roundoff floor")
+    require_in_range(value, k, "cov_a + cov_b")  # the distance is at most their trace
     return math.ldexp(max(value, 0.0), 2 * k)
 
 

@@ -46,6 +46,7 @@ import numpy as np
 from .linalg import (
     LinalgError,
     _eigh,
+    _eigvalsh,
     _ordered,
     _rebuild,
     _validated_eigh,
@@ -210,7 +211,7 @@ def _certify(
     contracted = d[:, None] * m_mu * d[None, :]
     # the order residual, the Loewner gap of contracted below m_nu; the
     # record is at unit scale already, and m_nu exactly symmetric
-    gap = float(np.linalg.eigvalsh(m_nu - sym(contracted)).min())
+    gap = float(_eigvalsh(m_nu - sym(contracted)).min())
     transform = OrderTransform(basis=basis, ratios=d, order_residual=pair.unit * gap,
                                certified=bool(gap >= -tol))
     return transform, (m_mu, m_nu, nu_pos, mu_diag, nu_diag, contracted)
@@ -282,6 +283,7 @@ def _route(pair: _Pair) -> tuple[OrderTransform, tuple[np.ndarray, ...], str, di
                                          pair.order_tol)
         diagnostics = {
             "iterations": outcome.iterations,
+            "evaluations": outcome.evaluations,
             "pgd_objective": pair.unit * outcome.objective,
             "pgd_residual": outcome.residual,
             "pgd_converged": outcome.converged,
@@ -352,7 +354,7 @@ def _saturated(pair: _Pair) -> bool:
     probe_vals, probe_vecs = clamped_eigen(sym(half @ pair.cov_mu @ half))
     probe = _rebuild(np.sqrt(probe_vals), probe_vecs)
     # the Loewner gap of cov_nu below probe, on the record at unit scale
-    return float(np.linalg.eigvalsh(probe - pair.cov_nu).min()) >= -tol
+    return float(_eigvalsh(probe - pair.cov_nu).min()) >= -tol
 
 
 def _refusal(vals: np.ndarray, cutoff: float, name: str, unit: float) -> str | None:

@@ -8,12 +8,16 @@ All functions are pure and operate on plain ``numpy`` arrays.  A caller's
 matrix passes one gate, :func:`square_symmetric`, once per public call;
 what is derived from its output is not checked again.  A caller's PSD
 matrix is read by :func:`_validated_eigh` alone, at the unit scale of its
-largest |entry|, the scale :func:`loewner_gap` takes too.  Only bases that
-leave a call pay for the eigen-convention (eigenvalues descending, signs
-fixed, :func:`_ordered`): those of :func:`transport_map_basis`, and those
-a caller orders itself.  Validated spectra, rebuilt matrices and read
-spectra keep LAPACK's ascending order and raw signs, and are read with
-``min`` and ``max``.
+largest |entry|, the scale :func:`loewner_gap` takes too.  Every eigensolve
+is :func:`_eigh` or :func:`_eigvalsh`, numpy's LAPACK gufunc called without
+its wrapper (the same bits).  A failed solve, which the gufunc fills with
+NaN (and numpy warns of), raises :class:`EigenSolveError` on a finite
+matrix; a non-finite one keeps the NaN spectrum for its caller's PSD test.
+Only bases that leave a call pay for the eigen-convention (eigenvalues
+descending, signs fixed, :func:`_ordered`): those of
+:func:`transport_map_basis`, and those a caller orders itself.  Validated
+spectra, rebuilt matrices and read spectra keep LAPACK's ascending order
+and raw signs, and are read with ``min`` and ``max``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 # Relative rank cutoff: an eigenvalue counts as nonzero when it exceeds
 # d * lambda_max * RANK_REL.  Roughly 50 bits of headroom above roundoff.
@@ -87,13 +92,19 @@ def square_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
 
 
 def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveError(
-            f"symmetric eigensolver did not converge on a {a.shape[0]}x{a.shape[0]} "
-            f"matrix (|off| = {np.abs(a - np.diag(np.diag(a))).max():.3e})"
-        ) from exc
+    vals, vecs = _umath_linalg.eigh_lo(a, signature="d->dd")
+    return _solved(vals, a), vecs
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    return _solved(_umath_linalg.eigvalsh_lo(a, signature="d->d"), a)
+
+
+def _solved(vals: np.ndarray, a: np.ndarray) -> np.ndarray:
+    if vals[-1] == vals[-1] or not np.isfinite(a).all():
+        return vals
+    raise EigenSolveError(f"symmetric eigensolver did not converge on a {len(a)}x{len(a)} "
+                          f"matrix (|off| = {np.abs(a - np.diag(np.diag(a))).max():.3e})")
 
 
 def _ordered(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,10 +161,9 @@ def clamped_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     eigenvalues clamped to zero unchecked, in LAPACK's ascending order with
     raw signs: only to rebuild a matrix or read order-free quantities.  For
     matrices derived from validated PSD input (products, blocks), whose
-    negative eigenvalues are roundoff at the scale of that input: nothing is
-    checked, finiteness included, since the descent calls it on every
-    candidate."""
-    vals, vecs = np.linalg.eigh(matrix)
+    negative eigenvalues are roundoff at the scale of that input: nothing
+    but the solve is checked, since the descent calls it on every candidate."""
+    vals, vecs = _eigh(matrix)
     return np.maximum(vals, 0.0), vecs
 
 
@@ -183,7 +193,7 @@ def loewner_gap(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("dimension mismatch")
     k = unit_scale_exponent(max(float(np.abs(a).max()), float(np.abs(b).max())))
     c = math.ldexp(1.0, -2 * k)
-    return float(np.linalg.eigvalsh(c * b - c * a).min()) * math.ldexp(1.0, 2 * k)
+    return float(_eigvalsh(c * b - c * a).min()) * math.ldexp(1.0, 2 * k)
 
 
 def positive_diag_mask(matrix: np.ndarray) -> np.ndarray:

@@ -51,7 +51,8 @@ class PgdOutcome(NamedTuple):
     ``gradient``, ``grad_S bw2(diag(lambda), S) = I - T``, where ``T`` is the
     transport map from ``N(0, S)`` onto ``N(0, diag(lambda))``, both in the
     target's eigenbasis; the Gaussian solver takes the order transform's
-    basis from its eigenvectors."""
+    basis from its eigenvectors.  ``evaluations`` counts the objective's
+    evaluations: one at the start and one per Armijo candidate."""
 
     covariance: np.ndarray
     objective: float
@@ -60,6 +61,7 @@ class PgdOutcome(NamedTuple):
     converged: bool
     stop_reason: str
     gradient: np.ndarray
+    evaluations: int
 
 
 def _project_above(matrix: np.ndarray, lower: np.ndarray) -> np.ndarray:
@@ -127,7 +129,7 @@ def pgd_project_above(nu_vals: np.ndarray, cov_mu: np.ndarray) -> tuple[PgdOutco
     residual = np.inf
     converged = False
     reason = "max_iter"
-    iterations = 0
+    iterations, evaluations = 0, 1
     eta = _first_step(nu_vals)
     # the last accepted step S - S_prev and the gradient at S_prev
     prev: tuple[np.ndarray, np.ndarray] | None = None
@@ -144,16 +146,15 @@ def pgd_project_above(nu_vals: np.ndarray, cov_mu: np.ndarray) -> tuple[PgdOutco
 
         # near the optimum the decrease sinks below the roundoff of f
         slack = 1e-12 * (1.0 + abs(f))
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
             candidate = _project_above(s - eta * grad, cov_mu)
             step = candidate - s
             f_cand, grad_cand = objective.value_and_gradient(candidate)
+            evaluations += 1
             if f_cand <= f + ARMIJO * float(np.vdot(grad, step)) + slack:
-                accepted = True
                 break
             eta *= 0.5
-        if not accepted:
+        else:  # no candidate passed
             reason = "stalled"
             break
 
@@ -168,5 +169,6 @@ def pgd_project_above(nu_vals: np.ndarray, cov_mu: np.ndarray) -> tuple[PgdOutco
             break
 
     outcome = PgdOutcome(covariance=s, objective=f, iterations=iterations, residual=residual,
-                         converged=converged, stop_reason=reason, gradient=grad)
+                         converged=converged, stop_reason=reason, gradient=grad,
+                         evaluations=evaluations)
     return outcome, trace

@@ -1,5 +1,6 @@
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -1072,8 +1073,10 @@ class TestPairInvariants:
 
 @pytest.fixture
 def eigensolves(monkeypatch):
-    """Counts ``numpy.linalg.eigh``/``eigvalsh`` calls, one per call."""
+    """Counts the LAPACK eigensolves made through ``linalg``'s one solver
+    binding, one per call."""
     count = {"n": 0}
+    solver = linalg._umath_linalg
 
     def counted(fn):
         def wrapper(*args, **kwargs):
@@ -1082,8 +1085,8 @@ def eigensolves(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    monkeypatch.setattr(linalg, "_umath_linalg", types.SimpleNamespace(
+        eigh_lo=counted(solver.eigh_lo), eigvalsh_lo=counted(solver.eigvalsh_lo)))
     return count
 
 
@@ -1442,6 +1445,8 @@ class TestSpectralWork:
             # the descent reads the record's spectra; each cone projection
             # is followed by one objective-and-gradient eigensolve
             assert inside["eig"] == 2 * inside["cone"]
+            # one cone projection and one objective per evaluation
+            assert inside["eig"] == 2 * below.diagnostics["evaluations"]
             # no basis leaves the descent, so none pays for the eigen-convention
             assert inside["ordered"] == 0
 
@@ -1465,6 +1470,7 @@ class TestSpectralWork:
             below, _ = project_pair(random_psd_singular(rng, d, d - 1), random_spd(rng, d))
             assert below.method == "pgd"
             assert eigensolves["n"] - inside["eig"] <= 4
+            assert inside["eig"] == 2 * below.diagnostics["evaluations"]
 
     def test_descent_starts_after_the_pair_decompositions(self, eigensolves, monkeypatch):
         # a refused commuting test, or none on a singular cov_mu, costs no

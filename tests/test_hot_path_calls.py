@@ -1,11 +1,13 @@
 """No numpy Python-level wrapper on the Gaussian route or in the WOT engine.
 
 ``np.sum``, ``np.trace``, ``np.any``, ``np.all``, ``np.clip``, ``np.outer``,
-``np.max``, ``np.min`` and ``np.linalg.norm`` are Python functions that
-dispatch, check their arguments and forward to an ndarray method or a ufunc
-(``x.sum()``, ``x.trace()``, ``x.any()``, ``x.all()``, ``np.maximum``,
-broadcasting, ``x.max()``, ``x.min()``, ``math.sqrt(np.vdot(x, x))``), which
-do the same floating-point operations.  On the small matrices of a Gaussian
+``np.max``, ``np.min``, ``np.linalg.norm``, ``np.linalg.eigh`` and
+``np.linalg.eigvalsh`` are Python functions that dispatch, check their
+arguments and forward to an ndarray method or a ufunc (``x.sum()``,
+``x.trace()``, ``x.any()``, ``x.all()``, ``np.maximum``, broadcasting,
+``x.max()``, ``x.min()``, ``math.sqrt(np.vdot(x, x))``, and LAPACK's
+gufuncs, which ``linalg._eigh`` and ``linalg._eigvalsh`` call), which do
+the same floating-point operations.  On the small matrices of a Gaussian
 solve that forwarding cost about a tenth of a full-rank solve, and the WOT
 engine (``discrete.py``) would pay it many times in every Newton step and
 simplex pivot of its small instances, so these modules call the method or
@@ -27,7 +29,7 @@ SOURCE = Path(__file__).resolve().parents[1] / "src" / "convex_order"
 HOT_PATH = ("pgd.py", "gaussian.py", "linalg.py", "bures.py", "discrete.py")
 WRAPPERS = frozenset({
     "np.sum", "np.trace", "np.any", "np.all", "np.clip", "np.outer", "np.max", "np.min",
-    "np.linalg.norm",
+    "np.linalg.norm", "np.linalg.eigh", "np.linalg.eigvalsh",
 })
 # what validates or decomposes raw input, which the descent's record already is
 RAW_INPUT = frozenset({"square_symmetric", "_validated_eigh", "sym", "require_finite"})
@@ -71,9 +73,11 @@ def test_finds_wrappers_and_not_methods():
 total = np.sum(x) + x.sum() + np.trace(m) + m.trace()
 size = np.linalg.norm(m) + math.sqrt(np.vdot(m, m))
 flat = np.maximum(x, 0.0) + np.clip(x, 0.0, None)
+low = np.linalg.eigvalsh(m)[0] + np.linalg.eigh(m)[0][0] + _eigvalsh(m)[0]
 '''
     assert wrapper_calls(source) == [
         (2, "np.sum"), (2, "np.trace"), (3, "np.linalg.norm"), (4, "np.clip"),
+        (5, "np.linalg.eigh"), (5, "np.linalg.eigvalsh"),
     ]
 
 
@@ -84,6 +88,16 @@ def test_hot_path_calls_no_wrapper():
         for line, call in wrapper_calls((SOURCE / name).read_text())
     ]
     assert found == [], f"numpy wrappers on the hot path: {found}"
+
+
+def test_one_module_binds_the_eigensolvers():
+    # numpy's LAPACK gufuncs are private to numpy, so one module names them
+    # and every eigensolve in the library goes through its two entries
+    modules = sorted(SOURCE.glob("*.py"))
+    assert [path.name for path in modules if "_umath_linalg" in path.read_text()] == ["linalg.py"]
+    found = [f"{path.name}:{line} {call}" for path in modules
+             for line, call in wrapper_calls(path.read_text()) if call.startswith("np.linalg.eig")]
+    assert found == [], f"eigensolves around the binding: {found}"
 
 
 def test_finds_raw_input_calls_by_name_and_through_a_module():

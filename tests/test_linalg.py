@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from convex_order import GaussianMeasure, linalg, project_pair
 from convex_order.bures import bw2
 from convex_order.linalg import (
+    EigenSolveError,
     NotPsdError,
     loewner_gap,
     positive_diag_mask,
@@ -354,6 +355,18 @@ def test_loewner_gap_of_a_far_from_psd_pair_is_finite():
     assert loewner_gap(1e-300 * np.eye(2), wild) == -1e300
 
 
+@pytest.mark.parametrize("swap", [False, True], ids=["a_then_b", "b_then_a"])
+def test_a_distance_beyond_the_range_is_refused(swap):
+    # each trace, 1.6e308, is a double and the distance between the disjoint
+    # ranges, 3.2e308, is not: scaling it back raised OverflowError
+    a, b = np.diag([8e307, 8e307, 0.0, 0.0]), np.diag([0.0, 0.0, 8e307, 8e307])
+    if swap:
+        a, b = b, a
+    with pytest.raises(ValueError, match="^cov_a [+] cov_b trace and top eigenvalue must lie "
+                                         "within 1.798e[+]308$"):
+        bw2(a, b)
+
+
 def test_a_scale_that_overflows_a_matrix_refuses_it():
     # a tiny diagonal sets the unit scale, which overflows off-diagonal
     # entries that no PSD matrix has; bw2 returned NaN, and bw2 and
@@ -413,6 +426,76 @@ def test_one_gate_per_matrix_per_public_call(call, monkeypatch):
     run, expected = GATED_CALLS[call]
     run()
     assert sorted(gated) == expected
+
+
+SOLVER = linalg._umath_linalg
+
+
+class FailingSolver:
+    """``linalg``'s solver binding with its calls counted, the one numbered
+    ``fail`` (from 0) returning NaN, as a LAPACK solve that fails does."""
+
+    def __init__(self, fail=-1):
+        self.calls, self.fail = 0, fail
+
+    def _solve(self, gufunc, a, signature):
+        out = gufunc(a, signature=signature)
+        self.calls += 1
+        if self.calls - 1 != self.fail:
+            return out
+        if isinstance(out, tuple):
+            return tuple(np.full_like(x, np.nan) for x in out)
+        return np.full_like(out, np.nan)
+
+    def eigh_lo(self, a, signature):
+        return self._solve(SOLVER.eigh_lo, a, signature)
+
+    def eigvalsh_lo(self, a, signature):
+        return self._solve(SOLVER.eigvalsh_lo, a, signature)
+
+
+@pytest.mark.parametrize("call", sorted(GATED_CALLS))
+def test_every_failed_eigensolve_raises_eigen_solve_error(call, monkeypatch):
+    # numpy's untyped LinAlgError escaped every eigensolve outside linalg._eigh
+    run = GATED_CALLS[call][0]
+    counted = FailingSolver()
+    monkeypatch.setattr(linalg, "_umath_linalg", counted)
+    run()
+    assert counted.calls > 0
+    for fail in range(counted.calls):
+        monkeypatch.setattr(linalg, "_umath_linalg", FailingSolver(fail))
+        with pytest.raises(EigenSolveError, match="^symmetric eigensolver did not converge on "):
+            run()
+
+
+def test_a_failed_solve_of_a_non_finite_matrix_keeps_its_nan_spectrum(monkeypatch):
+    # for the caller's PSD test, which bw2's overflowed product reaches
+    monkeypatch.setattr(linalg, "_umath_linalg", FailingSolver(0))
+    assert np.isnan(linalg._eigvalsh(np.array([[np.inf, 0.0], [0.0, 1.0]]))).all()
+
+
+def _spectral_cases(d):
+    """Seeded symmetric ``d x d`` matrices: general, diagonal, singular, and
+    with a repeated eigenvalue."""
+    rng = np.random.default_rng([4512, d])
+    q = random_orthogonal(rng, d)
+    singular = rng.uniform(0.5, 2.0, d)
+    singular[: d // 2 + 1] = 0.0
+    repeated = np.full(d, rng.uniform(0.5, 2.0))
+    repeated[0] = 3.0
+    return [random_symmetric(rng, d), np.diag(rng.normal(size=d)), (q * singular) @ q.T,
+            (q * repeated) @ q.T, np.eye(d)]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_the_eigensolvers_equal_numpys_bit_for_bit(d):
+    # the gufunc binding is private to numpy: a release that changes it fails here
+    for m in _spectral_cases(d):
+        vals, vecs = linalg._eigh(m)
+        ref_vals, ref_vecs = np.linalg.eigh(m)
+        assert vals.dtype == vecs.dtype == np.float64
+        assert vals.tobytes() == ref_vals.tobytes() and vecs.tobytes() == ref_vecs.tobytes()
+        assert linalg._eigvalsh(m).tobytes() == np.linalg.eigvalsh(m).tobytes()
 
 
 def _assert_shared(s1, s2, basis, corr, tol=1e-10):

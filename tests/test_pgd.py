@@ -245,6 +245,8 @@ class TestPgd:
         # the candidates live in the target's eigenbasis, as the bound does
         lower = descent_frame(b, a)[2]
         assert len(candidates) > outcome.iterations
+        # the start and each Armijo candidate are evaluated once
+        assert outcome.evaluations == len(candidates)
         assert all(loewner_gap(lower, c) >= -1e-10 for c in candidates)
         assert loewner_gap(a, outcome.covariance) >= -1e-8
 
@@ -275,7 +277,7 @@ class TestPgd:
         outcome, trace = raw_descent(b, a)
         assert outcome.stop_reason == "stalled"
         assert not outcome.converged
-        assert outcome.iterations == 1 and outcome.residual == np.inf
+        assert outcome.iterations == outcome.evaluations == 1 and outcome.residual == np.inf
         assert trace.objective == trace.grad_norm == []
         assert loewner_gap(a, outcome.covariance) >= -1e-12
         assert outcome.objective >= start.objective
