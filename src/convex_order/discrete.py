@@ -1,12 +1,12 @@
 """Weak-optimal-transport solver for finitely supported measures.
 
 Minimizes the barycentric cost ``sum_i w_i |x_i - m(pi_{x_i})|^2`` over the
-transportation polytope by a primal-dual interior-point method on the
-convex QP in the coupling and its row images, solves the optimality
-equations on the support it finds (or restores the marginals of its last
-iterate) and certifies the result by a weak-duality lower bound.  The
-pushforward of the first marginal under the conditional-barycenter map of
-an optimal coupling is the dominated-side Wasserstein projection.
+transportation polytope by a primal-dual interior-point method on the convex
+QP in the coupling and its row images, solves the optimality equations on
+the support it finds (or restores the marginals of its last iterate, else
+takes the product coupling) and certifies the result by a weak-duality lower
+bound.  The pushforward of the first marginal under the conditional-barycenter
+map of an optimal coupling is the dominated-side Wasserstein projection.
 ``exact_w2_sq`` solves the transportation LP by a network simplex.
 """
 
@@ -18,6 +18,7 @@ from typing import Any
 
 import numpy as np
 
+from .linalg import _solve, solve_rule
 from .measures import DiscreteMeasure
 
 MARGINAL_TOL = 1e-9
@@ -78,7 +79,7 @@ class Coupling:
             raise ValueError("coupling must be entrywise nonnegative")
         row_err = float(np.abs(pi.sum(axis=1) - self.mu.weights).max())
         col_err = float(np.abs(pi.sum(axis=0) - self.nu.weights).max())
-        if max(row_err, col_err) > MARGINAL_TOL:
+        if not (row_err <= MARGINAL_TOL and col_err <= MARGINAL_TOL):  # NaN fails too
             raise ValueError(f"marginal residuals ({row_err:.3e}, {col_err:.3e}) exceed "
                              f"{MARGINAL_TOL}")
         pi = np.maximum(pi, 0.0)
@@ -317,7 +318,8 @@ class WotResult:
     - ``stop_reason``: ``"gap"``; ``"forced"`` (a single atom on one side
       forces the product coupling); ``"roundoff"`` (the complementarity fell
       to roundoff first); ``"singular"`` (a Newton system gave no finite
-      step); or ``"max_iter"``.
+      step); or ``"max_iter"``;
+    - ``least_squares``: singular Schur complements solved by least norm (``lstsq``).
     """
 
     coupling: Coupling
@@ -354,7 +356,7 @@ def _restore_marginals(pi: np.ndarray, row_w: np.ndarray, col_w: np.ndarray) -> 
     row_gap = row_w - rows
     per_row = pi / rows[:, None]
     system = np.diag(cols[:-1]) - pi.T[:-1] @ per_row[:, :-1]
-    col_shift = np.append(np.linalg.solve(system, (col_w - cols - row_gap @ per_row)[:-1]), 0.0)
+    col_shift = np.append(_solve(system, (col_w - cols - row_gap @ per_row)[:-1]), 0.0)
     row_shift = (row_gap - pi @ col_shift) / rows
     return pi * ((1.0 + row_shift[:, None]) + col_shift)
 
@@ -384,6 +386,7 @@ class _NewtonSystem:
         self.image_rhs = np.empty((n, dim, m + 1))
         self.half_w_block = np.zeros((n, dim, dim))
         self.half_w_block[:, np.arange(dim), np.arange(dim)] = self.half_w
+        self.least_squares = 0  # the Schur solves that fell back to lstsq
 
     def factor(self, ratio: np.ndarray, pi: np.ndarray, z: np.ndarray) -> None:
         """Solve the blocks at the ratios ``d = ratio`` and the residuals of
@@ -408,7 +411,7 @@ class _NewtonSystem:
         image_rhs[:, :, :m] = spread[:, 1:]
         np.add(pi @ y - self.w_x - self.half_w * z, y_bar * r_row[:, None],
                out=image_rhs[:, :, m])
-        solved[:, 1:] = np.linalg.solve(image_block, image_rhs)
+        solved[:, 1:] = _solve(image_block, image_rhs)
         share = solved[:, 0, :m]
         np.divide(ratio, total[:, None], out=share)
         solved[:, 0, m] = r_row / total
@@ -433,10 +436,11 @@ class _NewtonSystem:
         eta = solved[:, :, m] - (solved[:, :, :m] @ t[:, :, None])[:, :, 0]
         rhs = self.r_col - ((ratio * t).sum(axis=0) + eta.reshape(-1) @ self.flat_spread)[:-1]
         try:
-            dv = np.linalg.solve(self.schur, rhs)
+            dv = _solve(self.schur, rhs)
         except np.linalg.LinAlgError:
             # on degenerate instances the complement can round to an exact
             # zero pivot: the least-norm solution leaves the free duals alone
+            self.least_squares += 1
             dv = np.linalg.lstsq(self.schur, rhs, rcond=None)[0]
         q = eta - (self.flat_solved[:, :-2] @ dv).reshape(n, dim + 1)
         moved = (q[:, None, :] @ self.cols)[:, 0, :]
@@ -504,15 +508,16 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
     (see ``_BLOCKED``).
 
     Once the complementarity falls to ``GAP_TOL * (1 + value)``, the iterate is
-    certified: the coupling is :meth:`_NewtonSystem.polish`'s solution on
-    the support ``pi > s`` if it meets the target, else the iterate with
-    :func:`_restore_marginals`, and ``gap`` is its value less
-    :func:`_lower_bound` at that solution's ``r = -z / 2``, ``b = -v / 2``.
-    The solve stops when the gap meets the target and resumes otherwise; a
-    complementarity below ``_ROUNDOFF * (1 + value)``, a singular Newton
-    system or ``MAX_ITER`` steps end it.  More than ``BUDGET`` cells
-    ``n * m``, or ``n (d + 1) (m + d) + m^2 > WOT_BUDGET``, raise
-    :class:`BudgetExceededError` (the README has times at the budget).
+    certified: the coupling is :meth:`_NewtonSystem.polish`'s solution on the
+    support ``pi > s`` if it meets the target, else the iterate with
+    :func:`_restore_marginals` if that is a :class:`Coupling`, else the product
+    coupling, and ``gap`` is its value less :func:`_lower_bound` at that
+    solution's ``r = -z / 2``, ``b = -v / 2``.  The solve stops when the gap
+    meets the target and resumes otherwise; a complementarity below ``_ROUNDOFF
+    * (1 + value)``, a singular Newton system (inside one ``linalg.solve_rule``)
+    or ``MAX_ITER`` steps end it.  More than ``BUDGET`` cells ``n * m``, or ``n
+    (d + 1) (m + d) + m^2 > WOT_BUDGET``, raise :class:`BudgetExceededError`
+    (the README has times at the budget).
     """
     _require_budget(mu, nu)
     n, m, dim = mu.size, nu.size, mu.dim
@@ -531,6 +536,7 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
     pi, s = primal_slack
     np.multiply(w_col, col_w, out=pi)
     z = 2.0 * (col_w @ y - x)
+    system = _NewtonSystem(x, y, w, col_w)
     if n == 1 or m == 1:
         # the product coupling is the only one; b_j = r_1.y_j closes the bound
         v = z[0] @ y.T
@@ -541,7 +547,6 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
         np.subtract(zy, zy.min(axis=1)[:, None] - 1.0 / w_col, out=s)
         v = np.zeros(m)
         max_steps = MAX_ITER
-        system = _NewtonSystem(x, y, w, col_w)
     certified_at: list[int] = []  # the steps after which the iterate was certified
     polished: list[int] = []  # and those after which its polish was
 
@@ -563,41 +568,46 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
             if gap <= GAP_TOL * (1.0 + value):
                 polished.append(steps)
                 return exact, value, gap
-        coupling = _restore_marginals(pi, w, col_w)
+        try:
+            coupling = _restore_marginals(pi, w, col_w)
+            Coupling(coupling, mu, nu)  # nonnegative, with both marginals
+        except (np.linalg.LinAlgError, ValueError):
+            coupling = w_col * col_w  # the product coupling always is
         return coupling, *bracket(coupling, z, v)
 
     steps = 0
     singular = False
-    while True:
-        # the interior iterate's own value is sum_i w_i |z_i / 2|^2
-        scale = 1.0 + 0.25 * float(w @ (z * z).sum(axis=1))
-        complementarity = float(np.vdot(pi, s)) if max_steps else 0.0
-        spent = complementarity <= _ROUNDOFF * scale or steps == max_steps
-        if complementarity <= GAP_TOL * scale or spent:
-            coupling, value, gap = certify()
-            if gap <= GAP_TOL * (1.0 + value) or spent:
-                break
-        try:
-            system.factor(pi / s, pi, z)
-            predictor, _, _, reach = system.direction(-s, primal_slack)
-            mean = complementarity / (n * m)
-            if reach < _BLOCKED:
-                correction = _CENTER * mean
-            else:
-                trial = primal_slack + min(1.0, reach) * predictor
-                sigma = (float(np.vdot(trial[0], trial[1])) / complementarity) ** 3
-                correction = sigma * mean - predictor[0] * predictor[1]
-            move, dz, dv, reach = system.direction(correction / pi - s, primal_slack)
-        except np.linalg.LinAlgError:
-            singular = True
-            if certified_at[-1:] != [steps]:
+    with solve_rule():  # a singular Newton system raises LinAlgError
+        while True:
+            # the interior iterate's own value is sum_i w_i |z_i / 2|^2
+            scale = 1.0 + 0.25 * float(w @ (z * z).sum(axis=1))
+            complementarity = float(np.vdot(pi, s)) if max_steps else 0.0
+            spent = complementarity <= _ROUNDOFF * scale or steps == max_steps
+            if complementarity <= GAP_TOL * scale or spent:
                 coupling, value, gap = certify()
-            break
-        alpha = min(1.0, 0.995 * reach)
-        primal_slack += alpha * move
-        v[:-1] += alpha * dv
-        z += alpha * dz
-        steps += 1
+                if gap <= GAP_TOL * (1.0 + value) or spent:
+                    break
+            try:
+                system.factor(pi / s, pi, z)
+                predictor, _, _, reach = system.direction(-s, primal_slack)
+                mean = complementarity / (n * m)
+                if reach < _BLOCKED:
+                    correction = _CENTER * mean
+                else:
+                    trial = primal_slack + min(1.0, reach) * predictor
+                    sigma = (float(np.vdot(trial[0], trial[1])) / complementarity) ** 3
+                    correction = sigma * mean - predictor[0] * predictor[1]
+                move, dz, dv, reach = system.direction(correction / pi - s, primal_slack)
+            except np.linalg.LinAlgError:
+                singular = True
+                if certified_at[-1:] != [steps]:
+                    coupling, value, gap = certify()
+                break
+            alpha = min(1.0, 0.995 * reach)
+            primal_slack += alpha * move
+            v[:-1] += alpha * dv
+            z += alpha * dz
+            steps += 1
 
     converged = gap <= GAP_TOL * (1.0 + value)
     stop_reason = ("forced" if max_steps == 0 else "gap" if converged else "singular"
@@ -609,7 +619,7 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
         iterations=steps,
         converged=converged,
         diagnostics={"complementarity": math.ldexp(complementarity, 2 * k),
-                     "certificates": len(certified_at),
+                     "certificates": len(certified_at), "least_squares": system.least_squares,
                      "polished": polished[-1:] == certified_at[-1:],
                      "scale_exponent": k, "stop_reason": stop_reason},
     )

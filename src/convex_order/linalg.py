@@ -17,7 +17,8 @@ Only bases that leave a call pay for the eigen-convention (eigenvalues
 descending, signs fixed, :func:`_ordered`): those of
 :func:`transport_map_basis`, and those a caller orders itself.  Validated
 spectra, rebuilt matrices and read spectra keep LAPACK's ascending order
-and raw signs, and are read with ``min`` and ``max``.
+and raw signs, and are read with ``min`` and ``max``.  Every linear solve is
+:func:`_solve`, bound the same way, inside one :func:`solve_rule` per loop.
 """
 
 from __future__ import annotations
@@ -98,6 +99,20 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
     return _solved(_umath_linalg.eigvalsh_lo(a, signature="d->d"), a)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a^-1 b`` by numpy's LAPACK gufunc, the same bits; see :func:`solve_rule`."""
+    gufunc = _umath_linalg.solve1 if b.ndim == a.ndim - 1 else _umath_linalg.solve
+    return gufunc(a, b, signature="dd->d")
+
+
+def solve_rule() -> np.errstate:
+    """numpy's ``solve`` rule, for all in its scope (a loop enters it once): the
+    invalid flag of a singular :func:`_solve` raises ``LinAlgError``; the rest pass."""
+    def singular(err: str, flag: int) -> None:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return np.errstate(all="ignore", invalid="call", call=singular)
 
 
 def _solved(vals: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -158,3 +158,36 @@ def patch_everywhere(monkeypatch, name, replacement):
     for module in list(sys.modules.values()):
         if module.__name__.startswith("convex_order") and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, replacement)
+
+
+def tiny_target_pairs(count):
+    """The first ``count`` pairs of a seeded family, ``default_rng([12, 9])``:
+    4 to 39 atoms a side in d = 1 to 3, Dirichlet weights, and one atom of
+    the target at weight 1e-9."""
+    rng = np.random.default_rng([12, 9])
+    for _ in range(count):
+        d = int(rng.integers(1, 4))
+        n, m = (int(v) for v in rng.integers(4, 40, size=2))
+        target_w = rng.dirichlet(np.ones(m)) * (1.0 - 1e-9)
+        target_w[int(rng.integers(m))] = 1e-9
+        mu = DiscreteMeasure(rng.normal(size=(n, d)), rng.dirichlet(np.ones(n)))
+        yield mu, DiscreteMeasure(0.8 * rng.normal(size=(m, d)), target_w / target_w.sum())
+
+
+# (dimension, atoms of mu, atoms of nu) of the benchmark's wot-simplex
+# workload, one problem each in turn
+WOT_SIMPLEX_SIZES = ((2, 8, 8), (2, 10, 10), (1, 12, 12), (2, 12, 8), (2, 8, 12),
+                     (2, 10, 12), (2, 12, 10), (1, 16, 16), (2, 9, 11), (2, 11, 9))
+
+
+def wot_simplex_pairs(seed, count):
+    """The first ``count`` problems of the benchmark's ``wot-simplex``
+    workload at ``seed``, drawn as its generator draws them:
+    ``default_rng([2, seed])``, points N(0, 1) for mu and N(0, 0.64) for nu,
+    Dirichlet(1) weights."""
+    rng = np.random.default_rng([2, seed])
+    for k in range(count):
+        dim, n, m = WOT_SIMPLEX_SIZES[k % len(WOT_SIMPLEX_SIZES)]
+        yield tuple(DiscreteMeasure(spread * rng.normal(size=(size, dim)),
+                                    rng.dirichlet(np.ones(size)))
+                    for size, spread in ((n, 1.0), (m, 0.8)))

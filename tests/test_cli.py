@@ -13,6 +13,7 @@ from convex_order.gaussian import project_pair
 from convex_order.linalg import NotPsdError
 from convex_order.measures import DiscreteMeasure, GaussianMeasure
 from convex_order.one_dim import g_function, is_convex_ordered_1d, project_1d_detail
+from _utils import tiny_target_pairs
 
 
 @pytest.fixture
@@ -354,8 +355,9 @@ class TestProjectDiscrete:
         report = json.loads(result.output)
         diag = report["diagnostics"]
         assert set(diag) == {"complementarity", "certificates", "polished", "scale_exponent",
-                             "stop_reason"}
+                             "stop_reason", "least_squares"}
         assert diag["stop_reason"] == "gap" and diag["polished"] is True
+        assert diag["least_squares"] == 0
         assert report["iterations"] >= 1 and diag["certificates"] >= 1
         # the gap target of 1e-10, at the unit scale 4^-1 of these points;
         # the polished coupling is optimal, so its bound may pass its value
@@ -421,6 +423,19 @@ class TestProjectDiscrete:
         assert result.exit_code == 3
         assert "duality gap 6.903e-01 not reached in 1 Newton steps" in result.stderr
         assert runner.invoke(main, ["project-discrete", problem]).exit_code == 0
+
+    @pytest.mark.parametrize("pair", [4, 132])
+    def test_a_tiny_target_weight_exits_with_the_gap(self, runner, tmp_path, pair):
+        # pair 4 raised Coupling's ValueError and pair 132 numpy's
+        # LinAlgError, both exit 4; the certified product coupling misses the
+        # gap target instead, an engine's typed outcome
+        mu, nu = list(tiny_target_pairs(pair + 1))[pair]
+        problem = write_problem(tmp_path / "p.json", {
+            side: {"points": m.points.tolist(), "weights": m.weights.tolist()}
+            for side, m in (("mu", mu), ("nu", nu))})
+        result = runner.invoke(main, ["project-discrete", problem])
+        assert result.exit_code == cli.SOLVER_ERROR
+        assert "not reached in" in result.stderr
 
     def test_zero_tol_is_never_met(self, runner, tmp_path, gap_tol):
         # the certified gap is not below 0 once roundoff stops the steps

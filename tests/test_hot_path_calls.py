@@ -1,13 +1,13 @@
 """No numpy Python-level wrapper on the Gaussian route or in the WOT engine.
 
 ``np.sum``, ``np.trace``, ``np.any``, ``np.all``, ``np.clip``, ``np.outer``,
-``np.max``, ``np.min``, ``np.linalg.norm``, ``np.linalg.eigh`` and
-``np.linalg.eigvalsh`` are Python functions that dispatch, check their
-arguments and forward to an ndarray method or a ufunc (``x.sum()``,
-``x.trace()``, ``x.any()``, ``x.all()``, ``np.maximum``, broadcasting,
-``x.max()``, ``x.min()``, ``math.sqrt(np.vdot(x, x))``, and LAPACK's
-gufuncs, which ``linalg._eigh`` and ``linalg._eigvalsh`` call), which do
-the same floating-point operations.  On the small matrices of a Gaussian
+``np.max``, ``np.min``, ``np.linalg.norm``, ``np.linalg.eigh``,
+``np.linalg.eigvalsh`` and ``np.linalg.solve`` are Python functions that
+dispatch, check their arguments and forward to an ndarray method or a ufunc
+(``x.sum()``, ``x.trace()``, ``x.any()``, ``x.all()``, ``np.maximum``,
+broadcasting, ``x.max()``, ``x.min()``, ``math.sqrt(np.vdot(x, x))``, and
+LAPACK's gufuncs, which ``linalg._eigh``, ``linalg._eigvalsh`` and
+``linalg._solve`` call), which do the same floating-point operations.  On the small matrices of a Gaussian
 solve that forwarding cost about a tenth of a full-rank solve, and the WOT
 engine (``discrete.py``) would pay it many times in every Newton step and
 simplex pivot of its small instances, so these modules call the method or
@@ -29,8 +29,10 @@ SOURCE = Path(__file__).resolve().parents[1] / "src" / "convex_order"
 HOT_PATH = ("pgd.py", "gaussian.py", "linalg.py", "bures.py", "discrete.py")
 WRAPPERS = frozenset({
     "np.sum", "np.trace", "np.any", "np.all", "np.clip", "np.outer", "np.max", "np.min",
-    "np.linalg.norm", "np.linalg.eigh", "np.linalg.eigvalsh",
+    "np.linalg.norm", "np.linalg.eigh", "np.linalg.eigvalsh", "np.linalg.solve",
 })
+# the wrappers of the LAPACK gufuncs that linalg binds
+BOUND = frozenset({"np.linalg.eigh", "np.linalg.eigvalsh", "np.linalg.solve"})
 # what validates or decomposes raw input, which the descent's record already is
 RAW_INPUT = frozenset({"square_symmetric", "_validated_eigh", "sym", "require_finite"})
 # what forms a dense matrix from a spectrum, or multiplies by one
@@ -74,10 +76,11 @@ total = np.sum(x) + x.sum() + np.trace(m) + m.trace()
 size = np.linalg.norm(m) + math.sqrt(np.vdot(m, m))
 flat = np.maximum(x, 0.0) + np.clip(x, 0.0, None)
 low = np.linalg.eigvalsh(m)[0] + np.linalg.eigh(m)[0][0] + _eigvalsh(m)[0]
+step = np.linalg.solve(m, b) + _solve(m, b) + np.linalg.lstsq(m, b)[0]
 '''
     assert wrapper_calls(source) == [
         (2, "np.sum"), (2, "np.trace"), (3, "np.linalg.norm"), (4, "np.clip"),
-        (5, "np.linalg.eigh"), (5, "np.linalg.eigvalsh"),
+        (5, "np.linalg.eigh"), (5, "np.linalg.eigvalsh"), (6, "np.linalg.solve"),
     ]
 
 
@@ -90,14 +93,15 @@ def test_hot_path_calls_no_wrapper():
     assert found == [], f"numpy wrappers on the hot path: {found}"
 
 
-def test_one_module_binds_the_eigensolvers():
+def test_one_module_binds_the_eigensolvers_and_the_solve():
     # numpy's LAPACK gufuncs are private to numpy, so one module names them
-    # and every eigensolve in the library goes through its two entries
+    # and every eigensolve and linear solve in the library goes through its
+    # three entries
     modules = sorted(SOURCE.glob("*.py"))
     assert [path.name for path in modules if "_umath_linalg" in path.read_text()] == ["linalg.py"]
     found = [f"{path.name}:{line} {call}" for path in modules
-             for line, call in wrapper_calls(path.read_text()) if call.startswith("np.linalg.eig")]
-    assert found == [], f"eigensolves around the binding: {found}"
+             for line, call in wrapper_calls(path.read_text()) if call in BOUND]
+    assert found == [], f"eigensolves or solves around the binding: {found}"
 
 
 def test_finds_raw_input_calls_by_name_and_through_a_module():

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -496,6 +497,45 @@ def test_the_eigensolvers_equal_numpys_bit_for_bit(d):
         assert vals.dtype == vecs.dtype == np.float64
         assert vals.tobytes() == ref_vals.tobytes() and vecs.tobytes() == ref_vecs.tobytes()
         assert linalg._eigvalsh(m).tobytes() == np.linalg.eigvalsh(m).tobytes()
+
+
+def _linear_systems(d):
+    """Seeded ``d x d`` systems: general, identity, diagonal, and of
+    condition number 1e14, each with a ``d x 3`` and a vector right-hand
+    side."""
+    rng = np.random.default_rng([4613, d])
+    ill = (random_orthogonal(rng, d) * np.logspace(0.0, -14.0, d)) @ random_orthogonal(rng, d)
+    matrices = [rng.normal(size=(d, d)), np.eye(d), np.diag(rng.uniform(0.5, 2.0, d)), ill]
+    return [(a, rng.normal(size=(d, 3)), rng.normal(size=d)) for a in matrices]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_the_solve_equals_numpys_bit_for_bit(d):
+    # the gufunc binding is private to numpy: a release that changes it fails
+    # here; the last check stacks the four systems
+    systems = _linear_systems(d)
+    for a, columns, vector in systems:
+        for b in (columns, vector):
+            x = linalg._solve(a, b)
+            assert x.dtype == np.float64 and x.tobytes() == np.linalg.solve(a, b).tobytes()
+    a, b = np.stack([s[0] for s in systems]), np.stack([s[1] for s in systems])
+    assert linalg._solve(a, b).tobytes() == np.linalg.solve(a, b).tobytes()
+
+
+def test_a_singular_solve_raises_inside_the_rule_only():
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])  # LU meets an exact zero pivot
+    outside = np.geterr()
+    for a, b in ((singular, np.ones(2)), (np.stack([np.eye(2), singular]), np.ones((2, 2, 3)))):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, b)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with linalg.solve_rule(), pytest.raises(np.linalg.LinAlgError, match="^Singular"):
+                linalg._solve(a, b)
+        assert np.geterr() == outside
+        # without the rule the gufunc only warns, and fills the solution with NaN
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert np.isnan(linalg._solve(a, b)).any()
 
 
 def _assert_shared(s1, s2, basis, corr, tol=1e-10):
