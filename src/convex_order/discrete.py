@@ -3,11 +3,12 @@
 Minimizes the barycentric cost ``sum_i w_i |x_i - m(pi_{x_i})|^2`` over the
 transportation polytope by a primal-dual interior-point method on the convex
 QP in the coupling and its row images, solves the optimality equations on
-the support it finds (or restores the marginals of its last iterate, else
-takes the product coupling) and certifies the result by a weak-duality lower
-bound.  The pushforward of the first marginal under the conditional-barycenter
-map of an optimal coupling is the dominated-side Wasserstein projection.
-``exact_w2_sq`` solves the transportation LP by a network simplex.
+the support it finds, once early if the iterate has settled (or restores the
+marginals of its last iterate, else takes the product coupling), and
+certifies the result by a weak-duality lower bound.  The pushforward of the
+first marginal under the conditional-barycenter map of an optimal coupling is
+the dominated-side Wasserstein projection.  ``exact_w2_sq`` solves the
+transportation LP by a network simplex.
 """
 
 from __future__ import annotations
@@ -45,6 +46,10 @@ _POLISH_WEIGHT = 1e7
 _POLISH_STEPS = 2
 _POLISH_ROUNDS = 3
 _POLISH_RESIDUAL = 1e-15
+# one early polish try (one support, no lstsq) at a complementarity below this fraction of
+# 1 + value, once each cell's last step kept pi_ij or s_ij above 1 - _SETTLED, the other below
+_EARLY_POLISH = 1e-6
+_SETTLED = 0.3
 
 
 class BudgetExceededError(ValueError):
@@ -311,7 +316,7 @@ class WotResult:
     gap met ``GAP_TOL * (1 + value)`` at unit scale.  ``diagnostics`` holds:
 
     - ``complementarity``: ``sum_ij pi_ij s_ij`` of the last iterate;
-    - ``certificates``: the iterates certified;
+    - ``certificates``: the iterates certified, an early polish try only if it ends the solve;
     - ``polished``: whether the coupling is the polish's, not the restored
       iterate;
     - ``scale_exponent``: the ``k`` of the unit scale ``2^k``;
@@ -424,13 +429,14 @@ class _NewtonSystem:
         schur.flat[::m] = (share * (total[:, None] - ratio)).sum(axis=0)[:-1] - image_diag
         self.schur = schur
 
-    def direction(self, t: np.ndarray, primal_slack: np.ndarray | float):
+    def direction(self, t: np.ndarray, primal_slack: np.ndarray | float, least_norm: bool):
         """The step whose complementarity rows read ``s dpi + pi ds = pi t``:
         ``dpi = d (moved + t)`` and ``ds = -moved``, where ``moved_ij =
         a_ij.q_i + dv_j`` and ``K_i q_i = residual_i - sum_j d_ij (t_ij +
         dv_j) a_ij``.  Returns the stacked ``(dpi, ds)``, ``dz``, ``dv`` and
         the largest step that keeps ``primal_slack`` nonnegative; a step
-        that is not finite raises ``LinAlgError``."""
+        that is not finite, or a singular Schur complement unless
+        ``least_norm``, raises ``LinAlgError``."""
         n, m, dim = self.shape
         solved, ratio = self.solved, self.ratio
         eta = solved[:, :, m] - (solved[:, :, :m] @ t[:, :, None])[:, :, 0]
@@ -438,6 +444,8 @@ class _NewtonSystem:
         try:
             dv = _solve(self.schur, rhs)
         except np.linalg.LinAlgError:
+            if not least_norm:
+                raise
             # on degenerate instances the complement can round to an exact
             # zero pivot: the least-norm solution leaves the free duals alone
             self.least_squares += 1
@@ -453,18 +461,18 @@ class _NewtonSystem:
             raise np.linalg.LinAlgError("the Newton step is not finite")
         return out, q[:, 1:], dv, -1.0 / lowest if lowest < 0.0 else math.inf
 
-    def polish(self, support: np.ndarray, *start: np.ndarray):
+    def polish(self, support: np.ndarray, rounds: int, least_norm: bool, *start: np.ndarray):
         """The solution ``(pi, z, v)`` from ``start = (pi, s, z, v)`` of the
         optimality equations on ``support``: ``s = 0`` there, ``pi = 0`` off
         it, and the marginal and image equations.  ``_POLISH_STEPS`` proximal
         Newton steps (ratio ``_POLISH_WEIGHT`` on the support: each solves
-        ``s_ij + dpi_ij / _POLISH_WEIGHT = 0``) take them to roundoff.  Cells
-        whose ``pi`` comes out negative leave the support, for at most
-        ``_POLISH_ROUNDS`` supports.  ``LinAlgError`` if a row or column
-        misses the support, or the last leaves ``pi < 0`` or a marginal off
-        by more than ``_POLISH_RESIDUAL``, without which the bound's gap
-        would not certify a coupling."""
-        for _ in range(_POLISH_ROUNDS):
+        ``s_ij + dpi_ij / _POLISH_WEIGHT = 0``; ``least_norm`` as in
+        :meth:`direction`) take them to roundoff.  Cells whose ``pi`` comes
+        out negative leave the support, for at most ``rounds`` supports.
+        ``LinAlgError`` if a row or column misses the support, or the last
+        leaves ``pi < 0`` or a marginal off by more than ``_POLISH_RESIDUAL``,
+        without which the bound's gap would not certify a coupling."""
+        for _ in range(rounds):
             if not (support.any(axis=1).all() and support.any(axis=0).all()):
                 raise np.linalg.LinAlgError("a row or column misses the support")
             ratio = np.where(support, _POLISH_WEIGHT, 0.0)
@@ -472,7 +480,7 @@ class _NewtonSystem:
             s, z, v = (a.copy() for a in start[1:])
             for _ in range(_POLISH_STEPS):
                 self.factor(ratio, pi, z)
-                (dpi, ds), dz, dv, _ = self.direction(-s, 1.0)
+                (dpi, ds), dz, dv, _ = self.direction(-s, 1.0, least_norm)
                 pi += dpi
                 s += ds
                 z += dz
@@ -518,6 +526,11 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
     or ``MAX_ITER`` steps end it.  More than ``BUDGET`` cells ``n * m``, or ``n
     (d + 1) (m + d) + m^2 > WOT_BUDGET``, raise :class:`BudgetExceededError`
     (the README has times at the budget).
+
+    Once before that, at the first step where the complementarity is below
+    ``_EARLY_POLISH * (1 + value)`` and every cell has settled (``_SETTLED``),
+    the polish tries one support without ``lstsq``; the solve stops there if the
+    gap meets the target, and otherwise goes on as if untried.
     """
     _require_budget(mu, nu)
     n, m, dim = mu.size, nu.size, mu.dim
@@ -547,27 +560,30 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
         np.subtract(zy, zy.min(axis=1)[:, None] - 1.0 / w_col, out=s)
         v = np.zeros(m)
         max_steps = MAX_ITER
-    certified_at: list[int] = []  # the steps after which the iterate was certified
-    polished: list[int] = []  # and those after which its polish was
+    certified: list[bool] = []  # one entry per certified iterate: whether its polish was
 
     def bracket(coupling: np.ndarray, z: np.ndarray, v: np.ndarray) -> tuple[float, float]:
         residual = x - (coupling @ y) / w_col
         value = float(w @ (residual * residual).sum(axis=1))
         return value, value - _lower_bound(x, w, y, col_w, -0.5 * z, -0.5 * v)
 
+    def polish(rounds: int, least_norm: bool) -> tuple[np.ndarray, float, float] | None:
+        try:
+            exact, exact_z, exact_v = system.polish(pi > s, rounds, least_norm, pi, s, z, v)
+        except np.linalg.LinAlgError:
+            return None
+        value, gap = bracket(exact, exact_z, exact_v)
+        if gap > GAP_TOL * (1.0 + value):
+            return None
+        certified.append(True)
+        return exact, value, gap
+
     def certify() -> tuple[np.ndarray, float, float]:
-        certified_at.append(steps)
+        if max_steps and (exact := polish(_POLISH_ROUNDS, True)) is not None:
+            return exact
+        certified.append(False)
         if max_steps == 0:
             return pi.copy(), *bracket(pi, z, v)
-        try:
-            exact, exact_z, exact_v = system.polish(pi > s, pi, s, z, v)
-        except np.linalg.LinAlgError:
-            pass  # the restored iterate is certified instead
-        else:
-            value, gap = bracket(exact, exact_z, exact_v)
-            if gap <= GAP_TOL * (1.0 + value):
-                polished.append(steps)
-                return exact, value, gap
         try:
             coupling = _restore_marginals(pi, w, col_w)
             Coupling(coupling, mu, nu)  # nonnegative, with both marginals
@@ -577,6 +593,7 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
 
     steps = 0
     singular = False
+    early, last = True, primal_slack.copy()  # the early try is to come; pi, s before a step
     with solve_rule():  # a singular Newton system raises LinAlgError
         while True:
             # the interior iterate's own value is sum_i w_i |z_i / 2|^2
@@ -587,9 +604,16 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
                 coupling, value, gap = certify()
                 if gap <= GAP_TOL * (1.0 + value) or spent:
                     break
+            elif early and complementarity <= _EARLY_POLISH * scale:
+                low, high = np.sort(primal_slack / last, axis=0)  # the shares each cell kept
+                if (low < _SETTLED).all() and (high > 1.0 - _SETTLED).all():
+                    early = False
+                    if (exact := polish(1, False)) is not None:
+                        coupling, value, gap = exact
+                        break
             try:
                 system.factor(pi / s, pi, z)
-                predictor, _, _, reach = system.direction(-s, primal_slack)
+                predictor, _, _, reach = system.direction(-s, primal_slack, True)
                 mean = complementarity / (n * m)
                 if reach < _BLOCKED:
                     correction = _CENTER * mean
@@ -597,13 +621,14 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
                     trial = primal_slack + min(1.0, reach) * predictor
                     sigma = (float(np.vdot(trial[0], trial[1])) / complementarity) ** 3
                     correction = sigma * mean - predictor[0] * predictor[1]
-                move, dz, dv, reach = system.direction(correction / pi - s, primal_slack)
+                move, dz, dv, reach = system.direction(correction / pi - s, primal_slack, True)
             except np.linalg.LinAlgError:
                 singular = True
-                if certified_at[-1:] != [steps]:
+                if complementarity > GAP_TOL * scale:  # else certified at this step
                     coupling, value, gap = certify()
                 break
             alpha = min(1.0, 0.995 * reach)
+            last[:] = primal_slack
             primal_slack += alpha * move
             v[:-1] += alpha * dv
             z += alpha * dz
@@ -619,8 +644,8 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
         iterations=steps,
         converged=converged,
         diagnostics={"complementarity": math.ldexp(complementarity, 2 * k),
-                     "certificates": len(certified_at), "least_squares": system.least_squares,
-                     "polished": polished[-1:] == certified_at[-1:],
+                     "certificates": len(certified), "least_squares": system.least_squares,
+                     "polished": certified[-1:] == [True],
                      "scale_exponent": k, "stop_reason": stop_reason},
     )
 

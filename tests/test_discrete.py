@@ -563,8 +563,10 @@ class TestSolveWot:
         assert diag["stop_reason"] == "gap" and result.converged and diag["polished"]
         assert isinstance(result.iterations, int) and 0 < result.iterations < discrete.MAX_ITER
         assert diag["certificates"] == 1
-        # the certificate was tried once the complementarity met the target
-        assert 0.0 < diag["complementarity"] <= 1e-10 * (1.0 + result.value)
+        # the certificate was tried once the complementarity met the target:
+        # the early polish try's if the coupling is polished, else the gap's
+        target = discrete._EARLY_POLISH if diag["polished"] else discrete.GAP_TOL
+        assert 0.0 < diag["complementarity"] <= target * (1.0 + result.value)
 
         with monkeypatch.context() as patch:
             patch.setattr(discrete, "MAX_ITER", 1)
@@ -786,6 +788,117 @@ class TestSolveWot:
             counts.update(dict.fromkeys(counts, 0))
             assert solve_wot(mu, nu).converged
             assert counts == dict.fromkeys(counts, 0)
+
+
+def equal_measure_pairs(count):
+    """``count`` pairs mu = mu of ``default_rng(9001)``: 3 to 19 atoms in
+    d = 1 to 3, N(0, 1) points and Dirichlet weights."""
+    rng = np.random.default_rng(9001)
+    for _ in range(count):
+        n, d = int(rng.integers(3, 20)), int(rng.integers(1, 4))
+        mu = DiscreteMeasure(rng.normal(size=(n, d)), rng.dirichlet(np.ones(n)))
+        yield mu, mu
+
+
+def outcome(result):
+    """Everything a solve returns, for bit-for-bit comparisons."""
+    return (result.coupling.pi.tobytes(), result.value, result.gap, result.iterations,
+            result.converged, result.diagnostics)
+
+
+class TestEarlyPolish:
+    """The one early polish try of ``solve_wot``.  ``_EARLY_POLISH = 0``
+    turns it off, which is the solve without it."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """``solve_wot`` that returns with its result its early tries (the
+        polishes of one support), each as the least-norm solves it made and
+        the error it raised (``None`` if it returned)."""
+        polish = discrete._NewtonSystem.polish
+        tries = []
+
+        def counting(self, support, rounds, least_norm, *start):
+            if rounds != 1:
+                return polish(self, support, rounds, least_norm, *start)
+            before, error = self.least_squares, None
+            try:
+                return polish(self, support, rounds, least_norm, *start)
+            except np.linalg.LinAlgError as raised:
+                error = str(raised)
+                raise
+            finally:
+                tries.append((self.least_squares - before, error))
+        monkeypatch.setattr(discrete._NewtonSystem, "polish", counting)
+
+        def solve(mu, nu):
+            tries.clear()
+            result = solve_wot(mu, nu)
+            return result, list(tries)
+        return solve
+
+    def test_a_failed_or_absent_try_changes_no_bit(self, monkeypatch):
+        # mu = nu never settles, so no try is made; on the tiny-target family
+        # every try fails: both solve bit for bit as without the try, with
+        # the same least-norm solves
+        pairs = list(equal_measure_pairs(60)) + list(tiny_target_pairs(40))
+        solve = self.counted(monkeypatch)
+        tried = [solve(mu, nu) for mu, nu in pairs]
+        monkeypatch.setattr(discrete, "_EARLY_POLISH", 0.0)
+        for (mu, nu), (result, tries) in zip(pairs, tried):
+            reference, untried = solve(mu, nu)
+            assert untried == [] and len(tries) <= 1
+            assert outcome(result) == outcome(reference)
+        assert sum(len(tries) for _, tries in tried[60:]) > 0
+        assert sum(result.diagnostics["least_squares"] for result, _ in tried[:60]) > 0
+
+    def test_a_try_solves_no_schur_complement_by_least_norm(self, monkeypatch):
+        # n atoms against n of equal weights: many tries meet an exactly
+        # singular Schur complement, which ends the try, and the solve goes
+        # on as without it
+        rng = np.random.default_rng(7)
+        pairs = []
+        for _ in range(60):
+            n, d = int(rng.integers(3, 12)), int(rng.integers(1, 3))
+            pairs.append(tuple(DiscreteMeasure(spread * rng.normal(size=(n, d)), np.full(n, 1 / n))
+                               for spread in (1.0, 0.8)))
+        solve = self.counted(monkeypatch)
+        tried = [solve(mu, nu) for mu, nu in pairs]
+        monkeypatch.setattr(discrete, "_EARLY_POLISH", 0.0)
+        for (mu, nu), (result, tries) in zip(pairs, tried):
+            assert len(tries) <= 1 and all(lstsq_calls == 0 for lstsq_calls, _ in tries)
+            if any(error is not None for _, error in tries):
+                assert outcome(result) == outcome(solve_wot(mu, nu))
+        assert sum(error == "Singular matrix" for _, tries in tried for _, error in tries) >= 5
+
+    def test_the_workload_keeps_its_projections_in_fewer_steps(self, monkeypatch):
+        pairs = list(wot_simplex_pairs(401, 300))
+        solve = self.counted(monkeypatch)
+        tried = [solve(mu, nu) for mu, nu in pairs]
+        monkeypatch.setattr(discrete, "_EARLY_POLISH", 0.0)
+        reference = [solve_wot(mu, nu) for mu, nu in pairs]
+        for (result, tries), parent in zip(tried, reference):
+            assert result.converged and len(tries) <= 1
+            np.testing.assert_allclose(result.coupling.conditional_barycenters(),
+                                       parent.coupling.conditional_barycenters(),
+                                       rtol=0.0, atol=1e-12)
+            assert abs(result.value - parent.value) <= 1e-15 * (1.0 + parent.value)
+        assert (sum(r.diagnostics["polished"] for r, _ in tried)
+                == sum(r.diagnostics["polished"] for r in reference))
+        # some tries fail, and the solve goes on past them
+        assert sum(error is not None for _, tries in tried for _, error in tries) >= 5
+        assert np.mean([r.iterations for r, _ in tried]) <= 10.0
+
+    def test_a_try_on_the_wrong_support_is_not_accepted(self, monkeypatch):
+        # a try forced after the first step, far from the optimal support:
+        # only a polish that meets the gap target may end the solve
+        monkeypatch.setattr(discrete, "_EARLY_POLISH", math.inf)
+        monkeypatch.setattr(discrete, "_SETTLED", 1.0)
+        for mu, nu in wot_simplex_pairs(401, 100):
+            result = solve_wot(mu, nu)
+            assert result.converged
+            assert result.gap <= discrete.GAP_TOL * (1.0 + result.value)
+            assert result.diagnostics["stop_reason"] == "gap"
 
 
 ULPS_64 = 64.0 * np.finfo(float).eps
