@@ -50,6 +50,8 @@ _POLISH_RESIDUAL = 1e-15
 # 1 + value, once each cell's last step kept pi_ij or s_ij above 1 - _SETTLED, the other below
 _EARLY_POLISH = 1e-6
 _SETTLED = 0.3
+# the start's share c of the slacks s_ij = z_i.y_j - min_k z_i.y_k + c (1 / w_i + 1 / nu_j)
+_START = 0.1
 
 
 class BudgetExceededError(ValueError):
@@ -397,37 +399,44 @@ class _NewtonSystem:
         """Solve the blocks at the ratios ``d = ratio`` and the residuals of
         ``(pi, z)``, and form the Schur complement."""
         m = self.shape[1]
-        y, w, every_row, cols, spread, solved = (self.y, self.w, self.every_row, self.cols,
-                                                 self.spread, self.solved)
+        y, every_row, cols, spread, solved = (self.y, self.every_row, self.cols, self.spread,
+                                              self.solved)
         self.ratio = ratio
-        total = ratio.sum(axis=1)
+        self.total = total = np.add.reduce(ratio, axis=1)
         largest = ratio.argmax(axis=1)
         rest = ratio.copy()
         rest[every_row, largest] = 0.0
-        y_bar = (ratio @ y) / total[:, None]
-        np.subtract(y_bar[:, :, None], self.y_t, out=cols[:, 1:])
-        cols[every_row, 1:, largest] = (rest @ y - rest.sum(axis=1)[:, None] * y[largest]) \
-            / total[:, None]
+        self.y_bar = (ratio @ y) / total[:, None]
+        np.subtract(self.y_bar[:, :, None], self.y_t, out=cols[:, 1:])
+        cols[every_row, 1:, largest] = (rest @ y - np.add.reduce(rest, axis=1)[:, None]
+                                        * y[largest]) / total[:, None]
         np.multiply(ratio[:, None, :], cols, out=spread)
-        image_block = spread[:, 1:] @ cols[:, 1:].transpose(0, 2, 1) + self.half_w_block
-        r_row = w - pi.sum(axis=1)
-        self.r_col = (self.col_w - pi.sum(axis=0))[:-1]
-        image_rhs = self.image_rhs
-        image_rhs[:, :, :m] = spread[:, 1:]
-        np.add(pi @ y - self.w_x - self.half_w * z, y_bar * r_row[:, None],
-               out=image_rhs[:, :, m])
-        solved[:, 1:] = _solve(image_block, image_rhs)
+        self.image_block = spread[:, 1:] @ cols[:, 1:].transpose(0, 2, 1) + self.half_w_block
+        self.image_rhs[:, :, :m] = spread[:, 1:]
+        self.residual(pi, z, 0)
         share = solved[:, 0, :m]
         np.divide(ratio, total[:, None], out=share)
-        solved[:, 0, m] = r_row / total
         self.flat_spread = spread.reshape(-1, m)
         self.flat_solved = solved.reshape(-1, m + 1)
         # D_col - sum_i B_i' K_i^-1 B_i, whose row part D_col - sum_i d_i d_i'
         # / total_i has the diagonal sum_i d_ij (total_i - d_ij) / total_i
         schur = -(self.flat_spread[:, :-1].T @ self.flat_solved[:, :-2])
-        image_diag = (spread[:, 1:, :-1] * solved[:, 1:, :-2]).sum(axis=(0, 1))
-        schur.flat[::m] = (share * (total[:, None] - ratio)).sum(axis=0)[:-1] - image_diag
+        image_diag = np.add.reduce(spread[:, 1:, :-1] * solved[:, 1:, :-2], axis=(0, 1))
+        schur.flat[::m] = np.add.reduce(share * (total[:, None] - ratio), axis=0)[:-1] - image_diag
         self.schur = schur
+
+    def residual(self, pi: np.ndarray, z: np.ndarray, first: int) -> None:
+        """Set the marginal and image residuals of ``(pi, z)`` and solve the
+        blocks of the last :meth:`factor` for the right-hand sides from column
+        ``first`` on (``m``: the residuals alone, as the ratios are unchanged)."""
+        m = self.shape[1]
+        solved, image_rhs = self.solved, self.image_rhs
+        r_row = self.w - np.add.reduce(pi, axis=1)
+        self.r_col = (self.col_w - np.add.reduce(pi, axis=0))[:-1]
+        np.add(pi @ self.y - self.w_x - self.half_w * z, self.y_bar * r_row[:, None],
+               out=image_rhs[:, :, m])
+        solved[:, 1:, first:] = _solve(self.image_block, image_rhs[:, :, first:])
+        solved[:, 0, m] = r_row / self.total
 
     def direction(self, t: np.ndarray, primal_slack: np.ndarray | float, least_norm: bool):
         """The step whose complementarity rows read ``s dpi + pi ds = pi t``:
@@ -440,7 +449,8 @@ class _NewtonSystem:
         n, m, dim = self.shape
         solved, ratio = self.solved, self.ratio
         eta = solved[:, :, m] - (solved[:, :, :m] @ t[:, :, None])[:, :, 0]
-        rhs = self.r_col - ((ratio * t).sum(axis=0) + eta.reshape(-1) @ self.flat_spread)[:-1]
+        rhs = self.r_col - (np.add.reduce(ratio * t, axis=0)
+                            + eta.reshape(-1) @ self.flat_spread)[:-1]
         try:
             dv = _solve(self.schur, rhs)
         except np.linalg.LinAlgError:
@@ -456,7 +466,7 @@ class _NewtonSystem:
         out = np.empty((2, n, m))
         np.multiply(ratio, moved + t, out=out[0])
         np.negative(moved, out=out[1])
-        lowest = float((out / primal_slack).min())
+        lowest = float(np.minimum.reduce(out / primal_slack, axis=None))
         if not math.isfinite(lowest):
             raise np.linalg.LinAlgError("the Newton step is not finite")
         return out, q[:, 1:], dv, -1.0 / lowest if lowest < 0.0 else math.inf
@@ -467,8 +477,10 @@ class _NewtonSystem:
         it, and the marginal and image equations.  ``_POLISH_STEPS`` proximal
         Newton steps (ratio ``_POLISH_WEIGHT`` on the support: each solves
         ``s_ij + dpi_ij / _POLISH_WEIGHT = 0``; ``least_norm`` as in
-        :meth:`direction`) take them to roundoff.  Cells whose ``pi`` comes
-        out negative leave the support, for at most ``rounds`` supports.
+        :meth:`direction`) take them to roundoff on one factorization: the
+        steps after the first solve their :meth:`residual` alone.  Cells whose
+        ``pi`` comes out negative leave the support, for at most ``rounds``
+        supports.
         ``LinAlgError`` if a row or column misses the support, or the last
         leaves ``pi < 0`` or a marginal off by more than ``_POLISH_RESIDUAL``,
         without which the bound's gap would not certify a coupling."""
@@ -478,8 +490,10 @@ class _NewtonSystem:
             ratio = np.where(support, _POLISH_WEIGHT, 0.0)
             pi = np.where(support, start[0], 0.0)
             s, z, v = (a.copy() for a in start[1:])
-            for _ in range(_POLISH_STEPS):
-                self.factor(ratio, pi, z)
+            self.factor(ratio, pi, z)
+            for step in range(_POLISH_STEPS):
+                if step:  # the same ratios: only the residuals are solved again
+                    self.residual(pi, z, self.shape[1])
                 (dpi, ds), dz, dv, _ = self.direction(-s, 1.0, least_norm)
                 pi += dpi
                 s += ds
@@ -508,12 +522,13 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
     The points are divided by the power of two ``2^scale_exponent`` that
     brings the largest |coordinate| into ``[2, 4)``.
 
-    The start is the product coupling with ``z = -2 r``, ``v = 0`` and
-    ``u_i = min_j y_j.z_i - 1 / w_i``, so every ``pi_ij s_ij >= nu_j``
-    (slacks of 1 made Mehrotra's steps cycle on 3 of 6,000 small grid
-    instances).  Each step solves :class:`_NewtonSystem` for the predictor
-    and the corrector and goes 0.995 of the way to the boundary, or centres
-    (see ``_BLOCKED``).
+    The start is the product coupling with ``z = -2 r`` and the slacks
+    ``s_ij = z_i.y_j - min_k z_i.y_k + c (1 / w_i + 1 / nu_j)``, ``c =
+    _START``, so every ``pi_ij s_ij >= c (w_i + nu_j)``, centred on both
+    marginals (slacks of 1 made Mehrotra's steps cycle on 3 of 6,000 small
+    grid instances, this start on 1 of 18,000).  Each
+    step solves :class:`_NewtonSystem` for the predictor and the corrector
+    and goes 0.995 of the way to the boundary, or centres (see ``_BLOCKED``).
 
     Once the complementarity falls to ``GAP_TOL * (1 + value)``, the iterate is
     certified: the coupling is :meth:`_NewtonSystem.polish`'s solution on the
@@ -556,9 +571,11 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
         max_steps = 0
     else:
         zy = z @ y.T
-        # u_i = min_j z_i.y_j - 1 / w_i: every product pi_ij s_ij >= nu_j
-        np.subtract(zy, zy.min(axis=1)[:, None] - 1.0 / w_col, out=s)
-        v = np.zeros(m)
+        # u_i = min_j z_i.y_j - c / w_i - c / nu_m and v_j = c / nu_m - c / nu_j, c =
+        # _START: every product pi_ij s_ij >= c (w_i + nu_j)
+        np.subtract(zy, zy.min(axis=1)[:, None] - _START / w_col, out=s)
+        s += _START / col_w
+        v = _START / col_w[-1] - _START / col_w
         max_steps = MAX_ITER
     certified: list[bool] = []  # one entry per certified iterate: whether its polish was
 
@@ -597,7 +614,7 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
     with solve_rule():  # a singular Newton system raises LinAlgError
         while True:
             # the interior iterate's own value is sum_i w_i |z_i / 2|^2
-            scale = 1.0 + 0.25 * float(w @ (z * z).sum(axis=1))
+            scale = 1.0 + 0.25 * float(w @ np.add.reduce(z * z, axis=1))
             complementarity = float(np.vdot(pi, s)) if max_steps else 0.0
             spent = complementarity <= _ROUNDOFF * scale or steps == max_steps
             if complementarity <= GAP_TOL * scale or spent:

@@ -901,6 +901,114 @@ class TestEarlyPolish:
             assert result.diagnostics["stop_reason"] == "gap"
 
 
+class TestNewtonWork:
+    """The Newton systems ``solve_wot`` factors on the ``wot-simplex``
+    workload's seed 401, counted rather than timed, with the start and the
+    polish steps that keep the count down."""
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        """Each problem with its result and its trace: ``calls``, the solve's
+        factorizations ``F`` and directions ``D`` in order; ``pi_s``, the
+        ``(pi, s)`` of the first direction; ``z``, that of the first
+        factorization; ``polishes``, each polish's calls, whether it
+        returned, and the ``(s, z, v)`` it started from."""
+        system = discrete._NewtonSystem
+        factor, direction, polish = system.factor, system.direction, system.polish
+        trace = {}
+
+        def factoring(self, ratio, pi, z):
+            trace["calls"].append("F")
+            trace.setdefault("z", z.copy())
+            return factor(self, ratio, pi, z)
+
+        def directing(self, t, primal_slack, least_norm):
+            trace["calls"].append("D")
+            trace.setdefault("pi_s", np.array(primal_slack))
+            return direction(self, t, primal_slack, least_norm)
+
+        def polishing(self, support, rounds, least_norm, pi, s, z, v):
+            begin, returned, start = len(trace["calls"]), False, (s.copy(), z.copy(), v.copy())
+            try:
+                solution = polish(self, support, rounds, least_norm, pi, s, z, v)
+                returned = True
+                return solution
+            finally:
+                trace["polishes"].append(("".join(trace["calls"][begin:]), returned, start))
+
+        traced = []
+        with pytest.MonkeyPatch.context() as patch:
+            for name, wrapper in (("factor", factoring), ("direction", directing),
+                                  ("polish", polishing)):
+                patch.setattr(system, name, wrapper)
+            for mu, nu in wot_simplex_pairs(401, 300):
+                trace.clear()
+                trace.update(calls=[], polishes=[])
+                result = solve_wot(mu, nu)
+                traced.append((mu, nu, result, dict(trace)))
+        return traced
+
+    @staticmethod
+    def row_spread(mu, nu, result, s, z, v):
+        """How far ``s - (z y' - v)`` is from constant along each row (the
+        points at the solve's unit scale), over the size of its terms."""
+        y = np.ldexp(nu.points, -result.diagnostics["scale_exponent"])
+        zy = z @ y.T
+        dual = s - (zy - v)
+        size = np.abs(s).max() + np.abs(zy).max() + np.abs(v).max()
+        return float((dual.max(axis=1) - dual.min(axis=1)).max()) / size
+
+    def test_the_workload_factors_at_most_10_8_times_per_solve(self, traced):
+        # it reads 10.18; 12.05 with slacks centred on the columns alone and
+        # each polish step factored, 10.96 with only the former and 11.26
+        # with only the latter
+        factorizations = [trace["calls"].count("F") for *_, trace in traced]
+        assert np.mean(factorizations) <= 10.8
+
+    def test_each_polish_support_factors_once(self, traced):
+        # the second step of a support solves at the first step's ratios
+        steps = discrete._POLISH_STEPS
+        returned = [calls for *_, trace in traced for calls, ok, _ in trace["polishes"] if ok]
+        assert len(returned) >= 290
+        for calls in returned:
+            supports = calls.count("F")
+            assert supports >= 1 and calls == ("F" + "D" * steps) * supports
+
+    def test_the_start_is_centred_on_both_marginals(self, traced):
+        # s_ij = z_i.y_j - min_k z_i.y_k + c (1 / w_i + 1 / nu_j) and v_j =
+        # c / nu_m - c / nu_j, so pi_ij s_ij >= c (w_i + nu_j)
+        c = discrete._START
+        for mu, nu, result, trace in traced:
+            pi, s = trace["pi_s"]
+            col_w = nu.weights
+            np.testing.assert_array_equal(pi, np.outer(mu.weights, col_w))
+            assert (pi * s >= c * (mu.weights[:, None] + col_w) * (1.0 - 1e-14)).all()
+            v = c / col_w[-1] - c / col_w
+            assert self.row_spread(mu, nu, result, s, trace["z"], v) <= 1e-15
+
+    def test_every_polish_starts_from_consistent_duals(self, traced):
+        # s = z y' - u - v holds along the steps, with the tracked v, up to
+        # the roundoff the steps add (3.7e-13 at most here)
+        for mu, nu, result, trace in traced:
+            for _, _, start in trace["polishes"]:
+                assert self.row_spread(mu, nu, result, *start) <= 1e-10
+
+    def test_the_refreshed_step_polishes_as_a_refactored_one(self, traced, monkeypatch):
+        residual = discrete._NewtonSystem.residual
+
+        def refactoring(self, pi, z, first):
+            if first:  # a polish's second step: factor again at the same ratios
+                return self.factor(self.ratio, pi, z)
+            return residual(self, pi, z, first)
+        monkeypatch.setattr(discrete._NewtonSystem, "residual", refactoring)
+        for mu, nu, result, _ in traced:
+            reference = solve_wot(mu, nu)
+            assert result.diagnostics["polished"] == reference.diagnostics["polished"]
+            np.testing.assert_allclose(result.coupling.conditional_barycenters(),
+                                       reference.coupling.conditional_barycenters(),
+                                       rtol=0.0, atol=1e-12)
+
+
 ULPS_64 = 64.0 * np.finfo(float).eps
 
 
@@ -1088,7 +1196,7 @@ class TestCertificate:
         assert result.diagnostics["polished"]
         assert result.gap <= ULPS_64 * (1.0 + result.value)
 
-    @pytest.mark.parametrize("seed", [68, 87])
+    @pytest.mark.parametrize("seed", [68, 146])
     def test_a_failed_polish_certifies_the_restored_iterate(self, seed):
         # every support the polish tries leaves a negative cell
         result = self.check(*self.seeded_pair(seed))
