@@ -166,16 +166,16 @@ def _pair(
                  math.ldexp(1.0, 2 * k))
 
 
-def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray) -> _Pair:
-    """Read a raw covariance pair, each covariance once through
-    :func:`_validated_eigh` (gated, then PSD-tested and eigensolved at its
-    own unit scale), then check equal shapes: the only check a public call
-    makes on its inputs.  The record is divided by ``4^k``, the larger top
-    eigenvalue in ``[4^k, 4^(k+1))`` (``k = 0`` below ``2^-1000``), and each
-    clamped spectrum is moved there from its own scale by an exact power of
-    two, so it is that of the record's matrix."""
-    cov_mu, mu_raw, _, k_mu = _validated_eigh(cov_mu, "cov_mu")
-    cov_nu, nu_raw, nu_vecs, k_nu = _validated_eigh(cov_nu, "cov_nu")
+def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray, names: tuple[str, str]) -> _Pair:
+    """Read a raw covariance pair, each once through :func:`_validated_eigh`
+    under its name in ``names`` (gated, then PSD-tested and eigensolved at
+    its own unit scale), then check equal shapes: the only check a public
+    call makes on its inputs.  The record is divided by ``4^k``, the larger
+    top eigenvalue in ``[4^k, 4^(k+1))`` (``k = 0`` below ``2^-1000``), and
+    each clamped spectrum is moved there from its own scale by an exact
+    power of two, so it is that of the record's matrix."""
+    cov_mu, mu_raw, _, k_mu = _validated_eigh(cov_mu, names[0])
+    cov_nu, nu_raw, nu_vecs, k_nu = _validated_eigh(cov_nu, names[1])
     if cov_mu.shape != cov_nu.shape:
         raise ValueError("dimension mismatch")
     mu_vals, nu_vals = np.maximum(mu_raw, 0.0), np.maximum(nu_raw, 0.0)
@@ -198,7 +198,9 @@ def _certify(
     ``D_ii = min(1, sqrt(nu_ii / mu_ii))``, with 1 where ``mu_ii`` vanishes.
     Diagonals outside :func:`positive_diag_mask` are flushed to zero first
     (they are exact zeros plus conjugation roundoff, and the square root
-    would amplify them); those inside it are positive.
+    would amplify them); those inside it are positive.  ``D m_mu D``, which
+    the gap and ``below`` read, is zero in the rows and columns of a flushed
+    ``mu_ii``: on disjoint ranges ``below`` is zero, not roundoff of either sign.
     """
     m_mu = sym(basis.T @ pair.cov_mu @ basis)
     m_nu = sym(basis.T @ pair.cov_nu @ basis)
@@ -208,7 +210,8 @@ def _certify(
     nu_diag = np.where(nu_pos, m_nu.diagonal(), 0.0)
     ratios = np.sqrt(nu_diag / np.where(mu_pos, mu_diag, 1.0))
     d = np.where(mu_pos, np.minimum(1.0, ratios), 1.0)
-    contracted = d[:, None] * m_mu * d[None, :]
+    kept = np.where(mu_pos, d, 0.0)
+    contracted = kept[:, None] * m_mu * kept[None, :]
     # the order residual, the Loewner gap of contracted below m_nu; the
     # record is at unit scale already, and m_nu exactly symmetric
     gap = float(_eigvalsh(m_nu - sym(contracted)).min())
@@ -342,7 +345,7 @@ def project_pair(
     """Both projections from one solve at unit scale: ``(below, above)``,
     in the caller's units.  A :class:`CertificationError` carries its
     transform in the caller's units too."""
-    pair = _decompose(cov_mu, cov_nu)
+    pair = _decompose(cov_mu, cov_nu, ("cov_mu", "cov_nu"))
     return _assemble(pair, *_route(pair))
 
 

@@ -1,8 +1,9 @@
 """Deterministic symmetric linear algebra.
 
-Spectral decompositions, positive parts, the Loewner gap and the
-transport-map eigenbasis, mapped out of the descent's frame: the pieces of
-the Gaussian solvers' candidate bases and of the certificate between them.
+Spectral decompositions, positive parts, the Loewner gap, the Bures
+gradient and the transport-map eigenbasis, mapped out of the descent's
+frame: the pieces of the Gaussian solvers' candidate bases and of the
+certificate between them.
 
 All functions are pure and operate on plain ``numpy`` arrays.  A caller's
 matrix passes one gate, :func:`square_symmetric`, once per public call;
@@ -23,6 +24,7 @@ and raw signs, and are read with ``min`` and ``max``.  Every linear solve is
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -38,6 +40,7 @@ EIG_TOL = 1e-12
 # |entry| of a caller's matrix, so that its symmetrisation stays finite
 FLOAT_MAX = np.finfo(float).max
 MAX_ENTRY = FLOAT_MAX / 2
+_TINY = np.finfo(float).tiny
 
 
 class LinalgError(Exception):
@@ -229,3 +232,30 @@ def transport_map_basis(gradient: np.ndarray, frame: np.ndarray) -> np.ndarray:
     order of ``T``'s descending spectrum."""
     vals, vecs = _eigh(gradient)
     return _ordered(vals, frame @ vecs)[1]
+
+
+def bw2_gradient_from_inner(
+    root: np.ndarray, inner_vals: np.ndarray, inner_vecs: np.ndarray
+) -> np.ndarray:
+    """``I - F^{1/2} (F^{1/2} S F^{1/2})^{-1/2} F^{1/2}`` for ``F =
+    diag(root**2)`` (any ``F`` in its eigenbasis) and the spectral
+    decomposition of ``F^{1/2} S F^{1/2}``, its eigenvalues clamped at zero.
+
+    Inner eigenvalues below the rank cutoff are floored there, so a flat
+    ``S`` gives a large but finite gradient pointing back into the interior.
+    The product is formed as ``I - w @ w.T`` with ``w = F^{1/2} V
+    diag(lambda)^{-1/4}``, a Gram form that numpy computes with BLAS
+    ``syrk``, so the gradient is exactly symmetric without a ``sym``.
+    """
+    # default_rank_tol without its abs, which a clamped spectrum does not need
+    floor = max(inner_vals.size * float(inner_vals.max()) * RANK_REL, _TINY)
+    w = root[:, None] * inner_vecs * np.maximum(inner_vals, floor) ** -0.25
+    return _identity(root.size) - w @ w.T
+
+
+@functools.lru_cache(maxsize=32)
+def _identity(d: int) -> np.ndarray:
+    """A read-only identity, shared by every gradient of its dimension."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye

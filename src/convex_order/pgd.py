@@ -23,8 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bures import bw2_gradient_from_inner
-from .linalg import clamped_eigen, positive_part
+from .linalg import bw2_gradient_from_inner, clamped_eigen, positive_part
 
 
 # The descent stops at gradient mapping RESIDUAL_TOL * (1 + ||lambda||_2),
@@ -78,17 +77,22 @@ def _first_step(nu_vals: np.ndarray) -> float:
 
 
 class _Objective:
-    """bw2(diag(nu_vals), .) for the record's positive spectrum ``nu_vals``."""
+    """bw2(diag(nu_vals), .) for a record's spectrum ``nu_vals``, positive for the gradient."""
 
     def __init__(self, nu_vals: np.ndarray):
         self.trace_nu = float(nu_vals.sum())
         self.root = np.sqrt(nu_vals)
         self.weights = self.root[:, None] * self.root
 
+    def value(self, s: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """The value at ``s`` and the clamped eigenpairs of its inner matrix."""
+        inner_vals, inner_vecs = clamped_eigen(s * self.weights)
+        return (float(self.trace_nu + s.trace() - 2.0 * np.sqrt(inner_vals).sum()),
+                inner_vals, inner_vecs)
+
     def value_and_gradient(self, s: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective and gradient at ``s`` from one eigensolve."""
-        inner_vals, inner_vecs = clamped_eigen(s * self.weights)
-        value = float(self.trace_nu + s.trace() - 2.0 * np.sqrt(inner_vals).sum())
+        value, inner_vals, inner_vecs = self.value(s)
         return value, bw2_gradient_from_inner(self.root, inner_vals, inner_vecs)
 
 

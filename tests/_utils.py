@@ -6,9 +6,11 @@ import sys
 import numpy as np
 
 from convex_order import linalg, pgd
-from convex_order.bures import bw2_gradient_from_inner
-from convex_order.linalg import clamped_eigen, sym
+from convex_order.linalg import bw2_gradient_from_inner, clamped_eigen, sym
 from convex_order.measures import DiscreteMeasure
+
+# the names project_pair gives its covariances, for tests that build its record
+PAIR_NAMES = ("cov_mu", "cov_nu")
 
 
 def psd_sqrt(cov):

@@ -19,6 +19,7 @@ from convex_order.gaussian import project_pair
 from convex_order.linalg import loewner_gap
 from convex_order.one_dim import project_1d_detail, w2_1d
 from _utils import (
+    PAIR_NAMES,
     bw2_gradient,
     frobenius_project_above,
     psd_sqrt,
@@ -255,8 +256,8 @@ def test_criterion_10_dominance_classifier():
         d = int(rng.integers(1, 6))
         nu_cov = random_spd(rng, d)
         mu_cov = nu_cov + random_spd(rng, d, 0.0, 2.0)
-        assert gaussian._saturated(gaussian._decompose(mu_cov, nu_cov))
+        assert gaussian._saturated(gaussian._decompose(mu_cov, nu_cov, PAIR_NAMES))
         below = project_pair(mu_cov, nu_cov)[0]
         np.testing.assert_allclose(below.covariance, nu_cov, atol=1e-8)
-    assert not gaussian._saturated(gaussian._decompose(np.zeros((2, 2)), np.eye(2)))
+    assert not gaussian._saturated(gaussian._decompose(np.zeros((2, 2)), np.eye(2), PAIR_NAMES))
     report("criterion 10 PASS: 200 dominated pairs saturate; zero counterexample refused")

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from convex_order.bures import bw2, bw2_gradient_from_inner
+from convex_order.bures import bw2
 from convex_order.cli import main
 from convex_order.discrete import exact_w2_sq, solve_wot
-from convex_order.linalg import clamped_eigen
+from convex_order.linalg import bw2_gradient_from_inner, clamped_eigen
 from convex_order.measures import GaussianMeasure
+from _exact_gaussian import FAMILIES, exact_bw2, oracle_pairs
 from _utils import (
     bw2_gradient,
     moment_matched_discretization,
@@ -56,6 +57,28 @@ class TestBw2:
             assert mid <= 0.5 * (bw2(ref, a) + bw2(ref, b)) + 1e-9
 
 
+# the largest error of bw2 against the 60-digit reference, over (1 + value):
+# twice the largest over 3,000 pairs a family (default_rng([78, family]))
+ORACLE_BOUNDS = {"full_rank": 5e-15, "rank_one_a": 4e-8, "rank_one_b": 2e-8,
+                 "both_rank_one": 1e-13}
+
+
+class TestExtendedPrecisionOracle:
+    """``bw2`` against the d = 2 closed form in ``decimal``.  A rank-one
+    float matrix keeps an eigenvalue of about 1e-17 of either sign, and the
+    value is only 1/2-Hoelder in the covariance there, so a rank-one side
+    costs about sqrt(eps); two rank-one sides cost roundoff alone."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_the_closed_form(self, family):
+        rng = np.random.default_rng([78, FAMILIES.index(family)])
+        worst = 0.0
+        for a, b in oracle_pairs(rng, family, 200):
+            reference = float(exact_bw2(a, b))
+            worst = max(worst, abs(bw2(a, b) - reference) / (1.0 + reference))
+        assert worst <= ORACLE_BOUNDS[family]
+
+
 def distance_report(tmp_path, a: GaussianMeasure, b: GaussianMeasure) -> dict:
     """The ``distance`` command's report on the pair ``(a, b)``."""
     problem = tmp_path / "p.json"
@@ -70,9 +93,9 @@ def distance_report(tmp_path, a: GaussianMeasure, b: GaussianMeasure) -> dict:
 
 class TestGaussianW2:
     def test_identical(self, tmp_path):
-        # bw2(S, S) is roundoff, up to 15.2 eps (1 + tr S) over 8000 such
-        # matrices (default_rng(0..9), d = 1..8), so 64 leaves 4x headroom;
-        # w2 = sqrt(bw2) would turn one ulp of it into ~sqrt(eps)
+        # bw2(S, S) is roundoff, up to 8.6 eps (1 + tr S) over 8000 such
+        # matrices (default_rng(0..9), 100 of each d = 1..8), so 64 leaves
+        # 7x headroom; w2 = sqrt(bw2) would turn one ulp of it into ~sqrt(eps)
         rng = np.random.default_rng(70)
         eps = np.finfo(float).eps
         for d in list(range(1, 9)) * 4:

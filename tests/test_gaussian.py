@@ -8,13 +8,14 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convex_order import bures, gaussian, linalg, measures, pgd
+from convex_order import gaussian, linalg, measures, pgd
 from convex_order.bures import bw2
 from convex_order.cli import main
 from convex_order.gaussian import CertificationError, project_pair
 from convex_order.linalg import NotPsdError, loewner_gap, positive_part, sym
 from convex_order.measures import GaussianMeasure
 from _utils import (
+    PAIR_NAMES,
     bw2_gradient,
     conventional_order,
     descent_frame,
@@ -294,9 +295,9 @@ class TestOrderTransform:
         # the identity basis leaves Smu = [[1, e], [e, 1]] uncontracted under
         # Snu = I, so the order residual is -e: at 3x the tolerance it must
         # be refused, which a 10x looser certificate would not do
-        tol = gaussian._decompose(np.eye(2), np.eye(2)).order_tol
+        tol = gaussian._decompose(np.eye(2), np.eye(2), PAIR_NAMES).order_tol
         e = multiple * tol
-        pair = gaussian._decompose(np.array([[1.0, e], [e, 1.0]]), np.eye(2))
+        pair = gaussian._decompose(np.array([[1.0, e], [e, 1.0]]), np.eye(2), PAIR_NAMES)
         assert pair.order_tol == tol
         transform, _ = gaussian._certify(pair, np.eye(2), pair.order_tol)
         assert transform.order_residual == pytest.approx(-e, rel=1e-6)
@@ -630,7 +631,7 @@ class TestRankAmbiguity:
 
 
 def saturated(mu_cov, nu_cov):
-    return gaussian._saturated(gaussian._decompose(mu_cov, nu_cov))
+    return gaussian._saturated(gaussian._decompose(mu_cov, nu_cov, PAIR_NAMES))
 
 
 class TestDominance:
@@ -919,6 +920,61 @@ class TestDisjointRangesAtScale:
         assert result.exit_code == 0, result.output
 
 
+READ_BACK_FAMILIES = ("disjoint", "commuting_zero", "singular_source", "singular_target")
+
+
+def _read_back_pairs(family, count):
+    """Seeded pairs, d = 2 to 6 at scales 1e-6 to 1e6, whose certified
+    outputs hold exact zeros: disjoint ranges, commuting pairs with zero
+    eigenvalues, and a singular source or target."""
+    rng = np.random.default_rng([5, READ_BACK_FAMILIES.index(family)])
+    pairs = []
+    for _ in range(count):
+        d = int(rng.integers(2, 7))
+        q, r = random_orthogonal(rng, d), int(rng.integers(1, d))
+        if family == "disjoint":
+            a = sym_of(q[:, :r], rng.uniform(0.2, 3.0, r))
+            b = sym_of(q[:, r:], rng.uniform(0.2, 3.0, d - r))
+        elif family == "commuting_zero":
+            a = sym_of(q, rng.uniform(0.2, 3.0, d) * (rng.random(d) < 0.7))
+            b = sym_of(q, rng.uniform(0.2, 3.0, d) * (rng.random(d) < 0.7))
+        elif family == "singular_source":
+            a, b = sym_of(q[:, :r], rng.uniform(0.2, 3.0, r)), spd(rng, d)
+        else:
+            a, b = spd(rng, d), sym_of(q[:, :r], rng.uniform(0.2, 3.0, r))
+        scale = 10.0 ** rng.uniform(-6.0, 6.0)
+        pairs.append((scale * a, scale * b))
+    return pairs
+
+
+class TestOutputsReadBack:
+    """A certified projection is a covariance: ``GaussianMeasure`` and
+    ``bw2`` read it as they read the caller's, as ``check`` does.  On
+    disjoint ranges ``below`` was roundoff of either sign about a zero
+    matrix, which the PSD test at its own scale refused."""
+
+    @pytest.mark.parametrize("family", READ_BACK_FAMILIES)
+    def test_outputs_pass_the_readers(self, family):
+        for mu_cov, nu_cov in _read_back_pairs(family, 60):
+            below, above = project_pair(mu_cov, nu_cov)
+            for cov, source in ((below.covariance, mu_cov), (above.covariance, nu_cov)):
+                GaussianMeasure(np.zeros(cov.shape[0]), cov)
+                assert math.isfinite(bw2(source, cov)) and math.isfinite(bw2(cov, source))
+
+    def test_check_passes_on_a_disjoint_range_problem(self, tmp_path):
+        mu_cov, nu_cov = _read_back_pairs("disjoint", 1)[0]
+        assert np.abs(project_pair(mu_cov, nu_cov)[0].covariance).max() == 0.0
+        d = mu_cov.shape[0]
+        problem = tmp_path / "p.json"
+        problem.write_text(json.dumps({
+            "mu": {"mean": [0.0] * d, "cov": mu_cov.tolist()},
+            "nu": {"mean": [1.0] * d, "cov": nu_cov.tolist()},
+        }))
+        result = CliRunner().invoke(main, ["check", str(problem)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["passed"] is True
+
+
 class TestPairInvariants:
     def test_trace_identity_and_distance_equality(self):
         rng = np.random.default_rng(10)
@@ -1135,9 +1191,10 @@ class TestEigenConvention:
         assert {"commuting", "pgd", "singular_reduction"} <= methods
 
     def test_no_caller_depends_on_the_order_of_a_validated_spectrum(self, monkeypatch):
-        # the validated spectra (the pair record's, bw2's and the measure's)
-        # come in LAPACK's ascending order; every caller must read them with
-        # min and max, and order a basis itself before it leaves the call
+        # the validated spectra (the pair record's, which bw2 reads too, and
+        # the measure's) come in LAPACK's ascending order; every caller must
+        # read them with min and max, and order a basis itself before it
+        # leaves the call
         rng = np.random.default_rng(31)
         pairs = [random_commuting_pair(rng, 3)[:2], (np.eye(2), np.diag([2.0, 0.0])),
                  (np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 0.0, 0.0]))]
@@ -1160,7 +1217,7 @@ class TestEigenConvention:
                 work = diagnostics.get("iterations", diagnostics.get("reduced_iterations"))
                 out.append((below.method, work, below.covariance, above.covariance,
                             np.array([below.distance_sq])))
-                pair = gaussian._decompose(mu_cov, nu_cov)
+                pair = gaussian._decompose(mu_cov, nu_cov, PAIR_NAMES)
                 out.append(("dominance", gaussian._saturated(pair)))
                 out.append(("unique", above.uniqueness.unique, above.uniqueness.reason))
             for m in matrices:
@@ -1182,7 +1239,7 @@ class TestEigenConvention:
 
         patch_everywhere(monkeypatch, "_validated_eigh", reversed_and_flipped)
         assert all(m._validated_eigh is reversed_and_flipped
-                   for m in (linalg, gaussian, bures, measures))
+                   for m in (linalg, gaussian, measures))
         for m in matrices:
             vals = linalg._validated_eigh(m, "m")[1]
             assert vals[0] >= vals[-1]  # handed over descending

@@ -260,19 +260,14 @@ def test_traces_within_the_range_are_read(reader):
 # the entries whose reader runs the PSD test of _validated_eigh, at the
 # matrix's own unit scale; loewner_gap and the gate itself read indefinite
 # matrices too
-PSD_READERS = ["GaussianMeasure", "bw2_a", "project_pair_mu", "project_pair_nu"]
+PSD_READERS = ["GaussianMeasure", "bw2_a", "bw2_b", "project_pair_mu", "project_pair_nu"]
 PSD_SCALES = {"4^-480": 4.0**-480, "4^-10": 4.0**-10, "1": 1.0, "4^10": 4.0**10,
               "4^480": 4.0**480}
-# bw2 tests its cov_b only through A^1/2 B A^1/2, at the pair's working
-# scale, which far from unit scale passes some indefinite B (ROADMAP item 4)
-BW2_B_SCALES = ["4^-10", "1", "4^10"]
 _ROTATION = random_orthogonal(np.random.default_rng(41), 2)
 
 
-@pytest.mark.parametrize("scale, reader", [
-    (scale, reader) for reader in [*PSD_READERS, "bw2_b"]
-    for scale in (BW2_B_SCALES if reader == "bw2_b" else sorted(PSD_SCALES))
-], ids=str)
+@pytest.mark.parametrize("reader", PSD_READERS)
+@pytest.mark.parametrize("scale", sorted(PSD_SCALES))
 @pytest.mark.parametrize("indefinite", [np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]]),
                                         -np.eye(2)], ids=["diagonal", "off-diagonal", "negative"])
 def test_indefinite_matrices_are_refused(reader, scale, indefinite):
@@ -280,7 +275,7 @@ def test_indefinite_matrices_are_refused(reader, scale, indefinite):
         RAW_MATRIX_READERS[reader][0](PSD_SCALES[scale] * indefinite)
 
 
-@pytest.mark.parametrize("reader", [*PSD_READERS, "bw2_b"])
+@pytest.mark.parametrize("reader", PSD_READERS)
 @pytest.mark.parametrize("scale", sorted(PSD_SCALES))
 @pytest.mark.parametrize("edge", [
     np.outer([1.0, 1.0 / 3.0], [1.0, 1.0 / 3.0]),
@@ -305,6 +300,7 @@ def test_psd_matrices_within_the_slack_are_read(reader, scale, edge):
 DILATED_READERS = {
     "GaussianMeasure": lambda m, s: GaussianMeasure(np.zeros(3), m),
     "bw2_a": lambda m, s: bw2(m, s * np.eye(3)),
+    "bw2_b": lambda m, s: bw2(s * np.eye(3), m),
     "project_pair_mu": lambda m, s: project_pair(m, np.zeros((3, 3))),
     "project_pair_nu": lambda m, s: project_pair(s * np.eye(3), m),
 }
@@ -329,6 +325,14 @@ def test_psd_verdicts_do_not_move_under_dilation(reader):
                     call(s * m, s)
             else:
                 call(s * m, s)
+
+
+def test_an_indefinite_cov_b_is_refused_against_a_singular_cov_a():
+    # cov_b was tested only through A^1/2 B A^1/2, which a singular cov_a
+    # projects onto its range: this pair returned 0.5
+    with pytest.raises(NotPsdError, match="^cov_b is not positive semi-definite "
+                                          r"\(min eigenvalue -5.000e-01\)$"):
+        bw2(np.diag([1.0, 0.0]), np.diag([4.0, -0.5]))
 
 
 def test_bw2_verdict_on_cov_a_does_not_depend_on_cov_b():

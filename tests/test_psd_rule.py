@@ -1,13 +1,13 @@
 """One PSD rule: ``EIG_TOL`` is read only where the library tests for PSD.
 
 ``linalg._validated_eigh`` is the one reader of a caller's PSD matrix: it
-tests the matrix at its own unit scale.  ``bures.bw2`` checks its product
-``A^1/2 B A^1/2`` at the scale that product inherits.  A function anywhere
-else in ``src/`` that reads ``EIG_TOL`` would draw a second PSD line, at a
-scale of its own, which is how the readers came to disagree at small
-scale; a read that comes back fails here.  The reads are found by ``ast``:
-a bare name, an attribute (``linalg.EIG_TOL``) or an import under another
-name, each attributed to its innermost enclosing function.
+tests the matrix at its own unit scale, and ``bures.bw2`` reads both its
+covariances through it, as the Gaussian pair record does.  A function
+anywhere else in ``src/`` that reads ``EIG_TOL`` would draw a second PSD
+line, at a scale of its own, which is how the readers came to disagree at
+small scale; a read that comes back fails here.  The reads are found by
+``ast``: a bare name, an attribute (``linalg.EIG_TOL``) or an import under
+another name, each attributed to its innermost enclosing function.
 """
 
 import ast
@@ -16,7 +16,7 @@ from pathlib import Path
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "convex_order"
 NAME = "EIG_TOL"
 # (module, function) of each read the rule allows, once each
-ALLOWED = [("bures.py", "bw2"), ("linalg.py", "_validated_eigh")]
+ALLOWED = [("linalg.py", "_validated_eigh")]
 
 
 def tolerance_reads(source: str) -> list[tuple[str | None, int]]:
@@ -82,5 +82,5 @@ def _psd_at_caller_scale(matrix):
     return vals[0] >= -EIG_TOL * (1.0 + abs(vals).max())
 '''
     sources["measures.py"] += "\nSLACK = 2 * EIG_TOL\n"
-    assert library_reads(sources) == [*ALLOWED[:1], ("gaussian.py", "_psd_at_caller_scale"),
-                                      ALLOWED[1], ("measures.py", None)]
+    assert library_reads(sources) == [("gaussian.py", "_psd_at_caller_scale"), *ALLOWED,
+                                      ("measures.py", None)]
