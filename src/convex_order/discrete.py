@@ -524,11 +524,14 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
 
     The start is the product coupling with ``z = -2 r`` and the slacks
     ``s_ij = z_i.y_j - min_k z_i.y_k + c (1 / w_i + 1 / nu_j)``, ``c =
-    _START``, so every ``pi_ij s_ij >= c (w_i + nu_j)``, centred on both
-    marginals (slacks of 1 made Mehrotra's steps cycle on 3 of 6,000 small
-    grid instances, this start on 1 of 18,000).  Each
-    step solves :class:`_NewtonSystem` for the predictor and the corrector
-    and goes 0.995 of the way to the boundary, or centres (see ``_BLOCKED``).
+    _START``, so every ``pi_ij s_ij >= c (w_i + nu_j)``, with equality at
+    each row's least ``z_i.y_j``.  The steps follow the weighted central path
+    ``pi_ij s_ij = mu (w_i + nu_j)`` that this start lies on: on the uniform
+    one, ``pi_ij s_ij = mu``, a light row swung between the corners of its
+    cells and Mehrotra's steps cycled to ``MAX_ITER`` (on 6 of 30,000 small
+    grid instances in the plane).  Each step solves :class:`_NewtonSystem`
+    for the predictor and the corrector and goes 0.995 of the way to the
+    boundary, or centres (see ``_BLOCKED``).
 
     Once the complementarity falls to ``GAP_TOL * (1 + value)``, the iterate is
     certified: the coupling is :meth:`_NewtonSystem.polish`'s solution on the
@@ -608,6 +611,9 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
             coupling = w_col * col_w  # the product coupling always is
         return coupling, *bracket(coupling, z, v)
 
+    # the central path's products pi_ij s_ij = mu (w_i + nu_j), in shares of their sum
+    centre = w_col + col_w
+    centre /= centre.sum()
     steps = 0
     singular = False
     early, last = True, primal_slack.copy()  # the early try is to come; pi, s before a step
@@ -631,13 +637,13 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
             try:
                 system.factor(pi / s, pi, z)
                 predictor, _, _, reach = system.direction(-s, primal_slack, True)
-                mean = complementarity / (n * m)
+                central = complementarity * centre
                 if reach < _BLOCKED:
-                    correction = _CENTER * mean
+                    correction = _CENTER * central
                 else:
                     trial = primal_slack + min(1.0, reach) * predictor
                     sigma = (float(np.vdot(trial[0], trial[1])) / complementarity) ** 3
-                    correction = sigma * mean - predictor[0] * predictor[1]
+                    correction = sigma * central - predictor[0] * predictor[1]
                 move, dz, dv, reach = system.direction(correction / pi - s, primal_slack, True)
             except np.linalg.LinAlgError:
                 singular = True

@@ -417,13 +417,13 @@ class TestProjectDiscrete:
         assert runner.invoke(main, ["distance", problem]).exit_code == 0
 
     def test_unmet_gap_exit_code(self, runner, tmp_path, monkeypatch):
-        # one Newton step leaves this instance at gap 0.72
+        # one Newton step leaves this instance at gap 0.49
         problem = write_discrete_problem(tmp_path / "p.json", np.random.default_rng(45), 6, 7)
         with monkeypatch.context() as patch:
             patch.setattr(discrete, "MAX_ITER", 1)
             result = runner.invoke(main, ["project-discrete", problem])
         assert result.exit_code == 3
-        assert "duality gap 7.247e-01 not reached in 1 Newton steps" in result.stderr
+        assert "duality gap 4.936e-01 not reached in 1 Newton steps" in result.stderr
         assert runner.invoke(main, ["project-discrete", problem]).exit_code == 0
 
     @pytest.mark.parametrize("pair", [4, 132])

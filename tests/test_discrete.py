@@ -1144,6 +1144,23 @@ class TestCertificate:
             gap_tol(tol)
             assert self.check(mu, nu).iterations < 30
 
+    @pytest.mark.parametrize("pair", [
+        ([0.0, 1.0, 2.0], [80 / 97, 1 / 97, 16 / 97], [-2.0, 0.0], [0.8, 0.2]),
+        ([-1.0, 0.0], [0.0099, 0.9901], [-1.0, 1.0], [0.1015, 0.8985]),
+        ([1.0, 2.0], [0.9938, 0.0062], [0.0, 2.0], [0.9524, 0.0476]),
+    ])
+    def test_a_light_row_on_the_weighted_central_path(self, gap_tol, pair):
+        # on the uniform central path pi_ij s_ij = mu, the light row swung
+        # between the corners of its cells and the steps cycled to MAX_ITER
+        # (complementarity near 0.05 on the first pair); on pi_ij s_ij =
+        # mu (w_i + nu_j) each pair certifies in a few steps
+        mu, nu = measure_1d(pair[0], pair[1]), measure_1d(pair[2], pair[3])
+        for tol in (1e-10, 1e-12):
+            gap_tol(tol)
+            result = self.check(mu, nu)
+            assert result.diagnostics["stop_reason"] == "gap"
+            assert result.iterations < 30
+
     @pytest.mark.usefixtures("tight_gap")
     def test_equal_measures_cost_nothing(self):
         rng = np.random.default_rng(74)
