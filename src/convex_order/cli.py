@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 check failure, 2 parse error, 3 solver failure
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import struct
@@ -182,11 +183,17 @@ def _measure_report(m: DiscreteMeasure) -> dict:
 
 
 class _ExitCodes(click.Group):
-    """Maps an exception that escapes a command to its exit code: the
-    engines' typed errors to ``SOLVER_ERROR``, any other to
-    ``UNEXPECTED_ERROR``.  Click's own exceptions pass through."""
+    """Runs each command with the cyclic garbage collector paused, and maps
+    an exception that escapes it to its exit code: the engines' typed errors
+    to ``SOLVER_ERROR``, any other to ``UNEXPECTED_ERROR``.  Click's own
+    exceptions pass through.  The caller's collector setting is restored on
+    every exit."""
 
     def invoke(self, ctx):
+        # a command leaves no cyclic garbage: a collection would only walk
+        # the parsed problem's lists, one per atom
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
@@ -195,6 +202,9 @@ class _ExitCodes(click.Group):
             _fail(SOLVER_ERROR, str(exc))
         except Exception as exc:
             _fail(UNEXPECTED_ERROR, f"{type(exc).__name__}: {exc}")
+        finally:
+            if enabled:
+                gc.enable()
 
 
 @click.group(cls=_ExitCodes)

@@ -56,11 +56,12 @@ class DiscreteMeasure:
     Construction canonicalizes the support: weights are renormalized to
     sum to one (rejecting inputs further than ``WEIGHT_TOL`` from that), a
     coordinate beyond ``MAX_COORD`` in absolute value is rejected, and
-    points are sorted lexicographically.  A point within ``MERGE_TOL`` (max
-    norm) of its sorted predecessor joins its cluster, which keeps its first
-    point and sums its weights.  So a run of points each within ``MERGE_TOL``
-    of the one before is one atom, however far it spans: 1-d atoms at 0,
-    0.6e-12 and 1.2e-12 merge into one atom at 0.
+    points are sorted lexicographically; 1-d points already in order skip
+    the sort, which would leave them as they are.  A point within
+    ``MERGE_TOL`` (max norm) of its sorted predecessor joins its cluster,
+    which keeps its first point and sums its weights.  So a run of points
+    each within ``MERGE_TOL`` of the one before is one atom, however far it
+    spans: 1-d atoms at 0, 0.6e-12 and 1.2e-12 merge into one atom at 0.
     """
 
     points: np.ndarray
@@ -120,10 +121,13 @@ class DiscreteMeasure:
 
 
 def _merge_atoms(points: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort(points.T[::-1])
-    points = points[order]
+    # the sort is stable, so it leaves 1-d atoms already in order (ties of
+    # 0.0 and -0.0 included) where they are, and they skip it
+    if points.shape[1] > 1 or (points[1:, 0] < points[:-1, 0]).any():
+        order = np.lexsort(points.T[::-1])
+        points, weights = points[order], weights[order]
     fresh = np.ones(points.shape[0], dtype=bool)
     fresh[1:] = np.abs(np.diff(points, axis=0)).max(axis=1) > MERGE_TOL
     # bincount adds each cluster's weights one by one in index order;
     # np.add.reduceat may sum them pairwise, which changes the last bits
-    return points[fresh], np.bincount(np.cumsum(fresh) - 1, weights=weights[order])
+    return points[fresh], np.bincount(np.cumsum(fresh) - 1, weights=weights)

@@ -1,12 +1,15 @@
+import ast
 import dataclasses
+import gc
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from convex_order import cli, discrete, gaussian, one_dim, pgd
+from convex_order import bures, cli, discrete, gaussian, one_dim, pgd
 from convex_order.bures import bw2
 from convex_order.cli import main
 from convex_order.gaussian import project_pair
@@ -242,15 +245,18 @@ class TestProjectGaussian:
 
     def test_one_solve_per_command(self, runner, tmp_path, monkeypatch):
         # the solve carries the uniqueness verdict, so each command
-        # validates and decomposes its pair exactly once
+        # validates and decomposes its pair exactly once; check's two Bures
+        # distances each read their own pair
         calls = []
         decompose = gaussian._decompose
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return decompose(*args, **kwargs)
+        def recording(cov_mu, cov_nu, names):
+            calls.append(names)
+            return decompose(cov_mu, cov_nu, names)
 
-        monkeypatch.setattr(gaussian, "_decompose", counting)
+        # bures binds the reader by import, so both bindings are wrapped
+        monkeypatch.setattr(gaussian, "_decompose", recording)
+        monkeypatch.setattr(bures, "_decompose", recording)
         problem = write_problem(tmp_path / "p.json", GAUSSIAN_SINGULAR)
         # the reduced problem of the first commutes; that of the second does not
         tilted = write_problem(tmp_path / "q.json", {
@@ -266,12 +272,12 @@ class TestProjectGaussian:
             report = json.loads(result.output)
             assert report["uniqueness"]["unique"] is False
             assert report["diagnostics"]["reduced_method"] == reduced_method
-            assert len(calls) == 1
+            assert calls == [("cov_mu", "cov_nu")]
         calls.clear()
         result = runner.invoke(main, ["check", problem])
         assert result.exit_code == 0
         assert json.loads(result.output)["passed"]
-        assert len(calls) == 1
+        assert calls == [("cov_mu", "cov_nu"), ("cov_a", "cov_b"), ("cov_a", "cov_b")]
 
     def test_ambiguous_rank_leaves_the_verdict_open(self, runner, tmp_path):
         # nu's second eigenvalue is its rank cutoff, inside the rank band
@@ -1143,3 +1149,122 @@ class TestJsonBoundary:
             "grid": [[1.0, None], [None, None]],
             "scalar": None,
         }
+
+
+def _injected(*args, **kwargs):
+    raise ValueError("injected")
+
+
+# (command, problem, assert file, patch, exit code): every mode of each
+# command, and each error exit
+COLLECTOR_CASES = [
+    pytest.param("project-gaussian", GAUSSIAN_SINGULAR, None, None, 0, id="project-gaussian"),
+    pytest.param("project-1d", ONE_D, None, None, 0, id="project-1d"),
+    pytest.param("project-discrete", DISCRETE, None, None, 0, id="project-discrete"),
+    pytest.param("distance", GAUSSIAN_SINGULAR, None, None, 0, id="distance-gaussian"),
+    pytest.param("distance", ONE_D, None, None, 0, id="distance-1d"),
+    pytest.param("distance", DISCRETE, None, None, 0, id="distance-discrete"),
+    pytest.param("check", GAUSSIAN_SINGULAR, None, None, 0, id="check-gaussian"),
+    pytest.param("check", ONE_D, None, None, 0, id="check-1d"),
+    pytest.param("check", DISCRETE, None, None, 0, id="check-discrete"),
+    pytest.param("check", GAUSSIAN_SINGULAR, {"below_cov": [[0.7, 0.0], [0.0, 0.0]]}, None, 1,
+                 id="failed-check"),
+    pytest.param("project-1d", "{", None, None, 2, id="parse-error"),
+    # one descent iteration leaves this pair's transform uncertified
+    pytest.param("project-gaussian",
+                 {"mu": {"mean": [0.0, 0.0], "cov": [[2.5, 0.0], [0.0, 0.4]]},
+                  "nu": {"mean": [0.0, 0.0], "cov": [[1.0, 0.9], [0.9, 1.0]]}},
+                 None, (pgd, "MAX_ITER", 1), 3, id="solver-error"),
+    pytest.param("project-discrete", DISCRETE, None, (discrete, "MAX_ITER", 1), 3,
+                 id="unmet-gap"),
+    pytest.param("distance", DISCRETE, None, (cli, "exact_w2_sq", _injected), 4,
+                 id="unexpected-error"),
+]
+
+
+def imports_gc(source: str) -> bool:
+    """Whether ``source`` imports the ``gc`` module or a name from it."""
+    return any(
+        isinstance(node, ast.Import) and any(alias.name == "gc" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "gc"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+@pytest.fixture
+def collector():
+    """Turns the cyclic collector on or off for one test, then restores it."""
+    enabled = gc.isenabled()
+    yield lambda on: gc.enable() if on else gc.disable()
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollectorPause:
+    """Each command runs with the cyclic garbage collector paused and gives
+    the caller's setting back on every exit.  The pause defers no work
+    because a command leaves no cyclic garbage."""
+
+    @staticmethod
+    def run(args, tmp_path):
+        """The exit code of a command run in this process, as an embedding
+        program runs it; CliRunner keeps a cyclic traceback of its own."""
+        try:
+            main.main(args=[*args, "--output", str(tmp_path / "report.json")],
+                      prog_name="convex-order", standalone_mode=False)
+        except SystemExit as exc:
+            return exc.code
+        return 0
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize(("command", "payload", "assertion", "patch", "code"), COLLECTOR_CASES)
+    def test_restores_the_setting_and_leaves_no_cycles(
+            self, tmp_path, monkeypatch, collector, enabled, command, payload, assertion, patch,
+            code):
+        path = tmp_path / "p.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        args = [command, str(path)]
+        if assertion is not None:
+            args += ["--assert-file", write_problem(tmp_path / "expect.json", assertion)]
+        if patch is not None:
+            monkeypatch.setattr(*patch)
+        collector(enabled)
+        gc.collect()
+        assert self.run(args, tmp_path) == code
+        assert gc.isenabled() is enabled
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("command", ["project-1d", "distance", "check"])
+    def test_a_large_one_d_command_starts_no_collection(self, tmp_path, collector, command):
+        # a parsed 1-d problem is one list per atom: with the collector
+        # running, these 2000 + 2000 atoms set off about 5 collections
+        rng = np.random.default_rng(51)
+        problem = write_problem(tmp_path / "p.json", {
+            side: {"points": np.sort(scale * rng.normal(size=(2000, 1)), axis=0).tolist(),
+                   "weights": rng.dirichlet(np.ones(2000)).tolist()}
+            for side, scale in (("mu", 1.0), ("nu", 0.8))
+        })
+        starts = []
+
+        def count(phase, info):
+            if phase == "start":
+                starts.append(info["generation"])
+
+        collector(True)
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            code = self.run([command, problem], tmp_path)
+        finally:
+            gc.callbacks.remove(count)
+        assert code == 0
+        assert starts == []
+
+    def test_finds_gc_imports(self):
+        assert imports_gc("import os, gc") and imports_gc("from gc import disable")
+        assert not imports_gc("import gcd\ngc = None\nfrom os import gc")
+
+    def test_only_the_cli_imports_gc(self):
+        # the pause belongs to the command line: the library never touches
+        # the collector of a process that embeds it
+        modules = sorted(Path(cli.__file__).parent.glob("*.py"))
+        assert [path.name for path in modules if imports_gc(path.read_text())] == ["cli.py"]
