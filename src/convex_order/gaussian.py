@@ -22,13 +22,14 @@ into ``[1, 4)``; each output in covariance units is multiplied back by
 ``4^k`` where it is built.  Both projections commute with dilations and
 powers of two are exact, so every tolerance acts at unit scale.  The solve
 tries candidate bases, decided by the certificate: the identity for a
-rank-0 ``Snu``; the eigenbasis of ``Snu`` when both have full rank and
-``Smu`` is diagonal in it (the commuting case, where one basis
+rank-0 ``Snu``; the eigenbasis of ``Snu`` when ``Smu`` is diagonal in it
+with a positive diagonal (the commuting case, where one basis
 diagonalises both); then the projected-gradient solver's (the transport
-map of its dominating-side answer) for a full-rank ``Snu``, or else the
-rank reduction's, which solves the full-rank problem on the range of
-``Snu``.  The descent runs in the record's eigenbasis of ``Snu``, where
-the commuting test reads ``Smu``.  Only the first certified candidate is
+map of its dominating-side answer).  Both run in the record's eigenbasis
+of ``Snu``; on a singular ``Snu`` they read the block of ``Smu`` on its
+range, where the problem has full rank, and the eigenvectors of ``Snu``'s
+kernel complete the basis, which is certified once, on the record, as on
+the full-rank route.  Only the first certified candidate is
 assembled, and with it the verdict ``ProjectionResult.uniqueness``: is the
 dominating side unique among all measures?  It reads the record and, on a
 singular ``Snu``, the rank of the dominating projection.
@@ -45,7 +46,6 @@ import numpy as np
 
 from .linalg import (
     LinalgError,
-    _eigh,
     _eigvalsh,
     _ordered,
     _rebuild,
@@ -136,8 +136,8 @@ class _Pair:
     """A validated covariance pair decomposed once per solve: both
     covariances and the clamped spectral decomposition of ``cov_nu`` (in no
     fixed order), divided by ``4^scale_exponent``, its eigenvalues
-    before the clamp (:func:`_ordered` orders its basis by them on the
-    reduction route), the ranks, the rank cutoff of ``cov_nu``, the order
+    before the clamp (:func:`_ordered` orders its basis by them on a
+    singular target), the rank and the rank cutoff of ``cov_nu``, the order
     tolerance, and ``unit = 4^scale_exponent``, the factor that takes an
     output into the caller's units."""
 
@@ -145,25 +145,11 @@ class _Pair:
     cov_nu: np.ndarray
     nu_eig: tuple[np.ndarray, np.ndarray]
     nu_unclamped: np.ndarray
-    rank_mu: int
     rank_nu: int
     nu_cutoff: float
     order_tol: float
     scale_exponent: int
     unit: float
-
-
-def _pair(
-    cov_mu: np.ndarray, cov_nu: np.ndarray, mu_vals: np.ndarray, nu_eig: tuple,
-    nu_unclamped: np.ndarray, k: int,
-) -> _Pair:
-    nu_vals = nu_eig[0]
-    nu_cutoff = default_rank_tol(nu_vals)
-    order_tol = ORDER_REL * (1.0 + (float(nu_vals.max()) if nu_vals.size else 0.0))
-    rank_mu = int((mu_vals > default_rank_tol(mu_vals)).sum())
-    return _Pair(cov_mu, cov_nu, nu_eig, nu_unclamped, rank_mu,
-                 int((nu_vals > nu_cutoff).sum()), nu_cutoff, order_tol, k,
-                 math.ldexp(1.0, 2 * k))
 
 
 def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray, names: tuple[str, str]) -> _Pair:
@@ -172,18 +158,21 @@ def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray, names: tuple[str, str]) -
     its own unit scale), then check equal shapes: the only check a public
     call makes on its inputs.  The record is divided by ``4^k``, the larger
     top eigenvalue in ``[4^k, 4^(k+1))`` (``k = 0`` below ``2^-1000``), and
-    each clamped spectrum is moved there from its own scale by an exact
+    the spectrum of ``cov_nu`` is moved there from its own scale by an exact
     power of two, so it is that of the record's matrix."""
     cov_mu, mu_raw, _, k_mu = _validated_eigh(cov_mu, names[0])
     cov_nu, nu_raw, nu_vecs, k_nu = _validated_eigh(cov_nu, names[1])
     if cov_mu.shape != cov_nu.shape:
         raise ValueError("dimension mismatch")
-    mu_vals, nu_vals = np.maximum(mu_raw, 0.0), np.maximum(nu_raw, 0.0)
-    k = unit_scale_exponent(max(math.ldexp(float(mu_vals.max()), 2 * k_mu),
-                                math.ldexp(float(nu_vals.max()), 2 * k_nu)))
-    c, e_mu, e_nu = math.ldexp(1.0, -2 * k), 2 * (k_mu - k), 2 * (k_nu - k)
-    return _pair(c * cov_mu, c * cov_nu, np.ldexp(mu_vals, e_mu),
-                 (np.ldexp(nu_vals, e_nu), nu_vecs), np.ldexp(nu_raw, e_nu), k)
+    nu_clamped = np.maximum(nu_raw, 0.0)
+    k = unit_scale_exponent(max(math.ldexp(max(float(mu_raw.max()), 0.0), 2 * k_mu),
+                                math.ldexp(float(nu_clamped.max()), 2 * k_nu)))
+    c, e_nu = math.ldexp(1.0, -2 * k), 2 * (k_nu - k)
+    nu_vals = np.ldexp(nu_clamped, e_nu)
+    nu_cutoff = default_rank_tol(nu_vals)
+    return _Pair(c * cov_mu, c * cov_nu, (nu_vals, nu_vecs), np.ldexp(nu_raw, e_nu),
+                 int((nu_vals > nu_cutoff).sum()), nu_cutoff,
+                 ORDER_REL * (1.0 + float(nu_vals.max())), k, math.ldexp(1.0, 2 * k))
 
 
 def _certify(
@@ -256,87 +245,60 @@ def _route(pair: _Pair) -> tuple[OrderTransform, tuple[np.ndarray, ...], str, di
 
     Returns the first candidate the certificate accepts, as its transform,
     conjugates, method and diagnostics (in the caller's units): the identity
-    on a zero target; the ordered eigenbasis of ``cov_nu`` when both
-    covariances have full rank and ``cov_mu`` is diagonal in it (the
-    commuting case), at ``CLOSED_FORM_REL``; then the basis of the descent,
-    or of the rank reduction on a singular target, at ``ORDER_REL``,
-    returned even if refused, for :func:`_assemble` to raise on."""
-    d = pair.cov_nu.shape[0]
-    if pair.rank_nu == 0:
+    on a zero target; the ordered eigenbasis of ``cov_nu`` when ``cov_mu``
+    is diagonal in it with a positive diagonal (the commuting case), at
+    ``CLOSED_FORM_REL``; then the basis of the descent, at ``ORDER_REL``,
+    returned even if refused, for :func:`_assemble` to raise on.  On a
+    singular target both tests read the block of ``cov_mu`` on the range of
+    ``cov_nu``, in its eigenbasis ordered before the clamp (so that ties in
+    the kernel keep their order); the kernel columns complete each
+    candidate, and the route is ``singular_reduction``, with the block's
+    method and diagnostics under ``reduced_``."""
+    d, rank = pair.cov_nu.shape[0], pair.rank_nu
+    if rank == 0:
         return (*_certify(pair, np.eye(d), pair.order_tol), "closed_form", {"rank_nu": 0})
 
-    if pair.rank_nu == d:
-        vals, vecs = pair.nu_eig
-        m_mu = sym(vecs.T @ pair.cov_mu @ vecs)
-        if pair.rank_mu == d:
-            scale = np.sqrt(m_mu.diagonal())
-            off = m_mu / (scale[:, None] * scale[None, :])
-            np.fill_diagonal(off, 0.0)  # the off-diagonal of its correlation
-            if math.sqrt(np.vdot(off, off)) <= CLOSED_FORM_REL:
-                tol = CLOSED_FORM_REL * (1.0 + float(vals.max()))
-                transform, conjugates = _certify(pair, _ordered(pair.nu_unclamped, vecs)[1], tol)
-                if transform.certified:
-                    return (transform, conjugates, "commuting",
-                            {"order_residual": transform.order_residual})
+    vals, frame = pair.nu_eig
+    if rank < d:
+        vals, frame = _ordered(pair.nu_unclamped, frame)
+        vals = vals[:rank]
+    m_mu = sym(frame.T @ pair.cov_mu @ frame)[:rank, :rank]
+    transform = None
+    if positive_diag_mask(m_mu).all():
+        scale = np.sqrt(m_mu.diagonal())
+        off = m_mu / (scale[:, None] * scale[None, :])
+        np.fill_diagonal(off, 0.0)  # the off-diagonal of its correlation
+        if math.sqrt(np.vdot(off, off)) <= CLOSED_FORM_REL:
+            tol = CLOSED_FORM_REL * (1.0 + float(vals.max()))
+            basis = frame if rank < d else _ordered(pair.nu_unclamped, frame)[1]
+            transform, conjugates = _certify(pair, basis, tol)
+            method, work = "commuting", {}
 
+    if transform is None or not transform.certified:
         # in the eigenbasis of cov_nu, the gradient at the dominating
         # projection is I minus the inverse of the transport map onto it
         outcome, trace = pgd_project_above(vals, m_mu)
-        transform, conjugates = _certify(pair, transport_map_basis(outcome.gradient, vecs),
-                                         pair.order_tol)
-        diagnostics = {
+        basis = transport_map_basis(outcome.gradient, frame[:, :rank])
+        if rank < d:
+            basis = np.concatenate((basis, frame[:, rank:]), axis=1)
+        transform, conjugates = _certify(pair, basis, pair.order_tol)
+        method, work = "pgd", {
             "iterations": outcome.iterations,
             "evaluations": outcome.evaluations,
             "pgd_objective": pair.unit * outcome.objective,
             "pgd_residual": outcome.residual,
             "pgd_converged": outcome.converged,
             "stop_reason": outcome.stop_reason,
-            "order_residual": transform.order_residual,
             "trace": {"objective": [pair.unit * f for f in trace.objective],
                       "grad_norm": trace.grad_norm},
         }
-        return transform, conjugates, "pgd", diagnostics
 
-    basis, inner_method, inner_diagnostics = _reduce(pair)
-    transform, conjugates = _certify(pair, basis, pair.order_tol)
-    diagnostics = {
-        "rank_nu": pair.rank_nu,
-        "order_residual": transform.order_residual,
-        "reduced_method": inner_method,
-        **{f"reduced_{k}": v for k, v in inner_diagnostics.items()},
-    }
-    return transform, conjugates, "singular_reduction", diagnostics
-
-
-def _reduce(pair: _Pair) -> tuple[np.ndarray, str, dict[str, Any]]:
-    """Rank reduction of a record with singular, nonzero ``cov_nu``: routes
-    the nonsingular problem on the top ``rank_nu`` coordinates of
-    ``cov_nu`` and returns the record's candidate basis built from the
-    reduced candidate, with that candidate's method and diagnostics.  The
-    reduced pair is never assembled; a refused reduced candidate raises
-    :class:`CertificationError`.  The reduced record keeps the outer
-    ``scale_exponent``, so both are in the caller's units.  The reduced
-    target's spectrum is the top of ``cov_nu``'s, ordered before the clamp
-    so that ties in the kernel keep their order; the reduced ``cov_mu``
-    block, derived from validated input, is decomposed once and clamped."""
-    nu_vals, nu_vecs = _ordered(pair.nu_unclamped, pair.nu_eig[1])
-    rank = pair.rank_nu
-    reduced_mu = sym(nu_vecs.T @ pair.cov_mu @ nu_vecs)[:rank, :rank].copy()
-    mu_vals, mu_vecs = _eigh(reduced_mu)
-    if mu_vals[0] < 0.0:  # a block of PSD cov_mu: roundoff at the scale of cov_mu
-        mu_vals = np.maximum(mu_vals, 0.0)
-        reduced_mu = _rebuild(mu_vals, mu_vecs)
-    top = nu_vals[:rank]
-    reduced = _pair(reduced_mu, np.diag(top), mu_vals, (top, np.eye(rank)), top,
-                    pair.scale_exponent)
-    transform, _, method, diagnostics = _route(reduced)
-    if not transform.certified:
-        raise CertificationError(transform)
-    # compose the spectral split of the target with the reduced solve's
-    # rotation; the kernel coordinates keep the spectral basis vectors
-    block = np.eye(pair.cov_nu.shape[0])
-    block[:rank, :rank] = transform.basis
-    return nu_vecs @ block, method, diagnostics
+    residual = {"order_residual": transform.order_residual}
+    if rank == d:
+        return transform, conjugates, method, {**work, **residual}
+    return transform, conjugates, "singular_reduction", {
+        "rank_nu": rank, **residual, "reduced_method": method,
+        **{f"reduced_{k}": v for k, v in work.items()}}
 
 
 def project_pair(

@@ -233,6 +233,31 @@ class TestUnitScale:
                 project_pair(c * mu_cov, c * nu_cov)
             assert scaled.value.transform.order_residual == c * residual, j
 
+    def test_refused_candidate_on_a_singular_target_is_in_caller_units(self, monkeypatch):
+        # a singular target's candidate is built and certified on the
+        # solve's own record, so a refusal carries the d x d transform, as
+        # on a full-rank target, and its residual in the caller's units
+        monkeypatch.setattr(gaussian, "ORDER_REL", -1.0)
+        mu_cov = np.array([[1.5, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.8]])
+        nu_cov = np.diag([2.0, 1.0, 0.0])
+        with pytest.raises(CertificationError) as unit:
+            project_pair(mu_cov, nu_cov)
+        transform = unit.value.transform
+        assert transform.basis.shape == (3, 3) and transform.ratios.shape == (3,)
+        assert not transform.certified
+        np.testing.assert_allclose(transform.basis.T @ transform.basis, np.eye(3), atol=1e-12)
+        # the kernel of the target completes the basis
+        np.testing.assert_array_equal(transform.basis[:, 2], [0.0, 0.0, 1.0])
+        basis, ratios = transform.basis, transform.ratios
+        contracted = ratios[:, None] * (basis.T @ mu_cov @ basis) * ratios[None, :]
+        gap = np.linalg.eigvalsh(basis.T @ nu_cov @ basis - contracted).min()
+        assert transform.order_residual == pytest.approx(gap, abs=1e-12)
+        c = math.ldexp(1.0, 10)
+        with pytest.raises(CertificationError) as scaled:
+            project_pair(c * mu_cov, c * nu_cov)
+        assert scaled.value.transform.order_residual == c * transform.order_residual
+        np.testing.assert_array_equal(scaled.value.transform.basis, basis)
+
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4, 1e6])
     def test_pairs_certify_at_every_scale(self, scale):
         for s in range(200):
@@ -460,8 +485,9 @@ class TestCommuting:
         assert below.distance_sq == pytest.approx(expected, abs=1e-9)
 
     def test_singular_pairs_do_not_take_it(self):
-        # the commuting test needs both covariances nonsingular; a singular
-        # target's reduced problem may still take it
+        # the commuting test accepts a correlation within CLOSED_FORM_REL of
+        # I, so only a block of cov_mu of full rank; a singular target's
+        # block on its range may still take it (singular_reduction)
         rng = np.random.default_rng(27)
         pairs = [_rotated_disjoint_pair(1e6), _disjoint_rank_two_against_rank_one(),
                  (np.diag([2.0, 0.0]), np.diag([1.0, 3.0]))]
@@ -481,9 +507,29 @@ class TestSingularReduction:
     """The dominating side on a singular target, read in the frame of
     numpy's eigendecomposition of the target (``reduced_descent``)."""
 
+    @staticmethod
+    def every_route():
+        """Seeded pairs that take every route, the reduced ones included."""
+        rng = np.random.default_rng(38)
+        cases = [(np.eye(2), np.zeros((2, 2))), (np.eye(2), np.diag([2.0, 0.0]))]
+        cases += [full_rank_family(rng, k) for k in range(15)]
+        cases += [(random_spd(rng, d), random_psd_singular(rng, d, d - 1)) for d in (3, 4, 5)]
+        return cases
+
+    @classmethod
+    def assert_once_per_solve(cls, counter):
+        routes = set()
+        for mu_cov, nu_cov in cls.every_route():
+            counter["n"] = 0
+            below, _ = project_pair(mu_cov, nu_cov)
+            assert counter["n"] == 1, below.method
+            routes.add((below.method, below.diagnostics.get("reduced_method")))
+        assert {method for method, _ in routes} == {
+            "closed_form", "commuting", "pgd", "singular_reduction"}
+        assert {("singular_reduction", "commuting"), ("singular_reduction", "pgd")} <= routes
+
     def test_each_solve_assembles_once(self, monkeypatch):
-        # only the solve's own pair is assembled: the reduction reads the
-        # reduced candidate's basis, method and diagnostics, whatever its route
+        # only the solve's own pair is assembled, whatever its route
         calls = {"n": 0}
         assemble = gaussian._assemble
 
@@ -492,19 +538,20 @@ class TestSingularReduction:
             return assemble(*args)
 
         monkeypatch.setattr(gaussian, "_assemble", counted)
-        rng = np.random.default_rng(38)
-        cases = [(np.eye(2), np.zeros((2, 2))), (np.eye(2), np.diag([2.0, 0.0]))]
-        cases += [full_rank_family(rng, k) for k in range(15)]
-        cases += [(random_spd(rng, d), random_psd_singular(rng, d, d - 1)) for d in (3, 4, 5)]
-        routes = set()
-        for mu_cov, nu_cov in cases:
-            calls["n"] = 0
-            below, _ = project_pair(mu_cov, nu_cov)
-            assert calls["n"] == 1, below.method
-            routes.add((below.method, below.diagnostics.get("reduced_method")))
-        assert {method for method, _ in routes} == {
-            "closed_form", "commuting", "pgd", "singular_reduction"}
-        assert {("singular_reduction", "commuting"), ("singular_reduction", "pgd")} <= routes
+        self.assert_once_per_solve(calls)
+
+    def test_each_solve_builds_one_record(self, monkeypatch):
+        # a singular target's block is solved inside the solve's own record:
+        # a second record would be a second, re-entrant route
+        built = {"n": 0}
+
+        class Counted(gaussian._Pair):
+            def __init__(self, *args, **kwargs):
+                built["n"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(gaussian, "_Pair", Counted)
+        self.assert_once_per_solve(built)
 
     def test_identity_lower(self):
         _, above = project_pair(np.eye(2), np.diag([2.0, 0.0]))
@@ -615,7 +662,7 @@ class TestRankAmbiguity:
                                                 (20.0, False), (0.05, False)])
     def test_band_reaches_a_factor_of_ten_each_way(self, monkeypatch, factor, open_):
         # diagonal pairs: the commuting basis answers (a full-rank target)
-        # or the rank reduction's does, and no descent runs
+        # or the commuting basis of the target's range does, and no descent runs
         def no_descent(*args):
             raise AssertionError("the descent ran")
 
@@ -877,9 +924,9 @@ DISJOINT_PAIRS = {
 
 
 class TestDisjointRangesAtScale:
-    """Derived matrices (the reduced block of Smu, A^1/2 B A^1/2) are
-    roundoff at the pair's scale here; they must be clamped, not rejected
-    as non-PSD against their own tiny scale."""
+    """Derived matrices (the block of Smu on the range of Snu, A^1/2 B
+    A^1/2) are roundoff at the pair's scale here; they must be read as they
+    are or clamped, not rejected as non-PSD against their own tiny scale."""
 
     @pytest.mark.parametrize("name", sorted(DISJOINT_PAIRS))
     def test_projection_certifies(self, name):
@@ -1255,6 +1302,37 @@ class TestEigenConvention:
                     assert x == y, want[0]
         assert {"commuting", "pgd", "singular_reduction"} <= methods
 
+    def test_every_reported_basis_is_signed_by_the_convention(self):
+        # linalg._ordered's rule: the first entry of each column above 1e-12
+        # of its largest magnitude is positive; a singular target's basis
+        # is built on the record, so its columns are signed there and not
+        # on the range of the target
+        rng = np.random.default_rng(41)
+        pairs = [(np.eye(3), np.zeros((3, 3))), (np.eye(2), np.diag([2.0, 0.0]))]
+        pairs += [random_commuting_pair(rng, d)[:2] for d in range(1, 7)]
+        pairs += [(spd(rng, d), spd(rng, d)) for d in range(2, 9)]
+        for k in range(60):
+            d = 2 + k % 7
+            nu_cov = spd(rng, d, rank=1 + k % (d - 1))
+            pairs.append((spd(rng, d, rank=None if k % 4 else d - 1), nu_cov))
+        for d in range(2, 7):
+            q = random_orthogonal(rng, d)
+            nu_vals = rng.uniform(0.2, 3.0, size=d)
+            nu_vals[d // 2:] = 0.0
+            pairs.append((sym_of(q, rng.uniform(0.2, 3.0, size=d)), sym_of(q, nu_vals)))
+        routes = set()
+        for mu_cov, nu_cov in pairs:
+            below, above = project_pair(mu_cov, nu_cov)
+            basis = below.transform.basis
+            assert above.transform.basis is basis
+            mags = np.abs(basis)
+            for j in range(basis.shape[1]):
+                lead = np.flatnonzero(mags[:, j] > 1e-12 * mags[:, j].max())[0]
+                assert basis[lead, j] > 0.0, (below.method, j)
+            routes.add((below.method, below.diagnostics.get("reduced_method")))
+        assert routes == {("closed_form", None), ("commuting", None), ("pgd", None),
+                          ("singular_reduction", "commuting"), ("singular_reduction", "pgd")}
+
 
 class TestValidatedSpectrum:
     """``GaussianMeasure`` validates in LAPACK's order what the descending
@@ -1508,9 +1586,9 @@ class TestSpectralWork:
             assert inside["ordered"] == 0
 
     def test_singular_lower_with_definite_target(self, eigensolves, monkeypatch):
-        # no commuting test: it needs both covariances nonsingular; outside
-        # the descent remain the two decompositions, the basis from the
-        # descent's last gradient and the certificate
+        # a singular cov_mu fails the commuting test, which costs no
+        # eigensolve; outside the descent remain the two decompositions,
+        # the basis from the descent's last gradient and the certificate
         inside = {"eig": 0}
         descend = gaussian.pgd_project_above
 
@@ -1557,20 +1635,20 @@ class TestSpectralWork:
         result = CliRunner().invoke(main, ["project-gaussian", str(problem)])
         assert result.exit_code == 0
         assert json.loads(result.output)["method"] == "singular_reduction"
-        # two measures, the pair record (2), the reduction, the reduced
-        # 1x1 problem's certificate, the certificate, and the verdict's
-        # assembled rank and saturation test (3)
-        assert eigensolves["n"] <= 10
+        # two measures, the pair record (2), the certificate, and the
+        # verdict's assembled rank and saturation test (3); the target's
+        # range is solved inside the record, with no eigensolve of its own
+        assert eigensolves["n"] <= 8
 
     def test_uniqueness_check(self, eigensolves):
-        # a singular target's solve and verdict: its record (2), the
-        # reduction's block, the reduced commuting basis's certificate, the
+        # a singular target's solve and verdict: its record (2), the one
         # certificate, and the verdict's assembled rank and saturation test
-        # (3); the reduced pair is never assembled
+        # (3); the commuting test on the target's range reads a conjugate
+        # of cov_mu, with no eigensolve
         below, above = project_pair(np.eye(2), np.diag([2.0, 0.0]))
         assert below.diagnostics["reduced_method"] == "commuting"
         assert above.uniqueness.unique is False
-        assert eigensolves["n"] <= 8
+        assert eigensolves["n"] <= 6
 
     def test_every_descent_passes_through_the_traced_name(self, monkeypatch):
         # a benchmark tracer wraps this module global to count PGD
