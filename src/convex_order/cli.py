@@ -46,6 +46,8 @@ PARSE_ERROR = 2
 SOLVER_ERROR = 3
 CHECK_FAILED = 1
 UNEXPECTED_ERROR = 4
+# the values of a problem's "mode" key, which distance and check read
+MODES = ("gaussian", "one_d", "discrete")
 
 
 def _fail(code: int, message: str) -> None:
@@ -151,11 +153,13 @@ def _parse_discrete(obj: Any, name: str) -> DiscreteMeasure:
 
 
 def _problem_mode(problem: dict) -> str | None:
-    """The declared mode, else gaussian when ``mu`` has a covariance, else
-    ``None``: the parsed points choose."""
+    """The declared mode, which must be one of ``MODES``, else gaussian when
+    ``mu`` has a covariance, else ``None``: the parsed points choose."""
     mode = problem.get("mode")
-    if mode in ("gaussian", "one_d", "discrete"):
+    if mode in MODES:
         return mode
+    if "mode" in problem:
+        _fail(PARSE_ERROR, f"mode must be one of {', '.join(MODES)}, got {mode!r}")
     mu = problem.get("mu")
     return "gaussian" if isinstance(mu, dict) and "cov" in mu else None
 

@@ -46,8 +46,8 @@ _POLISH_WEIGHT = 1e7
 _POLISH_STEPS = 2
 _POLISH_ROUNDS = 3
 _POLISH_RESIDUAL = 1e-15
-# one early polish try (one support, no lstsq) at a complementarity below this fraction of
-# 1 + value, once each cell's last step kept pi_ij or s_ij above 1 - _SETTLED, the other below
+# one early polish try at a complementarity below this fraction of 1 + value, once each
+# cell's last step kept pi_ij or s_ij above 1 - _SETTLED, the other below
 _EARLY_POLISH = 1e-6
 _SETTLED = 0.3
 # the start's share c of the slacks s_ij = z_i.y_j - min_k z_i.y_k + c (1 / w_i + 1 / nu_j)
@@ -326,7 +326,7 @@ class WotResult:
       forces the product coupling); ``"roundoff"`` (the complementarity fell
       to roundoff first); ``"singular"`` (a Newton system gave no finite
       step); or ``"max_iter"``;
-    - ``least_squares``: singular Schur complements solved by least norm (``lstsq``).
+    - ``least_squares``: singular Schur complements solved by least norm, a failed try's included.
     """
 
     coupling: Coupling
@@ -438,14 +438,14 @@ class _NewtonSystem:
         solved[:, 1:, first:] = _solve(self.image_block, image_rhs[:, :, first:])
         solved[:, 0, m] = r_row / self.total
 
-    def direction(self, t: np.ndarray, primal_slack: np.ndarray | float, least_norm: bool):
+    def direction(self, t: np.ndarray, primal_slack: np.ndarray | float):
         """The step whose complementarity rows read ``s dpi + pi ds = pi t``:
         ``dpi = d (moved + t)`` and ``ds = -moved``, where ``moved_ij =
         a_ij.q_i + dv_j`` and ``K_i q_i = residual_i - sum_j d_ij (t_ij +
         dv_j) a_ij``.  Returns the stacked ``(dpi, ds)``, ``dz``, ``dv`` and
-        the largest step that keeps ``primal_slack`` nonnegative; a step
-        that is not finite, or a singular Schur complement unless
-        ``least_norm``, raises ``LinAlgError``."""
+        the largest step that keeps ``primal_slack`` nonnegative.  A singular
+        Schur complement is solved by least norm; a step that is not finite
+        raises ``LinAlgError``."""
         n, m, dim = self.shape
         solved, ratio = self.solved, self.ratio
         eta = solved[:, :, m] - (solved[:, :, :m] @ t[:, :, None])[:, :, 0]
@@ -454,8 +454,6 @@ class _NewtonSystem:
         try:
             dv = _solve(self.schur, rhs)
         except np.linalg.LinAlgError:
-            if not least_norm:
-                raise
             # on degenerate instances the complement can round to an exact
             # zero pivot: the least-norm solution leaves the free duals alone
             self.least_squares += 1
@@ -471,20 +469,19 @@ class _NewtonSystem:
             raise np.linalg.LinAlgError("the Newton step is not finite")
         return out, q[:, 1:], dv, -1.0 / lowest if lowest < 0.0 else math.inf
 
-    def polish(self, support: np.ndarray, rounds: int, least_norm: bool, *start: np.ndarray):
+    def polish(self, support: np.ndarray, *start: np.ndarray):
         """The solution ``(pi, z, v)`` from ``start = (pi, s, z, v)`` of the
         optimality equations on ``support``: ``s = 0`` there, ``pi = 0`` off
         it, and the marginal and image equations.  ``_POLISH_STEPS`` proximal
         Newton steps (ratio ``_POLISH_WEIGHT`` on the support: each solves
-        ``s_ij + dpi_ij / _POLISH_WEIGHT = 0``; ``least_norm`` as in
-        :meth:`direction`) take them to roundoff on one factorization: the
-        steps after the first solve their :meth:`residual` alone.  Cells whose
-        ``pi`` comes out negative leave the support, for at most ``rounds``
-        supports.
+        ``s_ij + dpi_ij / _POLISH_WEIGHT = 0``) take them to roundoff on one
+        factorization: the steps after the first solve their :meth:`residual`
+        alone.  Cells whose ``pi`` comes out negative leave the support, for at
+        most ``_POLISH_ROUNDS`` supports.
         ``LinAlgError`` if a row or column misses the support, or the last
         leaves ``pi < 0`` or a marginal off by more than ``_POLISH_RESIDUAL``,
         without which the bound's gap would not certify a coupling."""
-        for _ in range(rounds):
+        for _ in range(_POLISH_ROUNDS):
             if not (support.any(axis=1).all() and support.any(axis=0).all()):
                 raise np.linalg.LinAlgError("a row or column misses the support")
             ratio = np.where(support, _POLISH_WEIGHT, 0.0)
@@ -494,7 +491,7 @@ class _NewtonSystem:
             for step in range(_POLISH_STEPS):
                 if step:  # the same ratios: only the residuals are solved again
                     self.residual(pi, z, self.shape[1])
-                (dpi, ds), dz, dv, _ = self.direction(-s, 1.0, least_norm)
+                (dpi, ds), dz, dv, _ = self.direction(-s, 1.0)
                 pi += dpi
                 s += ds
                 z += dz
@@ -547,8 +544,8 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
 
     Once before that, at the first step where the complementarity is below
     ``_EARLY_POLISH * (1 + value)`` and every cell has settled (``_SETTLED``),
-    the polish tries one support without ``lstsq``; the solve stops there if the
-    gap meets the target, and otherwise goes on as if untried.
+    the polish is tried; the solve stops there if the gap meets the target, and
+    otherwise goes on as if untried, but for the try's ``least_squares``.
     """
     _require_budget(mu, nu)
     n, m, dim = mu.size, nu.size, mu.dim
@@ -587,9 +584,9 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
         value = float(w @ (residual * residual).sum(axis=1))
         return value, value - _lower_bound(x, w, y, col_w, -0.5 * z, -0.5 * v)
 
-    def polish(rounds: int, least_norm: bool) -> tuple[np.ndarray, float, float] | None:
+    def polish() -> tuple[np.ndarray, float, float] | None:
         try:
-            exact, exact_z, exact_v = system.polish(pi > s, rounds, least_norm, pi, s, z, v)
+            exact, exact_z, exact_v = system.polish(pi > s, pi, s, z, v)
         except np.linalg.LinAlgError:
             return None
         value, gap = bracket(exact, exact_z, exact_v)
@@ -599,7 +596,7 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
         return exact, value, gap
 
     def certify() -> tuple[np.ndarray, float, float]:
-        if max_steps and (exact := polish(_POLISH_ROUNDS, True)) is not None:
+        if max_steps and (exact := polish()) is not None:
             return exact
         certified.append(False)
         if max_steps == 0:
@@ -631,12 +628,12 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
                 low, high = np.sort(primal_slack / last, axis=0)  # the shares each cell kept
                 if (low < _SETTLED).all() and (high > 1.0 - _SETTLED).all():
                     early = False
-                    if (exact := polish(1, False)) is not None:
+                    if (exact := polish()) is not None:
                         coupling, value, gap = exact
                         break
             try:
                 system.factor(pi / s, pi, z)
-                predictor, _, _, reach = system.direction(-s, primal_slack, True)
+                predictor, _, _, reach = system.direction(-s, primal_slack)
                 central = complementarity * centre
                 if reach < _BLOCKED:
                     correction = _CENTER * central
@@ -644,7 +641,7 @@ def solve_wot(mu: DiscreteMeasure, nu: DiscreteMeasure) -> WotResult:
                     trial = primal_slack + min(1.0, reach) * predictor
                     sigma = (float(np.vdot(trial[0], trial[1])) / complementarity) ** 3
                     correction = sigma * central - predictor[0] * predictor[1]
-                move, dz, dv, reach = system.direction(correction / pi - s, primal_slack, True)
+                move, dz, dv, reach = system.direction(correction / pi - s, primal_slack)
             except np.linalg.LinAlgError:
                 singular = True
                 if complementarity > GAP_TOL * scale:  # else certified at this step

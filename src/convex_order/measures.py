@@ -31,6 +31,8 @@ class GaussianMeasure:
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        if mean.ndim != 1:
+            raise ValueError(f"mean must be a vector, got shape {mean.shape}")
         cov = _validated_eigh(self.cov, "covariance")[0]  # NotPsdError on bad input
         if cov.shape != (mean.size, mean.size):
             raise ValueError(

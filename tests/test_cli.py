@@ -579,6 +579,32 @@ class TestDistance:
         assert result.stderr == ("error: measure 'mu': mean must lie within 3.273e+150 in "
                                  "absolute value\n")
 
+    @pytest.mark.parametrize("command", ["project-gaussian", "distance", "check"])
+    @pytest.mark.parametrize("nu_mean", [[[4.0, 5.0], [6.0, 7.0]], [4.0, 5.0, 6.0, 7.0]],
+                             ids=["nested", "flat"])
+    def test_a_mean_that_is_not_a_vector_is_a_parse_error(self, runner, tmp_path, command,
+                                                          nu_mean):
+        # a nested mean of four entries against 4x4 covariances: alone it
+        # was reported as it came, and against a flat mean numpy's broadcast
+        # error exited 4
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"mean": [[0.0, 1.0], [2.0, 3.0]], "cov": np.eye(4).tolist()},
+            "nu": {"mean": nu_mean, "cov": (2.0 * np.eye(4)).tolist()},
+        })
+        result = runner.invoke(main, [command, problem])
+        assert result.exit_code == cli.PARSE_ERROR
+        assert result.stderr == "error: measure 'mu': mean must be a vector, got shape (2, 2)\n"
+
+    @pytest.mark.parametrize("command", ["distance", "check"])
+    @pytest.mark.parametrize("mode", ["discret", None, 1])
+    def test_an_undeclared_mode_is_a_parse_error(self, runner, tmp_path, command, mode):
+        # "discret" on a 1-d problem ran the 1-d route and exited 0
+        problem = write_problem(tmp_path / "p.json", {"mode": mode, **ONE_D})
+        result = runner.invoke(main, [command, problem])
+        assert result.exit_code == cli.PARSE_ERROR
+        assert result.stderr == ("error: mode must be one of gaussian, one_d, discrete, "
+                                 f"got {mode!r}\n")
+
     @pytest.mark.parametrize("side, key, value", [
         ("mu", "points", [[HUGE], [1.0]]),
         ("mu", "points", [HUGE, 1.0]),

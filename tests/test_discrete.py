@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -183,6 +184,10 @@ class TestInputGuards:
         cases = [
             (lambda: GaussianMeasure(np.zeros(2), np.eye(3)),
              r"covariance shape \(3, 3\) does not match mean of size 2"),
+            (lambda: GaussianMeasure([[0.0, 1.0]], np.eye(2)),
+             r"mean must be a vector, got shape \(1, 2\)"),
+            (lambda: GaussianMeasure([[0.0, 1.0], [2.0, 3.0]], np.eye(4)),
+             r"mean must be a vector, got shape \(2, 2\)"),
             (lambda: DiscreteMeasure([[0.0], [1.0]], [1.0]),
              "one weight per support point required"),
             (lambda: DiscreteMeasure([[0.0, 1.0]], [1.0]).values_1d,
@@ -828,35 +833,49 @@ class TestEarlyPolish:
 
     @staticmethod
     def counted(monkeypatch):
-        """``solve_wot`` that returns with its result its early tries (the
-        polishes of one support), each as the least-norm solves it made and
-        the error it raised (``None`` if it returned)."""
+        """``solve_wot`` that returns with its result its early tries, each as
+        the least-norm solves it made, the error it raised (``None`` if it
+        returned) and whether it ended the solve.  A try is a polish that
+        ``solve_wot`` calls itself, not through its ``certify``; a try ends the
+        solve only if no certificate's polish follows it."""
         polish = discrete._NewtonSystem.polish
-        tries = []
+        calls = []
 
-        def counting(self, support, rounds, least_norm, *start):
-            if rounds != 1:
-                return polish(self, support, rounds, least_norm, *start)
+        def counting(self, support, *start):
+            early = sys._getframe(2).f_code.co_name == "solve_wot"
             before, error = self.least_squares, None
             try:
-                return polish(self, support, rounds, least_norm, *start)
+                return polish(self, support, *start)
             except np.linalg.LinAlgError as raised:
                 error = str(raised)
                 raise
             finally:
-                tries.append((self.least_squares - before, error))
+                calls.append((early, self.least_squares - before, error))
         monkeypatch.setattr(discrete._NewtonSystem, "polish", counting)
 
         def solve(mu, nu):
-            tries.clear()
+            calls.clear()
             result = solve_wot(mu, nu)
-            return result, list(tries)
+            last = len(calls) - 1
+            return result, [(lstsq_calls, error, error is None and at == last)
+                            for at, (early, lstsq_calls, error) in enumerate(calls) if early]
         return solve
 
-    def test_a_failed_or_absent_try_changes_no_bit(self, monkeypatch):
+    @staticmethod
+    def split_support_pairs(count):
+        """``count`` pairs of ``default_rng(7)``: n atoms against n of equal
+        weights, d = 1 or 2, N(0, 1) against N(0, 0.64) points; the optimal
+        support often splits, and its Schur complement is exactly singular."""
+        rng = np.random.default_rng(7)
+        for _ in range(count):
+            n, d = int(rng.integers(3, 12)), int(rng.integers(1, 3))
+            yield tuple(DiscreteMeasure(spread * rng.normal(size=(n, d)), np.full(n, 1 / n))
+                        for spread in (1.0, 0.8))
+
+    def test_a_failed_or_absent_try_changes_nothing_but_its_least_squares(self, monkeypatch):
         # mu = nu never settles, so no try is made; on the tiny-target family
-        # every try fails: both solve bit for bit as without the try, with
-        # the same least-norm solves
+        # every try fails: both solve bit for bit as without the try, but for
+        # the least-norm solves the try made, which least_squares counts too
         pairs = list(equal_measure_pairs(60)) + list(tiny_target_pairs(40))
         solve = self.counted(monkeypatch)
         tried = [solve(mu, nu) for mu, nu in pairs]
@@ -864,28 +883,35 @@ class TestEarlyPolish:
         for (mu, nu), (result, tries) in zip(pairs, tried):
             reference, untried = solve(mu, nu)
             assert untried == [] and len(tries) <= 1
-            assert outcome(result) == outcome(reference)
+            assert not any(ended for *_, ended in tries)
+            diagnostics = dict(reference.diagnostics)
+            diagnostics["least_squares"] += sum(lstsq_calls for lstsq_calls, *_ in tries)
+            assert outcome(result)[:-1] == outcome(reference)[:-1]
+            assert result.diagnostics == diagnostics
         assert sum(len(tries) for _, tries in tried[60:]) > 0
         assert sum(result.diagnostics["least_squares"] for result, _ in tried[:60]) > 0
 
-    def test_a_try_solves_no_schur_complement_by_least_norm(self, monkeypatch):
-        # n atoms against n of equal weights: many tries meet an exactly
-        # singular Schur complement, which ends the try, and the solve goes
-        # on as without it
-        rng = np.random.default_rng(7)
-        pairs = []
-        for _ in range(60):
-            n, d = int(rng.integers(3, 12)), int(rng.integers(1, 3))
-            pairs.append(tuple(DiscreteMeasure(spread * rng.normal(size=(n, d)), np.full(n, 1 / n))
-                               for spread in (1.0, 0.8)))
+    def test_a_split_support_is_polished_by_the_try(self, monkeypatch):
+        # a singular Schur complement no longer ends the try: it is solved by
+        # least norm, as in the certificate's polish, so every pair is
+        # polished in fewer factorizations (9.33 a solve when it ended the
+        # try, 8.02 without)
+        factor = discrete._NewtonSystem.factor
+        factorizations = []
+
+        def counting(self, *args):
+            factorizations[-1] += 1
+            return factor(self, *args)
+        monkeypatch.setattr(discrete._NewtonSystem, "factor", counting)
         solve = self.counted(monkeypatch)
-        tried = [solve(mu, nu) for mu, nu in pairs]
-        monkeypatch.setattr(discrete, "_EARLY_POLISH", 0.0)
-        for (mu, nu), (result, tries) in zip(pairs, tried):
-            assert len(tries) <= 1 and all(lstsq_calls == 0 for lstsq_calls, _ in tries)
-            if any(error is not None for _, error in tries):
-                assert outcome(result) == outcome(solve_wot(mu, nu))
-        assert sum(error == "Singular matrix" for _, tries in tried for _, error in tries) >= 5
+        tried = []
+        for mu, nu in self.split_support_pairs(150):
+            factorizations.append(0)
+            tried.append(solve(mu, nu))
+        for result, tries in tried:
+            assert result.converged and result.diagnostics["polished"] and len(tries) <= 1
+        assert sum(lstsq_calls for _, tries in tried for lstsq_calls, *_ in tries) > 0
+        assert np.mean(factorizations) <= 8.5
 
     def test_the_workload_keeps_its_projections_in_fewer_steps(self, monkeypatch):
         pairs = list(wot_simplex_pairs(401, 300))
@@ -901,8 +927,9 @@ class TestEarlyPolish:
             assert abs(result.value - parent.value) <= 1e-15 * (1.0 + parent.value)
         assert (sum(r.diagnostics["polished"] for r, _ in tried)
                 == sum(r.diagnostics["polished"] for r in reference))
-        # some tries fail, and the solve goes on past them
-        assert sum(error is not None for _, tries in tried for _, error in tries) >= 5
+        # some tries fail (raise, or miss the gap target), and the solve goes
+        # on past them
+        assert sum(not ended for _, tries in tried for *_, ended in tries) >= 5
         assert np.mean([r.iterations for r, _ in tried]) <= 10.0
 
     def test_a_try_on_the_wrong_support_is_not_accepted(self, monkeypatch):
@@ -938,15 +965,15 @@ class TestNewtonWork:
             trace.setdefault("z", z.copy())
             return factor(self, ratio, pi, z)
 
-        def directing(self, t, primal_slack, least_norm):
+        def directing(self, t, primal_slack):
             trace["calls"].append("D")
             trace.setdefault("pi_s", np.array(primal_slack))
-            return direction(self, t, primal_slack, least_norm)
+            return direction(self, t, primal_slack)
 
-        def polishing(self, support, rounds, least_norm, pi, s, z, v):
+        def polishing(self, support, pi, s, z, v):
             begin, returned, start = len(trace["calls"]), False, (s.copy(), z.copy(), v.copy())
             try:
-                solution = polish(self, support, rounds, least_norm, pi, s, z, v)
+                solution = polish(self, support, pi, s, z, v)
                 returned = True
                 return solution
             finally:

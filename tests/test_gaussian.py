@@ -1021,6 +1021,29 @@ class TestOutputsReadBack:
         assert result.exit_code == 0, result.output
         assert json.loads(result.output)["passed"] is True
 
+    @pytest.mark.parametrize("family", READ_BACK_FAMILIES)
+    def test_reports_read_back_as_problems(self, family, tmp_path):
+        # project-gaussian's below and above, as written, are the two
+        # measures of a problem that check passes and distance measures
+        runner, problem = CliRunner(), tmp_path / "p.json"
+        for k, (mu_cov, nu_cov) in enumerate(_read_back_pairs(family, 20)):
+            d = mu_cov.shape[0]
+            problem.write_text(json.dumps({
+                "mu": {"mean": [float(k)] * d, "cov": mu_cov.tolist()},
+                "nu": {"mean": [-1.0] * d, "cov": nu_cov.tolist()},
+            }))
+            result = runner.invoke(main, ["project-gaussian", str(problem)])
+            assert result.exit_code == 0, (k, result.output)
+            report = json.loads(result.output)
+            problem.write_text(json.dumps({
+                name: {"mean": report[side]["mean"], "cov": report[side]["cov"]}
+                for name, side in (("mu", "below"), ("nu", "above"))
+            }))
+            result = runner.invoke(main, ["check", str(problem)])
+            assert result.exit_code == 0, (k, result.output)
+            assert json.loads(result.output)["passed"] is True
+            assert runner.invoke(main, ["distance", str(problem)]).exit_code == 0, k
+
 
 class TestPairInvariants:
     def test_trace_identity_and_distance_equality(self):
