@@ -227,16 +227,14 @@ def cmd_project_gaussian(problem, trace_path, output):
     _, mu, nu = _measure_pair(data, "gaussian")
     below, above = project_pair(mu.cov, nu.cov)
     diagnostics = dict(below.diagnostics)
-    # a singular target runs the descent on its reduced problem
-    prefix = "reduced_" if "reduced_pgd_converged" in diagnostics else ""
-    trace_data = diagnostics.pop(prefix + "trace", None)
+    trace_data = diagnostics.pop("trace", None)
     if trace_path:
         _write_trace(trace_path, trace_data)
-    converged = diagnostics.get(prefix + "pgd_converged", True)
+    converged = diagnostics.get("pgd_converged", True)
     if not converged:
         click.echo(
             "warning: the descent stopped before convergence "
-            f"({diagnostics[prefix + 'stop_reason']}); the transform is still certified",
+            f"({diagnostics['stop_reason']}); the transform is still certified",
             err=True,
         )
 

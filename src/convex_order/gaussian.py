@@ -21,18 +21,18 @@ pair record at unit scale, divided by the power of four ``4^k``
 into ``[1, 4)``; each output in covariance units is multiplied back by
 ``4^k`` where it is built.  Both projections commute with dilations and
 powers of two are exact, so every tolerance acts at unit scale.  The solve
-tries candidate bases, decided by the certificate: the identity for a
-rank-0 ``Snu``; the eigenbasis of ``Snu`` when ``Smu`` is diagonal in it
-with a positive diagonal (the commuting case, where one basis
-diagonalises both); then the projected-gradient solver's (the transport
-map of its dominating-side answer).  Both run in the record's eigenbasis
-of ``Snu``; on a singular ``Snu`` they read the block of ``Smu`` on its
-range, where the problem has full rank, and the eigenvectors of ``Snu``'s
-kernel complete the basis, which is certified once, on the record, as on
-the full-rank route.  Only the first certified candidate is
-assembled, and with it the verdict ``ProjectionResult.uniqueness``: is the
-dominating side unique among all measures?  It reads the record and, on a
-singular ``Snu``, the rank of the dominating projection.
+tries candidate bases, decided by the certificate, both in the record's
+eigenbasis of ``Snu``; on a singular ``Snu`` they read the block of ``Smu``
+on its range, and the eigenvectors of ``Snu``'s kernel complete the basis.
+The first is that eigenbasis itself (``commuting``: one basis diagonalises
+both, and a zero ``Snu`` is this case on an empty block), tried when the
+off-diagonal of the block is within the tolerance at which it is then
+certified; the second is the projected-gradient solver's (``pgd``: the
+transport map of its dominating-side answer).  Each is certified once, on
+the record.  Only the first certified candidate is assembled, and with it
+the verdict ``ProjectionResult.uniqueness``: is the dominating side unique
+among all measures?  It reads the record and, on a singular ``Snu``, the
+rank of the dominating projection.
 Matrices derived from validated input are clamped, not checked again.
 """
 
@@ -62,9 +62,9 @@ from .pgd import pgd_project_above
 # Order tolerance: certification wants the order residual above
 # -ORDER_REL * (1 + lambda_max(Snu)), at unit scale.
 ORDER_REL = 1e-7
-# The commuting case: Smu, conjugated into the eigenbasis of Snu, has a
-# correlation within this bound of I (off-diagonal Frobenius norm), and that
-# basis certifies at roundoff level, above -CLOSED_FORM_REL * (1 + lambda_max(Snu)).
+# The commuting case: Smu, conjugated into the eigenbasis of Snu, has an
+# off-diagonal of Frobenius norm at most CLOSED_FORM_REL * (1 + lambda_max(Snu))
+# at unit scale, and that basis certifies at the same tolerance.
 CLOSED_FORM_REL = 1e-10
 # Eigenvalues within this factor of the rank cutoff make the uniqueness
 # test refuse to classify.
@@ -93,9 +93,9 @@ class OrderTransform:
     ``ratios`` holds the diagonal of ``D``: ``min(1, sqrt(nu_ii / mu_ii))``
     on the conjugated diagonals, with the convention ``1`` where the
     mu-diagonal vanishes.  ``order_residual`` is the smallest eigenvalue of
-    ``O'SnuO - D O'SmuO D`` (certification wants it above
-    ``-ORDER_REL * (1 + lambda_max(Snu))`` at unit scale, or above
-    ``-CLOSED_FORM_REL * (1 + lambda_max(Snu))`` for the commuting basis).
+    ``O'SnuO - D O'SmuO D``: at unit scale, certification wants it above
+    ``-ORDER_REL * (1 + lambda_max(Snu))`` for the descent's basis, and above
+    ``-CLOSED_FORM_REL * (1 + lambda_max(Snu))`` for the eigenbasis of ``Snu``.
     """
 
     basis: np.ndarray
@@ -243,36 +243,28 @@ def _assemble(
 def _route(pair: _Pair) -> tuple[OrderTransform, tuple[np.ndarray, ...], str, dict[str, Any]]:
     """Solve a validated pair: candidate bases, decided by the certificate.
 
-    Returns the first candidate the certificate accepts, as its transform,
-    conjugates, method and diagnostics (in the caller's units): the identity
-    on a zero target; the ordered eigenbasis of ``cov_nu`` when ``cov_mu``
-    is diagonal in it with a positive diagonal (the commuting case), at
-    ``CLOSED_FORM_REL``; then the basis of the descent, at ``ORDER_REL``,
-    returned even if refused, for :func:`_assemble` to raise on.  On a
-    singular target both tests read the block of ``cov_mu`` on the range of
-    ``cov_nu``, in its eigenbasis ordered before the clamp (so that ties in
-    the kernel keep their order); the kernel columns complete each
-    candidate, and the route is ``singular_reduction``, with the block's
-    method and diagnostics under ``reduced_``."""
+    Both live in the eigenbasis of ``cov_nu`` ordered before the clamp (so
+    ties in its kernel keep their order), read ``m_mu``, the block of
+    ``cov_mu`` on its range, and end with the kernel columns.  The frame
+    itself (``commuting``; on a zero target, an empty block) is tried when
+    the off-diagonal of ``m_mu`` is within ``tol = CLOSED_FORM_REL * (1 +
+    lambda_max)``, the tolerance it is certified at; then the descent's
+    basis (``pgd``), at ``ORDER_REL``, returned even if refused, for
+    :func:`_assemble` to raise on.  Returns the first certified candidate's
+    transform, conjugates, method and diagnostics, in the caller's units."""
     d, rank = pair.cov_nu.shape[0], pair.rank_nu
-    if rank == 0:
-        return (*_certify(pair, np.eye(d), pair.order_tol), "closed_form", {"rank_nu": 0})
-
     vals, frame = pair.nu_eig
     if rank < d:
         vals, frame = _ordered(pair.nu_unclamped, frame)
         vals = vals[:rank]
     m_mu = sym(frame.T @ pair.cov_mu @ frame)[:rank, :rank]
+    off = m_mu - np.diag(m_mu.diagonal())
+    tol = CLOSED_FORM_REL * (1.0 + float(vals.max(initial=0.0)))
     transform = None
-    if positive_diag_mask(m_mu).all():
-        scale = np.sqrt(m_mu.diagonal())
-        off = m_mu / (scale[:, None] * scale[None, :])
-        np.fill_diagonal(off, 0.0)  # the off-diagonal of its correlation
-        if math.sqrt(np.vdot(off, off)) <= CLOSED_FORM_REL:
-            tol = CLOSED_FORM_REL * (1.0 + float(vals.max()))
-            basis = frame if rank < d else _ordered(pair.nu_unclamped, frame)[1]
-            transform, conjugates = _certify(pair, basis, tol)
-            method, work = "commuting", {}
+    if math.sqrt(np.vdot(off, off)) <= tol:
+        basis = frame if rank < d else _ordered(pair.nu_unclamped, frame)[1]
+        transform, conjugates = _certify(pair, basis, tol)
+        method, work = "commuting", {}
 
     if transform is None or not transform.certified:
         # in the eigenbasis of cov_nu, the gradient at the dominating
@@ -293,12 +285,8 @@ def _route(pair: _Pair) -> tuple[OrderTransform, tuple[np.ndarray, ...], str, di
                       "grad_norm": trace.grad_norm},
         }
 
-    residual = {"order_residual": transform.order_residual}
-    if rank == d:
-        return transform, conjugates, method, {**work, **residual}
-    return transform, conjugates, "singular_reduction", {
-        "rank_nu": rank, **residual, "reduced_method": method,
-        **{f"reduced_{k}": v for k, v in work.items()}}
+    return transform, conjugates, method, {
+        **work, "rank_nu": rank, "order_residual": transform.order_residual}
 
 
 def project_pair(

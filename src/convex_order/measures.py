@@ -75,7 +75,9 @@ class DiscreteMeasure:
             pts = pts[:, None]
         if pts.ndim != 2 or 0 in pts.shape:
             raise EmptyMeasureError("measure needs a nonempty (n, d) support, d >= 1")
-        w = np.asarray(self.weights, dtype=float).ravel()
+        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        if w.ndim != 1:
+            raise ValueError(f"weights must be a vector, got shape {w.shape}")
         if w.shape[0] != pts.shape[0]:
             raise ValueError("one weight per support point required")
         require_finite(pts, "support points")

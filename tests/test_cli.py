@@ -145,7 +145,8 @@ class TestProjectGaussian:
             assert out.read_bytes().count(b"\n") == 1, command
 
     def test_trace_records_the_reduced_descent(self, runner, tmp_path):
-        # a singular target runs the descent on its reduced problem
+        # a singular target runs the descent on the block of cov_mu on its
+        # range, and reports it under the same keys as a full-rank one
         problem = write_problem(tmp_path / "p.json", {
             "mu": {"mean": [0.0] * 3,
                    "cov": [[1.5, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.7]]},
@@ -158,9 +159,9 @@ class TestProjectGaussian:
         )
         assert result.exit_code == 0
         diagnostics = json.loads(result.output)["diagnostics"]
-        assert "reduced_trace" not in diagnostics
+        assert "trace" not in diagnostics and diagnostics["rank_nu"] == 2
         rows = trace_path.read_text().strip().splitlines()[1:]
-        assert 1 <= len(rows) <= diagnostics["reduced_iterations"]
+        assert 1 <= len(rows) <= diagnostics["iterations"]
         objectives = [float(row.split(",")[1]) for row in rows]
         assert all(b <= a + 1e-9 for a, b in zip(objectives, objectives[1:]))
 
@@ -216,22 +217,32 @@ class TestProjectGaussian:
 
     def test_non_convergence_is_reported(self, runner, tmp_path, monkeypatch):
         # two descent iterations leave the gradient mapping above its stop,
-        # but on this pair the transform they give already certifies
-        problem = write_problem(tmp_path / "p.json", {
+        # but on this pair the transform they give already certifies; the
+        # same pair on the range of a singular target reports it alike
+        full = write_problem(tmp_path / "p.json", {
             "mu": {"mean": [0.0, 0.0], "cov": [[1.18, -0.16], [-0.16, 1.3]]},
             "nu": {"mean": [0.0, 0.0], "cov": [[1.95, -1.54], [-1.54, 3.43]]},
         })
-        with monkeypatch.context() as patch:
-            patch.setattr(pgd, "MAX_ITER", 2)
-            result = runner.invoke(main, ["project-gaussian", problem])
-        assert result.exit_code == 0
-        assert "warning" in result.stderr
-        report = json.loads(result.stdout)
-        assert report["status"] == "not_converged"
-        assert report["transform"]["certified"]
-        converged = runner.invoke(main, ["project-gaussian", problem])
-        assert json.loads(converged.stdout)["status"] == "ok"
-        assert "warning" not in converged.stderr
+        singular = write_problem(tmp_path / "q.json", {
+            "mu": {"mean": [0.0] * 3,
+                   "cov": [[1.18, -0.16, 0.3], [-0.16, 1.3, 0.2], [0.3, 0.2, 0.9]]},
+            "nu": {"mean": [0.0] * 3,
+                   "cov": [[1.95, -1.54, 0.0], [-1.54, 3.43, 0.0], [0.0, 0.0, 0.0]]},
+        })
+        for problem in (full, singular):
+            with monkeypatch.context() as patch:
+                patch.setattr(pgd, "MAX_ITER", 2)
+                result = runner.invoke(main, ["project-gaussian", problem])
+            assert result.exit_code == 0
+            assert "warning" in result.stderr and "(max_iter)" in result.stderr
+            report = json.loads(result.stdout)
+            assert report["status"] == "not_converged"
+            assert report["transform"]["certified"]
+            assert report["diagnostics"]["rank_nu"] == 2
+            assert not report["diagnostics"]["pgd_converged"]
+            converged = runner.invoke(main, ["project-gaussian", problem])
+            assert json.loads(converged.stdout)["status"] == "ok"
+            assert "warning" not in converged.stderr
 
     def test_non_commuting_pair_takes_the_descent(self, runner, tmp_path):
         # cov_mu is not diagonal in the eigenbasis of cov_nu
@@ -258,20 +269,21 @@ class TestProjectGaussian:
         monkeypatch.setattr(gaussian, "_decompose", recording)
         monkeypatch.setattr(bures, "_decompose", recording)
         problem = write_problem(tmp_path / "p.json", GAUSSIAN_SINGULAR)
-        # the reduced problem of the first commutes; that of the second does not
+        # cov_mu's block on the target's range commutes in the first, not in
+        # the second
         tilted = write_problem(tmp_path / "q.json", {
             "mu": {"mean": [0.0, 0.0, 0.0],
                    "cov": [[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]]},
             "nu": {"mean": [0.0, 0.0, 0.0],
                    "cov": [[2.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 0.0]]},
         })
-        for path, reduced_method in ((problem, "commuting"), (tilted, "pgd")):
+        for path, method in ((problem, "commuting"), (tilted, "pgd")):
             calls.clear()
             result = runner.invoke(main, ["project-gaussian", path])
             assert result.exit_code == 0
             report = json.loads(result.output)
             assert report["uniqueness"]["unique"] is False
-            assert report["diagnostics"]["reduced_method"] == reduced_method
+            assert report["method"] == method
             assert calls == [("cov_mu", "cov_nu")]
         calls.clear()
         result = runner.invoke(main, ["check", problem])
@@ -594,6 +606,18 @@ class TestDistance:
         result = runner.invoke(main, [command, problem])
         assert result.exit_code == cli.PARSE_ERROR
         assert result.stderr == "error: measure 'mu': mean must be a vector, got shape (2, 2)\n"
+
+    @pytest.mark.parametrize("command", ["project-1d", "project-discrete", "distance", "check"])
+    def test_weights_that_are_not_a_vector_are_a_parse_error(self, runner, tmp_path, command):
+        # a column of weights was flattened into a vector, and every command exited 0
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"points": [[0.0], [2.0]], "weights": [[0.5], [0.5]]},
+            "nu": {"points": [[-1.0], [3.0]], "weights": [0.5, 0.5]},
+        })
+        result = runner.invoke(main, [command, problem])
+        assert result.exit_code == cli.PARSE_ERROR
+        assert result.stderr == ("error: measure 'mu': weights must be a vector, "
+                                 "got shape (2, 1)\n")
 
     @pytest.mark.parametrize("command", ["distance", "check"])
     @pytest.mark.parametrize("mode", ["discret", None, 1])

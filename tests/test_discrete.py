@@ -171,6 +171,10 @@ class TestMeasureConstruction:
             with pytest.raises(ValueError, match="support points must lie within 3.273e"):
                 DiscreteMeasure([[0.0, far]], [1.0])
 
+    def test_a_scalar_weight_is_one_atom(self):
+        m = DiscreteMeasure([[2.0]], 1.0)
+        assert m.weights.shape == (1,) and m.weights[0] == 1.0
+
     def test_renormalizes_near_one(self):
         m = DiscreteMeasure([[0.0], [1.0]], [0.5 + 1e-9, 0.5])
         assert float(np.sum(m.weights)) == pytest.approx(1.0, abs=1e-15)
@@ -190,6 +194,10 @@ class TestInputGuards:
              r"mean must be a vector, got shape \(2, 2\)"),
             (lambda: DiscreteMeasure([[0.0], [1.0]], [1.0]),
              "one weight per support point required"),
+            (lambda: DiscreteMeasure(np.arange(4.0), [[0.25, 0.25], [0.25, 0.25]]),
+             r"weights must be a vector, got shape \(2, 2\)"),
+            (lambda: DiscreteMeasure([[0.0], [1.0]], [[0.5], [0.5]]),
+             r"weights must be a vector, got shape \(2, 1\)"),
             (lambda: DiscreteMeasure([[0.0, 1.0]], [1.0]).values_1d,
              "measure lives in dimension 2, not 1"),
         ]

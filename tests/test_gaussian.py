@@ -14,6 +14,7 @@ from convex_order.cli import main
 from convex_order.gaussian import CertificationError, project_pair
 from convex_order.linalg import NotPsdError, loewner_gap, positive_part, sym
 from convex_order.measures import GaussianMeasure
+from _exact_gaussian import DISTANCE_FAMILIES, bound_maximum, distance_pairs
 from _utils import (
     PAIR_NAMES,
     bw2_gradient,
@@ -123,6 +124,17 @@ class TestValidatedOnce:
             project_pair(cov_mu, cov_nu)
 
 
+def route_of(result):
+    """A solve's route: its method and the rank of its target, ``full``,
+    ``singular`` or ``zero``."""
+    rank, d = result.diagnostics["rank_nu"], len(result.covariance)
+    return result.method, "full" if rank == d else "zero" if rank == 0 else "singular"
+
+
+EVERY_ROUTE = {("commuting", "zero"), ("commuting", "full"), ("commuting", "singular"),
+               ("pgd", "full"), ("pgd", "singular")}
+
+
 def sym_of(q, vals):
     """``q diag(vals) q'``, symmetrised."""
     m = (q * vals) @ q.T
@@ -139,18 +151,16 @@ def spd(rng, d, rank=None):
 def assert_diagnostics_in_caller_units(scaled, unit, c):
     """``scaled`` holds the diagnostics of the pair ``unit`` was solved on,
     dilated by ``c = 4^j``: those in covariance units (order residuals,
-    descent objectives and their traces, reduced copies included) are
-    exactly ``c`` times the unit ones, and the rest are unchanged."""
+    descent objectives and their traces) are exactly ``c`` times the unit
+    ones, and the rest are unchanged."""
     assert scaled.keys() == unit.keys()
-    assert "reduced_scale_exponent" not in scaled
     for key, value in unit.items():
-        name = key.removeprefix("reduced_")
-        if name in ("order_residual", "pgd_objective"):
+        if key in ("order_residual", "pgd_objective"):
             assert scaled[key] == c * value, key
-        elif name == "trace":
+        elif key == "trace":
             assert scaled[key]["objective"] == [c * f for f in value["objective"]], key
             assert scaled[key]["grad_norm"] == value["grad_norm"], key
-        elif name != "scale_exponent":
+        elif key != "scale_exponent":
             assert scaled[key] == value, key
 
 
@@ -178,11 +188,12 @@ class TestUnitScale:
         for d in (2, 3, 4):
             rng = np.random.default_rng([13, d])
             pairs.append((spd(rng, d), spd(rng, d, rank=d - 1)))
-        keys = set()
+        keys, routes = set(), set()
         for mu_cov, nu_cov in pairs:
             base = project_pair(mu_cov, nu_cov)
             base_t = base[0].transform
             keys |= base[0].diagnostics.keys()
+            routes.add(route_of(base[0]))
             for j in range(-10, 11):
                 c = math.ldexp(1.0, 2 * j)
                 results = project_pair(c * mu_cov, c * nu_cov)
@@ -198,9 +209,10 @@ class TestUnitScale:
                 exponent = results[0].diagnostics["scale_exponent"]
                 assert exponent == base[0].diagnostics["scale_exponent"] + j
                 assert results[1].uniqueness == base[1].uniqueness
-        # the rank-3 target at d = 4 descends on its reduced problem
+        # the rank-3 target at d = 4 descends on the block on its range
         assert {"pgd_objective", "pgd_residual", "trace", "iterations", "stop_reason",
-                "rank_nu", "reduced_pgd_objective", "reduced_trace"} <= keys
+                "rank_nu", "order_residual"} <= keys
+        assert ("pgd", "singular") in routes
 
     @pytest.mark.parametrize("e", [-900, -520, 500, 900])
     def test_dilations_beyond_the_eigensolver_range_are_exact(self, e):
@@ -273,7 +285,7 @@ class TestUnitScale:
     def test_reduction_and_commuting_leave_in_caller_units(self):
         mu_cov, nu_cov = 1e6 * np.eye(2), np.diag([2e6, 0.0])
         below, above = project_pair(mu_cov, nu_cov)
-        assert above.method == "singular_reduction"
+        assert above.method == "commuting" and above.diagnostics["rank_nu"] == 1
         assert above.diagnostics["scale_exponent"] == 10
         np.testing.assert_allclose(above.covariance, np.diag([2e6, 1e6]), rtol=1e-12)
         np.testing.assert_allclose(below.covariance, np.diag([1e6, 0.0]), rtol=1e-12)
@@ -437,6 +449,28 @@ class TestOptimalityOracle:
         assert abs(at_basis - distance) <= gaussian.ORDER_REL * (unit + distance)
 
 
+# the largest distance error against the angle oracle, over (1 + value):
+# twice the largest over 2,000 pairs a family (default_rng([2027, family]))
+DISTANCE_BOUNDS = {"full_rank": 6e-15, "commuting": 1.8e-15, "wide": 7e-13,
+                   "wide_commuting": 2.4e-13, "rank_one_mu": 7.5e-14}
+
+
+class TestDistanceOracle:
+    """In d = 2 the distance is the maximum over one rotation angle of the
+    paper's bound, which the oracle finds by a grid and golden section,
+    sharing no code with the route or the certificate.  Singular targets
+    are left out: the float matrix and the exactly singular one differ."""
+
+    @pytest.mark.parametrize("family", DISTANCE_FAMILIES)
+    def test_matches_the_bound_maximum(self, family):
+        rng = np.random.default_rng([2027, DISTANCE_FAMILIES.index(family)])
+        a, b = distance_pairs(rng, family, 200)
+        reference = bound_maximum(a, b)
+        distances = np.array([project_pair(x, y)[0].distance_sq for x, y in zip(a, b)])
+        worst = float((np.abs(distances - reference) / (1.0 + reference)).max())
+        assert worst <= DISTANCE_BOUNDS[family]
+
+
 class TestCommuting:
     """The commuting case: cov_mu diagonal in the eigenbasis of cov_nu, which
     the pair record holds; that basis, ordered, is the only candidate tried
@@ -456,14 +490,19 @@ class TestCommuting:
         np.testing.assert_allclose(below.covariance, 0.25 * s, atol=1e-10)
 
     @pytest.mark.parametrize("multiple, method", [(0.5, "commuting"), (2.0, "pgd")])
-    def test_correlation_bound_decides(self, multiple, method):
-        # cov_nu is diagonal, so its eigenbasis is the identity; cov_mu's
-        # correlation is rho = off / sqrt(2), and its off-diagonal has the
-        # norm sqrt(2) |rho| = off, a multiple of the bound
-        off = multiple * gaussian.CLOSED_FORM_REL
-        below, _ = project_pair(np.array([[2.0, off], [off, 1.0]]), np.diag([3.0, 0.5]))
-        assert below.method == method
-        assert below.transform.certified
+    def test_off_diagonal_bound_decides(self, multiple, method):
+        # cov_nu is diagonal, so its eigenbasis is the identity, and at unit
+        # scale (lambda_max = 3) the test's tolerance is tol =
+        # CLOSED_FORM_REL * (1 + 3); cov_mu's off-diagonal has the Frobenius
+        # norm sqrt(2) off, a multiple of tol at every dilation by 4^j
+        tol = gaussian.CLOSED_FORM_REL * (1.0 + 3.0)
+        off = multiple * tol / math.sqrt(2.0)
+        for j in (-8, 0, 8):
+            c = math.ldexp(1.0, 2 * j)
+            below, _ = project_pair(c * np.array([[2.0, off], [off, 1.0]]),
+                                    c * np.diag([3.0, 0.5]))
+            assert below.method == method
+            assert below.transform.certified
 
     def test_repeated_target_eigenvalue_takes_the_descent(self):
         # cov_nu has the eigenvalue 2 twice; cov_mu commutes with it, but is
@@ -484,23 +523,45 @@ class TestCommuting:
         expected = float(np.sum(np.clip(np.sqrt(mu_vals) - np.sqrt(nu_vals), 0.0, None) ** 2))
         assert below.distance_sq == pytest.approx(expected, abs=1e-9)
 
-    def test_singular_pairs_do_not_take_it(self):
-        # the commuting test accepts a correlation within CLOSED_FORM_REL of
-        # I, so only a block of cov_mu of full rank; a singular target's
-        # block on its range may still take it (singular_reduction)
-        rng = np.random.default_rng(27)
-        pairs = [_rotated_disjoint_pair(1e6), _disjoint_rank_two_against_rank_one(),
-                 (np.diag([2.0, 0.0]), np.diag([1.0, 3.0]))]
-        for _ in range(40):
-            d = int(rng.integers(2, 6))
-            scale = 10.0 ** rng.integers(-6, 7)
-            mu_cov = random_psd_singular(rng, d, int(rng.integers(0, d)))
-            nu_cov = random_spd(rng, d) if rng.uniform() < 0.5 else random_psd_singular(
-                rng, d, int(rng.integers(0, d + 1))
-            )
-            pairs += [(scale * mu_cov, scale * nu_cov), (scale * nu_cov, scale * mu_cov)]
-        for mu_cov, nu_cov in pairs:
-            assert project_pair(mu_cov, nu_cov)[0].method != "commuting"
+    @staticmethod
+    def assert_closed_form(results, q, a, b, bound):
+        """Both sides and the distance within ``bound * (1 + tr a + tr b)``
+        of the eigenwise closed form in the shared basis ``q``."""
+        below, above = results
+        scale = 1.0 + a.sum() + b.sum()
+        distance = float(np.sum(np.clip(np.sqrt(a) - np.sqrt(b), 0.0, None) ** 2))
+        for result, vals in ((below, np.minimum(a, b)), (above, np.maximum(a, b))):
+            assert np.abs(result.covariance - (q * vals) @ q.T).max() <= bound * scale
+            assert abs(result.distance_sq - distance) <= bound * scale
+
+    def test_wide_spectra_take_it(self):
+        # eigenvalues spread over seven decades: the commuting test reads
+        # the off-diagonal in the certificate's units, where a correlation
+        # bound refused 45 of these pairs and sent pair 179 to MAX_ITER
+        rng = np.random.default_rng([77, 3])
+        descents = []
+        for _ in range(200):
+            d = int(rng.integers(1, 9))
+            a, b = 10.0 ** rng.uniform(-6, 1, d), 10.0 ** rng.uniform(-6, 1, d)
+            q = random_orthogonal(rng, d)
+            results = project_pair((q * a) @ q.T, (q * b) @ q.T)
+            if results[0].method == "pgd":
+                descents.append(results[0].diagnostics["iterations"])
+            self.assert_closed_form(results, q, a, b, 5e-11)
+        assert len(descents) <= 5 and max(descents, default=0) <= 10
+
+    def test_zero_eigenvalues_take_it(self):
+        # exactly commuting pairs with zero eigenvalues on either side, the
+        # target's on its range block: no descent runs
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            d = int(rng.integers(2, 7))
+            q = random_orthogonal(rng, d)
+            a = rng.uniform(0.1, 4.0, d) * (rng.random(d) < 0.6)
+            b = rng.uniform(0.1, 4.0, d) * (rng.random(d) < 0.7)
+            results = project_pair((q * a) @ q.T, (q * b) @ q.T)
+            assert results[0].method == "commuting"
+            self.assert_closed_form(results, q, a, b, 1e-13)
 
 
 class TestSingularReduction:
@@ -509,7 +570,8 @@ class TestSingularReduction:
 
     @staticmethod
     def every_route():
-        """Seeded pairs that take every route, the reduced ones included."""
+        """Seeded pairs that take every route: each method on a full-rank
+        and on a singular target, and a zero target."""
         rng = np.random.default_rng(38)
         cases = [(np.eye(2), np.zeros((2, 2))), (np.eye(2), np.diag([2.0, 0.0]))]
         cases += [full_rank_family(rng, k) for k in range(15)]
@@ -523,10 +585,8 @@ class TestSingularReduction:
             counter["n"] = 0
             below, _ = project_pair(mu_cov, nu_cov)
             assert counter["n"] == 1, below.method
-            routes.add((below.method, below.diagnostics.get("reduced_method")))
-        assert {method for method, _ in routes} == {
-            "closed_form", "commuting", "pgd", "singular_reduction"}
-        assert {("singular_reduction", "commuting"), ("singular_reduction", "pgd")} <= routes
+            routes.add(route_of(below))
+        assert routes == EVERY_ROUTE
 
     def test_each_solve_assembles_once(self, monkeypatch):
         # only the solve's own pair is assembled, whatever its route
@@ -639,7 +699,7 @@ class TestRankAmbiguity:
     def test_verdict_is_open(self, side):
         mu_cov, nu_cov = self.PAIRS[side]
         below, above = project_pair(mu_cov, nu_cov)
-        assert above.method == "singular_reduction"
+        assert route_of(above) == ("commuting", "singular")
         assert above.uniqueness.unique is None
         assert below.uniqueness == above.uniqueness
         name = "dominating-side covariance" if side == "target" else "assembled projection"
@@ -932,7 +992,7 @@ class TestDisjointRangesAtScale:
     def test_projection_certifies(self, name):
         mu_cov, nu_cov = DISJOINT_PAIRS[name]
         below, above = project_pair(mu_cov, nu_cov)
-        assert below.method == "singular_reduction"
+        assert route_of(below)[1] == "singular"
         assert below.transform.certified
         scale = 1.0 + np.trace(mu_cov) + np.trace(nu_cov)
         assert abs(
@@ -1233,9 +1293,8 @@ class TestEigenConvention:
             out = []
             for mu_cov, nu_cov in pairs:
                 below, above = project_pair(mu_cov, nu_cov)
-                diagnostics = below.diagnostics
-                work = diagnostics.get("iterations", diagnostics.get("reduced_iterations"))
-                out.append((below.method, work, below.covariance, above.covariance,
+                work = below.diagnostics.get("iterations")
+                out.append((route_of(below), work, below.covariance, above.covariance,
                             np.array([below.distance_sq])))
             out += [("positive_part", None, positive_part(m)) for m in indefinite]
             out += [("bw2", None, np.array([bw2(m, 2.0 * m + np.eye(m.shape[0]))]),
@@ -1258,7 +1317,7 @@ class TestEigenConvention:
             methods.add(want[0])
             for x, y in zip(got[2:], want[2:]):
                 assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
-        assert {"commuting", "pgd", "singular_reduction"} <= methods
+        assert {("commuting", "full"), ("pgd", "full"), ("pgd", "singular")} <= methods
 
     def test_no_caller_depends_on_the_order_of_a_validated_spectrum(self, monkeypatch):
         # the validated spectra (the pair record's, which bw2 reads too, and
@@ -1283,9 +1342,8 @@ class TestEigenConvention:
             out = []
             for mu_cov, nu_cov in pairs:
                 below, above = project_pair(mu_cov, nu_cov)
-                diagnostics = below.diagnostics
-                work = diagnostics.get("iterations", diagnostics.get("reduced_iterations"))
-                out.append((below.method, work, below.covariance, above.covariance,
+                work = below.diagnostics.get("iterations")
+                out.append((route_of(below), work, below.covariance, above.covariance,
                             np.array([below.distance_sq])))
                 pair = gaussian._decompose(mu_cov, nu_cov, PAIR_NAMES)
                 out.append(("dominance", gaussian._saturated(pair)))
@@ -1323,7 +1381,7 @@ class TestEigenConvention:
                     assert np.linalg.norm(x - y) <= 1e-12 * (1.0 + np.linalg.norm(y)), want[0]
                 else:
                     assert x == y, want[0]
-        assert {"commuting", "pgd", "singular_reduction"} <= methods
+        assert {("commuting", "full"), ("pgd", "full"), ("pgd", "singular")} <= methods
 
     def test_every_reported_basis_is_signed_by_the_convention(self):
         # linalg._ordered's rule: the first entry of each column above 1e-12
@@ -1352,9 +1410,8 @@ class TestEigenConvention:
             for j in range(basis.shape[1]):
                 lead = np.flatnonzero(mags[:, j] > 1e-12 * mags[:, j].max())[0]
                 assert basis[lead, j] > 0.0, (below.method, j)
-            routes.add((below.method, below.diagnostics.get("reduced_method")))
-        assert routes == {("closed_form", None), ("commuting", None), ("pgd", None),
-                          ("singular_reduction", "commuting"), ("singular_reduction", "pgd")}
+            routes.add(route_of(below))
+        assert routes == EVERY_ROUTE
 
 
 class TestValidatedSpectrum:
@@ -1410,8 +1467,9 @@ class TestValidatedSpectrum:
 
 class TestTransportMapBasis:
     """The descent's basis is the eigenbasis of the transport map, taken
-    from the Bures gradient that the solve already holds; the commuting and
-    reduction routes certify the ordered eigenbasis of the target."""
+    from the Bures gradient that the solve already holds; the commuting
+    route, and every route's kernel columns on a singular target, take the
+    ordered eigenbasis of the target."""
 
     @staticmethod
     def old_map_basis(fixed, cov):
@@ -1477,7 +1535,7 @@ class TestTransportMapBasis:
             cases.append((scale * random_spd(rng, d), nu_cov))
         for mu_cov, nu_cov in cases:
             _, above = project_pair(mu_cov, nu_cov)
-            assert above.method == "singular_reduction"
+            assert route_of(above)[1] == "singular"
             r = above.diagnostics["rank_nu"]
             assert np.array_equal(above.transform.basis[:, r:], eigen_convention(nu_cov)[1][:, r:])
 
@@ -1497,7 +1555,7 @@ class TestRecordDrivenDescent:
 
         monkeypatch.setattr(gaussian, "pgd_project_above", recording)
         rng = np.random.default_rng(39)
-        compared = {"full": 0, "reduced": 0}
+        compared = {"full": 0, "singular": 0}
         for k in range(48):
             d = 2 + k % 7
             mu_cov, nu_cov = spd(rng, d), spd(rng, d, rank=None if k % 2 else d - 1)
@@ -1506,19 +1564,19 @@ class TestRecordDrivenDescent:
             if below.diagnostics["scale_exponent"] != 0 or not records:
                 continue
             (record, (outcome, trace)), = records
-            if below.method == "pgd":
+            if below.diagnostics["rank_nu"] == d:
                 # the record holds the caller's pair in the target's eigenbasis
                 nu_vals, _, lower = descent_frame(nu_cov, mu_cov)
                 compared["full"] += 1
             else:
-                # the reduced record: the target's top spectrum, descending,
+                # a singular target: its top spectrum, descending,
                 # and the block of cov_mu on its ordered eigenvectors
                 _, vals, vecs, k_nu = linalg._validated_eigh(nu_cov, "cov_nu")
                 vals, vecs = conventional_order(np.ldexp(vals, 2 * k_nu), vecs)
                 rank = below.diagnostics["rank_nu"]
                 nu_vals = vals[:rank]
                 lower = sym(vecs.T @ sym(mu_cov) @ vecs)[:rank, :rank]
-                compared["reduced"] += 1
+                compared["singular"] += 1
             assert np.array_equal(record[0], nu_vals), k
             assert np.array_equal(record[1], lower), k
             fresh, fresh_trace = pgd.pgd_project_above(nu_vals, lower)
@@ -1657,7 +1715,8 @@ class TestSpectralWork:
         }))
         result = CliRunner().invoke(main, ["project-gaussian", str(problem)])
         assert result.exit_code == 0
-        assert json.loads(result.output)["method"] == "singular_reduction"
+        report = json.loads(result.output)
+        assert (report["method"], report["diagnostics"]["rank_nu"]) == ("commuting", 1)
         # two measures, the pair record (2), the certificate, and the
         # verdict's assembled rank and saturation test (3); the target's
         # range is solved inside the record, with no eigensolve of its own
@@ -1669,7 +1728,7 @@ class TestSpectralWork:
         # (3); the commuting test on the target's range reads a conjugate
         # of cov_mu, with no eigensolve
         below, above = project_pair(np.eye(2), np.diag([2.0, 0.0]))
-        assert below.diagnostics["reduced_method"] == "commuting"
+        assert route_of(below) == ("commuting", "singular")
         assert above.uniqueness.unique is False
         assert eigensolves["n"] <= 6
 
@@ -1692,7 +1751,7 @@ class TestSpectralWork:
         for mu_cov, nu_cov in cases:
             calls["n"] = 0
             below, _ = project_pair(mu_cov, nu_cov)
-            reported = [below.method, below.diagnostics.get("reduced_method")].count("pgd")
+            reported = int(below.method == "pgd")
             assert calls["n"] == reported
             descents += reported
         assert descents == len(cases)

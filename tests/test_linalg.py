@@ -400,20 +400,20 @@ GATED_CALLS = {
     "bw2_singular": (lambda: bw2(np.diag([1.0, 0.0]), PD), ["cov_a", "cov_b"]),
     "loewner_gap": (lambda: loewner_gap(np.eye(2), PD), ["a", "b"]),
     "GaussianMeasure": (lambda: GaussianMeasure(np.zeros(2), PD), ["covariance"]),
-    "closed_form": _solve(np.eye(2), np.zeros((2, 2)), "closed_form", "zero target"),
+    "zero_target": _solve(np.eye(2), np.zeros((2, 2)), "commuting", "zero target"),
     "commuting": _solve(np.diag([1.0, 2.0]), np.diag([3.0, 1.0]), "commuting", "nonsingular"),
     "pgd": _solve(PD, np.diag([3.0, 1.0]), "pgd", "nonsingular"),
     "pgd_singular_mu": _solve(np.diag([1.0, 0.0]), PD, "pgd", "nonsingular"),
     "singular_keeps_rank": _solve(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]),
-                                  "singular_reduction", "assembled covariance keeps"),
+                                  "commuting", "assembled covariance keeps"),
     "singular_saturated": _solve(np.eye(2), np.diag([0.5, 0.0]),
-                                 "singular_reduction", "saturation inequality holds"),
+                                 "commuting", "saturation inequality holds"),
     "singular_unsaturated": _solve(np.eye(2), np.diag([2.0, 0.0]),
-                                   "singular_reduction", "rank grows"),
-    "singular_reduced_pgd": _solve(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]),
-                                   np.diag([1.0, 3.0, 0.0]), "singular_reduction", "rank grows"),
+                                   "commuting", "rank grows"),
+    "singular_pgd": _solve(np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]]),
+                           np.diag([1.0, 3.0, 0.0]), "pgd", "rank grows"),
     "singular_rank_band": _solve(np.eye(2), np.diag([2.0, 2.0**-48]),
-                                 "singular_reduction", "an eigenvalue of"),
+                                 "commuting", "an eigenvalue of"),
 }
 
 

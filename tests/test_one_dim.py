@@ -218,6 +218,19 @@ class TestLowerConvexHull:
             np.testing.assert_array_equal(lower_convex_hull(x, y), [0, x.size - 1])
             np.testing.assert_array_equal(monotone_chain(x, y), [0, x.size - 1])
 
+    def test_the_chain_drops_collinear_nodes_that_survive_the_prune(self):
+        # a strictly convex arc, its vertex (2000, 0), then a flat run at
+        # y = 0 with unit bumps at odd offsets: the first prune pass drops
+        # only the 20 bumps, under an eighth of the nodes, and stops, so the
+        # chain meets the run's 21 exactly collinear nodes and keeps only
+        # the run's endpoints
+        x = np.arange(2041.0)
+        y = np.where(x < 2000.0, (x - 2000.0) ** 2, (x - 2000.0) % 2.0)
+        idx = lower_convex_hull(x, y)
+        np.testing.assert_array_equal(idx, [*range(2001), 2040])
+        np.testing.assert_array_equal(monotone_chain(x, y), idx)
+        assert (np.diff(np.diff(y[idx]) / np.diff(x[idx])) > 0.0).all()
+
     @pytest.mark.parametrize("y", [[0.5], [1.0, -2.0], [0.0, 0.5, 0.0], [0.0, -0.5, 0.0],
                                    [0.0, 1.0, 2.0]])
     def test_few_nodes(self, y):
