@@ -378,7 +378,12 @@ class _NewtonSystem:
     c_ij)``, is centred on the row's d-weighted mean ``ybar_i`` of the atoms:
     ``c_ij = ybar_i - y_j``, so it splits into ``total_i = sum_j d_ij`` and
     an image part solved by LU.  In a row's largest cell, which holds nearly
-    all of ``total_i`` near the optimum, ``c_ij`` is summed over the others."""
+    all of ``total_i`` near the optimum, ``c_ij`` is summed over the others.
+
+    Built once per solve: the block arrays, every slice of them that a step
+    reads, :meth:`factor`'s ``rest`` and :meth:`direction`'s work arrays.
+    Each step fills them in place, so the stacked step and ``dz`` that
+    :meth:`direction` returns are overwritten by its next call."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, w: np.ndarray, col_w: np.ndarray):
         n, m, dim = w.size, col_w.size, x.shape[1]
@@ -387,41 +392,58 @@ class _NewtonSystem:
         self.half_w = 0.5 * w[:, None]
         self.w_x = w[:, None] * x  # the images are p = w x + (w / 2) z
         self.every_row = np.arange(n)
-        self.cols = np.ones((n, dim + 1, m))
-        self.spread = np.empty((n, dim + 1, m))  # the columns d_ij a_ij
-        self.solved = np.empty((n, dim + 1, m + 1))
-        self.image_rhs = np.empty((n, dim, m + 1))
+        self.cols = cols = np.ones((n, dim + 1, m))
+        self.spread = spread = np.empty((n, dim + 1, m))  # the columns d_ij a_ij
+        solved = np.empty((n, dim + 1, m + 1))
+        image_rhs = np.empty((n, dim, m + 1))
         self.half_w_block = np.zeros((n, dim, dim))
         self.half_w_block[:, np.arange(dim), np.arange(dim)] = self.half_w
         self.least_squares = 0  # the Schur solves that fell back to lstsq
+        # the views each step reads: row 0 of a block is its share of total_i,
+        # rows 1: its image part, and column m of solved is the residual's
+        self.cols_image, self.spread_image = cols[:, 1:], spread[:, 1:]
+        self.cols_image_t, solved_image = self.cols_image.transpose(0, 2, 1), solved[:, 1:]
+        self.rhs_cols, self.rhs_residual = image_rhs[:, :, :m], image_rhs[:, :, m]
+        self.share, self.share_residual = solved[:, 0, :m], solved[:, 0, m]
+        self.solved_cols, self.solved_residual = solved[:, :, :m], solved[:, :, m]
+        self.flat_spread = flat_spread = spread.reshape(-1, m)
+        self.spread_head = flat_spread[:, :-1].T
+        self.solved_head = solved.reshape(-1, m + 1)[:, :-2]
+        self.image_heads = spread[:, 1:, :-1], solved_image[:, :, :-2]
+        self.targets = {0: (image_rhs, solved_image),
+                        m: (image_rhs[:, :, m:], solved_image[:, :, m:])}
+        # direction's work arrays with their views, and factor's rest
+        eta, q, moved = np.empty((n, dim + 1, 1)), np.empty((n, 1, dim + 1)), np.empty((n, 1, m))
+        self.eta, self.eta_rows, self.flat_eta = eta, eta[:, :, 0], eta.reshape(-1)
+        self.q, self.q_rows, self.flat_q, self.dz = q, q[:, 0], q.reshape(-1), q[:, 0, 1:]
+        self.moved, self.moved_rows, self.moved_head = moved, moved[:, 0], moved[:, 0, :-1]
+        self.dpi, self.ds = self.step = np.empty((2, n, m))
+        self.quotient, self.rest = np.empty((2, n, m)), np.empty((n, m))
 
     def factor(self, ratio: np.ndarray, pi: np.ndarray, z: np.ndarray) -> None:
         """Solve the blocks at the ratios ``d = ratio`` and the residuals of
         ``(pi, z)``, and form the Schur complement."""
         m = self.shape[1]
-        y, every_row, cols, spread, solved = (self.y, self.every_row, self.cols, self.spread,
-                                              self.solved)
+        y, every_row, cols_image, spread_image, rest, share = (
+            self.y, self.every_row, self.cols_image, self.spread_image, self.rest, self.share)
         self.ratio = ratio
         self.total = total = np.add.reduce(ratio, axis=1)
         largest = ratio.argmax(axis=1)
-        rest = ratio.copy()
+        np.copyto(rest, ratio)
         rest[every_row, largest] = 0.0
         self.y_bar = (ratio @ y) / total[:, None]
-        np.subtract(self.y_bar[:, :, None], self.y_t, out=cols[:, 1:])
-        cols[every_row, 1:, largest] = (rest @ y - np.add.reduce(rest, axis=1)[:, None]
-                                        * y[largest]) / total[:, None]
-        np.multiply(ratio[:, None, :], cols, out=spread)
-        self.image_block = spread[:, 1:] @ cols[:, 1:].transpose(0, 2, 1) + self.half_w_block
-        self.image_rhs[:, :, :m] = spread[:, 1:]
+        np.subtract(self.y_bar[:, :, None], self.y_t, out=cols_image)
+        cols_image[every_row, :, largest] = (rest @ y - np.add.reduce(rest, axis=1)[:, None]
+                                             * y[largest]) / total[:, None]
+        np.multiply(ratio[:, None, :], self.cols, out=self.spread)
+        self.image_block = spread_image @ self.cols_image_t + self.half_w_block
+        self.rhs_cols[...] = spread_image
         self.residual(pi, z, 0)
-        share = solved[:, 0, :m]
         np.divide(ratio, total[:, None], out=share)
-        self.flat_spread = spread.reshape(-1, m)
-        self.flat_solved = solved.reshape(-1, m + 1)
         # D_col - sum_i B_i' K_i^-1 B_i, whose row part D_col - sum_i d_i d_i'
         # / total_i has the diagonal sum_i d_ij (total_i - d_ij) / total_i
-        schur = -(self.flat_spread[:, :-1].T @ self.flat_solved[:, :-2])
-        image_diag = np.add.reduce(spread[:, 1:, :-1] * solved[:, 1:, :-2], axis=(0, 1))
+        schur = -(self.spread_head @ self.solved_head)
+        image_diag = np.add.reduce(np.multiply(*self.image_heads), axis=(0, 1))
         schur.flat[::m] = np.add.reduce(share * (total[:, None] - ratio), axis=0)[:-1] - image_diag
         self.schur = schur
 
@@ -429,28 +451,29 @@ class _NewtonSystem:
         """Set the marginal and image residuals of ``(pi, z)`` and solve the
         blocks of the last :meth:`factor` for the right-hand sides from column
         ``first`` on (``m``: the residuals alone, as the ratios are unchanged)."""
-        m = self.shape[1]
-        solved, image_rhs = self.solved, self.image_rhs
         r_row = self.w - np.add.reduce(pi, axis=1)
         self.r_col = (self.col_w - np.add.reduce(pi, axis=0))[:-1]
         np.add(pi @ self.y - self.w_x - self.half_w * z, self.y_bar * r_row[:, None],
-               out=image_rhs[:, :, m])
-        solved[:, 1:, first:] = _solve(self.image_block, image_rhs[:, :, first:])
-        solved[:, 0, m] = r_row / self.total
+               out=self.rhs_residual)
+        rhs, target = self.targets[first]
+        target[...] = _solve(self.image_block, rhs)
+        np.divide(r_row, self.total, out=self.share_residual)
 
     def direction(self, t: np.ndarray, primal_slack: np.ndarray | float):
         """The step whose complementarity rows read ``s dpi + pi ds = pi t``:
         ``dpi = d (moved + t)`` and ``ds = -moved``, where ``moved_ij =
         a_ij.q_i + dv_j`` and ``K_i q_i = residual_i - sum_j d_ij (t_ij +
         dv_j) a_ij``.  Returns the stacked ``(dpi, ds)``, ``dz``, ``dv`` and
-        the largest step that keeps ``primal_slack`` nonnegative.  A singular
-        Schur complement is solved by least norm; a step that is not finite
-        raises ``LinAlgError``."""
-        n, m, dim = self.shape
-        solved, ratio = self.solved, self.ratio
-        eta = solved[:, :, m] - (solved[:, :, :m] @ t[:, :, None])[:, :, 0]
+        the largest step that keeps ``primal_slack`` nonnegative; the stacked
+        step and ``dz`` are work arrays that the next call overwrites.  A
+        singular Schur complement is solved by least norm; a step that is not
+        finite raises ``LinAlgError``."""
+        ratio, eta, q_rows, moved, dpi = (self.ratio, self.eta_rows, self.q_rows, self.moved_rows,
+                                          self.dpi)
+        np.matmul(self.solved_cols, t[:, :, None], out=self.eta)
+        np.subtract(self.solved_residual, eta, out=eta)
         rhs = self.r_col - (np.add.reduce(ratio * t, axis=0)
-                            + eta.reshape(-1) @ self.flat_spread)[:-1]
+                            + self.flat_eta @ self.flat_spread)[:-1]
         try:
             dv = _solve(self.schur, rhs)
         except np.linalg.LinAlgError:
@@ -458,16 +481,18 @@ class _NewtonSystem:
             # zero pivot: the least-norm solution leaves the free duals alone
             self.least_squares += 1
             dv = np.linalg.lstsq(self.schur, rhs, rcond=None)[0]
-        q = eta - (self.flat_solved[:, :-2] @ dv).reshape(n, dim + 1)
-        moved = (q[:, None, :] @ self.cols)[:, 0, :]
-        moved[:, :-1] += dv
-        out = np.empty((2, n, m))
-        np.multiply(ratio, moved + t, out=out[0])
-        np.negative(moved, out=out[1])
-        lowest = float(np.minimum.reduce(out / primal_slack, axis=None))
+        np.matmul(self.solved_head, dv, out=self.flat_q)
+        np.subtract(eta, q_rows, out=q_rows)
+        np.matmul(self.q, self.cols, out=self.moved)
+        self.moved_head += dv
+        np.add(moved, t, out=dpi)
+        np.multiply(ratio, dpi, out=dpi)
+        np.negative(moved, out=self.ds)
+        np.divide(self.step, primal_slack, out=self.quotient)
+        lowest = float(np.minimum.reduce(self.quotient, axis=None))
         if not math.isfinite(lowest):
             raise np.linalg.LinAlgError("the Newton step is not finite")
-        return out, q[:, 1:], dv, -1.0 / lowest if lowest < 0.0 else math.inf
+        return self.step, self.dz, dv, -1.0 / lowest if lowest < 0.0 else math.inf
 
     def polish(self, support: np.ndarray, *start: np.ndarray):
         """The solution ``(pi, z, v)`` from ``start = (pi, s, z, v)`` of the

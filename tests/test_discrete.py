@@ -1059,6 +1059,21 @@ class TestNewtonWork:
                                        reference.coupling.conditional_barycenters(),
                                        rtol=0.0, atol=1e-12)
 
+    def test_steps_read_through_copies_solve_bit_for_bit_the_same(self, monkeypatch):
+        # direction returns views of its work arrays, which its next call
+        # overwrites; copies of its outputs are the solve without that
+        # aliasing, so a caller that read a step after the next call (the
+        # predictor after the corrector) would differ here
+        pairs = list(wot_simplex_pairs(71, 60))
+        shipped = [outcome(solve_wot(mu, nu)) for mu, nu in pairs]
+        direction = discrete._NewtonSystem.direction
+
+        def copying(self, t, primal_slack):
+            step, dz, dv, reach = direction(self, t, primal_slack)
+            return step.copy(), dz.copy(), dv.copy(), reach
+        monkeypatch.setattr(discrete._NewtonSystem, "direction", copying)
+        assert [outcome(solve_wot(mu, nu)) for mu, nu in pairs] == shipped
+
 
 ULPS_64 = 64.0 * np.finfo(float).eps
 
