@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from .gaussian import _decompose
-from .linalg import require_in_range, sym
+from .linalg import require_in_range
 from .pgd import _Objective
 
 
@@ -22,12 +22,11 @@ def bw2(cov_a: np.ndarray, cov_b: np.ndarray) -> float:
     Both are read as :func:`project_pair` reads its pair, into a record at
     unit scale (divided by ``4^k``, the larger top eigenvalue in ``[4^k,
     4^(k+1))``), so each is PSD-tested at its own scale.  The value is the
-    descent's objective there, in the record's eigenbasis of ``B``,
+    descent's objective on the record's ``A`` in its eigenframe of ``B``,
     multiplied back by ``4^k``.  Powers of two are exact, so ``4^j`` times a
     pair gives exactly ``4^j`` times its distance.
     """
     pair = _decompose(cov_a, cov_b, ("cov_a", "cov_b"))
-    vals, vecs = pair.nu_eig
-    value = _Objective(vals).value(sym(vecs.T @ pair.cov_mu @ vecs))[0]
+    value = _Objective(pair.nu_eig[0]).value(pair.mu_in_frame)[0]
     require_in_range(value, pair.scale_exponent, "cov_a + cov_b")  # at most their trace
     return math.ldexp(max(value, 0.0), 2 * pair.scale_exponent)

@@ -324,9 +324,9 @@ def cmd_distance(problem, output):
     mode, mu, nu = _measure_pair(data, _problem_mode(data))
     if mode == "gaussian":
         bw2_sq = bw2(mu.cov, nu.cov)
-        w2 = float(np.sqrt(float(np.sum((mu.mean - nu.mean) ** 2)) + bw2_sq))
-        report = {"mode": mode, "w2": w2, "w2_sq": w2 * w2,
-                  "centered_w2": float(np.sqrt(bw2_sq)), "bw2": bw2_sq}
+        w2_sq = float(np.sum((mu.mean - nu.mean) ** 2)) + bw2_sq
+        report = {"mode": mode, "w2": math.sqrt(w2_sq), "w2_sq": w2_sq,
+                  "centered_w2": math.sqrt(bw2_sq), "bw2": bw2_sq}
     elif mode == "one_d":
         w2 = w2_1d(mu, nu)
         report = {"mode": mode, "w2": w2, "w2_sq": w2 * w2}

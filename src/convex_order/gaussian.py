@@ -48,7 +48,6 @@ from .linalg import (
     LinalgError,
     _eigvalsh,
     _ordered,
-    _rebuild,
     _validated_eigh,
     clamped_eigen,
     default_rank_tol,
@@ -57,7 +56,7 @@ from .linalg import (
     transport_map_basis,
     unit_scale_exponent,
 )
-from .pgd import pgd_project_above
+from .pgd import _Objective, pgd_project_above
 
 # Order tolerance: certification wants the order residual above
 # -ORDER_REL * (1 + lambda_max(Snu)), at unit scale.
@@ -133,17 +132,17 @@ class ProjectionResult:
 
 @dataclass(frozen=True)
 class _Pair:
-    """A validated covariance pair decomposed once per solve: both
-    covariances and the clamped spectral decomposition of ``cov_nu`` (in no
-    fixed order), divided by ``4^scale_exponent``, its eigenvalues
-    before the clamp (:func:`_ordered` orders its basis by them on a
-    singular target), the rank and the rank cutoff of ``cov_nu``, the order
-    tolerance, and ``unit = 4^scale_exponent``, the factor that takes an
-    output into the caller's units."""
+    """A validated covariance pair decomposed once per solve, divided by
+    ``unit = 4^scale_exponent``: both covariances, the clamped spectral
+    decomposition ``(lambda, V)`` of ``cov_nu`` (in no fixed order),
+    ``mu_in_frame = sym(V' cov_mu V)``, the eigenvalues before the clamp
+    (:func:`_ordered` orders ``V`` by them on a singular target), the rank and
+    rank cutoff of ``cov_nu``, and the order tolerance."""
 
     cov_mu: np.ndarray
     cov_nu: np.ndarray
     nu_eig: tuple[np.ndarray, np.ndarray]
+    mu_in_frame: np.ndarray
     nu_unclamped: np.ndarray
     rank_nu: int
     nu_cutoff: float
@@ -170,8 +169,9 @@ def _decompose(cov_mu: np.ndarray, cov_nu: np.ndarray, names: tuple[str, str]) -
     c, e_nu = math.ldexp(1.0, -2 * k), 2 * (k_nu - k)
     nu_vals = np.ldexp(nu_clamped, e_nu)
     nu_cutoff = default_rank_tol(nu_vals)
-    return _Pair(c * cov_mu, c * cov_nu, (nu_vals, nu_vecs), np.ldexp(nu_raw, e_nu),
-                 int((nu_vals > nu_cutoff).sum()), nu_cutoff,
+    cov_mu = c * cov_mu
+    return _Pair(cov_mu, c * cov_nu, (nu_vals, nu_vecs), sym(nu_vecs.T @ cov_mu @ nu_vecs),
+                 np.ldexp(nu_raw, e_nu), int((nu_vals > nu_cutoff).sum()), nu_cutoff,
                  ORDER_REL * (1.0 + float(nu_vals.max())), k, math.ldexp(1.0, 2 * k))
 
 
@@ -243,9 +243,10 @@ def _assemble(
 def _route(pair: _Pair) -> tuple[OrderTransform, tuple[np.ndarray, ...], str, dict[str, Any]]:
     """Solve a validated pair: candidate bases, decided by the certificate.
 
-    Both live in the eigenbasis of ``cov_nu`` ordered before the clamp (so
-    ties in its kernel keep their order), read ``m_mu``, the block of
-    ``cov_mu`` on its range, and end with the kernel columns.  The frame
+    Both live in the eigenbasis of ``cov_nu`` and read ``m_mu``: the
+    record's ``mu_in_frame``, or on a singular target the block of ``cov_mu``
+    on its range, in that basis ordered before the clamp (so ties in its
+    kernel keep their order), and end with the kernel columns.  The frame
     itself (``commuting``; on a zero target, an empty block) is tried when
     the off-diagonal of ``m_mu`` is within ``tol = CLOSED_FORM_REL * (1 +
     lambda_max)``, the tolerance it is certified at; then the descent's
@@ -254,10 +255,11 @@ def _route(pair: _Pair) -> tuple[OrderTransform, tuple[np.ndarray, ...], str, di
     transform, conjugates, method and diagnostics, in the caller's units."""
     d, rank = pair.cov_nu.shape[0], pair.rank_nu
     vals, frame = pair.nu_eig
+    m_mu = pair.mu_in_frame
     if rank < d:
         vals, frame = _ordered(pair.nu_unclamped, frame)
         vals = vals[:rank]
-    m_mu = sym(frame.T @ pair.cov_mu @ frame)[:rank, :rank]
+        m_mu = sym(frame.T @ pair.cov_mu @ frame)[:rank, :rank]
     off = m_mu - np.diag(m_mu.diagonal())
     tol = CLOSED_FORM_REL * (1.0 + float(vals.max(initial=0.0)))
     transform = None
@@ -300,14 +302,14 @@ def project_pair(
 
 
 def _saturated(pair: _Pair) -> bool:
-    """``cov_nu <= (cov_nu^{1/2} cov_mu cov_nu^{1/2})^{1/2}`` on the record."""
-    vals, vecs = pair.nu_eig
-    tol = 1e-9 * (1.0 + (float(vals.max()) if vals.size else 0.0))
-    half = _rebuild(np.sqrt(vals), vecs)
-    probe_vals, probe_vecs = clamped_eigen(sym(half @ pair.cov_mu @ half))
-    probe = _rebuild(np.sqrt(probe_vals), probe_vecs)
-    # the Loewner gap of cov_nu below probe, on the record at unit scale
-    return float(_eigvalsh(probe - pair.cov_nu).min()) >= -tol
+    """``cov_nu <= (cov_nu^{1/2} cov_mu cov_nu^{1/2})^{1/2}`` on the record,
+    in its eigenframe, where ``cov_nu = diag(lambda)``: the root of the
+    descent's inner matrix, in Gram form, against ``diag(lambda)``."""
+    vals = pair.nu_eig[0]
+    inner_vals, inner_vecs = _Objective(vals).value(pair.mu_in_frame)[1:]
+    root = inner_vecs * inner_vals ** 0.25
+    gap = float(_eigvalsh(root @ root.T - np.diag(vals)).min())  # at unit scale
+    return gap >= -1e-9 * (1.0 + float(vals.max()))
 
 
 def _refusal(vals: np.ndarray, cutoff: float, name: str, unit: float) -> str | None:

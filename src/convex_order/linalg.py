@@ -17,9 +17,10 @@ matrix; a non-finite one keeps the NaN spectrum for its caller's PSD test.
 Only bases that leave a call pay for the eigen-convention (eigenvalues
 descending, signs fixed, :func:`_ordered`): those of
 :func:`transport_map_basis`, and those a caller orders itself.  Validated
-spectra, rebuilt matrices and read spectra keep LAPACK's ascending order
-and raw signs, and are read with ``min`` and ``max``.  Every linear solve is
-:func:`_solve`, bound the same way, inside one :func:`solve_rule` per loop.
+spectra and read spectra keep LAPACK's ascending order and raw signs, and
+are read with ``min`` and ``max``; :func:`default_rank_tol` is their one rank
+cutoff.  Every linear solve is :func:`_solve`, bound the same way, inside
+one :func:`solve_rule` per loop.
 """
 
 from __future__ import annotations
@@ -133,8 +134,6 @@ def _ordered(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order].copy()  # C order, as every basis has had
-    if vecs.size == 0:
-        return vals, vecs
     mags = np.abs(vecs)
     significant = mags > 1e-12 * mags.max(axis=0)
     lead = vecs[significant.argmax(axis=0), np.arange(vecs.shape[1])]
@@ -143,9 +142,9 @@ def _ordered(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def default_rank_tol(eigenvalues: np.ndarray) -> float:
-    """Rank cutoff d * lambda_max * 2**-50 for a PSD spectrum."""
-    top = float(np.abs(eigenvalues).max()) if eigenvalues.size else 0.0
-    return eigenvalues.size * top * RANK_REL
+    """Rank cutoff ``d * lambda_max * RANK_REL`` of a clamped spectrum or a
+    diagonal, with its top entry clamped at zero."""
+    return eigenvalues.size * float(eigenvalues.max(initial=0.0)) * RANK_REL
 
 
 def _validated_eigh(
@@ -168,10 +167,6 @@ def _validated_eigh(
         raise NotPsdError(f"{name} is not positive semi-definite (min eigenvalue {low:.3e})")
     require_in_range(float(np.abs(vals).sum()), k, name)
     return m, vals, vecs, k
-
-
-def _rebuild(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    return sym((vecs * vals) @ vecs.T)
 
 
 def clamped_eigen(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,10 +210,9 @@ def loewner_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def positive_diag_mask(matrix: np.ndarray) -> np.ndarray:
-    """Diagonal entries above the rank cutoff ``d * max_diag * RANK_REL``."""
+    """Diagonal entries above the rank cutoff of the diagonal, :func:`default_rank_tol`."""
     diag = matrix.diagonal()
-    top = max(float(diag.max(initial=0.0)), 0.0)
-    return diag > diag.size * top * RANK_REL
+    return diag > default_rank_tol(diag)
 
 
 def transport_map_basis(gradient: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -241,14 +235,14 @@ def bw2_gradient_from_inner(
     diag(root**2)`` (any ``F`` in its eigenbasis) and the spectral
     decomposition of ``F^{1/2} S F^{1/2}``, its eigenvalues clamped at zero.
 
-    Inner eigenvalues below the rank cutoff are floored there, so a flat
-    ``S`` gives a large but finite gradient pointing back into the interior.
+    Inner eigenvalues below the rank cutoff, :func:`default_rank_tol`, are
+    floored there, so a flat ``S`` gives a large but finite gradient pointing
+    back into the interior.
     The product is formed as ``I - w @ w.T`` with ``w = F^{1/2} V
     diag(lambda)^{-1/4}``, a Gram form that numpy computes with BLAS
     ``syrk``, so the gradient is exactly symmetric without a ``sym``.
     """
-    # default_rank_tol without its abs, which a clamped spectrum does not need
-    floor = max(inner_vals.size * float(inner_vals.max()) * RANK_REL, _TINY)
+    floor = max(default_rank_tol(inner_vals), _TINY)
     w = root[:, None] * inner_vecs * np.maximum(inner_vals, floor) ** -0.25
     return _identity(root.size) - w @ w.T
 

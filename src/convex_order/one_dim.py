@@ -18,7 +18,7 @@ import numpy as np
 
 from .measures import DiscreteMeasure
 
-# convex-order tolerance per unit of the largest atom magnitude
+# convex-order and monotonicity tolerance per unit of the largest atom magnitude
 CX_TOL = 1e-9
 _EPS = np.finfo(float).eps
 
@@ -152,7 +152,7 @@ def project_1d_detail(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OneDimProject
     above_vals = q_nu + shift
     # the hull construction makes both non-decreasing; enforce against
     # roundoff, which grows with the magnitude of the atoms
-    tol = 1e-9 * max(float(np.abs(q_mu).max()), float(np.abs(q_nu).max()))
+    tol = CX_TOL * max(float(np.abs(q_mu).max()), float(np.abs(q_nu).max()))
     for vals in (below_vals, above_vals):
         drop = float(-np.diff(vals).min(initial=0.0))
         if drop > tol:

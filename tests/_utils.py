@@ -136,6 +136,21 @@ def raw_descent(cov_nu, cov_mu):
     return outcome._replace(covariance=back[0], gradient=back[1]), trace
 
 
+def dense_saturated(pair):
+    """The saturation test ``cov_nu <= (cov_nu^{1/2} cov_mu cov_nu^{1/2})^{1/2}``
+    on a pair record, built densely in its coordinates: the square root of
+    ``cov_nu`` rebuilt from its spectrum, the inner matrix conjugated by it,
+    and its square root rebuilt in turn, at the library's tolerance ``1e-9 (1
+    + lambda_max)``.  The reference for ``gaussian._saturated``, which reads
+    the same test in the record's eigenframe of ``cov_nu``."""
+    vals, vecs = pair.nu_eig
+    half = sym((vecs * np.sqrt(vals)) @ vecs.T)
+    probe_vals, probe_vecs = clamped_eigen(sym(half @ pair.cov_mu @ half))
+    probe = sym((probe_vecs * np.sqrt(probe_vals)) @ probe_vecs.T)
+    tol = 1e-9 * (1.0 + float(vals.max()))
+    return float(np.linalg.eigvalsh(probe - pair.cov_nu).min()) >= -tol
+
+
 def frobenius_project_above(matrix, lower):
     """Frobenius projection of ``sym(matrix)`` onto ``{S : S >= sym(lower)}``,
     by the descent's own cone projection."""

@@ -518,6 +518,18 @@ class TestDistance:
         assert report["centered_w2"] == float(np.sqrt(bw2(mu.cov, nu.cov)))
         assert report["bw2"] == bw2(mu.cov, nu.cov)
 
+    def test_gaussian_w2_sq_is_the_sum_not_a_squared_root(self, runner, tmp_path):
+        # means 1 apart and bw2 = (sqrt(2) - sqrt(0.5))^2 = 0.5: the square of
+        # the reported root would read 1.4999999999999998
+        problem = write_problem(tmp_path / "p.json", {
+            "mu": {"mean": [0.0], "cov": [[2.0]]},
+            "nu": {"mean": [1.0], "cov": [[0.5]]},
+        })
+        report = json.loads(runner.invoke(main, ["distance", problem]).output)
+        assert report["bw2"] == 0.5
+        assert report["w2_sq"] == 1.5
+        assert report["w2"] == math.sqrt(1.5)
+
     def test_gaussian_failure_is_solver_error(self, runner, tmp_path, monkeypatch):
         def failing(*args, **kwargs):
             raise NotPsdError("injected")

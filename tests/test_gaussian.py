@@ -19,6 +19,7 @@ from _utils import (
     PAIR_NAMES,
     bw2_gradient,
     conventional_order,
+    dense_saturated,
     descent_frame,
     eigen_convention,
     patch_everywhere,
@@ -756,6 +757,28 @@ class TestDominance:
         rng = np.random.default_rng(8)
         s = random_spd(rng, 3)
         assert saturated(s, s)
+
+    def test_agrees_with_the_dense_reference(self):
+        # criterion 10's dominated pairs and zero counterexample, then
+        # singular targets (the only pairs a verdict asks about), on which
+        # the test goes both ways
+        rng = np.random.default_rng(1010)
+        pairs = []
+        for _ in range(200):
+            d = int(rng.integers(1, 6))
+            nu_cov = random_spd(rng, d)
+            pairs.append((nu_cov + random_spd(rng, d, 0.0, 2.0), nu_cov))
+        pairs.append((np.zeros((2, 2)), np.eye(2)))
+        rng = np.random.default_rng(5)
+        for _ in range(1500):
+            d = int(rng.integers(2, 7))
+            rank = int(rng.integers(1, d))
+            pairs.append((spd(rng, d), spd(rng, d, rank=rank)))
+        records = [gaussian._decompose(mu_cov, nu_cov, PAIR_NAMES) for mu_cov, nu_cov in pairs]
+        verdicts = [gaussian._saturated(pair) for pair in records]
+        assert verdicts == [dense_saturated(pair) for pair in records]
+        assert all(verdicts[:200]) and not verdicts[200]
+        assert 100 < sum(verdicts[201:]) < 1400
 
 
 class TestRecoverBelow:
